@@ -4,6 +4,19 @@ Dependency-free digamma and trigamma, geometric expectations of gamma and
 beta variables, exact moments of sums of independent Bernoullis, and the
 second-order approximations for expected shifted logs and Chinese restaurant
 table counts. Everything here is a pure function.
+
+digamma, trigamma, geo_expect_gamma and geo_expect_beta take two routes: a
+scalar argument (a Python or numpy number, or a 0-d array) runs the
+recurrence and the series in Python floats, an array runs them elementwise
+in numpy. The sweep calls them on scalars thousands of times, where
+building one-element arrays would cost more than the arithmetic. The two
+routes give bit-identical results: + - * / round the same in both, the
+series is one shared function (_digamma_tail, _trigamma_tail), and the
+scalar route still calls numpy's log and exp, since math.log and math.exp
+are different implementations that disagree with numpy's in the last bit
+for a few arguments in a hundred thousand (measured on an AVX-512 x86-64
+host). bernoulli_sum_moments keeps np.sum, whose pairwise summation is
+part of its result.
 """
 
 import math
@@ -46,6 +59,48 @@ class BernoulliSumMoments:
     var_plus: float
 
 
+def _digamma_tail(inv2):
+    """B_2n/(2n) series of digamma in 1/x^2, innermost last.
+
+    Shared by the scalar and the array route: on a float and on an array
+    it performs the same operations in the same order.
+    """
+    return 1.0 / 12.0 - inv2 * (
+        1.0 / 120.0
+        - inv2
+        * (
+            1.0 / 252.0
+            - inv2
+            * (
+                1.0 / 240.0
+                - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))
+            )
+        )
+    )
+
+
+def _trigamma_tail(inv2):
+    """B_2n series of trigamma in 1/x^2, innermost last; see _digamma_tail."""
+    return 1.0 / 6.0 - inv2 * (
+        1.0 / 30.0
+        - inv2
+        * (
+            1.0 / 42.0
+            - inv2
+            * (
+                1.0 / 30.0
+                - inv2 * (5.0 / 66.0 - inv2 * (691.0 / 2730.0 - inv2 * (7.0 / 6.0)))
+            )
+        )
+    )
+
+
+def _is_scalar(x):
+    """True for Python and numpy scalars and 0-d arrays."""
+    # the isinstance test spares floats (np.float64 included) the np.ndim call
+    return isinstance(x, (int, float)) or np.ndim(x) == 0
+
+
 def digamma(x):
     """Digamma function for positive arguments, elementwise on arrays.
 
@@ -63,8 +118,18 @@ def digamma(x):
     float or ndarray
         psi evaluated at x; a plain float for scalar input.
     """
-    scalar = np.ndim(x) == 0
-    y = np.array(x, dtype=float, copy=True, ndmin=1)
+    if _is_scalar(x):
+        y = float(x)
+        if not y > 0:
+            raise ValueError("digamma requires x > 0")
+        acc = 0.0
+        while y < _SERIES_START:
+            acc -= 1.0 / y
+            y += 1.0
+        inv = 1.0 / y
+        inv2 = inv * inv
+        return float(acc + (np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)))
+    y = np.array(x, dtype=float)
     if not np.all(y > 0):
         raise ValueError("digamma requires x > 0")
     acc = np.zeros_like(y)
@@ -75,21 +140,8 @@ def digamma(x):
         small = y < _SERIES_START
     inv = 1.0 / y
     inv2 = inv * inv
-    # B_2n/(2n) coefficients, innermost last
-    tail = 1.0 / 12.0 - inv2 * (
-        1.0 / 120.0
-        - inv2
-        * (
-            1.0 / 252.0
-            - inv2
-            * (
-                1.0 / 240.0
-                - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))
-            )
-        )
-    )
-    acc += np.log(y) - 0.5 * inv - inv2 * tail
-    return float(acc[0]) if scalar else acc
+    acc += np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)
+    return acc
 
 
 def trigamma(x):
@@ -98,8 +150,20 @@ def trigamma(x):
     Same scheme as :func:`digamma`: recurrence psi'(x) = psi'(x+1) + 1/x^2
     up to 6, then psi'(x) ~ 1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1).
     """
-    scalar = np.ndim(x) == 0
-    y = np.array(x, dtype=float, copy=True, ndmin=1)
+    if _is_scalar(x):
+        y = float(x)
+        if not y > 0:
+            raise ValueError("trigamma requires x > 0")
+        acc = 0.0
+        while y < _SERIES_START:
+            y2 = y * y
+            # where y * y underflows to 0 the array route's 1 / y^2 is inf
+            acc += 1.0 / y2 if y2 > 0.0 else math.inf
+            y += 1.0
+        inv = 1.0 / y
+        inv2 = inv * inv
+        return acc + (inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2))
+    y = np.array(x, dtype=float)
     if not np.all(y > 0):
         raise ValueError("trigamma requires x > 0")
     acc = np.zeros_like(y)
@@ -110,20 +174,8 @@ def trigamma(x):
         small = y < _SERIES_START
     inv = 1.0 / y
     inv2 = inv * inv
-    tail = 1.0 / 6.0 - inv2 * (
-        1.0 / 30.0
-        - inv2
-        * (
-            1.0 / 42.0
-            - inv2
-            * (
-                1.0 / 30.0
-                - inv2 * (5.0 / 66.0 - inv2 * (691.0 / 2730.0 - inv2 * (7.0 / 6.0)))
-            )
-        )
-    )
-    acc += inv + 0.5 * inv2 + inv * inv2 * tail
-    return float(acc[0]) if scalar else acc
+    acc += inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2)
+    return acc
 
 
 def geo_expect_gamma(shape, rate):
@@ -131,12 +183,17 @@ def geo_expect_gamma(shape, rate):
 
     Equals exp(psi(shape)) / rate, strictly below the arithmetic mean.
     """
+    if _is_scalar(shape) and _is_scalar(rate):
+        shape = float(shape)
+        rate = float(rate)
+        if not (shape > 0 and rate > 0):
+            raise ValueError("gamma parameters must be positive")
+        return float(np.exp(digamma(shape)) / rate)
     shape_arr = np.asarray(shape, dtype=float)
     rate_arr = np.asarray(rate, dtype=float)
     if not (np.all(shape_arr > 0) and np.all(rate_arr > 0)):
         raise ValueError("gamma parameters must be positive")
-    out = np.exp(digamma(shape_arr)) / rate_arr
-    return float(out) if np.ndim(out) == 0 else out
+    return np.exp(digamma(shape_arr)) / rate_arr
 
 
 def geo_expect_beta(a, b):
@@ -144,12 +201,17 @@ def geo_expect_beta(a, b):
 
     Equals exp(psi(a) - psi(a + b)), strictly below a / (a + b).
     """
+    if _is_scalar(a) and _is_scalar(b):
+        a = float(a)
+        b = float(b)
+        if not (a > 0 and b > 0):
+            raise ValueError("beta parameters must be positive")
+        return float(np.exp(digamma(a) - digamma(a + b)))
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if not (np.all(a_arr > 0) and np.all(b_arr > 0)):
         raise ValueError("beta parameters must be positive")
-    out = np.exp(digamma(a_arr) - digamma(a_arr + b_arr))
-    return float(out) if np.ndim(out) == 0 else out
+    return np.exp(digamma(a_arr) - digamma(a_arr + b_arr))
 
 
 def bernoulli_sum_moments(probs) -> BernoulliSumMoments:
@@ -172,11 +234,13 @@ def bernoulli_sum_moments(probs) -> BernoulliSumMoments:
     any xi equal to 1 forces p_plus = 1 exactly.
     """
     xi = np.asarray(probs, dtype=float).ravel()
-    if xi.size and not (np.all(xi >= 0) and np.all(xi <= 1)):
+    # min and max propagate NaN, so a NaN fails the range check
+    hi = xi.max() if xi.size else 0.0
+    if xi.size and not (xi.min() >= 0 and hi <= 1):
         raise ValueError("probabilities must lie in [0, 1]")
     mean = float(np.sum(xi))
     variance = float(np.sum(xi * (1.0 - xi)))
-    if np.any(xi == 1.0):
+    if hi == 1.0:
         p_plus = 1.0
     else:
         p_plus = float(-np.expm1(np.sum(np.log1p(-xi))))

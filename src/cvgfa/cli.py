@@ -166,6 +166,8 @@ def cmd_fit(args) -> int:
     workers = 1 if args.threads is None else int(args.threads)
     if workers < 1:
         raise UsageError("--threads must be at least 1")
+    # more processes than restarts or cores would only wait on each other
+    workers = min(workers, run.n_restarts, os.cpu_count() or 1)
 
     results = engine.run_restarts(
         data, run.hyper, run.fit, run.n_restarts, workers=workers

@@ -6,6 +6,11 @@ equations and are convenient for testing single coordinates; sweep() fuses
 them into one pass with incrementally maintained caches and running
 leave-one-out count sums, which is what fit() drives. Tests pin the two
 routes against each other.
+
+Within sweep() only the inclusion probabilities are updated one column at
+a time, because each column's collapsed prior reads count sums that the
+earlier columns have moved; everything else in a (factor, group) row is a
+whole-row numpy expression (see sweep).
 """
 
 import math
@@ -275,6 +280,55 @@ def update_eta(state, m) -> float:
     return digamma(alpha_mean) - digamma(alpha_mean + state.dims[m])
 
 
+def _rho_recurrence(rho, lik, nhat, g_ab, g_abbar, m, k):
+    """New inclusion probabilities of one (group, factor) row, in column order.
+
+    Column d's leave-one-out count moments come from the running sums se
+    and sv, which every earlier column has already moved. rho and lik are
+    Python lists (old inclusion probabilities, likelihood terms); the
+    returned list holds the new probabilities. The clamps are written
+    `0.0 if x < 0.0 else x`, which keeps -0.0 and passes NaN on to the
+    non-finite check, exactly as max(x, 0.0) does.
+    """
+    log = math.log
+    exp = math.exp
+    isfinite = math.isfinite
+    n_other = len(rho) - 1
+    se = nhat.mean
+    sv = nhat.variance
+    out = []
+    append = out.append
+    for r_old, lik_d in zip(rho, lik):
+        v_old = r_old * (1.0 - r_old)
+        e1 = se - r_old
+        e1 = 0.0 if e1 < 0.0 else e1
+        v1 = sv - v_old
+        v1 = 0.0 if v1 < 0.0 else v1
+        e0 = n_other - e1
+        e0 = 0.0 if e0 < 0.0 else e0
+        # inline of expect_log_shifted_count, twice
+        tot1 = g_ab + e1
+        prior1 = log(tot1) - v1 / (2.0 * tot1 * tot1)
+        tot0 = g_abbar + e0
+        prior0 = log(tot0) - v1 / (2.0 * tot0 * tot0)
+        logit = prior1 - lik_d - prior0
+        if not isfinite(logit):
+            # len(out) is the index of the column at hand
+            raise NumericalError(
+                "non-finite inclusion logit",
+                context={"group": m, "factor": k, "column": len(out)},
+            )
+        if logit >= 0:
+            r_new = 1.0 / (1.0 + exp(-logit))
+        else:
+            e = exp(logit)
+            r_new = e / (1.0 + e)
+        append(r_new)
+        se += r_new - r_old
+        sv += r_new * (1.0 - r_new) - v_old
+    return out
+
+
 def sweep(state, data, hyper, caches=None, active_threshold=1e-2):
     """One full coordinate-ascent pass, mutating state in place.
 
@@ -283,6 +337,15 @@ def sweep(state, data, hyper, caches=None, active_threshold=1e-2):
     lambda (rho strictly ascending in d because the leave-one-out counts
     depend on the other columns), then the factor scores; finally per group
     alpha, eta, and the noise precisions.
+
+    Only the rho step runs column by column (_rho_recurrence), because it
+    alone reads the running count sums. Column d's likelihood term, new
+    loading and lambda read only its own pre-sweep values and dotx[d],
+    which stays fixed while the row is updated, so they are computed for
+    the whole row before and after the recurrence, in the operation order
+    of a per-column loop and so with bit-identical results. caches, if
+    given, must be consistent with state; sweep keeps its residual up to
+    date.
     """
     if caches is None:
         caches = build_caches(state, data)
@@ -330,43 +393,15 @@ def sweep(state, data, hyper, caches=None, active_threshold=1e-2):
             # factor k's own parameters change inside it
             dotx = caches.residual[m].T @ tf + coef_old * ff
 
-            se = nhat.mean
-            sv = nhat.variance
-            for d in range(d_m):
-                r_old = rho_row[d]
-                e1 = max(se - r_old, 0.0)
-                v1 = max(sv - r_old * (1.0 - r_old), 0.0)
-                e0 = max((d_m - 1) - e1, 0.0)
-                # inline of expect_log_shifted_count, twice
-                tot1 = g_ab + e1
-                prior1 = math.log(tot1) - v1 / (2.0 * tot1 * tot1)
-                tot0 = g_abbar + e0
-                prior0 = math.log(tot0) - v1 / (2.0 * tot0 * tot0)
-                ew = w_row[d]
-                ew2 = ew * ew + wvar_row[d]
-                xdot = dotx[d]
-                logit = prior1 - 0.5 * (ew2 * sff - 2.0 * ew * xdot) - prior0
-                if not math.isfinite(logit):
-                    raise NumericalError(
-                        "non-finite inclusion logit",
-                        context={"group": m, "factor": k, "column": d},
-                    )
-                if logit >= 0:
-                    r_new = 1.0 / (1.0 + math.exp(-logit))
-                else:
-                    e = math.exp(logit)
-                    r_new = e / (1.0 + e)
-                rho_row[d] = r_new
-                se += r_new - r_old
-                sv += r_new * (1.0 - r_new) - r_old * (1.0 - r_old)
+            lik = 0.5 * ((w_row * w_row + wvar_row) * sff - 2.0 * w_row * dotx)
+            rho_row[:] = _rho_recurrence(
+                rho_row.tolist(), lik.tolist(), nhat, g_ab, g_abbar, m, k
+            )
 
-                var_new = 1.0 / (lam_shape_row[d] / lam_rate_row[d] + r_new * sff)
-                mu_new = var_new * r_new * xdot
-                w_row[d] = mu_new
-                wvar_row[d] = var_new
-
-                lam_shape_row[d] = e0_half
-                lam_rate_row[d] = hyper.f0 + 0.5 * (mu_new * mu_new + var_new)
+            wvar_row[:] = 1.0 / (lam_shape_row / lam_rate_row + rho_row * sff)
+            w_row[:] = wvar_row * rho_row * dotx
+            lam_shape_row[:] = e0_half
+            lam_rate_row[:] = hyper.f0 + 0.5 * (w_row * w_row + wvar_row)
 
             caches.residual[m] += np.outer(f_col, coef_old - rho_row * w_row)
             caches.nhat_mean[m, k] = rho_row.sum()
@@ -463,19 +498,22 @@ def _bernoulli_entropy(rho):
     return float(-np.sum(r * np.log(r) + (1.0 - r) * np.log1p(-r)))
 
 
-def surrogate_elbo(state, data, hyper) -> float:
+def surrogate_elbo(state, data, hyper, caches=None) -> float:
     """Variational objective with the collapsed inclusion prior approximated.
 
     Conjugate terms are exact given the posterior moments; E[log p(Z)] uses
     the marginal's log-gamma ratios evaluated at geometric means of the
     concentrations and expected counts (see COLLAPSED_Z_METHOD). The
     auxiliary-variable terms cancel because their posteriors are exact.
+    caches, if given, must be consistent with state (only its residual is
+    read); otherwise they are built here.
     """
     total = 0.0
     M = state.n_groups
     K = state.n_factors
 
-    caches = build_caches(state, data) if M else None
+    if caches is None and M:
+        caches = build_caches(state, data)
     for m in range(M):
         d_m = state.dims[m]
         tb = state.tau_shape[m] / state.tau_rate[m]
@@ -562,23 +600,29 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
     prev_mse = None
     streak = 0
     converged = False
+    caches = None
     for it in range(int(opts.max_sweeps)):
         try:
             sweep(
                 state,
                 data,
                 hyper,
+                caches=caches,
                 active_threshold=opts.active_factor_threshold,
             )
         except NumericalError as err:
             err.context.setdefault("sweep", it)
             raise
+        # one fresh residual per sweep serves the MSE, the objective and the
+        # next sweep; the state does not change between them. The swept
+        # caches go first, so that two sets never coexist.
+        caches = None
+        caches = build_caches(state, data)
         sq_err = 0.0
         for m in range(data.n_groups):
-            resid = data.groups[m] - state.f_mean @ (state.rho[m] * state.w_mean[m])
-            sq_err += float((resid**2).sum())
+            sq_err += float((caches.residual[m] ** 2).sum())
         mse = sq_err / total_cells
-        objective = surrogate_elbo(state, data, hyper)
+        objective = surrogate_elbo(state, data, hyper, caches=caches)
         if not (math.isfinite(objective) and math.isfinite(mse)):
             raise NumericalError("non-finite objective", context={"sweep": it})
         k_active = len(active_factors(state, opts.active_factor_threshold))

@@ -392,12 +392,16 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> Variationa
     total_cells = float(sum(g.size for g in data.groups))
     prev = None
     streak = 0
+    caches = None
     for _ in range(_INIT_RELAX_CAP):
-        engine.sweep(state, data, hyper)
+        engine.sweep(state, data, hyper, caches=caches)
+        # the fresh residual serves this pass's error and the next sweep;
+        # the swept caches go first, so that two sets never coexist
+        caches = None
+        caches = engine.build_caches(state, data)
         sq = 0.0
         for m in range(M):
-            recon = state.f_mean @ (state.rho[m] * state.w_mean[m])
-            diff = data.groups[m] - recon
+            diff = caches.residual[m]
             sq += float((diff * diff).sum())
         cur = sq / total_cells
         if prev is not None and abs(cur - prev) < _INIT_RELAX_TOL * max(prev, 1e-12):

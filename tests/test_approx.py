@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 from cvgfa.approx import (
+    _SERIES_START,
     BernoulliSumMoments,
     bernoulli_sum_moments,
     crt_mean_approx,
@@ -123,6 +124,91 @@ class TestGeometricExpectations:
             geo_expect_beta(-0.5, 1.0)
         with pytest.raises(ValueError):
             geo_expect_beta(1.0, 0.0)
+
+
+def scalar_grid(n_random=100_000):
+    """Arguments on both sides of _SERIES_START, tiny, huge and random.
+
+    The random part is large because a log or exp that differs from
+    numpy's in the last bit does so on only a few arguments in 100k.
+    """
+    rng = np.random.default_rng(21)
+    below = np.nextafter(_SERIES_START, 0.0)
+    above = np.nextafter(_SERIES_START, np.inf)
+    return np.concatenate(
+        [
+            [below, _SERIES_START, above, 0.5, 1.0, 2.5, 5.999, 6.001, 40.0],
+            # 1e-160 squared underflows to 0, 5e-324 is the least subnormal
+            [5e-324, 1e-310, 1e-200, 1e-160, 1e-12, 1e12, 1e200, 1e300],
+            np.exp(rng.uniform(math.log(1e-300), math.log(1e300), n_random)),
+            rng.uniform(0.0, 2.0 * _SERIES_START, n_random),
+        ]
+    )
+
+
+def same_bits(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+class TestScalarRoute:
+    """Scalar inputs skip numpy arrays; the result must not move a bit."""
+
+    @pytest.mark.parametrize("fn", [digamma, trigamma])
+    def test_float_matches_array_route(self, fn):
+        grid = scalar_grid()
+        whole = fn(grid)
+        assert same_bits([fn(x) for x in grid.tolist()], whole)
+        for i in range(0, grid.size, 500):
+            x = grid[i]
+            got = fn(np.float64(x))
+            assert type(got) is float
+            assert same_bits(got, whole[i]), x
+            # every scalar once took the array route as a length-1 array
+            assert same_bits(got, fn(np.array([x]))[0]), x
+
+    @pytest.mark.parametrize("fn", [digamma, trigamma])
+    def test_other_scalars_match_array_route(self, fn):
+        ints = [1, 2, 5, 6, 7, 100, 10**6, 10**15]
+        whole = fn(np.array(ints, dtype=float))
+        for i, x in enumerate(ints):
+            for arg in (x, np.int64(x), np.array(float(x))):
+                got = fn(arg)
+                assert type(got) is float
+                assert same_bits(got, whole[i]), x
+
+    @pytest.mark.parametrize("fn", [geo_expect_gamma, geo_expect_beta])
+    def test_geo_expectations_match_array_route(self, fn):
+        grid = scalar_grid(n_random=25_000)
+        # keep both parameters where the results are finite and nonzero
+        first = grid[(grid > 1e-6) & (grid < 1e6)]
+        second = first[::-1].copy()
+        whole = fn(first, second)
+        got = [fn(x, y) for x, y in zip(first.tolist(), second.tolist())]
+        assert same_bits(got, whole)
+        for x, y in zip(first[::200], second[::200]):
+            got = fn(np.float64(x), np.float64(y))
+            assert type(got) is float
+            assert same_bits(got, fn(np.array([x]), np.array([y]))[0]), (x, y)
+        got = fn(2, 3)
+        assert type(got) is float
+        assert same_bits(got, fn(np.array([2.0]), np.array([3.0]))[0])
+
+    @pytest.mark.parametrize("bad", [0, 0.0, -0.0, -1, -2.5, float("nan")])
+    def test_scalar_domain_errors(self, bad):
+        for fn in (digamma, trigamma):
+            with pytest.raises(ValueError):
+                fn(bad)
+            with pytest.raises(ValueError):
+                fn(np.float64(bad))
+        for fn in (geo_expect_gamma, geo_expect_beta):
+            with pytest.raises(ValueError):
+                fn(bad, 1.0)
+            with pytest.raises(ValueError):
+                fn(1.0, bad)
 
 
 class TestBernoulliSumMoments:

@@ -202,6 +202,31 @@ class TestFit:
                 threaded / f"restart_{seed}" / "trace.csv"
             ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "threads, restarts, cpus, want",
+        [(1, 3, 4, 1), (2, 3, 4, 2), (8, 3, 4, 3), (3, 5, 2, 2), (2, 2, None, 1)],
+    )
+    def test_threads_clamped_to_restarts_and_cpus(
+        self, monkeypatch, tmp_path, sim1_dataset, threads, restarts, cpus, want
+    ):
+        seen = []
+
+        def fake_run_restarts(data, hyper, opts, n_restarts, workers=1):
+            seen.append(workers)
+            return [
+                {"seed": s, "report": None, "error": "skipped", "context": {}}
+                for s in range(n_restarts)
+            ]
+
+        monkeypatch.setattr(cli.engine, "run_restarts", fake_run_restarts)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        # every restart "fails", so the command stops with exit code 4
+        assert run_cli(
+            "fit", sim1_dataset, "--k", 3, "--restarts", restarts,
+            "--threads", threads, "--out", tmp_path / "out",
+        ) == 4
+        assert seen == [want]
+
 
 class TestEval:
     def test_sim1_mode(self, tmp_path, sim1_dataset, sim1_fit):

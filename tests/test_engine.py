@@ -633,6 +633,184 @@ class TestSweepRoutesAgree:
         )
 
 
+def per_column_sweep(state, data, hyper, active_threshold=1e-2):
+    """engine.sweep as it was written before the rho recurrence was split out.
+
+    Every (k, m, d) updates rho, then w, then lambda one scalar at a time.
+    Kept here only as the oracle that the vectorised sweep must match bit
+    for bit.
+    """
+    caches = engine.build_caches(state, data)
+    M = state.n_groups
+    e0_half = hyper.e0 + 0.5
+    tau_bar = [state.tau_shape[m] / state.tau_rate[m] for m in range(M)]
+    g_alpha = [
+        geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)
+    ]
+
+    for k in sorted(active_factors(state, active_threshold)):
+        a_k, b_k = engine.update_beta_params(state, hyper, k)
+        state.beta_a[k] = a_k
+        state.beta_b[k] = b_k
+        g_beta = geo_expect_beta(a_k, b_k)
+        g_beta_bar = geo_expect_beta(b_k, a_k)
+
+        for m in range(M):
+            d_m = state.dims[m]
+            rho_row = state.rho[m][k]
+            w_row = state.w_mean[m][k]
+            wvar_row = state.w_var[m][k]
+            lam_shape_row = state.lambda_shape[m][k]
+            lam_rate_row = state.lambda_rate[m][k]
+            g_ab = max(g_alpha[m] * g_beta, engine.GEO_FLOOR)
+            g_abbar = max(g_alpha[m] * g_beta_bar, engine.GEO_FLOOR)
+
+            nhat = bernoulli_sum_moments(rho_row)
+            ntil = bernoulli_sum_moments(1.0 - rho_row)
+            state.aux_s_mean[m, k] = min(
+                max(crt_mean_approx(g_ab, nhat), 0.0), float(d_m)
+            )
+            state.aux_t_mean[m, k] = min(
+                max(crt_mean_approx(g_abbar, ntil), 0.0), float(d_m)
+            )
+
+            f_col = state.f_mean[:, k]
+            f2_col = f_col * f_col + state.f_var[:, k]
+            tb = tau_bar[m]
+            sff = float(tb @ f2_col)
+            tf = tb * f_col
+            ff = float(tf @ f_col)
+            coef_old = rho_row * w_row
+            dotx = caches.residual[m].T @ tf + coef_old * ff
+
+            se = nhat.mean
+            sv = nhat.variance
+            for d in range(d_m):
+                r_old = rho_row[d]
+                e1 = max(se - r_old, 0.0)
+                v1 = max(sv - r_old * (1.0 - r_old), 0.0)
+                e0 = max((d_m - 1) - e1, 0.0)
+                tot1 = g_ab + e1
+                prior1 = math.log(tot1) - v1 / (2.0 * tot1 * tot1)
+                tot0 = g_abbar + e0
+                prior0 = math.log(tot0) - v1 / (2.0 * tot0 * tot0)
+                ew = w_row[d]
+                ew2 = ew * ew + wvar_row[d]
+                xdot = dotx[d]
+                logit = prior1 - 0.5 * (ew2 * sff - 2.0 * ew * xdot) - prior0
+                if not math.isfinite(logit):
+                    raise NumericalError(
+                        "non-finite inclusion logit",
+                        context={"group": m, "factor": k, "column": d},
+                    )
+                if logit >= 0:
+                    r_new = 1.0 / (1.0 + math.exp(-logit))
+                else:
+                    e = math.exp(logit)
+                    r_new = e / (1.0 + e)
+                rho_row[d] = r_new
+                se += r_new - r_old
+                sv += r_new * (1.0 - r_new) - r_old * (1.0 - r_old)
+
+                var_new = 1.0 / (lam_shape_row[d] / lam_rate_row[d] + r_new * sff)
+                mu_new = var_new * r_new * xdot
+                w_row[d] = mu_new
+                wvar_row[d] = var_new
+
+                lam_shape_row[d] = e0_half
+                lam_rate_row[d] = hyper.f0 + 0.5 * (mu_new * mu_new + var_new)
+
+            caches.residual[m] += np.outer(f_col, coef_old - rho_row * w_row)
+
+        precision = np.ones(state.n_samples)
+        moment = np.zeros(state.n_samples)
+        coefs = []
+        for m in range(M):
+            rho_row = state.rho[m][k]
+            w_row = state.w_mean[m][k]
+            coef = rho_row * w_row
+            coefs.append(coef)
+            precision += tau_bar[m] * float(rho_row @ (w_row * w_row + state.w_var[m][k]))
+            moment += tau_bar[m] * (
+                caches.residual[m] @ coef + state.f_mean[:, k] * float(coef @ coef)
+            )
+        f_var_new = 1.0 / precision
+        f_new = f_var_new * moment
+        f_old = state.f_mean[:, k].copy()
+        state.f_mean[:, k] = f_new
+        state.f_var[:, k] = f_var_new
+        for m in range(M):
+            caches.residual[m] += np.outer(f_old - f_new, coefs[m])
+
+    for m in range(M):
+        shape, rate = engine.update_alpha(state, hyper, m)
+        state.alpha_shape[m] = shape
+        state.alpha_rate[m] = rate
+        state.eta_log_mean[m] = engine.update_eta(state, m)
+        sq = engine._expected_sq_residual(state, caches, m)
+        state.tau_shape[m][:] = hyper.g0 + 0.5 * state.dims[m]
+        state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
+    return state
+
+
+STATE_ARRAYS = ("f_mean", "f_var", "beta_a", "beta_b", "alpha_shape",
+                "alpha_rate", "aux_s_mean", "aux_t_mean", "eta_log_mean")
+STATE_LISTS = ("rho", "w_mean", "w_var", "lambda_shape", "lambda_rate",
+               "tau_shape", "tau_rate")
+
+
+def assert_states_bitwise_equal(a, b):
+    for name in STATE_ARRAYS:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in STATE_LISTS:
+        for m, (x, y) in enumerate(zip(getattr(a, name), getattr(b, name))):
+            assert x.tobytes() == y.tobytes(), f"{name}[{m}]"
+
+
+class TestSweepMatchesPerColumnLoop:
+    @pytest.mark.parametrize("relax_cap", [0, None])
+    def test_bitwise_over_sweeps_with_pruning(self, monkeypatch, relax_cap):
+        from cvgfa import model
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        if relax_cap is not None:
+            # start from the bare spectral warm start, before any pruning
+            monkeypatch.setattr(model, "_INIT_RELAX_CAP", relax_cap)
+        # K = 10 against sim1's 6 true factors
+        data, _ = generate(simulation1_pattern(), 40, [20] * 4, seed=2)
+        hyper = Hyperparameters(K=10)
+        fast = init_state(data, hyper, seed=0)
+        slow = fast.copy()
+        assert_states_bitwise_equal(fast, slow)
+        active = [len(active_factors(fast, 1e-2))]
+        caches = None
+        for _ in range(6):
+            engine.sweep(fast, data, hyper, caches=caches)
+            per_column_sweep(slow, data, hyper)
+            assert_states_bitwise_equal(fast, slow)
+            active.append(len(active_factors(fast, 1e-2)))
+            # the caller may hand the sweep a freshly built residual
+            caches = engine.build_caches(fast, data)
+        assert active[-1] < hyper.K
+        if relax_cap is not None:
+            assert active[0] == hyper.K and active[-1] < active[0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_logit_raises_with_context(self, bad):
+        n, dims, k = 5, [4, 3], 3
+        rng = np.random.default_rng(31)
+        data = GroupedDataset(
+            [rng.standard_normal((n, d)) for d in dims], ["g0", "g1"]
+        )
+        state = random_state(np.random.default_rng(32), n, dims, k)
+        # w_var enters only column (1, 0, 2)'s likelihood term: NaN gives a
+        # NaN logit, +inf a -inf logit and -inf a +inf logit
+        state.w_var[1][0, 2] = bad
+        with pytest.raises(NumericalError) as info:
+            engine.sweep(state, data, Hyperparameters(K=k))
+        assert info.value.context == {"group": 1, "factor": 0, "column": 2}
+
+
 class TestSweepInvariants:
     def test_state_stays_valid_over_sweeps(self):
         data = make_dataset(seed=5, n=8, dims=(6, 5))
@@ -715,6 +893,15 @@ class TestSurrogateElbo:
             state = random_state(rng, 5, dims, 3)
             hyper = Hyperparameters(K=3)
             assert math.isfinite(engine.surrogate_elbo(state, data, hyper))
+
+    def test_given_caches_give_the_same_value(self):
+        data = make_dataset(seed=8, n=6, dims=(4, 3))
+        state = random_state(np.random.default_rng(8), 6, (4, 3), 3)
+        hyper = Hyperparameters(K=3)
+        caches = engine.build_caches(state, data)
+        assert engine.surrogate_elbo(
+            state, data, hyper, caches=caches
+        ) == engine.surrogate_elbo(state, data, hyper)
 
     def test_single_sweep_from_init_increases_objective(self):
         from cvgfa.simdata import generate, simulation1_pattern
