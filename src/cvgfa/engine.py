@@ -77,14 +77,9 @@ class SweepCaches:
     """Per-sweep working quantities.
 
     residual[m] is the data minus the full expected reconstruction,
-    X - E[F] (rho * mu_w), kept consistent with the current state. The
-    count moments are per (group, factor) over all columns.
+    X - E[F] (rho * mu_w), kept consistent with the current state.
     """
 
-    nhat_mean: np.ndarray
-    nhat_var: np.ndarray
-    ntilde_mean: np.ndarray
-    ntilde_var: np.ndarray
     residual: list
 
 
@@ -98,20 +93,11 @@ class FitReport:
 
 
 def build_caches(state: VariationalState, data: GroupedDataset) -> SweepCaches:
-    M = state.n_groups
-    K = state.n_factors
-    nhat_mean = np.zeros((M, K))
-    nhat_var = np.zeros((M, K))
-    ntilde_mean = np.zeros((M, K))
-    residual = []
-    for m in range(M):
-        r = state.rho[m]
-        nhat_mean[m] = r.sum(axis=1)
-        nhat_var[m] = (r * (1.0 - r)).sum(axis=1)
-        ntilde_mean[m] = (1.0 - r).sum(axis=1)
-        residual.append(data.groups[m] - state.f_mean @ (r * state.w_mean[m]))
-    # counts and their complements share the same Bernoulli variance
-    return SweepCaches(nhat_mean, nhat_var, ntilde_mean, nhat_var.copy(), residual)
+    residual = [
+        data.groups[m] - state.f_mean @ (state.rho[m] * state.w_mean[m])
+        for m in range(state.n_groups)
+    ]
+    return SweepCaches(residual)
 
 
 def update_sufficient_stats(state, m, k, exclude_d=None, complement=False):
@@ -404,10 +390,6 @@ def sweep(state, data, hyper, caches=None, active_threshold=1e-2):
             lam_rate_row[:] = hyper.f0 + 0.5 * (w_row * w_row + wvar_row)
 
             caches.residual[m] += np.outer(f_col, coef_old - rho_row * w_row)
-            caches.nhat_mean[m, k] = rho_row.sum()
-            caches.nhat_var[m, k] = (rho_row * (1.0 - rho_row)).sum()
-            caches.ntilde_mean[m, k] = (1.0 - rho_row).sum()
-            caches.ntilde_var[m, k] = caches.nhat_var[m, k]
 
         # factor scores for column k; samples are mutually independent here
         precision = np.ones(state.n_samples)

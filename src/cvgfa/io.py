@@ -5,6 +5,16 @@ formatting, so writing and re-reading reproduces every float64 bitwise.
 Metadata is versioned JSON; loaders check the format tag and version and
 cross-validate array shapes so a stale or hand-edited file fails loudly
 instead of corrupting a run.
+
+Small JSON files (manifests, best.json, command outputs) are indented for
+people to read. A checkpoint holds the whole state, over a million floats
+on a wide fit, so it is compact JSON written one state array at a time
+with json.dumps. json.dump, and json.dumps with any indent, encode through
+the json module's pure-Python encoder; json.dumps without indent uses its
+C encoder, about twice as fast on long float lists (the repr of each float
+is most of what is left). Both write floats as repr, so a checkpoint
+round-trips bitwise either way. `python -m json.tool checkpoint.json`
+pretty-prints one.
 """
 
 import json
@@ -22,13 +32,14 @@ FORMAT_VERSION = 1
 TRACE_HEADER = "sweep,objective,train_mse,k_active"
 
 HYPER_FIELDS = ("K", "kappa0", "c0", "d0", "e0", "f0", "g0", "h0")
+_COMPACT = (",", ":")
 
 
 def write_matrix_csv(path, array):
-    a = np.atleast_2d(np.asarray(array, dtype=float))
+    rows = np.atleast_2d(np.asarray(array, dtype=float)).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in a:
-            fh.write(",".join(repr(float(v)) for v in row))
+        for row in rows:
+            fh.write(",".join(map(repr, row)))
             fh.write("\n")
 
 
@@ -196,72 +207,79 @@ def read_truth(path, manifest=None):
     return loadings, pattern, factors
 
 
-def _state_to_jsonable(state: VariationalState):
-    def per_group(arrs):
-        return [a.tolist() for a in arrs]
-
-    return {
-        "rho": per_group(state.rho),
-        "w_mean": per_group(state.w_mean),
-        "w_var": per_group(state.w_var),
-        "f_mean": state.f_mean.tolist(),
-        "f_var": state.f_var.tolist(),
-        "beta_a": state.beta_a.tolist(),
-        "beta_b": state.beta_b.tolist(),
-        "lambda_shape": per_group(state.lambda_shape),
-        "lambda_rate": per_group(state.lambda_rate),
-        "tau_shape": per_group(state.tau_shape),
-        "tau_rate": per_group(state.tau_rate),
-        "alpha_shape": state.alpha_shape.tolist(),
-        "alpha_rate": state.alpha_rate.tolist(),
-        "aux_s_mean": state.aux_s_mean.tolist(),
-        "aux_t_mean": state.aux_t_mean.tolist(),
-        "eta_log_mean": state.eta_log_mean.tolist(),
-    }
+# Every VariationalState field, in the order the checkpoint stores them
+# (sorted by name); True marks the per-group lists of arrays.
+STATE_FIELDS = (
+    ("alpha_rate", False),
+    ("alpha_shape", False),
+    ("aux_s_mean", False),
+    ("aux_t_mean", False),
+    ("beta_a", False),
+    ("beta_b", False),
+    ("eta_log_mean", False),
+    ("f_mean", False),
+    ("f_var", False),
+    ("lambda_rate", True),
+    ("lambda_shape", True),
+    ("rho", True),
+    ("tau_rate", True),
+    ("tau_shape", True),
+    ("w_mean", True),
+    ("w_var", True),
+)
 
 
 def _state_from_jsonable(obj) -> VariationalState:
-    def lists(key):
-        return [np.array(a, dtype=float) for a in obj[key]]
-
-    def arr(key):
-        return np.array(obj[key], dtype=float)
-
     try:
-        state = VariationalState(
-            rho=lists("rho"),
-            w_mean=lists("w_mean"),
-            w_var=lists("w_var"),
-            f_mean=arr("f_mean"),
-            f_var=arr("f_var"),
-            beta_a=arr("beta_a"),
-            beta_b=arr("beta_b"),
-            lambda_shape=lists("lambda_shape"),
-            lambda_rate=lists("lambda_rate"),
-            tau_shape=lists("tau_shape"),
-            tau_rate=lists("tau_rate"),
-            alpha_shape=arr("alpha_shape"),
-            alpha_rate=arr("alpha_rate"),
-            aux_s_mean=arr("aux_s_mean"),
-            aux_t_mean=arr("aux_t_mean"),
-            eta_log_mean=arr("eta_log_mean"),
-        )
+        fields = {
+            name: (
+                [np.array(a, dtype=float) for a in obj[name]]
+                if per_group
+                else np.array(obj[name], dtype=float)
+            )
+            for name, per_group in STATE_FIELDS
+        }
     except (KeyError, TypeError, ValueError) as err:
         raise DataError(f"malformed checkpoint state: {err}") from None
-    return state
+    return VariationalState(**fields)
 
 
 def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_names=None):
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": FORMAT_VERSION,
-        "hyperparameters": {f: getattr(hyper, f) for f in HYPER_FIELDS},
-        "group_names": list(group_names) if group_names else None,
-        "fit": dict(fit_info or {}),
-        "state": _state_to_jsonable(state),
-    }
-    payload["hyperparameters"]["K"] = int(hyper.K)
-    write_json(path, payload)
+    """Compact JSON: the metadata, then the state one array at a time.
+
+    Each array becomes lists and text only while it is written, so no copy
+    of the whole state exists as lists or as a string.
+    """
+    hyperparameters = {f: getattr(hyper, f) for f in HYPER_FIELDS}
+    hyperparameters["K"] = int(hyper.K)
+    header = json.dumps(
+        {
+            "format": CHECKPOINT_FORMAT,
+            "version": FORMAT_VERSION,
+            "hyperparameters": hyperparameters,
+            "group_names": list(group_names) if group_names else None,
+            "fit": dict(fit_info or {}),
+        },
+        sort_keys=True,
+        separators=_COMPACT,
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        # the state goes last, so the metadata opens the file
+        fh.write(header[:-1])
+        fh.write(',"state":{')
+        for i, (name, per_group) in enumerate(STATE_FIELDS):
+            value = getattr(state, name)
+            fh.write(f'{"," if i else ""}"{name}":')
+            if per_group:
+                fh.write("[")
+                for m, a in enumerate(value):
+                    if m:
+                        fh.write(",")
+                    fh.write(json.dumps(a.tolist(), separators=_COMPACT))
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value.tolist(), separators=_COMPACT))
+        fh.write("}}\n")
 
 
 def read_checkpoint(path):

@@ -831,11 +831,15 @@ class TestSweepInvariants:
         hyper = Hyperparameters(K=3)
         state = init_state(data, hyper, seed=1)
         engine.sweep(state, data, hyper)
-        caches = engine.build_caches(state, data)
         for m in range(2):
             for k in range(3):
-                total = caches.nhat_mean[m, k] + caches.ntilde_mean[m, k]
+                rho_row = state.rho[m][k]
+                nhat = bernoulli_sum_moments(rho_row)
+                ntil = bernoulli_sum_moments(1.0 - rho_row)
+                total = nhat.mean + ntil.mean
                 assert total == pytest.approx(state.dims[m], abs=1e-9)
+                # a count and its complement share one Bernoulli variance
+                assert ntil.variance == pytest.approx(nhat.variance, abs=1e-12)
 
     def test_prior_recovery_on_zero_data(self):
         data = GroupedDataset(

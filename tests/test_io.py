@@ -1,5 +1,6 @@
 """Round-trip and strict-loader tests for the on-disk formats."""
 
+import dataclasses
 import json
 import os
 
@@ -8,7 +9,13 @@ import pytest
 
 from cvgfa import engine, io, simdata
 from cvgfa.errors import DataError
-from cvgfa.model import FitOptions, GroupedDataset, Hyperparameters, init_state
+from cvgfa.model import (
+    FitOptions,
+    GroupedDataset,
+    Hyperparameters,
+    VariationalState,
+    init_state,
+)
 
 
 def random_matrix(seed, shape):
@@ -21,6 +28,37 @@ def random_matrix(seed, shape):
     return a
 
 
+# -0.0 must keep its sign; 5e-324 is the smallest subnormal, 1e-40 lies
+# below float32's range, then the largest double, the smallest normal
+# (negated) and three values that need 17 significant digits
+EDGE_VALUES = [
+    -0.0,
+    5e-324,
+    1e-40,
+    1.7976931348623157e308,
+    0.30000000000000004,
+    -2.2250738585072014e-308,
+    1.0000000000000002,
+    123456789.01234567,
+]
+
+
+def edge_matrix():
+    a = random_matrix(1, (3, len(EDGE_VALUES)))
+    a[1] = EDGE_VALUES
+    a[2] = [-v for v in EDGE_VALUES]
+    return a
+
+
+def write_matrix_csv_per_scalar(path, array):
+    """The CSV writer before it converted each matrix with tolist()."""
+    a = np.atleast_2d(np.asarray(array, dtype=float))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in a:
+            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write("\n")
+
+
 class TestMatrixCsv:
     def test_bitwise_round_trip(self, tmp_path):
         a = random_matrix(0, (7, 5))
@@ -29,6 +67,16 @@ class TestMatrixCsv:
         b = io.read_matrix_csv(path)
         assert b.shape == a.shape
         assert np.array_equal(a, b)
+
+    def test_edge_values_bytes_match_per_scalar_writer(self, tmp_path):
+        a = edge_matrix()
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        io.write_matrix_csv(new, a)
+        write_matrix_csv_per_scalar(old, a)
+        assert new.read_bytes() == old.read_bytes()
+        back = io.read_matrix_csv(new)
+        assert back.tobytes() == a.tobytes()
+        assert np.signbit(back[1, 0]) and not np.signbit(back[2, 0])
 
     def test_single_row_round_trip(self, tmp_path):
         a = np.array([[0.25, -3.5, 11.0]])
@@ -153,7 +201,112 @@ def fitted_state(seed=0):
     return report, data, hyper
 
 
+def write_checkpoint_indented(path, state, hyper, fit_info=None, group_names=None):
+    """The checkpoint writer before compact output: one json.dump, indent=2."""
+
+    def per_group(arrs):
+        return [a.tolist() for a in arrs]
+
+    payload = {
+        "format": io.CHECKPOINT_FORMAT,
+        "version": io.FORMAT_VERSION,
+        "hyperparameters": {f: getattr(hyper, f) for f in io.HYPER_FIELDS},
+        "group_names": list(group_names) if group_names else None,
+        "fit": dict(fit_info or {}),
+        "state": {
+            "rho": per_group(state.rho),
+            "w_mean": per_group(state.w_mean),
+            "w_var": per_group(state.w_var),
+            "f_mean": state.f_mean.tolist(),
+            "f_var": state.f_var.tolist(),
+            "beta_a": state.beta_a.tolist(),
+            "beta_b": state.beta_b.tolist(),
+            "lambda_shape": per_group(state.lambda_shape),
+            "lambda_rate": per_group(state.lambda_rate),
+            "tau_shape": per_group(state.tau_shape),
+            "tau_rate": per_group(state.tau_rate),
+            "alpha_shape": state.alpha_shape.tolist(),
+            "alpha_rate": state.alpha_rate.tolist(),
+            "aux_s_mean": state.aux_s_mean.tolist(),
+            "aux_t_mean": state.aux_t_mean.tolist(),
+            "eta_log_mean": state.eta_log_mean.tolist(),
+        },
+    }
+    payload["hyperparameters"]["K"] = int(hyper.K)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def state_arrays(state):
+    """Every state array by name, per-group lists flattened in order."""
+    out = {}
+    for f in dataclasses.fields(VariationalState):
+        value = getattr(state, f.name)
+        if isinstance(value, list):
+            for m, a in enumerate(value):
+                out[f"{f.name}[{m}]"] = a
+        else:
+            out[f.name] = value
+    return out
+
+
+def assert_states_bitwise_equal(a, b):
+    arrays_a, arrays_b = state_arrays(a), state_arrays(b)
+    assert arrays_a.keys() == arrays_b.keys()
+    for name, arr in arrays_a.items():
+        assert arr.shape == arrays_b[name].shape, name
+        assert arr.tobytes() == arrays_b[name].tobytes(), name
+
+
+def edge_state():
+    """A fitted state with the edge values written into its free arrays."""
+    report, data, hyper = fitted_state()
+    state = report.final_state
+    n = len(EDGE_VALUES)
+    state.w_mean[0][0, :n] = EDGE_VALUES
+    state.w_mean[1][0, :n] = [-v for v in EDGE_VALUES]
+    state.f_mean[:n, 0] = EDGE_VALUES
+    state.f_mean[0, 1] = -0.0
+    state.eta_log_mean[0] = -0.0
+    state.validate()
+    return report, data, hyper
+
+
 class TestCheckpoint:
+    def test_state_fields_cover_the_state(self):
+        report, _, _ = fitted_state()
+        names = [name for name, _ in io.STATE_FIELDS]
+        assert names == sorted(f.name for f in dataclasses.fields(VariationalState))
+        for name, per_group in io.STATE_FIELDS:
+            assert isinstance(getattr(report.final_state, name), list) == per_group
+
+    def test_edge_values_round_trip_bitwise(self, tmp_path):
+        report, data, hyper = edge_state()
+        state = report.final_state
+        path = tmp_path / "checkpoint.json"
+        io.write_checkpoint(path, state, hyper, group_names=data.group_names)
+        back, _, _ = io.read_checkpoint(path)
+        assert_states_bitwise_equal(back, state)
+        assert np.signbit(back.w_mean[0][0, 0]) and not np.signbit(back.w_mean[1][0, 0])
+        assert np.signbit(back.f_mean[0, 1]) and np.signbit(back.eta_log_mean[0])
+
+    def test_indented_checkpoint_still_loads(self, tmp_path):
+        report, data, hyper = edge_state()
+        state = report.final_state
+        fit_info = {"converged": bool(report.converged), "metadata": report.metadata}
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        write_checkpoint_indented(old, state, hyper, fit_info, data.group_names)
+        io.write_checkpoint(new, state, hyper, fit_info, data.group_names)
+        assert json.loads(old.read_text()) == json.loads(new.read_text())
+        assert new.stat().st_size < old.stat().st_size
+        from_old, hyper_old, info_old = io.read_checkpoint(old)
+        from_new, hyper_new, info_new = io.read_checkpoint(new)
+        assert_states_bitwise_equal(from_old, state)
+        assert_states_bitwise_equal(from_new, state)
+        assert hyper_old == hyper_new == hyper
+        assert info_old == info_new
+
     def test_bitwise_round_trip(self, tmp_path):
         report, data, hyper = fitted_state()
         state = report.final_state
