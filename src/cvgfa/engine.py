@@ -2,15 +2,17 @@
 
 Two routes to the same updates live here. The per-coordinate functions
 (update_z, update_w, ...) are direct transcriptions of the printed update
-equations and are convenient for testing single coordinates; sweep() fuses
-them into one pass with incrementally maintained caches and running
-leave-one-out count sums, which is what fit() drives. Tests pin the two
-routes against each other.
+equations and are convenient for testing single coordinates, reading the
+N x D residual from SweepCaches; sweep() fuses them into one pass, which is
+what fit() drives. Tests pin the two routes against each other.
 
 Within sweep() only the inclusion probabilities are updated one column at
-a time, because each column's collapsed prior reads count sums that the
-earlier columns have moved; everything else in a (factor, group) row is a
-whole-row numpy expression (see sweep).
+a time, because each column's collapsed prior reads running leave-one-out
+count sums that the earlier columns have moved; everything else in a
+(factor, group) row is a whole-row numpy expression. sweep() keeps no
+residual: it takes the products that leave one factor out from the data
+and the K x D expected loadings, and builds the residual once at its end
+(see sweep).
 """
 
 import math
@@ -74,10 +76,12 @@ _LGAMMA_VEC = np.vectorize(math.lgamma, otypes=[float])
 
 @dataclass
 class SweepCaches:
-    """Per-sweep working quantities.
+    """The residual of one state.
 
     residual[m] is the data minus the full expected reconstruction,
-    X - E[F] (rho * mu_w), kept consistent with the current state.
+    X - E[F] (rho * mu_w). build_caches makes it from a state; sweep
+    returns the one of the state it ends with. Nothing updates it in
+    place, so it is valid only until the state next changes.
     """
 
     residual: list
@@ -315,7 +319,25 @@ def _rho_recurrence(rho, lik, nhat, g_ab, g_abbar, m, k):
     return out
 
 
-def sweep(state, data, hyper, caches=None, active_threshold=1e-2):
+def _loo_dotx(x, loads, f_mean, tf, k):
+    """X^T tf minus every factor but k's share: R^T tf + loads[k] (tf . f_k).
+
+    R = x - f_mean @ loads is the residual; tf is a length-N weight vector.
+    """
+    g = f_mean.T @ tf
+    g[k] = 0.0
+    return x.T @ tf - loads.T @ g
+
+
+def _loo_score_term(x, loads, f_mean, k):
+    """X c minus every factor but k's share, c = loads[k]: R c + f_k (c . c)."""
+    c = loads[k]
+    h = loads @ c
+    h[k] = 0.0
+    return x @ c - f_mean @ h
+
+
+def sweep(state, data, hyper, active_threshold=1e-2):
     """One full coordinate-ascent pass, mutating state in place.
 
     Order per iteration: for each active factor k, update (a_k, b_k), then
@@ -328,19 +350,27 @@ def sweep(state, data, hyper, caches=None, active_threshold=1e-2):
     alone reads the running count sums. Column d's likelihood term, new
     loading and lambda read only its own pre-sweep values and dotx[d],
     which stays fixed while the row is updated, so they are computed for
-    the whole row before and after the recurrence, in the operation order
-    of a per-column loop and so with bit-identical results. caches, if
-    given, must be consistent with state; sweep keeps its residual up to
-    date.
+    the whole row before and after the recurrence.
+
+    No N x D residual is kept during the pass. The products that leave
+    factor k out (_loo_dotx, _loo_score_term) are taken from the data and
+    the K x D expected loadings C_m = rho[m] * w_mean[m], whose row k is
+    rewritten after each row update. They equal the residual forms, with
+    R = X_m - F C_m, but round differently, so states differ at rounding
+    level from those of earlier commits, which kept R up to date by two
+    rank-1 updates per (factor, group). The residual is built once, after
+    the factor loop, for the noise precisions; it is returned as
+    SweepCaches so that the caller can reuse it for the training error and
+    the objective.
     """
-    if caches is None:
-        caches = build_caches(state, data)
     M = state.n_groups
     e0_half = hyper.e0 + 0.5
+    f_mean = state.f_mean
     tau_bar = [state.tau_shape[m] / state.tau_rate[m] for m in range(M)]
     g_alpha = [
         geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)
     ]
+    loads = [state.rho[m] * state.w_mean[m] for m in range(M)]
 
     for k in sorted(active_factors(state, active_threshold)):
         a_k, b_k = update_beta_params(state, hyper, k)
@@ -368,16 +398,13 @@ def sweep(state, data, hyper, caches=None, active_threshold=1e-2):
                 max(crt_mean_approx(g_abbar, ntil), 0.0), float(d_m)
             )
 
-            f_col = state.f_mean[:, k]
+            f_col = f_mean[:, k]
             f2_col = f_col * f_col + state.f_var[:, k]
             tb = tau_bar[m]
             sff = float(tb @ f2_col)
-            tf = tb * f_col
-            ff = float(tf @ f_col)
-            coef_old = rho_row * w_row
             # sum_n tau f x~(no k): constant through the d-loop since only
             # factor k's own parameters change inside it
-            dotx = caches.residual[m].T @ tf + coef_old * ff
+            dotx = _loo_dotx(data.groups[m], loads[m], f_mean, tb * f_col, k)
 
             lik = 0.5 * ((w_row * w_row + wvar_row) * sff - 2.0 * w_row * dotx)
             rho_row[:] = _rho_recurrence(
@@ -388,30 +415,21 @@ def sweep(state, data, hyper, caches=None, active_threshold=1e-2):
             w_row[:] = wvar_row * rho_row * dotx
             lam_shape_row[:] = e0_half
             lam_rate_row[:] = hyper.f0 + 0.5 * (w_row * w_row + wvar_row)
-
-            caches.residual[m] += np.outer(f_col, coef_old - rho_row * w_row)
+            loads[m][k] = rho_row * w_row
 
         # factor scores for column k; samples are mutually independent here
         precision = np.ones(state.n_samples)
         moment = np.zeros(state.n_samples)
-        coefs = []
         for m in range(M):
             rho_row = state.rho[m][k]
             w_row = state.w_mean[m][k]
-            coef = rho_row * w_row
-            coefs.append(coef)
             precision += tau_bar[m] * float(rho_row @ (w_row * w_row + state.w_var[m][k]))
-            moment += tau_bar[m] * (
-                caches.residual[m] @ coef + state.f_mean[:, k] * float(coef @ coef)
-            )
+            moment += tau_bar[m] * _loo_score_term(data.groups[m], loads[m], f_mean, k)
         f_var_new = 1.0 / precision
-        f_new = f_var_new * moment
-        f_old = state.f_mean[:, k].copy()
-        state.f_mean[:, k] = f_new
+        f_mean[:, k] = f_var_new * moment
         state.f_var[:, k] = f_var_new
-        for m in range(M):
-            caches.residual[m] += np.outer(f_old - f_new, coefs[m])
 
+    caches = build_caches(state, data)
     for m in range(M):
         shape, rate = update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
@@ -422,7 +440,7 @@ def sweep(state, data, hyper, caches=None, active_threshold=1e-2):
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
 
     _check_state_finite(state)
-    return state
+    return caches
 
 
 def _check_state_finite(state):
@@ -582,24 +600,18 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
     prev_mse = None
     streak = 0
     converged = False
-    caches = None
     for it in range(int(opts.max_sweeps)):
+        # the previous residual goes first, so that two sets never coexist
+        caches = None
         try:
-            sweep(
-                state,
-                data,
-                hyper,
-                caches=caches,
-                active_threshold=opts.active_factor_threshold,
+            caches = sweep(
+                state, data, hyper, active_threshold=opts.active_factor_threshold
             )
         except NumericalError as err:
             err.context.setdefault("sweep", it)
             raise
-        # one fresh residual per sweep serves the MSE, the objective and the
-        # next sweep; the state does not change between them. The swept
-        # caches go first, so that two sets never coexist.
-        caches = None
-        caches = build_caches(state, data)
+        # the residual the sweep ends with serves the MSE and the objective;
+        # the state does not change after it is built
         sq_err = 0.0
         for m in range(data.n_groups):
             sq_err += float((caches.residual[m] ** 2).sum())

@@ -392,17 +392,14 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> Variationa
     total_cells = float(sum(g.size for g in data.groups))
     prev = None
     streak = 0
-    caches = None
     for _ in range(_INIT_RELAX_CAP):
-        engine.sweep(state, data, hyper, caches=caches)
-        # the fresh residual serves this pass's error and the next sweep;
-        # the swept caches go first, so that two sets never coexist
+        # the previous residual goes first, so that two sets never coexist;
+        # the one the sweep ends with serves this pass's error
         caches = None
-        caches = engine.build_caches(state, data)
-        sq = 0.0
-        for m in range(M):
-            diff = caches.residual[m]
-            sq += float((diff * diff).sum())
+        caches = engine.sweep(state, data, hyper)
+        # a generator, so that no loop variable keeps a residual array alive
+        # into the next sweep
+        sq = sum(float((r * r).sum()) for r in caches.residual)
         cur = sq / total_cells
         if prev is not None and abs(cur - prev) < _INIT_RELAX_TOL * max(prev, 1e-12):
             streak += 1

@@ -637,11 +637,13 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
     """engine.sweep as it was written before the rho recurrence was split out.
 
     Every (k, m, d) updates rho, then w, then lambda one scalar at a time.
-    Kept here only as the oracle that the vectorised sweep must match bit
-    for bit.
+    dotx and the factor-score moment come from the same leave-one-factor-out
+    products of the data and the expected loadings as in engine.sweep. Kept
+    here only as the oracle that the vectorised sweep must match bit for bit.
     """
-    caches = engine.build_caches(state, data)
     M = state.n_groups
+    F = state.f_mean
+    loads = [state.rho[m] * state.w_mean[m] for m in range(M)]
     e0_half = hyper.e0 + 0.5
     tau_bar = [state.tau_shape[m] / state.tau_rate[m] for m in range(M)]
     g_alpha = [
@@ -679,9 +681,9 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
             tb = tau_bar[m]
             sff = float(tb @ f2_col)
             tf = tb * f_col
-            ff = float(tf @ f_col)
-            coef_old = rho_row * w_row
-            dotx = caches.residual[m].T @ tf + coef_old * ff
+            g = F.T @ tf
+            g[k] = 0.0
+            dotx = data.groups[m].T @ tf - loads[m].T @ g
 
             se = nhat.mean
             sv = nhat.variance
@@ -720,28 +722,23 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
                 lam_shape_row[d] = e0_half
                 lam_rate_row[d] = hyper.f0 + 0.5 * (mu_new * mu_new + var_new)
 
-            caches.residual[m] += np.outer(f_col, coef_old - rho_row * w_row)
+            loads[m][k] = rho_row * w_row
 
         precision = np.ones(state.n_samples)
         moment = np.zeros(state.n_samples)
-        coefs = []
         for m in range(M):
             rho_row = state.rho[m][k]
             w_row = state.w_mean[m][k]
-            coef = rho_row * w_row
-            coefs.append(coef)
+            coef = loads[m][k]
             precision += tau_bar[m] * float(rho_row @ (w_row * w_row + state.w_var[m][k]))
-            moment += tau_bar[m] * (
-                caches.residual[m] @ coef + state.f_mean[:, k] * float(coef @ coef)
-            )
+            h = loads[m] @ coef
+            h[k] = 0.0
+            moment += tau_bar[m] * (data.groups[m] @ coef - F @ h)
         f_var_new = 1.0 / precision
-        f_new = f_var_new * moment
-        f_old = state.f_mean[:, k].copy()
-        state.f_mean[:, k] = f_new
+        state.f_mean[:, k] = f_var_new * moment
         state.f_var[:, k] = f_var_new
-        for m in range(M):
-            caches.residual[m] += np.outer(f_old - f_new, coefs[m])
 
+    caches = engine.build_caches(state, data)
     for m in range(M):
         shape, rate = engine.update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
@@ -783,14 +780,11 @@ class TestSweepMatchesPerColumnLoop:
         slow = fast.copy()
         assert_states_bitwise_equal(fast, slow)
         active = [len(active_factors(fast, 1e-2))]
-        caches = None
         for _ in range(6):
-            engine.sweep(fast, data, hyper, caches=caches)
+            engine.sweep(fast, data, hyper)
             per_column_sweep(slow, data, hyper)
             assert_states_bitwise_equal(fast, slow)
             active.append(len(active_factors(fast, 1e-2)))
-            # the caller may hand the sweep a freshly built residual
-            caches = engine.build_caches(fast, data)
         assert active[-1] < hyper.K
         if relax_cap is not None:
             assert active[0] == hyper.K and active[-1] < active[0]
@@ -809,6 +803,97 @@ class TestSweepMatchesPerColumnLoop:
         with pytest.raises(NumericalError) as info:
             engine.sweep(state, data, Hyperparameters(K=k))
         assert info.value.context == {"group": 1, "factor": 0, "column": 2}
+
+
+class TestLeaveOneFactorOutProducts:
+    """The sweep's data-side products against their explicit-residual forms."""
+
+    # the two forms round differently; their gap, relative to the largest
+    # entry, stays below 1e-14 on these sizes (and is 0 for a zero row,
+    # whose score term is exactly 0 both ways)
+    RTOL = 1e-12
+
+    def assert_close(self, got, want):
+        assert np.max(np.abs(got - want)) <= self.RTOL * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "seed, dims, k, zero_factor",
+        [(0, (6, 5), 3, None), (1, (4, 7), 1, None), (2, (5, 3), 4, 2), (3, (8,), 1, 0)],
+    )
+    def test_match_residual_forms(self, seed, dims, k, zero_factor):
+        rng = np.random.default_rng(seed)
+        n = 9
+        data = GroupedDataset(
+            [rng.standard_normal((n, d)) for d in dims],
+            [f"g{i}" for i in range(len(dims))],
+        )
+        state = random_state(rng, n, dims, k)
+        if zero_factor is not None:
+            for w in state.w_mean:
+                w[zero_factor] = 0.0
+        caches = engine.build_caches(state, data)
+        F = state.f_mean
+        for m in range(len(dims)):
+            R = caches.residual[m]
+            loads = state.rho[m] * state.w_mean[m]
+            tau_bar = state.tau_shape[m] / state.tau_rate[m]
+            for j in range(k):
+                tf = tau_bar * F[:, j]
+                coef = loads[j]
+                want = R.T @ tf + coef * float(tf @ F[:, j])
+                self.assert_close(
+                    engine._loo_dotx(data.groups[m], loads, F, tf, j), want
+                )
+                want = R @ coef + F[:, j] * float(coef @ coef)
+                self.assert_close(
+                    engine._loo_score_term(data.groups[m], loads, F, j), want
+                )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_returned_residual_is_the_built_one(self, seed):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 30, [12] * 4, seed=seed)
+        hyper = Hyperparameters(K=8)
+        state = init_state(data, hyper, seed=seed)
+        for _ in range(3):
+            caches = engine.sweep(state, data, hyper)
+            built = engine.build_caches(state, data)
+            for m in range(data.n_groups):
+                assert caches.residual[m].tobytes() == built.residual[m].tobytes()
+
+
+class TestGeoFloorInSweep:
+    def test_underflowing_concentrations_are_floored(self, monkeypatch):
+        n, dims, k = 6, [5, 4], 3
+        rng = np.random.default_rng(41)
+        data = GroupedDataset(
+            [rng.standard_normal((n, d)) for d in dims], ["g0", "g1"]
+        )
+        state = random_state(np.random.default_rng(42), n, dims, k)
+        # E[log alpha_0] = digamma(1e-3) - log(1) is about -1000, so the
+        # geometric mean of alpha_0 and both concentrations underflow to 0
+        state.alpha_shape[0] = 1e-3
+        state.alpha_rate[0] = 1.0
+        assert geo_expect_gamma(state.alpha_shape[0], state.alpha_rate[0]) == 0.0
+
+        seen = []
+
+        def spy(a_geo, count):
+            seen.append(a_geo)
+            return crt_mean_approx(a_geo, count)
+
+        monkeypatch.setattr(engine, "crt_mean_approx", spy)
+        engine.sweep(state, data, Hyperparameters(K=k))
+        # per active factor: group 0's (g_ab, g_abbar), then group 1's
+        assert len(seen) == 2 * len(dims) * k
+        for i in range(k):
+            floored = seen[4 * i : 4 * i + 2]
+            assert floored == [engine.GEO_FLOOR, engine.GEO_FLOOR]
+            assert all(a > engine.GEO_FLOOR for a in seen[4 * i + 2 : 4 * i + 4])
+        for m in range(len(dims)):
+            assert np.all(np.isfinite(state.rho[m]))
+            assert np.all((state.rho[m] >= 0.0) & (state.rho[m] <= 1.0))
 
 
 class TestSweepInvariants:
