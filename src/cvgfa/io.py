@@ -8,16 +8,22 @@ instead of corrupting a run.
 
 Small JSON files (manifests, best.json, command outputs) are indented for
 people to read. A checkpoint holds the whole state, over a million floats
-on a wide fit, so it is compact JSON written one state array at a time
-with json.dumps. json.dump, and json.dumps with any indent, encode through
-the json module's pure-Python encoder; json.dumps without indent uses its
-C encoder, about twice as fast on long float lists (the repr of each float
-is most of what is left). Both write floats as repr, so a checkpoint
-round-trips bitwise either way. `python -m json.tool checkpoint.json`
-pretty-prints one.
+on a wide fit, as one line of compact JSON. Its metadata (format, version,
+hyperparameters, group names, fit summary) is plain JSON that any JSON
+reader, or `python -m json.tool`, can read. Each state array is one object
+{"shape": [...], "f8": "<base64>"} holding the array's little-endian
+float64 bytes in C order: raw bytes round-trip bitwise by construction,
+encode identically on every run, and cost no decimal formatting or parsing,
+which took most of a wide checkpoint's read and write time. The writer
+streams one array at a time. Checkpoints carry their own version,
+CHECKPOINT_VERSION. The reader also loads version 1, which stored every
+array as nested JSON float lists (compact or indented); a file that mixes
+the two array encodings is rejected.
 """
 
+import base64
 import json
+import math
 import os
 
 import numpy as np
@@ -29,6 +35,8 @@ from .simdata import SparsityPattern
 DATASET_FORMAT = "cvgfa-dataset"
 CHECKPOINT_FORMAT = "cvgfa-checkpoint"
 FORMAT_VERSION = 1
+# version 1 checkpoints stored the state arrays as JSON float lists
+CHECKPOINT_VERSION = 2
 TRACE_HEADER = "sweep,objective,train_mse,k_active"
 
 HYPER_FIELDS = ("K", "kappa0", "c0", "d0", "e0", "f0", "g0", "h0")
@@ -64,7 +72,7 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def _read_json(path, expected_format):
+def _read_json(path, expected_format, versions=(FORMAT_VERSION,)):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -74,10 +82,10 @@ def _read_json(path, expected_format):
         raise DataError(f"{path} is not valid JSON: {err}") from None
     if not isinstance(obj, dict) or obj.get("format") != expected_format:
         raise DataError(f"{path} is not a {expected_format} file")
-    if obj.get("version") != FORMAT_VERSION:
+    if obj.get("version") not in versions:
         raise DataError(
             f"{path} has schema version {obj.get('version')!r}, "
-            f"expected {FORMAT_VERSION}"
+            f"expected {' or '.join(map(str, versions))}"
         )
     return obj
 
@@ -229,33 +237,60 @@ STATE_FIELDS = (
 )
 
 
-def _state_from_jsonable(obj) -> VariationalState:
+def _encode_array(a) -> str:
+    arr = np.asarray(a, dtype="<f8")
+    shape = json.dumps(list(arr.shape), separators=_COMPACT)
+    text = base64.b64encode(arr.tobytes()).decode("ascii")
+    return f'{{"shape":{shape},"f8":"{text}"}}'
+
+
+def _decode_array(obj) -> np.ndarray:
+    """A writable C-contiguous float64 array from one encoded state array."""
+    if not isinstance(obj, dict) or obj.keys() != {"shape", "f8"}:
+        raise ValueError("an array is not an object with keys shape and f8")
+    shape, text = obj["shape"], obj["f8"]
+    if not (
+        isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise ValueError(f"bad array shape {shape!r}")
+    if not isinstance(text, str):
+        raise ValueError("array bytes are not a base64 string")
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} bytes do not fill an array of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _list_array(obj) -> np.ndarray:
+    return np.array(obj, dtype=float)
+
+
+def _state_from_json(obj, decode) -> VariationalState:
     try:
         fields = {
             name: (
-                [np.array(a, dtype=float) for a in obj[name]]
-                if per_group
-                else np.array(obj[name], dtype=float)
+                [decode(a) for a in obj[name]] if per_group else decode(obj[name])
             )
             for name, per_group in STATE_FIELDS
         }
     except (KeyError, TypeError, ValueError) as err:
+        # binascii.Error, raised for bad base64, is a ValueError
         raise DataError(f"malformed checkpoint state: {err}") from None
     return VariationalState(**fields)
 
 
 def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_names=None):
-    """Compact JSON: the metadata, then the state one array at a time.
+    """Compact JSON: the metadata, then the state one base64 array at a time.
 
-    Each array becomes lists and text only while it is written, so no copy
-    of the whole state exists as lists or as a string.
+    Each array exists as bytes and text only while it is written, so no
+    encoded copy of the whole state is ever held.
     """
     hyperparameters = {f: getattr(hyper, f) for f in HYPER_FIELDS}
     hyperparameters["K"] = int(hyper.K)
     header = json.dumps(
         {
             "format": CHECKPOINT_FORMAT,
-            "version": FORMAT_VERSION,
+            "version": CHECKPOINT_VERSION,
             "hyperparameters": hyperparameters,
             "group_names": list(group_names) if group_names else None,
             "fit": dict(fit_info or {}),
@@ -275,23 +310,27 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
                 for m, a in enumerate(value):
                     if m:
                         fh.write(",")
-                    fh.write(json.dumps(a.tolist(), separators=_COMPACT))
+                    fh.write(_encode_array(a))
                 fh.write("]")
             else:
-                fh.write(json.dumps(value.tolist(), separators=_COMPACT))
+                fh.write(_encode_array(value))
         fh.write("}}\n")
 
 
 def read_checkpoint(path):
-    """Returns (VariationalState, Hyperparameters, info dict)."""
-    obj = _read_json(path, CHECKPOINT_FORMAT)
+    """Returns (VariationalState, Hyperparameters, info dict).
+
+    Reads version 2 (base64 float64 arrays) and version 1 (JSON float lists).
+    """
+    obj = _read_json(path, CHECKPOINT_FORMAT, versions=(1, CHECKPOINT_VERSION))
     hp = obj.get("hyperparameters")
     if not isinstance(hp, dict) or any(f not in hp for f in HYPER_FIELDS):
         raise DataError(f"{path}: incomplete hyperparameters")
     hyper = Hyperparameters(**{f: hp[f] for f in HYPER_FIELDS})
     if not isinstance(obj.get("state"), dict):
         raise DataError(f"{path}: missing state block")
-    state = _state_from_jsonable(obj["state"])
+    decode = _decode_array if obj["version"] == CHECKPOINT_VERSION else _list_array
+    state = _state_from_json(obj["state"], decode)
     state.validate()
     info = {
         "fit": obj.get("fit") or {},

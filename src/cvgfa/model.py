@@ -190,6 +190,12 @@ class VariationalState:
         )
 
     def validate(self):
+        # n_factors, n_samples and dims read these shapes; every other array
+        # is checked against an exact shape below
+        if self.beta_a.ndim != 1 or self.f_mean.ndim != 2:
+            raise DataError("beta_a must be a vector and f_mean a matrix")
+        if any(r.ndim != 2 for r in self.rho):
+            raise DataError("every rho[m] must be a K x D_m matrix")
         M = self.n_groups
         K = self.n_factors
         N = self.n_samples
@@ -310,6 +316,37 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> Variationa
     data.validate()
     if int(seed) < 0:
         raise UsageError("seed must be a non-negative integer")
+    # a separate function, so that the SVD's input and outputs and the
+    # other warm-start temporaries are freed before the relaxation sweeps
+    state = _spectral_start(data, hyper, seed)
+
+    # engine imports this module at load time, hence the local import
+    from . import engine
+
+    total_cells = float(sum(g.size for g in data.groups))
+    prev = None
+    streak = 0
+    for _ in range(_INIT_RELAX_CAP):
+        # the previous residual goes first, so that two sets never coexist;
+        # the one the sweep ends with serves this pass's error
+        caches = None
+        caches = engine.sweep(state, data, hyper)
+        # a generator, so that no loop variable keeps a residual array alive
+        # into the next sweep
+        sq = sum(float((r * r).sum()) for r in caches.residual)
+        cur = sq / total_cells
+        if prev is not None and abs(cur - prev) < _INIT_RELAX_TOL * max(prev, 1e-12):
+            streak += 1
+            if streak >= _INIT_RELAX_STREAK:
+                break
+        elif prev is not None:
+            streak = 0
+        prev = cur
+    return state
+
+
+def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> VariationalState:
+    """Phase one of init_state: the spectral warm start, before any sweep."""
     K = int(hyper.K)
     M = data.n_groups
     N = data.n_samples
@@ -367,7 +404,7 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> Variationa
     eta_log_mean = np.array(
         [digamma(alpha_mean0) - digamma(alpha_mean0 + d_m) for d_m in data.dims]
     )
-    state = VariationalState(
+    return VariationalState(
         rho=rho,
         w_mean=w_mean,
         w_var=w_var,
@@ -385,30 +422,6 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> Variationa
         aux_t_mean=np.zeros((M, K)),
         eta_log_mean=eta_log_mean,
     )
-
-    # engine imports this module at load time, hence the local import
-    from . import engine
-
-    total_cells = float(sum(g.size for g in data.groups))
-    prev = None
-    streak = 0
-    for _ in range(_INIT_RELAX_CAP):
-        # the previous residual goes first, so that two sets never coexist;
-        # the one the sweep ends with serves this pass's error
-        caches = None
-        caches = engine.sweep(state, data, hyper)
-        # a generator, so that no loop variable keeps a residual array alive
-        # into the next sweep
-        sq = sum(float((r * r).sum()) for r in caches.residual)
-        cur = sq / total_cells
-        if prev is not None and abs(cur - prev) < _INIT_RELAX_TOL * max(prev, 1e-12):
-            streak += 1
-            if streak >= _INIT_RELAX_STREAK:
-                break
-        elif prev is not None:
-            streak = 0
-        prev = cur
-    return state
 
 
 def active_factors(state: VariationalState, threshold):

@@ -1,13 +1,15 @@
 """Round-trip and strict-loader tests for the on-disk formats."""
 
+import base64
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvgfa import engine, io, simdata
+from cvgfa import cli, engine, io, simdata
 from cvgfa.errors import DataError
 from cvgfa.model import (
     FitOptions,
@@ -238,6 +240,53 @@ def write_checkpoint_indented(path, state, hyper, fit_info=None, group_names=Non
         fh.write("\n")
 
 
+def write_checkpoint_compact_v1(path, state, hyper, fit_info=None, group_names=None):
+    """The version 1 writer before base64 arrays: compact JSON float lists."""
+    compact = (",", ":")
+    hyperparameters = {f: getattr(hyper, f) for f in io.HYPER_FIELDS}
+    hyperparameters["K"] = int(hyper.K)
+    header = json.dumps(
+        {
+            "format": io.CHECKPOINT_FORMAT,
+            "version": 1,
+            "hyperparameters": hyperparameters,
+            "group_names": list(group_names) if group_names else None,
+            "fit": dict(fit_info or {}),
+        },
+        sort_keys=True,
+        separators=compact,
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header[:-1])
+        fh.write(',"state":{')
+        for i, (name, per_group) in enumerate(io.STATE_FIELDS):
+            value = getattr(state, name)
+            fh.write(f'{"," if i else ""}"{name}":')
+            if per_group:
+                fh.write("[")
+                for m, a in enumerate(value):
+                    if m:
+                        fh.write(",")
+                    fh.write(json.dumps(a.tolist(), separators=compact))
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value.tolist(), separators=compact))
+        fh.write("}}\n")
+
+
+def decode(entry):
+    """One base64 state array of a version 2 checkpoint, as a numpy array."""
+    raw = base64.b64decode(entry["f8"])
+    return np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
+
+
+def encode(array):
+    return {
+        "shape": list(array.shape),
+        "f8": base64.b64encode(array.astype("<f8").tobytes()).decode("ascii"),
+    }
+
+
 def state_arrays(state):
     """Every state array by name, per-group lists flattened in order."""
     out = {}
@@ -296,14 +345,17 @@ class TestCheckpoint:
         state = report.final_state
         fit_info = {"converged": bool(report.converged), "metadata": report.metadata}
         old, new = tmp_path / "old.json", tmp_path / "new.json"
+        compact = tmp_path / "compact.json"
         write_checkpoint_indented(old, state, hyper, fit_info, data.group_names)
+        write_checkpoint_compact_v1(compact, state, hyper, fit_info, data.group_names)
         io.write_checkpoint(new, state, hyper, fit_info, data.group_names)
-        assert json.loads(old.read_text()) == json.loads(new.read_text())
+        assert json.loads(old.read_text()) == json.loads(compact.read_text())
         assert new.stat().st_size < old.stat().st_size
         from_old, hyper_old, info_old = io.read_checkpoint(old)
         from_new, hyper_new, info_new = io.read_checkpoint(new)
         assert_states_bitwise_equal(from_old, state)
         assert_states_bitwise_equal(from_new, state)
+        assert_states_bitwise_equal(io.read_checkpoint(compact)[0], state)
         assert hyper_old == hyper_new == hyper
         assert info_old == info_new
 
@@ -354,9 +406,11 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         io.write_checkpoint(path, report.final_state, hyper)
         obj = json.loads(path.read_text())
-        obj["state"]["tau_rate"][0][0] = -1.0
+        tau_rate = decode(obj["state"]["tau_rate"][0])
+        tau_rate[0] = -1.0
+        obj["state"]["tau_rate"][0] = encode(tau_rate)
         path.write_text(json.dumps(obj))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="tau"):
             io.read_checkpoint(path)
 
     def test_missing_field_rejected(self, tmp_path):
@@ -368,6 +422,150 @@ class TestCheckpoint:
         path.write_text(json.dumps(obj))
         with pytest.raises(DataError):
             io.read_checkpoint(path)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(scope="module")
+def v2_text(tmp_path_factory):
+    """A version 2 checkpoint of fitted_state() as text; tests parse a copy."""
+    report, data, hyper = fitted_state()
+    path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
+    io.write_checkpoint(path, report.final_state, hyper, group_names=data.group_names)
+    return path.read_text()
+
+
+def truncate(entry):
+    entry["f8"] = entry["f8"][:-3]
+
+
+def drop_three_bytes(entry):
+    # 4 base64 characters are 3 whole bytes, so the text stays valid
+    entry["f8"] = entry["f8"][:-4]
+
+
+def non_alphabet(char):
+    # inserted, not substituted: a lenient decoder would skip the character
+    # and return the original bytes
+    def corrupt(entry):
+        entry["f8"] = entry["f8"][:10] + char + entry["f8"][10:]
+
+    return corrupt
+
+
+def set_shape(shape):
+    def corrupt(entry):
+        entry["shape"] = shape
+
+    return corrupt
+
+
+def set_value(value):
+    def corrupt(entry):
+        a = decode(entry)
+        a[0, 0] = value
+        entry.update(encode(a))
+
+    return corrupt
+
+
+class TestCheckpointEncoding:
+    def test_layout_and_decoded_arrays(self, tmp_path, v2_text):
+        obj = json.loads(v2_text)
+        assert obj["version"] == io.CHECKPOINT_VERSION == 2
+        assert obj["hyperparameters"]["K"] == 5
+        assert obj["state"]["w_mean"][0].keys() == {"shape", "f8"}
+        assert obj["state"]["w_mean"][0]["shape"] == [5, 8]
+        assert obj["state"]["f_mean"]["shape"] == [12, 5]
+        path = tmp_path / "checkpoint.json"
+        path.write_text(v2_text)
+        state, _, _ = io.read_checkpoint(path)
+        for name, arr in state_arrays(state).items():
+            assert arr.dtype == np.float64, name
+            assert arr.flags.c_contiguous and arr.flags.writeable, name
+
+    @pytest.mark.parametrize(
+        "field, corrupt, message",
+        [
+            pytest.param("w_mean", truncate, None, id="truncated"),
+            pytest.param("w_mean", non_alphabet("*"), None, id="star"),
+            pytest.param("w_mean", non_alphabet("\n"), None, id="newline"),
+            pytest.param("w_mean", non_alphabet("\u00e9"), None, id="non-ascii"),
+            pytest.param("w_mean", drop_three_bytes, "do not fill", id="short-bytes"),
+            pytest.param("w_mean", set_shape([5, 7]), "do not fill", id="bytes-exceed-shape"),
+            pytest.param("w_mean", set_shape([8, 5]), "want", id="transposed-shape"),
+            pytest.param("rho", set_shape([40]), "rho", id="flat-rho"),
+            pytest.param("w_mean", set_shape([-5, -8]), "bad array shape", id="negative-shape"),
+            pytest.param("w_mean", set_shape([5.0, 8.0]), "bad array shape", id="float-shape"),
+            pytest.param("w_mean", set_shape([True, 40]), "bad array shape", id="bool-shape"),
+            pytest.param("w_mean", set_shape("5x8"), "bad array shape", id="string-shape"),
+            pytest.param("w_mean", lambda e: e.pop("shape"), "keys", id="no-shape"),
+            pytest.param("w_mean", lambda e: e.update(f8=[1.0]), "base64", id="f8-not-text"),
+            pytest.param("w_mean", lambda e: e.update(dtype="f4"), "keys", id="extra-key"),
+            pytest.param("w_mean", set_value(np.nan), "non-finite", id="nan"),
+            pytest.param("rho", set_value(1.5), "outside", id="rho-above-1"),
+        ],
+    )
+    def test_bad_array_rejected(self, tmp_path, v2_text, field, corrupt, message):
+        obj = json.loads(v2_text)
+        corrupt(obj["state"][field][0])
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=message):
+            io.read_checkpoint(path)
+
+    def test_version_2_with_float_list_rejected(self, tmp_path, v2_text):
+        obj = json.loads(v2_text)
+        obj["state"]["w_mean"][0] = decode(obj["state"]["w_mean"][0]).tolist()
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError):
+            io.read_checkpoint(path)
+
+    def test_version_1_with_encoded_array_rejected(self, tmp_path):
+        obj = json.loads((DATA / "checkpoint_v1.json").read_text())
+        obj["state"]["f_mean"] = encode(np.array(obj["state"]["f_mean"]))
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError):
+            io.read_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_unknown_version_rejected(self, tmp_path, v2_text, version):
+        obj = json.loads(v2_text)
+        obj["version"] = version
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError):
+            io.read_checkpoint(path)
+
+    def test_version_1_file_loads_bitwise_equal_to_version_2(self, tmp_path):
+        """Both files hold the final state of fitted_state(), written by the
+        version 1 writer and by this one, with the fit_info cvgfa fit writes."""
+        v1_path, v2_path = DATA / "checkpoint_v1.json", DATA / "checkpoint_v2.json"
+        assert json.loads(v1_path.read_text())["version"] == 1
+        from_v1, hyper_v1, info_v1 = io.read_checkpoint(v1_path)
+        from_v2, hyper_v2, info_v2 = io.read_checkpoint(v2_path)
+        assert from_v1.n_factors == 5 and from_v1.dims == [8] * 4
+        assert_states_bitwise_equal(from_v1, from_v2)
+        assert hyper_v1 == hyper_v2 == Hyperparameters(K=5)
+        assert info_v1 == info_v2
+        # the version 2 layout is pinned byte for byte
+        rewritten = tmp_path / "checkpoint.json"
+        io.write_checkpoint(
+            rewritten, from_v1, hyper_v1, info_v1["fit"], info_v1["group_names"]
+        )
+        assert rewritten.read_bytes() == v2_path.read_bytes()
+
+    def test_rank_on_corrupted_checkpoint_exits_3(self, tmp_path, v2_text):
+        obj = json.loads(v2_text)
+        truncate(obj["state"]["rho"][0])
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "rank"
+        assert cli.main(["rank", str(path), "--groups", "0,1", "--out", str(out)]) == 3
+        assert not (out / "scores.csv").exists()
 
 
 class TestTrace:
