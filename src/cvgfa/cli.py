@@ -436,7 +436,7 @@ def cmd_reconstruct(args) -> int:
         for g in group_ids:
             segments[g] = row[offset : offset + dims[g]]
             offset += dims[g]
-        f_hat[i], _ = engine.predict_factors(state, segments)
+        f_hat[i], _ = engine.predict_factors(state, hyper, segments)
     recon = engine.reconstruct_group(state, f_hat, args.target)
 
     os.makedirs(args.out, exist_ok=True)

@@ -1,10 +1,8 @@
 """Coordinate-ascent inference engine.
 
-Two routes to the same updates live here. The per-coordinate functions
-(update_z, update_w, ...) are direct transcriptions of the printed update
-equations and are convenient for testing single coordinates, reading the
-N x D residual from SweepCaches; sweep() fuses them into one pass, which is
-what fit() drives. Tests pin the two routes against each other.
+sweep() is the one implementation of the update equations, and fit()
+drives it. The per-coordinate transcriptions of the printed equations, which
+tests pin sweep() against, live with the tests (tests/oracle.py).
 
 Within sweep() only the inclusion probabilities are updated one column at
 a time, because each column's collapsed prior reads running leave-one-out
@@ -25,7 +23,6 @@ from .approx import (
     bernoulli_sum_moments,
     crt_mean_approx,
     digamma,
-    expect_log_shifted_count,
     geo_expect_beta,
     geo_expect_gamma,
 )
@@ -44,14 +41,7 @@ __all__ = [
     "SweepCaches",
     "FitReport",
     "build_caches",
-    "update_sufficient_stats",
-    "update_z",
-    "update_w",
-    "update_f",
     "update_beta_params",
-    "update_aux_s_t",
-    "update_lambda",
-    "update_tau",
     "update_alpha",
     "update_eta",
     "sweep",
@@ -104,123 +94,12 @@ def build_caches(state: VariationalState, data: GroupedDataset) -> SweepCaches:
     return SweepCaches(residual)
 
 
-def update_sufficient_stats(state, m, k, exclude_d=None, complement=False):
-    """Moments of the inclusion count for factor k in group m.
-
-    complement=True gives the count of zeros (probabilities 1 - rho);
-    exclude_d leaves column d out of the sum.
-    """
-    row = state.rho[m][k]
-    if exclude_d is not None:
-        if not 0 <= exclude_d < row.shape[0]:
-            raise IndexError(f"column {exclude_d} out of range")
-        mask = np.ones(row.shape[0], dtype=bool)
-        mask[exclude_d] = False
-        row = row[mask]
-    return bernoulli_sum_moments(1.0 - row if complement else row)
-
-
-def _geo_concentrations(state, m, k):
-    """Clamped geometric means of alpha beta_k and alpha (1 - beta_k)."""
-    g_alpha = geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m])
-    g_ab = g_alpha * geo_expect_beta(state.beta_a[k], state.beta_b[k])
-    g_abbar = g_alpha * geo_expect_beta(state.beta_b[k], state.beta_a[k])
-    return max(g_ab, GEO_FLOOR), max(g_abbar, GEO_FLOOR)
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def update_z(state, caches, m, k, d) -> float:
-    """Inclusion probability for one coordinate.
-
-    q(z=1) weighs the active-count prior term against the Gaussian
-    likelihood; q(z=0) carries the complementary inactive-count term.
-    Normalization happens in log space.
-    """
-    g_ab, g_abbar = _geo_concentrations(state, m, k)
-    nhat = update_sufficient_stats(state, m, k, exclude_d=d)
-    ntil = update_sufficient_stats(state, m, k, exclude_d=d, complement=True)
-    prior1 = expect_log_shifted_count(g_ab, nhat.mean, nhat.variance)
-    prior0 = expect_log_shifted_count(g_abbar, ntil.mean, ntil.variance)
-
-    tau_bar = state.tau_shape[m] / state.tau_rate[m]
-    ew = state.w_mean[m][k, d]
-    ew2 = ew * ew + state.w_var[m][k, d]
-    ef = state.f_mean[:, k]
-    ef2 = ef * ef + state.f_var[:, k]
-    xk = caches.residual[m][:, d] + ef * (state.rho[m][k, d] * ew)
-    lik = -0.5 * (ew2 * float(tau_bar @ ef2) - 2.0 * ew * float(tau_bar @ (ef * xk)))
-    logit = prior1 + lik - prior0
-    if not math.isfinite(logit):
-        raise NumericalError(
-            "non-finite inclusion logit",
-            context={"group": m, "factor": k, "column": d},
-        )
-    return _sigmoid(logit)
-
-
-def update_w(state, caches, m, k, d):
-    """Posterior (mean, variance) of one loading coefficient."""
-    tau_bar = state.tau_shape[m] / state.tau_rate[m]
-    ef = state.f_mean[:, k]
-    ef2 = ef * ef + state.f_var[:, k]
-    rho = state.rho[m][k, d]
-    lam_mean = state.lambda_shape[m][k, d] / state.lambda_rate[m][k, d]
-    variance = 1.0 / (lam_mean + rho * float(tau_bar @ ef2))
-    xk = caches.residual[m][:, d] + ef * (rho * state.w_mean[m][k, d])
-    mean = variance * rho * float(tau_bar @ (ef * xk))
-    return mean, variance
-
-
-def update_f(state, caches, n, k):
-    """Posterior (mean, variance) of one factor score."""
-    precision = 1.0
-    moment = 0.0
-    for m in range(state.n_groups):
-        tau_n = state.tau_shape[m][n] / state.tau_rate[m][n]
-        rho_row = state.rho[m][k]
-        w_row = state.w_mean[m][k]
-        ew2_row = w_row * w_row + state.w_var[m][k]
-        precision += tau_n * float(rho_row @ ew2_row)
-        coef = rho_row * w_row
-        xk = caches.residual[m][n] + state.f_mean[n, k] * coef
-        moment += tau_n * float(coef @ xk)
-    variance = 1.0 / precision
-    return variance * moment, variance
-
-
 def update_beta_params(state, hyper, k):
     """q(beta_k) parameters from the prior plus table-count sums."""
     K = int(hyper.K)
     a = hyper.kappa0 / K + float(state.aux_s_mean[:, k].sum())
     b = hyper.kappa0 * (1.0 - 1.0 / K) + float(state.aux_t_mean[:, k].sum())
     return a, max(b, BETA_B_FLOOR)
-
-
-def update_aux_s_t(state, m, k):
-    """Expected table counts (E[s], E[t]) for factor k in group m.
-
-    The Taylor form can overshoot; both are clamped to [0, D_m] since a
-    table count never exceeds its customer count.
-    """
-    g_ab, g_abbar = _geo_concentrations(state, m, k)
-    nhat = update_sufficient_stats(state, m, k)
-    ntil = update_sufficient_stats(state, m, k, complement=True)
-    d_m = state.dims[m]
-    e_s = min(max(crt_mean_approx(g_ab, nhat), 0.0), float(d_m))
-    e_t = min(max(crt_mean_approx(g_abbar, ntil), 0.0), float(d_m))
-    return e_s, e_t
-
-
-def update_lambda(state, hyper, m, k, d):
-    """q(lambda_kd) gamma parameters."""
-    ew2 = state.w_mean[m][k, d] ** 2 + state.w_var[m][k, d]
-    return hyper.e0 + 0.5, hyper.f0 + 0.5 * ew2
 
 
 def _expected_sq_residual(state, caches, m):
@@ -240,21 +119,6 @@ def _expected_sq_residual(state, caches, m):
         + ef2 @ svec
         - (state.f_mean**2) @ tvec
     )
-
-
-def update_tau(state, caches, hyper, m, n):
-    """q(tau_n) gamma parameters for one sample of group m."""
-    shape = hyper.g0 + 0.5 * state.dims[m]
-    resid = caches.residual[m][n]
-    rho = state.rho[m]
-    w = state.w_mean[m]
-    coef = rho * w
-    svec = (rho * (w * w + state.w_var[m])).sum(axis=1)
-    tvec = (coef * coef).sum(axis=1)
-    ef = state.f_mean[n]
-    ef2 = ef * ef + state.f_var[n]
-    sq = float(resid @ resid) + float(ef2 @ svec) - float((ef * ef) @ tvec)
-    return shape, hyper.h0 + 0.5 * sq
 
 
 def update_alpha(state, hyper, m):
@@ -364,9 +228,11 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     the objective.
     """
     M = state.n_groups
-    e0_half = hyper.e0 + 0.5
+    lam_shape = hyper.lambda_shape
     f_mean = state.f_mean
-    tau_bar = [state.tau_shape[m] / state.tau_rate[m] for m in range(M)]
+    tau_bar = [
+        hyper.tau_shape(d_m) / state.tau_rate[m] for m, d_m in enumerate(state.dims)
+    ]
     g_alpha = [
         geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)
     ]
@@ -384,7 +250,6 @@ def sweep(state, data, hyper, active_threshold=1e-2):
             rho_row = state.rho[m][k]
             w_row = state.w_mean[m][k]
             wvar_row = state.w_var[m][k]
-            lam_shape_row = state.lambda_shape[m][k]
             lam_rate_row = state.lambda_rate[m][k]
             g_ab = max(g_alpha[m] * g_beta, GEO_FLOOR)
             g_abbar = max(g_alpha[m] * g_beta_bar, GEO_FLOOR)
@@ -411,9 +276,8 @@ def sweep(state, data, hyper, active_threshold=1e-2):
                 rho_row.tolist(), lik.tolist(), nhat, g_ab, g_abbar, m, k
             )
 
-            wvar_row[:] = 1.0 / (lam_shape_row / lam_rate_row + rho_row * sff)
+            wvar_row[:] = 1.0 / (lam_shape / lam_rate_row + rho_row * sff)
             w_row[:] = wvar_row * rho_row * dotx
-            lam_shape_row[:] = e0_half
             lam_rate_row[:] = hyper.f0 + 0.5 * (w_row * w_row + wvar_row)
             loads[m][k] = rho_row * w_row
 
@@ -436,7 +300,6 @@ def sweep(state, data, hyper, active_threshold=1e-2):
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = update_eta(state, m)
         sq = _expected_sq_residual(state, caches, m)
-        state.tau_shape[m][:] = hyper.g0 + 0.5 * state.dims[m]
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
 
     _check_state_finite(state)
@@ -463,29 +326,20 @@ def _check_state_finite(state):
             )
 
 
-def _lgamma_of(arr):
-    """Elementwise log-gamma; fast path for constant arrays."""
-    a = np.asarray(arr, dtype=float)
-    if a.size == 0:
-        return np.zeros(a.shape)
-    first = a.flat[0]
-    if np.all(a == first):
-        return np.full(a.shape, math.lgamma(first))
-    return _LGAMMA_VEC(a)
-
-
 def _gamma_prior_gap(a0, b0, shape, rate):
-    """E_q[log p(x)] - E_q[log q(x)] for gamma prior (a0, b0), summed."""
-    shape = np.asarray(shape, dtype=float)
+    """E_q[log p(x)] - E_q[log q(x)] for gamma prior (a0, b0), summed.
+
+    shape is one number shared by every rate, or an array shaped like rate.
+    """
     rate = np.asarray(rate, dtype=float)
-    if shape.size == 0:
+    if rate.size == 0:
         return 0.0
     e_log = digamma(shape) - np.log(rate)
     e_x = shape / rate
     term = (
         a0 * math.log(b0)
         - math.lgamma(a0)
-        - (shape * np.log(rate) - _lgamma_of(shape))
+        - (shape * np.log(rate) - _LGAMMA_VEC(shape))
         + (a0 - shape) * e_log
         - (b0 - rate) * e_x
     )
@@ -511,29 +365,27 @@ def surrogate_elbo(state, data, hyper, caches=None) -> float:
     total = 0.0
     M = state.n_groups
     K = state.n_factors
+    lam_shape = hyper.lambda_shape
 
     if caches is None and M:
         caches = build_caches(state, data)
     for m in range(M):
         d_m = state.dims[m]
-        tb = state.tau_shape[m] / state.tau_rate[m]
-        e_log_tau = digamma(state.tau_shape[m]) - np.log(state.tau_rate[m])
+        tau_shape = hyper.tau_shape(d_m)
+        tb = tau_shape / state.tau_rate[m]
+        e_log_tau = digamma(tau_shape) - np.log(state.tau_rate[m])
         sq = _expected_sq_residual(state, caches, m)
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
 
         # loadings against their elementwise gamma-precision prior
-        e_log_lam = digamma(state.lambda_shape[m]) - np.log(state.lambda_rate[m])
-        lam_bar = state.lambda_shape[m] / state.lambda_rate[m]
+        e_log_lam = digamma(lam_shape) - np.log(state.lambda_rate[m])
+        lam_bar = lam_shape / state.lambda_rate[m]
         ew2 = state.w_mean[m] ** 2 + state.w_var[m]
         total += float(
             0.5 * np.sum(e_log_lam - lam_bar * ew2 + np.log(state.w_var[m]) + 1.0)
         )
-        total += _gamma_prior_gap(
-            hyper.e0, hyper.f0, state.lambda_shape[m], state.lambda_rate[m]
-        )
-        total += _gamma_prior_gap(
-            hyper.g0, hyper.h0, state.tau_shape[m], state.tau_rate[m]
-        )
+        total += _gamma_prior_gap(hyper.e0, hyper.f0, lam_shape, state.lambda_rate[m])
+        total += _gamma_prior_gap(hyper.g0, hyper.h0, tau_shape, state.tau_rate[m])
         total += _bernoulli_entropy(state.rho[m])
 
     # factor scores against the standard normal prior
@@ -553,7 +405,7 @@ def surrogate_elbo(state, data, hyper, caches=None) -> float:
         b = state.beta_b
         e_log_beta = digamma(a) - digamma(a + b)
         e_log_bbar = digamma(b) - digamma(a + b)
-        log_b_q = _lgamma_of(a) + _lgamma_of(b) - _lgamma_of(a + b)
+        log_b_q = _LGAMMA_VEC(a) + _LGAMMA_VEC(b) - _LGAMMA_VEC(a + b)
         log_b_0 = math.lgamma(a0) + math.lgamma(b0) - math.lgamma(a0 + b0)
         total += float(
             np.sum(
@@ -577,8 +429,8 @@ def surrogate_elbo(state, data, hyper, caches=None) -> float:
         ntil = (1.0 - state.rho[m]).sum(axis=1)
         total += float(
             K * (math.lgamma(g_alpha) - math.lgamma(g_alpha + d_m))
-            + np.sum(_lgamma_of(g_ab + nhat) - _lgamma_of(g_ab))
-            + np.sum(_lgamma_of(g_abbar + ntil) - _lgamma_of(g_abbar))
+            + np.sum(_LGAMMA_VEC(g_ab + nhat) - _LGAMMA_VEC(g_ab))
+            + np.sum(_LGAMMA_VEC(g_abbar + ntil) - _LGAMMA_VEC(g_abbar))
         )
     return total
 
@@ -594,7 +446,7 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
     data.validate()
     hyper.validate()
     opts.validate()
-    state = init_state(data, hyper, opts.seed)
+    state = init_state(data, hyper, opts.seed, opts.active_factor_threshold)
     total_cells = float(sum(data.n_samples * d for d in data.dims))
     trace = []
     prev_mse = None
@@ -646,13 +498,14 @@ def expected_loadings(state, m):
     return state.rho[m] * state.w_mean[m]
 
 
-def predict_factors(state, observed):
+def predict_factors(state, hyper, observed):
     """Posterior factor scores for one new sample.
 
     observed maps group index -> length-D_m value vector. Gaussian
     conditioning at posterior-mean loadings, with the loading variances
     rho E[w^2] - (rho mu_w)^2 entering the precision diagonal. Noise
-    precisions are averaged over the training samples.
+    precisions are averaged over the training samples; hyper supplies
+    their q(tau) shapes.
     """
     if not observed:
         raise UsageError("at least one observed group is required")
@@ -665,7 +518,7 @@ def predict_factors(state, observed):
             raise DataError(
                 f"observed group {m} has {x.shape[0]} values, expected {state.dims[m]}"
             )
-        tau_avg = float(np.mean(state.tau_shape[m] / state.tau_rate[m]))
+        tau_avg = float(np.mean(hyper.tau_shape(state.dims[m]) / state.tau_rate[m]))
         g = state.rho[m] * state.w_mean[m]
         g_var = (
             state.rho[m] * (state.w_mean[m] ** 2 + state.w_var[m]) - g * g

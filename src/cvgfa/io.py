@@ -16,9 +16,12 @@ float64 bytes in C order: raw bytes round-trip bitwise by construction,
 encode identically on every run, and cost no decimal formatting or parsing,
 which took most of a wide checkpoint's read and write time. The writer
 streams one array at a time. Checkpoints carry their own version,
-CHECKPOINT_VERSION. The reader also loads version 1, which stored every
-array as nested JSON float lists (compact or indented); a file that mixes
-the two array encodings is rejected.
+CHECKPOINT_VERSION, and store no q(lambda) or q(tau) shapes: those follow
+from the hyperparameters and the group widths, so the reader validates the
+hyperparameters against the state. It also loads versions 2 and 1, which
+stored the shapes too; each must equal its derived value, and is dropped.
+Version 1 stored every array as nested JSON float lists (compact or
+indented); a file that mixes the two array encodings is rejected.
 """
 
 import base64
@@ -35,8 +38,9 @@ from .simdata import SparsityPattern
 DATASET_FORMAT = "cvgfa-dataset"
 CHECKPOINT_FORMAT = "cvgfa-checkpoint"
 FORMAT_VERSION = 1
-# version 1 checkpoints stored the state arrays as JSON float lists
-CHECKPOINT_VERSION = 2
+# version 1 checkpoints stored the state arrays as JSON float lists; versions
+# 1 and 2 also stored the constant gamma shapes (see _check_stored_shapes)
+CHECKPOINT_VERSION = 3
 TRACE_HEADER = "sweep,objective,train_mse,k_active"
 
 HYPER_FIELDS = ("K", "kappa0", "c0", "d0", "e0", "f0", "g0", "h0")
@@ -82,7 +86,9 @@ def _read_json(path, expected_format, versions=(FORMAT_VERSION,)):
         raise DataError(f"{path} is not valid JSON: {err}") from None
     if not isinstance(obj, dict) or obj.get("format") != expected_format:
         raise DataError(f"{path} is not a {expected_format} file")
-    if obj.get("version") not in versions:
+    version = obj.get("version")
+    # exact ints only: 2.0 and True compare equal to 2 and 1
+    if type(version) is not int or version not in versions:
         raise DataError(
             f"{path} has schema version {obj.get('version')!r}, "
             f"expected {' or '.join(map(str, versions))}"
@@ -173,19 +179,24 @@ def read_dataset(path):
     manifest = _read_json(os.path.join(path, "manifest.json"), DATASET_FORMAT)
     n = manifest.get("n_samples")
     entries = manifest.get("groups")
+    if type(n) is not int:
+        raise DataError(f"{path}: manifest n_samples is not an integer")
     if not isinstance(entries, list) or not entries:
         raise DataError(f"{path}: manifest lists no groups")
     groups, names = [], []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: malformed group entry in manifest")
         name = entry.get("name")
         fname = entry.get("data_file")
-        if not name or not fname:
+        n_columns = entry.get("n_columns")
+        if not (name and fname and isinstance(fname, str) and type(n_columns) is int):
             raise DataError(f"{path}: malformed group entry in manifest")
         x = read_matrix_csv(os.path.join(path, fname))
-        if x.shape != (int(n), int(entry.get("n_columns", -1))):
+        if x.shape != (n, n_columns):
             raise DataError(
                 f"{path}: {fname} is {x.shape[0]}x{x.shape[1]}, manifest "
-                f"says {n}x{entry.get('n_columns')}"
+                f"says {n}x{n_columns}"
             )
         groups.append(x)
         names.append(str(name))
@@ -228,10 +239,8 @@ STATE_FIELDS = (
     ("f_mean", False),
     ("f_var", False),
     ("lambda_rate", True),
-    ("lambda_shape", True),
     ("rho", True),
     ("tau_rate", True),
-    ("tau_shape", True),
     ("w_mean", True),
     ("w_var", True),
 )
@@ -317,21 +326,55 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
         fh.write("}}\n")
 
 
+def _check_stored_shapes(path, block, decode, state, hyper):
+    """Versions 1 and 2 stored the q(lambda) and q(tau) shapes as arrays.
+
+    Each must equal the value hyper derives for it exactly, so that a file
+    whose shapes were edited fails instead of losing the edit unseen.
+    """
+    K, N = state.n_factors, state.n_samples
+    derived = {
+        "lambda_shape": [np.full((K, d), hyper.lambda_shape) for d in state.dims],
+        "tau_shape": [np.full(N, hyper.tau_shape(d)) for d in state.dims],
+    }
+    for name, want in derived.items():
+        try:
+            stored = [decode(a) for a in block[name]]
+        except (KeyError, TypeError, ValueError) as err:
+            raise DataError(f"{path}: malformed checkpoint state: {err}") from None
+        if len(stored) != len(want) or not all(map(np.array_equal, stored, want)):
+            raise DataError(f"{path}: stored {name} differs from its derived value")
+
+
 def read_checkpoint(path):
     """Returns (VariationalState, Hyperparameters, info dict).
 
-    Reads version 2 (base64 float64 arrays) and version 1 (JSON float lists).
+    Reads version 3 and 2 (base64 float64 arrays) and version 1 (JSON float
+    lists). The hyperparameters must be valid and their K must match the
+    state, since the derived gamma shapes depend on them.
     """
-    obj = _read_json(path, CHECKPOINT_FORMAT, versions=(1, CHECKPOINT_VERSION))
+    obj = _read_json(path, CHECKPOINT_FORMAT, versions=(1, 2, CHECKPOINT_VERSION))
     hp = obj.get("hyperparameters")
     if not isinstance(hp, dict) or any(f not in hp for f in HYPER_FIELDS):
         raise DataError(f"{path}: incomplete hyperparameters")
     hyper = Hyperparameters(**{f: hp[f] for f in HYPER_FIELDS})
-    if not isinstance(obj.get("state"), dict):
+    try:
+        hyper.validate()
+    except (UsageError, TypeError, ValueError) as err:
+        raise DataError(f"{path}: bad hyperparameters: {err}") from None
+    block = obj.get("state")
+    if not isinstance(block, dict):
         raise DataError(f"{path}: missing state block")
-    decode = _decode_array if obj["version"] == CHECKPOINT_VERSION else _list_array
-    state = _state_from_json(obj["state"], decode)
+    decode = _list_array if obj["version"] == 1 else _decode_array
+    state = _state_from_json(block, decode)
     state.validate()
+    if type(hyper.K) is not int or hyper.K != state.n_factors:
+        raise DataError(
+            f"{path}: hyperparameter K={hyper.K!r}, but the state has "
+            f"{state.n_factors} factors"
+        )
+    if obj["version"] < CHECKPOINT_VERSION:
+        _check_stored_shapes(path, block, decode, state, hyper)
     info = {
         "fit": obj.get("fit") or {},
         "group_names": obj.get("group_names"),

@@ -94,6 +94,15 @@ class Hyperparameters:
                 raise UsageError(f"hyperparameter {name} must be positive")
         return self
 
+    @property
+    def lambda_shape(self) -> float:
+        """Shape of every q(lambda_kd), e0 + 1/2; no data moves it."""
+        return self.e0 + 0.5
+
+    def tau_shape(self, d_m) -> float:
+        """Shape of every q(tau_n) of a group with d_m columns, g0 + d_m / 2."""
+        return self.g0 + 0.5 * d_m
+
 
 @dataclass
 class FitOptions:
@@ -124,16 +133,17 @@ class VariationalState:
       rho[m]          K x D_m   inclusion probabilities q(z = 1)
       w_mean[m]       K x D_m   loading means
       w_var[m]        K x D_m   loading variances
-      lambda_shape[m] K x D_m   q(lambda) gamma shapes
       lambda_rate[m]  K x D_m   q(lambda) gamma rates
-      tau_shape[m]    N         q(tau) gamma shapes, one per sample
-      tau_rate[m]     N         q(tau) gamma rates
+      tau_rate[m]     N         q(tau) gamma rates, one per sample
     Shared arrays:
       f_mean, f_var   N x K     factor score means / variances
       beta_a, beta_b  K         q(beta) parameters
       alpha_shape, alpha_rate   M    q(alpha) parameters
       aux_s_mean, aux_t_mean    M x K  expected table counts
       eta_log_mean    M         E[log eta_m], nonpositive
+    The q(lambda) and q(tau) shapes are constants of the priors and the
+    group widths, so only their rates are stored here; the shapes are
+    Hyperparameters.lambda_shape and .tau_shape(D_m).
     """
 
     rho: list
@@ -143,9 +153,7 @@ class VariationalState:
     f_var: np.ndarray
     beta_a: np.ndarray
     beta_b: np.ndarray
-    lambda_shape: list
     lambda_rate: list
-    tau_shape: list
     tau_rate: list
     alpha_shape: np.ndarray
     alpha_rate: np.ndarray
@@ -178,9 +186,7 @@ class VariationalState:
             f_var=self.f_var.copy(),
             beta_a=self.beta_a.copy(),
             beta_b=self.beta_b.copy(),
-            lambda_shape=[a.copy() for a in self.lambda_shape],
             lambda_rate=[a.copy() for a in self.lambda_rate],
-            tau_shape=[a.copy() for a in self.tau_shape],
             tau_rate=[a.copy() for a in self.tau_rate],
             alpha_shape=self.alpha_shape.copy(),
             alpha_rate=self.alpha_rate.copy(),
@@ -202,9 +208,7 @@ class VariationalState:
         group_lists = {
             "w_mean": self.w_mean,
             "w_var": self.w_var,
-            "lambda_shape": self.lambda_shape,
             "lambda_rate": self.lambda_rate,
-            "tau_shape": self.tau_shape,
             "tau_rate": self.tau_rate,
         }
         for name, lst in group_lists.items():
@@ -212,23 +216,21 @@ class VariationalState:
                 raise DataError(f"{name} must have one array per group")
         for m in range(M):
             d_m = self.rho[m].shape[1]
-            for name in ("rho", "w_mean", "w_var", "lambda_shape", "lambda_rate"):
+            for name in ("rho", "w_mean", "w_var", "lambda_rate"):
                 arr = getattr(self, name)[m]
                 if arr.shape != (K, d_m):
                     raise DataError(f"{name}[{m}] has shape {arr.shape}, want {(K, d_m)}")
                 if not np.all(np.isfinite(arr)):
                     raise DataError(f"{name}[{m}] contains non-finite entries")
-            for name in ("tau_shape", "tau_rate"):
-                arr = getattr(self, name)[m]
-                if arr.shape != (N,):
-                    raise DataError(f"{name}[{m}] has shape {arr.shape}, want {(N,)}")
+            if self.tau_rate[m].shape != (N,):
+                raise DataError(
+                    f"tau_rate[{m}] has shape {self.tau_rate[m].shape}, want {(N,)}"
+                )
             if np.any(self.rho[m] < 0) or np.any(self.rho[m] > 1):
                 raise DataError(f"rho[{m}] outside [0, 1]")
-            for name in ("w_var", "lambda_shape", "lambda_rate"):
+            for name in ("w_var", "lambda_rate", "tau_rate"):
                 if not np.all(getattr(self, name)[m] > 0):
                     raise DataError(f"{name}[{m}] must be strictly positive")
-            if not (np.all(self.tau_shape[m] > 0) and np.all(self.tau_rate[m] > 0)):
-                raise DataError(f"tau parameters of group {m} must be positive")
             if np.any(self.aux_s_mean[m] < 0) or np.any(self.aux_s_mean[m] > d_m):
                 raise DataError(f"aux_s_mean[{m}] outside [0, D_m]")
             if np.any(self.aux_t_mean[m] < 0) or np.any(self.aux_t_mean[m] > d_m):
@@ -294,7 +296,9 @@ def _varimax(loadings, max_iters=200, tol=1e-10):
     return rot
 
 
-def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> VariationalState:
+def init_state(
+    data: GroupedDataset, hyper: Hyperparameters, seed, active_threshold=1e-2
+) -> VariationalState:
     """Spectral warm start relaxed to a stationary point of the sweep cycle.
 
     Phase one factors the column-concatenated data by SVD. Components whose
@@ -310,7 +314,9 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> Variationa
     capped at 150 passes). Fresh warm starts spend their first dozens of
     sweeps renegotiating borderline inclusions, which is not monotone in
     reconstruction error; relaxing here hands the caller a state already
-    settled inside its attraction basin. Deterministic given (data, seed).
+    settled inside its attraction basin. Its sweeps skip the factors below
+    active_threshold, as fit's do (FitOptions.active_factor_threshold).
+    Deterministic given (data, seed).
     """
     hyper.validate()
     data.validate()
@@ -330,7 +336,7 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> Variationa
         # the previous residual goes first, so that two sets never coexist;
         # the one the sweep ends with serves this pass's error
         caches = None
-        caches = engine.sweep(state, data, hyper)
+        caches = engine.sweep(state, data, hyper, active_threshold=active_threshold)
         # a generator, so that no loop variable keeps a residual array alive
         # into the next sweep
         sq = sum(float((r * r).sum()) for r in caches.residual)
@@ -373,8 +379,7 @@ def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> Varia
     f_var = np.full((N, K), _INIT_F_VAR)
 
     rho, w_mean, w_var = [], [], []
-    lambda_shape, lambda_rate = [], []
-    tau_shape, tau_rate = [], []
+    lambda_rate, tau_rate = [], []
     offsets = np.cumsum([0] + data.dims)
     for m in range(M):
         d_m = data.dims[m]
@@ -389,7 +394,6 @@ def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> Varia
         w_var.append(vm)
 
         ew2 = wm * wm + vm
-        lambda_shape.append(np.full((K, d_m), hyper.e0 + 0.5))
         lambda_rate.append(hyper.f0 + 0.5 * ew2)
         coef = rm * wm
         resid = data.groups[m] - f_mean @ coef
@@ -397,7 +401,6 @@ def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> Varia
         tvec = (coef * coef).sum(axis=1)
         ef2 = f_mean * f_mean + f_var
         sq = (resid * resid).sum(axis=1) + ef2 @ svec - (f_mean * f_mean) @ tvec
-        tau_shape.append(np.full(N, hyper.g0 + 0.5 * d_m))
         tau_rate.append(hyper.h0 + 0.5 * sq)
 
     alpha_mean0 = hyper.c0 / hyper.d0
@@ -412,9 +415,7 @@ def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> Varia
         f_var=f_var,
         beta_a=np.full(K, hyper.kappa0 / K),
         beta_b=np.full(K, max(hyper.kappa0 * (K - 1) / K, BETA_B_FLOOR)),
-        lambda_shape=lambda_shape,
         lambda_rate=lambda_rate,
-        tau_shape=tau_shape,
         tau_rate=tau_rate,
         alpha_shape=np.full(M, hyper.c0),
         alpha_rate=np.full(M, hyper.d0),

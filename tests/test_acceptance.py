@@ -38,13 +38,13 @@ def _report(number, ok, detail):
 
 
 SimRuns = namedtuple("SimRuns", "data truth results seconds_per_restart")
+HYPER = Hyperparameters(K=30)
 
 
 def _run_protocol(pattern):
     data, truth = simdata.generate(pattern, 100, [100] * 4, seed=0)
-    hyper = Hyperparameters(K=30)
     start = time.perf_counter()
-    results = engine.run_restarts(data, hyper, FitOptions(), N_RESTARTS)
+    results = engine.run_restarts(data, HYPER, FitOptions(), N_RESTARTS)
     per_restart = (time.perf_counter() - start) / N_RESTARTS
     assert all(r["error"] is None for r in results)
     return SimRuns(data, truth, results, per_restart)
@@ -231,7 +231,10 @@ def test_criterion_07_noise_precision_recovered(sim1_runs, sim2_runs):
         for res in runs.results:
             state = res["report"].final_state
             tau = np.concatenate(
-                [state.tau_shape[m] / state.tau_rate[m] for m in range(state.n_groups)]
+                [
+                    HYPER.tau_shape(d_m) / state.tau_rate[m]
+                    for m, d_m in enumerate(state.dims)
+                ]
             )
             fractions.append(float(np.mean((tau >= 0.5) & (tau <= 2.0))))
     _report(
@@ -351,8 +354,7 @@ def test_criterion_11_determinism_and_persistence(tmp_path):
         and np.array_equal(back.f_var, state.f_var)
         and all(
             np.array_equal(getattr(back, name)[m], getattr(state, name)[m])
-            for name in ("rho", "w_mean", "w_var", "lambda_shape", "lambda_rate",
-                         "tau_shape", "tau_rate")
+            for name in ("rho", "w_mean", "w_var", "lambda_rate", "tau_rate")
             for m in range(state.n_groups)
         )
         and np.array_equal(back.beta_a, state.beta_a)

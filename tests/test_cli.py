@@ -7,6 +7,7 @@ pyproject.toml the way the installed console-script wrapper does.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,30 @@ class TestFit:
     def test_unreadable_dataset_data_error(self, tmp_path):
         assert run_cli("fit", tmp_path / "nope", "--restarts", 1) == 3
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda m: m.pop("n_samples"), id="no-n_samples"),
+            pytest.param(lambda m: m.update(n_samples="20"), id="text-n_samples"),
+            pytest.param(lambda m: m.update(groups=["group_0.csv"]), id="text-group"),
+            pytest.param(
+                lambda m: m["groups"][0].update(n_columns="abc"), id="text-n_columns"
+            ),
+            pytest.param(
+                lambda m: m["groups"][0].update(data_file=5), id="number-file"
+            ),
+        ],
+    )
+    def test_malformed_manifest_data_error(self, tmp_path, sim1_dataset, corrupt):
+        ds = tmp_path / "ds"
+        shutil.copytree(sim1_dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        corrupt(manifest)
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert run_cli("fit", ds, "--restarts", 1, "--out", out) == 3
+        assert not out.exists()
+
     def test_zero_restarts_usage_error(self, sim1_dataset):
         assert run_cli("fit", sim1_dataset, "--restarts", 0) == 2
 
@@ -302,9 +327,7 @@ def planted_checkpoint(path):
         f_var=np.ones((4, k)),
         beta_a=np.ones(k),
         beta_b=np.ones(k),
-        lambda_shape=[np.ones((k, d)) for d in dims],
         lambda_rate=[np.ones((k, d)) for d in dims],
-        tau_shape=[np.ones(4) for _ in dims],
         tau_rate=[np.ones(4) for _ in dims],
         alpha_shape=np.ones(2),
         alpha_rate=np.ones(2),

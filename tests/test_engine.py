@@ -1,8 +1,8 @@
 """Tests for the coordinate-ascent engine.
 
-The reference route (per-coordinate update functions) and the fused sweep
-are pinned against each other, and single coordinates are pinned against
-hand-built states with analytically known outputs.
+The per-coordinate oracles (oracle.py) and the fused sweep are pinned
+against each other, and single coordinates are pinned against hand-built
+states with analytically known outputs.
 """
 
 import math
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracle
 from cvgfa import engine
 from cvgfa.approx import (
     bernoulli_sum_moments,
@@ -37,6 +38,10 @@ def make_dataset(seed=0, n=6, dims=(4, 3)):
     return GroupedDataset(groups, [f"g{i}" for i in range(len(dims))])
 
 
+# default priors; their K is not read by any single-coordinate update
+PRIOR = Hyperparameters(K=1)
+
+
 def make_state(
     rho,
     w_mean=None,
@@ -44,9 +49,7 @@ def make_state(
     f_mean=None,
     f_var=None,
     beta=(1.0, 1.0),
-    lambda_shape=None,
     lambda_rate=None,
-    tau_shape=None,
     tau_rate=None,
     alpha=(1.0, 1.0),
     aux_s=None,
@@ -54,7 +57,11 @@ def make_state(
     eta=None,
     n=2,
 ):
-    """Hand-built state; anything unspecified sits at a bland default."""
+    """Hand-built state; anything unspecified sits at a bland default.
+
+    The default rates make E[lambda] = E[tau] = 1 under the shapes of
+    PRIOR, the hyperparameters the single-coordinate tests pass.
+    """
     rho = [np.array(r, dtype=float) for r in rho]
     m = len(rho)
     k = rho[0].shape[0]
@@ -76,15 +83,11 @@ def make_state(
         f_var=np.ones((n, k)) if f_var is None else np.array(f_var, dtype=float),
         beta_a=np.full(k, float(beta[0])),
         beta_b=np.full(k, float(beta[1])),
-        lambda_shape=per_group(lambda_shape, np.ones),
-        lambda_rate=per_group(lambda_rate, np.ones),
-        tau_shape=(
-            [np.ones(n) for _ in range(m)]
-            if tau_shape is None
-            else [np.array(t, dtype=float) for t in tau_shape]
+        lambda_rate=per_group(
+            lambda_rate, lambda shape: np.full(shape, PRIOR.lambda_shape)
         ),
         tau_rate=(
-            [np.ones(n) for _ in range(m)]
+            [np.full(n, PRIOR.tau_shape(r.shape[1])) for r in rho]
             if tau_rate is None
             else [np.array(t, dtype=float) for t in tau_rate]
         ),
@@ -112,9 +115,7 @@ def random_state(rng, n, dims, k):
         f_var=rng.uniform(0.2, 1.5, size=(n, k)),
         beta_a=rng.uniform(0.2, 2.0, size=k),
         beta_b=rng.uniform(0.2, 2.0, size=k),
-        lambda_shape=[rng.uniform(0.5, 2.0, size=(k, d)) for d in dims],
         lambda_rate=[rng.uniform(0.5, 2.0, size=(k, d)) for d in dims],
-        tau_shape=[rng.uniform(0.5, 3.0, size=n) for _ in dims],
         tau_rate=[rng.uniform(0.5, 3.0, size=n) for _ in dims],
         alpha_shape=rng.uniform(0.5, 2.0, size=m),
         alpha_rate=rng.uniform(0.5, 2.0, size=m),
@@ -127,32 +128,32 @@ def random_state(rng, n, dims, k):
 class TestSufficientStats:
     def test_half_half_row(self):
         state = make_state([[[0.5, 0.5]]])
-        mom = engine.update_sufficient_stats(state, 0, 0)
+        mom = oracle.update_sufficient_stats(state, 0, 0)
         assert mom.mean == 1.0
         assert mom.variance == 0.5
 
     def test_leave_one_out(self):
         state = make_state([[[0.5, 0.5]]])
-        mom = engine.update_sufficient_stats(state, 0, 0, exclude_d=1)
+        mom = oracle.update_sufficient_stats(state, 0, 0, exclude_d=1)
         assert mom.mean == 0.5
         assert mom.variance == 0.25
 
     def test_certain_row(self):
         state = make_state([np.ones((1, 10))])
-        mom = engine.update_sufficient_stats(state, 0, 0)
+        mom = oracle.update_sufficient_stats(state, 0, 0)
         assert mom.mean == 10.0
         assert mom.variance == 0.0
         assert mom.p_plus == 1.0
 
     def test_complement(self):
         state = make_state([[[0.9, 0.8]]])
-        mom = engine.update_sufficient_stats(state, 0, 0, complement=True)
+        mom = oracle.update_sufficient_stats(state, 0, 0, complement=True)
         assert mom.mean == pytest.approx(0.3, abs=1e-15)
 
     def test_bad_column(self):
         state = make_state([[[0.5, 0.5]]])
         with pytest.raises(IndexError):
-            engine.update_sufficient_stats(state, 0, 0, exclude_d=5)
+            oracle.update_sufficient_stats(state, 0, 0, exclude_d=5)
 
 
 class TestUpdateZ:
@@ -164,7 +165,7 @@ class TestUpdateZ:
         )
         data = make_dataset(n=2, dims=(2,))
         caches = engine.build_caches(state, data)
-        assert engine.update_z(state, caches, 0, 0, 0) == 0.5
+        assert oracle.update_z(state, caches, PRIOR, 0, 0, 0) == 0.5
 
     def test_likelihood_exponent_log3(self):
         state = make_state(
@@ -177,7 +178,7 @@ class TestUpdateZ:
         data = GroupedDataset([np.zeros((2, 2))], ["g0"])
         caches = engine.build_caches(state, data)
         # logit = -0.5 * E[w^2] * sum tau E[f^2] = -log 3  =>  1/(1+3)
-        assert engine.update_z(state, caches, 0, 0, 0) == pytest.approx(
+        assert oracle.update_z(state, caches, PRIOR, 0, 0, 0) == pytest.approx(
             0.25, abs=1e-14
         )
 
@@ -193,7 +194,7 @@ class TestUpdateZ:
         x[:, 0] = 25.5  # likelihood exponent (2*51 - 2)/2 = +50
         data = GroupedDataset([x], ["g0"])
         caches = engine.build_caches(state, data)
-        rho = engine.update_z(state, caches, 0, 0, 0)
+        rho = oracle.update_z(state, caches, PRIOR, 0, 0, 0)
         assert rho >= 1.0 - 1e-12
         assert math.isfinite(rho)
 
@@ -206,18 +207,18 @@ class TestUpdateZ:
         data = make_dataset(n=2, dims=(2,))
         caches = engine.build_caches(state, data)
         with pytest.raises(NumericalError) as err:
-            engine.update_z(state, caches, 0, 0, 0)
+            oracle.update_z(state, caches, PRIOR, 0, 0, 0)
         assert err.value.context == {"group": 0, "factor": 0, "column": 0}
 
 
 class TestUpdateW:
     def test_excluded_coordinate_relaxes_to_prior(self):
-        state = make_state(
-            [[[0.0]]], lambda_shape=[[[2.0]]], lambda_rate=[[[1.0]]]
-        )
+        # E[lambda] = (e0 + 1/2) / rate = 2.0 / 1.0
+        state = make_state([[[0.0]]], lambda_rate=[[[1.0]]])
         data = make_dataset(n=2, dims=(1,))
         caches = engine.build_caches(state, data)
-        mean, var = engine.update_w(state, caches, 0, 0, 0)
+        hyper = Hyperparameters(K=1, e0=1.5)
+        mean, var = oracle.update_w(state, caches, hyper, 0, 0, 0)
         assert mean == 0.0
         assert var == 0.5
 
@@ -229,7 +230,7 @@ class TestUpdateW:
         )
         data = GroupedDataset([np.zeros((2, 1))], ["g0"])
         caches = engine.build_caches(state, data)
-        _, var = engine.update_w(state, caches, 0, 0, 0)
+        _, var = oracle.update_w(state, caches, PRIOR, 0, 0, 0)
         assert var == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_posterior_mean(self):
@@ -240,7 +241,7 @@ class TestUpdateW:
         )
         data = GroupedDataset([np.full((2, 1), 1.5)], ["g0"])
         caches = engine.build_caches(state, data)
-        mean, var = engine.update_w(state, caches, 0, 0, 0)
+        mean, var = oracle.update_w(state, caches, PRIOR, 0, 0, 0)
         assert var == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert mean == pytest.approx(1.0, abs=1e-14)
 
@@ -250,7 +251,7 @@ class TestUpdateF:
         state = make_state([np.zeros((1, 3))])
         data = make_dataset(n=2, dims=(3,))
         caches = engine.build_caches(state, data)
-        assert engine.update_f(state, caches, 0, 0) == (0.0, 1.0)
+        assert oracle.update_f(state, caches, PRIOR, 0, 0) == (0.0, 1.0)
 
     def test_posterior_variance(self):
         state = make_state(
@@ -260,7 +261,7 @@ class TestUpdateF:
         )
         data = GroupedDataset([np.zeros((2, 4))], ["g0"])
         caches = engine.build_caches(state, data)
-        _, var = engine.update_f(state, caches, 0, 0)
+        _, var = oracle.update_f(state, caches, PRIOR, 0, 0)
         assert var == pytest.approx(0.2, abs=1e-15)
 
     def test_posterior_mean(self):
@@ -271,7 +272,7 @@ class TestUpdateF:
         )
         data = GroupedDataset([np.full((2, 4), 1.25)], ["g0"])
         caches = engine.build_caches(state, data)
-        mean, _ = engine.update_f(state, caches, 0, 0)
+        mean, _ = oracle.update_f(state, caches, PRIOR, 0, 0)
         assert mean == pytest.approx(1.0, abs=1e-14)
 
 
@@ -309,7 +310,7 @@ class TestUpdateBetaParams:
 class TestUpdateAuxST:
     def test_empty_row_gives_zero_tables(self):
         state = make_state([np.zeros((1, 4))])
-        e_s, _ = engine.update_aux_s_t(state, 0, 0)
+        e_s, _ = oracle.update_aux_s_t(state, 0, 0)
         assert e_s == 0.0
 
     def test_deterministic_count_telescopes(self):
@@ -320,13 +321,13 @@ class TestUpdateAuxST:
             beta=(0.7, 0.9),
             alpha=(1.0, math.exp(digamma(1.0)) * g_beta),
         )
-        e_s, e_t = engine.update_aux_s_t(state, 0, 0)
+        e_s, e_t = oracle.update_aux_s_t(state, 0, 0)
         assert e_s == pytest.approx(11.0 / 6.0, abs=1e-9)
         assert e_t == 0.0
 
     def test_full_row_has_no_complement_tables(self):
         state = make_state([np.ones((1, 4))])
-        _, e_t = engine.update_aux_s_t(state, 0, 0)
+        _, e_t = oracle.update_aux_s_t(state, 0, 0)
         assert e_t == 0.0
 
     def test_clamped_to_column_count(self):
@@ -334,7 +335,7 @@ class TestUpdateAuxST:
             state = random_state(np.random.default_rng(seed), 4, [6, 3], 3)
             for m in range(2):
                 for k in range(3):
-                    e_s, e_t = engine.update_aux_s_t(state, m, k)
+                    e_s, e_t = oracle.update_aux_s_t(state, m, k)
                     assert 0.0 <= e_s <= state.dims[m]
                     assert 0.0 <= e_t <= state.dims[m]
 
@@ -343,25 +344,21 @@ class TestUpdateLambda:
     def test_shape_is_constant(self):
         state = make_state([[[0.5]]], w_mean=[[[0.0]]], w_var=[[[1.0]]])
         hyper = Hyperparameters(K=1)
-        shape, rate = engine.update_lambda(state, hyper, 0, 0, 0)
-        assert shape == pytest.approx(0.6, abs=1e-15)
+        rate = oracle.update_lambda(state, hyper, 0, 0, 0)
+        assert hyper.lambda_shape == pytest.approx(0.6, abs=1e-15)
         assert rate == pytest.approx(0.6, abs=1e-15)
 
     def test_point_mass_weight(self):
         state = make_state([[[0.5]]], w_mean=[[[2.0]]], w_var=[[[0.0]]])
         hyper = Hyperparameters(K=1)
-        _, rate = engine.update_lambda(state, hyper, 0, 0, 0)
+        rate = oracle.update_lambda(state, hyper, 0, 0, 0)
         assert rate == pytest.approx(2.1, abs=1e-15)
 
 
 class TestUpdateTau:
     def test_shape_from_dimension(self):
-        state = make_state([np.full((1, 100), 0.5)])
-        data = GroupedDataset([np.zeros((2, 100))], ["g0"])
-        caches = engine.build_caches(state, data)
         hyper = Hyperparameters(K=1)
-        shape, _ = engine.update_tau(state, caches, hyper, 0, 0)
-        assert shape == pytest.approx(50.1, abs=1e-12)
+        assert hyper.tau_shape(100) == pytest.approx(50.1, abs=1e-12)
 
     def test_empty_reconstruction(self):
         state = make_state([np.zeros((1, 3))])
@@ -369,7 +366,7 @@ class TestUpdateTau:
         data = GroupedDataset([x], ["g0"])
         caches = engine.build_caches(state, data)
         hyper = Hyperparameters(K=1)
-        _, rate = engine.update_tau(state, caches, hyper, 0, 0)
+        rate = oracle.update_tau(state, caches, hyper, 0, 0)
         assert rate == pytest.approx(0.1 + 0.5 * 9.0, abs=1e-12)
 
     def test_exact_reconstruction_leaves_prior_rate(self):
@@ -387,7 +384,7 @@ class TestUpdateTau:
         caches = engine.build_caches(state, data)
         hyper = Hyperparameters(K=2)
         for n in range(3):
-            _, rate = engine.update_tau(state, caches, hyper, 0, n)
+            rate = oracle.update_tau(state, caches, hyper, 0, n)
             assert rate == pytest.approx(0.1, abs=1e-12)
 
 
@@ -444,9 +441,7 @@ class TestMicroInstanceOracle:
             f_mean=[[0.8], [-0.1]],
             f_var=[[0.9], [1.1]],
             beta=(0.5, 0.5),
-            lambda_shape=[[[1.2, 0.8]]],
             lambda_rate=[[[1.0, 1.3]]],
-            tau_shape=[[2.0, 1.5]],
             tau_rate=[[1.0, 2.0]],
             alpha=(0.7, 0.9),
             aux_s=[[0.4]],
@@ -456,13 +451,14 @@ class TestMicroInstanceOracle:
 
     def hand_sweep(self, hyper):
         x = self.X
-        tau_bar = np.array([2.0 / 1.0, 1.5 / 2.0])
+        # q(tau) shape g0 + D/2 with D = 2, q(lambda) shape e0 + 1/2
+        tau_bar = (hyper.g0 + 1.0) / np.array([1.0, 2.0])
         f = np.array([0.8, -0.1])
         f_var = np.array([0.9, 1.1])
         rho = [0.6, 0.4]
         w = [0.3, -0.2]
         w_var = [0.5, 0.7]
-        lam = [(1.2, 1.0), (0.8, 1.3)]
+        lam = [(hyper.e0 + 0.5, 1.0), (hyper.e0 + 0.5, 1.3)]
 
         a_k = hyper.kappa0 / 1.0 + 0.4
         b_k = max(hyper.kappa0 * 0.0 + 0.8, 1e-6)
@@ -540,19 +536,19 @@ class TestMicroInstanceOracle:
         assert_allclose(state.rho[0][0], want["rho"], atol=1e-10)
         assert_allclose(state.w_mean[0][0], want["w"], atol=1e-10)
         assert_allclose(state.w_var[0][0], want["w_var"], atol=1e-10)
-        assert_allclose(state.lambda_shape[0][0], [0.6, 0.6], atol=1e-15)
+        assert hyper.lambda_shape == pytest.approx(0.6, abs=1e-15)
         assert_allclose(state.lambda_rate[0][0], want["lam_rate"], atol=1e-10)
         assert_allclose(state.f_mean[:, 0], want["f"], atol=1e-10)
         assert_allclose(state.f_var[:, 0], want["f_var"], atol=1e-10)
         assert state.alpha_shape[0] == pytest.approx(want["alpha"][0], abs=1e-10)
         assert state.alpha_rate[0] == pytest.approx(want["alpha"][1], abs=1e-10)
         assert state.eta_log_mean[0] == pytest.approx(want["eta"], abs=1e-10)
-        assert_allclose(state.tau_shape[0], want["tau_shape"], atol=1e-15)
+        assert hyper.tau_shape(2) == pytest.approx(want["tau_shape"], abs=1e-15)
         assert_allclose(state.tau_rate[0], want["tau_rate"], atol=1e-10)
 
 
 def reference_sweep(state, data, hyper, threshold=1e-2):
-    """Same schedule as engine.sweep, one public reference op at a time.
+    """Same schedule as engine.sweep, one oracle op at a time.
 
     Caches are rebuilt from scratch before every op, so each op sees a
     residual exactly consistent with the current state.
@@ -562,24 +558,23 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
         state.beta_a[k] = a_k
         state.beta_b[k] = b_k
         for m in range(state.n_groups):
-            e_s, e_t = engine.update_aux_s_t(state, m, k)
+            e_s, e_t = oracle.update_aux_s_t(state, m, k)
             state.aux_s_mean[m, k] = e_s
             state.aux_t_mean[m, k] = e_t
             for d in range(state.dims[m]):
                 caches = engine.build_caches(state, data)
-                state.rho[m][k, d] = engine.update_z(state, caches, m, k, d)
+                state.rho[m][k, d] = oracle.update_z(state, caches, hyper, m, k, d)
                 caches = engine.build_caches(state, data)
-                mean, var = engine.update_w(state, caches, m, k, d)
+                mean, var = oracle.update_w(state, caches, hyper, m, k, d)
                 state.w_mean[m][k, d] = mean
                 state.w_var[m][k, d] = var
-                shape, rate = engine.update_lambda(state, hyper, m, k, d)
-                state.lambda_shape[m][k, d] = shape
+                rate = oracle.update_lambda(state, hyper, m, k, d)
                 state.lambda_rate[m][k, d] = rate
         caches = engine.build_caches(state, data)
         f_new = np.empty(state.n_samples)
         f_var_new = np.empty(state.n_samples)
         for n in range(state.n_samples):
-            f_new[n], f_var_new[n] = engine.update_f(state, caches, n, k)
+            f_new[n], f_var_new[n] = oracle.update_f(state, caches, hyper, n, k)
         state.f_mean[:, k] = f_new
         state.f_var[:, k] = f_var_new
     for m in range(state.n_groups):
@@ -589,9 +584,7 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
         state.eta_log_mean[m] = engine.update_eta(state, m)
         caches = engine.build_caches(state, data)
         for n in range(state.n_samples):
-            ts, tr = engine.update_tau(state, caches, hyper, m, n)
-            state.tau_shape[m][n] = ts
-            state.tau_rate[m][n] = tr
+            state.tau_rate[m][n] = oracle.update_tau(state, caches, hyper, m, n)
     return state
 
 
@@ -644,8 +637,8 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
     M = state.n_groups
     F = state.f_mean
     loads = [state.rho[m] * state.w_mean[m] for m in range(M)]
-    e0_half = hyper.e0 + 0.5
-    tau_bar = [state.tau_shape[m] / state.tau_rate[m] for m in range(M)]
+    lam_shape = hyper.lambda_shape
+    tau_bar = [hyper.tau_shape(state.dims[m]) / state.tau_rate[m] for m in range(M)]
     g_alpha = [
         geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)
     ]
@@ -662,7 +655,6 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
             rho_row = state.rho[m][k]
             w_row = state.w_mean[m][k]
             wvar_row = state.w_var[m][k]
-            lam_shape_row = state.lambda_shape[m][k]
             lam_rate_row = state.lambda_rate[m][k]
             g_ab = max(g_alpha[m] * g_beta, engine.GEO_FLOOR)
             g_abbar = max(g_alpha[m] * g_beta_bar, engine.GEO_FLOOR)
@@ -714,12 +706,10 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
                 se += r_new - r_old
                 sv += r_new * (1.0 - r_new) - r_old * (1.0 - r_old)
 
-                var_new = 1.0 / (lam_shape_row[d] / lam_rate_row[d] + r_new * sff)
+                var_new = 1.0 / (lam_shape / lam_rate_row[d] + r_new * sff)
                 mu_new = var_new * r_new * xdot
                 w_row[d] = mu_new
                 wvar_row[d] = var_new
-
-                lam_shape_row[d] = e0_half
                 lam_rate_row[d] = hyper.f0 + 0.5 * (mu_new * mu_new + var_new)
 
             loads[m][k] = rho_row * w_row
@@ -745,15 +735,13 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = engine.update_eta(state, m)
         sq = engine._expected_sq_residual(state, caches, m)
-        state.tau_shape[m][:] = hyper.g0 + 0.5 * state.dims[m]
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
     return state
 
 
 STATE_ARRAYS = ("f_mean", "f_var", "beta_a", "beta_b", "alpha_shape",
                 "alpha_rate", "aux_s_mean", "aux_t_mean", "eta_log_mean")
-STATE_LISTS = ("rho", "w_mean", "w_var", "lambda_shape", "lambda_rate",
-               "tau_shape", "tau_rate")
+STATE_LISTS = ("rho", "w_mean", "w_var", "lambda_rate", "tau_rate")
 
 
 def assert_states_bitwise_equal(a, b):
@@ -836,7 +824,7 @@ class TestLeaveOneFactorOutProducts:
         for m in range(len(dims)):
             R = caches.residual[m]
             loads = state.rho[m] * state.w_mean[m]
-            tau_bar = state.tau_shape[m] / state.tau_rate[m]
+            tau_bar = PRIOR.tau_shape(dims[m]) / state.tau_rate[m]
             for j in range(k):
                 tf = tau_bar * F[:, j]
                 coef = loads[j]
@@ -958,9 +946,7 @@ class TestSurrogateElbo:
             f_var=np.zeros((0, 0)),
             beta_a=np.zeros(0),
             beta_b=np.zeros(0),
-            lambda_shape=[],
             lambda_rate=[],
-            tau_shape=[],
             tau_rate=[],
             alpha_shape=np.zeros(0),
             alpha_rate=np.zeros(0),
@@ -1045,6 +1031,22 @@ class TestFit:
             assert np.array_equal(a.final_state.w_mean[m], b.final_state.w_mean[m])
         assert np.array_equal(a.final_state.f_mean, b.final_state.f_mean)
 
+    def test_warmup_sweeps_use_the_fit_threshold(self, monkeypatch):
+        data = make_dataset(seed=19, n=6, dims=(4, 3))
+        sweep = engine.sweep
+        thresholds = []
+
+        def spy(state, data, hyper, active_threshold=1e-2):
+            thresholds.append(active_threshold)
+            return sweep(state, data, hyper, active_threshold=active_threshold)
+
+        monkeypatch.setattr(engine, "sweep", spy)
+        opts = FitOptions(max_sweeps=1, active_factor_threshold=0.3)
+        engine.fit(data, Hyperparameters(K=2), opts)
+        # the one main sweep and at least one warm-up sweep in init_state
+        assert len(thresholds) > 1
+        assert set(thresholds) == {0.3}
+
     def test_metadata_names_the_collapsed_term(self):
         data = make_dataset(seed=13, n=5, dims=(3,))
         report = engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=1))
@@ -1062,7 +1064,7 @@ class TestExpectedLoadings:
 class TestPredictFactors:
     def test_zero_loadings_return_prior(self):
         state = make_state([np.zeros((3, 4))], n=2)
-        mean, cov = engine.predict_factors(state, {0: np.ones(4)})
+        mean, cov = engine.predict_factors(state, PRIOR, {0: np.ones(4)})
         assert_allclose(mean, np.zeros(3), atol=1e-15)
         assert_allclose(cov, np.eye(3), atol=1e-12)
 
@@ -1072,31 +1074,44 @@ class TestPredictFactors:
             [np.ones((1, 3))],
             w_mean=[w],
             w_var=[np.zeros((1, 3))],
-            tau_shape=[[1e6]],
-            tau_rate=[[1.0]],
+            tau_rate=[[PRIOR.tau_shape(3) * 1e-6]],
             n=1,
         )
         x = 2.5 * w[0]
-        mean, _ = engine.predict_factors(state, {0: x})
+        mean, _ = engine.predict_factors(state, PRIOR, {0: x})
         ls = float(w[0] @ x) / float(w[0] @ w[0])
         assert mean[0] == pytest.approx(ls, rel=1e-5)
+
+    def test_noise_precision_uses_the_derived_shape(self):
+        # E[tau] = tau_shape(3) / rate = 2: mean = tau w.x / (1 + tau w.w)
+        w = np.array([[1.0, 2.0, -1.0]])
+        state = make_state(
+            [np.ones((1, 3))],
+            w_mean=[w],
+            w_var=[np.zeros((1, 3))],
+            tau_rate=[[PRIOR.tau_shape(3) / 2.0]],
+            n=1,
+        )
+        mean, cov = engine.predict_factors(state, PRIOR, {0: 2.5 * w[0]})
+        assert mean[0] == pytest.approx(2.0 * 15.0 / 13.0, rel=1e-14)
+        assert cov[0, 0] == pytest.approx(1.0 / 13.0, rel=1e-14)
 
     def test_group_order_does_not_matter(self):
         rng = np.random.default_rng(14)
         state = random_state(rng, 4, [5, 3], 2)
         xa = rng.standard_normal(5)
         xb = rng.standard_normal(3)
-        m1, c1 = engine.predict_factors(state, {0: xa, 1: xb})
-        m2, c2 = engine.predict_factors(state, {1: xb, 0: xa})
+        m1, c1 = engine.predict_factors(state, PRIOR, {0: xa, 1: xb})
+        m2, c2 = engine.predict_factors(state, PRIOR, {1: xb, 0: xa})
         assert np.array_equal(m1, m2)
         assert np.array_equal(c1, c2)
 
     def test_rejects_bad_input(self):
         state = make_state([np.zeros((2, 3))])
         with pytest.raises(UsageError):
-            engine.predict_factors(state, {})
+            engine.predict_factors(state, PRIOR, {})
         with pytest.raises(DataError):
-            engine.predict_factors(state, {0: np.ones(5)})
+            engine.predict_factors(state, PRIOR, {0: np.ones(5)})
 
 
 class TestReconstructGroup:

@@ -203,6 +203,21 @@ def fitted_state(seed=0):
     return report, data, hyper
 
 
+# versions 1 and 2 also stored the q(lambda) and q(tau) shapes
+LEGACY_STATE_FIELDS = sorted(
+    io.STATE_FIELDS + (("lambda_shape", True), ("tau_shape", True))
+)
+
+
+def legacy_field(state, hyper, name):
+    """A state field as versions 1 and 2 stored it, shape arrays included."""
+    if name == "lambda_shape":
+        return [np.full(r.shape, hyper.lambda_shape) for r in state.rho]
+    if name == "tau_shape":
+        return [np.full(state.n_samples, hyper.tau_shape(d)) for d in state.dims]
+    return getattr(state, name)
+
+
 def write_checkpoint_indented(path, state, hyper, fit_info=None, group_names=None):
     """The checkpoint writer before compact output: one json.dump, indent=2."""
 
@@ -223,9 +238,9 @@ def write_checkpoint_indented(path, state, hyper, fit_info=None, group_names=Non
             "f_var": state.f_var.tolist(),
             "beta_a": state.beta_a.tolist(),
             "beta_b": state.beta_b.tolist(),
-            "lambda_shape": per_group(state.lambda_shape),
+            "lambda_shape": per_group(legacy_field(state, hyper, "lambda_shape")),
             "lambda_rate": per_group(state.lambda_rate),
-            "tau_shape": per_group(state.tau_shape),
+            "tau_shape": per_group(legacy_field(state, hyper, "tau_shape")),
             "tau_rate": per_group(state.tau_rate),
             "alpha_shape": state.alpha_shape.tolist(),
             "alpha_rate": state.alpha_rate.tolist(),
@@ -259,8 +274,8 @@ def write_checkpoint_compact_v1(path, state, hyper, fit_info=None, group_names=N
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header[:-1])
         fh.write(',"state":{')
-        for i, (name, per_group) in enumerate(io.STATE_FIELDS):
-            value = getattr(state, name)
+        for i, (name, per_group) in enumerate(LEGACY_STATE_FIELDS):
+            value = legacy_field(state, hyper, name)
             fh.write(f'{"," if i else ""}"{name}":')
             if per_group:
                 fh.write("[")
@@ -275,7 +290,7 @@ def write_checkpoint_compact_v1(path, state, hyper, fit_info=None, group_names=N
 
 
 def decode(entry):
-    """One base64 state array of a version 2 checkpoint, as a numpy array."""
+    """One base64 state array of a version 2 or 3 checkpoint, as a numpy array."""
     raw = base64.b64decode(entry["f8"])
     return np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
 
@@ -387,9 +402,7 @@ class TestCheckpoint:
             assert np.array_equal(back.rho[m], state.rho[m])
             assert np.array_equal(back.w_mean[m], state.w_mean[m])
             assert np.array_equal(back.w_var[m], state.w_var[m])
-            assert np.array_equal(back.lambda_shape[m], state.lambda_shape[m])
             assert np.array_equal(back.lambda_rate[m], state.lambda_rate[m])
-            assert np.array_equal(back.tau_shape[m], state.tau_shape[m])
             assert np.array_equal(back.tau_rate[m], state.tau_rate[m])
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -428,8 +441,8 @@ DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
-def v2_text(tmp_path_factory):
-    """A version 2 checkpoint of fitted_state() as text; tests parse a copy."""
+def v3_text(tmp_path_factory):
+    """A version 3 checkpoint of fitted_state() as text; tests parse a copy."""
     report, data, hyper = fitted_state()
     path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
     io.write_checkpoint(path, report.final_state, hyper, group_names=data.group_names)
@@ -471,15 +484,16 @@ def set_value(value):
 
 
 class TestCheckpointEncoding:
-    def test_layout_and_decoded_arrays(self, tmp_path, v2_text):
-        obj = json.loads(v2_text)
-        assert obj["version"] == io.CHECKPOINT_VERSION == 2
+    def test_layout_and_decoded_arrays(self, tmp_path, v3_text):
+        obj = json.loads(v3_text)
+        assert obj["version"] == io.CHECKPOINT_VERSION == 3
+        assert "lambda_shape" not in obj["state"] and "tau_shape" not in obj["state"]
         assert obj["hyperparameters"]["K"] == 5
         assert obj["state"]["w_mean"][0].keys() == {"shape", "f8"}
         assert obj["state"]["w_mean"][0]["shape"] == [5, 8]
         assert obj["state"]["f_mean"]["shape"] == [12, 5]
         path = tmp_path / "checkpoint.json"
-        path.write_text(v2_text)
+        path.write_text(v3_text)
         state, _, _ = io.read_checkpoint(path)
         for name, arr in state_arrays(state).items():
             assert arr.dtype == np.float64, name
@@ -507,16 +521,16 @@ class TestCheckpointEncoding:
             pytest.param("rho", set_value(1.5), "outside", id="rho-above-1"),
         ],
     )
-    def test_bad_array_rejected(self, tmp_path, v2_text, field, corrupt, message):
-        obj = json.loads(v2_text)
+    def test_bad_array_rejected(self, tmp_path, v3_text, field, corrupt, message):
+        obj = json.loads(v3_text)
         corrupt(obj["state"][field][0])
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(DataError, match=message):
             io.read_checkpoint(path)
 
-    def test_version_2_with_float_list_rejected(self, tmp_path, v2_text):
-        obj = json.loads(v2_text)
+    def test_version_2_with_float_list_rejected(self, tmp_path):
+        obj = json.loads((DATA / "checkpoint_v2.json").read_text())
         obj["state"]["w_mean"][0] = decode(obj["state"]["w_mean"][0]).tolist()
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
@@ -531,35 +545,90 @@ class TestCheckpointEncoding:
         with pytest.raises(DataError):
             io.read_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [0, 3, "2", None])
-    def test_unknown_version_rejected(self, tmp_path, v2_text, version):
-        obj = json.loads(v2_text)
+    # 3.0 and True compare equal to known versions; only exact ints pass
+    @pytest.mark.parametrize("version", [0, 4, "2", None, 2.0, 3.0, True])
+    def test_unknown_version_rejected(self, tmp_path, v3_text, version):
+        obj = json.loads(v3_text)
         obj["version"] = version
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(DataError):
             io.read_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            pytest.param({"K": 7}, "K=7", id="K-mismatch"),
+            pytest.param({"K": 7, "g0": -1.0}, "g0", id="K-mismatch-negative-g0"),
+            pytest.param({"g0": -1.0}, "g0", id="negative-g0"),
+            pytest.param({"e0": 0.0}, "e0", id="zero-e0"),
+            pytest.param({"h0": "x"}, "bad hyperparameters", id="string-h0"),
+            pytest.param({"K": 5.0}, "K=5.0", id="float-K"),
+            pytest.param({"K": None}, "bad hyperparameters", id="null-K"),
+        ],
+    )
+    def test_bad_hyperparameters_rejected(self, tmp_path, v3_text, changes, message):
+        obj = json.loads(v3_text)
+        obj["hyperparameters"].update(changes)
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=message):
+            io.read_checkpoint(path)
+
+    @pytest.mark.parametrize("fixture", ["checkpoint_v1.json", "checkpoint_v2.json"])
+    @pytest.mark.parametrize("field", ["lambda_shape", "tau_shape"])
+    def test_edited_stored_shape_rejected(self, tmp_path, fixture, field):
+        obj = json.loads((DATA / fixture).read_text())
+        # one entry of group 1 moved by one ulp
+        arrays = obj["state"][field]
+        lists = obj["version"] == 1
+        a = np.array(arrays[1]) if lists else decode(arrays[1])
+        a.flat[0] = np.nextafter(a.flat[0], np.inf)
+        arrays[1] = a.tolist() if lists else encode(a)
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=f"{field} differs"):
+            io.read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda block: block.pop("tau_shape"), id="missing"),
+            pytest.param(lambda block: block["tau_shape"].pop(), id="one-group-short"),
+            pytest.param(lambda block: block.update(tau_shape=[]), id="empty"),
+        ],
+    )
+    def test_version_2_without_its_shapes_rejected(self, tmp_path, corrupt):
+        obj = json.loads((DATA / "checkpoint_v2.json").read_text())
+        corrupt(obj["state"])
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError):
+            io.read_checkpoint(path)
+
     def test_version_1_file_loads_bitwise_equal_to_version_2(self, tmp_path):
-        """Both files hold the final state of fitted_state(), written by the
-        version 1 writer and by this one, with the fit_info cvgfa fit writes."""
-        v1_path, v2_path = DATA / "checkpoint_v1.json", DATA / "checkpoint_v2.json"
-        assert json.loads(v1_path.read_text())["version"] == 1
-        from_v1, hyper_v1, info_v1 = io.read_checkpoint(v1_path)
-        from_v2, hyper_v2, info_v2 = io.read_checkpoint(v2_path)
+        """The three files hold the final state of fitted_state(), written by
+        the version 1, 2 and 3 writers, with the fit_info cvgfa fit writes."""
+        paths = [DATA / f"checkpoint_v{v}.json" for v in (1, 2, 3)]
+        loaded = []
+        for version, path in enumerate(paths, start=1):
+            assert json.loads(path.read_text())["version"] == version
+            loaded.append(io.read_checkpoint(path))
+        from_v1, hyper_v1, info_v1 = loaded[0]
         assert from_v1.n_factors == 5 and from_v1.dims == [8] * 4
-        assert_states_bitwise_equal(from_v1, from_v2)
-        assert hyper_v1 == hyper_v2 == Hyperparameters(K=5)
-        assert info_v1 == info_v2
-        # the version 2 layout is pinned byte for byte
+        for state, hyper, info in loaded[1:]:
+            assert_states_bitwise_equal(from_v1, state)
+            assert hyper == hyper_v1 == Hyperparameters(K=5)
+            assert info == info_v1
+        # the version 3 layout is pinned byte for byte
         rewritten = tmp_path / "checkpoint.json"
         io.write_checkpoint(
             rewritten, from_v1, hyper_v1, info_v1["fit"], info_v1["group_names"]
         )
-        assert rewritten.read_bytes() == v2_path.read_bytes()
+        assert rewritten.read_bytes() == paths[2].read_bytes()
 
-    def test_rank_on_corrupted_checkpoint_exits_3(self, tmp_path, v2_text):
-        obj = json.loads(v2_text)
+    def test_rank_on_corrupted_checkpoint_exits_3(self, tmp_path, v3_text):
+        obj = json.loads(v3_text)
         truncate(obj["state"]["rho"][0])
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))

@@ -99,9 +99,9 @@ class TestInitState:
         data = make_dataset(dims=(4, 3))
         hyper = Hyperparameters(K=10)
         state = init_state(data, hyper, seed=0)
-        assert_allclose(state.lambda_shape[0], hyper.e0 + 0.5)
-        assert_allclose(state.tau_shape[0], hyper.g0 + 0.5 * 4)
-        assert_allclose(state.tau_shape[1], hyper.g0 + 0.5 * 3)
+        assert hyper.lambda_shape == hyper.e0 + 0.5
+        assert hyper.tau_shape(4) == hyper.g0 + 0.5 * 4
+        assert hyper.tau_shape(3) == hyper.g0 + 0.5 * 3
         assert np.all(state.lambda_rate[0] > 0)
         assert np.all(state.tau_rate[0] > 0)
         assert np.all(state.eta_log_mean <= 0)
