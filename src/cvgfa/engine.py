@@ -4,10 +4,13 @@ sweep() is the one implementation of the update equations, and fit()
 drives it. The per-coordinate transcriptions of the printed equations, which
 tests pin sweep() against, live with the tests (tests/oracle.py).
 
-Within sweep() only the inclusion probabilities are updated one column at
-a time, because each column's collapsed prior reads running leave-one-out
-count sums that the earlier columns have moved; everything else in a
-(factor, group) row is a whole-row numpy expression. sweep() keeps no
+Every update of a (factor, group) row is a whole-row numpy expression,
+the inclusion probabilities included: each column's collapsed prior reads
+the row's leave-one-out count sums as they stood before the row was
+updated, not as the earlier columns of the row have moved them. This
+departs from the paper's strictly sequential column order; it is the
+minibatch update of stochastic collapsed variational inference (Foulds et
+al., KDD 2013), with the whole row as the batch. sweep() keeps no
 residual: it takes the products that leave one factor out from the data
 and the K x D expected loadings, and builds the residual once at its end
 (see sweep).
@@ -134,53 +137,38 @@ def update_eta(state, m) -> float:
     return digamma(alpha_mean) - digamma(alpha_mean + state.dims[m])
 
 
-def _rho_recurrence(rho, lik, nhat, g_ab, g_abbar, m, k):
-    """New inclusion probabilities of one (group, factor) row, in column order.
+def _rho_row(rho, lik, nhat, g_ab, g_abbar, m, k):
+    """New inclusion probabilities of one (group, factor) row, all at once.
 
-    Column d's leave-one-out count moments come from the running sums se
-    and sv, which every earlier column has already moved. rho and lik are
-    Python lists (old inclusion probabilities, likelihood terms); the
-    returned list holds the new probabilities. The clamps are written
-    `0.0 if x < 0.0 else x`, which keeps -0.0 and passes NaN on to the
-    non-finite check, exactly as max(x, 0.0) does.
+    Every column d reads the row's pre-update count moments minus its own
+    term: E = nhat.mean - rho[d], V = nhat.variance - rho[d](1 - rho[d]),
+    with D_m - 1 - E for the complementary count, each clamped at 0
+    (np.maximum passes NaN on to the non-finite check). rho and lik are the old probabilities and the likelihood terms; a new
+    array is returned. A non-finite logit raises NumericalError naming the
+    lowest such column.
     """
-    log = math.log
-    exp = math.exp
-    isfinite = math.isfinite
-    n_other = len(rho) - 1
-    se = nhat.mean
-    sv = nhat.variance
-    out = []
-    append = out.append
-    for r_old, lik_d in zip(rho, lik):
-        v_old = r_old * (1.0 - r_old)
-        e1 = se - r_old
-        e1 = 0.0 if e1 < 0.0 else e1
-        v1 = sv - v_old
-        v1 = 0.0 if v1 < 0.0 else v1
-        e0 = n_other - e1
-        e0 = 0.0 if e0 < 0.0 else e0
-        # inline of expect_log_shifted_count, twice
-        tot1 = g_ab + e1
-        prior1 = log(tot1) - v1 / (2.0 * tot1 * tot1)
-        tot0 = g_abbar + e0
-        prior0 = log(tot0) - v1 / (2.0 * tot0 * tot0)
-        logit = prior1 - lik_d - prior0
-        if not isfinite(logit):
-            # len(out) is the index of the column at hand
-            raise NumericalError(
-                "non-finite inclusion logit",
-                context={"group": m, "factor": k, "column": len(out)},
-            )
-        if logit >= 0:
-            r_new = 1.0 / (1.0 + exp(-logit))
-        else:
-            e = exp(logit)
-            r_new = e / (1.0 + e)
-        append(r_new)
-        se += r_new - r_old
-        sv += r_new * (1.0 - r_new) - v_old
-    return out
+    e1 = nhat.mean - rho
+    np.maximum(e1, 0.0, out=e1)
+    v1 = nhat.variance - rho * (1.0 - rho)
+    np.maximum(v1, 0.0, out=v1)
+    e0 = (rho.shape[0] - 1) - e1
+    np.maximum(e0, 0.0, out=e0)
+    # expect_log_shifted_count, for both counts, on the whole row
+    tot1 = g_ab + e1
+    prior1 = np.log(tot1) - v1 / (2.0 * tot1 * tot1)
+    tot0 = g_abbar + e0
+    prior0 = np.log(tot0) - v1 / (2.0 * tot0 * tot0)
+    logit = prior1 - lik - prior0
+    bad = ~np.isfinite(logit)
+    if bad.any():
+        raise NumericalError(
+            "non-finite inclusion logit",
+            context={"group": m, "factor": k, "column": int(bad.argmax())},
+        )
+    # 1 / (1 + exp(-x)) for x >= 0 and e / (1 + e), e = exp(x), below 0:
+    # exp never sees a positive argument, so it cannot overflow
+    e = np.exp(-np.abs(logit))
+    return np.where(logit >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _loo_dotx(x, loads, f_mean, tf, k):
@@ -205,16 +193,17 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     """One full coordinate-ascent pass, mutating state in place.
 
     Order per iteration: for each active factor k, update (a_k, b_k), then
-    per group the count stats and (E[s], E[t]), then per column rho -> w ->
-    lambda (rho strictly ascending in d because the leave-one-out counts
-    depend on the other columns), then the factor scores; finally per group
-    alpha, eta, and the noise precisions.
+    per group the count stats and (E[s], E[t]), then the row's rho, then
+    its w and lambda, then the factor scores; finally per group alpha, eta,
+    and the noise precisions.
 
-    Only the rho step runs column by column (_rho_recurrence), because it
-    alone reads the running count sums. Column d's likelihood term, new
-    loading and lambda read only its own pre-sweep values and dotx[d],
-    which stays fixed while the row is updated, so they are computed for
-    the whole row before and after the recurrence.
+    The row's rho moves in one step (_rho_row): column d reads the row's
+    pre-update count moments minus its own term. The paper updates the
+    columns one after another, each reading the sums its predecessors have
+    moved; reading the pre-row sums instead is what lets the row be one
+    numpy expression. Column d's likelihood term, new loading and lambda
+    read only its own values and dotx[d], which stays fixed while the row
+    is updated, so they are whole-row expressions too.
 
     No N x D residual is kept during the pass. The products that leave
     factor k out (_loo_dotx, _loo_score_term) are taken from the data and
@@ -272,9 +261,7 @@ def sweep(state, data, hyper, active_threshold=1e-2):
             dotx = _loo_dotx(data.groups[m], loads[m], f_mean, tb * f_col, k)
 
             lik = 0.5 * ((w_row * w_row + wvar_row) * sff - 2.0 * w_row * dotx)
-            rho_row[:] = _rho_recurrence(
-                rho_row.tolist(), lik.tolist(), nhat, g_ab, g_abbar, m, k
-            )
+            rho_row[:] = _rho_row(rho_row, lik, nhat, g_ab, g_abbar, m, k)
 
             wvar_row[:] = 1.0 / (lam_shape / lam_rate_row + rho_row * sff)
             w_row[:] = wvar_row * rho_row * dotx

@@ -213,15 +213,21 @@ def read_truth(path, manifest=None):
     if manifest is None:
         manifest = _read_json(os.path.join(path, "manifest.json"), DATASET_FORMAT)
     gen = manifest.get("generator")
-    if not gen or not gen.get("pattern_file"):
+    if not isinstance(gen, dict) or not gen.get("pattern_file"):
         raise DataError(f"{path} holds no simulation truth")
+    for key in ("pattern_file", "factors_file"):
+        if not (gen.get(key) and isinstance(gen[key], str)):
+            raise DataError(f"{path}: manifest generator has no {key}")
+    entries = manifest.get("groups")
+    if not isinstance(entries, list) or not entries:
+        raise DataError(f"{path}: manifest lists no groups")
     pattern = read_pattern(os.path.join(path, gen["pattern_file"]))
     factors = read_matrix_csv(os.path.join(path, gen["factors_file"]))
     loadings = []
-    for entry in manifest["groups"]:
-        tname = entry.get("truth_file")
-        if not tname:
-            raise DataError(f"{path}: group {entry.get('name')} has no truth file")
+    for entry in entries:
+        tname = entry.get("truth_file") if isinstance(entry, dict) else None
+        if not (tname and isinstance(tname, str)):
+            raise DataError(f"{path}: a group entry in the manifest has no truth file")
         loadings.append(read_matrix_csv(os.path.join(path, tname)))
     return loadings, pattern, factors
 
@@ -360,7 +366,8 @@ def read_checkpoint(path):
     hyper = Hyperparameters(**{f: hp[f] for f in HYPER_FIELDS})
     try:
         hyper.validate()
-    except (UsageError, TypeError, ValueError) as err:
+    except (UsageError, TypeError, ValueError, OverflowError) as err:
+        # OverflowError: int() of an infinite K
         raise DataError(f"{path}: bad hyperparameters: {err}") from None
     block = obj.get("state")
     if not isinstance(block, dict):

@@ -6,6 +6,7 @@ group-level probabilities are marginalized out; everything that remains
 lives in VariationalState.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,9 @@ class Hyperparameters:
             raise UsageError("truncation level K must be at least 1")
         for name in ("kappa0", "c0", "d0", "e0", "f0", "g0", "h0"):
             value = getattr(self, name)
-            if not value > 0:
-                raise UsageError(f"hyperparameter {name} must be positive")
+            # NaN fails the comparison; infinity fails isfinite
+            if not (value > 0 and math.isfinite(value)):
+                raise UsageError(f"hyperparameter {name} must be positive and finite")
         return self
 
     @property

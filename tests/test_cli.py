@@ -6,6 +6,7 @@ pyproject.toml the way the installed console-script wrapper does.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -307,6 +308,36 @@ class TestEval:
             "eval", sim1_fit / best["checkpoint"], other, "--mode", "sim1"
         ) == 3
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(
+                lambda m: m["generator"].pop("factors_file"), id="no-factors_file"
+            ),
+            pytest.param(
+                lambda m: m["generator"].update(factors_file=7), id="number-factors_file"
+            ),
+            pytest.param(lambda m: m.update(generator="sim1"), id="text-generator"),
+            pytest.param(
+                lambda m: m["groups"][1].pop("truth_file"), id="no-truth_file"
+            ),
+        ],
+    )
+    def test_manifest_without_truth_entries_data_error(
+        self, tmp_path, sim1_dataset, sim1_fit, corrupt
+    ):
+        ds = tmp_path / "ds"
+        shutil.copytree(sim1_dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        corrupt(manifest)
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        best = json.loads((sim1_fit / "best.json").read_text())
+        out = tmp_path / "eval.json"
+        assert run_cli(
+            "eval", sim1_fit / best["checkpoint"], ds, "--mode", "sim1", "--out", out
+        ) == 3
+        assert not out.exists()
+
 
 def planted_checkpoint(path):
     """Two groups, two factors; factor 0 loads on columns 0 and 1 only."""
@@ -370,6 +401,26 @@ class TestRank:
         ) == 0
         result = json.loads((out / "rank.json").read_text())
         assert result["auc"] == 1.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("e0", math.inf),
+            ("h0", math.inf),
+            ("e0", math.nan),
+            ("K", math.inf),
+            ("K", -math.inf),
+        ],
+    )
+    def test_non_finite_hyperparameter_data_error(self, tmp_path, field, value):
+        ckpt = planted_checkpoint(tmp_path / "ckpt.json")
+        obj = json.loads(ckpt.read_text())
+        obj["hyperparameters"][field] = value
+        # json writes Infinity, -Infinity and NaN, and reads them back
+        ckpt.write_text(json.dumps(obj))
+        out = tmp_path / "rank"
+        assert run_cli("rank", ckpt, "--groups", "0,1", "--out", out) == 3
+        assert not (out / "scores.csv").exists()
 
     def test_bad_group_pair(self, tmp_path):
         ckpt = planted_checkpoint(tmp_path / "ckpt.json")

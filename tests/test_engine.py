@@ -6,6 +6,7 @@ states with analytically known outputs.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -472,20 +473,24 @@ class TestMicroInstanceOracle:
         aux_t = min(max(crt_mean_approx(g_abbar, ntil), 0.0), 2.0)
 
         sff = float(tau_bar @ (f * f + f_var))
-        lam_rate = [0.0, 0.0]
+        # with one factor the no-k residual at column d is x[:, d] itself
+        xdot = [float(tau_bar @ (f * x[:, d])) for d in range(2)]
+        # every column's rho reads the other column's pre-sweep value
+        rho_new = [0.0, 0.0]
         for d in range(2):
             other = np.array([rho[1 - d]])
             nh = bernoulli_sum_moments(other)
             nt = bernoulli_sum_moments(1.0 - other)
             prior1 = expect_log_shifted_count(g_ab, nh.mean, nh.variance)
             prior0 = expect_log_shifted_count(g_abbar, nt.mean, nt.variance)
-            # with one factor the no-k residual at column d is x[:, d] itself
-            xdot = float(tau_bar @ (f * x[:, d]))
             ew2 = w[d] * w[d] + w_var[d]
-            logit = prior1 - 0.5 * (ew2 * sff - 2.0 * w[d] * xdot) - prior0
-            rho[d] = 1.0 / (1.0 + math.exp(-logit))
+            logit = prior1 - 0.5 * (ew2 * sff - 2.0 * w[d] * xdot[d]) - prior0
+            rho_new[d] = 1.0 / (1.0 + math.exp(-logit))
+        rho = rho_new
+        lam_rate = [0.0, 0.0]
+        for d in range(2):
             var_new = 1.0 / (lam[d][0] / lam[d][1] + rho[d] * sff)
-            w[d] = var_new * rho[d] * xdot
+            w[d] = var_new * rho[d] * xdot[d]
             w_var[d] = var_new
             lam_rate[d] = hyper.f0 + 0.5 * (w[d] * w[d] + var_new)
 
@@ -551,7 +556,9 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
     """Same schedule as engine.sweep, one oracle op at a time.
 
     Caches are rebuilt from scratch before every op, so each op sees a
-    residual exactly consistent with the current state.
+    residual exactly consistent with the current state. The inclusion
+    probabilities of a (factor, group) row all read the state the row
+    started from; only then are its loadings and lambdas updated.
     """
     for k in sorted(active_factors(state, threshold)):
         a_k, b_k = engine.update_beta_params(state, hyper, k)
@@ -561,9 +568,13 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
             e_s, e_t = oracle.update_aux_s_t(state, m, k)
             state.aux_s_mean[m, k] = e_s
             state.aux_t_mean[m, k] = e_t
+            caches = engine.build_caches(state, data)
+            rho_new = [
+                oracle.update_z(state, caches, hyper, m, k, d)
+                for d in range(state.dims[m])
+            ]
+            state.rho[m][k] = rho_new
             for d in range(state.dims[m]):
-                caches = engine.build_caches(state, data)
-                state.rho[m][k, d] = oracle.update_z(state, caches, hyper, m, k, d)
                 caches = engine.build_caches(state, data)
                 mean, var = oracle.update_w(state, caches, hyper, m, k, d)
                 state.w_mean[m][k, d] = mean
@@ -627,12 +638,15 @@ class TestSweepRoutesAgree:
 
 
 def per_column_sweep(state, data, hyper, active_threshold=1e-2):
-    """engine.sweep as it was written before the rho recurrence was split out.
+    """engine.sweep written one scalar at a time.
 
-    Every (k, m, d) updates rho, then w, then lambda one scalar at a time.
-    dotx and the factor-score moment come from the same leave-one-factor-out
-    products of the data and the expected loadings as in engine.sweep. Kept
-    here only as the oracle that the vectorised sweep must match bit for bit.
+    For each (k, m), every column's rho is computed from the row's pre-update
+    count sums minus its own term, and then every column's w and lambda from
+    the new rho. dotx and the factor-score moment come from the same
+    leave-one-factor-out products of the data and the expected loadings as
+    in engine.sweep. log and exp are numpy's, as in engine.sweep: math's
+    differ from numpy's vector loops in the last bit on some CPUs. Kept here
+    only as the oracle that the vectorised sweep must match bit for bit.
     """
     M = state.n_groups
     F = state.f_mean
@@ -677,35 +691,34 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
             g[k] = 0.0
             dotx = data.groups[m].T @ tf - loads[m].T @ g
 
-            se = nhat.mean
-            sv = nhat.variance
+            rho_new = np.empty(d_m)
             for d in range(d_m):
                 r_old = rho_row[d]
-                e1 = max(se - r_old, 0.0)
-                v1 = max(sv - r_old * (1.0 - r_old), 0.0)
+                e1 = max(nhat.mean - r_old, 0.0)
+                v1 = max(nhat.variance - r_old * (1.0 - r_old), 0.0)
                 e0 = max((d_m - 1) - e1, 0.0)
                 tot1 = g_ab + e1
-                prior1 = math.log(tot1) - v1 / (2.0 * tot1 * tot1)
+                prior1 = np.log(tot1) - v1 / (2.0 * tot1 * tot1)
                 tot0 = g_abbar + e0
-                prior0 = math.log(tot0) - v1 / (2.0 * tot0 * tot0)
+                prior0 = np.log(tot0) - v1 / (2.0 * tot0 * tot0)
                 ew = w_row[d]
                 ew2 = ew * ew + wvar_row[d]
-                xdot = dotx[d]
-                logit = prior1 - 0.5 * (ew2 * sff - 2.0 * ew * xdot) - prior0
+                logit = prior1 - 0.5 * (ew2 * sff - 2.0 * ew * dotx[d]) - prior0
                 if not math.isfinite(logit):
                     raise NumericalError(
                         "non-finite inclusion logit",
                         context={"group": m, "factor": k, "column": d},
                     )
                 if logit >= 0:
-                    r_new = 1.0 / (1.0 + math.exp(-logit))
+                    rho_new[d] = 1.0 / (1.0 + np.exp(-logit))
                 else:
-                    e = math.exp(logit)
-                    r_new = e / (1.0 + e)
-                rho_row[d] = r_new
-                se += r_new - r_old
-                sv += r_new * (1.0 - r_new) - r_old * (1.0 - r_old)
+                    e = np.exp(logit)
+                    rho_new[d] = e / (1.0 + e)
 
+            for d in range(d_m):
+                r_new = rho_new[d]
+                rho_row[d] = r_new
+                xdot = dotx[d]
                 var_new = 1.0 / (lam_shape / lam_rate_row[d] + r_new * sff)
                 mu_new = var_new * r_new * xdot
                 w_row[d] = mu_new
@@ -791,6 +804,40 @@ class TestSweepMatchesPerColumnLoop:
         with pytest.raises(NumericalError) as info:
             engine.sweep(state, data, Hyperparameters(K=k))
         assert info.value.context == {"group": 1, "factor": 0, "column": 2}
+
+    @pytest.mark.parametrize("columns", [(1, 2), (2, 0), (0, 1, 2)])
+    def test_lowest_non_finite_column_is_named(self, columns):
+        n, dims, k = 5, [4, 3], 3
+        rng = np.random.default_rng(31)
+        data = GroupedDataset(
+            [rng.standard_normal((n, d)) for d in dims], ["g0", "g1"]
+        )
+        state = random_state(np.random.default_rng(32), n, dims, k)
+        for d, bad in zip(columns, [math.inf, math.nan, -math.inf]):
+            state.w_var[1][0, d] = bad
+        want = {"group": 1, "factor": 0, "column": min(columns)}
+        slow = state.copy()
+        with pytest.raises(NumericalError) as info:
+            engine.sweep(state, data, Hyperparameters(K=k))
+        assert info.value.context == want
+        # the scalar oracle stops at the first bad column it meets
+        with pytest.raises(NumericalError) as info:
+            per_column_sweep(slow, data, Hyperparameters(K=k))
+        assert info.value.context == want
+
+
+class TestRhoRow:
+    def test_extreme_logits_saturate_without_warnings(self):
+        rho = np.full(6, 0.5)
+        # equal concentrations and E = D - 1 - E = 2.5 make the two priors
+        # cancel, so the logit is -lik
+        lik = np.array([-1e4, 1e4, -800.0, 800.0, 0.0, -0.0])
+        with warnings.catch_warnings(), np.errstate(
+            over="warn", invalid="warn", divide="warn"
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
+            got = engine._rho_row(rho, lik, bernoulli_sum_moments(rho), 1.0, 1.0, 0, 0)
+        np.testing.assert_array_equal(got, [1.0, 0.0, 1.0, 0.0, 0.5, 0.5])
 
 
 class TestLeaveOneFactorOutProducts:
@@ -1046,6 +1093,18 @@ class TestFit:
         # the one main sweep and at least one warm-up sweep in init_state
         assert len(thresholds) > 1
         assert set(thresholds) == {0.3}
+
+    def test_acceptance_fit_raises_no_floating_point_warning(self):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        # the criterion fixture: sim1, N=100, 4 x 100, K=30, data seed 0
+        data, _ = generate(simulation1_pattern(), 100, [100] * 4, seed=0)
+        with warnings.catch_warnings(), np.errstate(
+            over="warn", invalid="warn", divide="warn"
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
+            report = engine.fit(data, Hyperparameters(K=30), FitOptions(seed=0))
+        assert report.converged
 
     def test_metadata_names_the_collapsed_term(self):
         data = make_dataset(seed=13, n=5, dims=(3,))

@@ -164,6 +164,34 @@ class TestDataset:
         with pytest.raises(DataError):
             io.read_truth(tmp_path)
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            pytest.param(
+                lambda m: m["generator"].pop("factors_file"),
+                "no factors_file",
+                id="no-factors_file",
+            ),
+            pytest.param(lambda m: m.pop("groups"), "lists no groups", id="no-groups"),
+            pytest.param(
+                lambda m: m.update(groups=["truth_g0.csv"]),
+                "no truth file",
+                id="text-group",
+            ),
+        ],
+    )
+    def test_truth_manifest_checked(self, tmp_path, corrupt, message):
+        data, truth = simdata.generate(
+            simdata.simulation1_pattern(), 6, [3] * 4, seed=1
+        )
+        io.write_dataset(tmp_path, data, truth=truth)
+        manifest_path = tmp_path / "manifest.json"
+        obj = json.loads(manifest_path.read_text())
+        corrupt(obj)
+        manifest_path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=message):
+            io.read_truth(tmp_path)
+
     def test_shape_mismatch_detected(self, tmp_path):
         data = GroupedDataset([np.ones((3, 2))], ["only"])
         io.write_dataset(tmp_path, data)

@@ -1,5 +1,7 @@
 """Tests for domain types and state initialization."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -66,6 +68,15 @@ class TestHyperparameters:
             Hyperparameters(K=5, c0=-1.0).validate()
         with pytest.raises(UsageError):
             Hyperparameters(K=5, kappa0=0.0).validate()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, math.inf) for name in ("kappa0", "c0", "d0", "e0", "f0", "g0", "h0")]
+        + [("e0", -math.inf), ("e0", math.nan)],
+    )
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(UsageError, match=f"{name} must be positive and finite"):
+            Hyperparameters(K=5, **{name: value}).validate()
 
 
 class TestFitOptions:
