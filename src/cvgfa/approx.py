@@ -5,18 +5,14 @@ beta variables, exact moments of sums of independent Bernoullis, and the
 second-order approximations for expected shifted logs and Chinese restaurant
 table counts. Everything here is a pure function.
 
-digamma, trigamma, geo_expect_gamma and geo_expect_beta take two routes: a
-scalar argument (a Python or numpy number, or a 0-d array) runs the
-recurrence and the series in Python floats, an array runs them elementwise
-in numpy. The sweep calls them on scalars thousands of times, where
-building one-element arrays would cost more than the arithmetic. The two
-routes give bit-identical results: + - * / round the same in both, the
-series is one shared function (_digamma_tail, _trigamma_tail), and the
-scalar route still calls numpy's log and exp, since math.log and math.exp
-are different implementations that disagree with numpy's in the last bit
-for a few arguments in a hundred thousand (measured on an AVX-512 x86-64
-host). bernoulli_sum_moments keeps np.sum, whose pairwise summation is
-part of its result.
+digamma and trigamma run their recurrence and series in Python floats, one
+argument at a time; an array maps that scalar kernel over its elements
+(np.vectorize). The sweep calls them on scalars thousands of times, where
+building one-element arrays would cost more than the arithmetic. The kernels
+take numpy's log, not math.log: the two are different implementations that
+disagree in the last bit for a few arguments in a hundred thousand (measured
+on an AVX-512 x86-64 host). bernoulli_sum_moments keeps np.sum, whose
+pairwise summation is part of its result.
 """
 
 import math
@@ -43,6 +39,8 @@ P_PLUS_FLOOR = 1e-12
 # Arguments are pushed above this point before the asymptotic series is used.
 _SERIES_START = 6.0
 
+_SMALLEST_DOUBLE = float(np.finfo(float).smallest_subnormal)
+
 
 @dataclass(frozen=True)
 class BernoulliSumMoments:
@@ -60,11 +58,7 @@ class BernoulliSumMoments:
 
 
 def _digamma_tail(inv2):
-    """B_2n/(2n) series of digamma in 1/x^2, innermost last.
-
-    Shared by the scalar and the array route: on a float and on an array
-    it performs the same operations in the same order.
-    """
+    """B_2n/(2n) series of digamma in 1/x^2, innermost last."""
     return 1.0 / 12.0 - inv2 * (
         1.0 / 120.0
         - inv2
@@ -80,7 +74,7 @@ def _digamma_tail(inv2):
 
 
 def _trigamma_tail(inv2):
-    """B_2n series of trigamma in 1/x^2, innermost last; see _digamma_tail."""
+    """B_2n series of trigamma in 1/x^2, innermost last."""
     return 1.0 / 6.0 - inv2 * (
         1.0 / 30.0
         - inv2
@@ -101,6 +95,40 @@ def _is_scalar(x):
     return isinstance(x, (int, float)) or np.ndim(x) == 0
 
 
+def _digamma(y):
+    """digamma of one float: the kernel of :func:`digamma`."""
+    if not y > 0:
+        raise ValueError("digamma requires x > 0")
+    acc = 0.0
+    while y < _SERIES_START:
+        acc -= 1.0 / y
+        y += 1.0
+    inv = 1.0 / y
+    inv2 = inv * inv
+    return float(acc + (np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)))
+
+
+def _trigamma(y):
+    """trigamma of one float: the kernel of :func:`trigamma`."""
+    if not y > 0:
+        raise ValueError("trigamma requires x > 0")
+    acc = 0.0
+    while y < _SERIES_START:
+        y2 = y * y
+        # 1 / y^2 is inf where y * y underflows to 0
+        acc += 1.0 / y2 if y2 > 0.0 else math.inf
+        y += 1.0
+    inv = 1.0 / y
+    inv2 = inv * inv
+    return acc + (inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2))
+
+
+# the kernels, not the public functions, are mapped: those would re-dispatch
+# on the argument's type for every element
+_DIGAMMA_VEC = np.vectorize(_digamma, otypes=[float])
+_TRIGAMMA_VEC = np.vectorize(_trigamma, otypes=[float])
+
+
 def digamma(x):
     """Digamma function for positive arguments, elementwise on arrays.
 
@@ -119,29 +147,8 @@ def digamma(x):
         psi evaluated at x; a plain float for scalar input.
     """
     if _is_scalar(x):
-        y = float(x)
-        if not y > 0:
-            raise ValueError("digamma requires x > 0")
-        acc = 0.0
-        while y < _SERIES_START:
-            acc -= 1.0 / y
-            y += 1.0
-        inv = 1.0 / y
-        inv2 = inv * inv
-        return float(acc + (np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)))
-    y = np.array(x, dtype=float)
-    if not np.all(y > 0):
-        raise ValueError("digamma requires x > 0")
-    acc = np.zeros_like(y)
-    small = y < _SERIES_START
-    while small.any():
-        acc[small] -= 1.0 / y[small]
-        y[small] += 1.0
-        small = y < _SERIES_START
-    inv = 1.0 / y
-    inv2 = inv * inv
-    acc += np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)
-    return acc
+        return _digamma(float(x))
+    return _DIGAMMA_VEC(np.asarray(x, dtype=float))
 
 
 def trigamma(x):
@@ -151,31 +158,8 @@ def trigamma(x):
     up to 6, then psi'(x) ~ 1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1).
     """
     if _is_scalar(x):
-        y = float(x)
-        if not y > 0:
-            raise ValueError("trigamma requires x > 0")
-        acc = 0.0
-        while y < _SERIES_START:
-            y2 = y * y
-            # where y * y underflows to 0 the array route's 1 / y^2 is inf
-            acc += 1.0 / y2 if y2 > 0.0 else math.inf
-            y += 1.0
-        inv = 1.0 / y
-        inv2 = inv * inv
-        return acc + (inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2))
-    y = np.array(x, dtype=float)
-    if not np.all(y > 0):
-        raise ValueError("trigamma requires x > 0")
-    acc = np.zeros_like(y)
-    small = y < _SERIES_START
-    while small.any():
-        acc[small] += 1.0 / (y[small] * y[small])
-        y[small] += 1.0
-        small = y < _SERIES_START
-    inv = 1.0 / y
-    inv2 = inv * inv
-    acc += inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2)
-    return acc
+        return _trigamma(float(x))
+    return _TRIGAMMA_VEC(np.asarray(x, dtype=float))
 
 
 def geo_expect_gamma(shape, rate):
@@ -259,11 +243,20 @@ def expect_log_shifted_count(shift_geo, count_mean, count_var):
     The shift c enters through its geometric expectation; the count through
     its exact mean and variance. Second-order expansion:
     log(shift_geo + count_mean) - count_var / (2 (shift_geo + count_mean)^2).
+    The count moments may be arrays (one count per element) and give an
+    array.
+
+    Where 2 (shift_geo + count_mean)^2 underflows to 0 (a shift floored
+    near the smallest double and a tiny or no expected count), the smallest
+    positive double divides instead: a zero variance then gives no
+    correction, not 0/0, and a positive one a finite correction, not an
+    infinite one, since a Bernoulli-sum variance is at most its mean.
     """
     if not shift_geo > 0:
         raise ValueError("shift_geo must be positive")
     total = shift_geo + count_mean
-    return math.log(total) - count_var / (2.0 * total * total)
+    divisor = np.maximum(2.0 * total * total, _SMALLEST_DOUBLE)
+    return np.log(total) - count_var / divisor
 
 
 def crt_mean_exact(a, l):

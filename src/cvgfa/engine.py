@@ -26,6 +26,7 @@ from .approx import (
     bernoulli_sum_moments,
     crt_mean_approx,
     digamma,
+    expect_log_shifted_count,
     geo_expect_beta,
     geo_expect_gamma,
 )
@@ -36,12 +37,13 @@ from .model import (
     GroupedDataset,
     Hyperparameters,
     VariationalState,
+    _expected_sq_residual,
+    _residual_mse,
     active_factors,
     init_state,
 )
 
 __all__ = [
-    "SweepCaches",
     "FitReport",
     "build_caches",
     "update_beta_params",
@@ -68,19 +70,6 @@ _LGAMMA_VEC = np.vectorize(math.lgamma, otypes=[float])
 
 
 @dataclass
-class SweepCaches:
-    """The residual of one state.
-
-    residual[m] is the data minus the full expected reconstruction,
-    X - E[F] (rho * mu_w). build_caches makes it from a state; sweep
-    returns the one of the state it ends with. Nothing updates it in
-    place, so it is valid only until the state next changes.
-    """
-
-    residual: list
-
-
-@dataclass
 class FitReport:
     final_state: VariationalState
     sweeps_run: int
@@ -89,12 +78,18 @@ class FitReport:
     metadata: dict = field(default_factory=dict)
 
 
-def build_caches(state: VariationalState, data: GroupedDataset) -> SweepCaches:
-    residual = [
+def build_caches(state: VariationalState, data: GroupedDataset) -> list:
+    """The residual of one state, one matrix per group.
+
+    residual[m] is the data minus the full expected reconstruction,
+    X - E[F] (rho * mu_w). sweep returns the one of the state it ends
+    with. Nothing updates it in place, so it is valid only until the
+    state next changes.
+    """
+    return [
         data.groups[m] - state.f_mean @ (state.rho[m] * state.w_mean[m])
         for m in range(state.n_groups)
     ]
-    return SweepCaches(residual)
 
 
 def update_beta_params(state, hyper, k):
@@ -103,25 +98,6 @@ def update_beta_params(state, hyper, k):
     a = hyper.kappa0 / K + float(state.aux_s_mean[:, k].sum())
     b = hyper.kappa0 * (1.0 - 1.0 / K) + float(state.aux_t_mean[:, k].sum())
     return a, max(b, BETA_B_FLOOR)
-
-
-def _expected_sq_residual(state, caches, m):
-    """E[||x_n - G f_n||^2] for every sample of group m, as a vector.
-
-    Expands to the squared full residual plus the posterior-variance
-    corrections sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2).
-    """
-    rho = state.rho[m]
-    w = state.w_mean[m]
-    coef = rho * w
-    svec = (rho * (w * w + state.w_var[m])).sum(axis=1)
-    tvec = (coef * coef).sum(axis=1)
-    ef2 = state.f_mean * state.f_mean + state.f_var
-    return (
-        (caches.residual[m] ** 2).sum(axis=1)
-        + ef2 @ svec
-        - (state.f_mean**2) @ tvec
-    )
 
 
 def update_alpha(state, hyper, m):
@@ -143,9 +119,10 @@ def _rho_row(rho, lik, nhat, g_ab, g_abbar, m, k):
     Every column d reads the row's pre-update count moments minus its own
     term: E = nhat.mean - rho[d], V = nhat.variance - rho[d](1 - rho[d]),
     with D_m - 1 - E for the complementary count, each clamped at 0
-    (np.maximum passes NaN on to the non-finite check). rho and lik are the old probabilities and the likelihood terms; a new
-    array is returned. A non-finite logit raises NumericalError naming the
-    lowest such column.
+    (np.maximum passes NaN on to the non-finite check). rho and lik are
+    the old probabilities and the likelihood terms; a new array is
+    returned. A non-finite logit raises NumericalError naming the lowest
+    such column.
     """
     e1 = nhat.mean - rho
     np.maximum(e1, 0.0, out=e1)
@@ -153,11 +130,8 @@ def _rho_row(rho, lik, nhat, g_ab, g_abbar, m, k):
     np.maximum(v1, 0.0, out=v1)
     e0 = (rho.shape[0] - 1) - e1
     np.maximum(e0, 0.0, out=e0)
-    # expect_log_shifted_count, for both counts, on the whole row
-    tot1 = g_ab + e1
-    prior1 = np.log(tot1) - v1 / (2.0 * tot1 * tot1)
-    tot0 = g_abbar + e0
-    prior0 = np.log(tot0) - v1 / (2.0 * tot0 * tot0)
+    prior1 = expect_log_shifted_count(g_ab, e1, v1)
+    prior0 = expect_log_shifted_count(g_abbar, e0, v1)
     logit = prior1 - lik - prior0
     bad = ~np.isfinite(logit)
     if bad.any():
@@ -212,9 +186,9 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     R = X_m - F C_m, but round differently, so states differ at rounding
     level from those of earlier commits, which kept R up to date by two
     rank-1 updates per (factor, group). The residual is built once, after
-    the factor loop, for the noise precisions; it is returned as
-    SweepCaches so that the caller can reuse it for the training error and
-    the objective.
+    the factor loop, for the noise precisions; it is returned (a list, as
+    build_caches gives) so that the caller can reuse it for the training
+    error and the objective.
     """
     M = state.n_groups
     lam_shape = hyper.lambda_shape
@@ -280,17 +254,24 @@ def sweep(state, data, hyper, active_threshold=1e-2):
         f_mean[:, k] = f_var_new * moment
         state.f_var[:, k] = f_var_new
 
-    caches = build_caches(state, data)
+    residual = build_caches(state, data)
     for m in range(M):
         shape, rate = update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = update_eta(state, m)
-        sq = _expected_sq_residual(state, caches, m)
+        sq = _expected_sq_residual(
+            residual[m],
+            f_mean,
+            state.f_var,
+            state.rho[m],
+            state.w_mean[m],
+            state.w_var[m],
+        )
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
 
     _check_state_finite(state)
-    return caches
+    return residual
 
 
 def _check_state_finite(state):
@@ -339,29 +320,36 @@ def _bernoulli_entropy(rho):
     return float(-np.sum(r * np.log(r) + (1.0 - r) * np.log1p(-r)))
 
 
-def surrogate_elbo(state, data, hyper, caches=None) -> float:
+def surrogate_elbo(state, data, hyper, residual=None) -> float:
     """Variational objective with the collapsed inclusion prior approximated.
 
     Conjugate terms are exact given the posterior moments; E[log p(Z)] uses
     the marginal's log-gamma ratios evaluated at geometric means of the
     concentrations and expected counts (see COLLAPSED_Z_METHOD). The
     auxiliary-variable terms cancel because their posteriors are exact.
-    caches, if given, must be consistent with state (only its residual is
-    read); otherwise they are built here.
+    residual, if given, must be the one of state (build_caches);
+    otherwise it is built here.
     """
     total = 0.0
     M = state.n_groups
     K = state.n_factors
     lam_shape = hyper.lambda_shape
 
-    if caches is None and M:
-        caches = build_caches(state, data)
+    if residual is None:
+        residual = build_caches(state, data)
     for m in range(M):
         d_m = state.dims[m]
         tau_shape = hyper.tau_shape(d_m)
         tb = tau_shape / state.tau_rate[m]
         e_log_tau = digamma(tau_shape) - np.log(state.tau_rate[m])
-        sq = _expected_sq_residual(state, caches, m)
+        sq = _expected_sq_residual(
+            residual[m],
+            state.f_mean,
+            state.f_var,
+            state.rho[m],
+            state.w_mean[m],
+            state.w_var[m],
+        )
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
 
         # loadings against their elementwise gamma-precision prior
@@ -434,16 +422,15 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
     hyper.validate()
     opts.validate()
     state = init_state(data, hyper, opts.seed, opts.active_factor_threshold)
-    total_cells = float(sum(data.n_samples * d for d in data.dims))
     trace = []
     prev_mse = None
     streak = 0
     converged = False
     for it in range(int(opts.max_sweeps)):
         # the previous residual goes first, so that two sets never coexist
-        caches = None
+        residual = None
         try:
-            caches = sweep(
+            residual = sweep(
                 state, data, hyper, active_threshold=opts.active_factor_threshold
             )
         except NumericalError as err:
@@ -451,11 +438,8 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
             raise
         # the residual the sweep ends with serves the MSE and the objective;
         # the state does not change after it is built
-        sq_err = 0.0
-        for m in range(data.n_groups):
-            sq_err += float((caches.residual[m] ** 2).sum())
-        mse = sq_err / total_cells
-        objective = surrogate_elbo(state, data, hyper, caches=caches)
+        mse = _residual_mse(residual)
+        objective = surrogate_elbo(state, data, hyper, residual=residual)
         if not (math.isfinite(objective) and math.isfinite(mse)):
             raise NumericalError("non-finite objective", context={"sweep": it})
         k_active = len(active_factors(state, opts.active_factor_threshold))

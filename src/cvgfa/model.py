@@ -331,18 +331,14 @@ def init_state(
     # engine imports this module at load time, hence the local import
     from . import engine
 
-    total_cells = float(sum(g.size for g in data.groups))
     prev = None
     streak = 0
     for _ in range(_INIT_RELAX_CAP):
         # the previous residual goes first, so that two sets never coexist;
         # the one the sweep ends with serves this pass's error
-        caches = None
-        caches = engine.sweep(state, data, hyper, active_threshold=active_threshold)
-        # a generator, so that no loop variable keeps a residual array alive
-        # into the next sweep
-        sq = sum(float((r * r).sum()) for r in caches.residual)
-        cur = sq / total_cells
+        residual = None
+        residual = engine.sweep(state, data, hyper, active_threshold=active_threshold)
+        cur = _residual_mse(residual)
         if prev is not None and abs(cur - prev) < _INIT_RELAX_TOL * max(prev, 1e-12):
             streak += 1
             if streak >= _INIT_RELAX_STREAK:
@@ -395,14 +391,9 @@ def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> Varia
         w_mean.append(wm)
         w_var.append(vm)
 
-        ew2 = wm * wm + vm
-        lambda_rate.append(hyper.f0 + 0.5 * ew2)
-        coef = rm * wm
-        resid = data.groups[m] - f_mean @ coef
-        svec = (rm * ew2).sum(axis=1)
-        tvec = (coef * coef).sum(axis=1)
-        ef2 = f_mean * f_mean + f_var
-        sq = (resid * resid).sum(axis=1) + ef2 @ svec - (f_mean * f_mean) @ tvec
+        lambda_rate.append(hyper.f0 + 0.5 * (wm * wm + vm))
+        resid = data.groups[m] - f_mean @ (rm * wm)
+        sq = _expected_sq_residual(resid, f_mean, f_var, rm, wm, vm)
         tau_rate.append(hyper.h0 + 0.5 * sq)
 
     alpha_mean0 = hyper.c0 / hyper.d0
@@ -437,3 +428,30 @@ def active_factors(state: VariationalState, threshold):
     for r in state.rho:
         mass = np.maximum(mass, r.sum(axis=1))
     return {int(k) for k in np.flatnonzero(mass >= threshold)}
+
+
+# The two helpers below are shared with engine: the q(tau) update, the
+# objective and the training error. They are steps of their callers, not
+# entry points, hence private names; bench/tracer.py times public functions
+# only, so their time stays with the calling sweep, fit or init_state.
+
+
+def _expected_sq_residual(residual, f_mean, f_var, rho, w_mean, w_var):
+    """E[||x_n - G f_n||^2] of one group, for every sample n, as a vector.
+
+    residual is the data minus the full expected reconstruction,
+    X - E[F] (rho * mu_w). The expectation adds to its squared rows the
+    posterior-variance corrections
+    sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2).
+    """
+    coef = rho * w_mean
+    svec = (rho * (w_mean * w_mean + w_var)).sum(axis=1)
+    tvec = (coef * coef).sum(axis=1)
+    ef2 = f_mean * f_mean + f_var
+    return (residual * residual).sum(axis=1) + ef2 @ svec - (f_mean * f_mean) @ tvec
+
+
+def _residual_mse(residual):
+    """Mean squared entry over a list of residual matrices, one per group."""
+    sq = sum(float((r * r).sum()) for r in residual)
+    return sq / float(sum(r.size for r in residual))

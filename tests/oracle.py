@@ -3,8 +3,8 @@
 engine.sweep is the only implementation the package runs; these scalar
 forms exist so that tests can pin single coordinates against hand-built
 states and pin sweep against a coordinate-by-coordinate schedule. Each reads
-the N x D residual from engine.build_caches, and the constant q(lambda) and
-q(tau) shapes from the hyperparameters.
+the residual, one N x D matrix per group, from engine.build_caches, and the
+constant q(lambda) and q(tau) shapes from the hyperparameters.
 """
 
 import math
@@ -53,7 +53,7 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def update_z(state, caches, hyper, m, k, d) -> float:
+def update_z(state, residual, hyper, m, k, d) -> float:
     """Inclusion probability for one coordinate.
 
     q(z=1) weighs the active-count prior term against the Gaussian
@@ -71,7 +71,7 @@ def update_z(state, caches, hyper, m, k, d) -> float:
     ew2 = ew * ew + state.w_var[m][k, d]
     ef = state.f_mean[:, k]
     ef2 = ef * ef + state.f_var[:, k]
-    xk = caches.residual[m][:, d] + ef * (state.rho[m][k, d] * ew)
+    xk = residual[m][:, d] + ef * (state.rho[m][k, d] * ew)
     lik = -0.5 * (ew2 * float(tau_bar @ ef2) - 2.0 * ew * float(tau_bar @ (ef * xk)))
     logit = prior1 + lik - prior0
     if not math.isfinite(logit):
@@ -82,7 +82,7 @@ def update_z(state, caches, hyper, m, k, d) -> float:
     return _sigmoid(logit)
 
 
-def update_w(state, caches, hyper, m, k, d):
+def update_w(state, residual, hyper, m, k, d):
     """Posterior (mean, variance) of one loading coefficient."""
     tau_bar = hyper.tau_shape(state.dims[m]) / state.tau_rate[m]
     ef = state.f_mean[:, k]
@@ -90,12 +90,12 @@ def update_w(state, caches, hyper, m, k, d):
     rho = state.rho[m][k, d]
     lam_mean = hyper.lambda_shape / state.lambda_rate[m][k, d]
     variance = 1.0 / (lam_mean + rho * float(tau_bar @ ef2))
-    xk = caches.residual[m][:, d] + ef * (rho * state.w_mean[m][k, d])
+    xk = residual[m][:, d] + ef * (rho * state.w_mean[m][k, d])
     mean = variance * rho * float(tau_bar @ (ef * xk))
     return mean, variance
 
 
-def update_f(state, caches, hyper, n, k):
+def update_f(state, residual, hyper, n, k):
     """Posterior (mean, variance) of one factor score."""
     precision = 1.0
     moment = 0.0
@@ -106,7 +106,7 @@ def update_f(state, caches, hyper, n, k):
         ew2_row = w_row * w_row + state.w_var[m][k]
         precision += tau_n * float(rho_row @ ew2_row)
         coef = rho_row * w_row
-        xk = caches.residual[m][n] + state.f_mean[n, k] * coef
+        xk = residual[m][n] + state.f_mean[n, k] * coef
         moment += tau_n * float(coef @ xk)
     variance = 1.0 / precision
     return variance * moment, variance
@@ -133,10 +133,10 @@ def update_lambda(state, hyper, m, k, d):
     return hyper.f0 + 0.5 * ew2
 
 
-def update_tau(state, caches, hyper, m, n):
+def update_tau(state, residual, hyper, m, n):
     """q(tau_n) gamma rate for one sample of group m; its shape is
     hyper.tau_shape(D_m)."""
-    resid = caches.residual[m][n]
+    resid = residual[m][n]
     rho = state.rho[m]
     w = state.w_mean[m]
     coef = rho * w

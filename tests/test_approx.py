@@ -5,6 +5,7 @@ quantities are checked against exhaustive enumeration of all 2^L outcomes.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,29 @@ class TestExpectLogShiftedCount:
             assert abs(got - exact) <= 0.02 * abs(exact)
             checked += 1
         assert checked >= 150
+
+    def test_zero_variance_at_an_underflowing_total(self):
+        # (1e-300)^2 underflows to 0; with no variance there is no correction
+        with warnings.catch_warnings(), np.errstate(
+            over="warn", invalid="warn", divide="warn"
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
+            got = expect_log_shifted_count(1e-300, 0.0, 0.0)
+            row = expect_log_shifted_count(1e-300, np.zeros(3), np.zeros(3))
+        assert got == np.log(1e-300)
+        assert same_bits(row, np.full(3, np.log(1e-300)))
+
+    def test_arrays_match_scalars(self):
+        rng = np.random.default_rng(5)
+        means = rng.uniform(0.0, 50.0, 200)
+        variances = rng.uniform(0.0, 10.0, 200)
+        for shift in (1e-300, 0.3, 7.0):
+            row = expect_log_shifted_count(shift, means, variances)
+            each = [
+                expect_log_shifted_count(shift, a, v)
+                for a, v in zip(means.tolist(), variances.tolist())
+            ]
+            assert same_bits(row, each)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

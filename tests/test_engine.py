@@ -165,8 +165,8 @@ class TestUpdateZ:
             [[[0.3, 0.5]]], w_mean=[[[0.0, 0.0]]], w_var=[[[0.0, 1.0]]]
         )
         data = make_dataset(n=2, dims=(2,))
-        caches = engine.build_caches(state, data)
-        assert oracle.update_z(state, caches, PRIOR, 0, 0, 0) == 0.5
+        residual = engine.build_caches(state, data)
+        assert oracle.update_z(state, residual, PRIOR, 0, 0, 0) == 0.5
 
     def test_likelihood_exponent_log3(self):
         state = make_state(
@@ -177,9 +177,9 @@ class TestUpdateZ:
             f_var=np.zeros((2, 1)),
         )
         data = GroupedDataset([np.zeros((2, 2))], ["g0"])
-        caches = engine.build_caches(state, data)
+        residual = engine.build_caches(state, data)
         # logit = -0.5 * E[w^2] * sum tau E[f^2] = -log 3  =>  1/(1+3)
-        assert oracle.update_z(state, caches, PRIOR, 0, 0, 0) == pytest.approx(
+        assert oracle.update_z(state, residual, PRIOR, 0, 0, 0) == pytest.approx(
             0.25, abs=1e-14
         )
 
@@ -194,8 +194,8 @@ class TestUpdateZ:
         x = np.zeros((2, 2))
         x[:, 0] = 25.5  # likelihood exponent (2*51 - 2)/2 = +50
         data = GroupedDataset([x], ["g0"])
-        caches = engine.build_caches(state, data)
-        rho = oracle.update_z(state, caches, PRIOR, 0, 0, 0)
+        residual = engine.build_caches(state, data)
+        rho = oracle.update_z(state, residual, PRIOR, 0, 0, 0)
         assert rho >= 1.0 - 1e-12
         assert math.isfinite(rho)
 
@@ -206,9 +206,9 @@ class TestUpdateZ:
             f_var=np.full((2, 1), np.inf),
         )
         data = make_dataset(n=2, dims=(2,))
-        caches = engine.build_caches(state, data)
+        residual = engine.build_caches(state, data)
         with pytest.raises(NumericalError) as err:
-            oracle.update_z(state, caches, PRIOR, 0, 0, 0)
+            oracle.update_z(state, residual, PRIOR, 0, 0, 0)
         assert err.value.context == {"group": 0, "factor": 0, "column": 0}
 
 
@@ -217,9 +217,9 @@ class TestUpdateW:
         # E[lambda] = (e0 + 1/2) / rate = 2.0 / 1.0
         state = make_state([[[0.0]]], lambda_rate=[[[1.0]]])
         data = make_dataset(n=2, dims=(1,))
-        caches = engine.build_caches(state, data)
+        residual = engine.build_caches(state, data)
         hyper = Hyperparameters(K=1, e0=1.5)
-        mean, var = oracle.update_w(state, caches, hyper, 0, 0, 0)
+        mean, var = oracle.update_w(state, residual, hyper, 0, 0, 0)
         assert mean == 0.0
         assert var == 0.5
 
@@ -230,8 +230,8 @@ class TestUpdateW:
             f_var=np.zeros((2, 1)),
         )
         data = GroupedDataset([np.zeros((2, 1))], ["g0"])
-        caches = engine.build_caches(state, data)
-        _, var = oracle.update_w(state, caches, PRIOR, 0, 0, 0)
+        residual = engine.build_caches(state, data)
+        _, var = oracle.update_w(state, residual, PRIOR, 0, 0, 0)
         assert var == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_posterior_mean(self):
@@ -241,8 +241,8 @@ class TestUpdateW:
             f_var=np.zeros((2, 1)),
         )
         data = GroupedDataset([np.full((2, 1), 1.5)], ["g0"])
-        caches = engine.build_caches(state, data)
-        mean, var = oracle.update_w(state, caches, PRIOR, 0, 0, 0)
+        residual = engine.build_caches(state, data)
+        mean, var = oracle.update_w(state, residual, PRIOR, 0, 0, 0)
         assert var == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert mean == pytest.approx(1.0, abs=1e-14)
 
@@ -251,8 +251,8 @@ class TestUpdateF:
     def test_all_excluded_recovers_prior(self):
         state = make_state([np.zeros((1, 3))])
         data = make_dataset(n=2, dims=(3,))
-        caches = engine.build_caches(state, data)
-        assert oracle.update_f(state, caches, PRIOR, 0, 0) == (0.0, 1.0)
+        residual = engine.build_caches(state, data)
+        assert oracle.update_f(state, residual, PRIOR, 0, 0) == (0.0, 1.0)
 
     def test_posterior_variance(self):
         state = make_state(
@@ -261,8 +261,8 @@ class TestUpdateF:
             w_var=[np.zeros((1, 4))],
         )
         data = GroupedDataset([np.zeros((2, 4))], ["g0"])
-        caches = engine.build_caches(state, data)
-        _, var = oracle.update_f(state, caches, PRIOR, 0, 0)
+        residual = engine.build_caches(state, data)
+        _, var = oracle.update_f(state, residual, PRIOR, 0, 0)
         assert var == pytest.approx(0.2, abs=1e-15)
 
     def test_posterior_mean(self):
@@ -272,8 +272,8 @@ class TestUpdateF:
             w_var=[np.zeros((1, 4))],
         )
         data = GroupedDataset([np.full((2, 4), 1.25)], ["g0"])
-        caches = engine.build_caches(state, data)
-        mean, _ = oracle.update_f(state, caches, PRIOR, 0, 0)
+        residual = engine.build_caches(state, data)
+        mean, _ = oracle.update_f(state, residual, PRIOR, 0, 0)
         assert mean == pytest.approx(1.0, abs=1e-14)
 
 
@@ -365,9 +365,9 @@ class TestUpdateTau:
         state = make_state([np.zeros((1, 3))])
         x = np.array([[1.0, -2.0, 2.0], [0.5, 0.0, 0.0]])
         data = GroupedDataset([x], ["g0"])
-        caches = engine.build_caches(state, data)
+        residual = engine.build_caches(state, data)
         hyper = Hyperparameters(K=1)
-        rate = oracle.update_tau(state, caches, hyper, 0, 0)
+        rate = oracle.update_tau(state, residual, hyper, 0, 0)
         assert rate == pytest.approx(0.1 + 0.5 * 9.0, abs=1e-12)
 
     def test_exact_reconstruction_leaves_prior_rate(self):
@@ -382,10 +382,10 @@ class TestUpdateTau:
             f_var=np.zeros((3, 2)),
         )
         data = GroupedDataset([f @ w], ["g0"])
-        caches = engine.build_caches(state, data)
+        residual = engine.build_caches(state, data)
         hyper = Hyperparameters(K=2)
         for n in range(3):
-            rate = oracle.update_tau(state, caches, hyper, 0, n)
+            rate = oracle.update_tau(state, residual, hyper, 0, n)
             assert rate == pytest.approx(0.1, abs=1e-12)
 
 
@@ -568,24 +568,24 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
             e_s, e_t = oracle.update_aux_s_t(state, m, k)
             state.aux_s_mean[m, k] = e_s
             state.aux_t_mean[m, k] = e_t
-            caches = engine.build_caches(state, data)
+            residual = engine.build_caches(state, data)
             rho_new = [
-                oracle.update_z(state, caches, hyper, m, k, d)
+                oracle.update_z(state, residual, hyper, m, k, d)
                 for d in range(state.dims[m])
             ]
             state.rho[m][k] = rho_new
             for d in range(state.dims[m]):
-                caches = engine.build_caches(state, data)
-                mean, var = oracle.update_w(state, caches, hyper, m, k, d)
+                residual = engine.build_caches(state, data)
+                mean, var = oracle.update_w(state, residual, hyper, m, k, d)
                 state.w_mean[m][k, d] = mean
                 state.w_var[m][k, d] = var
                 rate = oracle.update_lambda(state, hyper, m, k, d)
                 state.lambda_rate[m][k, d] = rate
-        caches = engine.build_caches(state, data)
+        residual = engine.build_caches(state, data)
         f_new = np.empty(state.n_samples)
         f_var_new = np.empty(state.n_samples)
         for n in range(state.n_samples):
-            f_new[n], f_var_new[n] = oracle.update_f(state, caches, hyper, n, k)
+            f_new[n], f_var_new[n] = oracle.update_f(state, residual, hyper, n, k)
         state.f_mean[:, k] = f_new
         state.f_var[:, k] = f_var_new
     for m in range(state.n_groups):
@@ -593,9 +593,9 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = engine.update_eta(state, m)
-        caches = engine.build_caches(state, data)
+        residual = engine.build_caches(state, data)
         for n in range(state.n_samples):
-            state.tau_rate[m][n] = oracle.update_tau(state, caches, hyper, m, n)
+            state.tau_rate[m][n] = oracle.update_tau(state, residual, hyper, m, n)
     return state
 
 
@@ -741,13 +741,20 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
         state.f_mean[:, k] = f_var_new * moment
         state.f_var[:, k] = f_var_new
 
-    caches = engine.build_caches(state, data)
+    residual = engine.build_caches(state, data)
     for m in range(M):
         shape, rate = engine.update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = engine.update_eta(state, m)
-        sq = engine._expected_sq_residual(state, caches, m)
+        sq = engine._expected_sq_residual(
+            residual[m],
+            state.f_mean,
+            state.f_var,
+            state.rho[m],
+            state.w_mean[m],
+            state.w_var[m],
+        )
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
     return state
 
@@ -866,10 +873,10 @@ class TestLeaveOneFactorOutProducts:
         if zero_factor is not None:
             for w in state.w_mean:
                 w[zero_factor] = 0.0
-        caches = engine.build_caches(state, data)
+        residual = engine.build_caches(state, data)
         F = state.f_mean
         for m in range(len(dims)):
-            R = caches.residual[m]
+            R = residual[m]
             loads = state.rho[m] * state.w_mean[m]
             tau_bar = PRIOR.tau_shape(dims[m]) / state.tau_rate[m]
             for j in range(k):
@@ -892,10 +899,10 @@ class TestLeaveOneFactorOutProducts:
         hyper = Hyperparameters(K=8)
         state = init_state(data, hyper, seed=seed)
         for _ in range(3):
-            caches = engine.sweep(state, data, hyper)
+            residual = engine.sweep(state, data, hyper)
             built = engine.build_caches(state, data)
             for m in range(data.n_groups):
-                assert caches.residual[m].tobytes() == built.residual[m].tobytes()
+                assert residual[m].tobytes() == built[m].tobytes()
 
 
 class TestGeoFloorInSweep:
@@ -926,6 +933,32 @@ class TestGeoFloorInSweep:
             floored = seen[4 * i : 4 * i + 2]
             assert floored == [engine.GEO_FLOOR, engine.GEO_FLOOR]
             assert all(a > engine.GEO_FLOOR for a in seen[4 * i + 2 : 4 * i + 4])
+        for m in range(len(dims)):
+            assert np.all(np.isfinite(state.rho[m]))
+            assert np.all((state.rho[m] >= 0.0) & (state.rho[m] <= 1.0))
+
+    # g_ab of group 0 is floored at GEO_FLOOR. With the first row, column 0
+    # of factor 0 sees a leave-one-out count of mean and variance 0: its
+    # total is 1e-300, whose square underflows to 0, so the variance term
+    # would be 0/0. With the second, columns 0 and 1 see mean and variance
+    # 1e-200, whose square also underflows: the term would be 1e-200/0.
+    @pytest.mark.parametrize(
+        "row", [(0.5, 0.0, 0.0, 0.0, 0.0), (1e-200, 1e-200, 0.0, 0.0, 0.0)]
+    )
+    def test_floored_concentration_with_no_other_count(self, row):
+        n, dims, k = 6, [5, 4], 3
+        rng = np.random.default_rng(41)
+        data = GroupedDataset(
+            [rng.standard_normal((n, d)) for d in dims], ["g0", "g1"]
+        )
+        state = random_state(np.random.default_rng(42), n, dims, k)
+        state.alpha_shape[0] = 1e-3
+        state.rho[0][0] = row
+        with warnings.catch_warnings(), np.errstate(
+            over="warn", invalid="warn", divide="warn"
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
+            engine.sweep(state, data, Hyperparameters(K=k))
         for m in range(len(dims)):
             assert np.all(np.isfinite(state.rho[m]))
             assert np.all((state.rho[m] >= 0.0) & (state.rho[m] <= 1.0))
@@ -1020,9 +1053,9 @@ class TestSurrogateElbo:
         data = make_dataset(seed=8, n=6, dims=(4, 3))
         state = random_state(np.random.default_rng(8), 6, (4, 3), 3)
         hyper = Hyperparameters(K=3)
-        caches = engine.build_caches(state, data)
+        residual = engine.build_caches(state, data)
         assert engine.surrogate_elbo(
-            state, data, hyper, caches=caches
+            state, data, hyper, residual=residual
         ) == engine.surrogate_elbo(state, data, hyper)
 
     def test_single_sweep_from_init_increases_objective(self):
