@@ -228,13 +228,33 @@ def bernoulli_sum_moments(probs) -> BernoulliSumMoments:
         p_plus = 1.0
     else:
         p_plus = float(-np.expm1(np.sum(np.log1p(-xi))))
+    return _with_conditional(mean, variance, p_plus)
+
+
+def _with_conditional(mean, variance, p_plus):
+    """BernoulliSumMoments, adding the moments conditional on a positive sum."""
     if p_plus < P_PLUS_FLOOR:
-        mean_plus = 0.0
-        var_plus = 0.0
+        return BernoulliSumMoments(mean, variance, p_plus, 0.0, 0.0)
+    return BernoulliSumMoments(mean, variance, p_plus, mean / p_plus, variance / p_plus)
+
+
+def _complement_moments(count, probs):
+    """Moments of the complementary sum, of Bernoulli(1 - xi) over probs xi.
+
+    count is bernoulli_sum_moments(probs), whose range check probs have
+    passed. With D = len(probs), the complement has mean D - count.mean
+    and the same variance, and is positive with probability
+    1 - prod(xi): exactly 1 when some xi is 0, else -expm1(sum(log xi)),
+    so no log(0) is taken. Only that product reads probs again. A step of
+    engine.sweep, not an entry point, hence the private name: its time
+    stays with the sweep when bench/tracer.py times public functions.
+    """
+    xi = np.asarray(probs, dtype=float).ravel()
+    if xi.size and xi.min() == 0.0:
+        p_plus = 1.0
     else:
-        mean_plus = mean / p_plus
-        var_plus = variance / p_plus
-    return BernoulliSumMoments(mean, variance, p_plus, mean_plus, var_plus)
+        p_plus = float(-np.expm1(np.sum(np.log(xi))))
+    return _with_conditional(xi.size - count.mean, count.variance, p_plus)
 
 
 def expect_log_shifted_count(shift_geo, count_mean, count_var):

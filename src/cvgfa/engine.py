@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .approx import (
+    _complement_moments,
     bernoulli_sum_moments,
     crt_mean_approx,
     digamma,
@@ -38,6 +39,7 @@ from .model import (
     Hyperparameters,
     VariationalState,
     _expected_sq_residual,
+    _group_residual,
     _residual_mse,
     active_factors,
     init_state,
@@ -87,7 +89,7 @@ def build_caches(state: VariationalState, data: GroupedDataset) -> list:
     state next changes.
     """
     return [
-        data.groups[m] - state.f_mean @ (state.rho[m] * state.w_mean[m])
+        _group_residual(data.groups[m], state.f_mean, state.rho[m], state.w_mean[m])
         for m in range(state.n_groups)
     ]
 
@@ -145,14 +147,15 @@ def _rho_row(rho, lik, nhat, g_ab, g_abbar, m, k):
     return np.where(logit >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _loo_dotx(x, loads, f_mean, tf, k):
+def _loo_dotx(xt_tf, loads, f_mean, tf, k):
     """X^T tf minus every factor but k's share: R^T tf + loads[k] (tf . f_k).
 
-    R = x - f_mean @ loads is the residual; tf is a length-N weight vector.
+    R = X - f_mean @ loads is the residual; tf is a length-N weight vector
+    and xt_tf the product X^T tf, which the caller supplies.
     """
     g = f_mean.T @ tf
     g[k] = 0.0
-    return x.T @ tf - loads.T @ g
+    return xt_tf - loads.T @ g
 
 
 def _loo_score_term(x, loads, f_mean, k):
@@ -189,6 +192,16 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     the factor loop, for the noise precisions; it is returned (a list, as
     build_caches gives) so that the caller can reuse it for the training
     error and the objective.
+
+    Column k of f_mean changes only in factor k's own score update, after
+    its rows, and the noise precisions only at the end of the pass. So the
+    data products X_m^T (tau_bar_m f_k) that _loo_dotx needs are taken for
+    every active k before the factor loop, as one (tau_bar_m F_A)^T X_m
+    product per group (A the active factors, |A| x D_m): one pass over the
+    data per group, where a matrix-vector product per (factor, group) row
+    would make one per row, and round differently. The moments of a row's
+    count of zeros derive from those of its count of ones
+    (_complement_moments).
     """
     M = state.n_groups
     lam_shape = hyper.lambda_shape
@@ -200,8 +213,12 @@ def sweep(state, data, hyper, active_threshold=1e-2):
         geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)
     ]
     loads = [state.rho[m] * state.w_mean[m] for m in range(M)]
+    active = sorted(active_factors(state, active_threshold))
+    xt_tf = [
+        (tau_bar[m][:, None] * f_mean[:, active]).T @ data.groups[m] for m in range(M)
+    ]
 
-    for k in sorted(active_factors(state, active_threshold)):
+    for i, k in enumerate(active):
         a_k, b_k = update_beta_params(state, hyper, k)
         state.beta_a[k] = a_k
         state.beta_b[k] = b_k
@@ -218,7 +235,7 @@ def sweep(state, data, hyper, active_threshold=1e-2):
             g_abbar = max(g_alpha[m] * g_beta_bar, GEO_FLOOR)
 
             nhat = bernoulli_sum_moments(rho_row)
-            ntil = bernoulli_sum_moments(1.0 - rho_row)
+            ntil = _complement_moments(nhat, rho_row)
             state.aux_s_mean[m, k] = min(
                 max(crt_mean_approx(g_ab, nhat), 0.0), float(d_m)
             )
@@ -230,9 +247,9 @@ def sweep(state, data, hyper, active_threshold=1e-2):
             f2_col = f_col * f_col + state.f_var[:, k]
             tb = tau_bar[m]
             sff = float(tb @ f2_col)
-            # sum_n tau f x~(no k): constant through the d-loop since only
-            # factor k's own parameters change inside it
-            dotx = _loo_dotx(data.groups[m], loads[m], f_mean, tb * f_col, k)
+            # sum_n tau f x~(no k): constant through the row update since
+            # only factor k's own parameters change inside it
+            dotx = _loo_dotx(xt_tf[m][i], loads[m], f_mean, tb * f_col, k)
 
             lik = 0.5 * ((w_row * w_row + wvar_row) * sff - 2.0 * w_row * dotx)
             rho_row[:] = _rho_row(rho_row, lik, nhat, g_ab, g_abbar, m, k)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
+from .model import _group_residual, _residual_mse
 
 __all__ = [
     "StabilityReport",
@@ -182,16 +183,15 @@ def auc(scores, labels) -> float:
 
 
 def train_mse(data, state) -> float:
-    """Mean squared reconstruction error over every observed cell."""
-    f = np.asarray(state.f_mean)
-    sq = 0.0
-    cells = 0
-    for m in range(len(data.groups)):
-        x = np.asarray(data.groups[m])
-        g = np.asarray(state.rho[m]) * np.asarray(state.w_mean[m])
-        resid = x - f @ g
-        sq += float((resid * resid).sum())
-        cells += x.size
-    if cells == 0:
+    """Mean squared reconstruction error over every observed cell.
+
+    The residuals are built one group at a time and read once each.
+    """
+    groups = [np.asarray(x) for x in data.groups]
+    if sum(x.size for x in groups) == 0:
         raise UsageError("dataset has no cells")
-    return sq / cells
+    f = np.asarray(state.f_mean)
+    return _residual_mse(
+        _group_residual(x, f, np.asarray(state.rho[m]), np.asarray(state.w_mean[m]))
+        for m, x in enumerate(groups)
+    )

@@ -303,7 +303,10 @@ def init_state(
 ) -> VariationalState:
     """Spectral warm start relaxed to a stationary point of the sweep cycle.
 
-    Phase one factors the column-concatenated data by SVD. Components whose
+    Phase one takes the principal components of the column-concatenated
+    data from the eigendecomposition of its N x N Gram matrix, without
+    forming the concatenation (_principal_components); they are the SVD's,
+    up to the sign of each component. Components whose
     singular value clears twice the median are treated as signal, rotated
     toward sparse loadings (varimax), and ordered by loading energy; entries
     whose |loading| reaches 0.5 become confident inclusions (rho 0.9, the
@@ -324,8 +327,8 @@ def init_state(
     data.validate()
     if int(seed) < 0:
         raise UsageError("seed must be a non-negative integer")
-    # a separate function, so that the SVD's input and outputs and the
-    # other warm-start temporaries are freed before the relaxation sweeps
+    # a separate function, so that the Gram matrix, its eigenvectors and
+    # the other warm-start temporaries are freed before the relaxation sweeps
     state = _spectral_start(data, hyper, seed)
 
     # engine imports this module at load time, hence the local import
@@ -349,24 +352,54 @@ def init_state(
     return state
 
 
+def _principal_components(groups, k):
+    """Singular values, scores and loadings of the column-stacked data.
+
+    The stacked N x sum(D_m) matrix is never formed: its left singular
+    vectors u and squared singular values are the eigenpairs of the N x N
+    Gram matrix sum_m X_m X_m^T. Returns all min(N, sum D_m) singular values
+    in descending order, the scores sqrt(N) u of the leading k_use =
+    min(k, that count) components (N x k_use), and their loadings
+    u^T X_m / sqrt(N), one block of columns per group (k_use x sum D_m),
+    which equal the SVD's s v^T / sqrt(N). Signs are eigh's: a component and
+    its negation are the same component.
+    """
+    n = groups[0].shape[0]
+    gram = groups[0] @ groups[0].T
+    for x in groups[1:]:
+        gram += x @ x.T
+    evals, evecs = np.linalg.eigh(gram)
+    n_sv = min(n, sum(x.shape[1] for x in groups))
+    # eigh sorts ascending; rounding can leave the zero eigenvalues of
+    # rank-deficient data slightly negative
+    sv = np.sqrt(np.maximum(evals[::-1][:n_sv], 0.0))
+    u = np.ascontiguousarray(evecs[:, ::-1][:, : min(k, n_sv)])
+    root_n = np.sqrt(n)
+    loads = np.hstack([u.T @ x for x in groups]) / root_n
+    return sv, root_n * u, loads
+
+
 def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> VariationalState:
-    """Phase one of init_state: the spectral warm start, before any sweep."""
+    """Phase one of init_state: the spectral warm start, before any sweep.
+
+    Only the score jitter reads the seed. The components come from
+    _principal_components, whose eigenvector signs can differ from an SVD's;
+    the varimax rotation, the signal cut and the inclusion cut treat a
+    component and its negation alike, so rho does not depend on them.
+    """
     K = int(hyper.K)
     M = data.n_groups
     N = data.n_samples
     rng = np.random.default_rng(int(seed))
 
-    stacked = np.hstack(data.groups)
-    u, sv, vt = np.linalg.svd(stacked, full_matrices=False)
-    k_use = min(K, u.shape[1])
+    sv, scores, loads = _principal_components(data.groups, K)
+    k_use = scores.shape[1]
     edge = _INIT_EDGE_MULT * float(np.median(sv))
     r_sig = max(1, min(k_use, int((sv > edge).sum())))
 
-    loads = (sv[:k_use, None] * vt[:k_use]) / np.sqrt(N)
     loads[r_sig:] = 0.0
     rot = _varimax(loads[:r_sig].T)
     loads[:r_sig] = rot.T @ loads[:r_sig]
-    scores = np.sqrt(N) * u[:, :k_use]
     scores[:, :r_sig] = scores[:, :r_sig] @ rot
     order = np.argsort(-(loads[:r_sig] ** 2).sum(axis=1))
     loads[:r_sig] = loads[:r_sig][order]
@@ -392,7 +425,7 @@ def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> Varia
         w_var.append(vm)
 
         lambda_rate.append(hyper.f0 + 0.5 * (wm * wm + vm))
-        resid = data.groups[m] - f_mean @ (rm * wm)
+        resid = _group_residual(data.groups[m], f_mean, rm, wm)
         sq = _expected_sq_residual(resid, f_mean, f_var, rm, wm, vm)
         tau_rate.append(hyper.h0 + 0.5 * sq)
 
@@ -430,10 +463,16 @@ def active_factors(state: VariationalState, threshold):
     return {int(k) for k in np.flatnonzero(mass >= threshold)}
 
 
-# The two helpers below are shared with engine: the q(tau) update, the
-# objective and the training error. They are steps of their callers, not
-# entry points, hence private names; bench/tracer.py times public functions
-# only, so their time stays with the calling sweep, fit or init_state.
+# The helpers below are shared with engine and metrics: the residual, the
+# q(tau) update, the objective and the training error. They are steps of
+# their callers, not entry points, hence private names; bench/tracer.py
+# times public functions only, so their time stays with the calling sweep,
+# fit, init_state or train_mse.
+
+
+def _group_residual(x, f_mean, rho, w_mean):
+    """X - E[F] (rho * mu_w): one group's data minus its expected reconstruction."""
+    return x - f_mean @ (rho * w_mean)
 
 
 def _expected_sq_residual(residual, f_mean, f_var, rho, w_mean, w_var):
@@ -452,6 +491,16 @@ def _expected_sq_residual(residual, f_mean, f_var, rho, w_mean, w_var):
 
 
 def _residual_mse(residual):
-    """Mean squared entry over a list of residual matrices, one per group."""
-    sq = sum(float((r * r).sum()) for r in residual)
-    return sq / float(sum(r.size for r in residual))
+    """Mean squared entry over residual matrices, one per group.
+
+    residual may be any iterable, a generator included: each matrix is read
+    once, in order, so a caller can build one group's residual at a time.
+    """
+    sq = 0.0
+    cells = 0
+    for r in residual:
+        sq += float((r * r).sum())
+        cells += r.size
+        # dropped before a generator builds the next one
+        del r
+    return sq / cells

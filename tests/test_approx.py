@@ -15,6 +15,7 @@ from scipy import special
 from cvgfa.approx import (
     _SERIES_START,
     BernoulliSumMoments,
+    _complement_moments,
     bernoulli_sum_moments,
     crt_mean_approx,
     crt_mean_exact,
@@ -283,6 +284,51 @@ class TestBernoulliSumMoments:
             bernoulli_sum_moments([0.2, 1.2])
         with pytest.raises(ValueError):
             bernoulli_sum_moments([-0.1])
+
+
+class TestComplementMoments:
+    """Moments of the count of zeros, derived from the count of ones."""
+
+    @staticmethod
+    def fields(m):
+        return [m.mean, m.variance, m.p_plus, m.mean_plus, m.var_plus]
+
+    def test_match_the_complementary_sum(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            probs = rng.uniform(0, 1, int(rng.integers(0, 13)))
+            got = _complement_moments(bernoulli_sum_moments(probs), probs)
+            want = bernoulli_sum_moments(1.0 - probs)
+            assert_allclose(self.fields(got), self.fields(want), rtol=1e-12, atol=1e-12)
+
+    def test_against_enumeration(self):
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            probs = rng.uniform(0, 1, int(rng.integers(1, 11)))
+            pmf = enumerate_count_pmf(1.0 - probs)
+            p_plus = float(1.0 - pmf[0])
+            m = _complement_moments(bernoulli_sum_moments(probs), probs)
+            assert_allclose(m.p_plus, p_plus, atol=1e-12)
+            assert_allclose(m.mean, float(pmf @ np.arange(probs.size + 1)), atol=1e-10)
+
+    def test_a_zero_probability_makes_the_complement_sure(self):
+        probs = np.array([0.3, 0.0, 0.9999999])
+        m = _complement_moments(bernoulli_sum_moments(probs), probs)
+        # taken without log(0): a RuntimeWarning fails the test
+        assert m.p_plus == 1.0
+        assert m.mean_plus == m.mean and m.var_plus == m.variance
+
+    def test_certain_ones_leave_no_complement(self):
+        probs = np.ones(4)
+        m = _complement_moments(bernoulli_sum_moments(probs), probs)
+        assert self.fields(m) == [0.0] * 5
+        m = _complement_moments(bernoulli_sum_moments([]), [])
+        assert self.fields(m) == [0.0] * 5
+
+    def test_near_certain_ones_no_cancellation(self):
+        probs = np.array([1.0 - 2.0**-50, 1.0 - 2.0**-50])
+        m = _complement_moments(bernoulli_sum_moments(probs), probs)
+        assert_allclose(m.p_plus, 2.0 * 2.0**-50, rtol=1e-6)
 
 
 class TestExpectLogShiftedCount:

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 import oracle
 from cvgfa import engine
 from cvgfa.approx import (
+    _complement_moments,
     bernoulli_sum_moments,
     crt_mean_approx,
     digamma,
@@ -602,6 +603,16 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
 class TestSweepRoutesAgree:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fused_matches_reference(self, seed):
+        self.check_routes_agree(seed)
+
+    @pytest.mark.parametrize("pruned", [0, 1])
+    def test_fused_matches_reference_with_a_pruned_factor(self, pruned):
+        # the active factors are then not 0, 1, ..., so a factor's index
+        # and its row in the sweep's batched product differ
+        self.check_routes_agree(3, pruned=pruned)
+
+    @staticmethod
+    def check_routes_agree(seed, pruned=None):
         rng = np.random.default_rng(seed)
         n, dims, k = 5, [4, 3], 3
         data = GroupedDataset(
@@ -609,6 +620,10 @@ class TestSweepRoutesAgree:
         )
         hyper = Hyperparameters(K=k)
         fast = random_state(np.random.default_rng(100 + seed), n, dims, k)
+        if pruned is not None:
+            for r in fast.rho:
+                r[pruned] = 0.0
+            assert pruned not in active_factors(fast, 1e-2)
         slow = fast.copy()
 
         engine.sweep(fast, data, hyper)
@@ -644,9 +659,12 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
     count sums minus its own term, and then every column's w and lambda from
     the new rho. dotx and the factor-score moment come from the same
     leave-one-factor-out products of the data and the expected loadings as
-    in engine.sweep. log and exp are numpy's, as in engine.sweep: math's
-    differ from numpy's vector loops in the last bit on some CPUs. Kept here
-    only as the oracle that the vectorised sweep must match bit for bit.
+    in engine.sweep, X_m^T (tau_bar_m f_k) included: one product per group
+    for every active factor, taken before the factor loop. The complementary
+    count's moments derive from the row's, as in engine.sweep. log and exp
+    are numpy's, as in engine.sweep: math's differ from numpy's vector loops
+    in the last bit on some CPUs. Kept here only as the oracle that the
+    vectorised sweep must match bit for bit.
     """
     M = state.n_groups
     F = state.f_mean
@@ -657,7 +675,10 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
         geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)
     ]
 
-    for k in sorted(active_factors(state, active_threshold)):
+    active = sorted(active_factors(state, active_threshold))
+    xt_tf = [(tau_bar[m][:, None] * F[:, active]).T @ data.groups[m] for m in range(M)]
+
+    for i, k in enumerate(active):
         a_k, b_k = engine.update_beta_params(state, hyper, k)
         state.beta_a[k] = a_k
         state.beta_b[k] = b_k
@@ -674,7 +695,7 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
             g_abbar = max(g_alpha[m] * g_beta_bar, engine.GEO_FLOOR)
 
             nhat = bernoulli_sum_moments(rho_row)
-            ntil = bernoulli_sum_moments(1.0 - rho_row)
+            ntil = _complement_moments(nhat, rho_row)
             state.aux_s_mean[m, k] = min(
                 max(crt_mean_approx(g_ab, nhat), 0.0), float(d_m)
             )
@@ -689,7 +710,7 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
             tf = tb * f_col
             g = F.T @ tf
             g[k] = 0.0
-            dotx = data.groups[m].T @ tf - loads[m].T @ g
+            dotx = xt_tf[m][i] - loads[m].T @ g
 
             rho_new = np.empty(d_m)
             for d in range(d_m):
@@ -879,13 +900,13 @@ class TestLeaveOneFactorOutProducts:
             R = residual[m]
             loads = state.rho[m] * state.w_mean[m]
             tau_bar = PRIOR.tau_shape(dims[m]) / state.tau_rate[m]
+            # X^T (tau_bar f_j) for every j at once, as engine.sweep takes it
+            xt_tf = (tau_bar[:, None] * F).T @ data.groups[m]
             for j in range(k):
                 tf = tau_bar * F[:, j]
                 coef = loads[j]
                 want = R.T @ tf + coef * float(tf @ F[:, j])
-                self.assert_close(
-                    engine._loo_dotx(data.groups[m], loads, F, tf, j), want
-                )
+                self.assert_close(engine._loo_dotx(xt_tf[j], loads, F, tf, j), want)
                 want = R @ coef + F[:, j] * float(coef @ coef)
                 self.assert_close(
                     engine._loo_score_term(data.groups[m], loads, F, j), want

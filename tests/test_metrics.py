@@ -294,3 +294,40 @@ class TestTrainMse:
     def test_rejects_empty(self):
         with pytest.raises(UsageError):
             train_mse(SimpleNamespace(groups=[]), self._zero_state([np.zeros((1, 1))]))
+
+    @staticmethod
+    def _random_fit(n, dims, k, seed):
+        rng = np.random.default_rng(seed)
+        groups = [rng.standard_normal((n, d)) for d in dims]
+        state = SimpleNamespace(
+            f_mean=rng.standard_normal((n, k)),
+            rho=[rng.uniform(0, 1, (k, d)) for d in dims],
+            w_mean=[rng.standard_normal((k, d)) for d in dims],
+        )
+        return SimpleNamespace(groups=groups), state
+
+    def test_bitwise_equal_to_the_group_by_group_sum(self):
+        data, state = self._random_fit(7, [5, 9, 4], 3, seed=15)
+        sq = 0.0
+        for x, r, w in zip(data.groups, state.rho, state.w_mean):
+            resid = x - state.f_mean @ (r * w)
+            sq += float((resid * resid).sum())
+        want = sq / sum(x.size for x in data.groups)
+        assert train_mse(data, state) == want
+
+    def test_holds_one_group_residual_at_a_time(self):
+        import tracemalloc
+
+        n, d, groups = 50, 400, 4
+        data, state = self._random_fit(n, [d] * groups, 3, seed=16)
+        one = n * d * 8
+        tracemalloc.start()
+        try:
+            train_mse(data, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # at most two group-sized arrays live at once (a residual and its
+        # square, or the reconstruction and the residual taken from it);
+        # all four residuals at once would take at least 4 * one
+        assert peak < 2.5 * one

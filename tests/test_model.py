@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cvgfa import model
 from cvgfa.errors import DataError, UsageError
 from cvgfa.model import (
     FitOptions,
@@ -187,6 +188,83 @@ class TestInitState:
         clone.f_mean[0, 0] = 99.0
         assert state.rho[0][0, 0] != 0.0
         assert state.f_mean[0, 0] != 99.0
+
+
+def svd_components(groups, k):
+    """The warm start's components from the SVD of the stacked data.
+
+    The oracle for model._principal_components: the same outputs, up to
+    each component's sign, from the factorization the warm start used to
+    take.
+    """
+    n = groups[0].shape[0]
+    u, sv, vt = np.linalg.svd(np.hstack(groups), full_matrices=False)
+    k_use = min(k, u.shape[1])
+    return sv, np.sqrt(n) * u[:, :k_use], (sv[:k_use, None] * vt[:k_use]) / np.sqrt(n)
+
+
+def rank_deficient_dataset():
+    """Rank 4 over 12 samples: repeated columns and a constant column."""
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((12, 3)) * [3.0, 2.0, 1.0]
+    groups = [
+        np.hstack([base, base]),
+        np.hstack([np.repeat(base[:, :1], 4, axis=1), np.full((12, 1), 0.7)]),
+    ]
+    return GroupedDataset(groups, ["a", "b"])
+
+
+class TestPrincipalComponents:
+    """The Gram-matrix warm start against the SVD of the stacked data."""
+
+    @staticmethod
+    def assert_same_components(data, k, sv_tol=0.0):
+        sv, scores, loads = model._principal_components(data.groups, k)
+        sv_o, scores_o, loads_o = svd_components(data.groups, k)
+        assert_allclose(sv, sv_o, rtol=1e-12, atol=sv_tol * sv_o[0])
+        assert scores.shape == scores_o.shape and loads.shape == loads_o.shape
+        for j in range(scores.shape[1]):
+            sign = 1.0 if float(loads[j] @ loads_o[j]) >= 0.0 else -1.0
+            assert_allclose(loads[j], sign * loads_o[j], rtol=0, atol=1e-10 * sv_o[0])
+            assert_allclose(scores[:, j], sign * scores_o[:, j], rtol=0, atol=1e-9)
+
+    @staticmethod
+    def assert_same_inclusions(monkeypatch, data, hyper):
+        state = model._spectral_start(data, hyper, seed=0)
+        monkeypatch.setattr(model, "_principal_components", svd_components)
+        want = model._spectral_start(data, hyper, seed=0)
+        for m in range(data.n_groups):
+            assert np.array_equal(state.rho[m], want.rho[m])
+            assert_allclose(np.abs(state.w_mean[m]), np.abs(want.w_mean[m]), atol=1e-12)
+
+    # N < sum D and N > sum D
+    @pytest.mark.parametrize("n, dims", [(30, [10] * 4), (60, [5] * 4)])
+    def test_match_the_svd_on_sim1(self, monkeypatch, n, dims):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), n, dims, seed=4)
+        self.assert_same_components(data, 8)
+        self.assert_same_inclusions(monkeypatch, data, Hyperparameters(K=8))
+
+    def test_single_sample(self, monkeypatch):
+        data = make_dataset(seed=8, n=1, dims=(4, 3))
+        self.assert_same_components(data, 5)
+        self.assert_same_inclusions(monkeypatch, data, Hyperparameters(K=5))
+        init_state(data, Hyperparameters(K=5), seed=0).validate()
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_rank_deficient_data(self, monkeypatch, k):
+        data = rank_deficient_dataset()
+        # the Gram matrix's zero eigenvalues come out at rounding level,
+        # eps times the largest, so their singular values at sqrt(eps)
+        # times the largest: 4e-7 here against the SVD's 2e-15
+        sv, _, _ = model._principal_components(data.groups, k)
+        assert np.all(sv[4:] < 1e-6 * sv[0])
+        self.assert_same_components(data, min(k, 4), sv_tol=1e-6)
+        # components past the rank carry loadings of order sqrt(eps) by
+        # either route, far below the inclusion cut
+        self.assert_same_inclusions(monkeypatch, data, Hyperparameters(K=k))
+        init_state(data, Hyperparameters(K=k), seed=0).validate()
 
 
 class TestActiveFactors:
