@@ -381,15 +381,6 @@ def cmd_rank(args) -> int:
     if not (0 <= a < state.n_groups and 0 <= b < state.n_groups):
         raise UsageError(f"group indices must lie in [0, {state.n_groups})")
     scores = metrics.ranking_score(state, a, b)
-
-    os.makedirs(args.out, exist_ok=True)
-    order = np.argsort(-scores, kind="stable")
-    scores_path = os.path.join(args.out, "scores.csv")
-    with open(scores_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("column,score\n")
-        for idx in order:
-            fh.write(f"{int(idx)},{repr(float(scores[idx]))}\n")
-
     result = {
         "format": "cvgfa-rank",
         "version": io.FORMAT_VERSION,
@@ -400,7 +391,17 @@ def cmd_rank(args) -> int:
     }
     if args.labels:
         labels = io.read_vector_csv(args.labels)
-        result["auc"] = metrics.auc(scores, labels != 0.0)
+        if not np.all((labels == 0.0) | (labels == 1.0)):
+            raise DataError(f"--labels file {args.labels} holds values other than 0/1")
+        result["auc"] = metrics.auc(scores, labels == 1.0)
+
+    os.makedirs(args.out, exist_ok=True)
+    order = np.argsort(-scores, kind="stable")
+    scores_path = os.path.join(args.out, "scores.csv")
+    with open(scores_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("column,score\n")
+        for idx in order:
+            fh.write(f"{int(idx)},{repr(float(scores[idx]))}\n")
     io.write_json(os.path.join(args.out, "rank.json"), result)
     if "auc" in result:
         print(f"ranked {result['n_columns']} columns; AUC {result['auc']:.4f}")
@@ -427,6 +428,12 @@ def cmd_reconstruct(args) -> int:
             f"observed matrix has {observed.shape[1]} columns, the listed "
             f"groups span {width}"
         )
+    truth = None
+    if args.truth:
+        truth = io.read_matrix_csv(args.truth)
+        want = (observed.shape[0], dims[args.target])
+        if truth.shape != want:
+            raise DataError(f"truth matrix is {truth.shape}, reconstruction is {want}")
 
     f_hat = np.empty((observed.shape[0], state.n_factors))
     for i in range(observed.shape[0]):
@@ -450,12 +457,7 @@ def cmd_reconstruct(args) -> int:
         "n_samples": int(observed.shape[0]),
         "reconstruction_file": "reconstruction.csv",
     }
-    if args.truth:
-        truth = io.read_matrix_csv(args.truth)
-        if truth.shape != recon.shape:
-            raise DataError(
-                f"truth matrix is {truth.shape}, reconstruction is {recon.shape}"
-            )
+    if truth is not None:
         diff = recon - truth
         result["mse"] = float(np.mean(diff * diff))
     io.write_json(os.path.join(args.out, "reconstruct.json"), result)

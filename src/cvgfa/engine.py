@@ -10,10 +10,10 @@ the row's leave-one-out count sums as they stood before the row was
 updated, not as the earlier columns of the row have moved them. This
 departs from the paper's strictly sequential column order; it is the
 minibatch update of stochastic collapsed variational inference (Foulds et
-al., KDD 2013), with the whole row as the batch. sweep() keeps no
-residual: it takes the products that leave one factor out from the data
-and the K x D expected loadings, and builds the residual once at its end
-(see sweep).
+al., KDD 2013), with the whole row as the batch. No N x D residual is
+formed: the products that leave one factor out come from the data and the
+K x D expected loadings, and every other reader of the residual takes its
+per-sample squared norms, which sweep() returns (see model._sq_norms).
 """
 
 import math
@@ -39,15 +39,14 @@ from .model import (
     Hyperparameters,
     VariationalState,
     _expected_sq_residual,
-    _group_residual,
-    _residual_mse,
+    _norms_mse,
+    _sq_norms,
     active_factors,
     init_state,
 )
 
 __all__ = [
     "FitReport",
-    "build_caches",
     "update_beta_params",
     "update_alpha",
     "update_eta",
@@ -80,16 +79,10 @@ class FitReport:
     metadata: dict = field(default_factory=dict)
 
 
-def build_caches(state: VariationalState, data: GroupedDataset) -> list:
-    """The residual of one state, one matrix per group.
-
-    residual[m] is the data minus the full expected reconstruction,
-    X - E[F] (rho * mu_w). sweep returns the one of the state it ends
-    with. Nothing updates it in place, so it is valid only until the
-    state next changes.
-    """
+def _state_sq_norms(state, data):
+    """_sq_norms of every group at the state's expected loadings and scores."""
     return [
-        _group_residual(data.groups[m], state.f_mean, state.rho[m], state.w_mean[m])
+        _sq_norms(data.groups[m], state.f_mean, state.rho[m], state.w_mean[m])
         for m in range(state.n_groups)
     ]
 
@@ -182,16 +175,13 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     read only its own values and dotx[d], which stays fixed while the row
     is updated, so they are whole-row expressions too.
 
-    No N x D residual is kept during the pass. The products that leave
+    No N x D residual R = X_m - F C_m is formed. The products that leave
     factor k out (_loo_dotx, _loo_score_term) are taken from the data and
     the K x D expected loadings C_m = rho[m] * w_mean[m], whose row k is
-    rewritten after each row update. They equal the residual forms, with
-    R = X_m - F C_m, but round differently, so states differ at rounding
-    level from those of earlier commits, which kept R up to date by two
-    rank-1 updates per (factor, group). The residual is built once, after
-    the factor loop, for the noise precisions; it is returned (a list, as
-    build_caches gives) so that the caller can reuse it for the training
-    error and the objective.
+    rewritten after each row update. The noise precisions read R only
+    through its per-sample squared norms (_sq_norms), taken after the
+    factor loop; they are returned, one vector per group, for the caller's
+    training error and objective.
 
     Column k of f_mean changes only in factor k's own score update, after
     its rows, and the noise precisions only at the end of the pass. So the
@@ -271,14 +261,14 @@ def sweep(state, data, hyper, active_threshold=1e-2):
         f_mean[:, k] = f_var_new * moment
         state.f_var[:, k] = f_var_new
 
-    residual = build_caches(state, data)
+    norms = _state_sq_norms(state, data)
     for m in range(M):
         shape, rate = update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = update_eta(state, m)
         sq = _expected_sq_residual(
-            residual[m],
+            norms[m],
             f_mean,
             state.f_var,
             state.rho[m],
@@ -288,7 +278,7 @@ def sweep(state, data, hyper, active_threshold=1e-2):
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
 
     _check_state_finite(state)
-    return residual
+    return norms
 
 
 def _check_state_finite(state):
@@ -337,30 +327,30 @@ def _bernoulli_entropy(rho):
     return float(-np.sum(r * np.log(r) + (1.0 - r) * np.log1p(-r)))
 
 
-def surrogate_elbo(state, data, hyper, residual=None) -> float:
+def surrogate_elbo(state, data, hyper, norms=None) -> float:
     """Variational objective with the collapsed inclusion prior approximated.
 
     Conjugate terms are exact given the posterior moments; E[log p(Z)] uses
     the marginal's log-gamma ratios evaluated at geometric means of the
     concentrations and expected counts (see COLLAPSED_Z_METHOD). The
     auxiliary-variable terms cancel because their posteriors are exact.
-    residual, if given, must be the one of state (build_caches);
-    otherwise it is built here.
+    norms, if given, must be the residual's per-sample squared norms at
+    state, as sweep returns them; otherwise they are computed here.
     """
     total = 0.0
     M = state.n_groups
     K = state.n_factors
     lam_shape = hyper.lambda_shape
 
-    if residual is None:
-        residual = build_caches(state, data)
+    if norms is None:
+        norms = _state_sq_norms(state, data)
     for m in range(M):
         d_m = state.dims[m]
         tau_shape = hyper.tau_shape(d_m)
         tb = tau_shape / state.tau_rate[m]
         e_log_tau = digamma(tau_shape) - np.log(state.tau_rate[m])
         sq = _expected_sq_residual(
-            residual[m],
+            norms[m],
             state.f_mean,
             state.f_var,
             state.rho[m],
@@ -433,7 +423,9 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
     Convergence is monitored on the training MSE: three consecutive sweeps
     with relative change below rel_tolerance. The surrogate objective is
     recorded per sweep but not used as the stopping rule since its collapsed
-    term is approximate.
+    term is approximate. Both read the squared norms the sweep returns, so
+    the MSE is not exact on near noise-free data (model._sq_norms);
+    metrics.train_mse is.
     """
     data.validate()
     hyper.validate()
@@ -444,19 +436,15 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
     streak = 0
     converged = False
     for it in range(int(opts.max_sweeps)):
-        # the previous residual goes first, so that two sets never coexist
-        residual = None
         try:
-            residual = sweep(
+            norms = sweep(
                 state, data, hyper, active_threshold=opts.active_factor_threshold
             )
         except NumericalError as err:
             err.context.setdefault("sweep", it)
             raise
-        # the residual the sweep ends with serves the MSE and the objective;
-        # the state does not change after it is built
-        mse = _residual_mse(residual)
-        objective = surrogate_elbo(state, data, hyper, residual=residual)
+        mse = _norms_mse(norms, data.dims)
+        objective = surrogate_elbo(state, data, hyper, norms=norms)
         if not (math.isfinite(objective) and math.isfinite(mse)):
             raise NumericalError("non-finite objective", context={"sweep": it})
         k_active = len(active_factors(state, opts.active_factor_threshold))

@@ -56,10 +56,14 @@ def write_matrix_csv(path, array):
 
 
 def read_matrix_csv(path):
+    """A finite float matrix; loadtxt's nan and inf entries are rejected."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        matrix = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except (OSError, ValueError) as err:
         raise DataError(f"cannot read matrix file {path}: {err}") from None
+    if not np.all(np.isfinite(matrix)):
+        raise DataError(f"matrix file {path} contains non-finite entries")
+    return matrix
 
 
 def read_vector_csv(path):

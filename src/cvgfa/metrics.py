@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .model import _group_residual, _residual_mse
 
 __all__ = [
     "StabilityReport",
@@ -185,13 +184,17 @@ def auc(scores, labels) -> float:
 def train_mse(data, state) -> float:
     """Mean squared reconstruction error over every observed cell.
 
-    The residuals are built one group at a time and read once each.
+    Exact, unlike fit's MSE from squared norms (model._sq_norms): each
+    group's residual X - F (rho * mu_w) is formed, one group at a time.
     """
     groups = [np.asarray(x) for x in data.groups]
-    if sum(x.size for x in groups) == 0:
+    cells = sum(x.size for x in groups)
+    if cells == 0:
         raise UsageError("dataset has no cells")
     f = np.asarray(state.f_mean)
-    return _residual_mse(
-        _group_residual(x, f, np.asarray(state.rho[m]), np.asarray(state.w_mean[m]))
-        for m, x in enumerate(groups)
-    )
+    sq = 0.0
+    for x, rho, w in zip(groups, state.rho, state.w_mean):
+        resid = x - f @ (np.asarray(rho) * np.asarray(w))
+        sq += float((resid * resid).sum())
+        del resid  # freed before the next group's is built
+    return sq / cells

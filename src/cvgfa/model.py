@@ -337,11 +337,8 @@ def init_state(
     prev = None
     streak = 0
     for _ in range(_INIT_RELAX_CAP):
-        # the previous residual goes first, so that two sets never coexist;
-        # the one the sweep ends with serves this pass's error
-        residual = None
-        residual = engine.sweep(state, data, hyper, active_threshold=active_threshold)
-        cur = _residual_mse(residual)
+        norms = engine.sweep(state, data, hyper, active_threshold=active_threshold)
+        cur = _norms_mse(norms, data.dims)
         if prev is not None and abs(cur - prev) < _INIT_RELAX_TOL * max(prev, 1e-12):
             streak += 1
             if streak >= _INIT_RELAX_STREAK:
@@ -425,8 +422,8 @@ def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> Varia
         w_var.append(vm)
 
         lambda_rate.append(hyper.f0 + 0.5 * (wm * wm + vm))
-        resid = _group_residual(data.groups[m], f_mean, rm, wm)
-        sq = _expected_sq_residual(resid, f_mean, f_var, rm, wm, vm)
+        norms = _sq_norms(data.groups[m], f_mean, rm, wm)
+        sq = _expected_sq_residual(norms, f_mean, f_var, rm, wm, vm)
         tau_rate.append(hyper.h0 + 0.5 * sq)
 
     alpha_mean0 = hyper.c0 / hyper.d0
@@ -463,44 +460,44 @@ def active_factors(state: VariationalState, threshold):
     return {int(k) for k in np.flatnonzero(mass >= threshold)}
 
 
-# The helpers below are shared with engine and metrics: the residual, the
-# q(tau) update, the objective and the training error. They are steps of
-# their callers, not entry points, hence private names; bench/tracer.py
-# times public functions only, so their time stays with the calling sweep,
-# fit, init_state or train_mse.
+# The helpers below are shared with engine: the residual's per-sample squared
+# norms, the q(tau) update and the training error. They are steps of their
+# callers, not entry points, hence private names; bench/tracer.py times
+# public functions only, so their time stays with the caller. The fit's
+# training MSE (convergence monitor, trace.csv, best.json) comes from these
+# norms; metrics.train_mse, which cvgfa eval reports, is exact.
 
 
-def _group_residual(x, f_mean, rho, w_mean):
-    """X - E[F] (rho * mu_w): one group's data minus its expected reconstruction."""
-    return x - f_mean @ (rho * w_mean)
+def _sq_norms(x, f_mean, rho, w_mean):
+    """||x_n - C^T f_n||^2 of one group for every sample n, C = rho * mu_w.
+
+    Expands to ||x_n||^2 - 2 f_n^T (X C^T)_n + f_n^T (C C^T) f_n: one N x K
+    product with the data and no N x D temporary. The terms cancel as the
+    residual shrinks next to the data; on N = 100, 400 columns, K = 6 and
+    loadings of sd 2, the MSE's relative error is about 1e-15 at noise sd
+    1, 2e-7 at 1e-4 and 1e-3 at 1e-6 (9.4e-4 to 3.2e-3 over the draws
+    tried). Rounding can take a near-zero norm below 0; it is clamped there.
+    """
+    c = rho * w_mean
+    cross = f_mean @ (c @ c.T) - 2.0 * (x @ c.T)
+    r = np.einsum("nd,nd->n", x, x) + np.einsum("nk,nk->n", f_mean, cross)
+    return np.maximum(r, 0.0, out=r)
 
 
-def _expected_sq_residual(residual, f_mean, f_var, rho, w_mean, w_var):
+def _expected_sq_residual(norms, f_mean, f_var, rho, w_mean, w_var):
     """E[||x_n - G f_n||^2] of one group, for every sample n, as a vector.
 
-    residual is the data minus the full expected reconstruction,
-    X - E[F] (rho * mu_w). The expectation adds to its squared rows the
-    posterior-variance corrections
-    sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2).
+    norms are the residual's squared rows at the expected loadings and
+    scores (_sq_norms). The expectation adds to them the posterior-variance
+    corrections sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2).
     """
     coef = rho * w_mean
     svec = (rho * (w_mean * w_mean + w_var)).sum(axis=1)
     tvec = (coef * coef).sum(axis=1)
     ef2 = f_mean * f_mean + f_var
-    return (residual * residual).sum(axis=1) + ef2 @ svec - (f_mean * f_mean) @ tvec
+    return norms + ef2 @ svec - (f_mean * f_mean) @ tvec
 
 
-def _residual_mse(residual):
-    """Mean squared entry over residual matrices, one per group.
-
-    residual may be any iterable, a generator included: each matrix is read
-    once, in order, so a caller can build one group's residual at a time.
-    """
-    sq = 0.0
-    cells = 0
-    for r in residual:
-        sq += float((r * r).sum())
-        cells += r.size
-        # dropped before a generator builds the next one
-        del r
-    return sq / cells
+def _norms_mse(norms, dims):
+    """Mean squared residual entry from every group's per-sample squared norms."""
+    return sum(float(r.sum()) for r in norms) / (norms[0].shape[0] * sum(dims))

@@ -3,8 +3,9 @@
 engine.sweep is the only implementation the package runs; these scalar
 forms exist so that tests can pin single coordinates against hand-built
 states and pin sweep against a coordinate-by-coordinate schedule. Each reads
-the residual, one N x D matrix per group, from engine.build_caches, and the
-constant q(lambda) and q(tau) shapes from the hyperparameters.
+the explicit residual, one N x D matrix per group (residual below), which
+the package itself never forms, and the constant q(lambda) and q(tau) shapes
+from the hyperparameters.
 """
 
 import math
@@ -20,6 +21,15 @@ from cvgfa.approx import (
 )
 from cvgfa.engine import GEO_FLOOR
 from cvgfa.errors import NumericalError
+
+
+def residual(state, data):
+    """X_m - E[F] (rho_m * mu_w,m) of every group: the data minus the full
+    expected reconstruction, valid until the state next changes."""
+    return [
+        x - state.f_mean @ (r * w)
+        for x, r, w in zip(data.groups, state.rho, state.w_mean)
+    ]
 
 
 def update_sufficient_stats(state, m, k, exclude_d=None, complement=False):

@@ -422,6 +422,18 @@ class TestRank:
         assert run_cli("rank", ckpt, "--groups", "0,1", "--out", out) == 3
         assert not (out / "scores.csv").exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "2", "-1", "0.5"])
+    def test_labels_other_than_zero_one_data_error(self, tmp_path, bad):
+        ckpt = planted_checkpoint(tmp_path / "ckpt.json")
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"1\n1\n{bad}\n0\n0\n0\n")
+        out = tmp_path / "rank"
+        assert run_cli(
+            "rank", ckpt, "--groups", "0,1", "--labels", labels, "--out", out
+        ) == 3
+        # nothing is written before the labels are read
+        assert not out.exists()
+
     def test_bad_group_pair(self, tmp_path):
         ckpt = planted_checkpoint(tmp_path / "ckpt.json")
         assert run_cli("rank", ckpt, "--groups", "0", "--out", tmp_path) == 2
@@ -471,6 +483,26 @@ class TestReconstruct:
             "reconstruct", ckpt, "--observed", observed,
             "--observed-groups", "", "--target", 1, "--out", tmp_path,
         ) == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("flag", ["--observed", "--truth"])
+    def test_non_finite_input_data_error(
+        self, tmp_path, sim1_dataset, sim1_fit, flag, bad
+    ):
+        best = json.loads((sim1_fit / "best.json").read_text())
+        ckpt = sim1_fit / best["checkpoint"]
+        data, _ = io.read_dataset(sim1_dataset)
+        files = {"--observed": data.groups[0].copy(), "--truth": data.groups[1].copy()}
+        files[flag][3, 5] = bad
+        for name, matrix in files.items():
+            io.write_matrix_csv(tmp_path / f"{name[2:]}.csv", matrix)
+        out = tmp_path / "rec"
+        assert run_cli(
+            "reconstruct", ckpt, "--observed", tmp_path / "observed.csv",
+            "--observed-groups", "0", "--target", 1,
+            "--truth", tmp_path / "truth.csv", "--out", out,
+        ) == 3
+        assert not out.exists()
 
     def test_wrong_width_data_error(self, tmp_path, sim1_fit):
         best = json.loads((sim1_fit / "best.json").read_text())

@@ -166,7 +166,7 @@ class TestUpdateZ:
             [[[0.3, 0.5]]], w_mean=[[[0.0, 0.0]]], w_var=[[[0.0, 1.0]]]
         )
         data = make_dataset(n=2, dims=(2,))
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         assert oracle.update_z(state, residual, PRIOR, 0, 0, 0) == 0.5
 
     def test_likelihood_exponent_log3(self):
@@ -178,7 +178,7 @@ class TestUpdateZ:
             f_var=np.zeros((2, 1)),
         )
         data = GroupedDataset([np.zeros((2, 2))], ["g0"])
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         # logit = -0.5 * E[w^2] * sum tau E[f^2] = -log 3  =>  1/(1+3)
         assert oracle.update_z(state, residual, PRIOR, 0, 0, 0) == pytest.approx(
             0.25, abs=1e-14
@@ -195,7 +195,7 @@ class TestUpdateZ:
         x = np.zeros((2, 2))
         x[:, 0] = 25.5  # likelihood exponent (2*51 - 2)/2 = +50
         data = GroupedDataset([x], ["g0"])
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         rho = oracle.update_z(state, residual, PRIOR, 0, 0, 0)
         assert rho >= 1.0 - 1e-12
         assert math.isfinite(rho)
@@ -207,7 +207,7 @@ class TestUpdateZ:
             f_var=np.full((2, 1), np.inf),
         )
         data = make_dataset(n=2, dims=(2,))
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         with pytest.raises(NumericalError) as err:
             oracle.update_z(state, residual, PRIOR, 0, 0, 0)
         assert err.value.context == {"group": 0, "factor": 0, "column": 0}
@@ -218,7 +218,7 @@ class TestUpdateW:
         # E[lambda] = (e0 + 1/2) / rate = 2.0 / 1.0
         state = make_state([[[0.0]]], lambda_rate=[[[1.0]]])
         data = make_dataset(n=2, dims=(1,))
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         hyper = Hyperparameters(K=1, e0=1.5)
         mean, var = oracle.update_w(state, residual, hyper, 0, 0, 0)
         assert mean == 0.0
@@ -231,7 +231,7 @@ class TestUpdateW:
             f_var=np.zeros((2, 1)),
         )
         data = GroupedDataset([np.zeros((2, 1))], ["g0"])
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         _, var = oracle.update_w(state, residual, PRIOR, 0, 0, 0)
         assert var == pytest.approx(1.0 / 3.0, abs=1e-15)
 
@@ -242,7 +242,7 @@ class TestUpdateW:
             f_var=np.zeros((2, 1)),
         )
         data = GroupedDataset([np.full((2, 1), 1.5)], ["g0"])
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         mean, var = oracle.update_w(state, residual, PRIOR, 0, 0, 0)
         assert var == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert mean == pytest.approx(1.0, abs=1e-14)
@@ -252,7 +252,7 @@ class TestUpdateF:
     def test_all_excluded_recovers_prior(self):
         state = make_state([np.zeros((1, 3))])
         data = make_dataset(n=2, dims=(3,))
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         assert oracle.update_f(state, residual, PRIOR, 0, 0) == (0.0, 1.0)
 
     def test_posterior_variance(self):
@@ -262,7 +262,7 @@ class TestUpdateF:
             w_var=[np.zeros((1, 4))],
         )
         data = GroupedDataset([np.zeros((2, 4))], ["g0"])
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         _, var = oracle.update_f(state, residual, PRIOR, 0, 0)
         assert var == pytest.approx(0.2, abs=1e-15)
 
@@ -273,7 +273,7 @@ class TestUpdateF:
             w_var=[np.zeros((1, 4))],
         )
         data = GroupedDataset([np.full((2, 4), 1.25)], ["g0"])
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         mean, _ = oracle.update_f(state, residual, PRIOR, 0, 0)
         assert mean == pytest.approx(1.0, abs=1e-14)
 
@@ -366,7 +366,7 @@ class TestUpdateTau:
         state = make_state([np.zeros((1, 3))])
         x = np.array([[1.0, -2.0, 2.0], [0.5, 0.0, 0.0]])
         data = GroupedDataset([x], ["g0"])
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         hyper = Hyperparameters(K=1)
         rate = oracle.update_tau(state, residual, hyper, 0, 0)
         assert rate == pytest.approx(0.1 + 0.5 * 9.0, abs=1e-12)
@@ -383,7 +383,7 @@ class TestUpdateTau:
             f_var=np.zeros((3, 2)),
         )
         data = GroupedDataset([f @ w], ["g0"])
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         hyper = Hyperparameters(K=2)
         for n in range(3):
             rate = oracle.update_tau(state, residual, hyper, 0, n)
@@ -556,7 +556,7 @@ class TestMicroInstanceOracle:
 def reference_sweep(state, data, hyper, threshold=1e-2):
     """Same schedule as engine.sweep, one oracle op at a time.
 
-    Caches are rebuilt from scratch before every op, so each op sees a
+    The explicit residual is rebuilt before every op, so each op sees a
     residual exactly consistent with the current state. The inclusion
     probabilities of a (factor, group) row all read the state the row
     started from; only then are its loadings and lambdas updated.
@@ -569,20 +569,20 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
             e_s, e_t = oracle.update_aux_s_t(state, m, k)
             state.aux_s_mean[m, k] = e_s
             state.aux_t_mean[m, k] = e_t
-            residual = engine.build_caches(state, data)
+            residual = oracle.residual(state, data)
             rho_new = [
                 oracle.update_z(state, residual, hyper, m, k, d)
                 for d in range(state.dims[m])
             ]
             state.rho[m][k] = rho_new
             for d in range(state.dims[m]):
-                residual = engine.build_caches(state, data)
+                residual = oracle.residual(state, data)
                 mean, var = oracle.update_w(state, residual, hyper, m, k, d)
                 state.w_mean[m][k, d] = mean
                 state.w_var[m][k, d] = var
                 rate = oracle.update_lambda(state, hyper, m, k, d)
                 state.lambda_rate[m][k, d] = rate
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         f_new = np.empty(state.n_samples)
         f_var_new = np.empty(state.n_samples)
         for n in range(state.n_samples):
@@ -594,7 +594,7 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = engine.update_eta(state, m)
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         for n in range(state.n_samples):
             state.tau_rate[m][n] = oracle.update_tau(state, residual, hyper, m, n)
     return state
@@ -762,14 +762,13 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
         state.f_mean[:, k] = f_var_new * moment
         state.f_var[:, k] = f_var_new
 
-    residual = engine.build_caches(state, data)
     for m in range(M):
         shape, rate = engine.update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = engine.update_eta(state, m)
         sq = engine._expected_sq_residual(
-            residual[m],
+            engine._sq_norms(data.groups[m], F, state.rho[m], state.w_mean[m]),
             state.f_mean,
             state.f_var,
             state.rho[m],
@@ -894,7 +893,7 @@ class TestLeaveOneFactorOutProducts:
         if zero_factor is not None:
             for w in state.w_mean:
                 w[zero_factor] = 0.0
-        residual = engine.build_caches(state, data)
+        residual = oracle.residual(state, data)
         F = state.f_mean
         for m in range(len(dims)):
             R = residual[m]
@@ -913,17 +912,21 @@ class TestLeaveOneFactorOutProducts:
                 )
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_returned_residual_is_the_built_one(self, seed):
+    def test_returned_norms_are_those_of_the_final_state(self, seed):
         from cvgfa.simdata import generate, simulation1_pattern
 
         data, _ = generate(simulation1_pattern(), 30, [12] * 4, seed=seed)
         hyper = Hyperparameters(K=8)
         state = init_state(data, hyper, seed=seed)
         for _ in range(3):
-            residual = engine.sweep(state, data, hyper)
-            built = engine.build_caches(state, data)
+            norms = engine.sweep(state, data, hyper)
+            residual = oracle.residual(state, data)
             for m in range(data.n_groups):
-                assert residual[m].tobytes() == built[m].tobytes()
+                built = engine._sq_norms(
+                    data.groups[m], state.f_mean, state.rho[m], state.w_mean[m]
+                )
+                assert norms[m].tobytes() == built.tobytes()
+                assert_allclose(norms[m], (residual[m] ** 2).sum(axis=1), rtol=1e-12)
 
 
 class TestGeoFloorInSweep:
@@ -1037,6 +1040,28 @@ class TestSweepInvariants:
                 assert state.aux_t_mean[m, k] <= state.dims[m]
 
 
+class TestSweepMemory:
+    def test_builds_no_group_sized_array(self):
+        import tracemalloc
+
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 120, [400] * 4, seed=3)
+        hyper = Hyperparameters(K=6)
+        state = init_state(data, hyper, seed=0)
+        # the first sweep after the warm start may still prune factors
+        engine.sweep(state, data, hyper)
+        tracemalloc.start()
+        try:
+            engine.sweep(state, data, hyper)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the N x K and K x D temporaries take 0.61 of one group's bytes
+        # here; one N x D residual or reconstruction alone would take 1
+        assert peak < data.groups[0].nbytes
+
+
 class TestSurrogateElbo:
     def test_empty_state_is_zero(self):
         state = VariationalState(
@@ -1070,13 +1095,16 @@ class TestSurrogateElbo:
             hyper = Hyperparameters(K=3)
             assert math.isfinite(engine.surrogate_elbo(state, data, hyper))
 
-    def test_given_caches_give_the_same_value(self):
+    def test_given_norms_give_the_same_value(self):
         data = make_dataset(seed=8, n=6, dims=(4, 3))
         state = random_state(np.random.default_rng(8), 6, (4, 3), 3)
         hyper = Hyperparameters(K=3)
-        residual = engine.build_caches(state, data)
+        norms = [
+            engine._sq_norms(x, state.f_mean, r, w)
+            for x, r, w in zip(data.groups, state.rho, state.w_mean)
+        ]
         assert engine.surrogate_elbo(
-            state, data, hyper, residual=residual
+            state, data, hyper, norms=norms
         ) == engine.surrogate_elbo(state, data, hyper)
 
     def test_single_sweep_from_init_increases_objective(self):

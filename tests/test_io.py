@@ -96,6 +96,13 @@ class TestMatrixCsv:
         with pytest.raises(DataError):
             io.read_matrix_csv(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_is_data_error(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1.0,2.0\n{bad},3.0\n")
+        with pytest.raises(DataError, match="non-finite"):
+            io.read_matrix_csv(path)
+
     def test_vector_accepts_column_and_row(self, tmp_path):
         col = tmp_path / "col.csv"
         col.write_text("1.0\n2.0\n3.0\n")

@@ -1,11 +1,14 @@
 """Tests for domain types and state initialization."""
 
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracle
 from cvgfa import model
 from cvgfa.errors import DataError, UsageError
 from cvgfa.model import (
@@ -265,6 +268,69 @@ class TestPrincipalComponents:
         # either route, far below the inclusion cut
         self.assert_same_inclusions(monkeypatch, data, Hyperparameters(K=k))
         init_state(data, Hyperparameters(K=k), seed=0).validate()
+
+
+class TestSqNorms:
+    """_sq_norms against the squared rows of the explicit residual."""
+
+    @staticmethod
+    def explicit(state, data):
+        return [(r * r).sum(axis=1) for r in oracle.residual(state, data)]
+
+    @staticmethod
+    def check(got, want, rtol_rows, rtol_mse):
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w) / w) <= rtol_rows
+        total = sum(float(w.sum()) for w in want)
+        assert abs(sum(float(g.sum()) for g in got) - total) <= rtol_mse * total
+
+    def test_criterion_fixture(self):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 100, [100] * 4, seed=0)
+        state = init_state(data, Hyperparameters(K=30), seed=0)
+        got = [
+            model._sq_norms(x, state.f_mean, r, w)
+            for x, r, w in zip(data.groups, state.rho, state.w_mean)
+        ]
+        self.check(got, self.explicit(state, data), 4e-13, 2e-14)
+
+    # The identity subtracts terms of the size of ||x_n||^2, so its relative
+    # error grows as the residual shrinks next to the data. The tolerances
+    # are ten to twenty times the largest errors on these draws (rows
+    # 2.0e-14, 2.5e-10 and 2.2e-6, the MSE 1.5e-15, 1.6e-11 and 2.0e-7 at
+    # noise sd 1, 1e-2 and 1e-4); at 1e-6 the MSE is off by about 1e-3.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "noise, rtol_rows, rtol_mse",
+        [(1.0, 4e-13, 2e-14), (1e-2, 4e-9, 2e-10), (1e-4, 5e-5, 2e-6)],
+    )
+    def test_low_noise_draws(self, seed, noise, rtol_rows, rtol_mse):
+        rng = np.random.default_rng(seed)
+        n, d, k = 100, 400, 6
+        f = rng.standard_normal((n, k))
+        w = 2.0 * rng.standard_normal((k, d))
+        rho = rng.uniform(0.5, 1.0, (k, d))
+        x = f @ (rho * w) + noise * rng.standard_normal((n, d))
+        state = SimpleNamespace(f_mean=f, rho=[rho], w_mean=[w])
+        data = SimpleNamespace(groups=[x])
+        got = [model._sq_norms(x, f, rho, w)]
+        self.check(got, self.explicit(state, data), rtol_rows, rtol_mse)
+
+    def test_exact_reconstruction_is_clamped_at_zero(self):
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal((50, 4))
+        w = rng.standard_normal((4, 30))
+        rho = np.ones((4, 30))
+        x = f @ w
+        with warnings.catch_warnings(), np.errstate(
+            over="warn", invalid="warn", divide="warn"
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
+            got = model._sq_norms(x, f, rho, w)
+        assert np.all(got >= 0.0)
+        # only rounding is left, far below the rows' own squared norms
+        assert np.all(got <= 1e-12 * (x * x).sum(axis=1))
 
 
 class TestActiveFactors:
