@@ -7,12 +7,18 @@ table counts. Everything here is a pure function.
 
 digamma and trigamma run their recurrence and series in Python floats, one
 argument at a time; an array maps that scalar kernel over its elements
-(np.vectorize). The sweep calls them on scalars thousands of times, where
-building one-element arrays would cost more than the arithmetic. The kernels
-take numpy's log, not math.log: the two are different implementations that
-disagree in the last bit for a few arguments in a hundred thousand (measured
-on an AVX-512 x86-64 host). bernoulli_sum_moments keeps np.sum, whose
-pairwise summation is part of its result.
+(np.vectorize). crt_mean_approx likewise takes one count at a time, calling
+them on scalars. The sweep calls them thousands of times, where building
+small arrays would cost more than the arithmetic. The kernels take numpy's
+log, not math.log: the two are different implementations that disagree in
+the last bit for a few arguments in a hundred thousand (measured on an
+AVX-512 x86-64 host).
+
+The Bernoulli-sum moments take one row of probabilities, or a stacked row
+holding the rows of several groups side by side with the group widths. A
+single row is the one-group case. Each group's sums are numpy's pairwise
+sums over its own columns, which are part of the result: they equal np.sum
+of the group's row taken alone.
 """
 
 import math
@@ -47,7 +53,9 @@ class BernoulliSumMoments:
     """Moments of l = sum of independent Bernoulli(xi_i) variables.
 
     mean_plus and var_plus are the moments of l conditional on l > 0; both
-    are defined as 0 when p_plus < P_PLUS_FLOOR.
+    are defined as 0 when p_plus < P_PLUS_FLOOR. Each field is a float for
+    one row of probabilities, or an array with one entry per group for a
+    stacked row (see bernoulli_sum_moments).
     """
 
     mean: float
@@ -198,13 +206,35 @@ def geo_expect_beta(a, b):
     return np.exp(digamma(a_arr) - digamma(a_arr + b_arr))
 
 
-def bernoulli_sum_moments(probs) -> BernoulliSumMoments:
-    """Exact moments of a sum of independent Bernoulli variables.
+def _group_sums(rows, widths):
+    """Sums of rows (one row, or a stack of rows) over each group's columns.
+
+    The groups lie side by side along the last axis, widths[m] columns for
+    group m; the result has one entry per row and group. Each is one
+    np.add.reduce over the group's slice, numpy's pairwise summation, so it
+    equals np.sum of that group's values taken alone. np.add.reduceat would
+    add sequentially and differ from it in the last bit.
+    """
+    out = np.empty(rows.shape[:-1] + (len(widths),))
+    start = 0
+    for m, width in enumerate(widths):
+        np.add.reduce(rows[..., start : start + width], axis=-1, out=out[..., m])
+        start += width
+    return out
+
+
+def bernoulli_sum_moments(probs, widths=None) -> BernoulliSumMoments:
+    """Exact moments of sums of independent Bernoulli variables.
 
     Parameters
     ----------
     probs : array_like
         Success probabilities, each in [0, 1].
+    widths : sequence of int, optional
+        Group widths of a stacked row: the groups' probabilities lie side by
+        side in probs, widths[m] of them for group m, summing to len(probs).
+        Each group's sum gets its own moments, as arrays. Omitted, probs is
+        one group and the moments are floats.
 
     Returns
     -------
@@ -215,46 +245,61 @@ def bernoulli_sum_moments(probs) -> BernoulliSumMoments:
     Notes
     -----
     p_plus is computed as -expm1(sum(log1p(-xi))) to avoid cancellation;
-    any xi equal to 1 forces p_plus = 1 exactly.
+    any xi equal to 1 makes that sum -inf, so p_plus = 1 exactly.
     """
     xi = np.asarray(probs, dtype=float).ravel()
     # min and max propagate NaN, so a NaN fails the range check
-    hi = xi.max() if xi.size else 0.0
-    if xi.size and not (xi.min() >= 0 and hi <= 1):
+    if xi.size and not (xi.min() >= 0 and xi.max() <= 1):
         raise ValueError("probabilities must lie in [0, 1]")
-    mean = float(np.sum(xi))
-    variance = float(np.sum(xi * (1.0 - xi)))
-    if hi == 1.0:
-        p_plus = 1.0
-    else:
-        p_plus = float(-np.expm1(np.sum(np.log1p(-xi))))
-    return _with_conditional(mean, variance, p_plus)
+    rows = np.empty((3, xi.size))
+    rows[0] = xi
+    np.multiply(xi, 1.0 - xi, out=rows[1])
+    with np.errstate(divide="ignore"):
+        np.log1p(-xi, out=rows[2])
+    one_row = widths is None
+    mean, variance, log_none = _group_sums(rows, (xi.size,) if one_row else widths)
+    return _with_conditional(mean, variance, -np.expm1(log_none), one_row)
 
 
-def _with_conditional(mean, variance, p_plus):
-    """BernoulliSumMoments, adding the moments conditional on a positive sum."""
-    if p_plus < P_PLUS_FLOOR:
-        return BernoulliSumMoments(mean, variance, p_plus, 0.0, 0.0)
-    return BernoulliSumMoments(mean, variance, p_plus, mean / p_plus, variance / p_plus)
+def _with_conditional(mean, variance, p_plus, one_row):
+    """BernoulliSumMoments, adding the moments conditional on a positive sum.
+
+    The arguments hold one entry per group. The conditional moments are
+    divided out only where p_plus reaches P_PLUS_FLOOR; one_row makes the
+    fields of a single group floats.
+    """
+    ok = p_plus >= P_PLUS_FLOOR
+    mean_plus = np.divide(mean, p_plus, out=np.zeros(ok.shape), where=ok)
+    var_plus = np.divide(variance, p_plus, out=np.zeros(ok.shape), where=ok)
+    fields = (mean, variance, p_plus, mean_plus, var_plus)
+    if one_row:
+        return BernoulliSumMoments(*(float(f[0]) for f in fields))
+    return BernoulliSumMoments(*fields)
 
 
-def _complement_moments(count, probs):
-    """Moments of the complementary sum, of Bernoulli(1 - xi) over probs xi.
+def _complement_moments(count, probs, widths=None):
+    """Moments of the complementary sums, of Bernoulli(1 - xi) over probs xi.
 
-    count is bernoulli_sum_moments(probs), whose range check probs have
-    passed. With D = len(probs), the complement has mean D - count.mean
-    and the same variance, and is positive with probability
-    1 - prod(xi): exactly 1 when some xi is 0, else -expm1(sum(log xi)),
-    so no log(0) is taken. Only that product reads probs again. A step of
-    engine.sweep, not an entry point, hence the private name: its time
-    stays with the sweep when bench/tracer.py times public functions.
+    count is bernoulli_sum_moments(probs, widths), whose range check probs
+    have passed. A group of width D has a complement of mean D - count.mean
+    and the same variance, positive with probability 1 - prod(xi) =
+    -expm1(sum(log xi)): exactly 1 when some xi is 0, whose log is -inf.
+    Only that product reads probs again. A step of engine.sweep, not an
+    entry point, hence the private name: its time stays with the sweep when
+    bench/tracer.py times public functions.
     """
     xi = np.asarray(probs, dtype=float).ravel()
-    if xi.size and xi.min() == 0.0:
-        p_plus = 1.0
-    else:
-        p_plus = float(-np.expm1(np.sum(np.log(xi))))
-    return _with_conditional(xi.size - count.mean, count.variance, p_plus)
+    one_row = widths is None
+    if one_row:
+        widths = (xi.size,)
+    with np.errstate(divide="ignore"):
+        log_all = _group_sums(np.log(xi), widths)
+    return _with_conditional(
+        np.subtract(widths, count.mean),
+        np.atleast_1d(count.variance),
+        -np.expm1(log_all),
+        one_row,
+    )
 
 
 def expect_log_shifted_count(shift_geo, count_mean, count_var):
@@ -263,8 +308,8 @@ def expect_log_shifted_count(shift_geo, count_mean, count_var):
     The shift c enters through its geometric expectation; the count through
     its exact mean and variance. Second-order expansion:
     log(shift_geo + count_mean) - count_var / (2 (shift_geo + count_mean)^2).
-    The count moments may be arrays (one count per element) and give an
-    array.
+    The shift and the count moments may be arrays (one shift and count per
+    element) and give an array.
 
     Where 2 (shift_geo + count_mean)^2 underflows to 0 (a shift floored
     near the smallest double and a tiny or no expected count), the smallest
@@ -272,11 +317,11 @@ def expect_log_shifted_count(shift_geo, count_mean, count_var):
     correction, not 0/0, and a positive one a finite correction, not an
     infinite one, since a Bernoulli-sum variance is at most its mean.
     """
-    if not shift_geo > 0:
+    if not np.min(shift_geo) > 0:
         raise ValueError("shift_geo must be positive")
     total = shift_geo + count_mean
-    divisor = np.maximum(2.0 * total * total, _SMALLEST_DOUBLE)
-    return np.log(total) - count_var / divisor
+    correction = count_var / np.maximum(2.0 * total * total, _SMALLEST_DOUBLE)
+    return np.log(total) - correction
 
 
 def crt_mean_exact(a, l):
@@ -297,15 +342,27 @@ def crt_mean_approx(a_geo, count: BernoulliSumMoments):
     """Approximate mean table count when the customer count is random.
 
     Evaluates a_geo * p_plus * (psi(a_geo + E+) - psi(a_geo)
-    + V+ * psi'(a_geo + E+) / 2) with the conditional count moments. For a
-    deterministic count this telescopes to the exact CRT mean.
+    + V+ * psi'(a_geo + E+) / 2) with the conditional count moments, and 0
+    where p_plus < P_PLUS_FLOOR. For a deterministic count this telescopes
+    to the exact CRT mean. a_geo and the count's fields are floats, giving a
+    float, or arrays with one entry per group (bernoulli_sum_moments with
+    widths), giving an array: the groups are taken one at a time, in Python
+    floats, as digamma takes its elements.
     """
+    if _is_scalar(a_geo):
+        return _crt_mean(float(a_geo), count.p_plus, count.mean_plus, count.var_plus)
+    fields = (a_geo, count.p_plus, count.mean_plus, count.var_plus)
+    return np.array([_crt_mean(*group) for group in zip(*(f.tolist() for f in fields))])
+
+
+def _crt_mean(a_geo, p_plus, mean_plus, var_plus):
+    """crt_mean_approx of one count, from floats."""
     if not a_geo > 0:
         raise ValueError("a_geo must be positive")
-    if count.p_plus < P_PLUS_FLOOR:
+    # where p_plus is below the floor the digamma terms are not taken: at a
+    # floored a_geo, V+ = 0 times an infinite trigamma would be NaN
+    if p_plus < P_PLUS_FLOOR:
         return 0.0
-    shifted = a_geo + count.mean_plus
-    bracket = (
-        digamma(shifted) - digamma(a_geo) + 0.5 * count.var_plus * trigamma(shifted)
-    )
-    return a_geo * count.p_plus * bracket
+    shifted = a_geo + mean_plus
+    bracket = digamma(shifted) - digamma(a_geo) + 0.5 * var_plus * trigamma(shifted)
+    return a_geo * p_plus * bracket

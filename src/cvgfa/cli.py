@@ -391,8 +391,15 @@ def cmd_rank(args) -> int:
     }
     if args.labels:
         labels = io.read_vector_csv(args.labels)
+        if labels.shape[0] != scores.shape[0]:
+            raise DataError(
+                f"--labels file {args.labels} holds {labels.shape[0]} labels "
+                f"for {scores.shape[0]} columns"
+            )
         if not np.all((labels == 0.0) | (labels == 1.0)):
             raise DataError(f"--labels file {args.labels} holds values other than 0/1")
+        if np.all(labels == labels[0]):
+            raise DataError(f"--labels file {args.labels} holds only one class")
         result["auc"] = metrics.auc(scores, labels == 1.0)
 
     os.makedirs(args.out, exist_ok=True)

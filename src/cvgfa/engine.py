@@ -10,10 +10,15 @@ the row's leave-one-out count sums as they stood before the row was
 updated, not as the earlier columns of the row have moved them. This
 departs from the paper's strictly sequential column order; it is the
 minibatch update of stochastic collapsed variational inference (Foulds et
-al., KDD 2013), with the whole row as the batch. No N x D residual is
-formed: the products that leave one factor out come from the data and the
-K x D expected loadings, and every other reader of the residual takes its
-per-sample squared norms, which sweep() returns (see model._sq_norms).
+al., KDD 2013), with the whole row as the batch. Given the factor's
+q(beta) parameters, the rows of one factor in different groups read
+disjoint state, so each factor takes one step for all of them: its rows
+side by side, whatever the group widths, with the per-group quantities
+(count sums, concentrations, factor-score sums) taken per group. No N x D
+residual is formed: the products that leave one factor out come from the
+data and the K x D expected loadings, and every other reader of the
+residual takes its per-sample squared norms, which sweep() returns (see
+model._sq_norms).
 """
 
 import math
@@ -108,36 +113,51 @@ def update_eta(state, m) -> float:
     return digamma(alpha_mean) - digamma(alpha_mean + state.dims[m])
 
 
-def _rho_row(rho, lik, nhat, g_ab, g_abbar, m, k):
-    """New inclusion probabilities of one (group, factor) row, all at once.
+def _rho_row(rho, lik, nhat, g_ab, g_abbar, widths, k):
+    """New inclusion probabilities of factor k's stacked row, all at once.
 
-    Every column d reads the row's pre-update count moments minus its own
-    term: E = nhat.mean - rho[d], V = nhat.variance - rho[d](1 - rho[d]),
-    with D_m - 1 - E for the complementary count, each clamped at 0
-    (np.maximum passes NaN on to the non-finite check). rho and lik are
-    the old probabilities and the likelihood terms; a new array is
-    returned. A non-finite logit raises NumericalError naming the lowest
-    such column.
+    rho and lik are the old probabilities and the likelihood terms of the
+    rows of every group, side by side, widths[m] columns for group m (an
+    integer array). nhat (the moments of each group's count, as
+    bernoulli_sum_moments gives them with widths), g_ab and g_abbar hold
+    one entry per group. Every column d reads its group's pre-update count
+    moments minus its own term: E = nhat.mean - rho[d], V = nhat.variance -
+    rho[d](1 - rho[d]), with D_m - 1 - E for the complementary count, each
+    clamped at 0 (np.maximum passes NaN on to the non-finite check). The
+    logits overwrite lik, which saves a row-sized array; the new
+    probabilities are a new array. A non-finite logit raises NumericalError
+    naming the lowest such column, of the lowest such group.
     """
-    e1 = nhat.mean - rho
+    e1 = np.repeat(nhat.mean, widths)
+    e1 -= rho
     np.maximum(e1, 0.0, out=e1)
-    v1 = nhat.variance - rho * (1.0 - rho)
+    v1 = np.repeat(nhat.variance, widths)
+    v1 -= rho * (1.0 - rho)
     np.maximum(v1, 0.0, out=v1)
-    e0 = (rho.shape[0] - 1) - e1
+    logit = np.subtract(
+        expect_log_shifted_count(np.repeat(g_ab, widths), e1, v1), lik, out=lik
+    )
+    e0 = np.repeat(widths - 1, widths) - e1
+    del e1
     np.maximum(e0, 0.0, out=e0)
-    prior1 = expect_log_shifted_count(g_ab, e1, v1)
-    prior0 = expect_log_shifted_count(g_abbar, e0, v1)
-    logit = prior1 - lik - prior0
+    logit -= expect_log_shifted_count(np.repeat(g_abbar, widths), e0, v1)
+    del e0, v1
     bad = ~np.isfinite(logit)
     if bad.any():
+        col = int(bad.argmax())
+        ends = np.cumsum(widths)
+        m = int(np.searchsorted(ends, col, side="right"))
         raise NumericalError(
             "non-finite inclusion logit",
-            context={"group": m, "factor": k, "column": int(bad.argmax())},
+            context={"group": m, "factor": k, "column": col - int(ends[m] - widths[m])},
         )
     # 1 / (1 + exp(-x)) for x >= 0 and e / (1 + e), e = exp(x), below 0:
     # exp never sees a positive argument, so it cannot overflow
     e = np.exp(-np.abs(logit))
-    return np.where(logit >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    new = np.where(logit >= 0, 1.0, e)
+    e += 1.0
+    new /= e
+    return new
 
 
 def _loo_dotx(xt_tf, loads, f_mean, tf, k):
@@ -163,11 +183,21 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     """One full coordinate-ascent pass, mutating state in place.
 
     Order per iteration: for each active factor k, update (a_k, b_k), then
-    per group the count stats and (E[s], E[t]), then the row's rho, then
-    its w and lambda, then the factor scores; finally per group alpha, eta,
-    and the noise precisions.
+    every group's count stats and (E[s], E[t]), then every group's row of
+    rho, then their w and lambda, then the factor scores; finally per group
+    alpha, eta, and the noise precisions.
 
-    The row's rho moves in one step (_rho_row): column d reads the row's
+    A factor takes one step for all its rows: they are laid side by side
+    in one stacked row of sum_m D_m columns (gathered once per array and
+    written back once), and the group widths mark the boundaries. Given
+    (a_k, b_k) the rows read disjoint state, so this regroups the same
+    update. The per-group scalars (the concentrations g_ab and g_abbar,
+    sff, the count moments) are broadcast over their group's columns; the
+    count sums are each group's own pairwise sums (approx), and sff, dotx
+    and the factor-score terms stay per-group products, so every value
+    equals the one a per-group loop would compute, bit for bit.
+
+    The rows' rho moves in one step (_rho_row): column d reads its row's
     pre-update count moments minus its own term. The paper updates the
     columns one after another, each reading the sums its predecessors have
     moved; reading the pre-row sums instead is what lets the row be one
@@ -196,12 +226,15 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     M = state.n_groups
     lam_shape = hyper.lambda_shape
     f_mean = state.f_mean
-    tau_bar = [
-        hyper.tau_shape(d_m) / state.tau_rate[m] for m, d_m in enumerate(state.dims)
-    ]
-    g_alpha = [
-        geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)
-    ]
+    dims = state.dims
+    widths = np.array(dims)
+    # each group's columns in a stacked row, the groups side by side
+    ends = np.cumsum(dims).tolist()
+    spans = [slice(end - d_m, end) for end, d_m in zip(ends, dims)]
+    tau_bar = [hyper.tau_shape(d_m) / state.tau_rate[m] for m, d_m in enumerate(dims)]
+    g_alpha = np.array(
+        [geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)]
+    )
     loads = [state.rho[m] * state.w_mean[m] for m in range(M)]
     active = sorted(active_factors(state, active_threshold))
     xt_tf = [
@@ -212,50 +245,56 @@ def sweep(state, data, hyper, active_threshold=1e-2):
         a_k, b_k = update_beta_params(state, hyper, k)
         state.beta_a[k] = a_k
         state.beta_b[k] = b_k
-        g_beta = geo_expect_beta(a_k, b_k)
-        g_beta_bar = geo_expect_beta(b_k, a_k)
+        g_ab = np.maximum(g_alpha * geo_expect_beta(a_k, b_k), GEO_FLOOR)
+        g_abbar = np.maximum(g_alpha * geo_expect_beta(b_k, a_k), GEO_FLOOR)
 
-        for m in range(M):
-            d_m = state.dims[m]
-            rho_row = state.rho[m][k]
-            w_row = state.w_mean[m][k]
-            wvar_row = state.w_var[m][k]
-            lam_rate_row = state.lambda_rate[m][k]
-            g_ab = max(g_alpha[m] * g_beta, GEO_FLOOR)
-            g_abbar = max(g_alpha[m] * g_beta_bar, GEO_FLOOR)
+        rho = np.concatenate([r[k] for r in state.rho])
+        nhat = bernoulli_sum_moments(rho, widths)
+        ntil = _complement_moments(nhat, rho, widths)
+        aux = np.maximum(crt_mean_approx(g_ab, nhat), 0.0)
+        state.aux_s_mean[:, k] = np.minimum(aux, widths)
+        aux = np.maximum(crt_mean_approx(g_abbar, ntil), 0.0)
+        state.aux_t_mean[:, k] = np.minimum(aux, widths)
 
-            nhat = bernoulli_sum_moments(rho_row)
-            ntil = _complement_moments(nhat, rho_row)
-            state.aux_s_mean[m, k] = min(
-                max(crt_mean_approx(g_ab, nhat), 0.0), float(d_m)
-            )
-            state.aux_t_mean[m, k] = min(
-                max(crt_mean_approx(g_abbar, ntil), 0.0), float(d_m)
-            )
+        f_col = f_mean[:, k]
+        f2_col = f_col * f_col + state.f_var[:, k]
+        sff = np.repeat([tb @ f2_col for tb in tau_bar], widths)
+        # sum_n tau f x~(no k): constant through the row update since only
+        # factor k's own parameters change inside it
+        dotx = np.concatenate(
+            [
+                _loo_dotx(xt_tf[m][i], loads[m], f_mean, tau_bar[m] * f_col, k)
+                for m in range(M)
+            ]
+        )
+        w = np.concatenate([x[k] for x in state.w_mean])
+        ew2 = np.concatenate([x[k] for x in state.w_var])
+        ew2 += w * w
+        lik = 0.5 * (ew2 * sff - 2.0 * w * dotx)
+        # row-sized arrays are dropped as soon as they are spent, which keeps
+        # the sweep's peak memory below one group's data at wide sizes
+        del w, ew2
+        rho = _rho_row(rho, lik, nhat, g_ab, g_abbar, widths, k)
+        del lik
 
-            f_col = f_mean[:, k]
-            f2_col = f_col * f_col + state.f_var[:, k]
-            tb = tau_bar[m]
-            sff = float(tb @ f2_col)
-            # sum_n tau f x~(no k): constant through the row update since
-            # only factor k's own parameters change inside it
-            dotx = _loo_dotx(xt_tf[m][i], loads[m], f_mean, tb * f_col, k)
-
-            lik = 0.5 * ((w_row * w_row + wvar_row) * sff - 2.0 * w_row * dotx)
-            rho_row[:] = _rho_row(rho_row, lik, nhat, g_ab, g_abbar, m, k)
-
-            wvar_row[:] = 1.0 / (lam_shape / lam_rate_row + rho_row * sff)
-            w_row[:] = wvar_row * rho_row * dotx
-            lam_rate_row[:] = hyper.f0 + 0.5 * (w_row * w_row + wvar_row)
-            loads[m][k] = rho_row * w_row
+        lam_rate = np.concatenate([x[k] for x in state.lambda_rate])
+        w_var = 1.0 / (lam_shape / lam_rate + rho * sff)
+        del lam_rate, sff
+        w = w_var * rho * dotx
+        del dotx
+        ew2 = w * w + w_var
+        load = rho * w
 
         # factor scores for column k; samples are mutually independent here
         precision = np.ones(state.n_samples)
         moment = np.zeros(state.n_samples)
-        for m in range(M):
-            rho_row = state.rho[m][k]
-            w_row = state.w_mean[m][k]
-            precision += tau_bar[m] * float(rho_row @ (w_row * w_row + state.w_var[m][k]))
+        for m, cols in enumerate(spans):
+            state.rho[m][k] = rho[cols]
+            state.w_mean[m][k] = w[cols]
+            state.w_var[m][k] = w_var[cols]
+            state.lambda_rate[m][k] = hyper.f0 + 0.5 * ew2[cols]
+            loads[m][k] = load[cols]
+            precision += tau_bar[m] * float(rho[cols] @ ew2[cols])
             moment += tau_bar[m] * _loo_score_term(data.groups[m], loads[m], f_mean, k)
         f_var_new = 1.0 / precision
         f_mean[:, k] = f_var_new * moment
@@ -396,17 +435,15 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         )
 
     # collapsed prior on Z at plug-in concentrations and expected counts
+    g_beta = geo_expect_beta(state.beta_a, state.beta_b)
+    g_beta_bar = geo_expect_beta(state.beta_b, state.beta_a)
     for m in range(M):
         if K == 0:
             break
         d_m = state.dims[m]
         g_alpha = geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m])
-        g_ab = np.maximum(
-            g_alpha * geo_expect_beta(state.beta_a, state.beta_b), GEO_FLOOR
-        )
-        g_abbar = np.maximum(
-            g_alpha * geo_expect_beta(state.beta_b, state.beta_a), GEO_FLOOR
-        )
+        g_ab = np.maximum(g_alpha * g_beta, GEO_FLOOR)
+        g_abbar = np.maximum(g_alpha * g_beta_bar, GEO_FLOOR)
         nhat = state.rho[m].sum(axis=1)
         ntil = (1.0 - state.rho[m]).sum(axis=1)
         total += float(

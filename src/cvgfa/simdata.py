@@ -115,6 +115,8 @@ def generate(pattern: SparsityPattern, n: int, d_per_group, seed: int):
         )
     if any(d < 1 for d in dims):
         raise UsageError("every group needs at least one column")
+    if int(seed) < 0:
+        raise UsageError("seed must be a non-negative integer")
 
     rng = np.random.default_rng(int(seed))
     n = int(n)

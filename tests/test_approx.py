@@ -331,6 +331,51 @@ class TestComplementMoments:
         assert_allclose(m.p_plus, 2.0 * 2.0**-50, rtol=1e-6)
 
 
+class TestStackedGroups:
+    """Moments and table counts of groups side by side, against each alone."""
+
+    @staticmethod
+    def fields(m):
+        return [m.mean, m.variance, m.p_plus, m.mean_plus, m.var_plus]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_match_each_group_alone_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        widths = rng.integers(1, 300, size=5)
+        groups = [rng.uniform(0.0, 1.0, w) for w in widths]
+        # a sure one, a sure zero, and a group whose count is 0 for sure
+        groups[1][0] = 1.0
+        groups[2][-1] = 0.0
+        groups[3][:] = 0.0
+        probs = np.concatenate(groups)
+        a_geo = rng.uniform(0.05, 3.0, size=len(widths))
+        a_geo[4] = 1e-300
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            nhat = bernoulli_sum_moments(probs, widths)
+            ntil = _complement_moments(nhat, probs, widths)
+            tables = [crt_mean_approx(a_geo, nhat), crt_mean_approx(a_geo, ntil)]
+        for m, xi in enumerate(groups):
+            one = bernoulli_sum_moments(xi)
+            other = _complement_moments(one, xi)
+            # each group's sums are numpy's pairwise sums of its row alone
+            assert same_bits(one.mean, np.sum(xi))
+            assert same_bits(one.variance, np.sum(xi * (1.0 - xi)))
+            for got, want in ((nhat, one), (ntil, other)):
+                assert same_bits([f[m] for f in self.fields(got)], self.fields(want))
+            for got, want in zip(tables, (one, other)):
+                assert same_bits(got[m], crt_mean_approx(float(a_geo[m]), want))
+        assert nhat.p_plus[1] == 1.0 and ntil.p_plus[2] == 1.0
+        assert nhat.p_plus[3] == 0.0 and tables[0][3] == 0.0
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            bernoulli_sum_moments([0.2, 0.5, 1.2], [2, 1])
+        m = bernoulli_sum_moments([0.5, 0.5], [1, 1])
+        with pytest.raises(ValueError):
+            crt_mean_approx(np.array([0.5, 0.0]), m)
+
+
 class TestExpectLogShiftedCount:
     def test_examples(self):
         assert_allclose(expect_log_shifted_count(1, 3, 0), math.log(4), atol=1e-12)

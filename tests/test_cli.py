@@ -93,6 +93,12 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("simulate", "sim1", "--n", 10, "--seed", -1, "--out", out) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
+        assert not out.exists()
+
 
 class TestFit:
     def test_restart_layout(self, sim1_fit):
@@ -432,6 +438,20 @@ class TestRank:
             "rank", ckpt, "--groups", "0,1", "--labels", labels, "--out", out
         ) == 3
         # nothing is written before the labels are read
+        assert not out.exists()
+
+    # six columns: rows missing or extra, or a single class, leave no AUC
+    @pytest.mark.parametrize(
+        "rows", ["1\n1\n0\n0\n0\n", "1\n1\n0\n0\n0\n0\n0\n", "0\n" * 6, "1\n" * 6]
+    )
+    def test_labels_without_an_auc_data_error(self, tmp_path, rows):
+        ckpt = planted_checkpoint(tmp_path / "ckpt.json")
+        labels = tmp_path / "labels.csv"
+        labels.write_text(rows)
+        out = tmp_path / "rank"
+        assert run_cli(
+            "rank", ckpt, "--groups", "0,1", "--labels", labels, "--out", out
+        ) == 3
         assert not out.exists()
 
     def test_bad_group_pair(self, tmp_path):

@@ -793,17 +793,26 @@ def assert_states_bitwise_equal(a, b):
 
 
 class TestSweepMatchesPerColumnLoop:
-    @pytest.mark.parametrize("relax_cap", [0, None])
-    def test_bitwise_over_sweeps_with_pruning(self, monkeypatch, relax_cap):
+    # K above sim1's 6 true factors; the sweep steps through every group's
+    # row of a factor at once, so unequal widths get their own cases
+    @pytest.mark.parametrize(
+        "relax_cap, n, dims, k",
+        [
+            pytest.param(0, 40, [20] * 4, 10, id="0"),
+            pytest.param(None, 40, [20] * 4, 10, id="None"),
+            pytest.param(0, 60, [13, 40, 7, 25], 12, id="0-unequal"),
+            pytest.param(None, 60, [13, 40, 7, 25], 12, id="None-unequal"),
+        ],
+    )
+    def test_bitwise_over_sweeps_with_pruning(self, monkeypatch, relax_cap, n, dims, k):
         from cvgfa import model
         from cvgfa.simdata import generate, simulation1_pattern
 
         if relax_cap is not None:
             # start from the bare spectral warm start, before any pruning
             monkeypatch.setattr(model, "_INIT_RELAX_CAP", relax_cap)
-        # K = 10 against sim1's 6 true factors
-        data, _ = generate(simulation1_pattern(), 40, [20] * 4, seed=2)
-        hyper = Hyperparameters(K=10)
+        data, _ = generate(simulation1_pattern(), n, dims, seed=2)
+        hyper = Hyperparameters(K=k)
         fast = init_state(data, hyper, seed=0)
         slow = fast.copy()
         assert_states_bitwise_equal(fast, slow)
@@ -852,6 +861,28 @@ class TestSweepMatchesPerColumnLoop:
             per_column_sweep(slow, data, Hyperparameters(K=k))
         assert info.value.context == want
 
+    def test_first_group_with_a_non_finite_column_is_named(self):
+        # factor 0 has bad columns in both groups; group 1's column 0 comes
+        # before group 0's column 2 by index, but the per-row loop meets
+        # group 0 first
+        n, dims, k = 5, [4, 3], 3
+        rng = np.random.default_rng(31)
+        data = GroupedDataset(
+            [rng.standard_normal((n, d)) for d in dims], ["g0", "g1"]
+        )
+        state = random_state(np.random.default_rng(32), n, dims, k)
+        state.w_var[0][0, 3] = math.nan
+        state.w_var[0][0, 2] = math.inf
+        state.w_var[1][0, 0] = math.nan
+        want = {"group": 0, "factor": 0, "column": 2}
+        slow = state.copy()
+        with pytest.raises(NumericalError) as info:
+            engine.sweep(state, data, Hyperparameters(K=k))
+        assert info.value.context == want
+        with pytest.raises(NumericalError) as info:
+            per_column_sweep(slow, data, Hyperparameters(K=k))
+        assert info.value.context == want
+
 
 class TestRhoRow:
     def test_extreme_logits_saturate_without_warnings(self):
@@ -863,7 +894,9 @@ class TestRhoRow:
             over="warn", invalid="warn", divide="warn"
         ):
             warnings.simplefilter("error", RuntimeWarning)
-            got = engine._rho_row(rho, lik, bernoulli_sum_moments(rho), 1.0, 1.0, 0, 0)
+            widths = np.array([6])
+            nhat = bernoulli_sum_moments(rho, widths)
+            got = engine._rho_row(rho, lik, nhat, np.ones(1), np.ones(1), widths, 0)
         np.testing.assert_array_equal(got, [1.0, 0.0, 1.0, 0.0, 0.5, 0.5])
 
 
@@ -951,12 +984,12 @@ class TestGeoFloorInSweep:
 
         monkeypatch.setattr(engine, "crt_mean_approx", spy)
         engine.sweep(state, data, Hyperparameters(K=k))
-        # per active factor: group 0's (g_ab, g_abbar), then group 1's
-        assert len(seen) == 2 * len(dims) * k
-        for i in range(k):
-            floored = seen[4 * i : 4 * i + 2]
-            assert floored == [engine.GEO_FLOOR, engine.GEO_FLOOR]
-            assert all(a > engine.GEO_FLOOR for a in seen[4 * i + 2 : 4 * i + 4])
+        # per active factor: g_ab, then g_abbar, each with one entry per group
+        assert len(seen) == 2 * k
+        for a_geo in seen:
+            assert a_geo.shape == (len(dims),)
+            assert a_geo[0] == engine.GEO_FLOOR
+            assert a_geo[1] > engine.GEO_FLOOR
         for m in range(len(dims)):
             assert np.all(np.isfinite(state.rho[m]))
             assert np.all((state.rho[m] >= 0.0) & (state.rho[m] <= 1.0))
@@ -1057,8 +1090,9 @@ class TestSweepMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the N x K and K x D temporaries take 0.61 of one group's bytes
-        # here; one N x D residual or reconstruction alone would take 1
+        # the N x K and K x D temporaries and those of the stacked row of a
+        # factor (sum_m D_m columns) take 0.88 of one group's bytes here;
+        # one N x D residual or reconstruction alone would take 1
         assert peak < data.groups[0].nbytes
 
 
