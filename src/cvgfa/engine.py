@@ -4,6 +4,9 @@ sweep() is the one implementation of the update equations, and fit()
 drives it. The per-coordinate transcriptions of the printed equations, which
 tests pin sweep() against, live with the tests (tests/oracle.py).
 
+A sweep updates the loadings of every active factor first and their
+scores after, the block order of variational group factor analysis
+(Virtanen et al., AISTATS 2012); each block is an exact coordinate update.
 Every update of a (factor, group) row is a whole-row numpy expression,
 the inclusion probabilities included: each column's collapsed prior reads
 the row's leave-one-out count sums as they stood before the row was
@@ -15,10 +18,10 @@ q(beta) parameters, the rows of one factor in different groups read
 disjoint state, so each factor takes one step for all of them: its rows
 side by side, whatever the group widths, with the per-group quantities
 (count sums, concentrations, factor-score sums) taken per group. No N x D
-residual is formed: the products that leave one factor out come from the
-data and the K x D expected loadings, and every other reader of the
-residual takes its per-sample squared norms, which sweep() returns (see
-model._sq_norms).
+residual is formed: the products that leave one factor out come from
+products of the data taken once per sweep and the K x D expected
+loadings, and every other reader of the residual takes its per-sample
+squared norms, which sweep() returns (see model._sq_norms).
 """
 
 import math
@@ -44,6 +47,7 @@ from .model import (
     Hyperparameters,
     VariationalState,
     _expected_sq_residual,
+    _loading_products,
     _norms_mse,
     _sq_norms,
     active_factors,
@@ -87,8 +91,8 @@ class FitReport:
 def _state_sq_norms(state, data):
     """_sq_norms of every group at the state's expected loadings and scores."""
     return [
-        _sq_norms(data.groups[m], state.f_mean, state.rho[m], state.w_mean[m])
-        for m in range(state.n_groups)
+        _sq_norms(x, state.f_mean, *_loading_products(x, r * w))
+        for x, r, w in zip(data.groups, state.rho, state.w_mean)
     ]
 
 
@@ -160,32 +164,62 @@ def _rho_row(rho, lik, nhat, g_ab, g_abbar, widths, k):
     return new
 
 
-def _loo_dotx(xt_tf, loads, f_mean, tf, k):
+def _loo_dotx(xt_tf, loads, g, k):
     """X^T tf minus every factor but k's share: R^T tf + loads[k] (tf . f_k).
 
-    R = X - f_mean @ loads is the residual; tf is a length-N weight vector
-    and xt_tf the product X^T tf, which the caller supplies.
+    R = X - f_mean @ loads is the residual and tf = tau_bar * f_k a
+    length-N weight vector; the caller supplies the products xt_tf = X^T tf
+    and g = f_mean^T tf.
     """
-    g = f_mean.T @ tf
+    g = g.copy()
     g[k] = 0.0
     return xt_tf - loads.T @ g
 
 
-def _loo_score_term(x, loads, f_mean, k):
-    """X c minus every factor but k's share, c = loads[k]: R c + f_k (c . c)."""
-    c = loads[k]
-    h = loads @ c
-    h[k] = 0.0
-    return x @ c - f_mean @ h
+def _score_block(state, tau_bar, products, active):
+    """Update the scores of the active factors, one column after another.
+
+    products[m] holds group m's _loading_products (X_m C_m^T, C_m C_m^T),
+    C_m = rho[m] * w_mean[m], at the state's loadings, which the block does
+    not move; tau_bar[m] holds E[tau] of group m's samples. Column k's
+    moment is sum_m tau_bar_m (R_m c_k + f_k (c_k . c_k)), taken as
+    sum_m tau_bar_m (X_m C_m^T[:, k] - F h_m) with h_m column k of
+    C_m C_m^T, entry k zeroed, and F the scores as the earlier columns of
+    the block have left them. Its precision, 1 + sum_m tau_bar_m
+    sum_d rho E[w^2], reads no score, so every column's is taken at once.
+    Each column's update maximises the objective given everything else,
+    and the samples are independent given the loadings.
+    """
+    f_mean = state.f_mean
+    tau = np.column_stack(tau_bar)
+    txc = np.zeros_like(f_mean)
+    precision = np.ones_like(f_mean)
+    for m, (xc, _) in enumerate(products):
+        tb = tau_bar[m][:, None]
+        txc += tb * xc
+        w = state.w_mean[m]
+        precision += tb * (state.rho[m] * (w * w + state.w_var[m])).sum(axis=1)
+    # h[k] is M x K: row m is column k of C_m C_m^T with entry k zeroed
+    h = np.stack([cc.T for _, cc in products], axis=1)
+    diag = np.arange(h.shape[0])
+    h[diag, :, diag] = 0.0
+    f_var = 1.0 / precision
+    for k in active:
+        moment = txc[:, k] - np.einsum("nj,nj->n", f_mean, tau @ h[k])
+        f_mean[:, k] = f_var[:, k] * moment
+    state.f_var[:, active] = f_var[:, active]
 
 
 def sweep(state, data, hyper, active_threshold=1e-2):
     """One full coordinate-ascent pass, mutating state in place.
 
-    Order per iteration: for each active factor k, update (a_k, b_k), then
-    every group's count stats and (E[s], E[t]), then every group's row of
-    rho, then their w and lambda, then the factor scores; finally per group
-    alpha, eta, and the noise precisions.
+    Order per iteration, in two blocks and a tail. The loading block: for
+    each active factor k, update (a_k, b_k), then every group's count stats
+    and (E[s], E[t]), then every group's row of rho, then their w and
+    lambda. The score block: each active factor's scores (_score_block).
+    Then per group alpha, eta, and the noise precisions. This is the block
+    order of variational group factor analysis (Virtanen et al., AISTATS
+    2012): all loadings, then all latent factors.
 
     A factor takes one step for all its rows: they are laid side by side
     in one stacked row of sum_m D_m columns (gathered once per array and
@@ -193,9 +227,9 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     (a_k, b_k) the rows read disjoint state, so this regroups the same
     update. The per-group scalars (the concentrations g_ab and g_abbar,
     sff, the count moments) are broadcast over their group's columns; the
-    count sums are each group's own pairwise sums (approx), and sff, dotx
-    and the factor-score terms stay per-group products, so every value
-    equals the one a per-group loop would compute, bit for bit.
+    count sums are each group's own pairwise sums (approx), and dotx stays
+    a per-group product, so every value equals the one a per-group loop
+    would compute, bit for bit.
 
     The rows' rho moves in one step (_rho_row): column d reads its row's
     pre-update count moments minus its own term. The paper updates the
@@ -205,23 +239,21 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     read only its own values and dotx[d], which stays fixed while the row
     is updated, so they are whole-row expressions too.
 
-    No N x D residual R = X_m - F C_m is formed. The products that leave
-    factor k out (_loo_dotx, _loo_score_term) are taken from the data and
-    the K x D expected loadings C_m = rho[m] * w_mean[m], whose row k is
-    rewritten after each row update. The noise precisions read R only
-    through its per-sample squared norms (_sq_norms), taken after the
-    factor loop; they are returned, one vector per group, for the caller's
-    training error and objective.
-
-    Column k of f_mean changes only in factor k's own score update, after
-    its rows, and the noise precisions only at the end of the pass. So the
-    data products X_m^T (tau_bar_m f_k) that _loo_dotx needs are taken for
-    every active k before the factor loop, as one (tau_bar_m F_A)^T X_m
-    product per group (A the active factors, |A| x D_m): one pass over the
-    data per group, where a matrix-vector product per (factor, group) row
-    would make one per row, and round differently. The moments of a row's
-    count of zeros derive from those of its count of ones
-    (_complement_moments).
+    No N x D residual R = X_m - F C_m is formed, and the factor loop reads
+    no data. F and the noise precisions stay fixed through the loading
+    block, so what it needs of them is taken before it, for all active
+    factors A at once: each group's sff, and one (tau_bar_m F_A)^T F and
+    one (tau_bar_m F_A)^T X_m product per group, from which _loo_dotx
+    leaves factor k out through the K x D expected loadings
+    C_m = rho[m] * w_mean[m] (row k rewritten after each row update).
+    After the loading block C_m is final for the pass: one X_m C_m^T and
+    one C_m C_m^T per group (model._loading_products) serve the score block
+    and then the residual's per-sample squared norms (model._sq_norms),
+    which the noise precisions read and which are returned, one vector per
+    group, for the caller's training error and objective. So per pass and
+    group the data is read by (tau_bar_m F_A)^T X_m, X_m C_m^T and its row
+    norms only. The moments of a row's count of zeros derive from those of
+    its count of ones (_complement_moments).
     """
     M = state.n_groups
     lam_shape = hyper.lambda_shape
@@ -237,9 +269,13 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     )
     loads = [state.rho[m] * state.w_mean[m] for m in range(M)]
     active = sorted(active_factors(state, active_threshold))
-    xt_tf = [
-        (tau_bar[m][:, None] * f_mean[:, active]).T @ data.groups[m] for m in range(M)
-    ]
+
+    f2 = f_mean * f_mean + state.f_var
+    sff_all = np.array([tb @ f2 for tb in tau_bar])
+    tf = [tb[:, None] * f_mean[:, active] for tb in tau_bar]
+    xt_tf = [t.T @ x for t, x in zip(tf, data.groups)]
+    ft_tf = [t.T @ f_mean for t in tf]
+    del f2, tf
 
     for i, k in enumerate(active):
         a_k, b_k = update_beta_params(state, hyper, k)
@@ -256,16 +292,11 @@ def sweep(state, data, hyper, active_threshold=1e-2):
         aux = np.maximum(crt_mean_approx(g_abbar, ntil), 0.0)
         state.aux_t_mean[:, k] = np.minimum(aux, widths)
 
-        f_col = f_mean[:, k]
-        f2_col = f_col * f_col + state.f_var[:, k]
-        sff = np.repeat([tb @ f2_col for tb in tau_bar], widths)
+        sff = np.repeat(sff_all[:, k], widths)
         # sum_n tau f x~(no k): constant through the row update since only
         # factor k's own parameters change inside it
         dotx = np.concatenate(
-            [
-                _loo_dotx(xt_tf[m][i], loads[m], f_mean, tau_bar[m] * f_col, k)
-                for m in range(M)
-            ]
+            [_loo_dotx(xt_tf[m][i], loads[m], ft_tf[m][i], k) for m in range(M)]
         )
         w = np.concatenate([x[k] for x in state.w_mean])
         ew2 = np.concatenate([x[k] for x in state.w_var])
@@ -282,25 +313,20 @@ def sweep(state, data, hyper, active_threshold=1e-2):
         del lam_rate, sff
         w = w_var * rho * dotx
         del dotx
-        ew2 = w * w + w_var
+        lam_rate = hyper.f0 + 0.5 * (w * w + w_var)
         load = rho * w
-
-        # factor scores for column k; samples are mutually independent here
-        precision = np.ones(state.n_samples)
-        moment = np.zeros(state.n_samples)
         for m, cols in enumerate(spans):
             state.rho[m][k] = rho[cols]
             state.w_mean[m][k] = w[cols]
             state.w_var[m][k] = w_var[cols]
-            state.lambda_rate[m][k] = hyper.f0 + 0.5 * ew2[cols]
+            state.lambda_rate[m][k] = lam_rate[cols]
             loads[m][k] = load[cols]
-            precision += tau_bar[m] * float(rho[cols] @ ew2[cols])
-            moment += tau_bar[m] * _loo_score_term(data.groups[m], loads[m], f_mean, k)
-        f_var_new = 1.0 / precision
-        f_mean[:, k] = f_var_new * moment
-        state.f_var[:, k] = f_var_new
 
-    norms = _state_sq_norms(state, data)
+    products = [_loading_products(x, c) for x, c in zip(data.groups, loads)]
+    _score_block(state, tau_bar, products, active)
+    norms = [
+        _sq_norms(x, f_mean, xc, cc) for x, (xc, cc) in zip(data.groups, products)
+    ]
     for m in range(M):
         shape, rate = update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape

@@ -306,13 +306,16 @@ def init_state(
     Phase one takes the principal components of the column-concatenated
     data from the eigendecomposition of its N x N Gram matrix, without
     forming the concatenation (_principal_components); they are the SVD's,
-    up to the sign of each component. Components whose
-    singular value clears twice the median are treated as signal, rotated
-    toward sparse loadings (varimax), and ordered by loading energy; entries
-    whose |loading| reaches 0.5 become confident inclusions (rho 0.9, the
-    rest 0.02) and the remaining rows start masked. Loading and noise
-    precision posteriors start at their one-step updates given those
-    loadings, and the factor scores get a small seed-dependent jitter.
+    up to the sign of each component. Components whose singular value
+    clears twice the median are treated as signal, rotated toward sparse
+    loadings (varimax), and ordered by loading energy; entries whose
+    |loading| reaches 0.5 become confident inclusions (rho 0.9, the rest
+    0.02). The rows of components below the signal cut get no inclusion,
+    but rho 0.02 gives each a mass of 0.02 D_m, at least the default active
+    threshold 1e-2: every factor starts active, and the first sweeps prune
+    those the data do not support. Loading and noise precision posteriors
+    start at their one-step updates given those loadings, and the factor
+    scores get a small seed-dependent jitter.
 
     Phase two runs full coordinate sweeps until the training reconstruction
     error is stationary (three consecutive relative changes below 5e-7,
@@ -422,7 +425,8 @@ def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> Varia
         w_var.append(vm)
 
         lambda_rate.append(hyper.f0 + 0.5 * (wm * wm + vm))
-        norms = _sq_norms(data.groups[m], f_mean, rm, wm)
+        x = data.groups[m]
+        norms = _sq_norms(x, f_mean, *_loading_products(x, rm * wm))
         sq = _expected_sq_residual(norms, f_mean, f_var, rm, wm, vm)
         tau_rate.append(hyper.h0 + 0.5 * sq)
 
@@ -460,26 +464,35 @@ def active_factors(state: VariationalState, threshold):
     return {int(k) for k in np.flatnonzero(mass >= threshold)}
 
 
-# The helpers below are shared with engine: the residual's per-sample squared
-# norms, the q(tau) update and the training error. They are steps of their
-# callers, not entry points, hence private names; bench/tracer.py times
-# public functions only, so their time stays with the caller. The fit's
-# training MSE (convergence monitor, trace.csv, best.json) comes from these
-# norms; metrics.train_mse, which cvgfa eval reports, is exact.
+# The helpers below are shared with engine: the data and loading products,
+# the residual's per-sample squared norms, the q(tau) update and the
+# training error. They are steps of their callers, not entry points, hence
+# private names; bench/tracer.py times public functions only, so their time
+# stays with the caller. The fit's training MSE (convergence monitor,
+# trace.csv, best.json) comes from these norms; metrics.train_mse, which
+# cvgfa eval reports, is exact.
 
 
-def _sq_norms(x, f_mean, rho, w_mean):
+def _loading_products(x, c):
+    """X C^T (N x K) and C C^T (K x K) of one group's data and expected
+    loadings C = rho * mu_w: what _sq_norms and the sweep's score block read
+    of the data and the loadings."""
+    return x @ c.T, c @ c.T
+
+
+def _sq_norms(x, f_mean, xc, cc):
     """||x_n - C^T f_n||^2 of one group for every sample n, C = rho * mu_w.
 
-    Expands to ||x_n||^2 - 2 f_n^T (X C^T)_n + f_n^T (C C^T) f_n: one N x K
-    product with the data and no N x D temporary. The terms cancel as the
-    residual shrinks next to the data; on N = 100, 400 columns, K = 6 and
-    loadings of sd 2, the MSE's relative error is about 1e-15 at noise sd
-    1, 2e-7 at 1e-4 and 1e-3 at 1e-6 (9.4e-4 to 3.2e-3 over the draws
-    tried). Rounding can take a near-zero norm below 0; it is clamped there.
+    xc = X C^T and cc = C C^T are the group's _loading_products. Expands to
+    ||x_n||^2 - 2 f_n^T (X C^T)_n + f_n^T (C C^T) f_n, which reads the data
+    only through its row norms and xc, and forms no N x D temporary. The
+    terms cancel as the residual shrinks next to the data; on N = 100, 400
+    columns, K = 6 and loadings of sd 2, the MSE's relative error is about
+    1e-15 at noise sd 1, 2e-7 at 1e-4 and 1e-3 at 1e-6 (9.4e-4 to 3.2e-3
+    over the draws tried). Rounding can take a near-zero norm below 0; it is
+    clamped there.
     """
-    c = rho * w_mean
-    cross = f_mean @ (c @ c.T) - 2.0 * (x @ c.T)
+    cross = f_mean @ cc - 2.0 * xc
     r = np.einsum("nd,nd->n", x, x) + np.einsum("nk,nk->n", f_mean, cross)
     return np.maximum(r, 0.0, out=r)
 

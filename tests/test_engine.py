@@ -557,11 +557,15 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
     """Same schedule as engine.sweep, one oracle op at a time.
 
     The explicit residual is rebuilt before every op, so each op sees a
-    residual exactly consistent with the current state. The inclusion
-    probabilities of a (factor, group) row all read the state the row
-    started from; only then are its loadings and lambdas updated.
+    residual exactly consistent with the current state. The loading block
+    comes first: for each active factor, the inclusion probabilities of a
+    (factor, group) row all read the state the row started from; only then
+    are its loadings and lambdas updated. The score block follows, one
+    factor's scores after another, each reading the scores the earlier
+    ones left.
     """
-    for k in sorted(active_factors(state, threshold)):
+    active = sorted(active_factors(state, threshold))
+    for k in active:
         a_k, b_k = engine.update_beta_params(state, hyper, k)
         state.beta_a[k] = a_k
         state.beta_b[k] = b_k
@@ -582,6 +586,7 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
                 state.w_var[m][k, d] = var
                 rate = oracle.update_lambda(state, hyper, m, k, d)
                 state.lambda_rate[m][k, d] = rate
+    for k in active:
         residual = oracle.residual(state, data)
         f_new = np.empty(state.n_samples)
         f_var_new = np.empty(state.n_samples)
@@ -655,18 +660,23 @@ class TestSweepRoutesAgree:
 def per_column_sweep(state, data, hyper, active_threshold=1e-2):
     """engine.sweep written one scalar at a time.
 
-    For each (k, m), every column's rho is computed from the row's pre-update
-    count sums minus its own term, and then every column's w and lambda from
-    the new rho. dotx and the factor-score moment come from the same
-    leave-one-factor-out products of the data and the expected loadings as
-    in engine.sweep, X_m^T (tau_bar_m f_k) included: one product per group
-    for every active factor, taken before the factor loop. The complementary
-    count's moments derive from the row's, as in engine.sweep. log and exp
-    are numpy's, as in engine.sweep: math's differ from numpy's vector loops
-    in the last bit on some CPUs. Kept here only as the oracle that the
-    vectorised sweep must match bit for bit.
+    The loading block: for each (k, m), every column's rho is computed from
+    the row's pre-update count sums minus its own term, and then every
+    column's w and lambda from the new rho. The scores stay fixed through
+    it, so sff and the products dotx needs are taken before it, for every
+    active factor, as in engine.sweep: X_m^T (tau_bar_m f_k) and
+    F^T (tau_bar_m f_k), one product per group. The score block then
+    updates one factor's scores after another, one sample at a time, from
+    the products X_m C_m^T and C_m C_m^T of the final loadings; the
+    leave-one-factor-out part of each moment, a length-K dot product per
+    sample, is taken as in engine.sweep. The complementary count's moments
+    derive from the row's, as in engine.sweep. log and exp are numpy's, as
+    in engine.sweep: math's differ from numpy's vector loops in the last
+    bit on some CPUs. Kept here only as the oracle that the vectorised
+    sweep must match bit for bit.
     """
     M = state.n_groups
+    N = state.n_samples
     F = state.f_mean
     loads = [state.rho[m] * state.w_mean[m] for m in range(M)]
     lam_shape = hyper.lambda_shape
@@ -676,7 +686,11 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
     ]
 
     active = sorted(active_factors(state, active_threshold))
-    xt_tf = [(tau_bar[m][:, None] * F[:, active]).T @ data.groups[m] for m in range(M)]
+    f2 = F * F + state.f_var
+    sff_all = [tau_bar[m] @ f2 for m in range(M)]
+    tf = [tau_bar[m][:, None] * F[:, active] for m in range(M)]
+    xt_tf = [tf[m].T @ data.groups[m] for m in range(M)]
+    ft_tf = [tf[m].T @ F for m in range(M)]
 
     for i, k in enumerate(active):
         a_k, b_k = engine.update_beta_params(state, hyper, k)
@@ -703,12 +717,8 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
                 max(crt_mean_approx(g_abbar, ntil), 0.0), float(d_m)
             )
 
-            f_col = state.f_mean[:, k]
-            f2_col = f_col * f_col + state.f_var[:, k]
-            tb = tau_bar[m]
-            sff = float(tb @ f2_col)
-            tf = tb * f_col
-            g = F.T @ tf
+            sff = float(sff_all[m][k])
+            g = ft_tf[m][i].copy()
             g[k] = 0.0
             dotx = xt_tf[m][i] - loads[m].T @ g
 
@@ -748,19 +758,28 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
 
             loads[m][k] = rho_row * w_row
 
-        precision = np.ones(state.n_samples)
-        moment = np.zeros(state.n_samples)
-        for m in range(M):
-            rho_row = state.rho[m][k]
-            w_row = state.w_mean[m][k]
-            coef = loads[m][k]
-            precision += tau_bar[m] * float(rho_row @ (w_row * w_row + state.w_var[m][k]))
-            h = loads[m] @ coef
-            h[k] = 0.0
-            moment += tau_bar[m] * (data.groups[m] @ coef - F @ h)
-        f_var_new = 1.0 / precision
-        state.f_mean[:, k] = f_var_new * moment
-        state.f_var[:, k] = f_var_new
+    xc = [data.groups[m] @ loads[m].T for m in range(M)]
+    cc = [loads[m] @ loads[m].T for m in range(M)]
+    tau = np.column_stack(tau_bar)
+    # sum_d rho E[w^2] of every (group, factor) row
+    second = [
+        (state.rho[m] * (state.w_mean[m] ** 2 + state.w_var[m])).sum(axis=1)
+        for m in range(M)
+    ]
+    for k in active:
+        # sum_m tau_bar_m F h_m, h_m column k of C_m C_m^T without entry k
+        h = np.array([cc[m][:, k] for m in range(M)])
+        h[:, k] = 0.0
+        loo = np.einsum("nj,nj->n", F, tau @ h)
+        for n in range(N):
+            precision = 1.0
+            moment = 0.0
+            for m in range(M):
+                precision += tau_bar[m][n] * second[m][k]
+                moment += tau_bar[m][n] * xc[m][n, k]
+            var = 1.0 / precision
+            F[n, k] = var * (moment - loo[n])
+            state.f_var[n, k] = var
 
     for m in range(M):
         shape, rate = engine.update_alpha(state, hyper, m)
@@ -768,7 +787,7 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = engine.update_eta(state, m)
         sq = engine._expected_sq_residual(
-            engine._sq_norms(data.groups[m], F, state.rho[m], state.w_mean[m]),
+            engine._sq_norms(data.groups[m], F, xc[m], cc[m]),
             state.f_mean,
             state.f_var,
             state.rho[m],
@@ -901,7 +920,8 @@ class TestRhoRow:
 
 
 class TestLeaveOneFactorOutProducts:
-    """The sweep's data-side products against their explicit-residual forms."""
+    """The sweep's data-side products against their explicit-residual forms:
+    dotx in the loading block and the moment of the score block."""
 
     # the two forms round differently; their gap, relative to the largest
     # entry, stays below 1e-14 on these sizes (and is 0 for a zero row,
@@ -928,21 +948,29 @@ class TestLeaveOneFactorOutProducts:
                 w[zero_factor] = 0.0
         residual = oracle.residual(state, data)
         F = state.f_mean
+        tau_bar = [PRIOR.tau_shape(d) / t for d, t in zip(dims, state.tau_rate)]
+        loads = [r * w for r, w in zip(state.rho, state.w_mean)]
         for m in range(len(dims)):
-            R = residual[m]
-            loads = state.rho[m] * state.w_mean[m]
-            tau_bar = PRIOR.tau_shape(dims[m]) / state.tau_rate[m]
-            # X^T (tau_bar f_j) for every j at once, as engine.sweep takes it
-            xt_tf = (tau_bar[:, None] * F).T @ data.groups[m]
+            tf = tau_bar[m][:, None] * F
+            # X^T (tau_bar f_j) and F^T (tau_bar f_j) for every j at once, as
+            # engine.sweep takes them
+            xt_tf = tf.T @ data.groups[m]
+            ft_tf = tf.T @ F
             for j in range(k):
-                tf = tau_bar * F[:, j]
-                coef = loads[j]
-                want = R.T @ tf + coef * float(tf @ F[:, j])
-                self.assert_close(engine._loo_dotx(xt_tf[j], loads, F, tf, j), want)
-                want = R @ coef + F[:, j] * float(coef @ coef)
-                self.assert_close(
-                    engine._loo_score_term(data.groups[m], loads, F, j), want
-                )
+                want = residual[m].T @ tf[:, j]
+                want += loads[m][j] * float(tf[:, j] @ F[:, j])
+                got = engine._loo_dotx(xt_tf[j], loads[m], ft_tf[j], j)
+                self.assert_close(got, want)
+        products = [engine._loading_products(x, c) for x, c in zip(data.groups, loads)]
+        for j in range(k):
+            want = sum(
+                tb * (R @ c[j] + F[:, j] * float(c[j] @ c[j]))
+                for tb, R, c in zip(tau_bar, residual, loads)
+            )
+            # the block's new score is its moment times the new variance
+            moved = state.copy()
+            engine._score_block(moved, tau_bar, products, [j])
+            self.assert_close(moved.f_mean[:, j] / moved.f_var[:, j], want)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_returned_norms_are_those_of_the_final_state(self, seed):
@@ -955,8 +983,10 @@ class TestLeaveOneFactorOutProducts:
             norms = engine.sweep(state, data, hyper)
             residual = oracle.residual(state, data)
             for m in range(data.n_groups):
+                x = data.groups[m]
+                c = state.rho[m] * state.w_mean[m]
                 built = engine._sq_norms(
-                    data.groups[m], state.f_mean, state.rho[m], state.w_mean[m]
+                    x, state.f_mean, *engine._loading_products(x, c)
                 )
                 assert norms[m].tobytes() == built.tobytes()
                 assert_allclose(norms[m], (residual[m] ** 2).sum(axis=1), rtol=1e-12)
@@ -1091,9 +1121,73 @@ class TestSweepMemory:
         finally:
             tracemalloc.stop()
         # the N x K and K x D temporaries and those of the stacked row of a
-        # factor (sum_m D_m columns) take 0.88 of one group's bytes here;
+        # factor (sum_m D_m columns) take 0.90 of one group's bytes here;
         # one N x D residual or reconstruction alone would take 1
         assert peak < data.groups[0].nbytes
+
+
+class TestScoreBlock:
+    """engine._score_block alone, with everything but the scores held fixed."""
+
+    @staticmethod
+    def setup(seed, pruned=None):
+        """Random state on widths 6, 13 and 3, the block's inputs at it."""
+        rng = np.random.default_rng(seed)
+        n, dims, k = 7, (6, 13, 3), 4
+        data = GroupedDataset(
+            [rng.standard_normal((n, d)) for d in dims], ["g0", "g1", "g2"]
+        )
+        hyper = Hyperparameters(K=k)
+        state = random_state(rng, n, dims, k)
+        if pruned is not None:
+            for r in state.rho:
+                r[pruned] = 0.0
+        tau_bar = [hyper.tau_shape(d) / t for d, t in zip(dims, state.tau_rate)]
+        products = [
+            engine._loading_products(x, r * w)
+            for x, r, w in zip(data.groups, state.rho, state.w_mean)
+        ]
+        return data, hyper, state, tau_bar, products
+
+    @pytest.mark.parametrize("pruned", [None, 2])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_never_lowers_the_objective(self, seed, pruned):
+        data, hyper, state, tau_bar, products = self.setup(seed, pruned)
+        active = sorted(active_factors(state, 1e-2))
+        assert (pruned is None) == (len(active) == hyper.K)
+
+        # the whole block, and each column's update alone
+        moved = state.copy()
+        engine._score_block(moved, tau_bar, products, active)
+        assert engine.surrogate_elbo(moved, data, hyper) >= engine.surrogate_elbo(
+            state, data, hyper
+        )
+        step = state.copy()
+        for j in active:
+            before = engine.surrogate_elbo(step, data, hyper)
+            engine._score_block(step, tau_bar, products, [j])
+            assert engine.surrogate_elbo(step, data, hyper) >= before
+        assert_states_bitwise_equal(step, moved)
+
+        # nothing but the active factors' scores moves
+        for name in ("f_mean", "f_var"):
+            getattr(moved, name)[:, active] = getattr(state, name)[:, active]
+        assert_states_bitwise_equal(moved, state)
+
+    @pytest.mark.parametrize("seed", range(50, 55))
+    def test_each_column_lands_on_its_maximiser(self, seed):
+        # moving a just-updated column's means or variances either way
+        # lowers the objective: the update is the column's exact maximiser
+        data, hyper, state, tau_bar, products = self.setup(seed)
+        for j in range(hyper.K):
+            engine._score_block(state, tau_bar, products, [j])
+            top = engine.surrogate_elbo(state, data, hyper)
+            shifts = [("f_mean", 1e-3), ("f_var", 1e-3 * state.f_var[:, j])]
+            for name, shift in shifts:
+                for sign in (1.0, -1.0):
+                    moved = state.copy()
+                    getattr(moved, name)[:, j] += sign * shift
+                    assert engine.surrogate_elbo(moved, data, hyper) < top
 
 
 class TestSurrogateElbo:
@@ -1134,7 +1228,7 @@ class TestSurrogateElbo:
         state = random_state(np.random.default_rng(8), 6, (4, 3), 3)
         hyper = Hyperparameters(K=3)
         norms = [
-            engine._sq_norms(x, state.f_mean, r, w)
+            engine._sq_norms(x, state.f_mean, *engine._loading_products(x, r * w))
             for x, r, w in zip(data.groups, state.rho, state.w_mean)
         ]
         assert engine.surrogate_elbo(

@@ -278,6 +278,10 @@ class TestSqNorms:
         return [(r * r).sum(axis=1) for r in oracle.residual(state, data)]
 
     @staticmethod
+    def sq_norms(x, f, rho, w):
+        return model._sq_norms(x, f, *model._loading_products(x, rho * w))
+
+    @staticmethod
     def check(got, want, rtol_rows, rtol_mse):
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w) / w) <= rtol_rows
@@ -290,7 +294,7 @@ class TestSqNorms:
         data, _ = generate(simulation1_pattern(), 100, [100] * 4, seed=0)
         state = init_state(data, Hyperparameters(K=30), seed=0)
         got = [
-            model._sq_norms(x, state.f_mean, r, w)
+            self.sq_norms(x, state.f_mean, r, w)
             for x, r, w in zip(data.groups, state.rho, state.w_mean)
         ]
         self.check(got, self.explicit(state, data), 4e-13, 2e-14)
@@ -314,7 +318,7 @@ class TestSqNorms:
         x = f @ (rho * w) + noise * rng.standard_normal((n, d))
         state = SimpleNamespace(f_mean=f, rho=[rho], w_mean=[w])
         data = SimpleNamespace(groups=[x])
-        got = [model._sq_norms(x, f, rho, w)]
+        got = [self.sq_norms(x, f, rho, w)]
         self.check(got, self.explicit(state, data), rtol_rows, rtol_mse)
 
     def test_exact_reconstruction_is_clamped_at_zero(self):
@@ -327,7 +331,7 @@ class TestSqNorms:
             over="warn", invalid="warn", divide="warn"
         ):
             warnings.simplefilter("error", RuntimeWarning)
-            got = model._sq_norms(x, f, rho, w)
+            got = self.sq_norms(x, f, rho, w)
         assert np.all(got >= 0.0)
         # only rounding is left, far below the rows' own squared norms
         assert np.all(got <= 1e-12 * (x * x).sum(axis=1))
