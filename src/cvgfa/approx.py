@@ -7,18 +7,21 @@ table counts. Everything here is a pure function.
 
 digamma and trigamma run their recurrence and series in Python floats, one
 argument at a time; an array maps that scalar kernel over its elements
-(np.vectorize). crt_mean_approx likewise takes one count at a time, calling
-them on scalars. The sweep calls them thousands of times, where building
-small arrays would cost more than the arithmetic. The kernels take numpy's
-log, not math.log: the two are different implementations that disagree in
-the last bit for a few arguments in a hundred thousand (measured on an
-AVX-512 x86-64 host).
+(np.vectorize). crt_mean_approx likewise maps its scalar kernel over its
+entries, which calls them on scalars, thousands of times per sweep, where
+building small arrays would cost more than the arithmetic. The kernels
+take numpy's log, not math.log: the two are different implementations
+that disagree in the last bit for a few arguments in a hundred thousand
+(measured on an AVX-512 x86-64 host).
 
-The Bernoulli-sum moments take one row of probabilities, or a stacked row
-holding the rows of several groups side by side with the group widths. A
-single row is the one-group case. Each group's sums are numpy's pairwise
-sums over its own columns, which are part of the result: they equal np.sum
-of the group's row taken alone.
+The Bernoulli-sum moments take one row of probabilities or a block of
+rows, one count per row, and optionally the widths of groups lying side
+by side along the rows. engine.sweep hands them, once per sweep, the rows
+of every active factor in every group, and crt_mean_approx the resulting
+active factors x groups arrays: one call for all the (factor, group) rows
+in place of one per factor. Each count's sums are numpy's pairwise sums
+over its own row (and group), which are part of the result: they equal
+np.sum of that row taken alone, so batching the rows changes no bit.
 """
 
 import math
@@ -54,8 +57,9 @@ class BernoulliSumMoments:
 
     mean_plus and var_plus are the moments of l conditional on l > 0; both
     are defined as 0 when p_plus < P_PLUS_FLOOR. Each field is a float for
-    one row of probabilities, or an array with one entry per group for a
-    stacked row (see bernoulli_sum_moments).
+    one row of probabilities, or an array with one entry per row of a block
+    and, given group widths, per group, the group last (see
+    bernoulli_sum_moments).
     """
 
     mean: float
@@ -206,21 +210,44 @@ def geo_expect_beta(a, b):
     return np.exp(digamma(a_arr) - digamma(a_arr + b_arr))
 
 
-def _group_sums(rows, widths):
-    """Sums of rows (one row, or a stack of rows) over each group's columns.
+def _group_sums(terms, xi, widths):
+    """Sums of terms(xi) along the last axis, of one row or a block of rows.
 
-    The groups lie side by side along the last axis, widths[m] columns for
-    group m; the result has one entry per row and group. Each is one
-    np.add.reduce over the group's slice, numpy's pairwise summation, so it
-    equals np.sum of that group's values taken alone. np.add.reduceat would
-    add sequentially and differ from it in the last bit.
+    terms maps probabilities to their summands, an array whose last axis
+    runs along them (with several kinds of summand stacked on a leading
+    axis). Without widths each row is one group, and the sums drop the last
+    axis. With widths the groups lie side by side along the last axis,
+    widths[m] columns for group m, and the last axis of the sums has one
+    entry per group; only one group's terms exist at a time. Every sum is
+    one np.add.reduce along the last axis, numpy's pairwise summation, so
+    it equals np.sum of that row's (group's) values taken alone.
+    np.add.reduceat would add sequentially and differ from it in the last
+    bit, and so would a reduction across rows.
     """
-    out = np.empty(rows.shape[:-1] + (len(widths),))
+    if widths is None:
+        return np.add.reduce(terms(xi), axis=-1)
+    sums = []
     start = 0
-    for m, width in enumerate(widths):
-        np.add.reduce(rows[..., start : start + width], axis=-1, out=out[..., m])
+    for width in widths:
+        sums.append(np.add.reduce(terms(xi[..., start : start + width]), axis=-1))
         start += width
-    return out
+    return np.stack(sums, axis=-1)
+
+
+def _count_terms(xi):
+    """xi, xi (1 - xi) and log(1 - xi): the summands of a count's moments."""
+    rows = np.empty((3,) + xi.shape)
+    rows[0] = xi
+    np.multiply(xi, 1.0 - xi, out=rows[1])
+    with np.errstate(divide="ignore"):
+        np.log1p(-xi, out=rows[2])
+    return rows
+
+
+def _log_terms(xi):
+    """log xi: the summands of log prod(xi), the complement's no-zero mass."""
+    with np.errstate(divide="ignore"):
+        return np.log(xi)
 
 
 def bernoulli_sum_moments(probs, widths=None) -> BernoulliSumMoments:
@@ -229,12 +256,13 @@ def bernoulli_sum_moments(probs, widths=None) -> BernoulliSumMoments:
     Parameters
     ----------
     probs : array_like
-        Success probabilities, each in [0, 1].
+        Success probabilities, each in [0, 1]: one row, whose sum is the
+        count, or a block of rows (2-D) with one count per row.
     widths : sequence of int, optional
-        Group widths of a stacked row: the groups' probabilities lie side by
-        side in probs, widths[m] of them for group m, summing to len(probs).
-        Each group's sum gets its own moments, as arrays. Omitted, probs is
-        one group and the moments are floats.
+        Group widths of stacked rows: the groups' probabilities lie side by
+        side along the last axis, widths[m] of them for group m, summing to
+        its length. Each group's sum gets its own moments, along a last
+        axis of the fields. Omitted, each row is one group.
 
     Returns
     -------
@@ -247,33 +275,27 @@ def bernoulli_sum_moments(probs, widths=None) -> BernoulliSumMoments:
     p_plus is computed as -expm1(sum(log1p(-xi))) to avoid cancellation;
     any xi equal to 1 makes that sum -inf, so p_plus = 1 exactly.
     """
-    xi = np.asarray(probs, dtype=float).ravel()
+    xi = np.atleast_1d(np.asarray(probs, dtype=float))
     # min and max propagate NaN, so a NaN fails the range check
     if xi.size and not (xi.min() >= 0 and xi.max() <= 1):
         raise ValueError("probabilities must lie in [0, 1]")
-    rows = np.empty((3, xi.size))
-    rows[0] = xi
-    np.multiply(xi, 1.0 - xi, out=rows[1])
-    with np.errstate(divide="ignore"):
-        np.log1p(-xi, out=rows[2])
-    one_row = widths is None
-    mean, variance, log_none = _group_sums(rows, (xi.size,) if one_row else widths)
-    return _with_conditional(mean, variance, -np.expm1(log_none), one_row)
+    mean, variance, log_none = _group_sums(_count_terms, xi, widths)
+    return _with_conditional(mean, variance, -np.expm1(log_none))
 
 
-def _with_conditional(mean, variance, p_plus, one_row):
+def _with_conditional(mean, variance, p_plus):
     """BernoulliSumMoments, adding the moments conditional on a positive sum.
 
-    The arguments hold one entry per group. The conditional moments are
-    divided out only where p_plus reaches P_PLUS_FLOOR; one_row makes the
-    fields of a single group floats.
+    The arguments share one shape. The conditional moments are divided out
+    only where p_plus reaches P_PLUS_FLOOR. The moments of a single count
+    (0-d arguments) are floats.
     """
     ok = p_plus >= P_PLUS_FLOOR
     mean_plus = np.divide(mean, p_plus, out=np.zeros(ok.shape), where=ok)
     var_plus = np.divide(variance, p_plus, out=np.zeros(ok.shape), where=ok)
     fields = (mean, variance, p_plus, mean_plus, var_plus)
-    if one_row:
-        return BernoulliSumMoments(*(float(f[0]) for f in fields))
+    if ok.ndim == 0:
+        return BernoulliSumMoments(*(float(f) for f in fields))
     return BernoulliSumMoments(*fields)
 
 
@@ -288,17 +310,11 @@ def _complement_moments(count, probs, widths=None):
     entry point, hence the private name: its time stays with the sweep when
     bench/tracer.py times public functions.
     """
-    xi = np.asarray(probs, dtype=float).ravel()
-    one_row = widths is None
-    if one_row:
-        widths = (xi.size,)
-    with np.errstate(divide="ignore"):
-        log_all = _group_sums(np.log(xi), widths)
+    xi = np.atleast_1d(np.asarray(probs, dtype=float))
+    log_all = _group_sums(_log_terms, xi, widths)
+    width = xi.shape[-1] if widths is None else np.asarray(widths)
     return _with_conditional(
-        np.subtract(widths, count.mean),
-        np.atleast_1d(count.variance),
-        -np.expm1(log_all),
-        one_row,
+        np.subtract(width, count.mean), count.variance, -np.expm1(log_all)
     )
 
 
@@ -345,14 +361,16 @@ def crt_mean_approx(a_geo, count: BernoulliSumMoments):
     + V+ * psi'(a_geo + E+) / 2) with the conditional count moments, and 0
     where p_plus < P_PLUS_FLOOR. For a deterministic count this telescopes
     to the exact CRT mean. a_geo and the count's fields are floats, giving a
-    float, or arrays with one entry per group (bernoulli_sum_moments with
-    widths), giving an array: the groups are taken one at a time, in Python
+    float, or arrays of one shape (one entry per count, such as
+    bernoulli_sum_moments gives for a block of rows with widths), giving an
+    array of that shape: the entries are taken one at a time, in Python
     floats, as digamma takes its elements.
     """
     if _is_scalar(a_geo):
         return _crt_mean(float(a_geo), count.p_plus, count.mean_plus, count.var_plus)
     fields = (a_geo, count.p_plus, count.mean_plus, count.var_plus)
-    return np.array([_crt_mean(*group) for group in zip(*(f.tolist() for f in fields))])
+    tables = [_crt_mean(*entry) for entry in zip(*(f.ravel().tolist() for f in fields))]
+    return np.array(tables).reshape(a_geo.shape)
 
 
 def _crt_mean(a_geo, p_plus, mean_plus, var_plus):

@@ -13,15 +13,19 @@ the row's leave-one-out count sums as they stood before the row was
 updated, not as the earlier columns of the row have moved them. This
 departs from the paper's strictly sequential column order; it is the
 minibatch update of stochastic collapsed variational inference (Foulds et
-al., KDD 2013), with the whole row as the batch. Given the factor's
-q(beta) parameters, the rows of one factor in different groups read
-disjoint state, so each factor takes one step for all of them: its rows
-side by side, whatever the group widths, with the per-group quantities
-(count sums, concentrations, factor-score sums) taken per group. No N x D
-residual is formed: the products that leave one factor out come from
-products of the data taken once per sweep and the K x D expected
-loadings, and every other reader of the residual takes its per-sample
-squared norms, which sweep() returns (see model._sq_norms).
+al., KDD 2013), with the whole row as the batch. What the collapsed prior
+needs of a row, q(beta), the count moments and the expected table counts
+of the auxiliary-variable augmentation (as in Teh, Kurihara & Welling,
+NIPS 2008), reads no other factor's update within the block, so it is
+taken for every active factor in one batch before the factor loop. Given
+the factor's q(beta) parameters, the rows of one factor in different
+groups read disjoint state, so each factor takes one step for all of
+them: its rows side by side, whatever the group widths, with the
+per-group quantities (count moments, concentrations, factor-score sums)
+taken per group. No N x D residual is formed: the products that leave
+one factor out come from products of the data taken once per sweep and
+the K x D expected loadings, and every other reader of the residual takes
+its per-sample squared norms, which sweep() returns (see model._sq_norms).
 """
 
 import math
@@ -49,6 +53,7 @@ from .model import (
     _expected_sq_residual,
     _loading_products,
     _norms_mse,
+    _row_norms,
     _sq_norms,
     active_factors,
     init_state,
@@ -91,17 +96,28 @@ class FitReport:
 def _state_sq_norms(state, data):
     """_sq_norms of every group at the state's expected loadings and scores."""
     return [
-        _sq_norms(x, state.f_mean, *_loading_products(x, r * w))
+        _sq_norms(_row_norms(x), state.f_mean, *_loading_products(x, r * w))
         for x, r, w in zip(data.groups, state.rho, state.w_mean)
     ]
 
 
 def update_beta_params(state, hyper, k):
-    """q(beta_k) parameters from the prior plus table-count sums."""
+    """q(beta) parameters from the prior plus table-count sums.
+
+    k is one factor, giving two numbers, or an index array of factors,
+    giving two arrays with one entry per factor. A factor's table counts
+    are summed over the groups along the last axis of a C-ordered array,
+    numpy's pairwise sum, so a factor's sum is np.sum of its column alone
+    however many factors are taken; a reduction across the rows of the
+    M x K count arrays would add sequentially and differ in the last bit
+    from 8 groups on.
+    """
     K = int(hyper.K)
-    a = hyper.kappa0 / K + float(state.aux_s_mean[:, k].sum())
-    b = hyper.kappa0 * (1.0 - 1.0 / K) + float(state.aux_t_mean[:, k].sum())
-    return a, max(b, BETA_B_FLOOR)
+    s = np.add.reduce(np.ascontiguousarray(state.aux_s_mean.T[k]), axis=-1)
+    t = np.add.reduce(np.ascontiguousarray(state.aux_t_mean.T[k]), axis=-1)
+    a = hyper.kappa0 / K + s
+    b = hyper.kappa0 * (1.0 - 1.0 / K) + t
+    return a, np.maximum(b, BETA_B_FLOOR)
 
 
 def update_alpha(state, hyper, m):
@@ -117,25 +133,25 @@ def update_eta(state, m) -> float:
     return digamma(alpha_mean) - digamma(alpha_mean + state.dims[m])
 
 
-def _rho_row(rho, lik, nhat, g_ab, g_abbar, widths, k):
+def _rho_row(rho, lik, count_mean, count_var, g_ab, g_abbar, widths, k):
     """New inclusion probabilities of factor k's stacked row, all at once.
 
     rho and lik are the old probabilities and the likelihood terms of the
     rows of every group, side by side, widths[m] columns for group m (an
-    integer array). nhat (the moments of each group's count, as
-    bernoulli_sum_moments gives them with widths), g_ab and g_abbar hold
-    one entry per group. Every column d reads its group's pre-update count
-    moments minus its own term: E = nhat.mean - rho[d], V = nhat.variance -
-    rho[d](1 - rho[d]), with D_m - 1 - E for the complementary count, each
-    clamped at 0 (np.maximum passes NaN on to the non-finite check). The
-    logits overwrite lik, which saves a row-sized array; the new
-    probabilities are a new array. A non-finite logit raises NumericalError
-    naming the lowest such column, of the lowest such group.
+    integer array). count_mean and count_var (the moments of each group's
+    count, as bernoulli_sum_moments gives them with widths), g_ab and
+    g_abbar hold one entry per group. Every column d reads its group's
+    pre-update count moments minus its own term: E = count_mean - rho[d],
+    V = count_var - rho[d](1 - rho[d]), with D_m - 1 - E for the
+    complementary count, each clamped at 0 (np.maximum passes NaN on to the
+    non-finite check). The logits overwrite lik, which saves a row-sized
+    array; the new probabilities are a new array. A non-finite logit raises
+    NumericalError naming the lowest such column, of the lowest such group.
     """
-    e1 = np.repeat(nhat.mean, widths)
+    e1 = np.repeat(count_mean, widths)
     e1 -= rho
     np.maximum(e1, 0.0, out=e1)
-    v1 = np.repeat(nhat.variance, widths)
+    v1 = np.repeat(count_var, widths)
     v1 -= rho * (1.0 - rho)
     np.maximum(v1, 0.0, out=v1)
     logit = np.subtract(
@@ -210,26 +226,39 @@ def _score_block(state, tau_bar, products, active):
     state.f_var[:, active] = f_var[:, active]
 
 
-def sweep(state, data, hyper, active_threshold=1e-2):
+def sweep(state, data, hyper, active_threshold=1e-2, *, _data_norms=None):
     """One full coordinate-ascent pass, mutating state in place.
 
     Order per iteration, in two blocks and a tail. The loading block: for
-    each active factor k, update (a_k, b_k), then every group's count stats
-    and (E[s], E[t]), then every group's row of rho, then their w and
-    lambda. The score block: each active factor's scores (_score_block).
-    Then per group alpha, eta, and the noise precisions. This is the block
-    order of variational group factor analysis (Virtanen et al., AISTATS
-    2012): all loadings, then all latent factors.
+    every active factor, (a_k, b_k), then every group's count moments and
+    (E[s], E[t]); then, one active factor k after another, every group's
+    row of rho, then their w and lambda. The score block: each active
+    factor's scores (_score_block). Then per group alpha, eta, and the noise
+    precisions. This is the block order of variational group factor
+    analysis (Virtanen et al., AISTATS 2012): all loadings, then all latent
+    factors.
 
-    A factor takes one step for all its rows: they are laid side by side
-    in one stacked row of sum_m D_m columns (gathered once per array and
-    written back once), and the group widths mark the boundaries. Given
-    (a_k, b_k) the rows read disjoint state, so this regroups the same
-    update. The per-group scalars (the concentrations g_ab and g_abbar,
-    sff, the count moments) are broadcast over their group's columns; the
-    count sums are each group's own pairwise sums (approx), and dotx stays
-    a per-group product, so every value equals the one a per-group loop
-    would compute, bit for bit.
+    The collapsed-prior part of the loading block is one batch over the
+    active factors A, taken before the factor loop: q(beta) of every factor
+    in A (update_beta_params), the concentrations g_ab and g_abbar as
+    |A| x M arrays, each group's count moments and those of its complement
+    over the |A| x D_m block rho[m][A] (bernoulli_sum_moments and
+    _complement_moments, one reduction per group), and the table counts of
+    every (factor, group) row from one crt_mean_approx call for E[s] and
+    one for E[t]. Factor k's batch values read only its own rows, q(beta_k)
+    and alpha, which no other factor's step moves, so each equals the value
+    a step of k alone would compute after the factors before it, bit for
+    bit: every sum runs over one row (or the groups of one factor) in
+    numpy's pairwise order, as np.sum of it alone would.
+
+    A factor's step in the loop moves all its rows at once: they are laid
+    side by side in one stacked row of sum_m D_m columns (gathered once per
+    array and written back once), and the group widths mark the
+    boundaries. Given (a_k, b_k) the rows read disjoint state, so this
+    regroups the same update. The per-group scalars (the concentrations,
+    sff, the count moments) are broadcast over their group's columns, and
+    dotx stays a per-group product, so every value equals the one a
+    per-group loop would compute, bit for bit.
 
     The rows' rho moves in one step (_rho_row): column d reads its row's
     pre-update count moments minus its own term. The paper updates the
@@ -251,9 +280,11 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     and then the residual's per-sample squared norms (model._sq_norms),
     which the noise precisions read and which are returned, one vector per
     group, for the caller's training error and objective. So per pass and
-    group the data is read by (tau_bar_m F_A)^T X_m, X_m C_m^T and its row
-    norms only. The moments of a row's count of zeros derive from those of
-    its count of ones (_complement_moments).
+    group the data is read by (tau_bar_m F_A)^T X_m and X_m C_m^T only; its
+    row norms (model._row_norms) are taken once per fit by the caller and
+    passed as _data_norms, or here when it is omitted. The moments of a
+    row's count of zeros derive from those of its count of ones
+    (_complement_moments).
     """
     M = state.n_groups
     lam_shape = hyper.lambda_shape
@@ -264,12 +295,30 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     ends = np.cumsum(dims).tolist()
     spans = [slice(end - d_m, end) for end, d_m in zip(ends, dims)]
     tau_bar = [hyper.tau_shape(d_m) / state.tau_rate[m] for m, d_m in enumerate(dims)]
-    g_alpha = np.array(
-        [geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)]
-    )
-    loads = [state.rho[m] * state.w_mean[m] for m in range(M)]
     active = sorted(active_factors(state, active_threshold))
 
+    # the batch: every active factor's q(beta), count moments and table
+    # counts, taken before the loadings and products below so that its
+    # temporaries are gone before those exist
+    idx = np.array(active, dtype=np.intp)
+    beta_a, beta_b = update_beta_params(state, hyper, idx)
+    state.beta_a[idx] = beta_a
+    state.beta_b[idx] = beta_b
+    g_alpha = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
+    g_ab = np.maximum(geo_expect_beta(beta_a, beta_b)[:, None] * g_alpha, GEO_FLOOR)
+    g_abbar = np.maximum(geo_expect_beta(beta_b, beta_a)[:, None] * g_alpha, GEO_FLOOR)
+    block = np.concatenate([r[idx] for r in state.rho], axis=1)
+    nhat = bernoulli_sum_moments(block, widths)
+    ntil = _complement_moments(nhat, block, widths)
+    del block
+    state.aux_s_mean[:, idx] = np.minimum(
+        np.maximum(crt_mean_approx(g_ab, nhat), 0.0), widths
+    ).T
+    state.aux_t_mean[:, idx] = np.minimum(
+        np.maximum(crt_mean_approx(g_abbar, ntil), 0.0), widths
+    ).T
+
+    loads = [state.rho[m] * state.w_mean[m] for m in range(M)]
     f2 = f_mean * f_mean + state.f_var
     sff_all = np.array([tb @ f2 for tb in tau_bar])
     tf = [tb[:, None] * f_mean[:, active] for tb in tau_bar]
@@ -278,20 +327,7 @@ def sweep(state, data, hyper, active_threshold=1e-2):
     del f2, tf
 
     for i, k in enumerate(active):
-        a_k, b_k = update_beta_params(state, hyper, k)
-        state.beta_a[k] = a_k
-        state.beta_b[k] = b_k
-        g_ab = np.maximum(g_alpha * geo_expect_beta(a_k, b_k), GEO_FLOOR)
-        g_abbar = np.maximum(g_alpha * geo_expect_beta(b_k, a_k), GEO_FLOOR)
-
         rho = np.concatenate([r[k] for r in state.rho])
-        nhat = bernoulli_sum_moments(rho, widths)
-        ntil = _complement_moments(nhat, rho, widths)
-        aux = np.maximum(crt_mean_approx(g_ab, nhat), 0.0)
-        state.aux_s_mean[:, k] = np.minimum(aux, widths)
-        aux = np.maximum(crt_mean_approx(g_abbar, ntil), 0.0)
-        state.aux_t_mean[:, k] = np.minimum(aux, widths)
-
         sff = np.repeat(sff_all[:, k], widths)
         # sum_n tau f x~(no k): constant through the row update since only
         # factor k's own parameters change inside it
@@ -305,7 +341,9 @@ def sweep(state, data, hyper, active_threshold=1e-2):
         # row-sized arrays are dropped as soon as they are spent, which keeps
         # the sweep's peak memory below one group's data at wide sizes
         del w, ew2
-        rho = _rho_row(rho, lik, nhat, g_ab, g_abbar, widths, k)
+        rho = _rho_row(
+            rho, lik, nhat.mean[i], nhat.variance[i], g_ab[i], g_abbar[i], widths, k
+        )
         del lik
 
         lam_rate = np.concatenate([x[k] for x in state.lambda_rate])
@@ -324,8 +362,10 @@ def sweep(state, data, hyper, active_threshold=1e-2):
 
     products = [_loading_products(x, c) for x, c in zip(data.groups, loads)]
     _score_block(state, tau_bar, products, active)
+    if _data_norms is None:
+        _data_norms = [_row_norms(x) for x in data.groups]
     norms = [
-        _sq_norms(x, f_mean, xc, cc) for x, (xc, cc) in zip(data.groups, products)
+        _sq_norms(xx, f_mean, xc, cc) for xx, (xc, cc) in zip(_data_norms, products)
     ]
     for m in range(M):
         shape, rate = update_alpha(state, hyper, m)
@@ -488,28 +528,39 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
     recorded per sweep but not used as the stopping rule since its collapsed
     term is approximate. Both read the squared norms the sweep returns, so
     the MSE is not exact on near noise-free data (model._sq_norms);
-    metrics.train_mse is.
+    metrics.train_mse is. A NumericalError from a sweep of the fit, or a
+    non-finite objective, carries the context {"phase": "main", "sweep": n},
+    n counted from 1 as trace.csv counts it; one from the warm-up inside
+    init_state carries phase "warmup".
     """
     data.validate()
     hyper.validate()
     opts.validate()
     state = init_state(data, hyper, opts.seed, opts.active_factor_threshold)
+    data_norms = [_row_norms(x) for x in data.groups]
     trace = []
     prev_mse = None
     streak = 0
     converged = False
-    for it in range(int(opts.max_sweeps)):
+    for n_sweep in range(1, int(opts.max_sweeps) + 1):
         try:
             norms = sweep(
-                state, data, hyper, active_threshold=opts.active_factor_threshold
+                state,
+                data,
+                hyper,
+                active_threshold=opts.active_factor_threshold,
+                _data_norms=data_norms,
             )
         except NumericalError as err:
-            err.context.setdefault("sweep", it)
+            err.context.setdefault("phase", "main")
+            err.context.setdefault("sweep", n_sweep)
             raise
         mse = _norms_mse(norms, data.dims)
         objective = surrogate_elbo(state, data, hyper, norms=norms)
         if not (math.isfinite(objective) and math.isfinite(mse)):
-            raise NumericalError("non-finite objective", context={"sweep": it})
+            raise NumericalError(
+                "non-finite objective", context={"phase": "main", "sweep": n_sweep}
+            )
         k_active = len(active_factors(state, opts.active_factor_threshold))
         trace.append((objective, mse, k_active))
         if prev_mse is not None:

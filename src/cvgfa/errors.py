@@ -31,5 +31,7 @@ class NumericalError(CvgfaError):
     def __init__(self, message, context=None):
         super().__init__(message)
         # context identifies where the failure happened, e.g.
-        # {"sweep": 3, "group": 1, "factor": 0, "variable": 2}
+        # {"phase": "main", "sweep": 3, "group": 1, "factor": 0, "column": 2};
+        # sweeps are counted from 1 within their phase ("warmup" or "main"),
+        # as trace.csv counts the main ones
         self.context = dict(context) if context else {}

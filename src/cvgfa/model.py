@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import digamma
-from .errors import DataError, UsageError
+from .errors import DataError, NumericalError, UsageError
 
 __all__ = [
     "BETA_B_FLOOR",
@@ -324,23 +324,36 @@ def init_state(
     reconstruction error; relaxing here hands the caller a state already
     settled inside its attraction basin. Its sweeps skip the factors below
     active_threshold, as fit's do (FitOptions.active_factor_threshold).
-    Deterministic given (data, seed).
+    A NumericalError from one of them gains the context {"phase": "warmup",
+    "sweep": n}, n counted from 1. Deterministic given (data, seed).
     """
     hyper.validate()
     data.validate()
     if int(seed) < 0:
         raise UsageError("seed must be a non-negative integer")
+    data_norms = [_row_norms(x) for x in data.groups]
     # a separate function, so that the Gram matrix, its eigenvectors and
     # the other warm-start temporaries are freed before the relaxation sweeps
-    state = _spectral_start(data, hyper, seed)
+    state = _spectral_start(data, hyper, seed, data_norms)
 
     # engine imports this module at load time, hence the local import
     from . import engine
 
     prev = None
     streak = 0
-    for _ in range(_INIT_RELAX_CAP):
-        norms = engine.sweep(state, data, hyper, active_threshold=active_threshold)
+    for n_sweep in range(1, _INIT_RELAX_CAP + 1):
+        try:
+            norms = engine.sweep(
+                state,
+                data,
+                hyper,
+                active_threshold=active_threshold,
+                _data_norms=data_norms,
+            )
+        except NumericalError as err:
+            err.context.setdefault("phase", "warmup")
+            err.context.setdefault("sweep", n_sweep)
+            raise
         cur = _norms_mse(norms, data.dims)
         if prev is not None and abs(cur - prev) < _INIT_RELAX_TOL * max(prev, 1e-12):
             streak += 1
@@ -379,13 +392,16 @@ def _principal_components(groups, k):
     return sv, root_n * u, loads
 
 
-def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> VariationalState:
+def _spectral_start(
+    data: GroupedDataset, hyper: Hyperparameters, seed, data_norms
+) -> VariationalState:
     """Phase one of init_state: the spectral warm start, before any sweep.
 
-    Only the score jitter reads the seed. The components come from
-    _principal_components, whose eigenvector signs can differ from an SVD's;
-    the varimax rotation, the signal cut and the inclusion cut treat a
-    component and its negation alike, so rho does not depend on them.
+    data_norms are the groups' _row_norms. Only the score jitter reads the
+    seed. The components come from _principal_components, whose eigenvector
+    signs can differ from an SVD's; the varimax rotation, the signal cut and
+    the inclusion cut treat a component and its negation alike, so rho does
+    not depend on them.
     """
     K = int(hyper.K)
     M = data.n_groups
@@ -425,8 +441,9 @@ def _spectral_start(data: GroupedDataset, hyper: Hyperparameters, seed) -> Varia
         w_var.append(vm)
 
         lambda_rate.append(hyper.f0 + 0.5 * (wm * wm + vm))
-        x = data.groups[m]
-        norms = _sq_norms(x, f_mean, *_loading_products(x, rm * wm))
+        norms = _sq_norms(
+            data_norms[m], f_mean, *_loading_products(data.groups[m], rm * wm)
+        )
         sq = _expected_sq_residual(norms, f_mean, f_var, rm, wm, vm)
         tau_rate.append(hyper.h0 + 0.5 * sq)
 
@@ -464,13 +481,20 @@ def active_factors(state: VariationalState, threshold):
     return {int(k) for k in np.flatnonzero(mass >= threshold)}
 
 
-# The helpers below are shared with engine: the data and loading products,
-# the residual's per-sample squared norms, the q(tau) update and the
-# training error. They are steps of their callers, not entry points, hence
-# private names; bench/tracer.py times public functions only, so their time
-# stays with the caller. The fit's training MSE (convergence monitor,
-# trace.csv, best.json) comes from these norms; metrics.train_mse, which
-# cvgfa eval reports, is exact.
+# The helpers below are shared with engine: the data's row norms, the data
+# and loading products, the residual's per-sample squared norms, the q(tau)
+# update and the training error. They are steps of their callers, not entry
+# points, hence private names; bench/tracer.py times public functions only,
+# so their time stays with the caller. The fit's training MSE (convergence
+# monitor, trace.csv, best.json) comes from these norms; metrics.train_mse,
+# which cvgfa eval reports, is exact.
+
+
+def _row_norms(x):
+    """||x_n||^2 of every sample n of one group: what _sq_norms reads of the
+    data alone. The data never change during a fit, so init_state and
+    engine.fit take them once and hand them to every sweep."""
+    return np.einsum("nd,nd->n", x, x)
 
 
 def _loading_products(x, c):
@@ -480,10 +504,11 @@ def _loading_products(x, c):
     return x @ c.T, c @ c.T
 
 
-def _sq_norms(x, f_mean, xc, cc):
+def _sq_norms(x_norms, f_mean, xc, cc):
     """||x_n - C^T f_n||^2 of one group for every sample n, C = rho * mu_w.
 
-    xc = X C^T and cc = C C^T are the group's _loading_products. Expands to
+    x_norms are the group's ||x_n||^2 (_row_norms), and xc = X C^T and
+    cc = C C^T its _loading_products. Expands to
     ||x_n||^2 - 2 f_n^T (X C^T)_n + f_n^T (C C^T) f_n, which reads the data
     only through its row norms and xc, and forms no N x D temporary. The
     terms cancel as the residual shrinks next to the data; on N = 100, 400
@@ -493,7 +518,7 @@ def _sq_norms(x, f_mean, xc, cc):
     clamped there.
     """
     cross = f_mean @ cc - 2.0 * xc
-    r = np.einsum("nd,nd->n", x, x) + np.einsum("nk,nk->n", f_mean, cross)
+    r = x_norms + np.einsum("nk,nk->n", f_mean, cross)
     return np.maximum(r, 0.0, out=r)
 
 

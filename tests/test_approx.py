@@ -14,6 +14,7 @@ from scipy import special
 
 from cvgfa.approx import (
     _SERIES_START,
+    P_PLUS_FLOOR,
     BernoulliSumMoments,
     _complement_moments,
     bernoulli_sum_moments,
@@ -374,6 +375,80 @@ class TestStackedGroups:
         m = bernoulli_sum_moments([0.5, 0.5], [1, 1])
         with pytest.raises(ValueError):
             crt_mean_approx(np.array([0.5, 0.0]), m)
+
+
+class TestBlocksOfRows:
+    """Moments and table counts of a block of rows, one count per row (and
+    group), against each row taken alone: the sweep's batch of every active
+    factor's rows."""
+
+    @staticmethod
+    def fields(m):
+        return [m.mean, m.variance, m.p_plus, m.mean_plus, m.var_plus]
+
+    @staticmethod
+    def block(seed, widths, rows=7):
+        rng = np.random.default_rng(seed)
+        block = rng.uniform(0.0, 1.0, (rows, int(np.sum(widths))))
+        block[1, 0] = 1.0  # a sure one
+        block[2, -1] = 0.0  # a sure zero
+        block[3] = 0.0  # counts that are 0 for sure
+        block[4] = 1e-14  # a positive count below P_PLUS_FLOOR
+        block[5, : widths[0]] = 1.0  # a first group with no zero
+        return block
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_match_each_row_alone_bitwise(self, seed):
+        block = self.block(seed, [30])
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            nhat = bernoulli_sum_moments(block)
+            ntil = _complement_moments(nhat, block)
+        for i, xi in enumerate(block):
+            one = bernoulli_sum_moments(xi)
+            for got, want in ((nhat, one), (ntil, _complement_moments(one, xi))):
+                assert same_bits([f[i] for f in self.fields(got)], self.fields(want))
+        assert nhat.mean.shape == (len(block),)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_grouped_rows_match_each_group_alone_bitwise(self, seed):
+        widths = [13, 40, 7, 25, 18, 30, 11, 22, 16]
+        block = self.block(seed, widths)
+        nhat = bernoulli_sum_moments(block, widths)
+        ntil = _complement_moments(nhat, block, widths)
+        assert nhat.mean.shape == (len(block), len(widths))
+        ends = np.cumsum(widths)
+        for i, row in enumerate(block):
+            for m, end in enumerate(ends):
+                xi = row[end - widths[m] : end]
+                one = bernoulli_sum_moments(xi)
+                other = _complement_moments(one, xi)
+                for got, want in ((nhat, one), (ntil, other)):
+                    got_m = [f[i, m] for f in self.fields(got)]
+                    assert same_bits(got_m, self.fields(want))
+
+    def test_crt_on_a_2d_array_matches_the_scalar_kernel_bitwise(self):
+        widths = [13, 40, 7, 25]
+        block = self.block(2, widths)
+        rng = np.random.default_rng(3)
+        a_geo = rng.uniform(0.05, 3.0, (len(block), len(widths)))
+        a_geo[:, 2] = 1e-300  # a floored concentration
+        nhat = bernoulli_sum_moments(block, widths)
+        ntil = _complement_moments(nhat, block, widths)
+        for count in (nhat, ntil):
+            got = crt_mean_approx(a_geo, count)
+            assert got.shape == a_geo.shape
+            for i in range(len(block)):
+                for m in range(len(widths)):
+                    one = BernoulliSumMoments(*(f[i, m] for f in self.fields(count)))
+                    want = crt_mean_approx(float(a_geo[i, m]), one)
+                    assert same_bits(got[i, m], want)
+        # the all-zero row and the row of 1e-14 have no mass above the floor,
+        # and the complement of a first group of sure ones has none either
+        assert np.all(nhat.p_plus[3:5] < P_PLUS_FLOOR)
+        assert ntil.p_plus[5, 0] < P_PLUS_FLOOR
+        assert np.all(crt_mean_approx(a_geo, nhat)[3:5] == 0.0)
+        assert crt_mean_approx(a_geo, ntil)[5, 0] == 0.0
 
 
 class TestExpectLogShiftedCount:

@@ -129,6 +129,32 @@ class TestFit:
         assert len(rows) == 1
         assert rows[0][0] == 1
 
+    def test_aborted_restart_names_its_main_sweep(
+        self, monkeypatch, tmp_path, sim1_dataset
+    ):
+        from cvgfa import model
+
+        sweep = cli.engine.sweep
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            # one warm-up sweep, then main sweeps 1 and 2; the third fails
+            if len(calls) == 4:
+                raise cli.engine.NumericalError("planted", context={"group": 0})
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_INIT_RELAX_CAP", 1)
+        monkeypatch.setattr(cli.engine, "sweep", spy)
+        out = tmp_path / "run"
+        assert run_cli(
+            "fit", sim1_dataset, "--k", 5, "--restarts", 1,
+            "--max-sweeps", 5, "--out", out,
+        ) == 4
+        status = json.loads((out / "restart_0" / "status.json").read_text())
+        # the sweep as trace.csv would number it
+        assert status["context"] == {"phase": "main", "sweep": 3, "group": 0}
+
     def test_defaults_recorded_in_metadata(self, tmp_path):
         ds = tmp_path / "ds"
         assert run_cli(

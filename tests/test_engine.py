@@ -692,8 +692,12 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
     xt_tf = [tf[m].T @ data.groups[m] for m in range(M)]
     ft_tf = [tf[m].T @ F for m in range(M)]
 
+    K = int(hyper.K)
     for i, k in enumerate(active):
-        a_k, b_k = engine.update_beta_params(state, hyper, k)
+        # q(beta_k), each table-count sum np.sum of factor k's column alone
+        a_k = hyper.kappa0 / K + float(np.sum(state.aux_s_mean[:, k]))
+        b_k = hyper.kappa0 * (1.0 - 1.0 / K) + float(np.sum(state.aux_t_mean[:, k]))
+        b_k = max(b_k, engine.BETA_B_FLOOR)
         state.beta_a[k] = a_k
         state.beta_b[k] = b_k
         g_beta = geo_expect_beta(a_k, b_k)
@@ -787,7 +791,7 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = engine.update_eta(state, m)
         sq = engine._expected_sq_residual(
-            engine._sq_norms(data.groups[m], F, xc[m], cc[m]),
+            engine._sq_norms(engine._row_norms(data.groups[m]), F, xc[m], cc[m]),
             state.f_mean,
             state.f_var,
             state.rho[m],
@@ -811,39 +815,61 @@ def assert_states_bitwise_equal(a, b):
             assert x.tobytes() == y.tobytes(), f"{name}[{m}]"
 
 
+# nine groups: from eight terms on, numpy's pairwise sum over a factor's
+# groups leaves the sequential order
+NINE_GROUPS = ["s..s..", ".s.s.s", "..s.s.", "...s.s", "s....s",
+               ".s..s.", "..s..s", "s.s...", ".ss..."]
+
+
 class TestSweepMatchesPerColumnLoop:
     # K above sim1's 6 true factors; the sweep steps through every group's
-    # row of a factor at once, so unequal widths get their own cases
+    # row of a factor at once, so unequal widths get their own cases. gap
+    # names a factor pruned by hand before the first sweep, so the active
+    # set is not 0, 1, ..., |A| - 1 and the sweep's batch rows are not the
+    # factors' indices
     @pytest.mark.parametrize(
-        "relax_cap, n, dims, k",
+        "relax_cap, n, dims, k, grid, gap",
         [
-            pytest.param(0, 40, [20] * 4, 10, id="0"),
-            pytest.param(None, 40, [20] * 4, 10, id="None"),
-            pytest.param(0, 60, [13, 40, 7, 25], 12, id="0-unequal"),
-            pytest.param(None, 60, [13, 40, 7, 25], 12, id="None-unequal"),
+            pytest.param(0, 40, [20] * 4, 10, None, None, id="0"),
+            pytest.param(None, 40, [20] * 4, 10, None, None, id="None"),
+            pytest.param(0, 60, [13, 40, 7, 25], 12, None, None, id="0-unequal"),
+            pytest.param(None, 60, [13, 40, 7, 25], 12, None, None, id="None-unequal"),
+            pytest.param(
+                0, 60, [13, 40, 7, 25, 18, 30, 11, 22, 16], 12, NINE_GROUPS, 2,
+                id="0-nine-groups-gap",
+            ),
         ],
     )
-    def test_bitwise_over_sweeps_with_pruning(self, monkeypatch, relax_cap, n, dims, k):
+    def test_bitwise_over_sweeps_with_pruning(
+        self, monkeypatch, relax_cap, n, dims, k, grid, gap
+    ):
         from cvgfa import model
-        from cvgfa.simdata import generate, simulation1_pattern
+        from cvgfa.simdata import _from_grid, generate, simulation1_pattern
 
         if relax_cap is not None:
             # start from the bare spectral warm start, before any pruning
             monkeypatch.setattr(model, "_INIT_RELAX_CAP", relax_cap)
-        data, _ = generate(simulation1_pattern(), n, dims, seed=2)
+        pattern = simulation1_pattern() if grid is None else _from_grid(grid)
+        data, _ = generate(pattern, n, dims, seed=2)
         hyper = Hyperparameters(K=k)
         fast = init_state(data, hyper, seed=0)
+        if gap is not None:
+            for r in fast.rho:
+                r[gap] = 0.0
         slow = fast.copy()
         assert_states_bitwise_equal(fast, slow)
-        active = [len(active_factors(fast, 1e-2))]
+        active = [sorted(active_factors(fast, 1e-2))]
         for _ in range(6):
             engine.sweep(fast, data, hyper)
             per_column_sweep(slow, data, hyper)
             assert_states_bitwise_equal(fast, slow)
-            active.append(len(active_factors(fast, 1e-2)))
-        assert active[-1] < hyper.K
+            active.append(sorted(active_factors(fast, 1e-2)))
+        sizes = [len(a) for a in active]
+        assert sizes[-1] < hyper.K
         if relax_cap is not None:
-            assert active[0] == hyper.K and active[-1] < active[0]
+            assert sizes[0] == hyper.K - (gap is not None) and sizes[-1] < sizes[0]
+        if gap is not None:
+            assert all(gap not in a and a[-1] > gap for a in active)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_logit_raises_with_context(self, bad):
@@ -915,7 +941,9 @@ class TestRhoRow:
             warnings.simplefilter("error", RuntimeWarning)
             widths = np.array([6])
             nhat = bernoulli_sum_moments(rho, widths)
-            got = engine._rho_row(rho, lik, nhat, np.ones(1), np.ones(1), widths, 0)
+            got = engine._rho_row(
+                rho, lik, nhat.mean, nhat.variance, np.ones(1), np.ones(1), widths, 0
+            )
         np.testing.assert_array_equal(got, [1.0, 0.0, 1.0, 0.0, 0.5, 0.5])
 
 
@@ -986,7 +1014,7 @@ class TestLeaveOneFactorOutProducts:
                 x = data.groups[m]
                 c = state.rho[m] * state.w_mean[m]
                 built = engine._sq_norms(
-                    x, state.f_mean, *engine._loading_products(x, c)
+                    engine._row_norms(x), state.f_mean, *engine._loading_products(x, c)
                 )
                 assert norms[m].tobytes() == built.tobytes()
                 assert_allclose(norms[m], (residual[m] ** 2).sum(axis=1), rtol=1e-12)
@@ -1013,13 +1041,15 @@ class TestGeoFloorInSweep:
             return crt_mean_approx(a_geo, count)
 
         monkeypatch.setattr(engine, "crt_mean_approx", spy)
+        assert active_factors(state, 1e-2) == set(range(k))
         engine.sweep(state, data, Hyperparameters(K=k))
-        # per active factor: g_ab, then g_abbar, each with one entry per group
-        assert len(seen) == 2 * k
+        # g_ab, then g_abbar, each with one row per active factor and one
+        # column per group
+        assert len(seen) == 2
         for a_geo in seen:
-            assert a_geo.shape == (len(dims),)
-            assert a_geo[0] == engine.GEO_FLOOR
-            assert a_geo[1] > engine.GEO_FLOOR
+            assert a_geo.shape == (k, len(dims))
+            assert np.all(a_geo[:, 0] == engine.GEO_FLOOR)
+            assert np.all(a_geo[:, 1] > engine.GEO_FLOOR)
         for m in range(len(dims)):
             assert np.all(np.isfinite(state.rho[m]))
             assert np.all((state.rho[m] >= 0.0) & (state.rho[m] <= 1.0))
@@ -1091,6 +1121,24 @@ class TestSweepInvariants:
             engine.sweep(state, data, hyper)
         for m in range(2):
             assert np.max(np.abs(state.w_mean[m])) < 1e-6
+
+    def test_factors_outside_the_active_set_keep_their_collapsed_state(self):
+        n, dims, k = 6, [5, 4], 4
+        rng = np.random.default_rng(51)
+        data = GroupedDataset(
+            [rng.standard_normal((n, d)) for d in dims], ["g0", "g1"]
+        )
+        state = random_state(np.random.default_rng(52), n, dims, k)
+        for r in state.rho:
+            r[1] = 0.0
+        assert active_factors(state, 1e-2) == {0, 2, 3}
+        before = state.copy()
+        engine.sweep(state, data, Hyperparameters(K=k))
+        for name in ("beta_a", "beta_b", "aux_s_mean", "aux_t_mean"):
+            old, new = getattr(before, name), getattr(state, name)
+            assert new[..., 1].tobytes() == old[..., 1].tobytes(), name
+            # while the batch moved every active factor's
+            assert np.all(new[..., [0, 2, 3]] != old[..., [0, 2, 3]]), name
 
     def test_aux_bounded_after_sweep(self):
         data = make_dataset(seed=7, n=6, dims=(5, 3))
@@ -1228,7 +1276,9 @@ class TestSurrogateElbo:
         state = random_state(np.random.default_rng(8), 6, (4, 3), 3)
         hyper = Hyperparameters(K=3)
         norms = [
-            engine._sq_norms(x, state.f_mean, *engine._loading_products(x, r * w))
+            engine._sq_norms(
+                engine._row_norms(x), state.f_mean, *engine._loading_products(x, r * w)
+            )
             for x, r, w in zip(data.groups, state.rho, state.w_mean)
         ]
         assert engine.surrogate_elbo(
@@ -1293,9 +1343,11 @@ class TestFit:
         sweep = engine.sweep
         thresholds = []
 
-        def spy(state, data, hyper, active_threshold=1e-2):
+        def spy(state, data, hyper, active_threshold=1e-2, **private):
             thresholds.append(active_threshold)
-            return sweep(state, data, hyper, active_threshold=active_threshold)
+            return sweep(
+                state, data, hyper, active_threshold=active_threshold, **private
+            )
 
         monkeypatch.setattr(engine, "sweep", spy)
         opts = FitOptions(max_sweeps=1, active_factor_threshold=0.3)
@@ -1303,6 +1355,35 @@ class TestFit:
         # the one main sweep and at least one warm-up sweep in init_state
         assert len(thresholds) > 1
         assert set(thresholds) == {0.3}
+
+    @pytest.mark.parametrize(
+        "fail_at, want",
+        [
+            (2, {"phase": "warmup", "sweep": 2}),
+            # two warm-up sweeps, then main sweep 3 fails
+            (5, {"phase": "main", "sweep": 3}),
+        ],
+    )
+    def test_abort_names_the_phase_and_sweep(self, monkeypatch, fail_at, want):
+        from cvgfa import model
+
+        data = make_dataset(seed=19, n=6, dims=(4, 3))
+        sweep = engine.sweep
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise NumericalError("planted", context={"group": 1})
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_INIT_RELAX_CAP", 2)
+        monkeypatch.setattr(engine, "sweep", spy)
+        with pytest.raises(NumericalError) as info:
+            engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=5))
+        # numbered from 1 within the phase, as trace.csv numbers main sweeps
+        assert info.value.context == dict(want, group=1)
+        assert len(calls) == fail_at
 
     def test_acceptance_fit_raises_no_floating_point_warning(self):
         from cvgfa.simdata import generate, simulation1_pattern

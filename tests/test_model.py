@@ -233,9 +233,10 @@ class TestPrincipalComponents:
 
     @staticmethod
     def assert_same_inclusions(monkeypatch, data, hyper):
-        state = model._spectral_start(data, hyper, seed=0)
+        data_norms = [model._row_norms(x) for x in data.groups]
+        state = model._spectral_start(data, hyper, 0, data_norms)
         monkeypatch.setattr(model, "_principal_components", svd_components)
-        want = model._spectral_start(data, hyper, seed=0)
+        want = model._spectral_start(data, hyper, 0, data_norms)
         for m in range(data.n_groups):
             assert np.array_equal(state.rho[m], want.rho[m])
             assert_allclose(np.abs(state.w_mean[m]), np.abs(want.w_mean[m]), atol=1e-12)
@@ -279,7 +280,9 @@ class TestSqNorms:
 
     @staticmethod
     def sq_norms(x, f, rho, w):
-        return model._sq_norms(x, f, *model._loading_products(x, rho * w))
+        return model._sq_norms(
+            model._row_norms(x), f, *model._loading_products(x, rho * w)
+        )
 
     @staticmethod
     def check(got, want, rtol_rows, rtol_mse):
