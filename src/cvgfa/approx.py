@@ -7,7 +7,7 @@ table counts. Everything here is a pure function.
 
 digamma and trigamma run their recurrence and series in Python floats, one
 argument at a time; an array maps that scalar kernel over its elements
-(np.vectorize). crt_mean_approx likewise maps its scalar kernel over its
+(_elementwise). crt_mean_approx likewise maps its scalar kernel over its
 entries, which calls them on scalars, thousands of times per sweep, where
 building small arrays would cost more than the arithmetic. The kernels
 take numpy's log, not math.log: the two are different implementations
@@ -135,10 +135,14 @@ def _trigamma(y):
     return acc + (inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2))
 
 
-# the kernels, not the public functions, are mapped: those would re-dispatch
-# on the argument's type for every element
-_DIGAMMA_VEC = np.vectorize(_digamma, otypes=[float])
-_TRIGAMMA_VEC = np.vectorize(_trigamma, otypes=[float])
+def _elementwise(kernel, x):
+    """kernel of every element of x, a float64 array of x's shape.
+
+    A list comprehension over the Python floats: on the few values the
+    sweep passes, np.vectorize's fixed cost is about twice its time.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([kernel(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def digamma(x):
@@ -160,7 +164,9 @@ def digamma(x):
     """
     if _is_scalar(x):
         return _digamma(float(x))
-    return _DIGAMMA_VEC(np.asarray(x, dtype=float))
+    # the kernel, not this function, is mapped: this one would re-dispatch
+    # on the argument's type for every element
+    return _elementwise(_digamma, x)
 
 
 def trigamma(x):
@@ -171,7 +177,7 @@ def trigamma(x):
     """
     if _is_scalar(x):
         return _trigamma(float(x))
-    return _TRIGAMMA_VEC(np.asarray(x, dtype=float))
+    return _elementwise(_trigamma, x)
 
 
 def geo_expect_gamma(shape, rate):

@@ -36,6 +36,7 @@ import numpy as np
 
 from .approx import (
     _complement_moments,
+    _elementwise,
     bernoulli_sum_moments,
     crt_mean_approx,
     digamma,
@@ -52,6 +53,7 @@ from .model import (
     VariationalState,
     _expected_sq_residual,
     _loading_products,
+    _loading_sums,
     _norms_mse,
     _row_norms,
     _sq_norms,
@@ -81,7 +83,10 @@ GEO_FLOOR = 1e-300
 
 COLLAPSED_Z_METHOD = "log-gamma ratios at geometric means and expected counts"
 
-_LGAMMA_VEC = np.vectorize(math.lgamma, otypes=[float])
+
+def _lgamma(x):
+    """math.lgamma of every element of x, as an array of its shape."""
+    return _elementwise(math.lgamma, x)
 
 
 @dataclass
@@ -192,17 +197,18 @@ def _loo_dotx(xt_tf, loads, g, k):
     return xt_tf - loads.T @ g
 
 
-def _score_block(state, tau_bar, products, active):
+def _score_block(state, tau_bar, products, second, active):
     """Update the scores of the active factors, one column after another.
 
     products[m] holds group m's _loading_products (X_m C_m^T, C_m C_m^T),
-    C_m = rho[m] * w_mean[m], at the state's loadings, which the block does
+    C_m = rho[m] * w_mean[m], and second[m] its sums sum_d rho E[w^2]
+    (model._loading_sums), at the state's loadings, which the block does
     not move; tau_bar[m] holds E[tau] of group m's samples. Column k's
     moment is sum_m tau_bar_m (R_m c_k + f_k (c_k . c_k)), taken as
     sum_m tau_bar_m (X_m C_m^T[:, k] - F h_m) with h_m column k of
     C_m C_m^T, entry k zeroed, and F the scores as the earlier columns of
     the block have left them. Its precision, 1 + sum_m tau_bar_m
-    sum_d rho E[w^2], reads no score, so every column's is taken at once.
+    second[m], reads no score, so every column's is taken at once.
     Each column's update maximises the objective given everything else,
     and the samples are independent given the loadings.
     """
@@ -213,8 +219,7 @@ def _score_block(state, tau_bar, products, active):
     for m, (xc, _) in enumerate(products):
         tb = tau_bar[m][:, None]
         txc += tb * xc
-        w = state.w_mean[m]
-        precision += tb * (state.rho[m] * (w * w + state.w_var[m])).sum(axis=1)
+        precision += tb * second[m]
     # h[k] is M x K: row m is column k of C_m C_m^T with entry k zeroed
     h = np.stack([cc.T for _, cc in products], axis=1)
     diag = np.arange(h.shape[0])
@@ -245,20 +250,22 @@ def sweep(state, data, hyper, active_threshold=1e-2, *, _data_norms=None):
     over the |A| x D_m block rho[m][A] (bernoulli_sum_moments and
     _complement_moments, one reduction per group), and the table counts of
     every (factor, group) row from one crt_mean_approx call for E[s] and
-    one for E[t]. Factor k's batch values read only its own rows, q(beta_k)
-    and alpha, which no other factor's step moves, so each equals the value
-    a step of k alone would compute after the factors before it, bit for
-    bit: every sum runs over one row (or the groups of one factor) in
-    numpy's pairwise order, as np.sum of it alone would.
+    one for E[t]; the block is rows A of rho.stacked. Factor k's batch
+    values read only its own rows, q(beta_k) and alpha, which no other
+    factor's step moves, so each equals the value a step of k alone would
+    compute after the factors before it, bit for bit: every sum runs over
+    one row (or the groups of one factor) in numpy's pairwise order, as
+    np.sum of it alone would.
 
-    A factor's step in the loop moves all its rows at once: they are laid
-    side by side in one stacked row of sum_m D_m columns (gathered once per
-    array and written back once), and the group widths mark the
-    boundaries. Given (a_k, b_k) the rows read disjoint state, so this
-    regroups the same update. The per-group scalars (the concentrations,
-    sff, the count moments) are broadcast over their group's columns, and
-    dotx stays a per-group product, so every value equals the one a
-    per-group loop would compute, bit for bit.
+    A factor's step in the loop moves all its rows at once: they lie side
+    by side in row k of the state's stacked arrays (model.GroupBlocks), of
+    sum_m D_m columns, which the step reads and writes back as one row
+    each, and the group widths mark the boundaries. Given (a_k, b_k) the
+    rows read disjoint state, so this regroups the same update. The
+    per-group scalars (the concentrations, sff, the count moments) are
+    broadcast over their group's columns, and dotx stays a per-group
+    product, so every value equals the one a per-group loop would compute,
+    bit for bit.
 
     The rows' rho moves in one step (_rho_row): column d reads its row's
     pre-update count moments minus its own term. The paper updates the
@@ -274,19 +281,21 @@ def sweep(state, data, hyper, active_threshold=1e-2, *, _data_norms=None):
     factors A at once: each group's sff, and one (tau_bar_m F_A)^T F and
     one (tau_bar_m F_A)^T X_m product per group, from which _loo_dotx
     leaves factor k out through the K x D expected loadings
-    C_m = rho[m] * w_mean[m] (row k rewritten after each row update).
-    After the loading block C_m is final for the pass: one X_m C_m^T and
-    one C_m C_m^T per group (model._loading_products) serve the score block
-    and then the residual's per-sample squared norms (model._sq_norms),
-    which the noise precisions read and which are returned, one vector per
-    group, for the caller's training error and objective. So per pass and
+    C_m = rho[m] * w_mean[m], group m's columns of one K x sum_m D_m
+    product (row k rewritten after each row update). After the loading
+    block C_m is final for the pass: one X_m C_m^T and one C_m C_m^T per
+    group (model._loading_products) serve the score block and then the
+    residual's per-sample squared norms (model._sq_norms), which the noise
+    precisions read and which are returned, one vector per group, for the
+    caller's training error and objective. Each group's loading sums
+    (model._loading_sums) are taken once, one group at a time, for both
+    the score block's precision and the noise precisions. So per pass and
     group the data is read by (tau_bar_m F_A)^T X_m and X_m C_m^T only; its
     row norms (model._row_norms) are taken once per fit by the caller and
     passed as _data_norms, or here when it is omitted. The moments of a
     row's count of zeros derive from those of its count of ones
     (_complement_moments).
     """
-    M = state.n_groups
     lam_shape = hyper.lambda_shape
     f_mean = state.f_mean
     dims = state.dims
@@ -296,6 +305,10 @@ def sweep(state, data, hyper, active_threshold=1e-2, *, _data_norms=None):
     spans = [slice(end - d_m, end) for end, d_m in zip(ends, dims)]
     tau_bar = [hyper.tau_shape(d_m) / state.tau_rate[m] for m, d_m in enumerate(dims)]
     active = sorted(active_factors(state, active_threshold))
+    rho_all = state.rho.stacked
+    w_all = state.w_mean.stacked
+    w_var_all = state.w_var.stacked
+    lam_all = state.lambda_rate.stacked
 
     # the batch: every active factor's q(beta), count moments and table
     # counts, taken before the loadings and products below so that its
@@ -307,7 +320,7 @@ def sweep(state, data, hyper, active_threshold=1e-2, *, _data_norms=None):
     g_alpha = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
     g_ab = np.maximum(geo_expect_beta(beta_a, beta_b)[:, None] * g_alpha, GEO_FLOOR)
     g_abbar = np.maximum(geo_expect_beta(beta_b, beta_a)[:, None] * g_alpha, GEO_FLOOR)
-    block = np.concatenate([r[idx] for r in state.rho], axis=1)
+    block = rho_all[idx]
     nhat = bernoulli_sum_moments(block, widths)
     ntil = _complement_moments(nhat, block, widths)
     del block
@@ -318,68 +331,70 @@ def sweep(state, data, hyper, active_threshold=1e-2, *, _data_norms=None):
         np.maximum(crt_mean_approx(g_abbar, ntil), 0.0), widths
     ).T
 
-    loads = [state.rho[m] * state.w_mean[m] for m in range(M)]
+    loads = rho_all * w_all
     f2 = f_mean * f_mean + state.f_var
     sff_all = np.array([tb @ f2 for tb in tau_bar])
     tf = [tb[:, None] * f_mean[:, active] for tb in tau_bar]
     xt_tf = [t.T @ x for t, x in zip(tf, data.groups)]
     ft_tf = [t.T @ f_mean for t in tf]
     del f2, tf
+    dotx = np.empty(loads.shape[1])
 
     for i, k in enumerate(active):
-        rho = np.concatenate([r[k] for r in state.rho])
         sff = np.repeat(sff_all[:, k], widths)
         # sum_n tau f x~(no k): constant through the row update since only
         # factor k's own parameters change inside it
-        dotx = np.concatenate(
-            [_loo_dotx(xt_tf[m][i], loads[m], ft_tf[m][i], k) for m in range(M)]
-        )
-        w = np.concatenate([x[k] for x in state.w_mean])
-        ew2 = np.concatenate([x[k] for x in state.w_var])
-        ew2 += w * w
+        for m, cols in enumerate(spans):
+            dotx[cols] = _loo_dotx(xt_tf[m][i], loads[:, cols], ft_tf[m][i], k)
+        w = w_all[k]
+        ew2 = w * w
+        ew2 += w_var_all[k]
         lik = 0.5 * (ew2 * sff - 2.0 * w * dotx)
         # row-sized arrays are dropped as soon as they are spent, which keeps
         # the sweep's peak memory below one group's data at wide sizes
-        del w, ew2
+        del ew2
         rho = _rho_row(
-            rho, lik, nhat.mean[i], nhat.variance[i], g_ab[i], g_abbar[i], widths, k
+            rho_all[k],
+            lik,
+            nhat.mean[i],
+            nhat.variance[i],
+            g_ab[i],
+            g_abbar[i],
+            widths,
+            k,
         )
         del lik
 
-        lam_rate = np.concatenate([x[k] for x in state.lambda_rate])
-        w_var = 1.0 / (lam_shape / lam_rate + rho * sff)
-        del lam_rate, sff
+        w_var = 1.0 / (lam_shape / lam_all[k] + rho * sff)
+        del sff
         w = w_var * rho * dotx
-        del dotx
-        lam_rate = hyper.f0 + 0.5 * (w * w + w_var)
-        load = rho * w
-        for m, cols in enumerate(spans):
-            state.rho[m][k] = rho[cols]
-            state.w_mean[m][k] = w[cols]
-            state.w_var[m][k] = w_var[cols]
-            state.lambda_rate[m][k] = lam_rate[cols]
-            loads[m][k] = load[cols]
+        rho_all[k] = rho
+        w_all[k] = w
+        w_var_all[k] = w_var
+        lam_all[k] = hyper.f0 + 0.5 * (w * w + w_var)
+        loads[k] = rho * w
+        del rho, w, w_var
 
-    products = [_loading_products(x, c) for x, c in zip(data.groups, loads)]
-    _score_block(state, tau_bar, products, active)
+    # each group's products and loading sums at the final loadings of the
+    # pass, for the score block and the noise precisions
+    products = []
+    sums = []
+    for m, (x, cols) in enumerate(zip(data.groups, spans)):
+        coef = loads[:, cols]
+        products.append(_loading_products(x, coef))
+        sums.append(_loading_sums(state.rho[m], state.w_mean[m], state.w_var[m], coef))
+    _score_block(state, tau_bar, products, [s for s, _ in sums], active)
     if _data_norms is None:
         _data_norms = [_row_norms(x) for x in data.groups]
     norms = [
         _sq_norms(xx, f_mean, xc, cc) for xx, (xc, cc) in zip(_data_norms, products)
     ]
-    for m in range(M):
+    for m in range(state.n_groups):
         shape, rate = update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = update_eta(state, m)
-        sq = _expected_sq_residual(
-            norms[m],
-            f_mean,
-            state.f_var,
-            state.rho[m],
-            state.w_mean[m],
-            state.w_var[m],
-        )
+        sq = _expected_sq_residual(norms[m], f_mean, state.f_var, *sums[m])
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
 
     _check_state_finite(state)
@@ -394,10 +409,10 @@ def _check_state_finite(state):
         ("beta_b", state.beta_b),
         ("alpha_shape", state.alpha_shape),
         ("alpha_rate", state.alpha_rate),
+        ("w_mean", state.w_mean.stacked),
+        ("w_var", state.w_var.stacked),
     ]
     for m in range(state.n_groups):
-        checks.append((f"w_mean[{m}]", state.w_mean[m]))
-        checks.append((f"w_var[{m}]", state.w_var[m]))
         checks.append((f"tau_rate[{m}]", state.tau_rate[m]))
     for name, arr in checks:
         if not np.all(np.isfinite(arr)):
@@ -419,7 +434,7 @@ def _gamma_prior_gap(a0, b0, shape, rate):
     term = (
         a0 * math.log(b0)
         - math.lgamma(a0)
-        - (shape * np.log(rate) - _LGAMMA_VEC(shape))
+        - (shape * np.log(rate) - _lgamma(shape))
         + (a0 - shape) * e_log
         - (b0 - rate) * e_x
     )
@@ -454,26 +469,22 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         tau_shape = hyper.tau_shape(d_m)
         tb = tau_shape / state.tau_rate[m]
         e_log_tau = digamma(tau_shape) - np.log(state.tau_rate[m])
-        sq = _expected_sq_residual(
-            norms[m],
-            state.f_mean,
-            state.f_var,
-            state.rho[m],
-            state.w_mean[m],
-            state.w_var[m],
-        )
+        # contiguous copies of the group's blocks: numpy's elementwise
+        # steps on a column block of a stacked array take about twice as long
+        blocks = (state.rho, state.w_mean, state.w_var, state.lambda_rate)
+        rho, w_mean, w_var, lam_rate = (a[m].copy() for a in blocks)
+        sums = _loading_sums(rho, w_mean, w_var, rho * w_mean)
+        sq = _expected_sq_residual(norms[m], state.f_mean, state.f_var, *sums)
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
 
         # loadings against their elementwise gamma-precision prior
-        e_log_lam = digamma(lam_shape) - np.log(state.lambda_rate[m])
-        lam_bar = lam_shape / state.lambda_rate[m]
-        ew2 = state.w_mean[m] ** 2 + state.w_var[m]
-        total += float(
-            0.5 * np.sum(e_log_lam - lam_bar * ew2 + np.log(state.w_var[m]) + 1.0)
-        )
-        total += _gamma_prior_gap(hyper.e0, hyper.f0, lam_shape, state.lambda_rate[m])
+        e_log_lam = digamma(lam_shape) - np.log(lam_rate)
+        lam_bar = lam_shape / lam_rate
+        ew2 = w_mean**2 + w_var
+        total += float(0.5 * np.sum(e_log_lam - lam_bar * ew2 + np.log(w_var) + 1.0))
+        total += _gamma_prior_gap(hyper.e0, hyper.f0, lam_shape, lam_rate)
         total += _gamma_prior_gap(hyper.g0, hyper.h0, tau_shape, state.tau_rate[m])
-        total += _bernoulli_entropy(state.rho[m])
+        total += _bernoulli_entropy(rho)
 
     # factor scores against the standard normal prior
     if state.f_mean.size:
@@ -490,9 +501,11 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         b0 = max(hyper.kappa0 * (K - 1) / K, BETA_B_FLOOR)
         a = state.beta_a
         b = state.beta_b
-        e_log_beta = digamma(a) - digamma(a + b)
-        e_log_bbar = digamma(b) - digamma(a + b)
-        log_b_q = _LGAMMA_VEC(a) + _LGAMMA_VEC(b) - _LGAMMA_VEC(a + b)
+        ab = a + b
+        psi_ab = digamma(ab)
+        e_log_beta = digamma(a) - psi_ab
+        e_log_bbar = digamma(b) - psi_ab
+        log_b_q = _lgamma(a) + _lgamma(b) - _lgamma(ab)
         log_b_0 = math.lgamma(a0) + math.lgamma(b0) - math.lgamma(a0 + b0)
         total += float(
             np.sum(
@@ -500,23 +513,23 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
             )
         )
 
-    # collapsed prior on Z at plug-in concentrations and expected counts
-    g_beta = geo_expect_beta(state.beta_a, state.beta_b)
-    g_beta_bar = geo_expect_beta(state.beta_b, state.beta_a)
-    for m in range(M):
-        if K == 0:
-            break
-        d_m = state.dims[m]
-        g_alpha = geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m])
-        g_ab = np.maximum(g_alpha * g_beta, GEO_FLOOR)
-        g_abbar = np.maximum(g_alpha * g_beta_bar, GEO_FLOOR)
-        nhat = state.rho[m].sum(axis=1)
-        ntil = (1.0 - state.rho[m]).sum(axis=1)
-        total += float(
-            K * (math.lgamma(g_alpha) - math.lgamma(g_alpha + d_m))
-            + np.sum(_LGAMMA_VEC(g_ab + nhat) - _LGAMMA_VEC(g_ab))
-            + np.sum(_LGAMMA_VEC(g_abbar + ntil) - _LGAMMA_VEC(g_abbar))
-        )
+        # collapsed prior on Z at plug-in concentrations and expected counts;
+        # the geometric means of beta and 1 - beta are exp(E[log]), which is
+        # what geo_expect_beta computes
+        g_beta = np.exp(e_log_beta)
+        g_beta_bar = np.exp(e_log_bbar)
+        for m in range(M):
+            d_m = state.dims[m]
+            g_alpha = geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m])
+            g_ab = np.maximum(g_alpha * g_beta, GEO_FLOOR)
+            g_abbar = np.maximum(g_alpha * g_beta_bar, GEO_FLOOR)
+            nhat = state.rho[m].sum(axis=1)
+            ntil = (1.0 - state.rho[m]).sum(axis=1)
+            total += float(
+                K * (math.lgamma(g_alpha) - math.lgamma(g_alpha + d_m))
+                + np.sum(_lgamma(g_ab + nhat) - _lgamma(g_ab))
+                + np.sum(_lgamma(g_abbar + ntil) - _lgamma(g_abbar))
+            )
     return total
 
 

@@ -32,7 +32,13 @@ import os
 import numpy as np
 
 from .errors import DataError, UsageError
-from .model import GroupedDataset, Hyperparameters, VariationalState
+from .model import (
+    GROUP_BLOCK_FIELDS,
+    GroupBlocks,
+    GroupedDataset,
+    Hyperparameters,
+    VariationalState,
+)
 from .simdata import SparsityPattern
 
 DATASET_FORMAT = "cvgfa-dataset"
@@ -265,6 +271,11 @@ def _encode_array(a) -> str:
 
 def _decode_array(obj) -> np.ndarray:
     """A writable C-contiguous float64 array from one encoded state array."""
+    return _decode_view(obj).astype(np.float64)
+
+
+def _decode_view(obj) -> np.ndarray:
+    """One encoded state array as a read-only view of its decoded bytes."""
     if not isinstance(obj, dict) or obj.keys() != {"shape", "f8"}:
         raise ValueError("an array is not an object with keys shape and f8")
     shape, text = obj["shape"], obj["f8"]
@@ -277,21 +288,27 @@ def _decode_array(obj) -> np.ndarray:
     raw = base64.b64decode(text, validate=True)
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"{len(raw)} bytes do not fill an array of shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def _list_array(obj) -> np.ndarray:
     return np.array(obj, dtype=float)
 
 
-def _state_from_json(obj, decode) -> VariationalState:
+def _state_from_json(obj, decode, decode_block) -> VariationalState:
+    """The state from its JSON object. decode gives a writable array, and
+    decode_block may give a read-only one: GroupBlocks.from_groups copies
+    those into the stacked layout, one field at a time."""
+    fields = {}
     try:
-        fields = {
-            name: (
-                [decode(a) for a in obj[name]] if per_group else decode(obj[name])
-            )
-            for name, per_group in STATE_FIELDS
-        }
+        for name, per_group in STATE_FIELDS:
+            if not per_group:
+                fields[name] = decode(obj[name])
+            elif name in GROUP_BLOCK_FIELDS:
+                blocks = [decode_block(a) for a in obj[name]]
+                fields[name] = GroupBlocks.from_groups(blocks, name)
+            else:
+                fields[name] = [decode(a) for a in obj[name]]
     except (KeyError, TypeError, ValueError) as err:
         # binascii.Error, raised for bad base64, is a ValueError
         raise DataError(f"malformed checkpoint state: {err}") from None
@@ -376,8 +393,13 @@ def read_checkpoint(path):
     block = obj.get("state")
     if not isinstance(block, dict):
         raise DataError(f"{path}: missing state block")
-    decode = _list_array if obj["version"] == 1 else _decode_array
-    state = _state_from_json(block, decode)
+    # the stacked fields' blocks and the stored shapes are only copied or
+    # compared, so a read-only view of the decoded bytes serves them
+    if obj["version"] == 1:
+        decode = view = _list_array
+    else:
+        decode, view = _decode_array, _decode_view
+    state = _state_from_json(block, decode, view)
     state.validate()
     if type(hyper.K) is not int or hyper.K != state.n_factors:
         raise DataError(
@@ -385,7 +407,7 @@ def read_checkpoint(path):
             f"{state.n_factors} factors"
         )
     if obj["version"] < CHECKPOINT_VERSION:
-        _check_stored_shapes(path, block, decode, state, hyper)
+        _check_stored_shapes(path, block, view, state, hyper)
     info = {
         "fit": obj.get("fit") or {},
         "group_names": obj.get("group_names"),

@@ -19,6 +19,7 @@ __all__ = [
     "GroupedDataset",
     "Hyperparameters",
     "FitOptions",
+    "GroupBlocks",
     "VariationalState",
     "init_state",
     "active_factors",
@@ -127,16 +128,92 @@ class FitOptions:
         return self
 
 
+class GroupBlocks:
+    """One K x sum(D_m) array, the groups' columns side by side in order.
+
+    blocks[m] is group m's K x D_m block, a view of the one array, so
+    writes through it reach the whole; blocks.stacked is the whole, whose
+    row k holds factor k of every group. A group cannot be rebound (no item
+    assignment): a new array put in its place would leave the whole behind.
+    copy() and pickling rebuild the views over one new array; pickle keeps
+    no views, so a state that crosses a process pool would otherwise come
+    back as unrelated arrays.
+    """
+
+    __slots__ = ("_stacked", "_views")
+
+    def __init__(self, stacked, dims):
+        self._stacked = stacked
+        ends = np.cumsum(dims, dtype=int).tolist()
+        self._views = tuple(
+            stacked[:, end - int(d) : end] for end, d in zip(ends, dims)
+        )
+
+    @classmethod
+    def from_groups(cls, arrays, name):
+        """Copies per-group K x D_m arrays into one stacked array.
+
+        Raises DataError, naming the field name, when the arrays are not
+        matrices with one common row count.
+        """
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        if any(a.ndim != 2 for a in arrays):
+            raise DataError(f"every {name}[m] must be a K x D_m matrix")
+        k = arrays[0].shape[0] if arrays else 0
+        for m, a in enumerate(arrays):
+            if a.shape[0] != k:
+                raise DataError(
+                    f"{name}[{m}] has shape {a.shape}, want {k} rows as {name}[0]"
+                )
+        dims = [a.shape[1] for a in arrays]
+        stacked = np.empty((k, sum(dims)))
+        blocks = cls(stacked, dims)
+        for view, a in zip(blocks, arrays):
+            view[...] = a
+        return blocks
+
+    @property
+    def stacked(self):
+        return self._stacked
+
+    @property
+    def dims(self):
+        return [v.shape[1] for v in self._views]
+
+    def copy(self):
+        return GroupBlocks(self._stacked.copy(), self.dims)
+
+    def __reduce__(self):
+        return GroupBlocks, (self._stacked, self.dims)
+
+    def __getitem__(self, m):
+        return self._views[m]
+
+    def __len__(self):
+        return len(self._views)
+
+    def __iter__(self):
+        return iter(self._views)
+
+
+# the VariationalState fields held as GroupBlocks
+GROUP_BLOCK_FIELDS = ("rho", "w_mean", "w_var", "lambda_rate")
+
+
 @dataclass
 class VariationalState:
     """Every variational parameter of the mean-field posterior.
 
-    Group-indexed lists hold one array per group m:
+    Group-indexed fields hold one array per group m:
       rho[m]          K x D_m   inclusion probabilities q(z = 1)
       w_mean[m]       K x D_m   loading means
       w_var[m]        K x D_m   loading variances
       lambda_rate[m]  K x D_m   q(lambda) gamma rates
       tau_rate[m]     N         q(tau) gamma rates, one per sample
+    rho, w_mean, w_var and lambda_rate are GroupBlocks: each keeps all its
+    groups in one K x sum(D_m) array (.stacked), and [m] is group m's view
+    of it. Given per-group arrays instead, the constructor copies them into
+    that layout. tau_rate is a list.
     Shared arrays:
       f_mean, f_var   N x K     factor score means / variances
       beta_a, beta_b  K         q(beta) parameters
@@ -148,20 +225,26 @@ class VariationalState:
     Hyperparameters.lambda_shape and .tau_shape(D_m).
     """
 
-    rho: list
-    w_mean: list
-    w_var: list
+    rho: GroupBlocks
+    w_mean: GroupBlocks
+    w_var: GroupBlocks
     f_mean: np.ndarray
     f_var: np.ndarray
     beta_a: np.ndarray
     beta_b: np.ndarray
-    lambda_rate: list
+    lambda_rate: GroupBlocks
     tau_rate: list
     alpha_shape: np.ndarray
     alpha_rate: np.ndarray
     aux_s_mean: np.ndarray
     aux_t_mean: np.ndarray
     eta_log_mean: np.ndarray
+
+    def __post_init__(self):
+        for name in GROUP_BLOCK_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, GroupBlocks):
+                setattr(self, name, GroupBlocks.from_groups(value, name))
 
     @property
     def n_groups(self) -> int:
@@ -181,14 +264,14 @@ class VariationalState:
 
     def copy(self):
         return VariationalState(
-            rho=[a.copy() for a in self.rho],
-            w_mean=[a.copy() for a in self.w_mean],
-            w_var=[a.copy() for a in self.w_var],
+            rho=self.rho.copy(),
+            w_mean=self.w_mean.copy(),
+            w_var=self.w_var.copy(),
             f_mean=self.f_mean.copy(),
             f_var=self.f_var.copy(),
             beta_a=self.beta_a.copy(),
             beta_b=self.beta_b.copy(),
-            lambda_rate=[a.copy() for a in self.lambda_rate],
+            lambda_rate=self.lambda_rate.copy(),
             tau_rate=[a.copy() for a in self.tau_rate],
             alpha_shape=self.alpha_shape.copy(),
             alpha_rate=self.alpha_rate.copy(),
@@ -202,8 +285,6 @@ class VariationalState:
         # is checked against an exact shape below
         if self.beta_a.ndim != 1 or self.f_mean.ndim != 2:
             raise DataError("beta_a must be a vector and f_mean a matrix")
-        if any(r.ndim != 2 for r in self.rho):
-            raise DataError("every rho[m] must be a K x D_m matrix")
         M = self.n_groups
         K = self.n_factors
         N = self.n_samples
@@ -218,7 +299,7 @@ class VariationalState:
                 raise DataError(f"{name} must have one array per group")
         for m in range(M):
             d_m = self.rho[m].shape[1]
-            for name in ("rho", "w_mean", "w_var", "lambda_rate"):
+            for name in GROUP_BLOCK_FIELDS:
                 arr = getattr(self, name)[m]
                 if arr.shape != (K, d_m):
                     raise DataError(f"{name}[{m}] has shape {arr.shape}, want {(K, d_m)}")
@@ -387,8 +468,14 @@ def _principal_components(groups, k):
     # rank-deficient data slightly negative
     sv = np.sqrt(np.maximum(evals[::-1][:n_sv], 0.0))
     u = np.ascontiguousarray(evecs[:, ::-1][:, : min(k, n_sv)])
+    del evecs
     root_n = np.sqrt(n)
-    loads = np.hstack([u.T @ x for x in groups]) / root_n
+    loads = np.empty((u.shape[1], sum(x.shape[1] for x in groups)))
+    end = 0
+    for x in groups:
+        end += x.shape[1]
+        np.matmul(u.T, x, out=loads[:, end - x.shape[1] : end])
+    loads /= root_n
     return sv, root_n * u, loads
 
 
@@ -425,26 +512,32 @@ def _spectral_start(
     f_mean[:, :k_use] += scores
     f_var = np.full((N, K), _INIT_F_VAR)
 
-    rho, w_mean, w_var = [], [], []
-    lambda_rate, tau_rate = [], []
-    offsets = np.cumsum([0] + data.dims)
-    for m in range(M):
-        d_m = data.dims[m]
-        wm = np.zeros((K, d_m))
-        wm[:k_use] = loads[:, offsets[m] : offsets[m + 1]]
-        keep = np.abs(wm) >= _INIT_LOADING_CUT
-        wm = np.where(keep, wm, 0.0)
-        rm = np.where(keep, _INIT_RHO_IN, _INIT_RHO_OUT)
-        vm = np.full((K, d_m), _INIT_W_VAR)
-        rho.append(rm)
-        w_mean.append(wm)
-        w_var.append(vm)
+    # every K x sum(D_m) array is built in the stacked layout, in place
+    dims = data.dims
+    w_mean = np.zeros((K, sum(dims)))
+    w_mean[:k_use] = loads
+    del loads
+    keep = np.abs(w_mean) >= _INIT_LOADING_CUT
+    w_mean[~keep] = 0.0
+    rho = np.where(keep, _INIT_RHO_IN, _INIT_RHO_OUT)
+    del keep
+    w_var = np.full(w_mean.shape, _INIT_W_VAR)
+    # f0 + (w^2 + var) / 2, one operation at a time, without temporaries
+    lambda_rate = w_mean * w_mean
+    lambda_rate += w_var
+    lambda_rate *= 0.5
+    lambda_rate += hyper.f0
+    rho, w_mean, w_var, lambda_rate = (
+        GroupBlocks(a, dims) for a in (rho, w_mean, w_var, lambda_rate)
+    )
 
-        lambda_rate.append(hyper.f0 + 0.5 * (wm * wm + vm))
-        norms = _sq_norms(
-            data_norms[m], f_mean, *_loading_products(data.groups[m], rm * wm)
+    tau_rate = []
+    for x, x_norms, rm, wm, vm in zip(data.groups, data_norms, rho, w_mean, w_var):
+        coef = rm * wm
+        norms = _sq_norms(x_norms, f_mean, *_loading_products(x, coef))
+        sq = _expected_sq_residual(
+            norms, f_mean, f_var, *_loading_sums(rm, wm, vm, coef)
         )
-        sq = _expected_sq_residual(norms, f_mean, f_var, rm, wm, vm)
         tau_rate.append(hyper.h0 + 0.5 * sq)
 
     alpha_mean0 = hyper.c0 / hyper.d0
@@ -522,18 +615,27 @@ def _sq_norms(x_norms, f_mean, xc, cc):
     return np.maximum(r, 0.0, out=r)
 
 
-def _expected_sq_residual(norms, f_mean, f_var, rho, w_mean, w_var):
+def _loading_sums(rho, w_mean, w_var, coef):
+    """sum_d rho E[w^2] and sum_d (rho mu_w)^2 of every factor of one group.
+
+    coef is the group's expected loadings rho * mu_w. The first sums are
+    the loadings' share of the factor scores' precision (the sweep's score
+    block) and both enter _expected_sq_residual.
+    """
+    second = (rho * (w_mean * w_mean + w_var)).sum(axis=1)
+    return second, (coef * coef).sum(axis=1)
+
+
+def _expected_sq_residual(norms, f_mean, f_var, second, square):
     """E[||x_n - G f_n||^2] of one group, for every sample n, as a vector.
 
     norms are the residual's squared rows at the expected loadings and
-    scores (_sq_norms). The expectation adds to them the posterior-variance
-    corrections sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2).
+    scores (_sq_norms), second and square the group's _loading_sums. The
+    expectation adds to the norms the posterior-variance corrections
+    sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2).
     """
-    coef = rho * w_mean
-    svec = (rho * (w_mean * w_mean + w_var)).sum(axis=1)
-    tvec = (coef * coef).sum(axis=1)
     ef2 = f_mean * f_mean + f_var
-    return norms + ef2 @ svec - (f_mean * f_mean) @ tvec
+    return norms + ef2 @ second - (f_mean * f_mean) @ square
 
 
 def _norms_mse(norms, dims):

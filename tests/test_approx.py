@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
+from cvgfa import engine
 from cvgfa.approx import (
     _SERIES_START,
     P_PLUS_FLOOR,
@@ -172,6 +173,22 @@ class TestScalarRoute:
             assert same_bits(got, whole[i]), x
             # every scalar once took the array route as a length-1 array
             assert same_bits(got, fn(np.array([x]))[0]), x
+
+    def test_lgamma_array_route_matches_math_lgamma(self):
+        # engine maps math.lgamma over the arrays of its objective
+        grid = scalar_grid()
+        assert same_bits(engine._lgamma(grid), [math.lgamma(x) for x in grid.tolist()])
+        block = grid[:12].reshape(3, 4)
+        assert same_bits(engine._lgamma(block), engine._lgamma(grid[:12]).reshape(3, 4))
+        assert same_bits(engine._lgamma(2.5), math.lgamma(2.5))
+        assert engine._lgamma(np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("fn", [digamma, trigamma])
+    def test_array_shapes_are_kept(self, fn):
+        grid = scalar_grid(n_random=10)
+        whole = fn(grid)
+        assert same_bits(fn(grid[:12].reshape(2, 3, 2)), whole[:12].reshape(2, 3, 2))
+        assert fn(np.zeros((0, 2))).shape == (0, 2)
 
     @pytest.mark.parametrize("fn", [digamma, trigamma])
     def test_other_scalars_match_array_route(self, fn):

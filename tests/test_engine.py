@@ -32,6 +32,7 @@ from cvgfa.model import (
     active_factors,
     init_state,
 )
+from test_model import assert_stacked_layout
 
 
 def make_dataset(seed=0, n=6, dims=(4, 3)):
@@ -790,13 +791,12 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
         state.eta_log_mean[m] = engine.update_eta(state, m)
+        rho, w, w_var = state.rho[m], state.w_mean[m], state.w_var[m]
         sq = engine._expected_sq_residual(
             engine._sq_norms(engine._row_norms(data.groups[m]), F, xc[m], cc[m]),
             state.f_mean,
             state.f_var,
-            state.rho[m],
-            state.w_mean[m],
-            state.w_var[m],
+            *engine._loading_sums(rho, w, w_var, rho * w),
         )
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
     return state
@@ -990,6 +990,10 @@ class TestLeaveOneFactorOutProducts:
                 got = engine._loo_dotx(xt_tf[j], loads[m], ft_tf[j], j)
                 self.assert_close(got, want)
         products = [engine._loading_products(x, c) for x, c in zip(data.groups, loads)]
+        second = [
+            engine._loading_sums(r, w, v, c)[0]
+            for r, w, v, c in zip(state.rho, state.w_mean, state.w_var, loads)
+        ]
         for j in range(k):
             want = sum(
                 tb * (R @ c[j] + F[:, j] * float(c[j] @ c[j]))
@@ -997,7 +1001,7 @@ class TestLeaveOneFactorOutProducts:
             )
             # the block's new score is its moment times the new variance
             moved = state.copy()
-            engine._score_block(moved, tau_bar, products, [j])
+            engine._score_block(moved, tau_bar, products, second, [j])
             self.assert_close(moved.f_mean[:, j] / moved.f_var[:, j], want)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1169,7 +1173,7 @@ class TestSweepMemory:
         finally:
             tracemalloc.stop()
         # the N x K and K x D temporaries and those of the stacked row of a
-        # factor (sum_m D_m columns) take 0.90 of one group's bytes here;
+        # factor (sum_m D_m columns) take 0.77 of one group's bytes here;
         # one N x D residual or reconstruction alone would take 1
         assert peak < data.groups[0].nbytes
 
@@ -1195,25 +1199,30 @@ class TestScoreBlock:
             engine._loading_products(x, r * w)
             for x, r, w in zip(data.groups, state.rho, state.w_mean)
         ]
-        return data, hyper, state, tau_bar, products
+        second = [
+            engine._loading_sums(r, w, v, r * w)[0]
+            for r, w, v in zip(state.rho, state.w_mean, state.w_var)
+        ]
+        # _score_block's arguments after the state, but for the factors
+        return data, hyper, state, (tau_bar, products, second)
 
     @pytest.mark.parametrize("pruned", [None, 2])
     @pytest.mark.parametrize("seed", range(10))
     def test_never_lowers_the_objective(self, seed, pruned):
-        data, hyper, state, tau_bar, products = self.setup(seed, pruned)
+        data, hyper, state, inputs = self.setup(seed, pruned)
         active = sorted(active_factors(state, 1e-2))
         assert (pruned is None) == (len(active) == hyper.K)
 
         # the whole block, and each column's update alone
         moved = state.copy()
-        engine._score_block(moved, tau_bar, products, active)
+        engine._score_block(moved, *inputs, active)
         assert engine.surrogate_elbo(moved, data, hyper) >= engine.surrogate_elbo(
             state, data, hyper
         )
         step = state.copy()
         for j in active:
             before = engine.surrogate_elbo(step, data, hyper)
-            engine._score_block(step, tau_bar, products, [j])
+            engine._score_block(step, *inputs, [j])
             assert engine.surrogate_elbo(step, data, hyper) >= before
         assert_states_bitwise_equal(step, moved)
 
@@ -1226,9 +1235,9 @@ class TestScoreBlock:
     def test_each_column_lands_on_its_maximiser(self, seed):
         # moving a just-updated column's means or variances either way
         # lowers the objective: the update is the column's exact maximiser
-        data, hyper, state, tau_bar, products = self.setup(seed)
+        data, hyper, state, inputs = self.setup(seed)
         for j in range(hyper.K):
-            engine._score_block(state, tau_bar, products, [j])
+            engine._score_block(state, *inputs, [j])
             top = engine.surrogate_elbo(state, data, hyper)
             shifts = [("f_mean", 1e-3), ("f_var", 1e-3 * state.f_var[:, j])]
             for name, shift in shifts:
@@ -1510,9 +1519,9 @@ class TestRunRestarts:
         for a, b in zip(serial, parallel):
             assert a["seed"] == b["seed"]
             assert a["report"].trace == b["report"].trace
-            assert np.array_equal(
-                a["report"].final_state.f_mean, b["report"].final_state.f_mean
-            )
+            # states come back from the workers through pickle
+            assert_states_bitwise_equal(a["report"].final_state, b["report"].final_state)
+            assert_stacked_layout(b["report"].final_state)
 
     def test_rejects_zero_restarts(self):
         data = make_dataset()

@@ -18,6 +18,7 @@ from cvgfa.model import (
     VariationalState,
     init_state,
 )
+from test_model import BLOCK_FIELDS, assert_stacked_layout
 
 
 def random_matrix(seed, shape):
@@ -342,11 +343,11 @@ def state_arrays(state):
     out = {}
     for f in dataclasses.fields(VariationalState):
         value = getattr(state, f.name)
-        if isinstance(value, list):
+        if isinstance(value, np.ndarray):
+            out[f.name] = value
+        else:
             for m, a in enumerate(value):
                 out[f"{f.name}[{m}]"] = a
-        else:
-            out[f.name] = value
     return out
 
 
@@ -377,8 +378,13 @@ class TestCheckpoint:
         report, _, _ = fitted_state()
         names = [name for name, _ in io.STATE_FIELDS]
         assert names == sorted(f.name for f in dataclasses.fields(VariationalState))
+        state = report.final_state
         for name, per_group in io.STATE_FIELDS:
-            assert isinstance(getattr(report.final_state, name), list) == per_group
+            # per-group fields are a list (tau_rate) or GroupBlocks, never one array
+            value = getattr(state, name)
+            assert isinstance(value, np.ndarray) != per_group
+            if per_group:
+                assert len(value) == state.n_groups
 
     def test_edge_values_round_trip_bitwise(self, tmp_path):
         report, data, hyper = edge_state()
@@ -532,7 +538,11 @@ class TestCheckpointEncoding:
         state, _, _ = io.read_checkpoint(path)
         for name, arr in state_arrays(state).items():
             assert arr.dtype == np.float64, name
-            assert arr.flags.c_contiguous and arr.flags.writeable, name
+            assert arr.flags.writeable, name
+            # the group blocks of the stacked arrays are column slices
+            if name.split("[")[0] not in BLOCK_FIELDS:
+                assert arr.flags.c_contiguous, name
+        assert_stacked_layout(state)
 
     @pytest.mark.parametrize(
         "field, corrupt, message",
@@ -661,6 +671,20 @@ class TestCheckpointEncoding:
             rewritten, from_v1, hyper_v1, info_v1["fit"], info_v1["group_names"]
         )
         assert rewritten.read_bytes() == paths[2].read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_every_version_loads_into_the_stacked_layout(self, version):
+        state, _, _ = io.read_checkpoint(DATA / f"checkpoint_v{version}.json")
+        assert_stacked_layout(state)
+
+    def test_write_read_write_is_byte_identical(self, tmp_path):
+        report, data, hyper = fitted_state(seed=1)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        io.write_checkpoint(first, report.final_state, hyper, {"seed": 1}, data.group_names)
+        back, hyper_back, info = io.read_checkpoint(first)
+        assert_stacked_layout(back)
+        io.write_checkpoint(second, back, hyper_back, info["fit"], info["group_names"])
+        assert second.read_bytes() == first.read_bytes()
 
     def test_rank_on_corrupted_checkpoint_exits_3(self, tmp_path, v3_text):
         obj = json.loads(v3_text)

@@ -1,6 +1,8 @@
 """Tests for domain types and state initialization."""
 
+import dataclasses
 import math
+import pickle
 import warnings
 from types import SimpleNamespace
 
@@ -13,6 +15,7 @@ from cvgfa import model
 from cvgfa.errors import DataError, UsageError
 from cvgfa.model import (
     FitOptions,
+    GroupBlocks,
     GroupedDataset,
     Hyperparameters,
     VariationalState,
@@ -20,11 +23,32 @@ from cvgfa.model import (
     init_state,
 )
 
+BLOCK_FIELDS = ("rho", "w_mean", "w_var", "lambda_rate")
+
 
 def make_dataset(seed=0, n=6, dims=(4, 3)):
     rng = np.random.default_rng(seed)
     groups = [rng.standard_normal((n, d)) for d in dims]
     return GroupedDataset(groups, [f"g{i}" for i in range(len(dims))])
+
+
+def assert_stacked_layout(state):
+    """Each of rho, w_mean, w_var and lambda_rate is one C-contiguous
+    K x sum(D_m) float64 array, and its [m] is exactly group m's columns."""
+    K, dims = state.n_factors, state.dims
+    for name in BLOCK_FIELDS:
+        blocks = getattr(state, name)
+        assert isinstance(blocks, GroupBlocks), name
+        whole = blocks.stacked
+        assert whole.shape == (K, sum(dims)) and whole.dtype == np.float64, name
+        assert whole.flags.c_contiguous and whole.flags.writeable, name
+        assert len(blocks) == len(dims), name
+        start = whole.__array_interface__["data"][0]
+        for m, d in enumerate(dims):
+            view = blocks[m]
+            assert view.shape == (K, d) and view.strides == whole.strides, name
+            assert view.__array_interface__["data"][0] == start, (name, m)
+            start += d * whole.itemsize
 
 
 class TestGroupedDataset:
@@ -344,7 +368,7 @@ class TestActiveFactors:
     def _state_with_rho(self, rho_rows):
         data = make_dataset(dims=(len(rho_rows[0]),))
         state = init_state(data, Hyperparameters(K=len(rho_rows)), seed=0)
-        state.rho[0] = np.asarray(rho_rows, dtype=float)
+        state.rho[0][...] = rho_rows
         return state
 
     def test_all_zero_rho(self):
@@ -365,8 +389,8 @@ class TestActiveFactors:
     def test_max_over_groups(self):
         data = make_dataset(dims=(4, 4))
         state = init_state(data, Hyperparameters(K=2), seed=0)
-        state.rho[0] = np.zeros((2, 4))
-        state.rho[1] = np.zeros((2, 4))
+        state.rho[0][...] = 0.0
+        state.rho[1][...] = 0.0
         state.rho[1][1, 0] = 0.8
         assert active_factors(state, 0.5) == {1}
 
@@ -379,3 +403,76 @@ class TestActiveFactors:
             if prev is not None:
                 assert cur <= prev
             prev = cur
+
+
+class TestStackedLayout:
+    """rho, w_mean, w_var and lambda_rate keep all their groups in one array."""
+
+    @staticmethod
+    def state(seed=0):
+        # unequal widths; init_state ends with its warm-up sweeps
+        data = make_dataset(seed=seed, n=8, dims=(5, 2, 7))
+        return init_state(data, Hyperparameters(K=4), seed=seed)
+
+    def test_init_state_and_its_sweeps_keep_the_layout(self):
+        assert_stacked_layout(self.state())
+
+    def test_group_arrays_are_copied_into_the_layout(self):
+        state = self.state()
+        fields = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+        groups = {name: [a.copy() for a in fields[name]] for name in BLOCK_FIELDS}
+        built = VariationalState(**{**fields, **groups})
+        assert_stacked_layout(built)
+        for name in BLOCK_FIELDS:
+            assert getattr(built, name).stacked.tobytes() == (
+                getattr(state, name).stacked.tobytes()
+            )
+        # the state owns its arrays: the given ones no longer reach it
+        groups["rho"][1][0, 0] = 0.125
+        assert built.rho[1][0, 0] == state.rho[1][0, 0] != 0.125
+
+    def test_group_writes_reach_the_stacked_row_and_back(self):
+        state = self.state()
+        d0, d1 = state.dims[:2]
+        state.rho[1][2, 0] = 0.25
+        assert state.rho.stacked[2, d0] == 0.25
+        state.w_mean.stacked[3, d0 + d1] = -7.0
+        assert state.w_mean[2][3, 0] == -7.0
+        # one write of a stacked row reaches that factor's row in every group
+        state.lambda_rate.stacked[0] = 2.0
+        assert all(np.all(x[0] == 2.0) for x in state.lambda_rate)
+        state.w_var[0][...] = 0.5
+        assert np.all(state.w_var.stacked[:, :d0] == 0.5)
+
+    def test_groups_cannot_be_rebound(self):
+        state = self.state()
+        for name in BLOCK_FIELDS:
+            blocks = getattr(state, name)
+            with pytest.raises(TypeError):
+                blocks[0] = np.zeros_like(blocks[0])
+            with pytest.raises(AttributeError):
+                blocks.stacked = np.zeros_like(blocks.stacked)
+
+    @pytest.mark.parametrize("how", ["copy", "pickle"])
+    def test_copy_and_pickle_keep_the_layout(self, how):
+        state = self.state()
+        other = state.copy() if how == "copy" else pickle.loads(pickle.dumps(state))
+        assert_stacked_layout(other)
+        for name in BLOCK_FIELDS:
+            a, b = getattr(state, name), getattr(other, name)
+            assert a.stacked.tobytes() == b.stacked.tobytes(), name
+            assert not np.shares_memory(a.stacked, b.stacked), name
+        other.rho[2][1, 1] = 0.75
+        assert other.rho.stacked[1, sum(other.dims[:2]) + 1] == 0.75
+        assert state.rho[2][1, 1] != 0.75
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            ([np.zeros((3, 2)), np.zeros(4)], "K x D_m matrix"),
+            ([np.zeros((3, 2)), np.zeros((2, 3))], r"rho\[1\] has shape \(2, 3\)"),
+        ],
+    )
+    def test_unstackable_groups_rejected(self, arrays, message):
+        with pytest.raises(DataError, match=message):
+            GroupBlocks.from_groups(arrays, "rho")
