@@ -38,7 +38,6 @@ __all__ = [
     "geo_expect_beta",
     "bernoulli_sum_moments",
     "expect_log_shifted_count",
-    "crt_mean_exact",
     "crt_mean_approx",
 ]
 
@@ -344,20 +343,6 @@ def expect_log_shifted_count(shift_geo, count_mean, count_var):
     total = shift_geo + count_mean
     correction = count_var / np.maximum(2.0 * total * total, _SMALLEST_DOUBLE)
     return np.log(total) - correction
-
-
-def crt_mean_exact(a, l):
-    """Exact mean table count of a Chinese restaurant process.
-
-    Closed form sum_{i=0}^{l-1} a / (a + i) for concentration a and l
-    customers; a = 0 or l = 0 gives 0. Serves as the brute-force oracle for
-    :func:`crt_mean_approx`.
-    """
-    if a < 0 or l < 0:
-        raise ValueError("requires a >= 0 and l >= 0")
-    if a == 0:
-        return 0.0
-    return float(sum(a / (a + i) for i in range(int(l))))
 
 
 def crt_mean_approx(a_geo, count: BernoulliSumMoments):

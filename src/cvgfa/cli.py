@@ -442,6 +442,7 @@ def cmd_reconstruct(args) -> int:
         if truth.shape != want:
             raise DataError(f"truth matrix is {truth.shape}, reconstruction is {want}")
 
+    posterior = engine.condition_scores(state, hyper, group_ids)
     f_hat = np.empty((observed.shape[0], state.n_factors))
     for i in range(observed.shape[0]):
         row = observed[i]
@@ -450,7 +451,7 @@ def cmd_reconstruct(args) -> int:
         for g in group_ids:
             segments[g] = row[offset : offset + dims[g]]
             offset += dims[g]
-        f_hat[i], _ = engine.predict_factors(state, hyper, segments)
+        f_hat[i] = engine.predict_factors(posterior, segments)
     recon = engine.reconstruct_group(state, f_hat, args.target)
 
     os.makedirs(args.out, exist_ok=True)

@@ -70,6 +70,8 @@ __all__ = [
     "surrogate_elbo",
     "fit",
     "expected_loadings",
+    "ScorePosterior",
+    "condition_scores",
     "predict_factors",
     "reconstruct_group",
     "run_restarts",
@@ -601,35 +603,80 @@ def expected_loadings(state, m):
     return state.rho[m] * state.w_mean[m]
 
 
-def predict_factors(state, hyper, observed):
-    """Posterior factor scores for one new sample.
+@dataclass(frozen=True)
+class ScorePosterior:
+    """q(f) of a new sample given which groups are observed.
 
-    observed maps group index -> length-D_m value vector. Gaussian
-    conditioning at posterior-mean loadings, with the loading variances
-    rho E[w^2] - (rho mu_w)^2 entering the precision diagonal. Noise
-    precisions are averaged over the training samples; hyper supplies
-    their q(tau) shapes.
+    It depends on the fitted state and on the observed groups, not on the
+    sample's values. groups is in sorted order; tau_bar[i] and loadings[i]
+    are group groups[i]'s averaged noise precision and its contiguous
+    E[G] = rho * mu_w. The arrays are read-only.
     """
-    if not observed:
+
+    groups: tuple
+    covariance: np.ndarray
+    tau_bar: tuple
+    loadings: tuple
+
+
+def condition_scores(state, hyper, groups):
+    """The factor-score posterior shared by every sample observed on groups.
+
+    Gaussian conditioning at posterior-mean loadings, with the loading
+    variances rho E[w^2] - (rho mu_w)^2 entering the precision diagonal.
+    Noise precisions are averaged over the training samples; hyper supplies
+    their q(tau) shapes. Each group adds its share to the identity prior
+    precision in sorted group order, and the sum is inverted once. Pass the
+    result to predict_factors for each sample.
+    """
+    groups = sorted(groups)
+    if not groups:
         raise UsageError("at least one observed group is required")
-    K = state.n_factors
-    precision = np.eye(K)
-    rhs = np.zeros(K)
-    for m in sorted(observed):
-        x = np.asarray(observed[m], dtype=float).ravel()
-        if x.shape[0] != state.dims[m]:
-            raise DataError(
-                f"observed group {m} has {x.shape[0]} values, expected {state.dims[m]}"
-            )
-        tau_avg = float(np.mean(hyper.tau_shape(state.dims[m]) / state.tau_rate[m]))
-        g = state.rho[m] * state.w_mean[m]
+    if len(set(groups)) != len(groups):
+        raise UsageError("an observed group is listed twice")
+    for m in groups:
+        if not 0 <= m < state.n_groups:
+            raise UsageError(f"group index {m} out of range [0, {state.n_groups})")
+    precision = np.eye(state.n_factors)
+    tau_bars, loadings = [], []
+    for m in groups:
+        tau_bar = float(np.mean(hyper.tau_shape(state.dims[m]) / state.tau_rate[m]))
+        g = expected_loadings(state, m)
         g_var = (
             state.rho[m] * (state.w_mean[m] ** 2 + state.w_var[m]) - g * g
         ).sum(axis=1)
-        precision += tau_avg * (g @ g.T + np.diag(g_var))
-        rhs += tau_avg * (g @ x)
+        precision += tau_bar * (g @ g.T + np.diag(g_var))
+        g.setflags(write=False)
+        tau_bars.append(tau_bar)
+        loadings.append(g)
     covariance = np.linalg.inv(precision)
-    return covariance @ rhs, covariance
+    covariance.setflags(write=False)
+    return ScorePosterior(tuple(groups), covariance, tuple(tau_bars), tuple(loadings))
+
+
+def predict_factors(posterior, observed):
+    """Posterior mean factor scores of one new sample.
+
+    posterior comes from condition_scores; observed maps each of its groups
+    to that group's length-D_m value vector. The mean is
+    covariance @ sum_m tau_bar_m (E[G_m] @ x_m), summed in sorted group
+    order; the covariance is posterior.covariance, the same for every
+    sample.
+    """
+    if set(observed) != set(posterior.groups):
+        raise UsageError(
+            f"observed groups {sorted(observed)} are not the conditioned "
+            f"groups {list(posterior.groups)}"
+        )
+    rhs = np.zeros(posterior.covariance.shape[0])
+    for m, tau_bar, g in zip(posterior.groups, posterior.tau_bar, posterior.loadings):
+        x = np.asarray(observed[m], dtype=float).ravel()
+        if x.shape[0] != g.shape[1]:
+            raise DataError(
+                f"observed group {m} has {x.shape[0]} values, expected {g.shape[1]}"
+            )
+        rhs += tau_bar * (g @ x)
+    return posterior.covariance @ rhs
 
 
 def reconstruct_group(state, factor_means, m):

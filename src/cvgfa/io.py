@@ -28,6 +28,7 @@ import base64
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -62,11 +63,19 @@ def write_matrix_csv(path, array):
 
 
 def read_matrix_csv(path):
-    """A finite float matrix; loadtxt's nan and inf entries are rejected."""
+    """A finite float matrix of at least one row; loadtxt's nan and inf
+    entries are rejected, and so is a file with no rows."""
     try:
-        matrix = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            # an empty file is rejected below; loadtxt's warning is not news
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            matrix = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except (OSError, ValueError) as err:
         raise DataError(f"cannot read matrix file {path}: {err}") from None
+    if matrix.size == 0:
+        raise DataError(f"matrix file {path} holds no rows")
     if not np.all(np.isfinite(matrix)):
         raise DataError(f"matrix file {path} contains non-finite entries")
     return matrix

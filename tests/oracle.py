@@ -6,6 +6,12 @@ states and pin sweep against a coordinate-by-coordinate schedule. Each reads
 the explicit residual, one N x D matrix per group (residual below), which
 the package itself never forms, and the constant q(lambda) and q(tau) shapes
 from the hyperparameters.
+
+Two more oracles pin code the package runs in another form: crt_mean_exact,
+the closed-form table count that crt_mean_approx telescopes to, and
+predict_factors, held-out prediction for one sample conditioned from
+scratch, which engine.condition_scores and engine.predict_factors split
+into a once-per-command and a per-row step.
 """
 
 import math
@@ -20,7 +26,7 @@ from cvgfa.approx import (
     geo_expect_gamma,
 )
 from cvgfa.engine import GEO_FLOOR
-from cvgfa.errors import NumericalError
+from cvgfa.errors import DataError, NumericalError, UsageError
 
 
 def residual(state, data):
@@ -156,3 +162,48 @@ def update_tau(state, residual, hyper, m, n):
     ef2 = ef * ef + state.f_var[n]
     sq = float(resid @ resid) + float(ef2 @ svec) - float((ef * ef) @ tvec)
     return hyper.h0 + 0.5 * sq
+
+
+def crt_mean_exact(a, l):
+    """Exact mean table count of a Chinese restaurant process.
+
+    Closed form sum_{i=0}^{l-1} a / (a + i) for concentration a and l
+    customers; a = 0 or l = 0 gives 0. Serves as the brute-force oracle for
+    crt_mean_approx.
+    """
+    if a < 0 or l < 0:
+        raise ValueError("requires a >= 0 and l >= 0")
+    if a == 0:
+        return 0.0
+    return float(sum(a / (a + i) for i in range(int(l))))
+
+
+def predict_factors(state, hyper, observed):
+    """Posterior factor scores (mean, covariance) for one new sample.
+
+    observed maps group index -> length-D_m value vector. Gaussian
+    conditioning at posterior-mean loadings, with the loading variances
+    rho E[w^2] - (rho mu_w)^2 entering the precision diagonal. Noise
+    precisions are averaged over the training samples; hyper supplies
+    their q(tau) shapes. Everything is rebuilt for the one sample.
+    """
+    if not observed:
+        raise UsageError("at least one observed group is required")
+    K = state.n_factors
+    precision = np.eye(K)
+    rhs = np.zeros(K)
+    for m in sorted(observed):
+        x = np.asarray(observed[m], dtype=float).ravel()
+        if x.shape[0] != state.dims[m]:
+            raise DataError(
+                f"observed group {m} has {x.shape[0]} values, expected {state.dims[m]}"
+            )
+        tau_avg = float(np.mean(hyper.tau_shape(state.dims[m]) / state.tau_rate[m]))
+        g = state.rho[m] * state.w_mean[m]
+        g_var = (
+            state.rho[m] * (state.w_mean[m] ** 2 + state.w_var[m]) - g * g
+        ).sum(axis=1)
+        precision += tau_avg * (g @ g.T + np.diag(g_var))
+        rhs += tau_avg * (g @ x)
+    covariance = np.linalg.inv(precision)
+    return covariance @ rhs, covariance

@@ -17,7 +17,6 @@ from cvgfa import cli, engine, io, metrics, simdata
 from cvgfa.approx import (
     bernoulli_sum_moments,
     crt_mean_approx,
-    crt_mean_exact,
     expect_log_shifted_count,
 )
 from cvgfa.model import (
@@ -26,6 +25,7 @@ from cvgfa.model import (
     Hyperparameters,
     active_factors,
 )
+from oracle import crt_mean_exact
 
 N_RESTARTS = 20
 ACTIVE_THRESHOLD = FitOptions().active_factor_threshold

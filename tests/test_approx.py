@@ -20,13 +20,13 @@ from cvgfa.approx import (
     _complement_moments,
     bernoulli_sum_moments,
     crt_mean_approx,
-    crt_mean_exact,
     digamma,
     expect_log_shifted_count,
     geo_expect_beta,
     geo_expect_gamma,
     trigamma,
 )
+from oracle import crt_mean_exact
 
 EULER_GAMMA = 0.5772156649015329
 

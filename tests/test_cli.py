@@ -11,12 +11,14 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvgfa import cli, io
+import oracle
+from cvgfa import cli, engine, io
 from cvgfa.model import Hyperparameters, VariationalState
 
 
@@ -242,6 +244,19 @@ class TestFit:
         (ds / "manifest.json").write_text(json.dumps(manifest))
         out = tmp_path / "out"
         assert run_cli("fit", ds, "--restarts", 1, "--out", out) == 3
+        assert not out.exists()
+
+    def test_empty_group_file_data_error(self, tmp_path, sim1_dataset, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(sim1_dataset, ds)
+        (ds / "group_group2.csv").write_text("")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("fit", ds, "--restarts", 1, "--out", out)
+        assert code == 3
+        assert caught == []
+        assert f"{ds / 'group_group2.csv'} holds no rows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_restarts_usage_error(self, sim1_dataset):
@@ -549,6 +564,51 @@ class TestReconstruct:
             "--truth", tmp_path / "truth.csv", "--out", out,
         ) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--observed", "--truth"])
+    def test_empty_input_data_error(self, tmp_path, sim1_dataset, sim1_fit, flag, capsys):
+        best = json.loads((sim1_fit / "best.json").read_text())
+        ckpt = sim1_fit / best["checkpoint"]
+        data, _ = io.read_dataset(sim1_dataset)
+        io.write_matrix_csv(tmp_path / "observed.csv", data.groups[0])
+        io.write_matrix_csv(tmp_path / "truth.csv", data.groups[1])
+        empty = tmp_path / f"{flag[2:]}.csv"
+        empty.write_text("")
+        out = tmp_path / "rec"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                "reconstruct", ckpt, "--observed", tmp_path / "observed.csv",
+                "--observed-groups", "0", "--target", 1,
+                "--truth", tmp_path / "truth.csv", "--out", out,
+            )
+        assert code == 3
+        assert caught == []
+        assert f"{empty} holds no rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matches_the_per_row_oracle_bytewise(self, tmp_path, sim1_dataset, sim1_fit):
+        best = json.loads((sim1_fit / "best.json").read_text())
+        ckpt = sim1_fit / best["checkpoint"]
+        data, _ = io.read_dataset(sim1_dataset)
+        # listed out of sorted order, as the columns are concatenated
+        observed = np.hstack([data.groups[3], data.groups[0]])
+        io.write_matrix_csv(tmp_path / "observed.csv", observed)
+        out = tmp_path / "rec"
+        assert run_cli(
+            "reconstruct", ckpt, "--observed", tmp_path / "observed.csv",
+            "--observed-groups", "3,0", "--target", 1, "--out", out,
+        ) == 0
+        state, hyper, _ = io.read_checkpoint(ckpt)
+        width = state.dims[3]
+        f_hat = np.array([
+            oracle.predict_factors(state, hyper, {3: row[:width], 0: row[width:]})[0]
+            for row in observed
+        ])
+        io.write_matrix_csv(tmp_path / "oracle.csv", engine.reconstruct_group(state, f_hat, 1))
+        assert (out / "reconstruction.csv").read_bytes() == (
+            tmp_path / "oracle.csv"
+        ).read_bytes()
 
     def test_wrong_width_data_error(self, tmp_path, sim1_fit):
         best = json.loads((sim1_fit / "best.json").read_text())

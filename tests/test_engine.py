@@ -1420,10 +1420,17 @@ class TestExpectedLoadings:
         assert_allclose(g, [[1.0, 0.0], [1.5, 1.0]], atol=1e-15)
 
 
+def predict_once(state, hyper, observed):
+    """(mean, covariance) of one sample through condition_scores and
+    predict_factors."""
+    posterior = engine.condition_scores(state, hyper, observed)
+    return engine.predict_factors(posterior, observed), posterior.covariance
+
+
 class TestPredictFactors:
     def test_zero_loadings_return_prior(self):
         state = make_state([np.zeros((3, 4))], n=2)
-        mean, cov = engine.predict_factors(state, PRIOR, {0: np.ones(4)})
+        mean, cov = predict_once(state, PRIOR, {0: np.ones(4)})
         assert_allclose(mean, np.zeros(3), atol=1e-15)
         assert_allclose(cov, np.eye(3), atol=1e-12)
 
@@ -1437,7 +1444,7 @@ class TestPredictFactors:
             n=1,
         )
         x = 2.5 * w[0]
-        mean, _ = engine.predict_factors(state, PRIOR, {0: x})
+        mean, _ = predict_once(state, PRIOR, {0: x})
         ls = float(w[0] @ x) / float(w[0] @ w[0])
         assert mean[0] == pytest.approx(ls, rel=1e-5)
 
@@ -1451,7 +1458,7 @@ class TestPredictFactors:
             tau_rate=[[PRIOR.tau_shape(3) / 2.0]],
             n=1,
         )
-        mean, cov = engine.predict_factors(state, PRIOR, {0: 2.5 * w[0]})
+        mean, cov = predict_once(state, PRIOR, {0: 2.5 * w[0]})
         assert mean[0] == pytest.approx(2.0 * 15.0 / 13.0, rel=1e-14)
         assert cov[0, 0] == pytest.approx(1.0 / 13.0, rel=1e-14)
 
@@ -1460,17 +1467,81 @@ class TestPredictFactors:
         state = random_state(rng, 4, [5, 3], 2)
         xa = rng.standard_normal(5)
         xb = rng.standard_normal(3)
-        m1, c1 = engine.predict_factors(state, PRIOR, {0: xa, 1: xb})
-        m2, c2 = engine.predict_factors(state, PRIOR, {1: xb, 0: xa})
+        m1, c1 = predict_once(state, PRIOR, {0: xa, 1: xb})
+        m2, c2 = predict_once(state, PRIOR, {1: xb, 0: xa})
         assert np.array_equal(m1, m2)
         assert np.array_equal(c1, c2)
 
     def test_rejects_bad_input(self):
         state = make_state([np.zeros((2, 3))])
         with pytest.raises(UsageError):
-            engine.predict_factors(state, PRIOR, {})
+            engine.condition_scores(state, PRIOR, [])
         with pytest.raises(DataError):
-            engine.predict_factors(state, PRIOR, {0: np.ones(5)})
+            predict_once(state, PRIOR, {0: np.ones(5)})
+
+    def test_rejects_bad_groups(self):
+        rng = np.random.default_rng(19)
+        state = random_state(rng, 4, [5, 3, 2], 2)
+        for groups in ([0, 0], [3], [-1]):
+            with pytest.raises(UsageError):
+                engine.condition_scores(state, PRIOR, groups)
+        posterior = engine.condition_scores(state, PRIOR, [0, 2])
+        xs = {m: np.ones(d) for m, d in enumerate(state.dims)}
+        for groups in ([], [0], [2], [0, 1], [0, 1, 2]):
+            with pytest.raises(UsageError):
+                engine.predict_factors(posterior, {m: xs[m] for m in groups})
+        with pytest.raises(DataError):
+            engine.predict_factors(posterior, {0: xs[0], 2: np.ones(3)})
+
+    def test_posterior_is_read_only(self):
+        rng = np.random.default_rng(20)
+        state = random_state(rng, 4, [5, 3], 2)
+        posterior = engine.condition_scores(state, PRIOR, [0, 1])
+        with pytest.raises(ValueError):
+            posterior.covariance[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            posterior.loadings[0][0, 0] = 1.0
+        # the loadings are copies: the state's blocks stay writable
+        state.rho[0][0, 0] = 0.5
+
+
+class TestConditionedMatchesOracle:
+    """The once-per-command posterior gives oracle.predict_factors's
+    rebuild-per-sample values bit for bit."""
+
+    @staticmethod
+    def state_with_pruned_factor(seed):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, 9, [13, 40, 7, 25], 5)
+        for r in state.rho:
+            r[3] = 0.0  # factor 3 is pruned in every group
+        assert active_factors(state, 1e-2) == {0, 1, 2, 4}
+        return state, rng
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    @pytest.mark.parametrize(
+        "groups", [(2, 0), (3, 1, 0), (1,), (3, 2, 1, 0), (1, 3, 0, 2)]
+    )
+    def test_bitwise_equal_to_oracle(self, seed, groups):
+        state, rng = self.state_with_pruned_factor(seed)
+        posterior = engine.condition_scores(state, PRIOR, groups)
+        assert posterior.groups == tuple(sorted(groups))
+        for _ in range(3):
+            observed = {m: rng.standard_normal(state.dims[m]) for m in groups}
+            mean, cov = oracle.predict_factors(state, PRIOR, observed)
+            assert np.array_equal(engine.predict_factors(posterior, observed), mean)
+            assert np.array_equal(posterior.covariance, cov)
+
+    def test_row_slices_bitwise_equal_to_oracle(self):
+        # cmd_reconstruct passes slices of one row of the observed matrix
+        state, rng = self.state_with_pruned_factor(23)
+        groups = (3, 0)
+        rows = rng.standard_normal((4, state.dims[3] + state.dims[0]))
+        posterior = engine.condition_scores(state, PRIOR, groups)
+        for row in rows:
+            observed = {3: row[:25], 0: row[25:]}
+            mean, _ = oracle.predict_factors(state, PRIOR, observed)
+            assert np.array_equal(engine.predict_factors(posterior, observed), mean)
 
 
 class TestReconstructGroup:

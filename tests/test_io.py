@@ -4,6 +4,7 @@ import base64
 import dataclasses
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,17 @@ class TestMatrixCsv:
         path.write_text(f"1.0,2.0\n{bad},3.0\n")
         with pytest.raises(DataError, match="non-finite"):
             io.read_matrix_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n"])
+    def test_no_rows_is_data_error_without_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="empty.csv holds no rows"):
+                io.read_matrix_csv(path)
+            with pytest.raises(DataError, match="empty.csv holds no rows"):
+                io.read_vector_csv(path)
 
     def test_vector_accepts_column_and_row(self, tmp_path):
         col = tmp_path / "col.csv"
