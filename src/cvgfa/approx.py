@@ -5,14 +5,13 @@ beta variables, exact moments of sums of independent Bernoullis, and the
 second-order approximations for expected shifted logs and Chinese restaurant
 table counts. Everything here is a pure function.
 
-digamma and trigamma run their recurrence and series in Python floats, one
-argument at a time; an array maps that scalar kernel over its elements
-(_elementwise). crt_mean_approx likewise maps its scalar kernel over its
-entries, which calls them on scalars, thousands of times per sweep, where
-building small arrays would cost more than the arithmetic. The kernels
-take numpy's log, not math.log: the two are different implementations
-that disagree in the last bit for a few arguments in a hundred thousand
-(measured on an AVX-512 x86-64 host).
+Every public function takes arrays and returns one of their broadcast
+shape, 0-d for scalars. digamma and trigamma map float kernels over the
+elements (_elementwise), cheaper than masked numpy steps on the few values
+per call the sweep passes; crt_mean_approx is one masked array expression.
+The kernels take numpy's log, not math.log: the two are different
+implementations that disagree in the last bit for a few arguments in a
+hundred thousand (measured on an AVX-512 x86-64 host).
 
 The Bernoulli-sum moments take one row of probabilities or a block of
 rows, one count per row, and optionally the widths of groups lying side
@@ -55,17 +54,17 @@ class BernoulliSumMoments:
     """Moments of l = sum of independent Bernoulli(xi_i) variables.
 
     mean_plus and var_plus are the moments of l conditional on l > 0; both
-    are defined as 0 when p_plus < P_PLUS_FLOOR. Each field is a float for
-    one row of probabilities, or an array with one entry per row of a block
-    and, given group widths, per group, the group last (see
+    are defined as 0 when p_plus < P_PLUS_FLOOR. The fields share one
+    shape: 0-d for one row of probabilities, or one entry per row of a
+    block and, given group widths, per group, the group last (see
     bernoulli_sum_moments).
     """
 
-    mean: float
-    variance: float
-    p_plus: float
-    mean_plus: float
-    var_plus: float
+    mean: np.ndarray
+    variance: np.ndarray
+    p_plus: np.ndarray
+    mean_plus: np.ndarray
+    var_plus: np.ndarray
 
 
 def _digamma_tail(inv2):
@@ -98,12 +97,6 @@ def _trigamma_tail(inv2):
             )
         )
     )
-
-
-def _is_scalar(x):
-    """True for Python and numpy scalars and 0-d arrays."""
-    # the isinstance test spares floats (np.float64 included) the np.ndim call
-    return isinstance(x, (int, float)) or np.ndim(x) == 0
 
 
 def _digamma(y):
@@ -153,18 +146,14 @@ def digamma(x):
 
     Parameters
     ----------
-    x : float or array_like
+    x : array_like
         Positive argument(s).
 
     Returns
     -------
-    float or ndarray
-        psi evaluated at x; a plain float for scalar input.
+    ndarray
+        psi evaluated at x, of x's shape (0-d for a scalar).
     """
-    if _is_scalar(x):
-        return _digamma(float(x))
-    # the kernel, not this function, is mapped: this one would re-dispatch
-    # on the argument's type for every element
     return _elementwise(_digamma, x)
 
 
@@ -174,8 +163,6 @@ def trigamma(x):
     Same scheme as :func:`digamma`: recurrence psi'(x) = psi'(x+1) + 1/x^2
     up to 6, then psi'(x) ~ 1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1).
     """
-    if _is_scalar(x):
-        return _trigamma(float(x))
     return _elementwise(_trigamma, x)
 
 
@@ -184,12 +171,6 @@ def geo_expect_gamma(shape, rate):
 
     Equals exp(psi(shape)) / rate, strictly below the arithmetic mean.
     """
-    if _is_scalar(shape) and _is_scalar(rate):
-        shape = float(shape)
-        rate = float(rate)
-        if not (shape > 0 and rate > 0):
-            raise ValueError("gamma parameters must be positive")
-        return float(np.exp(digamma(shape)) / rate)
     shape_arr = np.asarray(shape, dtype=float)
     rate_arr = np.asarray(rate, dtype=float)
     if not (np.all(shape_arr > 0) and np.all(rate_arr > 0)):
@@ -202,12 +183,6 @@ def geo_expect_beta(a, b):
 
     Equals exp(psi(a) - psi(a + b)), strictly below a / (a + b).
     """
-    if _is_scalar(a) and _is_scalar(b):
-        a = float(a)
-        b = float(b)
-        if not (a > 0 and b > 0):
-            raise ValueError("beta parameters must be positive")
-        return float(np.exp(digamma(a) - digamma(a + b)))
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if not (np.all(a_arr > 0) and np.all(b_arr > 0)):
@@ -292,16 +267,12 @@ def _with_conditional(mean, variance, p_plus):
     """BernoulliSumMoments, adding the moments conditional on a positive sum.
 
     The arguments share one shape. The conditional moments are divided out
-    only where p_plus reaches P_PLUS_FLOOR. The moments of a single count
-    (0-d arguments) are floats.
+    only where p_plus reaches P_PLUS_FLOOR.
     """
     ok = p_plus >= P_PLUS_FLOOR
     mean_plus = np.divide(mean, p_plus, out=np.zeros(ok.shape), where=ok)
     var_plus = np.divide(variance, p_plus, out=np.zeros(ok.shape), where=ok)
-    fields = (mean, variance, p_plus, mean_plus, var_plus)
-    if ok.ndim == 0:
-        return BernoulliSumMoments(*(float(f) for f in fields))
-    return BernoulliSumMoments(*fields)
+    return BernoulliSumMoments(mean, variance, p_plus, mean_plus, var_plus)
 
 
 def _complement_moments(count, probs, widths=None):
@@ -351,27 +322,21 @@ def crt_mean_approx(a_geo, count: BernoulliSumMoments):
     Evaluates a_geo * p_plus * (psi(a_geo + E+) - psi(a_geo)
     + V+ * psi'(a_geo + E+) / 2) with the conditional count moments, and 0
     where p_plus < P_PLUS_FLOOR. For a deterministic count this telescopes
-    to the exact CRT mean. a_geo and the count's fields are floats, giving a
-    float, or arrays of one shape (one entry per count, such as
-    bernoulli_sum_moments gives for a block of rows with widths), giving an
-    array of that shape: the entries are taken one at a time, in Python
-    floats, as digamma takes its elements.
+    to the exact CRT mean. a_geo and the count's fields broadcast to the
+    result's shape: one entry per count, such as bernoulli_sum_moments
+    gives for a block of rows with widths, or 0-d for one count.
     """
-    if _is_scalar(a_geo):
-        return _crt_mean(float(a_geo), count.p_plus, count.mean_plus, count.var_plus)
-    fields = (a_geo, count.p_plus, count.mean_plus, count.var_plus)
-    tables = [_crt_mean(*entry) for entry in zip(*(f.ravel().tolist() for f in fields))]
-    return np.array(tables).reshape(a_geo.shape)
-
-
-def _crt_mean(a_geo, p_plus, mean_plus, var_plus):
-    """crt_mean_approx of one count, from floats."""
-    if not a_geo > 0:
+    a_geo, p_plus, mean_plus, var_plus = np.broadcast_arrays(
+        a_geo, count.p_plus, count.mean_plus, count.var_plus
+    )
+    if not np.all(a_geo > 0):
         raise ValueError("a_geo must be positive")
     # where p_plus is below the floor the digamma terms are not taken: at a
     # floored a_geo, V+ = 0 times an infinite trigamma would be NaN
-    if p_plus < P_PLUS_FLOOR:
-        return 0.0
-    shifted = a_geo + mean_plus
-    bracket = digamma(shifted) - digamma(a_geo) + 0.5 * var_plus * trigamma(shifted)
-    return a_geo * p_plus * bracket
+    ok = p_plus >= P_PLUS_FLOOR
+    a = a_geo[ok]
+    shifted = a + mean_plus[ok]
+    bracket = digamma(shifted) - digamma(a) + 0.5 * var_plus[ok] * trigamma(shifted)
+    tables = np.zeros(ok.shape)
+    tables[ok] = a * p_plus[ok] * bracket
+    return tables

@@ -37,6 +37,18 @@ DEFAULT_N_RESTARTS = 20
 
 FIT_OPTION_KEYS = ("max_sweeps", "rel_tolerance", "seed", "active_factor_threshold")
 
+# the type of each config value, a number (int or float) where not listed;
+# a JSON true or false loads as a bool, an int, which no key takes
+_CONFIG_TYPES = {"K": int, "max_sweeps": int, "seed": int, "n_restarts": int}
+_CONFIG_TYPES.update(dataset_path=str, output_dir=str)
+
+
+def _check_config_value(path, name, value):
+    want = _CONFIG_TYPES.get(name.rpartition(".")[2], (int, float))
+    if isinstance(value, bool) or not isinstance(value, want):
+        kind = {int: "an integer", str: "a string"}.get(want, "a number")
+        raise UsageError(f"config {path}: {name} must be {kind}, got {value!r}")
+
 
 @dataclass
 class RunConfig:
@@ -110,6 +122,9 @@ def _load_config_file(path):
     unknown = set(obj) - known
     if unknown:
         raise UsageError(f"config {path} has unknown keys: {sorted(unknown)}")
+    for key in ("n_restarts", "dataset_path", "output_dir"):
+        if key in obj:
+            _check_config_value(path, key, obj[key])
     for section, allowed in (("hyper", set(io.HYPER_FIELDS)), ("fit", set(FIT_OPTION_KEYS))):
         sub = obj.get(section)
         if sub is None:
@@ -119,6 +134,8 @@ def _load_config_file(path):
         bad = set(sub) - allowed
         if bad:
             raise UsageError(f"config section {section!r} has unknown keys: {sorted(bad)}")
+        for key, value in sub.items():
+            _check_config_value(path, f"{section}.{key}", value)
     return obj
 
 

@@ -127,17 +127,18 @@ def update_beta_params(state, hyper, k):
     return a, np.maximum(b, BETA_B_FLOOR)
 
 
-def update_alpha(state, hyper, m):
-    """q(alpha_m) gamma parameters from the table-count totals."""
-    shape = hyper.c0 + float(state.aux_s_mean[m].sum() + state.aux_t_mean[m].sum())
-    rate = hyper.d0 - float(state.eta_log_mean[m])
-    return shape, rate
+def update_alpha(state, hyper):
+    """q(alpha_m) gamma (shapes, rates) of every group from its table-count
+    totals: row sums of the C-ordered M x K counts, each np.sum of its row."""
+    totals = np.add.reduce(state.aux_s_mean, axis=-1)
+    totals += np.add.reduce(state.aux_t_mean, axis=-1)
+    return hyper.c0 + totals, hyper.d0 - state.eta_log_mean
 
 
-def update_eta(state, m) -> float:
-    """E[log eta_m] at the current posterior mean of alpha_m."""
-    alpha_mean = float(state.alpha_shape[m] / state.alpha_rate[m])
-    return digamma(alpha_mean) - digamma(alpha_mean + state.dims[m])
+def update_eta(state):
+    """E[log eta_m] of every group at the posterior mean of its alpha_m."""
+    alpha_mean = state.alpha_shape / state.alpha_rate
+    return digamma(alpha_mean) - digamma(alpha_mean + np.array(state.dims))
 
 
 def _rho_row(rho, lik, count_mean, count_var, g_ab, g_abbar, widths, k):
@@ -240,10 +241,10 @@ def sweep(state, data, hyper, active_threshold=1e-2, *, _data_norms=None):
     every active factor, (a_k, b_k), then every group's count moments and
     (E[s], E[t]); then, one active factor k after another, every group's
     row of rho, then their w and lambda. The score block: each active
-    factor's scores (_score_block). Then per group alpha, eta, and the noise
-    precisions. This is the block order of variational group factor
-    analysis (Virtanen et al., AISTATS 2012): all loadings, then all latent
-    factors.
+    factor's scores (_score_block). Then every group's alpha, then eta,
+    then each group's noise precisions. This is the block order of
+    variational group factor analysis (Virtanen et al., AISTATS 2012): all
+    loadings, then all latent factors.
 
     The collapsed-prior part of the loading block is one batch over the
     active factors A, taken before the factor loop: q(beta) of every factor
@@ -391,11 +392,10 @@ def sweep(state, data, hyper, active_threshold=1e-2, *, _data_norms=None):
     norms = [
         _sq_norms(xx, f_mean, xc, cc) for xx, (xc, cc) in zip(_data_norms, products)
     ]
+    # group m's alpha reads only its own eta, from before this update
+    state.alpha_shape[:], state.alpha_rate[:] = update_alpha(state, hyper)
+    state.eta_log_mean[:] = update_eta(state)
     for m in range(state.n_groups):
-        shape, rate = update_alpha(state, hyper, m)
-        state.alpha_shape[m] = shape
-        state.alpha_rate[m] = rate
-        state.eta_log_mean[m] = update_eta(state, m)
         sq = _expected_sq_residual(norms[m], f_mean, state.f_var, *sums[m])
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
 
@@ -423,20 +423,21 @@ def _check_state_finite(state):
             )
 
 
-def _gamma_prior_gap(a0, b0, shape, rate):
+def _gamma_prior_gap(a0, b0, shape, rate, psi, log_gamma):
     """E_q[log p(x)] - E_q[log q(x)] for gamma prior (a0, b0), summed.
 
-    shape is one number shared by every rate, or an array shaped like rate.
+    shape is one number shared by every rate, or an array shaped like rate;
+    psi and log_gamma are its digamma and log-gamma.
     """
     rate = np.asarray(rate, dtype=float)
     if rate.size == 0:
         return 0.0
-    e_log = digamma(shape) - np.log(rate)
+    e_log = psi - np.log(rate)
     e_x = shape / rate
     term = (
         a0 * math.log(b0)
         - math.lgamma(a0)
-        - (shape * np.log(rate) - _lgamma(shape))
+        - (shape * np.log(rate) - log_gamma)
         + (a0 - shape) * e_log
         - (b0 - rate) * e_x
     )
@@ -466,11 +467,15 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
 
     if norms is None:
         norms = _state_sq_norms(state, data)
+    # the q(tau) and q(lambda) shapes' special functions, for every group at once
+    tau_shapes = hyper.tau_shape(np.array(state.dims))
+    psi_tau, lgamma_tau = digamma(tau_shapes), _lgamma(tau_shapes)
+    psi_lam, lgamma_lam = digamma(lam_shape), _lgamma(lam_shape)
     for m in range(M):
         d_m = state.dims[m]
-        tau_shape = hyper.tau_shape(d_m)
+        tau_shape = tau_shapes[m]
         tb = tau_shape / state.tau_rate[m]
-        e_log_tau = digamma(tau_shape) - np.log(state.tau_rate[m])
+        e_log_tau = psi_tau[m] - np.log(state.tau_rate[m])
         # contiguous copies of the group's blocks: numpy's elementwise
         # steps on a column block of a stacked array take about twice as long
         blocks = (state.rho, state.w_mean, state.w_var, state.lambda_rate)
@@ -480,12 +485,16 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
 
         # loadings against their elementwise gamma-precision prior
-        e_log_lam = digamma(lam_shape) - np.log(lam_rate)
+        e_log_lam = psi_lam - np.log(lam_rate)
         lam_bar = lam_shape / lam_rate
         ew2 = w_mean**2 + w_var
         total += float(0.5 * np.sum(e_log_lam - lam_bar * ew2 + np.log(w_var) + 1.0))
-        total += _gamma_prior_gap(hyper.e0, hyper.f0, lam_shape, lam_rate)
-        total += _gamma_prior_gap(hyper.g0, hyper.h0, tau_shape, state.tau_rate[m])
+        total += _gamma_prior_gap(
+            hyper.e0, hyper.f0, lam_shape, lam_rate, psi_lam, lgamma_lam
+        )
+        total += _gamma_prior_gap(
+            hyper.g0, hyper.h0, tau_shape, state.tau_rate[m], psi_tau[m], lgamma_tau[m]
+        )
         total += _bernoulli_entropy(rho)
 
     # factor scores against the standard normal prior
@@ -494,8 +503,9 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         total += float(0.5 * np.sum(np.log(state.f_var) - ef2 + 1.0))
 
     if M:
+        shape = state.alpha_shape
         total += _gamma_prior_gap(
-            hyper.c0, hyper.d0, state.alpha_shape, state.alpha_rate
+            hyper.c0, hyper.d0, shape, state.alpha_rate, digamma(shape), _lgamma(shape)
         )
 
     if K:
@@ -520,9 +530,10 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         # what geo_expect_beta computes
         g_beta = np.exp(e_log_beta)
         g_beta_bar = np.exp(e_log_bbar)
+        g_alphas = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
         for m in range(M):
             d_m = state.dims[m]
-            g_alpha = geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m])
+            g_alpha = g_alphas[m]
             g_ab = np.maximum(g_alpha * g_beta, GEO_FLOOR)
             g_abbar = np.maximum(g_alpha * g_beta_bar, GEO_FLOOR)
             nhat = state.rho[m].sum(axis=1)

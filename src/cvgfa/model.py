@@ -541,9 +541,7 @@ def _spectral_start(
         tau_rate.append(hyper.h0 + 0.5 * sq)
 
     alpha_mean0 = hyper.c0 / hyper.d0
-    eta_log_mean = np.array(
-        [digamma(alpha_mean0) - digamma(alpha_mean0 + d_m) for d_m in data.dims]
-    )
+    eta_log_mean = digamma(alpha_mean0) - digamma(alpha_mean0 + np.array(dims))
     return VariationalState(
         rho=rho,
         w_mean=w_mean,

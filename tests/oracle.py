@@ -2,10 +2,12 @@
 
 engine.sweep is the only implementation the package runs; these scalar
 forms exist so that tests can pin single coordinates against hand-built
-states and pin sweep against a coordinate-by-coordinate schedule. Each reads
-the explicit residual, one N x D matrix per group (residual below), which
-the package itself never forms, and the constant q(lambda) and q(tau) shapes
-from the hyperparameters.
+states and pin sweep against a coordinate-by-coordinate schedule. The
+loading, score and noise updates read the explicit residual, one N x D
+matrix per group (residual below), which the package itself never forms,
+and the constant q(lambda) and q(tau) shapes from the hyperparameters. The
+concentration updates (update_alpha, update_eta) take one group at a time,
+where engine's take every group in one step.
 
 Two more oracles pin code the package runs in another form: crt_mean_exact,
 the closed-form table count that crt_mean_approx telescopes to, and
@@ -21,6 +23,7 @@ import numpy as np
 from cvgfa.approx import (
     bernoulli_sum_moments,
     crt_mean_approx,
+    digamma,
     expect_log_shifted_count,
     geo_expect_beta,
     geo_expect_gamma,
@@ -141,6 +144,19 @@ def update_aux_s_t(state, m, k):
     e_s = min(max(crt_mean_approx(g_ab, nhat), 0.0), float(d_m))
     e_t = min(max(crt_mean_approx(g_abbar, ntil), 0.0), float(d_m))
     return e_s, e_t
+
+
+def update_alpha(state, hyper, m):
+    """q(alpha_m) gamma (shape, rate) from group m's table-count totals and
+    E[log eta_m]."""
+    totals = float(np.sum(state.aux_s_mean[m]) + np.sum(state.aux_t_mean[m]))
+    return hyper.c0 + totals, hyper.d0 - float(state.eta_log_mean[m])
+
+
+def update_eta(state, m):
+    """E[log eta_m] at the posterior mean of alpha_m, a float."""
+    alpha_mean = float(state.alpha_shape[m] / state.alpha_rate[m])
+    return float(digamma(alpha_mean) - digamma(alpha_mean + state.dims[m]))
 
 
 def update_lambda(state, hyper, m, k, d):

@@ -77,8 +77,11 @@ class TestDigammaTrigamma:
                 fn(-1.0)
 
     def test_scalar_in_scalar_out(self):
-        assert isinstance(digamma(1.5), float)
-        assert isinstance(trigamma(1.5), float)
+        # one route: a scalar gives a 0-d array, the array route's element
+        for fn in (digamma, trigamma):
+            got = fn(1.5)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert same_bits(got, fn(np.array([1.5]))[0])
         assert digamma(np.array([1.5, 2.5])).shape == (2,)
 
 
@@ -159,7 +162,8 @@ def same_bits(a, b):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
 class TestScalarRoute:
-    """Scalar inputs skip numpy arrays; the result must not move a bit."""
+    """Scalar inputs take the array route and give 0-d results, whose bits
+    are the array route's element for element."""
 
     @pytest.mark.parametrize("fn", [digamma, trigamma])
     def test_float_matches_array_route(self, fn):
@@ -169,9 +173,8 @@ class TestScalarRoute:
         for i in range(0, grid.size, 500):
             x = grid[i]
             got = fn(np.float64(x))
-            assert type(got) is float
+            assert np.shape(got) == ()
             assert same_bits(got, whole[i]), x
-            # every scalar once took the array route as a length-1 array
             assert same_bits(got, fn(np.array([x]))[0]), x
 
     def test_lgamma_array_route_matches_math_lgamma(self):
@@ -197,7 +200,7 @@ class TestScalarRoute:
         for i, x in enumerate(ints):
             for arg in (x, np.int64(x), np.array(float(x))):
                 got = fn(arg)
-                assert type(got) is float
+                assert np.shape(got) == ()
                 assert same_bits(got, whole[i]), x
 
     @pytest.mark.parametrize("fn", [geo_expect_gamma, geo_expect_beta])
@@ -211,11 +214,13 @@ class TestScalarRoute:
         assert same_bits(got, whole)
         for x, y in zip(first[::200], second[::200]):
             got = fn(np.float64(x), np.float64(y))
-            assert type(got) is float
+            assert np.shape(got) == ()
             assert same_bits(got, fn(np.array([x]), np.array([y]))[0]), (x, y)
         got = fn(2, 3)
-        assert type(got) is float
+        assert np.shape(got) == ()
         assert same_bits(got, fn(np.array([2.0]), np.array([3.0]))[0])
+        # a 0-d argument broadcasts against an array one
+        assert same_bits(fn(first[0], second[:5]), fn(np.full(5, first[0]), second[:5]))
 
     @pytest.mark.parametrize("bad", [0, 0.0, -0.0, -1, -2.5, float("nan")])
     def test_scalar_domain_errors(self, bad):
@@ -549,6 +554,15 @@ class TestCrtMean:
     def test_approx_p_plus_zero(self):
         m = BernoulliSumMoments(0.0, 0.0, 0.0, 0.0, 0.0)
         assert crt_mean_approx(0.7, m) == 0.0
+
+    def test_one_count_gives_a_0d_result_and_broadcasts(self):
+        m = bernoulli_sum_moments([0.5, 0.5])
+        one = crt_mean_approx(0.5, m)
+        assert isinstance(one, np.ndarray) and one.shape == ()
+        # one count against several concentrations: one entry each
+        row = crt_mean_approx(np.array([0.5, 0.7]), m)
+        assert row.shape == (2,)
+        assert same_bits(row, [one, crt_mean_approx(0.7, m)])
 
     def test_frozen_dispersed_value(self):
         # oracle value computed with scipy digamma/trigamma at

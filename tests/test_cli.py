@@ -216,6 +216,35 @@ class TestFit:
         cfg.write_text(json.dumps({"dataset_path": str(sim1_dataset), "oops": 1}))
         assert run_cli("fit", "--config", cfg) == 2
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            pytest.param({"hyper": {"K": "abc"}}, "hyper.K", id="K-text"),
+            pytest.param({"hyper": {"K": 7.5}}, "hyper.K", id="K-fraction"),
+            pytest.param({"hyper": {"K": True}}, "hyper.K", id="K-bool"),
+            pytest.param({"hyper": {"c0": "0.1"}}, "hyper.c0", id="c0-text"),
+            pytest.param({"hyper": {"d0": False}}, "hyper.d0", id="d0-bool"),
+            pytest.param({"fit": {"max_sweeps": "x"}}, "fit.max_sweeps", id="sweeps-text"),
+            pytest.param(
+                {"fit": {"rel_tolerance": None}}, "fit.rel_tolerance", id="tol-null"
+            ),
+            pytest.param({"fit": {"seed": 1.5}}, "fit.seed", id="seed-fraction"),
+            pytest.param({"n_restarts": "two"}, "n_restarts", id="restarts-text"),
+            pytest.param({"output_dir": 5}, "output_dir", id="out-number"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_usage_error(
+        self, tmp_path, sim1_dataset, capsys, config, key
+    ):
+        # a value of the wrong JSON type exits 2 and names its key, whether
+        # it would crash the fit or be truncated into a valid one
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"dataset_path": str(sim1_dataset), **config}))
+        out = tmp_path / "run"
+        assert run_cli("fit", "--config", cfg, "--max-sweeps", 2, "--out", out) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_everywhere(self):
         assert run_cli("fit", "--restarts", 1) == 2
 

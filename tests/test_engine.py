@@ -400,34 +400,61 @@ class TestUpdateAlpha:
             eta=[-0.5],
         )
         hyper = Hyperparameters(K=2)
-        shape, rate = engine.update_alpha(state, hyper, 0)
-        assert shape == pytest.approx(7.1, abs=1e-12)
-        assert rate == pytest.approx(0.6, abs=1e-12)
+        shape, rate = engine.update_alpha(state, hyper)
+        assert shape.shape == rate.shape == (1,)
+        assert shape[0] == pytest.approx(7.1, abs=1e-12)
+        assert rate[0] == pytest.approx(0.6, abs=1e-12)
 
     def test_prior_limit(self):
         state = make_state([np.full((2, 3), 0.5)])
         hyper = Hyperparameters(K=2)
-        assert engine.update_alpha(state, hyper, 0) == (
-            pytest.approx(0.1),
-            pytest.approx(0.1),
-        )
+        shape, rate = engine.update_alpha(state, hyper)
+        assert (shape[0], rate[0]) == (pytest.approx(0.1), pytest.approx(0.1))
 
 
 class TestUpdateEta:
     def test_harmonic_sum(self):
         state = make_state([np.full((1, 3), 0.5)])
-        assert engine.update_eta(state, 0) == pytest.approx(
-            -(1.0 + 0.5 + 1.0 / 3.0), abs=1e-9
-        )
+        eta = engine.update_eta(state)
+        assert eta.shape == (1,)
+        assert eta[0] == pytest.approx(-(1.0 + 0.5 + 1.0 / 3.0), abs=1e-9)
 
     def test_empty_group_degenerates_to_zero(self):
         state = make_state([np.zeros((1, 0))])
-        assert engine.update_eta(state, 0) == 0.0
+        assert engine.update_eta(state)[0] == 0.0
 
     def test_large_concentration_limit(self):
         state = make_state([np.full((1, 3), 0.5)], alpha=(1e8, 1.0))
-        val = engine.update_eta(state, 0)
+        val = engine.update_eta(state)[0]
         assert -1e-6 < val < 0.0
+
+
+class TestConcentrationsMatchPerGroupOracle:
+    """update_alpha and update_eta take every group in one step; each entry
+    must equal the per-group transcription in oracle.py bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise(self, seed):
+        dims = [13, 40, 7, 25]
+        state = random_state(np.random.default_rng(seed), 6, dims, 12)
+        # table counts of the sizes a sweep leaves, up to each group's width
+        for counts in (state.aux_s_mean, state.aux_t_mean):
+            counts *= np.array(dims, dtype=float)[:, None]
+        state.alpha_shape[2] = 1e-3
+        hyper = Hyperparameters(K=12)
+        shape, rate = engine.update_alpha(state, hyper)
+        want = [oracle.update_alpha(state, hyper, m) for m in range(len(dims))]
+        assert shape.tobytes() == np.array([w[0] for w in want]).tobytes()
+        assert rate.tobytes() == np.array([w[1] for w in want]).tobytes()
+        # eta at the new alpha, as the sweep takes it; group 2 keeps its
+        # tiny shape, so its E[alpha] is far below 1
+        state.alpha_shape[:] = shape
+        state.alpha_rate[:] = rate
+        state.alpha_shape[2] = 1e-3
+        eta = engine.update_eta(state)
+        want = [oracle.update_eta(state, m) for m in range(len(dims))]
+        assert eta.tobytes() == np.array(want).tobytes()
+        assert np.all(eta < 0.0)
 
 
 class TestMicroInstanceOracle:
@@ -596,10 +623,10 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
         state.f_mean[:, k] = f_new
         state.f_var[:, k] = f_var_new
     for m in range(state.n_groups):
-        shape, rate = engine.update_alpha(state, hyper, m)
+        shape, rate = oracle.update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
-        state.eta_log_mean[m] = engine.update_eta(state, m)
+        state.eta_log_mean[m] = oracle.update_eta(state, m)
         residual = oracle.residual(state, data)
         for n in range(state.n_samples):
             state.tau_rate[m][n] = oracle.update_tau(state, residual, hyper, m, n)
@@ -787,10 +814,10 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
             state.f_var[n, k] = var
 
     for m in range(M):
-        shape, rate = engine.update_alpha(state, hyper, m)
+        shape, rate = oracle.update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
-        state.eta_log_mean[m] = engine.update_eta(state, m)
+        state.eta_log_mean[m] = oracle.update_eta(state, m)
         rho, w, w_var = state.rho[m], state.w_mean[m], state.w_var[m]
         sq = engine._expected_sq_residual(
             engine._sq_norms(engine._row_norms(data.groups[m]), F, xc[m], cc[m]),
