@@ -7,8 +7,9 @@
 # dataset of widths 13, 40, 7 and 25 twice serially and once in a pool of
 # two workers, and require the same best checkpoint from all three: the
 # installed numpy's BLAS computes the sweep's per-group products. No
-# workload reconstructs from unequal widths either, so reconstruct from
-# two of the groups last. Exits non-zero if any step fails.
+# workload reconstructs from or evaluates unequal widths either, so
+# reconstruct from two of the groups, and require `cvgfa eval` to count the
+# same active factors (K+) as best.json. Exits non-zero if any step fails.
 set -eo pipefail
 
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -30,3 +31,9 @@ paste -d, "$out/ds/group_group4.csv" "$out/ds/group_group1.csv" > "$out/observed
 python -m cvgfa.cli reconstruct "$out/a/$(best "$out/a")" --observed "$out/observed.csv" \
   --observed-groups 3,0 --target 1 --out "$out/rec"
 test "$(wc -l < "$out/rec/reconstruction.csv")" -eq 60
+# eval and fit read one active-factor rule (model.ACTIVE_MASS)
+python -m cvgfa.cli eval "$out/a/$(best "$out/a")" "$out/ds" --mode sim1 --out "$out/eval.json"
+k_active() {
+  python -c 'import json, sys; print(json.load(open(sys.argv[1]))["k_active"])' "$1"
+}
+test "$(k_active "$out/eval.json")" -eq "$(k_active "$out/a/best.json")"

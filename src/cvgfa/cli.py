@@ -35,7 +35,7 @@ EVAL_N_DENSE = 4
 
 DEFAULT_N_RESTARTS = 20
 
-FIT_OPTION_KEYS = ("max_sweeps", "rel_tolerance", "seed", "active_factor_threshold")
+FIT_OPTION_KEYS = ("max_sweeps", "rel_tolerance", "seed")
 
 # the type of each config value, a number (int or float) where not listed;
 # a JSON true or false loads as a bool, an int, which no key takes
@@ -314,8 +314,7 @@ def cmd_eval(args) -> int:
     if pattern.n_groups != data.n_groups:
         raise DataError("truth pattern does not match the dataset groups")
 
-    threshold = FitOptions().active_factor_threshold
-    active = sorted(active_factors(state, threshold))
+    active = sorted(active_factors(state))
     mse = metrics.train_mse(data, state)
 
     per_group = []
@@ -438,37 +437,26 @@ def cmd_reconstruct(args) -> int:
     state, hyper, info = io.read_checkpoint(args.checkpoint)
     observed = io.read_matrix_csv(args.observed)
     group_ids = _parse_int_list(args.observed_groups, "--observed-groups")
-    if not group_ids:
-        raise UsageError("--observed-groups must list at least one group")
-    if len(set(group_ids)) != len(group_ids):
-        raise UsageError("--observed-groups lists a group twice")
-    for g in group_ids + [args.target]:
-        if not 0 <= g < state.n_groups:
-            raise UsageError(f"group index {g} out of range [0, {state.n_groups})")
-    dims = state.dims
-    width = sum(dims[g] for g in group_ids)
-    if observed.shape[1] != width:
+    if not 0 <= args.target < state.n_groups:
+        raise UsageError(f"--target {args.target} out of range [0, {state.n_groups})")
+    posterior = engine.condition_scores(state, hyper, group_ids)
+    widths = [state.dims[g] for g in group_ids]
+    if observed.shape[1] != sum(widths):
         raise DataError(
             f"observed matrix has {observed.shape[1]} columns, the listed "
-            f"groups span {width}"
+            f"groups span {sum(widths)}"
         )
     truth = None
     if args.truth:
         truth = io.read_matrix_csv(args.truth)
-        want = (observed.shape[0], dims[args.target])
+        want = (observed.shape[0], state.dims[args.target])
         if truth.shape != want:
             raise DataError(f"truth matrix is {truth.shape}, reconstruction is {want}")
 
-    posterior = engine.condition_scores(state, hyper, group_ids)
-    f_hat = np.empty((observed.shape[0], state.n_factors))
-    for i in range(observed.shape[0]):
-        row = observed[i]
-        segments = {}
-        offset = 0
-        for g in group_ids:
-            segments[g] = row[offset : offset + dims[g]]
-            offset += dims[g]
-        f_hat[i] = engine.predict_factors(posterior, segments)
+    # the observed columns, one block per listed group in the listed order
+    blocks = np.split(observed, np.cumsum(widths)[:-1], axis=1)
+    samples = [dict(zip(group_ids, row)) for row in zip(*blocks)]
+    f_hat = np.array([engine.predict_factors(posterior, x) for x in samples])
     recon = engine.reconstruct_group(state, f_hat, args.target)
 
     os.makedirs(args.out, exist_ok=True)

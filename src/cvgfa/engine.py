@@ -234,7 +234,7 @@ def _score_block(state, tau_bar, products, second, active):
     state.f_var[:, active] = f_var[:, active]
 
 
-def sweep(state, data, hyper, active_threshold=1e-2, *, _data_norms=None):
+def sweep(state, data, hyper, *, _data_norms=None):
     """One full coordinate-ascent pass, mutating state in place.
 
     Order per iteration, in two blocks and a tail. The loading block: for
@@ -244,7 +244,9 @@ def sweep(state, data, hyper, active_threshold=1e-2, *, _data_norms=None):
     factor's scores (_score_block). Then every group's alpha, then eta,
     then each group's noise precisions. This is the block order of
     variational group factor analysis (Virtanen et al., AISTATS 2012): all
-    loadings, then all latent factors.
+    loadings, then all latent factors. The active factors are those of
+    model.active_factors as the pass begins; the others keep their loadings
+    and scores.
 
     The collapsed-prior part of the loading block is one batch over the
     active factors A, taken before the factor loop: q(beta) of every factor
@@ -307,7 +309,7 @@ def sweep(state, data, hyper, active_threshold=1e-2, *, _data_norms=None):
     ends = np.cumsum(dims).tolist()
     spans = [slice(end - d_m, end) for end, d_m in zip(ends, dims)]
     tau_bar = [hyper.tau_shape(d_m) / state.tau_rate[m] for m, d_m in enumerate(dims)]
-    active = sorted(active_factors(state, active_threshold))
+    active = sorted(active_factors(state))
     rho_all = state.rho.stacked
     w_all = state.w_mean.stacked
     w_var_all = state.w_var.stacked
@@ -562,7 +564,7 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
     data.validate()
     hyper.validate()
     opts.validate()
-    state = init_state(data, hyper, opts.seed, opts.active_factor_threshold)
+    state = init_state(data, hyper, opts.seed)
     data_norms = [_row_norms(x) for x in data.groups]
     trace = []
     prev_mse = None
@@ -570,13 +572,7 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
     converged = False
     for n_sweep in range(1, int(opts.max_sweeps) + 1):
         try:
-            norms = sweep(
-                state,
-                data,
-                hyper,
-                active_threshold=opts.active_factor_threshold,
-                _data_norms=data_norms,
-            )
+            norms = sweep(state, data, hyper, _data_norms=data_norms)
         except NumericalError as err:
             err.context.setdefault("phase", "main")
             err.context.setdefault("sweep", n_sweep)
@@ -587,7 +583,7 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
             raise NumericalError(
                 "non-finite objective", context={"phase": "main", "sweep": n_sweep}
             )
-        k_active = len(active_factors(state, opts.active_factor_threshold))
+        k_active = len(active_factors(state))
         trace.append((objective, mse, k_active))
         if prev_mse is not None:
             rel = abs(mse - prev_mse) / max(mse, 1e-12)

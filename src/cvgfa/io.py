@@ -211,13 +211,7 @@ def read_dataset(path):
         n_columns = entry.get("n_columns")
         if not (name and fname and isinstance(fname, str) and type(n_columns) is int):
             raise DataError(f"{path}: malformed group entry in manifest")
-        x = read_matrix_csv(os.path.join(path, fname))
-        if x.shape != (n, n_columns):
-            raise DataError(
-                f"{path}: {fname} is {x.shape[0]}x{x.shape[1]}, manifest "
-                f"says {n}x{n_columns}"
-            )
-        groups.append(x)
+        groups.append(_read_shaped(path, fname, (n, n_columns)))
         names.append(str(name))
     data = GroupedDataset(groups, names).validate()
     return data, manifest
@@ -241,14 +235,26 @@ def read_truth(path, manifest=None):
     if not isinstance(entries, list) or not entries:
         raise DataError(f"{path}: manifest lists no groups")
     pattern = read_pattern(os.path.join(path, gen["pattern_file"]))
-    factors = read_matrix_csv(os.path.join(path, gen["factors_file"]))
+    k = pattern.n_factors
+    factors = _read_shaped(path, gen["factors_file"], (manifest.get("n_samples"), k))
     loadings = []
     for entry in entries:
         tname = entry.get("truth_file") if isinstance(entry, dict) else None
         if not (tname and isinstance(tname, str)):
             raise DataError(f"{path}: a group entry in the manifest has no truth file")
-        loadings.append(read_matrix_csv(os.path.join(path, tname)))
+        loadings.append(_read_shaped(path, tname, (k, entry.get("n_columns"))))
     return loadings, pattern, factors
+
+
+def _read_shaped(path, fname, shape):
+    """Matrix file fname of the dataset directory path, of the given shape."""
+    matrix = read_matrix_csv(os.path.join(path, fname))
+    if matrix.shape != shape:
+        raise DataError(
+            f"{path}: {fname} is {matrix.shape[0]}x{matrix.shape[1]}, "
+            f"expected {shape[0]}x{shape[1]}"
+        )
+    return matrix
 
 
 # Every VariationalState field, in the order the checkpoint stores them
@@ -444,7 +450,10 @@ def read_trace(path):
     if not lines or lines[0] != TRACE_HEADER:
         raise DataError(f"{path} lacks the expected trace header")
     rows = []
-    for line in lines[1:]:
-        sweep, objective, mse, k_active = line.split(",")
-        rows.append((int(sweep), float(objective), float(mse), int(k_active)))
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            sweep, objective, mse, k_active = line.split(",")
+            rows.append((int(sweep), float(objective), float(mse), int(k_active)))
+        except ValueError:
+            raise DataError(f"{path} line {number} is not a trace row") from None
     return rows

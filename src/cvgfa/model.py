@@ -15,6 +15,7 @@ from .approx import digamma
 from .errors import DataError, NumericalError, UsageError
 
 __all__ = [
+    "ACTIVE_MASS",
     "BETA_B_FLOOR",
     "GroupedDataset",
     "Hyperparameters",
@@ -28,6 +29,10 @@ __all__ = [
 # q(beta) rate floor; at K = 1 the prior rate kappa0 (K - 1) / K collapses
 # to 0, which would make the posterior improper.
 BETA_B_FLOOR = 1e-6
+
+# The inclusion mass that makes a factor active (active_factors), the one
+# rule behind the sweep's factor skipping, trace.csv, best.json and eval.
+ACTIVE_MASS = 1e-2
 
 
 @dataclass
@@ -114,7 +119,6 @@ class FitOptions:
     max_sweeps: int = 200
     rel_tolerance: float = 1e-5
     seed: int = 0
-    active_factor_threshold: float = 1e-2
 
     def validate(self):
         if int(self.max_sweeps) < 1:
@@ -123,8 +127,6 @@ class FitOptions:
             raise UsageError("rel_tolerance must be positive")
         if int(self.seed) < 0:
             raise UsageError("seed must be a non-negative integer")
-        if not self.active_factor_threshold > 0:
-            raise UsageError("active_factor_threshold must be positive")
         return self
 
 
@@ -379,9 +381,7 @@ def _varimax(loadings, max_iters=200, tol=1e-10):
     return rot
 
 
-def init_state(
-    data: GroupedDataset, hyper: Hyperparameters, seed, active_threshold=1e-2
-) -> VariationalState:
+def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> VariationalState:
     """Spectral warm start relaxed to a stationary point of the sweep cycle.
 
     Phase one takes the principal components of the column-concatenated
@@ -392,19 +392,19 @@ def init_state(
     loadings (varimax), and ordered by loading energy; entries whose
     |loading| reaches 0.5 become confident inclusions (rho 0.9, the rest
     0.02). The rows of components below the signal cut get no inclusion,
-    but rho 0.02 gives each a mass of 0.02 D_m, at least the default active
-    threshold 1e-2: every factor starts active, and the first sweeps prune
-    those the data do not support. Loading and noise precision posteriors
-    start at their one-step updates given those loadings, and the factor
-    scores get a small seed-dependent jitter.
+    but rho 0.02 gives each a mass of 0.02 D_m, at least ACTIVE_MASS: every
+    factor starts active, and the first sweeps prune those the data do not
+    support. Loading and noise precision posteriors start at their one-step
+    updates given those loadings, and the factor scores get a small
+    seed-dependent jitter.
 
     Phase two runs full coordinate sweeps until the training reconstruction
     error is stationary (three consecutive relative changes below 5e-7,
     capped at 150 passes). Fresh warm starts spend their first dozens of
     sweeps renegotiating borderline inclusions, which is not monotone in
     reconstruction error; relaxing here hands the caller a state already
-    settled inside its attraction basin. Its sweeps skip the factors below
-    active_threshold, as fit's do (FitOptions.active_factor_threshold).
+    settled inside its attraction basin. Its sweeps skip the inactive
+    factors, as fit's do.
     A NumericalError from one of them gains the context {"phase": "warmup",
     "sweep": n}, n counted from 1. Deterministic given (data, seed).
     """
@@ -424,13 +424,7 @@ def init_state(
     streak = 0
     for n_sweep in range(1, _INIT_RELAX_CAP + 1):
         try:
-            norms = engine.sweep(
-                state,
-                data,
-                hyper,
-                active_threshold=active_threshold,
-                _data_norms=data_norms,
-            )
+            norms = engine.sweep(state, data, hyper, _data_norms=data_norms)
         except NumericalError as err:
             err.context.setdefault("phase", "warmup")
             err.context.setdefault("sweep", n_sweep)
@@ -560,16 +554,16 @@ def _spectral_start(
     )
 
 
-def active_factors(state: VariationalState, threshold):
-    """Factors whose expected loading mass reaches threshold in some group.
+def active_factors(state: VariationalState):
+    """Factors whose expected loading mass reaches ACTIVE_MASS in some group.
 
     Mass of factor k in group m is sum_d rho[m][k, d]; a factor counts as
-    active when its best group mass is at least threshold.
+    active when its best group mass is at least ACTIVE_MASS.
     """
     mass = np.zeros(state.n_factors)
     for r in state.rho:
         mass = np.maximum(mass, r.sum(axis=1))
-    return {int(k) for k in np.flatnonzero(mass >= threshold)}
+    return {int(k) for k in np.flatnonzero(mass >= ACTIVE_MASS)}
 
 
 # The helpers below are shared with engine: the data's row norms, the data

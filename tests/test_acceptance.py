@@ -28,7 +28,6 @@ from cvgfa.model import (
 from oracle import crt_mean_exact
 
 N_RESTARTS = 20
-ACTIVE_THRESHOLD = FitOptions().active_factor_threshold
 
 
 def _report(number, ok, detail):
@@ -67,7 +66,7 @@ def _truth_rows(truth, m, kinds):
 
 def _ssi_vs_truth(state, truth, data):
     """Group-averaged SSI of the active recovered loadings against truth."""
-    active = sorted(active_factors(state, ACTIVE_THRESHOLD))
+    active = sorted(active_factors(state))
     scores = []
     for m in range(data.n_groups):
         recovered = engine.expected_loadings(state, m)[active]
@@ -182,7 +181,7 @@ def test_criterion_04_sim1_recovery_beats_random_baseline(sim1_runs):
 
 def test_criterion_05_truncation_shrinks_to_few_factors(sim1_runs):
     kplus = [
-        len(active_factors(r["report"].final_state, ACTIVE_THRESHOLD))
+        len(active_factors(r["report"].final_state))
         for r in sim1_runs.results
     ]
     hits = sum(k <= 12 for k in kplus)

@@ -216,6 +216,24 @@ class TestFit:
         cfg.write_text(json.dumps({"dataset_path": str(sim1_dataset), "oops": 1}))
         assert run_cli("fit", "--config", cfg) == 2
 
+    def test_active_factor_threshold_is_not_a_fit_key(
+        self, tmp_path, sim1_dataset, capsys
+    ):
+        # which factors count as active is model.ACTIVE_MASS, not a knob
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "dataset_path": str(sim1_dataset),
+                    "fit": {"active_factor_threshold": 3.0},
+                }
+            )
+        )
+        out = tmp_path / "run"
+        assert run_cli("fit", "--config", cfg, "--max-sweeps", 2, "--out", out) == 2
+        assert "active_factor_threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "config, key",
         [
@@ -346,6 +364,38 @@ class TestEval:
         assert stability["n_dense_selected"] == 0
         assert result["k_active"] >= 0
         assert result["train_mse"] > 0.0
+
+    def test_k_active_matches_best_json(self, tmp_path, sim1_dataset, sim1_fit):
+        best = json.loads((sim1_fit / "best.json").read_text())
+        out = tmp_path / "eval.json"
+        assert run_cli(
+            "eval", sim1_fit / best["checkpoint"], sim1_dataset,
+            "--mode", "sim1", "--out", out,
+        ) == 0
+        assert json.loads(out.read_text())["k_active"] == best["k_active"]
+
+    @pytest.mark.parametrize(
+        "name, cut",
+        [
+            pytest.param("truth_group1.csv", lambda m: m[:3], id="loading-rows"),
+            pytest.param("truth_group2.csv", lambda m: m[:, :15], id="loading-columns"),
+            pytest.param("truth_factors.csv", lambda m: m[:10], id="factor-rows"),
+            pytest.param("truth_factors.csv", lambda m: m[:, :5], id="factor-columns"),
+        ],
+    )
+    def test_truth_of_the_wrong_shape_data_error(
+        self, tmp_path, sim1_dataset, sim1_fit, capsys, name, cut
+    ):
+        ds = tmp_path / "ds"
+        shutil.copytree(sim1_dataset, ds)
+        io.write_matrix_csv(ds / name, cut(io.read_matrix_csv(ds / name)))
+        best = json.loads((sim1_fit / "best.json").read_text())
+        out = tmp_path / "eval.json"
+        assert run_cli(
+            "eval", sim1_fit / best["checkpoint"], ds, "--mode", "sim1", "--out", out
+        ) == 3
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sim2_mode(self, tmp_path):
         ds = tmp_path / "ds"
@@ -573,6 +623,30 @@ class TestReconstruct:
             "reconstruct", ckpt, "--observed", observed,
             "--observed-groups", "", "--target", 1, "--out", tmp_path,
         ) == 2
+
+    @pytest.mark.parametrize(
+        "groups, target, message",
+        [
+            ("0,0", 1, "listed twice"),
+            ("0,4", 1, "group index 4 out of range"),
+            ("-1", 1, "group index -1 out of range"),
+            ("0", 4, "--target 4 out of range"),
+        ],
+    )
+    def test_bad_group_usage_error(
+        self, tmp_path, sim1_fit, capsys, groups, target, message
+    ):
+        best = json.loads((sim1_fit / "best.json").read_text())
+        ckpt = sim1_fit / best["checkpoint"]
+        observed = tmp_path / "observed.csv"
+        io.write_matrix_csv(observed, np.ones((2, 40)))
+        out = tmp_path / "rec"
+        assert run_cli(
+            "reconstruct", ckpt, "--observed", observed,
+            "--observed-groups", groups, "--target", target, "--out", out,
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("flag", ["--observed", "--truth"])

@@ -581,7 +581,7 @@ class TestMicroInstanceOracle:
         assert_allclose(state.tau_rate[0], want["tau_rate"], atol=1e-10)
 
 
-def reference_sweep(state, data, hyper, threshold=1e-2):
+def reference_sweep(state, data, hyper):
     """Same schedule as engine.sweep, one oracle op at a time.
 
     The explicit residual is rebuilt before every op, so each op sees a
@@ -592,7 +592,7 @@ def reference_sweep(state, data, hyper, threshold=1e-2):
     factor's scores after another, each reading the scores the earlier
     ones left.
     """
-    active = sorted(active_factors(state, threshold))
+    active = sorted(active_factors(state))
     for k in active:
         a_k, b_k = engine.update_beta_params(state, hyper, k)
         state.beta_a[k] = a_k
@@ -656,7 +656,7 @@ class TestSweepRoutesAgree:
         if pruned is not None:
             for r in fast.rho:
                 r[pruned] = 0.0
-            assert pruned not in active_factors(fast, 1e-2)
+            assert pruned not in active_factors(fast)
         slow = fast.copy()
 
         engine.sweep(fast, data, hyper)
@@ -685,7 +685,7 @@ class TestSweepRoutesAgree:
         )
 
 
-def per_column_sweep(state, data, hyper, active_threshold=1e-2):
+def per_column_sweep(state, data, hyper):
     """engine.sweep written one scalar at a time.
 
     The loading block: for each (k, m), every column's rho is computed from
@@ -713,7 +713,7 @@ def per_column_sweep(state, data, hyper, active_threshold=1e-2):
         geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)
     ]
 
-    active = sorted(active_factors(state, active_threshold))
+    active = sorted(active_factors(state))
     f2 = F * F + state.f_var
     sff_all = [tau_bar[m] @ f2 for m in range(M)]
     tf = [tau_bar[m][:, None] * F[:, active] for m in range(M)]
@@ -885,12 +885,12 @@ class TestSweepMatchesPerColumnLoop:
                 r[gap] = 0.0
         slow = fast.copy()
         assert_states_bitwise_equal(fast, slow)
-        active = [sorted(active_factors(fast, 1e-2))]
+        active = [sorted(active_factors(fast))]
         for _ in range(6):
             engine.sweep(fast, data, hyper)
             per_column_sweep(slow, data, hyper)
             assert_states_bitwise_equal(fast, slow)
-            active.append(sorted(active_factors(fast, 1e-2)))
+            active.append(sorted(active_factors(fast)))
         sizes = [len(a) for a in active]
         assert sizes[-1] < hyper.K
         if relax_cap is not None:
@@ -1072,7 +1072,7 @@ class TestGeoFloorInSweep:
             return crt_mean_approx(a_geo, count)
 
         monkeypatch.setattr(engine, "crt_mean_approx", spy)
-        assert active_factors(state, 1e-2) == set(range(k))
+        assert active_factors(state) == set(range(k))
         engine.sweep(state, data, Hyperparameters(K=k))
         # g_ab, then g_abbar, each with one row per active factor and one
         # column per group
@@ -1162,7 +1162,7 @@ class TestSweepInvariants:
         state = random_state(np.random.default_rng(52), n, dims, k)
         for r in state.rho:
             r[1] = 0.0
-        assert active_factors(state, 1e-2) == {0, 2, 3}
+        assert active_factors(state) == {0, 2, 3}
         before = state.copy()
         engine.sweep(state, data, Hyperparameters(K=k))
         for name in ("beta_a", "beta_b", "aux_s_mean", "aux_t_mean"):
@@ -1237,7 +1237,7 @@ class TestScoreBlock:
     @pytest.mark.parametrize("seed", range(10))
     def test_never_lowers_the_objective(self, seed, pruned):
         data, hyper, state, inputs = self.setup(seed, pruned)
-        active = sorted(active_factors(state, 1e-2))
+        active = sorted(active_factors(state))
         assert (pruned is None) == (len(active) == hyper.K)
 
         # the whole block, and each column's update alone
@@ -1373,24 +1373,6 @@ class TestFit:
             assert np.array_equal(a.final_state.rho[m], b.final_state.rho[m])
             assert np.array_equal(a.final_state.w_mean[m], b.final_state.w_mean[m])
         assert np.array_equal(a.final_state.f_mean, b.final_state.f_mean)
-
-    def test_warmup_sweeps_use_the_fit_threshold(self, monkeypatch):
-        data = make_dataset(seed=19, n=6, dims=(4, 3))
-        sweep = engine.sweep
-        thresholds = []
-
-        def spy(state, data, hyper, active_threshold=1e-2, **private):
-            thresholds.append(active_threshold)
-            return sweep(
-                state, data, hyper, active_threshold=active_threshold, **private
-            )
-
-        monkeypatch.setattr(engine, "sweep", spy)
-        opts = FitOptions(max_sweeps=1, active_factor_threshold=0.3)
-        engine.fit(data, Hyperparameters(K=2), opts)
-        # the one main sweep and at least one warm-up sweep in init_state
-        assert len(thresholds) > 1
-        assert set(thresholds) == {0.3}
 
     @pytest.mark.parametrize(
         "fail_at, want",
@@ -1542,7 +1524,7 @@ class TestConditionedMatchesOracle:
         state = random_state(rng, 9, [13, 40, 7, 25], 5)
         for r in state.rho:
             r[3] = 0.0  # factor 3 is pruned in every group
-        assert active_factors(state, 1e-2) == {0, 1, 2, 4}
+        assert active_factors(state) == {0, 1, 2, 4}
         return state, rng
 
     @pytest.mark.parametrize("seed", [21, 22])

@@ -731,3 +731,14 @@ class TestTrace:
         path.write_text("nope\n1,2,3,4\n")
         with pytest.raises(DataError):
             io.read_trace(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["1,2.5,0.5", "1,2.5,0.5,3,4", "1,abc,0.5,3", "1,2.5,0.5,3.5", ""],
+        ids=["short", "long", "text", "fraction", "empty"],
+    )
+    def test_malformed_row_rejected(self, tmp_path, row):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{io.TRACE_HEADER}\n1,2.5,0.5,3\n{row}\n")
+        with pytest.raises(DataError, match="line 3 is not a trace row"):
+            io.read_trace(path)

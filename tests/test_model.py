@@ -14,6 +14,7 @@ import oracle
 from cvgfa import model
 from cvgfa.errors import DataError, UsageError
 from cvgfa.model import (
+    ACTIVE_MASS,
     FitOptions,
     GroupBlocks,
     GroupedDataset,
@@ -161,7 +162,7 @@ class TestInitState:
         sq = sum(float(((g - r) ** 2).sum()) for g, r in zip(groups, recon))
         mse = sq / sum(g.size for g in groups)
         assert mse < 1.3  # near the unit noise floor
-        assert len(active_factors(state, 1e-2)) >= 1
+        assert len(active_factors(state)) >= 1
 
     def test_stationary_under_extra_sweep(self):
         from cvgfa import engine
@@ -365,6 +366,8 @@ class TestSqNorms:
 
 
 class TestActiveFactors:
+    """The one rule: inclusion mass of at least ACTIVE_MASS in some group."""
+
     def _state_with_rho(self, rho_rows):
         data = make_dataset(dims=(len(rho_rows[0]),))
         state = init_state(data, Hyperparameters(K=len(rho_rows)), seed=0)
@@ -373,36 +376,39 @@ class TestActiveFactors:
 
     def test_all_zero_rho(self):
         state = self._state_with_rho(np.zeros((3, 4)))
-        assert active_factors(state, 1e-2) == set()
+        assert active_factors(state) == set()
 
     def test_all_one_rho(self):
         state = self._state_with_rho(np.ones((3, 4)))
-        assert active_factors(state, 1.0) == {0, 1, 2}
+        assert active_factors(state) == {0, 1, 2}
 
     def test_below_threshold_excluded(self):
-        rho = np.zeros((2, 4))
-        rho[0] = 0.5
-        rho[1] = 0.00125  # sums to 0.005 < 0.01
+        assert ACTIVE_MASS == 1e-2
+        rho = np.zeros((4, 4))
+        rho[0] = 0.011 / 4  # mass 0.011, just above
+        rho[1] = 0.009 / 4  # mass 0.009, just below
+        rho[2, 0] = ACTIVE_MASS  # exactly the mass counts
+        rho[3, 0] = np.nextafter(ACTIVE_MASS, 0.0)
         state = self._state_with_rho(rho)
-        assert active_factors(state, 0.01) == {0}
+        assert active_factors(state) == {0, 2}
 
     def test_max_over_groups(self):
         data = make_dataset(dims=(4, 4))
         state = init_state(data, Hyperparameters(K=2), seed=0)
         state.rho[0][...] = 0.0
         state.rho[1][...] = 0.0
+        # factor 0: 0.006 in each group, 0.012 in all, below in every group
+        state.rho[0][0, 0] = 0.006
+        state.rho[1][0, 0] = 0.006
+        # factor 1: below in group 0, above in group 1
+        state.rho[0][1, 0] = 0.005
         state.rho[1][1, 0] = 0.8
-        assert active_factors(state, 0.5) == {1}
+        assert active_factors(state) == {1}
 
-    def test_monotone_in_threshold(self):
-        data = make_dataset()
-        state = init_state(data, Hyperparameters(K=6), seed=3)
-        prev = None
-        for thr in (1e-3, 1e-1, 1.0, 2.0, 5.0):
-            cur = active_factors(state, thr)
-            if prev is not None:
-                assert cur <= prev
-            prev = cur
+    def test_warm_start_floor_reaches_the_active_mass(self):
+        # init_state gives every factor inclusion 0.02 in each column at
+        # least, so a group of one column already holds it active
+        assert model._INIT_RHO_OUT >= ACTIVE_MASS
 
 
 class TestStackedLayout:
