@@ -6,14 +6,17 @@
 # through the rows of every group of a factor at once. So fit a sim1
 # dataset of widths 13, 40, 7 and 25 twice serially and once in a pool of
 # two workers, and require the same best checkpoint from all three: the
-# installed numpy's BLAS computes the sweep's per-group products. No
+# installed numpy's BLAS computes the sweep's per-group products, and the
+# pool's workers get the spectral start that all restarts share pickled. No
 # workload reconstructs from or evaluates unequal widths either, so
 # reconstruct from two of the groups, and require `cvgfa eval` to count the
-# same active factors (K+) as best.json. Exits non-zero if any step fails.
+# same active factors (K+) as best.json. Exits non-zero if any step fails,
+# and removes its work directory either way.
 set -eo pipefail
 
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
 python -m cvgfa.cli simulate sim1 --n 60 --d 13,40,7,25 --out "$out/ds"
 for run in a b; do
   python -m cvgfa.cli fit "$out/ds" --k 12 --restarts 2 --out "$out/$run"

@@ -309,7 +309,8 @@ def expect_log_shifted_count(shift_geo, count_mean, count_var):
     correction, not 0/0, and a positive one a finite correction, not an
     infinite one, since a Bernoulli-sum variance is at most its mean.
     """
-    if not np.min(shift_geo) > 0:
+    # an empty shift passes, a NaN one fails
+    if not np.all(np.greater(shift_geo, 0)):
         raise ValueError("shift_geo must be positive")
     total = shift_geo + count_mean
     correction = count_var / np.maximum(2.0 * total * total, _SMALLEST_DOUBLE)

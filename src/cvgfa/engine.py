@@ -14,10 +14,15 @@ updated, not as the earlier columns of the row have moved them. This
 departs from the paper's strictly sequential column order; it is the
 minibatch update of stochastic collapsed variational inference (Foulds et
 al., KDD 2013), with the whole row as the batch. What the collapsed prior
-needs of a row, q(beta), the count moments and the expected table counts
-of the auxiliary-variable augmentation (as in Teh, Kurihara & Welling,
-NIPS 2008), reads no other factor's update within the block, so it is
-taken for every active factor in one batch before the factor loop. Given
+needs of a row, q(beta), the count moments, the expected table counts of
+the auxiliary-variable augmentation (as in Teh, Kurihara & Welling, NIPS
+2008) and the two shifted-log halves of every column's inclusion logit,
+reads no other factor's update within the block, so it is taken for every
+active factor in one batch before the factor loop, and so are the weights
+that leave each factor out of the data products. The batch is built one
+group's columns at a time (|A| x D_m temporaries for |A| active factors),
+not as one block: block-wide temporaries are fresh pages at wide sizes,
+and their page faults made such a sweep slower than one row at a time. Given
 the factor's q(beta) parameters, the rows of one factor in different
 groups read disjoint state, so each factor takes one step for all of
 them: its rows side by side, whatever the group widths, with the
@@ -59,6 +64,7 @@ from .model import (
     _sq_norms,
     active_factors,
     init_state,
+    spectral_start,
 )
 
 __all__ = [
@@ -141,35 +147,57 @@ def update_eta(state):
     return digamma(alpha_mean) - digamma(alpha_mean + np.array(state.dims))
 
 
-def _rho_row(rho, lik, count_mean, count_var, g_ab, g_abbar, widths, k):
-    """New inclusion probabilities of factor k's stacked row, all at once.
+def _prior_halves(block, nhat, g_ab, g_abbar, spans):
+    """The collapsed-prior halves of the inclusion logits of a block of rows.
 
-    rho and lik are the old probabilities and the likelihood terms of the
-    rows of every group, side by side, widths[m] columns for group m (an
-    integer array). count_mean and count_var (the moments of each group's
-    count, as bernoulli_sum_moments gives them with widths), g_ab and
-    g_abbar hold one entry per group. Every column d reads its group's
-    pre-update count moments minus its own term: E = count_mean - rho[d],
-    V = count_var - rho[d](1 - rho[d]), with D_m - 1 - E for the
-    complementary count, each clamped at 0 (np.maximum passes NaN on to the
-    non-finite check). The logits overwrite lik, which saves a row-sized
-    array; the new probabilities are a new array. A non-finite logit raises
-    NumericalError naming the lowest such column, of the lowest such group.
+    block holds the rows (one per active factor) of rho.stacked as the
+    sweep begins, nhat their count moments and g_ab, g_abbar the rows'
+    concentrations (rows x groups), spans each group's columns. Column d
+    of group m reads its row's count moments minus its own term:
+    E = count_mean - rho[d], V = count_var - rho[d](1 - rho[d]), and
+    D_m - 1 - E for the complementary count, each clamped at 0 (np.maximum
+    passes NaN on to the sweep's non-finite check). Returns
+    E[log(g_ab + count)] and E[log(g_abbar + complement)]
+    (expect_log_shifted_count), two arrays shaped like block; the logit of
+    a column is (first - lik) - second. They are taken one group at a time,
+    so the temporaries are rows x D_m, and the first halves overwrite block,
+    each group's columns once they are read, so that only one array is new.
     """
-    e1 = np.repeat(count_mean, widths)
-    e1 -= rho
-    np.maximum(e1, 0.0, out=e1)
-    v1 = np.repeat(count_var, widths)
-    v1 -= rho * (1.0 - rho)
-    np.maximum(v1, 0.0, out=v1)
-    logit = np.subtract(
-        expect_log_shifted_count(np.repeat(g_ab, widths), e1, v1), lik, out=lik
-    )
-    e0 = np.repeat(widths - 1, widths) - e1
-    del e1
-    np.maximum(e0, 0.0, out=e0)
-    logit -= expect_log_shifted_count(np.repeat(g_abbar, widths), e0, v1)
-    del e0, v1
+    on = block
+    off = np.empty(block.shape)
+    for m, cols in enumerate(spans):
+        rho = block[:, cols]
+        e1 = nhat.mean[:, m, None] - rho
+        np.maximum(e1, 0.0, out=e1)
+        v1 = nhat.variance[:, m, None] - rho * (1.0 - rho)
+        np.maximum(v1, 0.0, out=v1)
+        on[:, cols] = expect_log_shifted_count(g_ab[:, m, None], e1, v1)
+        e0 = np.subtract(rho.shape[1] - 1, e1, out=e1)
+        np.maximum(e0, 0.0, out=e0)
+        off[:, cols] = expect_log_shifted_count(g_abbar[:, m, None], e0, v1)
+    return on, off
+
+
+def _loo_weights(ft_tf, idx):
+    """The weights that leave each active factor out of dotx.
+
+    ft_tf[m] is F^T (tau_bar_m F_A), one row per active factor idx[i];
+    returns them as one |A| x M x K array with factor idx[i]'s own entry
+    of row i zeroed. Then X_m^T tf minus every factor but idx[i]'s share,
+    R_m^T tf + C_m[idx[i]] (tf . f_idx[i]) with R_m = X_m - F C_m and
+    tf = tau_bar_m f_idx[i], is X_m^T tf - C_m^T weights[i, m].
+    """
+    weights = np.stack(ft_tf, axis=1)
+    weights[np.arange(idx.size), :, idx] = 0.0
+    return weights
+
+
+def _inclusion_probs(logit, widths, k):
+    """The sigmoid of factor k's stacked logits, which it overwrites.
+
+    A non-finite logit raises NumericalError naming the lowest such column,
+    of the lowest such group.
+    """
     bad = ~np.isfinite(logit)
     if bad.any():
         col = int(bad.argmax())
@@ -181,23 +209,14 @@ def _rho_row(rho, lik, count_mean, count_var, g_ab, g_abbar, widths, k):
         )
     # 1 / (1 + exp(-x)) for x >= 0 and e / (1 + e), e = exp(x), below 0:
     # exp never sees a positive argument, so it cannot overflow
-    e = np.exp(-np.abs(logit))
-    new = np.where(logit >= 0, 1.0, e)
+    pos = logit >= 0
+    e = np.abs(logit, out=logit)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    new = np.where(pos, 1.0, e)
     e += 1.0
     new /= e
     return new
-
-
-def _loo_dotx(xt_tf, loads, g, k):
-    """X^T tf minus every factor but k's share: R^T tf + loads[k] (tf . f_k).
-
-    R = X - f_mean @ loads is the residual and tf = tau_bar * f_k a
-    length-N weight vector; the caller supplies the products xt_tf = X^T tf
-    and g = f_mean^T tf.
-    """
-    g = g.copy()
-    g[k] = 0.0
-    return xt_tf - loads.T @ g
 
 
 def _score_block(state, tau_bar, products, second, active):
@@ -253,14 +272,18 @@ def sweep(state, data, hyper, *, _data_norms=None):
     in A (update_beta_params), the concentrations g_ab and g_abbar as
     |A| x M arrays, each group's count moments and those of its complement
     over the |A| x D_m block rho[m][A] (bernoulli_sum_moments and
-    _complement_moments, one reduction per group), and the table counts of
+    _complement_moments, one reduction per group), the table counts of
     every (factor, group) row from one crt_mean_approx call for E[s] and
-    one for E[t]; the block is rows A of rho.stacked. Factor k's batch
-    values read only its own rows, q(beta_k) and alpha, which no other
-    factor's step moves, so each equals the value a step of k alone would
-    compute after the factors before it, bit for bit: every sum runs over
-    one row (or the groups of one factor) in numpy's pairwise order, as
-    np.sum of it alone would.
+    one for E[t], and the two prior halves of every column's inclusion
+    logit as two |A| x sum_m D_m arrays (_prior_halves, one group's columns
+    at a time); the block is rows A of rho.stacked. Factor k's batch
+    values read only its own rows as the pass began, q(beta_k) and alpha,
+    which no other factor's step moves (only factor k's step writes row k
+    of rho), so each equals the value a step of k alone would compute
+    after the factors before it, bit for bit: every sum runs over one row
+    (or the groups of one factor) in numpy's pairwise order, as np.sum of
+    it alone would, and every elementwise step is the one a row alone
+    would take.
 
     A factor's step in the loop moves all its rows at once: they lie side
     by side in row k of the state's stacked arrays (model.GroupBlocks), of
@@ -272,20 +295,25 @@ def sweep(state, data, hyper, *, _data_norms=None):
     product, so every value equals the one a per-group loop would compute,
     bit for bit.
 
-    The rows' rho moves in one step (_rho_row): column d reads its row's
-    pre-update count moments minus its own term. The paper updates the
+    The rows' rho moves in one step: column d's logit,
+    (prior_on - lik) - prior_off, reads its row's pre-update count moments
+    minus its own term through the batch's prior halves, and only its
+    likelihood term lik is taken in the loop. The paper updates the
     columns one after another, each reading the sums its predecessors have
     moved; reading the pre-row sums instead is what lets the row be one
     numpy expression. Column d's likelihood term, new loading and lambda
     read only its own values and dotx[d], which stays fixed while the row
-    is updated, so they are whole-row expressions too.
+    is updated, so they are whole-row expressions too, built in place over
+    rows that are spent.
 
     No N x D residual R = X_m - F C_m is formed, and the factor loop reads
     no data. F and the noise precisions stay fixed through the loading
     block, so what it needs of them is taken before it, for all active
     factors A at once: each group's sff, and one (tau_bar_m F_A)^T F and
-    one (tau_bar_m F_A)^T X_m product per group, from which _loo_dotx
-    leaves factor k out through the K x D expected loadings
+    one (tau_bar_m F_A)^T X_m product per group. The first, with each
+    factor's own entry zeroed, gives the |A| x M x K leave-one-out weights
+    (_loo_weights); in the loop, dotx of group m is the second's row minus
+    one product of those weights with the K x D expected loadings
     C_m = rho[m] * w_mean[m], group m's columns of one K x sum_m D_m
     product (row k rewritten after each row update). After the loading
     block C_m is final for the pass: one X_m C_m^T and one C_m C_m^T per
@@ -315,9 +343,10 @@ def sweep(state, data, hyper, *, _data_norms=None):
     w_var_all = state.w_var.stacked
     lam_all = state.lambda_rate.stacked
 
-    # the batch: every active factor's q(beta), count moments and table
-    # counts, taken before the loadings and products below so that its
-    # temporaries are gone before those exist
+    # the batch: every active factor's q(beta), count moments, table counts
+    # and the prior halves of its inclusion logits, taken before the
+    # loadings and products below so that its temporaries are gone before
+    # those exist
     idx = np.array(active, dtype=np.intp)
     beta_a, beta_b = update_beta_params(state, hyper, idx)
     state.beta_a[idx] = beta_a
@@ -328,20 +357,22 @@ def sweep(state, data, hyper, *, _data_norms=None):
     block = rho_all[idx]
     nhat = bernoulli_sum_moments(block, widths)
     ntil = _complement_moments(nhat, block, widths)
-    del block
     state.aux_s_mean[:, idx] = np.minimum(
         np.maximum(crt_mean_approx(g_ab, nhat), 0.0), widths
     ).T
     state.aux_t_mean[:, idx] = np.minimum(
         np.maximum(crt_mean_approx(g_abbar, ntil), 0.0), widths
     ).T
+    del ntil
+    prior_on, prior_off = _prior_halves(block, nhat, g_ab, g_abbar, spans)
+    del block, nhat
 
     loads = rho_all * w_all
     f2 = f_mean * f_mean + state.f_var
     sff_all = np.array([tb @ f2 for tb in tau_bar])
     tf = [tb[:, None] * f_mean[:, active] for tb in tau_bar]
     xt_tf = [t.T @ x for t, x in zip(tf, data.groups)]
-    ft_tf = [t.T @ f_mean for t in tf]
+    loo = _loo_weights([t.T @ f_mean for t in tf], idx)
     del f2, tf
     dotx = np.empty(loads.shape[1])
 
@@ -350,35 +381,43 @@ def sweep(state, data, hyper, *, _data_norms=None):
         # sum_n tau f x~(no k): constant through the row update since only
         # factor k's own parameters change inside it
         for m, cols in enumerate(spans):
-            dotx[cols] = _loo_dotx(xt_tf[m][i], loads[:, cols], ft_tf[m][i], k)
+            np.subtract(xt_tf[m][i], loads[:, cols].T @ loo[i, m], out=dotx[cols])
+        # the likelihood term 0.5 (E[w^2] sff - 2 w dotx), built in place:
+        # row-sized arrays are few and dropped as soon as they are spent,
+        # which keeps the sweep's peak memory below one group's data
         w = w_all[k]
-        ew2 = w * w
-        ew2 += w_var_all[k]
-        lik = 0.5 * (ew2 * sff - 2.0 * w * dotx)
-        # row-sized arrays are dropped as soon as they are spent, which keeps
-        # the sweep's peak memory below one group's data at wide sizes
-        del ew2
-        rho = _rho_row(
-            rho_all[k],
-            lik,
-            nhat.mean[i],
-            nhat.variance[i],
-            g_ab[i],
-            g_abbar[i],
-            widths,
-            k,
-        )
-        del lik
+        logit = w * w
+        logit += w_var_all[k]
+        logit *= sff
+        wx = 2.0 * w
+        wx *= dotx
+        logit -= wx
+        del wx
+        logit *= 0.5
+        np.subtract(prior_on[i], logit, out=logit)
+        logit -= prior_off[i]
+        rho = _inclusion_probs(logit, widths, k)
+        del logit
 
-        w_var = 1.0 / (lam_shape / lam_all[k] + rho * sff)
+        # w_var = 1 / (lam_shape / lam + rho sff), w = w_var rho dotx and
+        # lam = f0 + (w^2 + w_var) / 2, each written over its spent row
+        w_var = w_var_all[k]
+        np.divide(lam_shape, lam_all[k], out=w_var)
+        sff *= rho
+        w_var += sff
         del sff
-        w = w_var * rho * dotx
+        np.divide(1.0, w_var, out=w_var)
+        np.multiply(w_var, rho, out=w)
+        w *= dotx
+        lam = lam_all[k]
+        np.multiply(w, w, out=lam)
+        lam += w_var
+        lam *= 0.5
+        lam += hyper.f0
         rho_all[k] = rho
-        w_all[k] = w
-        w_var_all[k] = w_var
-        lam_all[k] = hyper.f0 + 0.5 * (w * w + w_var)
-        loads[k] = rho * w
-        del rho, w, w_var
+        np.multiply(rho, w, out=loads[k])
+        del rho
+    del prior_on, prior_off, xt_tf, loo
 
     # each group's products and loading sums at the final loadings of the
     # pass, for the score block and the noise precisions
@@ -548,9 +587,15 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
     return total
 
 
-def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitReport:
+def fit(
+    data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions, start=None
+) -> FitReport:
     """Initialize and sweep to convergence.
 
+    start is model.spectral_start(data, hyper), taken here when None;
+    run_restarts takes it once and passes it to every restart, whose
+    results are the same bit for bit as without it. Its row norms serve
+    every sweep, the warm-up's included.
     Convergence is monitored on the training MSE: three consecutive sweeps
     with relative change below rel_tolerance. The surrogate objective is
     recorded per sweep but not used as the stopping rule since its collapsed
@@ -564,8 +609,10 @@ def fit(data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions) -> FitRe
     data.validate()
     hyper.validate()
     opts.validate()
-    state = init_state(data, hyper, opts.seed)
-    data_norms = [_row_norms(x) for x in data.groups]
+    if start is None:
+        start = spectral_start(data, hyper)
+    state = init_state(data, hyper, opts.seed, start=start)
+    data_norms = start.row_norms
     trace = []
     prev_mse = None
     streak = 0
@@ -694,10 +741,10 @@ def reconstruct_group(state, factor_means, m):
     return fm @ expected_loadings(state, m)
 
 
-def _one_restart(data, hyper, opts, seed):
+def _one_restart(data, hyper, opts, seed, start):
     run_opts = replace(opts, seed=seed)
     try:
-        report = fit(data, hyper, run_opts)
+        report = fit(data, hyper, run_opts, start=start)
         return {"seed": seed, "report": report, "error": None, "context": None}
     except NumericalError as err:
         return {
@@ -711,14 +758,21 @@ def _one_restart(data, hyper, opts, seed):
 def run_restarts(data, hyper, opts, n_restarts, workers=1):
     """Independent fits from seeds opts.seed .. opts.seed + n_restarts - 1.
 
-    Numerical aborts are captured per restart rather than failing the batch.
-    Results are returned in seed order regardless of worker count.
+    The seed-free part of the warm start (model.spectral_start) is taken
+    once, before any restart, and shared by all of them; pool workers get
+    it pickled, read-only as it is here. Each restart's result is the one
+    fit() alone gives. Numerical aborts are captured per restart rather
+    than failing the batch. Results are returned in seed order regardless
+    of worker count.
     """
     if int(n_restarts) < 1:
         raise UsageError("n_restarts must be at least 1")
     seeds = [int(opts.seed) + r for r in range(int(n_restarts))]
+    start = spectral_start(data, hyper)
     if int(workers) <= 1:
-        return [_one_restart(data, hyper, opts, s) for s in seeds]
+        return [_one_restart(data, hyper, opts, s, start) for s in seeds]
     with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-        futures = [pool.submit(_one_restart, data, hyper, opts, s) for s in seeds]
+        futures = [
+            pool.submit(_one_restart, data, hyper, opts, s, start) for s in seeds
+        ]
         return [f.result() for f in futures]

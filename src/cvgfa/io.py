@@ -442,6 +442,12 @@ def write_trace(path, trace):
 
 
 def read_trace(path):
+    """The (sweep, objective, train_mse, k_active) rows of a trace.csv.
+
+    A row that is not four numbers, whose objective or MSE is not finite,
+    whose sweep is below 1 or whose k_active is negative raises DataError
+    naming the file and the line: fit writes none of these.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -453,7 +459,14 @@ def read_trace(path):
     for number, line in enumerate(lines[1:], start=2):
         try:
             sweep, objective, mse, k_active = line.split(",")
-            rows.append((int(sweep), float(objective), float(mse), int(k_active)))
+            row = (int(sweep), float(objective), float(mse), int(k_active))
         except ValueError:
             raise DataError(f"{path} line {number} is not a trace row") from None
+        if not (math.isfinite(row[1]) and math.isfinite(row[2])):
+            raise DataError(f"{path} line {number} has a non-finite objective or MSE")
+        if row[0] < 1 or row[3] < 0:
+            raise DataError(
+                f"{path} line {number} has a sweep below 1 or a negative k_active"
+            )
+        rows.append(row)
     return rows

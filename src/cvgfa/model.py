@@ -22,6 +22,8 @@ __all__ = [
     "FitOptions",
     "GroupBlocks",
     "VariationalState",
+    "SpectralStart",
+    "spectral_start",
     "init_state",
     "active_factors",
 ]
@@ -381,22 +383,82 @@ def _varimax(loadings, max_iters=200, tol=1e-10):
     return rot
 
 
-def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> VariationalState:
+@dataclass(frozen=True)
+class SpectralStart:
+    """The seed-free part of the warm start, shared by every restart.
+
+    scores (N x k_use) are the leading principal-component scores, the
+    signal components rotated and ordered as their loadings; loadings
+    (r_sig x sum D_m) are the rotated loadings of the r_sig signal
+    components, the groups' columns side by side; row_norms holds every
+    group's _row_norms. The components past the signal cut get no loadings,
+    so no K x sum D_m array is kept. The arrays are read-only, also after
+    pickling, which rebuilds the object through its constructor.
+    """
+
+    scores: np.ndarray
+    loadings: np.ndarray
+    row_norms: tuple
+
+    def __post_init__(self):
+        for a in (self.scores, self.loadings, *self.row_norms):
+            a.setflags(write=False)
+
+    def __reduce__(self):
+        return SpectralStart, (self.scores, self.loadings, self.row_norms)
+
+
+def spectral_start(data: GroupedDataset, hyper: Hyperparameters) -> SpectralStart:
+    """The warm start's components, which do not depend on the seed.
+
+    The principal components of the column-concatenated data come from the
+    eigendecomposition of its N x N Gram matrix, without forming the
+    concatenation (_principal_components); they are the SVD's, up to the
+    sign of each component. Components whose singular value clears
+    _INIT_EDGE_MULT (2) times the median are signal: they are rotated
+    toward sparse loadings (varimax) and ordered by loading energy. The
+    eigenvector signs can differ from an SVD's; the varimax rotation, the
+    signal cut and init_state's inclusion cut treat a component and its
+    negation alike, so rho does not depend on them. Depends on the data
+    and on hyper.K only; run_restarts takes it once for all its restarts.
+    """
+    hyper.validate()
+    data.validate()
+    sv, scores, loads = _principal_components(data.groups, int(hyper.K))
+    k_use = scores.shape[1]
+    edge = _INIT_EDGE_MULT * float(np.median(sv))
+    r_sig = max(1, min(k_use, int((sv > edge).sum())))
+
+    signal = loads[:r_sig]
+    del loads
+    rot = _varimax(signal.T)
+    signal = rot.T @ signal
+    scores[:, :r_sig] = scores[:, :r_sig] @ rot
+    order = np.argsort(-(signal**2).sum(axis=1))
+    scores[:, :r_sig] = scores[:, :r_sig][:, order]
+    return SpectralStart(
+        scores=scores,
+        loadings=signal[order],
+        row_norms=tuple(_row_norms(x) for x in data.groups),
+    )
+
+
+def init_state(
+    data: GroupedDataset, hyper: Hyperparameters, seed, start=None
+) -> VariationalState:
     """Spectral warm start relaxed to a stationary point of the sweep cycle.
 
-    Phase one takes the principal components of the column-concatenated
-    data from the eigendecomposition of its N x N Gram matrix, without
-    forming the concatenation (_principal_components); they are the SVD's,
-    up to the sign of each component. Components whose singular value
-    clears twice the median are treated as signal, rotated toward sparse
-    loadings (varimax), and ordered by loading energy; entries whose
-    |loading| reaches 0.5 become confident inclusions (rho 0.9, the rest
-    0.02). The rows of components below the signal cut get no inclusion,
-    but rho 0.02 gives each a mass of 0.02 D_m, at least ACTIVE_MASS: every
-    factor starts active, and the first sweeps prune those the data do not
-    support. Loading and noise precision posteriors start at their one-step
-    updates given those loadings, and the factor scores get a small
-    seed-dependent jitter.
+    Phase one lays out the state from the seed-free components of
+    spectral_start (start, taken here when None) and the seed. Entries of
+    the rotated signal loadings whose magnitude reaches 0.5 become confident
+    inclusions (rho 0.9, the rest 0.02). The rows of components below the
+    signal cut get no inclusion, but rho 0.02 gives each a mass of
+    0.02 D_m, at least ACTIVE_MASS: every factor starts active, and the
+    first sweeps prune those the data do not support. Loading and noise
+    precision posteriors start at their one-step updates given those
+    loadings, and the factor scores get a small seed-dependent jitter.
+    A start given here must be spectral_start(data, hyper) of the same
+    data and K; the result is then the same, bit for bit.
 
     Phase two runs full coordinate sweeps until the training reconstruction
     error is stationary (three consecutive relative changes below 5e-7,
@@ -412,10 +474,9 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> Variationa
     data.validate()
     if int(seed) < 0:
         raise UsageError("seed must be a non-negative integer")
-    data_norms = [_row_norms(x) for x in data.groups]
-    # a separate function, so that the Gram matrix, its eigenvectors and
-    # the other warm-start temporaries are freed before the relaxation sweeps
-    state = _spectral_start(data, hyper, seed, data_norms)
+    if start is None:
+        start = spectral_start(data, hyper)
+    state = _seeded_start(data, hyper, seed, start)
 
     # engine imports this module at load time, hence the local import
     from . import engine
@@ -424,7 +485,7 @@ def init_state(data: GroupedDataset, hyper: Hyperparameters, seed) -> Variationa
     streak = 0
     for n_sweep in range(1, _INIT_RELAX_CAP + 1):
         try:
-            norms = engine.sweep(state, data, hyper, _data_norms=data_norms)
+            norms = engine.sweep(state, data, hyper, _data_norms=start.row_norms)
         except NumericalError as err:
             err.context.setdefault("phase", "warmup")
             err.context.setdefault("sweep", n_sweep)
@@ -473,34 +534,23 @@ def _principal_components(groups, k):
     return sv, root_n * u, loads
 
 
-def _spectral_start(
-    data: GroupedDataset, hyper: Hyperparameters, seed, data_norms
+def _seeded_start(
+    data: GroupedDataset, hyper: Hyperparameters, seed, start: SpectralStart
 ) -> VariationalState:
-    """Phase one of init_state: the spectral warm start, before any sweep.
+    """Phase one of init_state: the state of the spectral warm start.
 
-    data_norms are the groups' _row_norms. Only the score jitter reads the
-    seed. The components come from _principal_components, whose eigenvector
-    signs can differ from an SVD's; the varimax rotation, the signal cut and
-    the inclusion cut treat a component and its negation alike, so rho does
-    not depend on them.
+    Lays out start (spectral_start of the same data and K) as a state: the
+    seed's score jitter, rho, the loadings and their lambda rates in the
+    stacked layout, and the noise precisions they imply.
     """
     K = int(hyper.K)
     M = data.n_groups
     N = data.n_samples
+    scores, signal = start.scores, start.loadings
+    k_use = min(K, N, sum(data.dims))
+    if scores.shape != (N, k_use) or signal.shape[1] != sum(data.dims):
+        raise UsageError("the spectral start was taken on other data or another K")
     rng = np.random.default_rng(int(seed))
-
-    sv, scores, loads = _principal_components(data.groups, K)
-    k_use = scores.shape[1]
-    edge = _INIT_EDGE_MULT * float(np.median(sv))
-    r_sig = max(1, min(k_use, int((sv > edge).sum())))
-
-    loads[r_sig:] = 0.0
-    rot = _varimax(loads[:r_sig].T)
-    loads[:r_sig] = rot.T @ loads[:r_sig]
-    scores[:, :r_sig] = scores[:, :r_sig] @ rot
-    order = np.argsort(-(loads[:r_sig] ** 2).sum(axis=1))
-    loads[:r_sig] = loads[:r_sig][order]
-    scores[:, :r_sig] = scores[:, :r_sig][:, order]
 
     f_mean = _INIT_F_JITTER * rng.standard_normal((N, K))
     f_mean[:, :k_use] += scores
@@ -509,8 +559,7 @@ def _spectral_start(
     # every K x sum(D_m) array is built in the stacked layout, in place
     dims = data.dims
     w_mean = np.zeros((K, sum(dims)))
-    w_mean[:k_use] = loads
-    del loads
+    w_mean[: signal.shape[0]] = signal
     keep = np.abs(w_mean) >= _INIT_LOADING_CUT
     w_mean[~keep] = 0.0
     rho = np.where(keep, _INIT_RHO_IN, _INIT_RHO_OUT)
@@ -526,7 +575,7 @@ def _spectral_start(
     )
 
     tau_rate = []
-    for x, x_norms, rm, wm, vm in zip(data.groups, data_norms, rho, w_mean, w_var):
+    for x, x_norms, rm, wm, vm in zip(data.groups, start.row_norms, rho, w_mean, w_var):
         coef = rm * wm
         norms = _sq_norms(x_norms, f_mean, *_loading_products(x, coef))
         sq = _expected_sq_residual(

@@ -9,11 +9,15 @@ and the constant q(lambda) and q(tau) shapes from the hyperparameters. The
 concentration updates (update_alpha, update_eta) take one group at a time,
 where engine's take every group in one step.
 
-Two more oracles pin code the package runs in another form: crt_mean_exact,
-the closed-form table count that crt_mean_approx telescopes to, and
+More oracles pin code the package runs in another form: crt_mean_exact,
+the closed-form table count that crt_mean_approx telescopes to;
 predict_factors, held-out prediction for one sample conditioned from
 scratch, which engine.condition_scores and engine.predict_factors split
-into a once-per-command and a per-row step.
+into a once-per-command and a per-row step; and rho_row_priors and
+loo_dotx, the collapsed-prior halves of one stacked row's inclusion logits
+and the leave-one-factor-out data product of one (factor, group) row, which
+engine.sweep takes for every active factor before its factor loop
+(engine._prior_halves and engine._loo_weights).
 """
 
 import math
@@ -30,6 +34,46 @@ from cvgfa.approx import (
 )
 from cvgfa.engine import GEO_FLOOR
 from cvgfa.errors import DataError, NumericalError, UsageError
+
+
+def rho_row_priors(rho, count_mean, count_var, g_ab, g_abbar, widths):
+    """The two collapsed-prior halves of one stacked row's inclusion logits.
+
+    rho holds the old probabilities of factor k's rows of every group,
+    side by side, widths[m] columns for group m (an integer array).
+    count_mean and count_var (each group's count moments, as
+    bernoulli_sum_moments gives them with widths), g_ab and g_abbar hold
+    one entry per group. Every column d reads its group's pre-update count
+    moments minus its own term: E = count_mean - rho[d],
+    V = count_var - rho[d](1 - rho[d]), with D_m - 1 - E for the
+    complementary count, each clamped at 0. Returns E[log(g_ab + count)]
+    and E[log(g_abbar + complement)]; the logit of column d is
+    (first - lik) - second, lik its likelihood term. The per-group scalars
+    are repeated over their group's columns.
+    """
+    e1 = np.repeat(count_mean, widths)
+    e1 -= rho
+    np.maximum(e1, 0.0, out=e1)
+    v1 = np.repeat(count_var, widths)
+    v1 -= rho * (1.0 - rho)
+    np.maximum(v1, 0.0, out=v1)
+    on = expect_log_shifted_count(np.repeat(g_ab, widths), e1, v1)
+    e0 = np.repeat(widths - 1, widths) - e1
+    np.maximum(e0, 0.0, out=e0)
+    off = expect_log_shifted_count(np.repeat(g_abbar, widths), e0, v1)
+    return on, off
+
+
+def loo_dotx(xt_tf, loads, g, k):
+    """X^T tf minus every factor but k's share: R^T tf + loads[k] (tf . f_k).
+
+    R = X - f_mean @ loads is the residual and tf = tau_bar * f_k a
+    length-N weight vector; the caller supplies the products xt_tf = X^T tf
+    and g = f_mean^T tf.
+    """
+    g = g.copy()
+    g[k] = 0.0
+    return xt_tf - loads.T @ g
 
 
 def residual(state, data):

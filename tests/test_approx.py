@@ -529,6 +529,13 @@ class TestExpectLogShiftedCount:
             expect_log_shifted_count(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             expect_log_shifted_count(-1.0, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            expect_log_shifted_count(np.array([1.0, np.nan]), 1.0, 0.5)
+
+    def test_no_shifts_give_an_empty_result(self):
+        # a sweep with no active factor has no rows to take the prior of
+        got = expect_log_shifted_count(np.ones((0, 1)), np.ones((0, 3)), np.ones((0, 3)))
+        assert got.shape == (0, 3)
 
 
 class TestCrtMean:

@@ -5,6 +5,7 @@ against each other, and single coordinates are pinned against hand-built
 states with analytically known outputs.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -31,6 +32,7 @@ from cvgfa.model import (
     VariationalState,
     active_factors,
     init_state,
+    spectral_start,
 )
 from test_model import assert_stacked_layout
 
@@ -968,10 +970,75 @@ class TestRhoRow:
             warnings.simplefilter("error", RuntimeWarning)
             widths = np.array([6])
             nhat = bernoulli_sum_moments(rho, widths)
-            got = engine._rho_row(
-                rho, lik, nhat.mean, nhat.variance, np.ones(1), np.ones(1), widths, 0
+            on, off = oracle.rho_row_priors(
+                rho, nhat.mean, nhat.variance, np.ones(1), np.ones(1), widths
             )
+            got = engine._inclusion_probs((on - lik) - off, widths, 0)
         np.testing.assert_array_equal(got, [1.0, 0.0, 1.0, 0.0, 0.5, 0.5])
+
+
+class TestBatchedRowTerms:
+    """The sweep's batch of every active row's prior halves and
+    leave-one-out weights against the per-row oracles, bit for bit."""
+
+    DIMS = [13, 40, 7, 25]
+    INACTIVE = (1, 4)
+
+    def batch(self):
+        rng = np.random.default_rng(23)
+        n, k = 11, 6
+        data = GroupedDataset(
+            [rng.standard_normal((n, d)) for d in self.DIMS],
+            [f"g{m}" for m in range(len(self.DIMS))],
+        )
+        state = random_state(rng, n, self.DIMS, k)
+        for r in state.rho:
+            r[list(self.INACTIVE)] = 0.0
+        active = sorted(active_factors(state))
+        assert active == [j for j in range(k) if j not in self.INACTIVE]
+        return data, state, active
+
+    def test_prior_halves_match_the_row_oracle(self):
+        _, state, active = self.batch()
+        hyper = Hyperparameters(K=state.n_factors)
+        idx = np.array(active)
+        widths = np.array(state.dims)
+        ends = np.cumsum(widths).tolist()
+        spans = [slice(end - d, end) for end, d in zip(ends, state.dims)]
+        beta_a, beta_b = engine.update_beta_params(state, hyper, idx)
+        # the concentrations as engine.sweep takes them
+        g_alpha = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
+        g_ab, g_abbar = (
+            np.maximum(geo_expect_beta(a, b)[:, None] * g_alpha, engine.GEO_FLOOR)
+            for a, b in ((beta_a, beta_b), (beta_b, beta_a))
+        )
+        block = state.rho.stacked[idx]
+        nhat = bernoulli_sum_moments(block, widths)
+        # the first halves are written over the rows they read
+        on, off = engine._prior_halves(block.copy(), nhat, g_ab, g_abbar, spans)
+        for i in range(len(active)):
+            want_on, want_off = oracle.rho_row_priors(
+                block[i], nhat.mean[i], nhat.variance[i], g_ab[i], g_abbar[i], widths
+            )
+            assert on[i].tobytes() == want_on.tobytes()
+            assert off[i].tobytes() == want_off.tobytes()
+
+    def test_loo_weights_match_the_row_oracle(self):
+        data, state, active = self.batch()
+        idx = np.array(active)
+        tau_bar = [PRIOR.tau_shape(d) / t for d, t in zip(state.dims, state.tau_rate)]
+        loads = [r * w for r, w in zip(state.rho, state.w_mean)]
+        F = state.f_mean
+        tf = [tb[:, None] * F[:, active] for tb in tau_bar]
+        xt_tf = [t.T @ x for t, x in zip(tf, data.groups)]
+        ft_tf = [t.T @ F for t in tf]
+        weights = engine._loo_weights(ft_tf, idx)
+        assert weights.shape == (len(active), len(self.DIMS), state.n_factors)
+        for i, k in enumerate(active):
+            for m in range(len(self.DIMS)):
+                got = xt_tf[m][i] - loads[m].T @ weights[i, m]
+                want = oracle.loo_dotx(xt_tf[m][i], loads[m], ft_tf[m][i], k)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestLeaveOneFactorOutProducts:
@@ -1014,7 +1081,7 @@ class TestLeaveOneFactorOutProducts:
             for j in range(k):
                 want = residual[m].T @ tf[:, j]
                 want += loads[m][j] * float(tf[:, j] @ F[:, j])
-                got = engine._loo_dotx(xt_tf[j], loads[m], ft_tf[j], j)
+                got = oracle.loo_dotx(xt_tf[j], loads[m], ft_tf[j], j)
                 self.assert_close(got, want)
         products = [engine._loading_products(x, c) for x, c in zip(data.groups, loads)]
         second = [
@@ -1602,6 +1669,41 @@ class TestRunRestarts:
             # states come back from the workers through pickle
             assert_states_bitwise_equal(a["report"].final_state, b["report"].final_state)
             assert_stacked_layout(b["report"].final_state)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_shared_start_read_only_and_unchanged(self, monkeypatch, workers):
+        data = make_dataset(seed=20, n=9, dims=(13, 7))
+        hyper = Hyperparameters(K=4)
+        starts = []
+
+        def spy(*args):
+            starts.append(spectral_start(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(engine, "spectral_start", spy)
+        results = engine.run_restarts(
+            data, hyper, FitOptions(max_sweeps=3), n_restarts=3, workers=workers
+        )
+        assert all(r["error"] is None for r in results)
+        (start,) = starts
+        fresh = spectral_start(data, hyper)
+        for got, want in (
+            (start.scores, fresh.scores),
+            (start.loadings, fresh.loadings),
+            *zip(start.row_norms, fresh.row_norms),
+        ):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
+    def test_each_restart_is_the_fit_alone(self):
+        data = make_dataset(seed=21, n=9, dims=(13, 7))
+        hyper = Hyperparameters(K=4)
+        opts = FitOptions(max_sweeps=4, seed=3)
+        results = engine.run_restarts(data, hyper, opts, n_restarts=2)
+        for res in results:
+            alone = engine.fit(data, hyper, dataclasses.replace(opts, seed=res["seed"]))
+            assert res["report"].trace == alone.trace
+            assert_states_bitwise_equal(res["report"].final_state, alone.final_state)
 
     def test_rejects_zero_restarts(self):
         data = make_dataset()

@@ -742,3 +742,22 @@ class TestTrace:
         path.write_text(f"{io.TRACE_HEADER}\n1,2.5,0.5,3\n{row}\n")
         with pytest.raises(DataError, match="line 3 is not a trace row"):
             io.read_trace(path)
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("2,nan,0.5,3", "non-finite objective or MSE"),
+            ("2,-inf,0.5,3", "non-finite objective or MSE"),
+            ("2,2.5,inf,3", "non-finite objective or MSE"),
+            ("2,2.5,nan,3", "non-finite objective or MSE"),
+            ("1,nan,inf,-3", "non-finite objective or MSE"),
+            ("-2,2.5,0.5,3", "sweep below 1 or a negative k_active"),
+            ("0,2.5,0.5,3", "sweep below 1 or a negative k_active"),
+            ("2,2.5,0.5,-1", "sweep below 1 or a negative k_active"),
+        ],
+    )
+    def test_values_fit_never_writes_rejected(self, tmp_path, row, problem):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{io.TRACE_HEADER}\n1,2.5,0.5,3\n{row}\n")
+        with pytest.raises(DataError, match=f"trace.csv line 3 has a {problem}"):
+            io.read_trace(path)

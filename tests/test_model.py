@@ -208,6 +208,55 @@ class TestInitState:
         with pytest.raises(UsageError):
             init_state(data, Hyperparameters(K=3), seed=-2)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_a_given_start_gives_the_same_state(self, seed):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 40, [13, 40, 7, 25], seed=seed)
+        hyper = Hyperparameters(K=12)
+        start = model.spectral_start(data, hyper)
+        own = init_state(data, hyper, seed)
+        shared = init_state(data, hyper, seed, start=start)
+        for f in dataclasses.fields(VariationalState):
+            a, b = getattr(own, f.name), getattr(shared, f.name)
+            if isinstance(a, GroupBlocks):
+                a, b = a.stacked, b.stacked
+            if isinstance(a, list):
+                assert len(a) == len(b), f.name
+                assert all(np.array_equal(x, y) for x, y in zip(a, b)), f.name
+            else:
+                assert np.array_equal(a, b), f.name
+
+    def test_start_is_read_only_and_holds_only_the_signal_rows(self):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 40, [13, 40, 7, 25], seed=1)
+        hyper = Hyperparameters(K=12)
+        start = model.spectral_start(data, hyper)
+        assert start.scores.shape == (40, 12)
+        # the signal rows only: no K x sum D_m array
+        assert 1 <= start.loadings.shape[0] < hyper.K
+        assert start.loadings.shape[1] == sum(data.dims)
+        assert [r.shape for r in start.row_norms] == [(40,)] * 4
+        # a pool worker gets the start pickled: still read-only there
+        for s in (start, pickle.loads(pickle.dumps(start))):
+            for a in (s.scores, s.loadings, *s.row_norms):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+        again = pickle.loads(pickle.dumps(start))
+        assert np.array_equal(again.loadings, start.loadings)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            start.scores = start.scores.copy()
+
+    @pytest.mark.parametrize(
+        "n, dims, k", [(6, (4, 3), 3), (7, (4, 3), 4), (6, (4, 4), 4), (6, (4, 3), 2)]
+    )
+    def test_a_start_of_other_data_or_k_is_rejected(self, n, dims, k):
+        start = model.spectral_start(make_dataset(), Hyperparameters(K=4))
+        with pytest.raises(UsageError):
+            init_state(make_dataset(n=n, dims=dims), Hyperparameters(K=k), 0, start=start)
+
     def test_copy_is_deep(self):
         data = make_dataset()
         state = init_state(data, Hyperparameters(K=4), seed=1)
@@ -258,10 +307,12 @@ class TestPrincipalComponents:
 
     @staticmethod
     def assert_same_inclusions(monkeypatch, data, hyper):
-        data_norms = [model._row_norms(x) for x in data.groups]
-        state = model._spectral_start(data, hyper, 0, data_norms)
+        def seeded(data, hyper):
+            return model._seeded_start(data, hyper, 0, model.spectral_start(data, hyper))
+
+        state = seeded(data, hyper)
         monkeypatch.setattr(model, "_principal_components", svd_components)
-        want = model._spectral_start(data, hyper, 0, data_norms)
+        want = seeded(data, hyper)
         for m in range(data.n_groups):
             assert np.array_equal(state.rho[m], want.rho[m])
             assert_allclose(np.abs(state.w_mean[m]), np.abs(want.w_mean[m]), atol=1e-12)
