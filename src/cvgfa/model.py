@@ -362,7 +362,9 @@ def _varimax(loadings, max_iters=200, tol=1e-10):
     """Orthogonal rotation maximizing the squared-loading variance.
 
     Takes variables x components, returns the components x components
-    rotation. Fewer than two components rotate trivially.
+    rotation. Fewer than two components rotate trivially. The cube is two
+    products and the column scaling a broadcast: x**3 calls libm pow for
+    every entry, and a product with a diagonal matrix is a whole matmul.
     """
     p, r = loadings.shape
     rot = np.eye(r)
@@ -371,9 +373,8 @@ def _varimax(loadings, max_iters=200, tol=1e-10):
     last = 0.0
     for _ in range(max_iters):
         rotated = loadings @ rot
-        target = loadings.T @ (
-            rotated**3 - rotated @ np.diag((rotated**2).sum(axis=0)) / p
-        )
+        sq = rotated * rotated
+        target = loadings.T @ (sq * rotated - rotated * sq.sum(axis=0) / p)
         u, s, vt = np.linalg.svd(target)
         rot = u @ vt
         total = float(s.sum())
