@@ -1266,9 +1266,10 @@ class TestSweepMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the N x K and K x D temporaries and those of the stacked row of a
-        # factor (sum_m D_m columns) take 0.77 of one group's bytes here;
-        # one N x D residual or reconstruction alone would take 1
+        # the N x K and K x D temporaries, the batch's two |A| x sum_m D_m
+        # prior halves and the temporaries of the stacked row of a factor
+        # (sum_m D_m columns) take 0.97 of one group's bytes here; one
+        # N x D residual or reconstruction alone would take 1
         assert peak < data.groups[0].nbytes
 
 
