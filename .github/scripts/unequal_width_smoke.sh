@@ -10,8 +10,11 @@
 # pool's workers get the spectral start that all restarts share pickled. No
 # workload reconstructs from or evaluates unequal widths either, so
 # reconstruct from two of the groups, and require `cvgfa eval` to count the
-# same active factors (K+) as best.json. Exits non-zero if any step fails,
-# and removes its work directory either way.
+# same active factors (K+) as best.json. `cvgfa rank` reads the best
+# checkpoint, and also tests/data/checkpoint_v3.json, whose stored lambda
+# rates and E[log eta] the reader checks against their derived values.
+# Exits non-zero if any step fails, and removes its work directory either
+# way.
 set -eo pipefail
 
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -40,3 +43,9 @@ k_active() {
   python -c 'import json, sys; print(json.load(open(sys.argv[1]))["k_active"])' "$1"
 }
 test "$(k_active "$out/eval.json")" -eq "$(k_active "$out/a/best.json")"
+# no two groups share a width, so group 1 (40 columns) is ranked against
+# itself; the version 3 fixture has four groups of 8 columns
+python -m cvgfa.cli rank "$out/a/$(best "$out/a")" --groups 1,1 --out "$out/rank"
+test "$(wc -l < "$out/rank/scores.csv")" -eq 41
+python -m cvgfa.cli rank tests/data/checkpoint_v3.json --groups 0,1 --out "$out/rank_v3"
+test "$(wc -l < "$out/rank_v3/scores.csv")" -eq 9

@@ -56,7 +56,9 @@ from .model import (
     GroupedDataset,
     Hyperparameters,
     VariationalState,
+    _eta_log_mean,
     _expected_sq_residual,
+    _lambda_rate,
     _loading_products,
     _loading_sums,
     _norms_mse,
@@ -71,7 +73,6 @@ __all__ = [
     "FitReport",
     "update_beta_params",
     "update_alpha",
-    "update_eta",
     "sweep",
     "surrogate_elbo",
     "fit",
@@ -135,16 +136,11 @@ def update_beta_params(state, hyper, k):
 
 def update_alpha(state, hyper):
     """q(alpha_m) gamma (shapes, rates) of every group from its table-count
-    totals: row sums of the C-ordered M x K counts, each np.sum of its row."""
+    totals, row sums of the C-ordered M x K counts, each np.sum of its row,
+    and E[log eta_m] at the current q(alpha_m) (model._eta_log_mean)."""
     totals = np.add.reduce(state.aux_s_mean, axis=-1)
     totals += np.add.reduce(state.aux_t_mean, axis=-1)
-    return hyper.c0 + totals, hyper.d0 - state.eta_log_mean
-
-
-def update_eta(state):
-    """E[log eta_m] of every group at the posterior mean of its alpha_m."""
-    alpha_mean = state.alpha_shape / state.alpha_rate
-    return digamma(alpha_mean) - digamma(alpha_mean + np.array(state.dims))
+    return hyper.c0 + totals, hyper.d0 - _eta_log_mean(state)
 
 
 def _prior_halves(block, nhat, g_ab, g_abbar, spans):
@@ -259,11 +255,11 @@ def sweep(state, data, hyper, *, _data_norms=None):
     Order per iteration, in two blocks and a tail. The loading block: for
     every active factor, (a_k, b_k), then every group's count moments and
     (E[s], E[t]); then, one active factor k after another, every group's
-    row of rho, then their w and lambda. The score block: each active
-    factor's scores (_score_block). Then every group's alpha, then eta,
-    then each group's noise precisions. This is the block order of
-    variational group factor analysis (Virtanen et al., AISTATS 2012): all
-    loadings, then all latent factors. The active factors are those of
+    row of rho, then their w. The score block: each active factor's scores
+    (_score_block). Then every group's alpha, then each group's noise
+    precisions. This is the block order of variational group factor
+    analysis (Virtanen et al., AISTATS 2012): all loadings, then all latent
+    factors. The active factors are those of
     model.active_factors as the pass begins; the others keep their loadings
     and scores.
 
@@ -301,10 +297,12 @@ def sweep(state, data, hyper, *, _data_norms=None):
     likelihood term lik is taken in the loop. The paper updates the
     columns one after another, each reading the sums its predecessors have
     moved; reading the pre-row sums instead is what lets the row be one
-    numpy expression. Column d's likelihood term, new loading and lambda
-    read only its own values and dotx[d], which stays fixed while the row
-    is updated, so they are whole-row expressions too, built in place over
-    rows that are spent.
+    numpy expression. Column d's likelihood term and new loading read only
+    its own values and dotx[d], which stays fixed while the row is updated,
+    so they are whole-row expressions too, built in place over rows that
+    are spent. The lambda rates a w_var update reads are derived from the
+    loadings it replaces (model._lambda_rate), and update_alpha reads
+    E[log eta] at the alpha it replaces (model._eta_log_mean).
 
     No N x D residual R = X_m - F C_m is formed, and the factor loop reads
     no data. F and the noise precisions stay fixed through the loading
@@ -341,7 +339,6 @@ def sweep(state, data, hyper, *, _data_norms=None):
     rho_all = state.rho.stacked
     w_all = state.w_mean.stacked
     w_var_all = state.w_var.stacked
-    lam_all = state.lambda_rate.stacked
 
     # the batch: every active factor's q(beta), count moments, table counts
     # and the prior halves of its inclusion logits, taken before the
@@ -399,21 +396,16 @@ def sweep(state, data, hyper, *, _data_norms=None):
         rho = _inclusion_probs(logit, widths, k)
         del logit
 
-        # w_var = 1 / (lam_shape / lam + rho sff), w = w_var rho dotx and
-        # lam = f0 + (w^2 + w_var) / 2, each written over its spent row
+        # w_var = 1 / (lam_shape / lam + rho sff) and w = w_var rho dotx,
+        # each written over its spent row, lam from the old loadings
         w_var = w_var_all[k]
-        np.divide(lam_shape, lam_all[k], out=w_var)
+        np.divide(lam_shape, _lambda_rate(w, w_var, hyper.f0), out=w_var)
         sff *= rho
         w_var += sff
         del sff
         np.divide(1.0, w_var, out=w_var)
         np.multiply(w_var, rho, out=w)
         w *= dotx
-        lam = lam_all[k]
-        np.multiply(w, w, out=lam)
-        lam += w_var
-        lam *= 0.5
-        lam += hyper.f0
         rho_all[k] = rho
         np.multiply(rho, w, out=loads[k])
         del rho
@@ -433,9 +425,8 @@ def sweep(state, data, hyper, *, _data_norms=None):
     norms = [
         _sq_norms(xx, f_mean, xc, cc) for xx, (xc, cc) in zip(_data_norms, products)
     ]
-    # group m's alpha reads only its own eta, from before this update
+    # group m's alpha reads only its own eta, at the alpha it replaces
     state.alpha_shape[:], state.alpha_rate[:] = update_alpha(state, hyper)
-    state.eta_log_mean[:] = update_eta(state)
     for m in range(state.n_groups):
         sq = _expected_sq_residual(norms[m], f_mean, state.f_var, *sums[m])
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
@@ -519,8 +510,9 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         e_log_tau = psi_tau[m] - np.log(state.tau_rate[m])
         # contiguous copies of the group's blocks: numpy's elementwise
         # steps on a column block of a stacked array take about twice as long
-        blocks = (state.rho, state.w_mean, state.w_var, state.lambda_rate)
-        rho, w_mean, w_var, lam_rate = (a[m].copy() for a in blocks)
+        blocks = (state.rho, state.w_mean, state.w_var)
+        rho, w_mean, w_var = (a[m].copy() for a in blocks)
+        lam_rate = _lambda_rate(w_mean, w_var, hyper.f0)
         sums = _loading_sums(rho, w_mean, w_var, rho * w_mean)
         sq = _expected_sq_residual(norms[m], state.f_mean, state.f_var, *sums)
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))

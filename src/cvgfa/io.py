@@ -16,12 +16,14 @@ float64 bytes in C order: raw bytes round-trip bitwise by construction,
 encode identically on every run, and cost no decimal formatting or parsing,
 which took most of a wide checkpoint's read and write time. The writer
 streams one array at a time. Checkpoints carry their own version,
-CHECKPOINT_VERSION, and store no q(lambda) or q(tau) shapes: those follow
-from the hyperparameters and the group widths, so the reader validates the
-hyperparameters against the state. It also loads versions 2 and 1, which
-stored the shapes too; each must equal its derived value, and is dropped.
-Version 1 stored every array as nested JSON float lists (compact or
-indented); a file that mixes the two array encodings is rejected.
+CHECKPOINT_VERSION, and store only free parameters (VariationalState):
+the q(lambda) and q(tau) shapes follow from the hyperparameters and the
+group widths, so the reader validates the hyperparameters against the
+state, and the q(lambda) rates and E[log eta] from the state. Versions 1
+to 3, which stored some of these too, still load; each stored value must
+equal its derived value, and is dropped. Version 1 stored every array as
+nested JSON float lists (compact or indented); a file that mixes the two
+array encodings is rejected.
 """
 
 import base64
@@ -39,6 +41,8 @@ from .model import (
     GroupedDataset,
     Hyperparameters,
     VariationalState,
+    _eta_log_mean,
+    _lambda_rate,
 )
 from .simdata import SparsityPattern
 
@@ -46,8 +50,9 @@ DATASET_FORMAT = "cvgfa-dataset"
 CHECKPOINT_FORMAT = "cvgfa-checkpoint"
 FORMAT_VERSION = 1
 # version 1 checkpoints stored the state arrays as JSON float lists; versions
-# 1 and 2 also stored the constant gamma shapes (see _check_stored_shapes)
-CHECKPOINT_VERSION = 3
+# 1 to 3 also stored the lambda rates and E[log eta], and versions 1 and 2
+# the constant gamma shapes (see _check_derived_fields)
+CHECKPOINT_VERSION = 4
 TRACE_HEADER = "sweep,objective,train_mse,k_active"
 
 HYPER_FIELDS = ("K", "kappa0", "c0", "d0", "e0", "f0", "g0", "h0")
@@ -55,10 +60,11 @@ _COMPACT = (",", ":")
 
 
 def write_matrix_csv(path, array):
-    rows = np.atleast_2d(np.asarray(array, dtype=float)).tolist()
+    """One line per row, each value's repr; one row at a time is converted."""
+    rows = np.atleast_2d(np.asarray(array, dtype=float))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
-            fh.write(",".join(map(repr, row)))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 
@@ -266,10 +272,8 @@ STATE_FIELDS = (
     ("aux_t_mean", False),
     ("beta_a", False),
     ("beta_b", False),
-    ("eta_log_mean", False),
     ("f_mean", False),
     ("f_var", False),
-    ("lambda_rate", True),
     ("rho", True),
     ("tau_rate", True),
     ("w_mean", True),
@@ -368,20 +372,24 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
         fh.write("}}\n")
 
 
-def _check_stored_shapes(path, block, decode, state, hyper):
-    """Versions 1 and 2 stored the q(lambda) and q(tau) shapes as arrays.
-
-    Each must equal the value hyper derives for it exactly, so that a file
-    whose shapes were edited fails instead of losing the edit unseen.
-    """
-    K, N = state.n_factors, state.n_samples
+def _check_derived_fields(path, block, decode, state, hyper, version):
+    """Versions 1 to 3 stored E[log eta] and the q(lambda) rates (one array
+    per group), versions 1 and 2 the q(lambda) and q(tau) shapes too (one
+    per group). Each must equal its derived value exactly, so that an edited
+    file fails instead of losing the edit unseen."""
+    loadings = zip(state.w_mean, state.w_var)
     derived = {
-        "lambda_shape": [np.full((K, d), hyper.lambda_shape) for d in state.dims],
-        "tau_shape": [np.full(N, hyper.tau_shape(d)) for d in state.dims],
+        "eta_log_mean": [_eta_log_mean(state)],
+        "lambda_rate": [_lambda_rate(w, v, hyper.f0) for w, v in loadings],
     }
+    if version < 3:
+        N, lam_shape = state.n_samples, hyper.lambda_shape
+        derived["lambda_shape"] = [np.full(r.shape, lam_shape) for r in state.rho]
+        derived["tau_shape"] = [np.full(N, hyper.tau_shape(d)) for d in state.dims]
     for name, want in derived.items():
         try:
-            stored = [decode(a) for a in block[name]]
+            stored = [block[name]] if name == "eta_log_mean" else block[name]
+            stored = [decode(a) for a in stored]
         except (KeyError, TypeError, ValueError) as err:
             raise DataError(f"{path}: malformed checkpoint state: {err}") from None
         if len(stored) != len(want) or not all(map(np.array_equal, stored, want)):
@@ -391,11 +399,11 @@ def _check_stored_shapes(path, block, decode, state, hyper):
 def read_checkpoint(path):
     """Returns (VariationalState, Hyperparameters, info dict).
 
-    Reads version 3 and 2 (base64 float64 arrays) and version 1 (JSON float
+    Reads versions 4 to 2 (base64 float64 arrays) and version 1 (JSON float
     lists). The hyperparameters must be valid and their K must match the
     state, since the derived gamma shapes depend on them.
     """
-    obj = _read_json(path, CHECKPOINT_FORMAT, versions=(1, 2, CHECKPOINT_VERSION))
+    obj = _read_json(path, CHECKPOINT_FORMAT, versions=(1, 2, 3, CHECKPOINT_VERSION))
     hp = obj.get("hyperparameters")
     if not isinstance(hp, dict) or any(f not in hp for f in HYPER_FIELDS):
         raise DataError(f"{path}: incomplete hyperparameters")
@@ -408,8 +416,8 @@ def read_checkpoint(path):
     block = obj.get("state")
     if not isinstance(block, dict):
         raise DataError(f"{path}: missing state block")
-    # the stacked fields' blocks and the stored shapes are only copied or
-    # compared, so a read-only view of the decoded bytes serves them
+    # the stacked fields' blocks and the stored derived arrays are only
+    # copied or compared, so a read-only view of the decoded bytes serves them
     if obj["version"] == 1:
         decode = view = _list_array
     else:
@@ -422,7 +430,7 @@ def read_checkpoint(path):
             f"{state.n_factors} factors"
         )
     if obj["version"] < CHECKPOINT_VERSION:
-        _check_stored_shapes(path, block, view, state, hyper)
+        _check_derived_fields(path, block, view, state, hyper, obj["version"])
     info = {
         "fit": obj.get("fit") or {},
         "group_names": obj.get("group_names"),

@@ -201,32 +201,31 @@ class GroupBlocks:
 
 
 # the VariationalState fields held as GroupBlocks
-GROUP_BLOCK_FIELDS = ("rho", "w_mean", "w_var", "lambda_rate")
+GROUP_BLOCK_FIELDS = ("rho", "w_mean", "w_var")
 
 
 @dataclass
 class VariationalState:
-    """Every variational parameter of the mean-field posterior.
+    """The free variational parameters of the mean-field posterior.
 
     Group-indexed fields hold one array per group m:
       rho[m]          K x D_m   inclusion probabilities q(z = 1)
       w_mean[m]       K x D_m   loading means
       w_var[m]        K x D_m   loading variances
-      lambda_rate[m]  K x D_m   q(lambda) gamma rates
       tau_rate[m]     N         q(tau) gamma rates, one per sample
-    rho, w_mean, w_var and lambda_rate are GroupBlocks: each keeps all its
-    groups in one K x sum(D_m) array (.stacked), and [m] is group m's view
-    of it. Given per-group arrays instead, the constructor copies them into
-    that layout. tau_rate is a list.
+    rho, w_mean and w_var are GroupBlocks: each keeps all its groups in one
+    K x sum(D_m) array (.stacked), and [m] is group m's view of it. Given
+    per-group arrays instead, the constructor copies them into that layout.
+    tau_rate is a list.
     Shared arrays:
       f_mean, f_var   N x K     factor score means / variances
       beta_a, beta_b  K         q(beta) parameters
       alpha_shape, alpha_rate   M    q(alpha) parameters
       aux_s_mean, aux_t_mean    M x K  expected table counts
-      eta_log_mean    M         E[log eta_m], nonpositive
-    The q(lambda) and q(tau) shapes are constants of the priors and the
-    group widths, so only their rates are stored here; the shapes are
-    Hyperparameters.lambda_shape and .tau_shape(D_m).
+    Nothing derived is stored: the q(lambda) and q(tau) shapes are
+    Hyperparameters.lambda_shape and .tau_shape(D_m), the q(lambda) rates
+    follow from q(w) (_lambda_rate) and E[log eta] from q(alpha)
+    (_eta_log_mean).
     """
 
     rho: GroupBlocks
@@ -236,13 +235,11 @@ class VariationalState:
     f_var: np.ndarray
     beta_a: np.ndarray
     beta_b: np.ndarray
-    lambda_rate: GroupBlocks
     tau_rate: list
     alpha_shape: np.ndarray
     alpha_rate: np.ndarray
     aux_s_mean: np.ndarray
     aux_t_mean: np.ndarray
-    eta_log_mean: np.ndarray
 
     def __post_init__(self):
         for name in GROUP_BLOCK_FIELDS:
@@ -275,13 +272,11 @@ class VariationalState:
             f_var=self.f_var.copy(),
             beta_a=self.beta_a.copy(),
             beta_b=self.beta_b.copy(),
-            lambda_rate=self.lambda_rate.copy(),
             tau_rate=[a.copy() for a in self.tau_rate],
             alpha_shape=self.alpha_shape.copy(),
             alpha_rate=self.alpha_rate.copy(),
             aux_s_mean=self.aux_s_mean.copy(),
             aux_t_mean=self.aux_t_mean.copy(),
-            eta_log_mean=self.eta_log_mean.copy(),
         )
 
     def validate(self):
@@ -295,7 +290,6 @@ class VariationalState:
         group_lists = {
             "w_mean": self.w_mean,
             "w_var": self.w_var,
-            "lambda_rate": self.lambda_rate,
             "tau_rate": self.tau_rate,
         }
         for name, lst in group_lists.items():
@@ -315,7 +309,7 @@ class VariationalState:
                 )
             if np.any(self.rho[m] < 0) or np.any(self.rho[m] > 1):
                 raise DataError(f"rho[{m}] outside [0, 1]")
-            for name in ("w_var", "lambda_rate", "tau_rate"):
+            for name in ("w_var", "tau_rate"):
                 if not np.all(getattr(self, name)[m] > 0):
                     raise DataError(f"{name}[{m}] must be strictly positive")
             if np.any(self.aux_s_mean[m] < 0) or np.any(self.aux_s_mean[m] > d_m):
@@ -336,8 +330,6 @@ class VariationalState:
                 raise DataError(f"{name} must be a positive length-M vector")
         if self.aux_s_mean.shape != (M, K) or self.aux_t_mean.shape != (M, K):
             raise DataError("aux means must be M x K")
-        if self.eta_log_mean.shape != (M,) or np.any(self.eta_log_mean > 0):
-            raise DataError("eta_log_mean must be a nonpositive length-M vector")
         return self
 
 
@@ -541,8 +533,8 @@ def _seeded_start(
     """Phase one of init_state: the state of the spectral warm start.
 
     Lays out start (spectral_start of the same data and K) as a state: the
-    seed's score jitter, rho, the loadings and their lambda rates in the
-    stacked layout, and the noise precisions they imply.
+    seed's score jitter, rho and the loadings in the stacked layout, and the
+    noise precisions they imply.
     """
     K = int(hyper.K)
     M = data.n_groups
@@ -566,14 +558,7 @@ def _seeded_start(
     rho = np.where(keep, _INIT_RHO_IN, _INIT_RHO_OUT)
     del keep
     w_var = np.full(w_mean.shape, _INIT_W_VAR)
-    # f0 + (w^2 + var) / 2, one operation at a time, without temporaries
-    lambda_rate = w_mean * w_mean
-    lambda_rate += w_var
-    lambda_rate *= 0.5
-    lambda_rate += hyper.f0
-    rho, w_mean, w_var, lambda_rate = (
-        GroupBlocks(a, dims) for a in (rho, w_mean, w_var, lambda_rate)
-    )
+    rho, w_mean, w_var = (GroupBlocks(a, dims) for a in (rho, w_mean, w_var))
 
     tau_rate = []
     for x, x_norms, rm, wm, vm in zip(data.groups, start.row_norms, rho, w_mean, w_var):
@@ -584,8 +569,6 @@ def _seeded_start(
         )
         tau_rate.append(hyper.h0 + 0.5 * sq)
 
-    alpha_mean0 = hyper.c0 / hyper.d0
-    eta_log_mean = digamma(alpha_mean0) - digamma(alpha_mean0 + np.array(dims))
     return VariationalState(
         rho=rho,
         w_mean=w_mean,
@@ -594,13 +577,11 @@ def _seeded_start(
         f_var=f_var,
         beta_a=np.full(K, hyper.kappa0 / K),
         beta_b=np.full(K, max(hyper.kappa0 * (K - 1) / K, BETA_B_FLOOR)),
-        lambda_rate=lambda_rate,
         tau_rate=tau_rate,
         alpha_shape=np.full(M, hyper.c0),
         alpha_rate=np.full(M, hyper.d0),
         aux_s_mean=np.zeros((M, K)),
         aux_t_mean=np.zeros((M, K)),
-        eta_log_mean=eta_log_mean,
     )
 
 
@@ -616,13 +597,31 @@ def active_factors(state: VariationalState):
     return {int(k) for k in np.flatnonzero(mass >= ACTIVE_MASS)}
 
 
-# The helpers below are shared with engine: the data's row norms, the data
-# and loading products, the residual's per-sample squared norms, the q(tau)
-# update and the training error. They are steps of their callers, not entry
-# points, hence private names; bench/tracer.py times public functions only,
-# so their time stays with the caller. The fit's training MSE (convergence
-# monitor, trace.csv, best.json) comes from these norms; metrics.train_mse,
-# which cvgfa eval reports, is exact.
+# The helpers below are shared with engine: the derived lambda rates and
+# E[log eta], the data's row norms, the data and loading products, the
+# residual's per-sample squared norms, the q(tau) update and the training
+# error. They are steps of their callers, not entry points, hence private
+# names; bench/tracer.py times public functions only, so their time stays
+# with the caller. The fit's training MSE (convergence monitor, trace.csv,
+# best.json) comes from these norms; metrics.train_mse, which cvgfa eval
+# reports, is exact.
+
+
+def _lambda_rate(w_mean, w_var, f0):
+    """The q(lambda) gamma rates f0 + E[w^2] / 2 of loadings (w_mean, w_var),
+    a new array, as ((w * w + var) * 0.5) + f0: the order of every rate a
+    version 1-3 checkpoint stored, so each derives bit for bit."""
+    rate = w_mean * w_mean
+    rate += w_var
+    rate *= 0.5
+    rate += f0
+    return rate
+
+
+def _eta_log_mean(state):
+    """E[log eta_m] = psi(E[alpha_m]) - psi(E[alpha_m] + D_m) of every group."""
+    alpha_mean = state.alpha_shape / state.alpha_rate
+    return digamma(alpha_mean) - digamma(alpha_mean + np.array(state.dims))
 
 
 def _row_norms(x):

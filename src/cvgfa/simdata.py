@@ -66,7 +66,6 @@ class SimulationTruth:
     factors: np.ndarray  # N x K
     pattern: SparsityPattern
     sparse_mask: list  # M boolean matrices, True where an entry was zeroed
-    noise: list  # M matrices, N x D_m, the drawn residuals
 
 
 def simulation1_pattern() -> SparsityPattern:
@@ -124,7 +123,6 @@ def generate(pattern: SparsityPattern, n: int, d_per_group, seed: int):
     factors = rng.standard_normal((n, k))
     loadings = []
     masks = []
-    noise = []
     groups = []
     for m, d_m in enumerate(dims):
         g = np.zeros((k, d_m))
@@ -140,13 +138,11 @@ def generate(pattern: SparsityPattern, n: int, d_per_group, seed: int):
                 row[zero_idx] = 0.0
                 mask[j, zero_idx] = True
             g[j] = row
-        e = rng.standard_normal((n, d_m))
-        signal = factors @ g
-        x = signal + e
+        # the noise draw becomes the data: the signal is added in place
+        x = rng.standard_normal((n, d_m))
+        x += factors @ g
         loadings.append(g)
         masks.append(mask)
-        # store the effective residual so x - F @ g re-emits it bitwise
-        noise.append(x - signal)
         groups.append(x)
 
     data = GroupedDataset(
@@ -157,7 +153,6 @@ def generate(pattern: SparsityPattern, n: int, d_per_group, seed: int):
         factors=factors,
         pattern=pattern,
         sparse_mask=masks,
-        noise=noise,
     )
     return data, truth
 

@@ -6,8 +6,11 @@ states and pin sweep against a coordinate-by-coordinate schedule. The
 loading, score and noise updates read the explicit residual, one N x D
 matrix per group (residual below), which the package itself never forms,
 and the constant q(lambda) and q(tau) shapes from the hyperparameters. The
-concentration updates (update_alpha, update_eta) take one group at a time,
-where engine's take every group in one step.
+state stores neither the q(lambda) rates nor E[log eta]: update_w reads the
+rate update_lambda gives for the loading it replaces, and update_alpha the
+E[log eta] update_eta gives for the alpha it replaces, one group at a time,
+where the package takes every group in one step (model._lambda_rate and
+model._eta_log_mean).
 
 More oracles pin code the package runs in another form: crt_mean_exact,
 the closed-form table count that crt_mean_approx telescopes to;
@@ -151,7 +154,7 @@ def update_w(state, residual, hyper, m, k, d):
     ef = state.f_mean[:, k]
     ef2 = ef * ef + state.f_var[:, k]
     rho = state.rho[m][k, d]
-    lam_mean = hyper.lambda_shape / state.lambda_rate[m][k, d]
+    lam_mean = hyper.lambda_shape / update_lambda(state, hyper, m, k, d)
     variance = 1.0 / (lam_mean + rho * float(tau_bar @ ef2))
     xk = residual[m][:, d] + ef * (rho * state.w_mean[m][k, d])
     mean = variance * rho * float(tau_bar @ (ef * xk))
@@ -192,9 +195,9 @@ def update_aux_s_t(state, m, k):
 
 def update_alpha(state, hyper, m):
     """q(alpha_m) gamma (shape, rate) from group m's table-count totals and
-    E[log eta_m]."""
+    E[log eta_m] at the current q(alpha_m)."""
     totals = float(np.sum(state.aux_s_mean[m]) + np.sum(state.aux_t_mean[m]))
-    return hyper.c0 + totals, hyper.d0 - float(state.eta_log_mean[m])
+    return hyper.c0 + totals, hyper.d0 - update_eta(state, m)
 
 
 def update_eta(state, m):
@@ -204,8 +207,10 @@ def update_eta(state, m):
 
 
 def update_lambda(state, hyper, m, k, d):
-    """q(lambda_kd) gamma rate; its shape is hyper.lambda_shape."""
-    ew2 = state.w_mean[m][k, d] ** 2 + state.w_var[m][k, d]
+    """q(lambda_kd) gamma rate at the current q(w_kd); its shape is
+    hyper.lambda_shape."""
+    ew = state.w_mean[m][k, d]
+    ew2 = ew * ew + state.w_var[m][k, d]
     return hyper.f0 + 0.5 * ew2
 
 

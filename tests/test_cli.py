@@ -484,13 +484,11 @@ def planted_checkpoint(path):
         f_var=np.ones((4, k)),
         beta_a=np.ones(k),
         beta_b=np.ones(k),
-        lambda_rate=[np.ones((k, d)) for d in dims],
         tau_rate=[np.ones(4) for _ in dims],
         alpha_shape=np.ones(2),
         alpha_rate=np.ones(2),
         aux_s_mean=np.zeros((2, k)),
         aux_t_mean=np.zeros((2, k)),
-        eta_log_mean=np.zeros(2),
     )
     io.write_checkpoint(path, state, Hyperparameters(K=k))
     return path

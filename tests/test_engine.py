@@ -30,6 +30,8 @@ from cvgfa.model import (
     GroupedDataset,
     Hyperparameters,
     VariationalState,
+    _eta_log_mean,
+    _lambda_rate,
     active_factors,
     init_state,
     spectral_start,
@@ -54,18 +56,18 @@ def make_state(
     f_mean=None,
     f_var=None,
     beta=(1.0, 1.0),
-    lambda_rate=None,
     tau_rate=None,
     alpha=(1.0, 1.0),
     aux_s=None,
     aux_t=None,
-    eta=None,
     n=2,
 ):
     """Hand-built state; anything unspecified sits at a bland default.
 
-    The default rates make E[lambda] = E[tau] = 1 under the shapes of
-    PRIOR, the hyperparameters the single-coordinate tests pass.
+    The default loadings (mean 0, variance 1) and noise rates make
+    E[lambda] = E[tau] = 1 under PRIOR, the hyperparameters the
+    single-coordinate tests pass: the lambda rate f0 + 1/2 equals the
+    shape e0 + 1/2.
     """
     rho = [np.array(r, dtype=float) for r in rho]
     m = len(rho)
@@ -88,9 +90,6 @@ def make_state(
         f_var=np.ones((n, k)) if f_var is None else np.array(f_var, dtype=float),
         beta_a=np.full(k, float(beta[0])),
         beta_b=np.full(k, float(beta[1])),
-        lambda_rate=per_group(
-            lambda_rate, lambda shape: np.full(shape, PRIOR.lambda_shape)
-        ),
         tau_rate=(
             [np.full(n, PRIOR.tau_shape(r.shape[1])) for r in rho]
             if tau_rate is None
@@ -103,9 +102,6 @@ def make_state(
         ),
         aux_t_mean=(
             np.zeros((m, k)) if aux_t is None else np.array(aux_t, dtype=float)
-        ),
-        eta_log_mean=(
-            np.zeros(m) if eta is None else np.array(eta, dtype=float)
         ),
     )
 
@@ -120,13 +116,11 @@ def random_state(rng, n, dims, k):
         f_var=rng.uniform(0.2, 1.5, size=(n, k)),
         beta_a=rng.uniform(0.2, 2.0, size=k),
         beta_b=rng.uniform(0.2, 2.0, size=k),
-        lambda_rate=[rng.uniform(0.5, 2.0, size=(k, d)) for d in dims],
         tau_rate=[rng.uniform(0.5, 3.0, size=n) for _ in dims],
         alpha_shape=rng.uniform(0.5, 2.0, size=m),
         alpha_rate=rng.uniform(0.5, 2.0, size=m),
         aux_s_mean=rng.uniform(0.0, 1.0, size=(m, k)),
         aux_t_mean=rng.uniform(0.0, 1.0, size=(m, k)),
-        eta_log_mean=-rng.uniform(0.1, 1.0, size=m),
     )
 
 
@@ -218,11 +212,11 @@ class TestUpdateZ:
 
 class TestUpdateW:
     def test_excluded_coordinate_relaxes_to_prior(self):
-        # E[lambda] = (e0 + 1/2) / rate = 2.0 / 1.0
-        state = make_state([[[0.0]]], lambda_rate=[[[1.0]]])
+        # E[lambda] = (e0 + 1/2) / (f0 + (0 + 1) / 2) = 2.0 / 1.0
+        state = make_state([[[0.0]]])
         data = make_dataset(n=2, dims=(1,))
         residual = oracle.residual(state, data)
-        hyper = Hyperparameters(K=1, e0=1.5)
+        hyper = Hyperparameters(K=1, e0=1.5, f0=0.5)
         mean, var = oracle.update_w(state, residual, hyper, 0, 0, 0)
         assert mean == 0.0
         assert var == 0.5
@@ -399,41 +393,70 @@ class TestUpdateAlpha:
             [np.full((2, 3), 0.5)],
             aux_s=[[1.0, 2.0]],
             aux_t=[[3.0, 1.0]],
-            eta=[-0.5],
         )
         hyper = Hyperparameters(K=2)
         shape, rate = engine.update_alpha(state, hyper)
         assert shape.shape == rate.shape == (1,)
         assert shape[0] == pytest.approx(7.1, abs=1e-12)
-        assert rate[0] == pytest.approx(0.6, abs=1e-12)
+        # d0 - E[log eta] at E[alpha] = 1 and D = 3: psi(4) - psi(1) = 11/6
+        assert rate[0] == pytest.approx(0.1 + 1.0 + 0.5 + 1.0 / 3.0, abs=1e-9)
 
     def test_prior_limit(self):
-        state = make_state([np.full((2, 3), 0.5)])
+        # E[log eta] = psi(1e9) - psi(1e9 + 3), about -3e-9
+        state = make_state([np.full((2, 3), 0.5)], alpha=(1e9, 1.0))
         hyper = Hyperparameters(K=2)
         shape, rate = engine.update_alpha(state, hyper)
         assert (shape[0], rate[0]) == (pytest.approx(0.1), pytest.approx(0.1))
 
 
 class TestUpdateEta:
+    """E[log eta] as update_alpha reads it, derived from q(alpha)
+    (model._eta_log_mean)."""
+
     def test_harmonic_sum(self):
         state = make_state([np.full((1, 3), 0.5)])
-        eta = engine.update_eta(state)
+        eta = _eta_log_mean(state)
         assert eta.shape == (1,)
         assert eta[0] == pytest.approx(-(1.0 + 0.5 + 1.0 / 3.0), abs=1e-9)
 
     def test_empty_group_degenerates_to_zero(self):
         state = make_state([np.zeros((1, 0))])
-        assert engine.update_eta(state)[0] == 0.0
+        assert _eta_log_mean(state)[0] == 0.0
 
     def test_large_concentration_limit(self):
         state = make_state([np.full((1, 3), 0.5)], alpha=(1e8, 1.0))
-        val = engine.update_eta(state)[0]
+        val = _eta_log_mean(state)[0]
         assert -1e-6 < val < 0.0
 
 
+class TestLambdaRate:
+    """The derived q(lambda) rates (model._lambda_rate) against the printed
+    update, transcribed one coordinate at a time in oracle.update_lambda."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_oracle_bitwise(self, seed):
+        dims = [13, 40, 7, 25]
+        state = random_state(np.random.default_rng(seed), 6, dims, 5)
+        hyper = Hyperparameters(K=5, f0=0.37)
+        for m, (w, v) in enumerate(zip(state.w_mean, state.w_var)):
+            rates = _lambda_rate(w, v, hyper.f0)
+            want = [
+                [oracle.update_lambda(state, hyper, m, k, d) for d in range(dims[m])]
+                for k in range(5)
+            ]
+            assert rates.tobytes() == np.array(want).tobytes()
+        # the stacked rows, as the sweep reads one factor's, give the same
+        stacked = _lambda_rate(state.w_mean.stacked[2], state.w_var.stacked[2], 0.37)
+        per_group = [
+            _lambda_rate(w[2], v[2], 0.37) for w, v in zip(state.w_mean, state.w_var)
+        ]
+        assert stacked.tobytes() == np.concatenate(per_group).tobytes()
+
+
 class TestConcentrationsMatchPerGroupOracle:
-    """update_alpha and update_eta take every group in one step; each entry
-    must equal the per-group transcription in oracle.py bit for bit."""
+    """update_alpha and the E[log eta] it reads take every group in one
+    step; each entry must equal the per-group transcription in oracle.py
+    bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bitwise(self, seed):
@@ -448,12 +471,12 @@ class TestConcentrationsMatchPerGroupOracle:
         want = [oracle.update_alpha(state, hyper, m) for m in range(len(dims))]
         assert shape.tobytes() == np.array([w[0] for w in want]).tobytes()
         assert rate.tobytes() == np.array([w[1] for w in want]).tobytes()
-        # eta at the new alpha, as the sweep takes it; group 2 keeps its
-        # tiny shape, so its E[alpha] is far below 1
+        # eta at the new alpha, as the next sweep reads it; group 2 keeps
+        # its tiny shape, so its E[alpha] is far below 1
         state.alpha_shape[:] = shape
         state.alpha_rate[:] = rate
         state.alpha_shape[2] = 1e-3
-        eta = engine.update_eta(state)
+        eta = _eta_log_mean(state)
         want = [oracle.update_eta(state, m) for m in range(len(dims))]
         assert eta.tobytes() == np.array(want).tobytes()
         assert np.all(eta < 0.0)
@@ -473,12 +496,10 @@ class TestMicroInstanceOracle:
             f_mean=[[0.8], [-0.1]],
             f_var=[[0.9], [1.1]],
             beta=(0.5, 0.5),
-            lambda_rate=[[[1.0, 1.3]]],
             tau_rate=[[1.0, 2.0]],
             alpha=(0.7, 0.9),
             aux_s=[[0.4]],
             aux_t=[[0.8]],
-            eta=[-0.3],
         )
 
     def hand_sweep(self, hyper):
@@ -490,7 +511,11 @@ class TestMicroInstanceOracle:
         rho = [0.6, 0.4]
         w = [0.3, -0.2]
         w_var = [0.5, 0.7]
-        lam = [(hyper.e0 + 0.5, 1.0), (hyper.e0 + 0.5, 1.3)]
+        # q(lambda) as the previous q(w) left it: (e0 + 1/2, f0 + E[w^2] / 2)
+        lam = [
+            (hyper.e0 + 0.5, hyper.f0 + 0.5 * (w[d] * w[d] + w_var[d]))
+            for d in range(2)
+        ]
 
         a_k = hyper.kappa0 / 1.0 + 0.4
         b_k = max(hyper.kappa0 * 0.0 + 0.8, 1e-6)
@@ -533,7 +558,8 @@ class TestMicroInstanceOracle:
         f_var_new = 1.0 / precision
 
         alpha_shape = hyper.c0 + aux_s + aux_t
-        alpha_rate = hyper.d0 + 0.3
+        # E[log eta] at the old q(alpha) = Gamma(0.7, 0.9), with D = 2
+        alpha_rate = hyper.d0 - (digamma(0.7 / 0.9) - digamma(0.7 / 0.9 + 2.0))
         alpha_mean = alpha_shape / alpha_rate
         eta_new = digamma(alpha_mean) - digamma(alpha_mean + 2.0)
 
@@ -573,12 +599,13 @@ class TestMicroInstanceOracle:
         assert_allclose(state.w_mean[0][0], want["w"], atol=1e-10)
         assert_allclose(state.w_var[0][0], want["w_var"], atol=1e-10)
         assert hyper.lambda_shape == pytest.approx(0.6, abs=1e-15)
-        assert_allclose(state.lambda_rate[0][0], want["lam_rate"], atol=1e-10)
+        lam_rate = _lambda_rate(state.w_mean[0], state.w_var[0], hyper.f0)
+        assert_allclose(lam_rate[0], want["lam_rate"], atol=1e-10)
         assert_allclose(state.f_mean[:, 0], want["f"], atol=1e-10)
         assert_allclose(state.f_var[:, 0], want["f_var"], atol=1e-10)
         assert state.alpha_shape[0] == pytest.approx(want["alpha"][0], abs=1e-10)
         assert state.alpha_rate[0] == pytest.approx(want["alpha"][1], abs=1e-10)
-        assert state.eta_log_mean[0] == pytest.approx(want["eta"], abs=1e-10)
+        assert _eta_log_mean(state)[0] == pytest.approx(want["eta"], abs=1e-10)
         assert hyper.tau_shape(2) == pytest.approx(want["tau_shape"], abs=1e-15)
         assert_allclose(state.tau_rate[0], want["tau_rate"], atol=1e-10)
 
@@ -590,9 +617,10 @@ def reference_sweep(state, data, hyper):
     residual exactly consistent with the current state. The loading block
     comes first: for each active factor, the inclusion probabilities of a
     (factor, group) row all read the state the row started from; only then
-    are its loadings and lambdas updated. The score block follows, one
-    factor's scores after another, each reading the scores the earlier
-    ones left.
+    are its loadings updated, each reading the lambda rate the printed
+    update derives from the loading it replaces (oracle.update_w). The
+    score block follows, one factor's scores after another, each reading
+    the scores the earlier ones left.
     """
     active = sorted(active_factors(state))
     for k in active:
@@ -614,8 +642,6 @@ def reference_sweep(state, data, hyper):
                 mean, var = oracle.update_w(state, residual, hyper, m, k, d)
                 state.w_mean[m][k, d] = mean
                 state.w_var[m][k, d] = var
-                rate = oracle.update_lambda(state, hyper, m, k, d)
-                state.lambda_rate[m][k, d] = rate
     for k in active:
         residual = oracle.residual(state, data)
         f_new = np.empty(state.n_samples)
@@ -628,7 +654,6 @@ def reference_sweep(state, data, hyper):
         shape, rate = oracle.update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
-        state.eta_log_mean[m] = oracle.update_eta(state, m)
         residual = oracle.residual(state, data)
         for n in range(state.n_samples):
             state.tau_rate[m][n] = oracle.update_tau(state, residual, hyper, m, n)
@@ -669,9 +694,6 @@ class TestSweepRoutesAgree:
             assert_allclose(fast.w_mean[m], slow.w_mean[m], rtol=1e-9, atol=1e-9)
             assert_allclose(fast.w_var[m], slow.w_var[m], rtol=1e-9, atol=1e-9)
             assert_allclose(
-                fast.lambda_rate[m], slow.lambda_rate[m], rtol=1e-9, atol=1e-9
-            )
-            assert_allclose(
                 fast.tau_rate[m], slow.tau_rate[m], rtol=1e-9, atol=1e-9
             )
         assert_allclose(fast.f_mean, slow.f_mean, rtol=1e-9, atol=1e-9)
@@ -682,9 +704,6 @@ class TestSweepRoutesAgree:
         assert_allclose(fast.aux_t_mean, slow.aux_t_mean, rtol=1e-9, atol=1e-9)
         assert_allclose(fast.alpha_shape, slow.alpha_shape, rtol=1e-9, atol=1e-9)
         assert_allclose(fast.alpha_rate, slow.alpha_rate, rtol=1e-9, atol=1e-9)
-        assert_allclose(
-            fast.eta_log_mean, slow.eta_log_mean, rtol=1e-9, atol=1e-9
-        )
 
 
 def per_column_sweep(state, data, hyper):
@@ -738,7 +757,9 @@ def per_column_sweep(state, data, hyper):
             rho_row = state.rho[m][k]
             w_row = state.w_mean[m][k]
             wvar_row = state.w_var[m][k]
-            lam_rate_row = state.lambda_rate[m][k]
+            # the rates the printed q(lambda) update left after the last
+            # q(w) update of this row
+            lam_rate_row = hyper.f0 + 0.5 * (w_row * w_row + wvar_row)
             g_ab = max(g_alpha[m] * g_beta, engine.GEO_FLOOR)
             g_abbar = max(g_alpha[m] * g_beta_bar, engine.GEO_FLOOR)
 
@@ -788,7 +809,6 @@ def per_column_sweep(state, data, hyper):
                 mu_new = var_new * r_new * xdot
                 w_row[d] = mu_new
                 wvar_row[d] = var_new
-                lam_rate_row[d] = hyper.f0 + 0.5 * (mu_new * mu_new + var_new)
 
             loads[m][k] = rho_row * w_row
 
@@ -819,7 +839,6 @@ def per_column_sweep(state, data, hyper):
         shape, rate = oracle.update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
-        state.eta_log_mean[m] = oracle.update_eta(state, m)
         rho, w, w_var = state.rho[m], state.w_mean[m], state.w_var[m]
         sq = engine._expected_sq_residual(
             engine._sq_norms(engine._row_norms(data.groups[m]), F, xc[m], cc[m]),
@@ -832,8 +851,8 @@ def per_column_sweep(state, data, hyper):
 
 
 STATE_ARRAYS = ("f_mean", "f_var", "beta_a", "beta_b", "alpha_shape",
-                "alpha_rate", "aux_s_mean", "aux_t_mean", "eta_log_mean")
-STATE_LISTS = ("rho", "w_mean", "w_var", "lambda_rate", "tau_rate")
+                "alpha_rate", "aux_s_mean", "aux_t_mean")
+STATE_LISTS = ("rho", "w_mean", "w_var", "tau_rate")
 
 
 def assert_states_bitwise_equal(a, b):
@@ -1352,13 +1371,11 @@ class TestSurrogateElbo:
             f_var=np.zeros((0, 0)),
             beta_a=np.zeros(0),
             beta_b=np.zeros(0),
-            lambda_rate=[],
             tau_rate=[],
             alpha_shape=np.zeros(0),
             alpha_rate=np.zeros(0),
             aux_s_mean=np.zeros((0, 0)),
             aux_t_mean=np.zeros((0, 0)),
-            eta_log_mean=np.zeros(0),
         )
         data = GroupedDataset([], [])
         hyper = Hyperparameters(K=0)

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -17,6 +18,8 @@ from cvgfa.model import (
     GroupedDataset,
     Hyperparameters,
     VariationalState,
+    _eta_log_mean,
+    _lambda_rate,
     init_state,
 )
 from test_model import BLOCK_FIELDS, assert_stacked_layout
@@ -251,18 +254,25 @@ def fitted_state(seed=0):
     return report, data, hyper
 
 
-# versions 1 and 2 also stored the q(lambda) and q(tau) shapes
+# versions 1 to 3 also stored the q(lambda) rates and E[log eta], and
+# versions 1 and 2 the q(lambda) and q(tau) shapes
 LEGACY_STATE_FIELDS = sorted(
-    io.STATE_FIELDS + (("lambda_shape", True), ("tau_shape", True))
+    io.STATE_FIELDS
+    + (("eta_log_mean", False), ("lambda_rate", True))
+    + (("lambda_shape", True), ("tau_shape", True))
 )
 
 
 def legacy_field(state, hyper, name):
-    """A state field as versions 1 and 2 stored it, shape arrays included."""
+    """A state field as versions 1 and 2 stored it, derived arrays included."""
     if name == "lambda_shape":
         return [np.full(r.shape, hyper.lambda_shape) for r in state.rho]
     if name == "tau_shape":
         return [np.full(state.n_samples, hyper.tau_shape(d)) for d in state.dims]
+    if name == "lambda_rate":
+        return [_lambda_rate(w, v, hyper.f0) for w, v in zip(state.w_mean, state.w_var)]
+    if name == "eta_log_mean":
+        return _eta_log_mean(state)
     return getattr(state, name)
 
 
@@ -287,14 +297,14 @@ def write_checkpoint_indented(path, state, hyper, fit_info=None, group_names=Non
             "beta_a": state.beta_a.tolist(),
             "beta_b": state.beta_b.tolist(),
             "lambda_shape": per_group(legacy_field(state, hyper, "lambda_shape")),
-            "lambda_rate": per_group(state.lambda_rate),
+            "lambda_rate": per_group(legacy_field(state, hyper, "lambda_rate")),
             "tau_shape": per_group(legacy_field(state, hyper, "tau_shape")),
             "tau_rate": per_group(state.tau_rate),
             "alpha_shape": state.alpha_shape.tolist(),
             "alpha_rate": state.alpha_rate.tolist(),
             "aux_s_mean": state.aux_s_mean.tolist(),
             "aux_t_mean": state.aux_t_mean.tolist(),
-            "eta_log_mean": state.eta_log_mean.tolist(),
+            "eta_log_mean": legacy_field(state, hyper, "eta_log_mean").tolist(),
         },
     }
     payload["hyperparameters"]["K"] = int(hyper.K)
@@ -371,16 +381,19 @@ def assert_states_bitwise_equal(a, b):
         assert arr.tobytes() == arrays_b[name].tobytes(), name
 
 
+# the loadings' squares must stay finite: the lambda rates derive from them
+LOADING_EDGE_VALUES = [v for v in EDGE_VALUES if math.isfinite(v * v)]
+
+
 def edge_state():
     """A fitted state with the edge values written into its free arrays."""
     report, data, hyper = fitted_state()
     state = report.final_state
-    n = len(EDGE_VALUES)
-    state.w_mean[0][0, :n] = EDGE_VALUES
-    state.w_mean[1][0, :n] = [-v for v in EDGE_VALUES]
-    state.f_mean[:n, 0] = EDGE_VALUES
+    n = len(LOADING_EDGE_VALUES)
+    state.w_mean[0][0, :n] = LOADING_EDGE_VALUES
+    state.w_mean[1][0, :n] = [-v for v in LOADING_EDGE_VALUES]
+    state.f_mean[: len(EDGE_VALUES), 0] = EDGE_VALUES
     state.f_mean[0, 1] = -0.0
-    state.eta_log_mean[0] = -0.0
     state.validate()
     return report, data, hyper
 
@@ -406,7 +419,7 @@ class TestCheckpoint:
         back, _, _ = io.read_checkpoint(path)
         assert_states_bitwise_equal(back, state)
         assert np.signbit(back.w_mean[0][0, 0]) and not np.signbit(back.w_mean[1][0, 0])
-        assert np.signbit(back.f_mean[0, 1]) and np.signbit(back.eta_log_mean[0])
+        assert np.signbit(back.f_mean[0, 1]) and np.signbit(back.f_mean[0, 0])
 
     def test_indented_checkpoint_still_loads(self, tmp_path):
         report, data, hyper = edge_state()
@@ -450,12 +463,10 @@ class TestCheckpoint:
         assert np.array_equal(back.alpha_rate, state.alpha_rate)
         assert np.array_equal(back.aux_s_mean, state.aux_s_mean)
         assert np.array_equal(back.aux_t_mean, state.aux_t_mean)
-        assert np.array_equal(back.eta_log_mean, state.eta_log_mean)
         for m in range(state.n_groups):
             assert np.array_equal(back.rho[m], state.rho[m])
             assert np.array_equal(back.w_mean[m], state.w_mean[m])
             assert np.array_equal(back.w_var[m], state.w_var[m])
-            assert np.array_equal(back.lambda_rate[m], state.lambda_rate[m])
             assert np.array_equal(back.tau_rate[m], state.tau_rate[m])
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -494,8 +505,8 @@ DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
-def v3_text(tmp_path_factory):
-    """A version 3 checkpoint of fitted_state() as text; tests parse a copy."""
+def v4_text(tmp_path_factory):
+    """A version 4 checkpoint of fitted_state() as text; tests parse a copy."""
     report, data, hyper = fitted_state()
     path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
     io.write_checkpoint(path, report.final_state, hyper, group_names=data.group_names)
@@ -537,16 +548,19 @@ def set_value(value):
 
 
 class TestCheckpointEncoding:
-    def test_layout_and_decoded_arrays(self, tmp_path, v3_text):
-        obj = json.loads(v3_text)
-        assert obj["version"] == io.CHECKPOINT_VERSION == 3
-        assert "lambda_shape" not in obj["state"] and "tau_shape" not in obj["state"]
+    def test_layout_and_decoded_arrays(self, tmp_path, v4_text):
+        obj = json.loads(v4_text)
+        assert obj["version"] == io.CHECKPOINT_VERSION == 4
+        # only free parameters: nothing the reader derives is stored
+        for derived in ("lambda_shape", "tau_shape", "lambda_rate", "eta_log_mean"):
+            assert derived not in obj["state"]
+        assert obj["state"].keys() == {name for name, _ in io.STATE_FIELDS}
         assert obj["hyperparameters"]["K"] == 5
         assert obj["state"]["w_mean"][0].keys() == {"shape", "f8"}
         assert obj["state"]["w_mean"][0]["shape"] == [5, 8]
         assert obj["state"]["f_mean"]["shape"] == [12, 5]
         path = tmp_path / "checkpoint.json"
-        path.write_text(v3_text)
+        path.write_text(v4_text)
         state, _, _ = io.read_checkpoint(path)
         for name, arr in state_arrays(state).items():
             assert arr.dtype == np.float64, name
@@ -578,8 +592,8 @@ class TestCheckpointEncoding:
             pytest.param("rho", set_value(1.5), "outside", id="rho-above-1"),
         ],
     )
-    def test_bad_array_rejected(self, tmp_path, v3_text, field, corrupt, message):
-        obj = json.loads(v3_text)
+    def test_bad_array_rejected(self, tmp_path, v4_text, field, corrupt, message):
+        obj = json.loads(v4_text)
         corrupt(obj["state"][field][0])
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
@@ -602,10 +616,10 @@ class TestCheckpointEncoding:
         with pytest.raises(DataError):
             io.read_checkpoint(path)
 
-    # 3.0 and True compare equal to known versions; only exact ints pass
-    @pytest.mark.parametrize("version", [0, 4, "2", None, 2.0, 3.0, True])
-    def test_unknown_version_rejected(self, tmp_path, v3_text, version):
-        obj = json.loads(v3_text)
+    # 4.0 and True compare equal to known versions; only exact ints pass
+    @pytest.mark.parametrize("version", [0, 5, "2", None, 2.0, 3.0, 4.0, True])
+    def test_unknown_version_rejected(self, tmp_path, v4_text, version):
+        obj = json.loads(v4_text)
         obj["version"] = version
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
@@ -624,24 +638,42 @@ class TestCheckpointEncoding:
             pytest.param({"K": None}, "bad hyperparameters", id="null-K"),
         ],
     )
-    def test_bad_hyperparameters_rejected(self, tmp_path, v3_text, changes, message):
-        obj = json.loads(v3_text)
+    def test_bad_hyperparameters_rejected(self, tmp_path, v4_text, changes, message):
+        obj = json.loads(v4_text)
         obj["hyperparameters"].update(changes)
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(DataError, match=message):
             io.read_checkpoint(path)
 
-    @pytest.mark.parametrize("fixture", ["checkpoint_v1.json", "checkpoint_v2.json"])
-    @pytest.mark.parametrize("field", ["lambda_shape", "tau_shape"])
+    @pytest.mark.parametrize(
+        "field, fixture",
+        [
+            (field, f"checkpoint_v{version}.json")
+            for field, versions in [
+                ("lambda_shape", (1, 2)),
+                ("tau_shape", (1, 2)),
+                ("lambda_rate", (1, 2, 3)),
+                ("eta_log_mean", (1, 2, 3)),
+            ]
+            for version in versions
+        ],
+    )
     def test_edited_stored_shape_rejected(self, tmp_path, fixture, field):
+        """Every stored array that the reader derives must equal its derived
+        value exactly: one entry moved by one ulp is rejected."""
         obj = json.loads((DATA / fixture).read_text())
-        # one entry of group 1 moved by one ulp
-        arrays = obj["state"][field]
         lists = obj["version"] == 1
-        a = np.array(arrays[1]) if lists else decode(arrays[1])
+        # group 1's array, or the one array E[log eta]
+        per_group = field != "eta_log_mean"
+        stored = obj["state"][field][1] if per_group else obj["state"][field]
+        a = np.array(stored) if lists else decode(stored)
         a.flat[0] = np.nextafter(a.flat[0], np.inf)
-        arrays[1] = a.tolist() if lists else encode(a)
+        edited = a.tolist() if lists else encode(a)
+        if per_group:
+            obj["state"][field][1] = edited
+        else:
+            obj["state"][field] = edited
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(DataError, match=f"{field} differs"):
@@ -664,9 +696,9 @@ class TestCheckpointEncoding:
             io.read_checkpoint(path)
 
     def test_version_1_file_loads_bitwise_equal_to_version_2(self, tmp_path):
-        """The three files hold the final state of fitted_state(), written by
-        the version 1, 2 and 3 writers, with the fit_info cvgfa fit writes."""
-        paths = [DATA / f"checkpoint_v{v}.json" for v in (1, 2, 3)]
+        """The four files hold the final state of fitted_state(), written by
+        the version 1 to 4 writers, with the fit_info cvgfa fit writes."""
+        paths = [DATA / f"checkpoint_v{v}.json" for v in (1, 2, 3, 4)]
         loaded = []
         for version, path in enumerate(paths, start=1):
             assert json.loads(path.read_text())["version"] == version
@@ -677,14 +709,18 @@ class TestCheckpointEncoding:
             assert_states_bitwise_equal(from_v1, state)
             assert hyper == hyper_v1 == Hyperparameters(K=5)
             assert info == info_v1
-        # the version 3 layout is pinned byte for byte
+        # the version 4 layout is pinned byte for byte
         rewritten = tmp_path / "checkpoint.json"
         io.write_checkpoint(
             rewritten, from_v1, hyper_v1, info_v1["fit"], info_v1["group_names"]
         )
-        assert rewritten.read_bytes() == paths[2].read_bytes()
+        assert rewritten.read_bytes() == paths[3].read_bytes()
+        # and holds every array of the version 3 file but the derived two
+        v3, v4 = (json.loads(p.read_text())["state"] for p in paths[2:])
+        assert v3.keys() - v4.keys() == {"lambda_rate", "eta_log_mean"}
+        assert all(v3[name] == v4[name] for name in v4)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_every_version_loads_into_the_stacked_layout(self, version):
         state, _, _ = io.read_checkpoint(DATA / f"checkpoint_v{version}.json")
         assert_stacked_layout(state)
@@ -698,8 +734,8 @@ class TestCheckpointEncoding:
         io.write_checkpoint(second, back, hyper_back, info["fit"], info["group_names"])
         assert second.read_bytes() == first.read_bytes()
 
-    def test_rank_on_corrupted_checkpoint_exits_3(self, tmp_path, v3_text):
-        obj = json.loads(v3_text)
+    def test_rank_on_corrupted_checkpoint_exits_3(self, tmp_path, v4_text):
+        obj = json.loads(v4_text)
         truncate(obj["state"]["rho"][0])
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))

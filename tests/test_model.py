@@ -24,7 +24,7 @@ from cvgfa.model import (
     init_state,
 )
 
-BLOCK_FIELDS = ("rho", "w_mean", "w_var", "lambda_rate")
+BLOCK_FIELDS = ("rho", "w_mean", "w_var")
 
 
 def make_dataset(seed=0, n=6, dims=(4, 3)):
@@ -34,7 +34,7 @@ def make_dataset(seed=0, n=6, dims=(4, 3)):
 
 
 def assert_stacked_layout(state):
-    """Each of rho, w_mean, w_var and lambda_rate is one C-contiguous
+    """Each of rho, w_mean and w_var is one C-contiguous
     K x sum(D_m) float64 array, and its [m] is exactly group m's columns."""
     K, dims = state.n_factors, state.dims
     for name in BLOCK_FIELDS:
@@ -142,9 +142,10 @@ class TestInitState:
         assert hyper.lambda_shape == hyper.e0 + 0.5
         assert hyper.tau_shape(4) == hyper.g0 + 0.5 * 4
         assert hyper.tau_shape(3) == hyper.g0 + 0.5 * 3
-        assert np.all(state.lambda_rate[0] > 0)
+        lambda_rate = model._lambda_rate(state.w_mean[0], state.w_var[0], hyper.f0)
+        assert np.all(lambda_rate >= hyper.f0)
         assert np.all(state.tau_rate[0] > 0)
-        assert np.all(state.eta_log_mean <= 0)
+        assert np.all(model._eta_log_mean(state) <= 0)
 
     def test_recovers_planted_factor(self):
         rng = np.random.default_rng(11)
@@ -463,7 +464,7 @@ class TestActiveFactors:
 
 
 class TestStackedLayout:
-    """rho, w_mean, w_var and lambda_rate keep all their groups in one array."""
+    """rho, w_mean and w_var keep all their groups in one array."""
 
     @staticmethod
     def state(seed=0):
@@ -496,8 +497,8 @@ class TestStackedLayout:
         state.w_mean.stacked[3, d0 + d1] = -7.0
         assert state.w_mean[2][3, 0] == -7.0
         # one write of a stacked row reaches that factor's row in every group
-        state.lambda_rate.stacked[0] = 2.0
-        assert all(np.all(x[0] == 2.0) for x in state.lambda_rate)
+        state.w_var.stacked[0] = 2.0
+        assert all(np.all(x[0] == 2.0) for x in state.w_var)
         state.w_var[0][...] = 0.5
         assert np.all(state.w_var.stacked[:, :d0] == 0.5)
 

@@ -94,13 +94,6 @@ class TestGenerate:
                 if kind == DENSE:
                     assert np.all(truth.loadings[m][k] != 0.0)
 
-    def test_noise_reemission_is_exact(self):
-        data, truth = generate(simulation2_pattern(), 25, [40] * 4, seed=9)
-        for m in range(4):
-            g = truth.loadings[m]
-            resid = data.groups[m] - truth.factors @ g
-            assert np.array_equal(resid, truth.noise[m])
-
     def test_deterministic(self):
         a_data, a_truth = generate(simulation1_pattern(), 15, [20] * 4, seed=42)
         b_data, b_truth = generate(simulation1_pattern(), 15, [20] * 4, seed=42)
