@@ -112,19 +112,29 @@ def _digamma(y):
     return float(acc + (np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)))
 
 
-def _trigamma(y):
-    """trigamma of one float: the kernel of :func:`trigamma`."""
+def _digamma_trigamma(y):
+    """digamma and trigamma of one float from one recurrence: the digamma
+    is _digamma's bit for bit, since both step y alike and the trigamma
+    keeps its own sum. crt_mean_approx needs both of one argument."""
     if not y > 0:
-        raise ValueError("trigamma requires x > 0")
+        raise ValueError("digamma and trigamma require x > 0")
     acc = 0.0
+    acc2 = 0.0
     while y < _SERIES_START:
+        acc -= 1.0 / y
         y2 = y * y
         # 1 / y^2 is inf where y * y underflows to 0
-        acc += 1.0 / y2 if y2 > 0.0 else math.inf
+        acc2 += 1.0 / y2 if y2 > 0.0 else math.inf
         y += 1.0
     inv = 1.0 / y
     inv2 = inv * inv
-    return acc + (inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2))
+    psi = float(acc + (np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)))
+    return psi, acc2 + (inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2))
+
+
+def _trigamma(y):
+    """trigamma of one float: the kernel of :func:`trigamma`."""
+    return _digamma_trigamma(y)[1]
 
 
 def _elementwise(kernel, x):
@@ -179,15 +189,21 @@ def geo_expect_gamma(shape, rate):
 
 
 def geo_expect_beta(a, b):
-    """Geometric expectation exp(E[log y]) of y ~ Beta(a, b).
+    """Geometric expectations exp(E[log y]) and exp(E[log(1 - y)]) of
+    y ~ Beta(a, b), a pair of arrays of the broadcast shape.
 
-    Equals exp(psi(a) - psi(a + b)), strictly below a / (a + b).
+    They equal exp(psi(a) - psi(a + b)), strictly below a / (a + b), and
+    exp(psi(b) - psi(a + b)), the first of geo_expect_beta(b, a) bit for bit
+    (a + b and b + a are one float). One digamma call on [a, b, a + b]
+    takes all three, psi(a + b) once.
     """
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
+    a_arr, b_arr = np.broadcast_arrays(
+        np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    )
     if not (np.all(a_arr > 0) and np.all(b_arr > 0)):
         raise ValueError("beta parameters must be positive")
-    return np.exp(digamma(a_arr) - digamma(a_arr + b_arr))
+    psi_a, psi_b, psi_ab = digamma(np.stack([a_arr, b_arr, a_arr + b_arr]))
+    return np.exp(psi_a - psi_ab), np.exp(psi_b - psi_ab)
 
 
 def _group_sums(terms, xi, widths):
@@ -337,7 +353,10 @@ def crt_mean_approx(a_geo, count: BernoulliSumMoments):
     ok = p_plus >= P_PLUS_FLOOR
     a = a_geo[ok]
     shifted = a + mean_plus[ok]
-    bracket = digamma(shifted) - digamma(a) + 0.5 * var_plus[ok] * trigamma(shifted)
+    # psi and psi' of the shifted argument from one recurrence per element
+    pairs = [_digamma_trigamma(v) for v in shifted.tolist()]
+    psi_s, tri_s = np.array(pairs).reshape(-1, 2).T
+    bracket = psi_s - digamma(a) + 0.5 * var_plus[ok] * tri_s
     tables = np.zeros(ok.shape)
     tables[ok] = a * p_plus[ok] * bracket
     return tables

@@ -349,8 +349,9 @@ def sweep(state, data, hyper, *, _data_norms=None):
     state.beta_a[idx] = beta_a
     state.beta_b[idx] = beta_b
     g_alpha = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
-    g_ab = np.maximum(geo_expect_beta(beta_a, beta_b)[:, None] * g_alpha, GEO_FLOOR)
-    g_abbar = np.maximum(geo_expect_beta(beta_b, beta_a)[:, None] * g_alpha, GEO_FLOOR)
+    g_beta, g_beta_bar = geo_expect_beta(beta_a, beta_b)
+    g_ab = np.maximum(g_beta[:, None] * g_alpha, GEO_FLOOR)
+    g_abbar = np.maximum(g_beta_bar[:, None] * g_alpha, GEO_FLOOR)
     block = rho_all[idx]
     nhat = bernoulli_sum_moments(block, widths)
     ntil = _complement_moments(nhat, block, widths)
@@ -449,31 +450,37 @@ def _check_state_finite(state):
     for m in range(state.n_groups):
         checks.append((f"tau_rate[{m}]", state.tau_rate[m]))
     for name, arr in checks:
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericalError(
                 f"non-finite values in {name}", context={"variable": name}
             )
 
 
-def _gamma_prior_gap(a0, b0, shape, rate, psi, log_gamma):
+def _gamma_prior_gap(a0, b0, shape, rate, log_rate, e_log, mean, log_gamma):
     """E_q[log p(x)] - E_q[log q(x)] for gamma prior (a0, b0), summed.
 
     shape is one number shared by every rate, or an array shaped like rate;
-    psi and log_gamma are its digamma and log-gamma.
+    log_gamma is its log-gamma. The caller, which reads them too, hands in
+    log_rate = log(rate), e_log = E[log x] = psi(shape) - log_rate and
+    mean = E[x] = shape / rate.
     """
-    rate = np.asarray(rate, dtype=float)
     if rate.size == 0:
         return 0.0
-    e_log = psi - np.log(rate)
-    e_x = shape / rate
     term = (
         a0 * math.log(b0)
         - math.lgamma(a0)
-        - (shape * np.log(rate) - log_gamma)
+        - (shape * log_rate - log_gamma)
         + (a0 - shape) * e_log
-        - (b0 - rate) * e_x
+        - (b0 - rate) * mean
     )
     return float(np.sum(term))
+
+
+def _gamma_moments(shape, rate, psi):
+    """log(rate), E[log x] = psi - log(rate) and E[x] = shape / rate of
+    x ~ Gamma(shape, rate), psi the digamma of shape: each log taken once."""
+    log_rate = np.log(rate)
+    return log_rate, psi - log_rate, shape / rate
 
 
 def _bernoulli_entropy(rho):
@@ -506,8 +513,8 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
     for m in range(M):
         d_m = state.dims[m]
         tau_shape = tau_shapes[m]
-        tb = tau_shape / state.tau_rate[m]
-        e_log_tau = psi_tau[m] - np.log(state.tau_rate[m])
+        tau_rate = state.tau_rate[m]
+        log_tau, e_log_tau, tb = _gamma_moments(tau_shape, tau_rate, psi_tau[m])
         # contiguous copies of the group's blocks: numpy's elementwise
         # steps on a column block of a stacked array take about twice as long
         blocks = (state.rho, state.w_mean, state.w_var)
@@ -518,15 +525,16 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
 
         # loadings against their elementwise gamma-precision prior
-        e_log_lam = psi_lam - np.log(lam_rate)
-        lam_bar = lam_shape / lam_rate
+        log_lam, e_log_lam, lam_bar = _gamma_moments(lam_shape, lam_rate, psi_lam)
         ew2 = w_mean**2 + w_var
         total += float(0.5 * np.sum(e_log_lam - lam_bar * ew2 + np.log(w_var) + 1.0))
         total += _gamma_prior_gap(
-            hyper.e0, hyper.f0, lam_shape, lam_rate, psi_lam, lgamma_lam
+            hyper.e0, hyper.f0, lam_shape, lam_rate, log_lam, e_log_lam, lam_bar,
+            lgamma_lam,
         )
         total += _gamma_prior_gap(
-            hyper.g0, hyper.h0, tau_shape, state.tau_rate[m], psi_tau[m], lgamma_tau[m]
+            hyper.g0, hyper.h0, tau_shape, tau_rate, log_tau, e_log_tau, tb,
+            lgamma_tau[m],
         )
         total += _bernoulli_entropy(rho)
 
@@ -536,9 +544,10 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         total += float(0.5 * np.sum(np.log(state.f_var) - ef2 + 1.0))
 
     if M:
-        shape = state.alpha_shape
+        shape, rate = state.alpha_shape, state.alpha_rate
         total += _gamma_prior_gap(
-            hyper.c0, hyper.d0, shape, state.alpha_rate, digamma(shape), _lgamma(shape)
+            hyper.c0, hyper.d0, shape, rate, *_gamma_moments(shape, rate, digamma(shape)),
+            _lgamma(shape),
         )
 
     if K:
@@ -547,9 +556,9 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         a = state.beta_a
         b = state.beta_b
         ab = a + b
-        psi_ab = digamma(ab)
-        e_log_beta = digamma(a) - psi_ab
-        e_log_bbar = digamma(b) - psi_ab
+        psi_a, psi_b, psi_ab = digamma(np.stack([a, b, ab]))
+        e_log_beta = psi_a - psi_ab
+        e_log_bbar = psi_b - psi_ab
         log_b_q = _lgamma(a) + _lgamma(b) - _lgamma(ab)
         log_b_0 = math.lgamma(a0) + math.lgamma(b0) - math.lgamma(a0 + b0)
         total += float(

@@ -619,9 +619,11 @@ def _lambda_rate(w_mean, w_var, f0):
 
 
 def _eta_log_mean(state):
-    """E[log eta_m] = psi(E[alpha_m]) - psi(E[alpha_m] + D_m) of every group."""
+    """E[log eta_m] = psi(E[alpha_m]) - psi(E[alpha_m] + D_m) of every group,
+    from one digamma call on both arguments."""
     alpha_mean = state.alpha_shape / state.alpha_rate
-    return digamma(alpha_mean) - digamma(alpha_mean + np.array(state.dims))
+    psi, psi_d = digamma(np.stack([alpha_mean, alpha_mean + np.array(state.dims)]))
+    return psi - psi_d
 
 
 def _row_norms(x):

@@ -107,8 +107,9 @@ def update_sufficient_stats(state, m, k, exclude_d=None, complement=False):
 def _geo_concentrations(state, m, k):
     """Clamped geometric means of alpha beta_k and alpha (1 - beta_k)."""
     g_alpha = geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m])
-    g_ab = g_alpha * geo_expect_beta(state.beta_a[k], state.beta_b[k])
-    g_abbar = g_alpha * geo_expect_beta(state.beta_b[k], state.beta_a[k])
+    g_beta, g_beta_bar = geo_expect_beta(state.beta_a[k], state.beta_b[k])
+    g_ab = g_alpha * g_beta
+    g_abbar = g_alpha * g_beta_bar
     return max(g_ab, GEO_FLOOR), max(g_abbar, GEO_FLOOR)
 
 

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
-from cvgfa import engine
+from cvgfa import approx, engine
 from cvgfa.approx import (
     _SERIES_START,
     P_PLUS_FLOOR,
@@ -94,10 +94,15 @@ class TestGeometricExpectations:
         assert geo_expect_gamma(1e4, 1e4) > geo_expect_gamma(100, 100)
 
     def test_beta_examples(self):
-        assert_allclose(geo_expect_beta(1, 1), math.exp(-1.0), atol=1e-9)
-        assert_allclose(geo_expect_beta(2, 2), math.exp(-5.0 / 6.0), atol=1e-9)
+        # the pair: the geometric means of beta and of 1 - beta
+        assert_allclose(geo_expect_beta(1, 1), [math.exp(-1.0)] * 2, atol=1e-9)
+        assert_allclose(geo_expect_beta(2, 2), [math.exp(-5.0 / 6.0)] * 2, atol=1e-9)
         # psi(1) - psi(1/2) = 2 ln 2
-        assert_allclose(geo_expect_beta(0.5, 0.5), 0.25, atol=1e-9)
+        assert_allclose(geo_expect_beta(0.5, 0.5), [0.25] * 2, atol=1e-9)
+        # Beta(2, 1): psi(2) - psi(3) = -1/2 and psi(1) - psi(3) = -3/2
+        assert_allclose(
+            geo_expect_beta(2, 1), [math.exp(-0.5), math.exp(-1.5)], atol=1e-9
+        )
 
     def test_against_scipy(self):
         rng = np.random.default_rng(3)
@@ -108,10 +113,12 @@ class TestGeometricExpectations:
             np.exp(special.digamma(a)) / b,
             rtol=1e-12,
         )
+        g_beta, g_beta_bar = geo_expect_beta(a, b)
         assert_allclose(
-            geo_expect_beta(a, b),
-            np.exp(special.digamma(a) - special.digamma(a + b)),
-            rtol=1e-12,
+            g_beta, np.exp(special.digamma(a) - special.digamma(a + b)), rtol=1e-12
+        )
+        assert_allclose(
+            g_beta_bar, np.exp(special.digamma(b) - special.digamma(a + b)), rtol=1e-12
         )
 
     def test_below_arithmetic_mean(self):
@@ -120,7 +127,9 @@ class TestGeometricExpectations:
             a = float(np.exp(rng.uniform(-2, 4)))
             b = float(np.exp(rng.uniform(-2, 4)))
             assert geo_expect_gamma(a, b) < a / b
-            assert geo_expect_beta(a, b) < a / (a + b)
+            g_beta, g_beta_bar = geo_expect_beta(a, b)
+            assert g_beta < a / (a + b)
+            assert g_beta_bar < b / (a + b)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -177,6 +186,12 @@ class TestScalarRoute:
             assert same_bits(got, whole[i]), x
             assert same_bits(got, fn(np.array([x]))[0]), x
 
+    def test_one_recurrence_gives_the_digamma_kernel(self):
+        # crt_mean_approx takes psi and psi' of one argument together
+        grid = scalar_grid()
+        pairs = np.array([approx._digamma_trigamma(x) for x in grid.tolist()])
+        assert same_bits(pairs[:, 0], digamma(grid))
+
     def test_lgamma_array_route_matches_math_lgamma(self):
         # engine maps math.lgamma over the arrays of its objective
         grid = scalar_grid()
@@ -205,6 +220,21 @@ class TestScalarRoute:
 
     @pytest.mark.parametrize("fn", [geo_expect_gamma, geo_expect_beta])
     def test_geo_expectations_match_array_route(self, fn):
+        if fn is geo_expect_beta:
+            # each half of the pair, the second the first of the swapped call
+            self.check_geo_route(lambda a, b: geo_expect_beta(a, b)[0])
+            self.check_geo_route(lambda a, b: geo_expect_beta(a, b)[1])
+            first = scalar_grid(n_random=1_000)
+            first = first[(first > 1e-6) & (first < 1e6)]
+            second = first[::-1].copy()
+            assert same_bits(
+                geo_expect_beta(first, second)[1], geo_expect_beta(second, first)[0]
+            )
+        else:
+            self.check_geo_route(fn)
+
+    @staticmethod
+    def check_geo_route(fn):
         grid = scalar_grid(n_random=25_000)
         # keep both parameters where the results are finite and nonzero
         first = grid[(grid > 1e-6) & (grid < 1e6)]

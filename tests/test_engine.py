@@ -314,7 +314,7 @@ class TestUpdateAuxST:
 
     def test_deterministic_count_telescopes(self):
         # engineer G[alpha beta] = 1 so E_s = psi(4) - psi(1) = 11/6
-        g_beta = geo_expect_beta(0.7, 0.9)
+        g_beta = geo_expect_beta(0.7, 0.9)[0]
         state = make_state(
             [np.ones((1, 3))],
             beta=(0.7, 0.9),
@@ -520,8 +520,9 @@ class TestMicroInstanceOracle:
         a_k = hyper.kappa0 / 1.0 + 0.4
         b_k = max(hyper.kappa0 * 0.0 + 0.8, 1e-6)
         g_alpha = geo_expect_gamma(0.7, 0.9)
-        g_ab = max(g_alpha * geo_expect_beta(a_k, b_k), 1e-300)
-        g_abbar = max(g_alpha * geo_expect_beta(b_k, a_k), 1e-300)
+        g_beta, g_beta_bar = geo_expect_beta(a_k, b_k)
+        g_ab = max(g_alpha * g_beta, 1e-300)
+        g_abbar = max(g_alpha * g_beta_bar, 1e-300)
 
         nhat = bernoulli_sum_moments(np.array(rho))
         ntil = bernoulli_sum_moments(1.0 - np.array(rho))
@@ -749,8 +750,7 @@ def per_column_sweep(state, data, hyper):
         b_k = max(b_k, engine.BETA_B_FLOOR)
         state.beta_a[k] = a_k
         state.beta_b[k] = b_k
-        g_beta = geo_expect_beta(a_k, b_k)
-        g_beta_bar = geo_expect_beta(b_k, a_k)
+        g_beta, g_beta_bar = geo_expect_beta(a_k, b_k)
 
         for m in range(M):
             d_m = state.dims[m]
@@ -1028,8 +1028,8 @@ class TestBatchedRowTerms:
         # the concentrations as engine.sweep takes them
         g_alpha = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
         g_ab, g_abbar = (
-            np.maximum(geo_expect_beta(a, b)[:, None] * g_alpha, engine.GEO_FLOOR)
-            for a, b in ((beta_a, beta_b), (beta_b, beta_a))
+            np.maximum(g[:, None] * g_alpha, engine.GEO_FLOOR)
+            for g in geo_expect_beta(beta_a, beta_b)
         )
         block = state.rho.stacked[idx]
         nhat = bernoulli_sum_moments(block, widths)
