@@ -57,11 +57,15 @@ from .model import (
     Hyperparameters,
     VariationalState,
     _eta_log_mean,
+    _active_rows,
     _expected_sq_residual,
+    _kept_factors,
     _lambda_rate,
     _loading_products,
     _loading_sums,
     _norms_mse,
+    _prior_w_var,
+    _reset_to_prior,
     _row_norms,
     _sq_norms,
     active_factors,
@@ -107,10 +111,13 @@ class FitReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _state_sq_norms(state, data):
-    """_sq_norms of every group at the state's expected loadings and scores."""
+def _state_sq_norms(state, data, rows):
+    """_sq_norms of every group at the state's expected loadings and scores,
+    over the factors rows: every factor whose expected loadings are not all
+    zero must be among them."""
+    f_rows = state.f_mean[:, rows]
     return [
-        _sq_norms(_row_norms(x), state.f_mean, *_loading_products(x, r * w))
+        _sq_norms(_row_norms(x), f_rows, *_loading_products(x, r[rows] * w[rows]))
         for x, r, w in zip(data.groups, state.rho, state.w_mean)
     ]
 
@@ -174,17 +181,19 @@ def _prior_halves(block, nhat, g_ab, g_abbar, spans):
     return on, off
 
 
-def _loo_weights(ft_tf, idx):
+def _loo_weights(ft_tf):
     """The weights that leave each active factor out of dotx.
 
-    ft_tf[m] is F^T (tau_bar_m F_A), one row per active factor idx[i];
-    returns them as one |A| x M x K array with factor idx[i]'s own entry
-    of row i zeroed. Then X_m^T tf minus every factor but idx[i]'s share,
-    R_m^T tf + C_m[idx[i]] (tf . f_idx[i]) with R_m = X_m - F C_m and
-    tf = tau_bar_m f_idx[i], is X_m^T tf - C_m^T weights[i, m].
+    ft_tf[m] is F_A^T (tau_bar_m F_A), |A| x |A| over the active factors A;
+    returns them as one |A| x M x |A| array with row i's own entry i
+    zeroed. Then, with C_m the active rows of the expected loadings (the
+    other rows are zero) and tf = tau_bar_m f_i, X_m^T tf minus every
+    factor but i's share, R_m^T tf + C_m[i] (tf . f_i) with
+    R_m = X_m - F_A C_m, is X_m^T tf - C_m^T weights[i, m].
     """
     weights = np.stack(ft_tf, axis=1)
-    weights[np.arange(idx.size), :, idx] = 0.0
+    diag = np.arange(weights.shape[0])
+    weights[diag, :, diag] = 0.0
     return weights
 
 
@@ -215,38 +224,45 @@ def _inclusion_probs(logit, widths, k):
     return new
 
 
-def _score_block(state, tau_bar, products, second, active):
-    """Update the scores of the active factors, one column after another.
+def _score_block(state, tau_bar, products, second, rows, update=None):
+    """Update the scores of factors, one column after another.
 
-    products[m] holds group m's _loading_products (X_m C_m^T, C_m C_m^T),
-    C_m = rho[m] * w_mean[m], and second[m] its sums sum_d rho E[w^2]
-    (model._loading_sums), at the state's loadings, which the block does
-    not move; tau_bar[m] holds E[tau] of group m's samples. Column k's
-    moment is sum_m tau_bar_m (R_m c_k + f_k (c_k . c_k)), taken as
+    products[m] holds group m's _loading_products (X_m C_m^T, C_m C_m^T)
+    and second[m] its sums sum_d rho E[w^2] (model._loading_sums), taken
+    over the factors rows (C_m = rho[m] * w_mean[m], rows rows), at the
+    state's loadings, which the block does not move; every factor with
+    nonzero expected loadings must be among rows. tau_bar[m] holds E[tau]
+    of group m's samples. The factors update (all of rows when None, each
+    one of rows) are updated in that order. Column k's moment is
+    sum_m tau_bar_m (R_m c_k + f_k (c_k . c_k)), taken as
     sum_m tau_bar_m (X_m C_m^T[:, k] - F h_m) with h_m column k of
-    C_m C_m^T, entry k zeroed, and F the scores as the earlier columns of
-    the block have left them. Its precision, 1 + sum_m tau_bar_m
-    second[m], reads no score, so every column's is taken at once.
-    Each column's update maximises the objective given everything else,
-    and the samples are independent given the loadings.
+    C_m C_m^T, entry k zeroed, and F the scores of rows as the earlier
+    columns of the block have left them. Its precision,
+    1 + sum_m tau_bar_m second[m], reads no score, so every column's is
+    taken at once. Each column's update maximises the objective given
+    everything else, and the samples are independent given the loadings.
     """
-    f_mean = state.f_mean
+    rows = list(rows)
+    at = range(len(rows)) if update is None else [rows.index(k) for k in update]
+    f_rows = state.f_mean[:, rows]
     tau = np.column_stack(tau_bar)
-    txc = np.zeros_like(f_mean)
-    precision = np.ones_like(f_mean)
+    txc = np.zeros_like(f_rows)
+    precision = np.ones_like(f_rows)
     for m, (xc, _) in enumerate(products):
         tb = tau_bar[m][:, None]
         txc += tb * xc
         precision += tb * second[m]
-    # h[k] is M x K: row m is column k of C_m C_m^T with entry k zeroed
+    # h[i] is M x |rows|: row m is column i of C_m C_m^T with entry i zeroed
     h = np.stack([cc.T for _, cc in products], axis=1)
     diag = np.arange(h.shape[0])
     h[diag, :, diag] = 0.0
     f_var = 1.0 / precision
-    for k in active:
-        moment = txc[:, k] - np.einsum("nj,nj->n", f_mean, tau @ h[k])
-        f_mean[:, k] = f_var[:, k] * moment
-    state.f_var[:, active] = f_var[:, active]
+    for i in at:
+        moment = txc[:, i] - np.einsum("nj,nj->n", f_rows, tau @ h[i])
+        f_rows[:, i] = f_var[:, i] * moment
+    cols = [rows[i] for i in at]
+    state.f_mean[:, cols] = f_rows[:, at]
+    state.f_var[:, cols] = f_var[:, at]
 
 
 def sweep(state, data, hyper, *, _data_norms=None):
@@ -365,17 +381,23 @@ def sweep(state, data, hyper, *, _data_norms=None):
     prior_on, prior_off = _prior_halves(block, nhat, g_ab, g_abbar, spans)
     del block, nhat
 
-    loads = rho_all * w_all
-    f2 = f_mean * f_mean + state.f_var
+    # every K-row quantity from here on is taken over the active rows: the
+    # other factors are at the prior, whose expected loadings are zeros
+    loads = np.empty((idx.size, rho_all.shape[1]))
+    for i, k in enumerate(active):
+        np.multiply(rho_all[k], w_all[k], out=loads[i])
+    f_act = f_mean[:, idx]
+    f2 = f_act * f_act
+    f2 += state.f_var[:, idx]
     sff_all = np.array([tb @ f2 for tb in tau_bar])
-    tf = [tb[:, None] * f_mean[:, active] for tb in tau_bar]
+    tf = [tb[:, None] * f_act for tb in tau_bar]
     xt_tf = [t.T @ x for t, x in zip(tf, data.groups)]
-    loo = _loo_weights([t.T @ f_mean for t in tf], idx)
-    del f2, tf
+    loo = _loo_weights([t.T @ f_act for t in tf])
+    del f_act, f2, tf
     dotx = np.empty(loads.shape[1])
 
     for i, k in enumerate(active):
-        sff = np.repeat(sff_all[:, k], widths)
+        sff = np.repeat(sff_all[:, i], widths)
         # sum_n tau f x~(no k): constant through the row update since only
         # factor k's own parameters change inside it
         for m, cols in enumerate(spans):
@@ -408,9 +430,20 @@ def sweep(state, data, hyper, *, _data_norms=None):
         np.multiply(w_var, rho, out=w)
         w *= dotx
         rho_all[k] = rho
-        np.multiply(rho, w, out=loads[k])
+        np.multiply(rho, w, out=loads[i])
         del rho
     del prior_on, prior_off, xt_tf, loo
+
+    # the loading block alone moves rho: the factors it leaves inactive,
+    # and any other inactive factor, go to the prior, and only the active
+    # rows K+ are read from here on
+    still = _active_rows(rho_all[idx], dims)
+    kept = idx[still]
+    stale = np.ones(state.n_factors, dtype=bool)
+    stale[kept] = False
+    _reset_to_prior(state, hyper, stale)
+    if not still.all():
+        loads = loads[still]
 
     # each group's products and loading sums at the final loadings of the
     # pass, for the score block and the noise precisions
@@ -419,17 +452,20 @@ def sweep(state, data, hyper, *, _data_norms=None):
     for m, (x, cols) in enumerate(zip(data.groups, spans)):
         coef = loads[:, cols]
         products.append(_loading_products(x, coef))
-        sums.append(_loading_sums(state.rho[m], state.w_mean[m], state.w_var[m], coef))
-    _score_block(state, tau_bar, products, [s for s, _ in sums], active)
+        rows = (a[m][kept] for a in (state.rho, state.w_mean, state.w_var))
+        sums.append(_loading_sums(*rows, coef))
+    _score_block(state, tau_bar, products, [s for s, _ in sums], kept)
     if _data_norms is None:
         _data_norms = [_row_norms(x) for x in data.groups]
+    f_kept = f_mean[:, kept]
     norms = [
-        _sq_norms(xx, f_mean, xc, cc) for xx, (xc, cc) in zip(_data_norms, products)
+        _sq_norms(xx, f_kept, xc, cc) for xx, (xc, cc) in zip(_data_norms, products)
     ]
     # group m's alpha reads only its own eta, at the alpha it replaces
     state.alpha_shape[:], state.alpha_rate[:] = update_alpha(state, hyper)
+    f_var_kept = state.f_var[:, kept]
     for m in range(state.n_groups):
-        sq = _expected_sq_residual(norms[m], f_mean, state.f_var, *sums[m])
+        sq = _expected_sq_residual(norms[m], f_kept, f_var_kept, *sums[m])
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
 
     _check_state_finite(state)
@@ -489,6 +525,29 @@ def _bernoulli_entropy(rho):
     return float(-np.sum(r * np.log(r) + (1.0 - r) * np.log1p(-r)))
 
 
+def _loading_terms(w_mean, w_var, hyper, psi_lam, lgamma_lam):
+    """The loadings' share of the objective, summed over the entries of
+    (w_mean, w_var): E[log p(w | lambda)] + H[q(w)] and the q(lambda) gap,
+    the rates derived from q(w). psi_lam and lgamma_lam are the digamma
+    and log-gamma of the q(lambda) shape."""
+    lam_shape = hyper.lambda_shape
+    lam_rate = _lambda_rate(w_mean, w_var, hyper.f0)
+    log_lam, e_log_lam, lam_bar = _gamma_moments(lam_shape, lam_rate, psi_lam)
+    ew2 = w_mean**2 + w_var
+    total = float(0.5 * np.sum(e_log_lam - lam_bar * ew2 + np.log(w_var) + 1.0))
+    return total + _gamma_prior_gap(
+        hyper.e0, hyper.f0, lam_shape, lam_rate, log_lam, e_log_lam, lam_bar, lgamma_lam
+    )
+
+
+def _prior_loading_term(hyper, psi_lam, lgamma_lam):
+    """_loading_terms of one entry at the prior (mean 0, variance f0 / e0):
+    what each entry of a factor at the prior adds to the objective."""
+    return _loading_terms(
+        np.zeros(1), np.full(1, _prior_w_var(hyper)), hyper, psi_lam, lgamma_lam
+    )
+
+
 def surrogate_elbo(state, data, hyper, norms=None) -> float:
     """Variational objective with the collapsed inclusion prior approximated.
 
@@ -498,50 +557,60 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
     auxiliary-variable terms cancel because their posteriors are exact.
     norms, if given, must be the residual's per-sample squared norms at
     state, as sweep returns them; otherwise they are computed here.
+
+    The per-entry terms (the likelihood's loading sums, the loadings
+    against their prior, the inclusion entropy, the scores against theirs)
+    are summed over the factors not exactly at the prior
+    (model._kept_factors), the active ones on a state a sweep returned.
+    Each entry of a factor at the prior adds the same loading term
+    (_prior_loading_term), so those factors add it times their count times
+    sum_m D_m; their entropy and score terms are 0, their expected loadings
+    zeros. Their q(beta) terms and collapsed counts (none included, D_m
+    excluded) are taken with every other factor's.
     """
     total = 0.0
     M = state.n_groups
     K = state.n_factors
-    lam_shape = hyper.lambda_shape
+    kept = _kept_factors(state, hyper)
 
     if norms is None:
-        norms = _state_sq_norms(state, data)
+        norms = _state_sq_norms(state, data, kept)
     # the q(tau) and q(lambda) shapes' special functions, for every group at once
     tau_shapes = hyper.tau_shape(np.array(state.dims))
     psi_tau, lgamma_tau = digamma(tau_shapes), _lgamma(tau_shapes)
-    psi_lam, lgamma_lam = digamma(lam_shape), _lgamma(lam_shape)
+    psi_lam, lgamma_lam = digamma(hyper.lambda_shape), _lgamma(hyper.lambda_shape)
+    f_mean, f_var = state.f_mean[:, kept], state.f_var[:, kept]
+    counts = []
     for m in range(M):
         d_m = state.dims[m]
         tau_shape = tau_shapes[m]
         tau_rate = state.tau_rate[m]
         log_tau, e_log_tau, tb = _gamma_moments(tau_shape, tau_rate, psi_tau[m])
-        # contiguous copies of the group's blocks: numpy's elementwise
+        # contiguous copies of the group's kept rows: numpy's elementwise
         # steps on a column block of a stacked array take about twice as long
         blocks = (state.rho, state.w_mean, state.w_var)
-        rho, w_mean, w_var = (a[m].copy() for a in blocks)
-        lam_rate = _lambda_rate(w_mean, w_var, hyper.f0)
+        rho, w_mean, w_var = (a[m][kept] for a in blocks)
         sums = _loading_sums(rho, w_mean, w_var, rho * w_mean)
-        sq = _expected_sq_residual(norms[m], state.f_mean, state.f_var, *sums)
+        sq = _expected_sq_residual(norms[m], f_mean, f_var, *sums)
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
 
         # loadings against their elementwise gamma-precision prior
-        log_lam, e_log_lam, lam_bar = _gamma_moments(lam_shape, lam_rate, psi_lam)
-        ew2 = w_mean**2 + w_var
-        total += float(0.5 * np.sum(e_log_lam - lam_bar * ew2 + np.log(w_var) + 1.0))
-        total += _gamma_prior_gap(
-            hyper.e0, hyper.f0, lam_shape, lam_rate, log_lam, e_log_lam, lam_bar,
-            lgamma_lam,
-        )
+        total += _loading_terms(w_mean, w_var, hyper, psi_lam, lgamma_lam)
         total += _gamma_prior_gap(
             hyper.g0, hyper.h0, tau_shape, tau_rate, log_tau, e_log_tau, tb,
             lgamma_tau[m],
         )
         total += _bernoulli_entropy(rho)
+        counts.append((rho.sum(axis=1), (1.0 - rho).sum(axis=1)))
+    n_prior = K - kept.size
+    if n_prior:
+        prior_entries = n_prior * sum(state.dims)
+        total += prior_entries * _prior_loading_term(hyper, psi_lam, lgamma_lam)
 
     # factor scores against the standard normal prior
-    if state.f_mean.size:
-        ef2 = state.f_mean**2 + state.f_var
-        total += float(0.5 * np.sum(np.log(state.f_var) - ef2 + 1.0))
+    if f_mean.size:
+        ef2 = f_mean**2 + f_var
+        total += float(0.5 * np.sum(np.log(f_var) - ef2 + 1.0))
 
     if M:
         shape, rate = state.alpha_shape, state.alpha_rate
@@ -578,8 +647,10 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
             g_alpha = g_alphas[m]
             g_ab = np.maximum(g_alpha * g_beta, GEO_FLOOR)
             g_abbar = np.maximum(g_alpha * g_beta_bar, GEO_FLOOR)
-            nhat = state.rho[m].sum(axis=1)
-            ntil = (1.0 - state.rho[m]).sum(axis=1)
+            # a factor at the prior includes no column of any group
+            nhat = np.zeros(K)
+            ntil = np.full(K, float(d_m))
+            nhat[kept], ntil[kept] = counts[m]
             total += float(
                 K * (math.lgamma(g_alpha) - math.lgamma(g_alpha + d_m))
                 + np.sum(_lgamma(g_ab + nhat) - _lgamma(g_ab))

@@ -19,9 +19,22 @@ streams one array at a time. Checkpoints carry their own version,
 CHECKPOINT_VERSION, and store only free parameters (VariationalState):
 the q(lambda) and q(tau) shapes follow from the hyperparameters and the
 group widths, so the reader validates the hyperparameters against the
-state, and the q(lambda) rates and E[log eta] from the state. Versions 1
-to 3, which stored some of these too, still load; each stored value must
-equal its derived value, and is dropped. Version 1 stored every array as
+state, and the q(lambda) rates and E[log eta] from the state.
+
+Version 5 stores the rows of a factor only when it is not exactly at the
+prior (model._kept_factors; on a fitted state, the active factors K+).
+The state block lists those factors, ascending, as "stored_factors", a
+JSON list of integers; each group's rho, w_mean and w_var array has one
+row per stored factor (K+ x D_m), and f_mean and f_var one column per
+stored factor (N x K+). Every other array keeps its K factors: q(beta)
+and the table counts of a factor at the prior are not prior values. The
+reader fills the other factors from the stored hyperparameters
+(model._reset_to_prior: rho 0, w mean 0 and variance f0 / e0, f mean 0
+and variance 1), so a state reads back bit for bit, with all K rows in
+memory. On a wide fit (K = 30, K+ = 6) this is a fifth of version 4's
+bytes. Versions 1 to 4 stored all K rows and still load as stored;
+versions 1 to 3 stored some derived values too, each of which must equal
+its derived value, and is dropped. Version 1 stored every array as
 nested JSON float lists (compact or indented); a file that mixes the two
 array encodings is rejected.
 """
@@ -42,7 +55,9 @@ from .model import (
     Hyperparameters,
     VariationalState,
     _eta_log_mean,
+    _kept_factors,
     _lambda_rate,
+    _reset_to_prior,
 )
 from .simdata import SparsityPattern
 
@@ -51,8 +66,9 @@ CHECKPOINT_FORMAT = "cvgfa-checkpoint"
 FORMAT_VERSION = 1
 # version 1 checkpoints stored the state arrays as JSON float lists; versions
 # 1 to 3 also stored the lambda rates and E[log eta], and versions 1 and 2
-# the constant gamma shapes (see _check_derived_fields)
-CHECKPOINT_VERSION = 4
+# the constant gamma shapes (see _check_derived_fields); versions 1 to 4
+# stored the rows of every factor, the factors at the prior included
+CHECKPOINT_VERSION = 5
 TRACE_HEADER = "sweep,objective,train_mse,k_active"
 
 HYPER_FIELDS = ("K", "kappa0", "c0", "d0", "e0", "f0", "g0", "h0")
@@ -264,7 +280,9 @@ def _read_shaped(path, fname, shape):
 
 
 # Every VariationalState field, in the order the checkpoint stores them
-# (sorted by name); True marks the per-group lists of arrays.
+# (sorted by name); True marks the per-group lists of arrays. From version 5
+# the rows of FACTOR_ROW_FIELDS (columns of FACTOR_COLUMN_FIELDS) are
+# stored only for the factors listed under STORED_FACTORS.
 STATE_FIELDS = (
     ("alpha_rate", False),
     ("alpha_shape", False),
@@ -279,6 +297,9 @@ STATE_FIELDS = (
     ("w_mean", True),
     ("w_var", True),
 )
+FACTOR_ROW_FIELDS = GROUP_BLOCK_FIELDS
+FACTOR_COLUMN_FIELDS = ("f_mean", "f_var")
+STORED_FACTORS = "stored_factors"
 
 
 def _encode_array(a) -> str:
@@ -314,10 +335,13 @@ def _list_array(obj) -> np.ndarray:
     return np.array(obj, dtype=float)
 
 
-def _state_from_json(obj, decode, decode_block) -> VariationalState:
+def _state_from_json(obj, decode, decode_block, hyper=None) -> VariationalState:
     """The state from its JSON object. decode gives a writable array, and
     decode_block may give a read-only one: GroupBlocks.from_groups copies
-    those into the stacked layout, one field at a time."""
+    those into the stacked layout, one field at a time. With hyper, the
+    object is a version 5 state: the factor rows and columns are those of
+    the stored factors only, and the other factors are set to the prior
+    that hyper gives."""
     fields = {}
     try:
         for name, per_group in STATE_FIELDS:
@@ -328,18 +352,70 @@ def _state_from_json(obj, decode, decode_block) -> VariationalState:
                 fields[name] = GroupBlocks.from_groups(blocks, name)
             else:
                 fields[name] = [decode(a) for a in obj[name]]
+        if hyper is not None:
+            stale = _spread_stored_factors(obj, fields)
     except (KeyError, TypeError, ValueError) as err:
         # binascii.Error, raised for bad base64, is a ValueError
         raise DataError(f"malformed checkpoint state: {err}") from None
-    return VariationalState(**fields)
+    state = VariationalState(**fields)
+    if hyper is not None:
+        _reset_to_prior(state, hyper, stale)
+    return state
+
+
+def _spread_stored_factors(obj, fields):
+    """Widens the stored factors' rows (columns) of fields to all K factors,
+    K the length of beta_a, in place; returns the mask of the factors that
+    were not stored, whose entries are left for _reset_to_prior to set.
+    Raises ValueError for a malformed list of factors or a row count that
+    does not match it."""
+    beta_a = fields["beta_a"]
+    if beta_a.ndim != 1:
+        raise ValueError("beta_a is not a vector")
+    n_factors = beta_a.shape[0]
+    stored = obj[STORED_FACTORS]
+    if not (isinstance(stored, list) and all(type(k) is int for k in stored)):
+        raise ValueError(f"{STORED_FACTORS} is not a list of integers")
+    if any(b <= a for a, b in zip(stored, stored[1:])) or not all(
+        0 <= k < n_factors for k in stored
+    ):
+        raise ValueError(
+            f"{STORED_FACTORS} must ascend strictly within [0, {n_factors})"
+        )
+    for name in FACTOR_ROW_FIELDS:
+        packed = fields[name]
+        rows = packed.stacked.shape[0]
+        if rows != len(stored):
+            raise ValueError(
+                f"{name} has {rows} rows, want one per stored factor ({len(stored)})"
+            )
+        full = np.empty((n_factors, packed.stacked.shape[1]))
+        full[stored] = packed.stacked
+        fields[name] = GroupBlocks(full, packed.dims)
+    for name in FACTOR_COLUMN_FIELDS:
+        packed = fields[name]
+        if packed.ndim != 2 or packed.shape[1] != len(stored):
+            raise ValueError(
+                f"{name} has shape {packed.shape}, want one column per stored "
+                f"factor ({len(stored)})"
+            )
+        full = np.empty((packed.shape[0], n_factors))
+        full[:, stored] = packed
+        fields[name] = full
+    stale = np.ones(n_factors, dtype=bool)
+    stale[stored] = False
+    return stale
 
 
 def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_names=None):
     """Compact JSON: the metadata, then the state one base64 array at a time.
 
     Each array exists as bytes and text only while it is written, so no
-    encoded copy of the whole state is ever held.
+    encoded copy of the whole state is ever held. The factor rows (columns)
+    are written for the factors not at the prior only, which are listed
+    (see the module docstring).
     """
+    kept = _kept_factors(state, hyper)
     hyperparameters = {f: getattr(hyper, f) for f in HYPER_FIELDS}
     hyperparameters["K"] = int(hyper.K)
     header = json.dumps(
@@ -359,14 +435,20 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
         fh.write(',"state":{')
         for i, (name, per_group) in enumerate(STATE_FIELDS):
             value = getattr(state, name)
+            if name == "tau_rate":
+                # the list's place in the sorted order of the keys
+                stored = json.dumps(kept.tolist(), separators=_COMPACT)
+                fh.write(f',"{STORED_FACTORS}":{stored}')
             fh.write(f'{"," if i else ""}"{name}":')
             if per_group:
                 fh.write("[")
                 for m, a in enumerate(value):
                     if m:
                         fh.write(",")
-                    fh.write(_encode_array(a))
+                    fh.write(_encode_array(a[kept] if name in FACTOR_ROW_FIELDS else a))
                 fh.write("]")
+            elif name in FACTOR_COLUMN_FIELDS:
+                fh.write(_encode_array(value[:, kept]))
             else:
                 fh.write(_encode_array(value))
         fh.write("}}\n")
@@ -399,11 +481,12 @@ def _check_derived_fields(path, block, decode, state, hyper, version):
 def read_checkpoint(path):
     """Returns (VariationalState, Hyperparameters, info dict).
 
-    Reads versions 4 to 2 (base64 float64 arrays) and version 1 (JSON float
+    Reads versions 5 to 2 (base64 float64 arrays) and version 1 (JSON float
     lists). The hyperparameters must be valid and their K must match the
-    state, since the derived gamma shapes depend on them.
+    state, since the derived gamma shapes depend on them; from version 5
+    they also give the factors that were not stored their prior values.
     """
-    obj = _read_json(path, CHECKPOINT_FORMAT, versions=(1, 2, 3, CHECKPOINT_VERSION))
+    obj = _read_json(path, CHECKPOINT_FORMAT, versions=(1, 2, 3, 4, CHECKPOINT_VERSION))
     hp = obj.get("hyperparameters")
     if not isinstance(hp, dict) or any(f not in hp for f in HYPER_FIELDS):
         raise DataError(f"{path}: incomplete hyperparameters")
@@ -422,15 +505,16 @@ def read_checkpoint(path):
         decode = view = _list_array
     else:
         decode, view = _decode_array, _decode_view
-    state = _state_from_json(block, decode, view)
+    version = obj["version"]
+    state = _state_from_json(block, decode, view, hyper if version >= 5 else None)
     state.validate()
     if type(hyper.K) is not int or hyper.K != state.n_factors:
         raise DataError(
             f"{path}: hyperparameter K={hyper.K!r}, but the state has "
             f"{state.n_factors} factors"
         )
-    if obj["version"] < CHECKPOINT_VERSION:
-        _check_derived_fields(path, block, view, state, hyper, obj["version"])
+    if version < 4:
+        _check_derived_fields(path, block, view, state, hyper, version)
     info = {
         "fit": obj.get("fit") or {},
         "group_names": obj.get("group_names"),

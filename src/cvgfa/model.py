@@ -591,10 +591,66 @@ def active_factors(state: VariationalState):
     Mass of factor k in group m is sum_d rho[m][k, d]; a factor counts as
     active when its best group mass is at least ACTIVE_MASS.
     """
-    mass = np.zeros(state.n_factors)
-    for r in state.rho:
-        mass = np.maximum(mass, r.sum(axis=1))
-    return {int(k) for k in np.flatnonzero(mass >= ACTIVE_MASS)}
+    active = _active_rows(state.rho.stacked, state.dims)
+    return {int(k) for k in np.flatnonzero(active)}
+
+
+def _active_rows(rows, dims):
+    """active_factors' rule for each row of rows, rows of rho.stacked (the
+    groups' columns side by side, dims their widths): a boolean per row.
+    Each group's mass is the pairwise sum of the row's columns of the
+    group, whichever rows are taken, so the rule gives every factor the
+    same answer from the whole array and from a block of its rows."""
+    mass = np.zeros(rows.shape[0])
+    end = 0
+    for d_m in dims:
+        end += d_m
+        mass = np.maximum(mass, rows[:, end - d_m : end].sum(axis=1))
+    return mass >= ACTIVE_MASS
+
+
+# A factor below ACTIVE_MASS is returned to its prior (engine.sweep): rho 0,
+# q(w) mean 0 and variance f0 / e0, q(f) N(0, 1). Its expected loadings are
+# then exact zeros, so products over the K rows need only the others, and a
+# checkpoint stores only those. Its q(beta) and table counts stay as the
+# sweep that pruned it left them.
+
+
+def _prior_w_var(hyper):
+    """f0 / e0, the loading variance of a factor at the prior: at rho = 0
+    the w_var update 1 / (E[lambda]) with the lambda rate f0 + w_var / 2
+    derived from it has this fixed point, and the mean is 0."""
+    return hyper.f0 / hyper.e0
+
+
+def _reset_to_prior(state, hyper, factors):
+    """Set factors (an index array or a boolean mask over the K factors)
+    to the prior in every group: rho 0,
+    q(w) mean 0 and variance _prior_w_var, q(f) mean 0 and variance 1.
+    Their q(beta) and table counts are left as they are."""
+    state.rho.stacked[factors] = 0.0
+    state.w_mean.stacked[factors] = 0.0
+    state.w_var.stacked[factors] = _prior_w_var(hyper)
+    state.f_mean[:, factors] = 0.0
+    state.f_var[:, factors] = 1.0
+
+
+def _kept_factors(state, hyper):
+    """The factors not exactly at the prior (_reset_to_prior), ascending,
+    an index array: the rows the objective sums entry by entry and a
+    checkpoint stores. Exactly means bit for bit: a -0.0 mean is kept,
+    so that the prior values a reader fills in are the ones it dropped.
+    Only factors whose rho rows are all +0.0 are read further."""
+    zero_rho = ~state.rho.stacked.view(np.uint64).any(axis=1)
+    maybe = np.flatnonzero(zero_rho)
+    at_prior = (
+        ~state.w_mean.stacked[maybe].view(np.uint64).any(axis=1)
+        & (state.w_var.stacked[maybe] == _prior_w_var(hyper)).all(axis=1)
+        & ~state.f_mean[:, maybe].view(np.uint64).any(axis=0)
+        & (state.f_var[:, maybe] == 1.0).all(axis=0)
+    )
+    zero_rho[maybe] = at_prior
+    return np.flatnonzero(~zero_rho)
 
 
 # The helpers below are shared with engine: the derived lambda rates and

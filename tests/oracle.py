@@ -37,6 +37,7 @@ from cvgfa.approx import (
 )
 from cvgfa.engine import GEO_FLOOR
 from cvgfa.errors import DataError, NumericalError, UsageError
+from cvgfa.model import ACTIVE_MASS
 
 
 def rho_row_priors(rho, count_mean, count_var, g_ab, g_abbar, widths):
@@ -228,6 +229,23 @@ def update_tau(state, residual, hyper, m, n):
     ef2 = ef * ef + state.f_var[n]
     sq = float(resid @ resid) + float(ef2 @ svec) - float((ef * ef) @ tvec)
     return hyper.h0 + 0.5 * sq
+
+
+def prior_reset(state, hyper):
+    """Every factor below model.ACTIVE_MASS in every group, one coordinate
+    at a time, to the prior: rho 0, q(w) mean 0 and variance f0 / e0,
+    q(f) mean 0 and variance 1. q(beta) and the table counts stay."""
+    for k in range(state.n_factors):
+        if any(np.sum(r[k]) >= ACTIVE_MASS for r in state.rho):
+            continue
+        for m in range(state.n_groups):
+            for d in range(state.dims[m]):
+                state.rho[m][k, d] = 0.0
+                state.w_mean[m][k, d] = 0.0
+                state.w_var[m][k, d] = hyper.f0 / hyper.e0
+        for n in range(state.n_samples):
+            state.f_mean[n, k] = 0.0
+            state.f_var[n, k] = 1.0
 
 
 def crt_mean_exact(a, l):

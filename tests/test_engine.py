@@ -31,6 +31,7 @@ from cvgfa.model import (
     Hyperparameters,
     VariationalState,
     _eta_log_mean,
+    _kept_factors,
     _lambda_rate,
     active_factors,
     init_state,
@@ -104,6 +105,20 @@ def make_state(
             np.zeros((m, k)) if aux_t is None else np.array(aux_t, dtype=float)
         ),
     )
+
+
+def assert_at_prior(state, hyper, k):
+    """Factor k's rows and score column hold the prior's values bit for bit:
+    rho and the loading means +0.0, the loading variances f0 / e0, the
+    score means +0.0 and variances 1."""
+    zero = np.zeros(1).tobytes()
+    for name, value in (("rho", zero), ("w_mean", zero)):
+        row = getattr(state, name).stacked[k]
+        assert row.tobytes() == zero * row.size, name
+    w_var = state.w_var.stacked[k]
+    assert w_var.tobytes() == np.full(w_var.size, hyper.f0 / hyper.e0).tobytes()
+    assert state.f_mean[:, k].tobytes() == zero * state.n_samples
+    assert state.f_var[:, k].tobytes() == np.ones(state.n_samples).tobytes()
 
 
 def random_state(rng, n, dims, k):
@@ -643,7 +658,8 @@ def reference_sweep(state, data, hyper):
                 mean, var = oracle.update_w(state, residual, hyper, m, k, d)
                 state.w_mean[m][k, d] = mean
                 state.w_var[m][k, d] = var
-    for k in active:
+    oracle.prior_reset(state, hyper)
+    for k in sorted(active_factors(state)):
         residual = oracle.residual(state, data)
         f_new = np.empty(state.n_samples)
         f_var_new = np.empty(state.n_samples)
@@ -728,19 +744,22 @@ def per_column_sweep(state, data, hyper):
     M = state.n_groups
     N = state.n_samples
     F = state.f_mean
-    loads = [state.rho[m] * state.w_mean[m] for m in range(M)]
     lam_shape = hyper.lambda_shape
     tau_bar = [hyper.tau_shape(state.dims[m]) / state.tau_rate[m] for m in range(M)]
     g_alpha = [
         geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)
     ]
 
+    # the inactive factors are at the prior: every product below runs over
+    # the active rows (columns of F) only
     active = sorted(active_factors(state))
-    f2 = F * F + state.f_var
+    loads = [state.rho[m][active] * state.w_mean[m][active] for m in range(M)]
+    f_act = F[:, active]
+    f2 = f_act * f_act + state.f_var[:, active]
     sff_all = [tau_bar[m] @ f2 for m in range(M)]
-    tf = [tau_bar[m][:, None] * F[:, active] for m in range(M)]
+    tf = [tau_bar[m][:, None] * f_act for m in range(M)]
     xt_tf = [tf[m].T @ data.groups[m] for m in range(M)]
-    ft_tf = [tf[m].T @ F for m in range(M)]
+    ft_tf = [tf[m].T @ f_act for m in range(M)]
 
     K = int(hyper.K)
     for i, k in enumerate(active):
@@ -772,9 +791,9 @@ def per_column_sweep(state, data, hyper):
                 max(crt_mean_approx(g_abbar, ntil), 0.0), float(d_m)
             )
 
-            sff = float(sff_all[m][k])
+            sff = float(sff_all[m][i])
             g = ft_tf[m][i].copy()
-            g[k] = 0.0
+            g[i] = 0.0
             dotx = xt_tf[m][i] - loads[m].T @ g
 
             rho_new = np.empty(d_m)
@@ -810,40 +829,49 @@ def per_column_sweep(state, data, hyper):
                 w_row[d] = mu_new
                 wvar_row[d] = var_new
 
-            loads[m][k] = rho_row * w_row
+            loads[m][i] = rho_row * w_row
 
+    # the factors the loading block left inactive go to the prior, and the
+    # score block and the noise precisions read the rest, K+ rows
+    oracle.prior_reset(state, hyper)
+    kept = sorted(active_factors(state))
+    loads = [loads[m][[active.index(k) for k in kept]] for m in range(M)]
     xc = [data.groups[m] @ loads[m].T for m in range(M)]
     cc = [loads[m] @ loads[m].T for m in range(M)]
     tau = np.column_stack(tau_bar)
-    # sum_d rho E[w^2] of every (group, factor) row
+    # sum_d rho E[w^2] of every (group, kept factor) row
     second = [
-        (state.rho[m] * (state.w_mean[m] ** 2 + state.w_var[m])).sum(axis=1)
+        (state.rho[m][kept] * (state.w_mean[m][kept] ** 2 + state.w_var[m][kept])).sum(
+            axis=1
+        )
         for m in range(M)
     ]
-    for k in active:
-        # sum_m tau_bar_m F h_m, h_m column k of C_m C_m^T without entry k
-        h = np.array([cc[m][:, k] for m in range(M)])
-        h[:, k] = 0.0
-        loo = np.einsum("nj,nj->n", F, tau @ h)
+    f_kept = F[:, kept]
+    for i in range(len(kept)):
+        # sum_m tau_bar_m F h_m, h_m column i of C_m C_m^T without entry i
+        h = np.array([cc[m][:, i] for m in range(M)])
+        h[:, i] = 0.0
+        loo = np.einsum("nj,nj->n", f_kept, tau @ h)
         for n in range(N):
             precision = 1.0
             moment = 0.0
             for m in range(M):
-                precision += tau_bar[m][n] * second[m][k]
-                moment += tau_bar[m][n] * xc[m][n, k]
+                precision += tau_bar[m][n] * second[m][i]
+                moment += tau_bar[m][n] * xc[m][n, i]
             var = 1.0 / precision
-            F[n, k] = var * (moment - loo[n])
-            state.f_var[n, k] = var
+            f_kept[n, i] = var * (moment - loo[n])
+            state.f_var[n, kept[i]] = var
+    F[:, kept] = f_kept
 
     for m in range(M):
         shape, rate = oracle.update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
-        rho, w, w_var = state.rho[m], state.w_mean[m], state.w_var[m]
+        rho, w, w_var = (a[m][kept] for a in (state.rho, state.w_mean, state.w_var))
         sq = engine._expected_sq_residual(
-            engine._sq_norms(engine._row_norms(data.groups[m]), F, xc[m], cc[m]),
-            state.f_mean,
-            state.f_var,
+            engine._sq_norms(engine._row_norms(data.groups[m]), f_kept, xc[m], cc[m]),
+            f_kept,
+            state.f_var[:, kept],
             *engine._loading_sums(rho, w, w_var, rho * w),
         )
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
@@ -1046,17 +1074,19 @@ class TestBatchedRowTerms:
         data, state, active = self.batch()
         idx = np.array(active)
         tau_bar = [PRIOR.tau_shape(d) / t for d, t in zip(state.dims, state.tau_rate)]
-        loads = [r * w for r, w in zip(state.rho, state.w_mean)]
-        F = state.f_mean
-        tf = [tb[:, None] * F[:, active] for tb in tau_bar]
+        # the active rows of the expected loadings and columns of F, as
+        # engine.sweep takes them: the inactive factors are at the prior
+        loads = [(r * w)[idx] for r, w in zip(state.rho, state.w_mean)]
+        F = state.f_mean[:, idx]
+        tf = [tb[:, None] * F for tb in tau_bar]
         xt_tf = [t.T @ x for t, x in zip(tf, data.groups)]
         ft_tf = [t.T @ F for t in tf]
-        weights = engine._loo_weights(ft_tf, idx)
-        assert weights.shape == (len(active), len(self.DIMS), state.n_factors)
-        for i, k in enumerate(active):
+        weights = engine._loo_weights(ft_tf)
+        assert weights.shape == (len(active), len(self.DIMS), len(active))
+        for i in range(len(active)):
             for m in range(len(self.DIMS)):
                 got = xt_tf[m][i] - loads[m].T @ weights[i, m]
-                want = oracle.loo_dotx(xt_tf[m][i], loads[m], ft_tf[m][i], k)
+                want = oracle.loo_dotx(xt_tf[m][i], loads[m], ft_tf[m][i], i)
                 assert got.tobytes() == want.tobytes()
 
 
@@ -1114,7 +1144,7 @@ class TestLeaveOneFactorOutProducts:
             )
             # the block's new score is its moment times the new variance
             moved = state.copy()
-            engine._score_block(moved, tau_bar, products, second, [j])
+            engine._score_block(moved, tau_bar, products, second, range(k), [j])
             self.assert_close(moved.f_mean[:, j] / moved.f_var[:, j], want)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1127,11 +1157,16 @@ class TestLeaveOneFactorOutProducts:
         for _ in range(3):
             norms = engine.sweep(state, data, hyper)
             residual = oracle.residual(state, data)
+            # the sweep's products run over the active rows
+            kept = sorted(active_factors(state))
+            assert len(kept) < hyper.K
             for m in range(data.n_groups):
                 x = data.groups[m]
-                c = state.rho[m] * state.w_mean[m]
+                c = (state.rho[m] * state.w_mean[m])[kept]
                 built = engine._sq_norms(
-                    engine._row_norms(x), state.f_mean, *engine._loading_products(x, c)
+                    engine._row_norms(x),
+                    state.f_mean[:, kept],
+                    *engine._loading_products(x, c),
                 )
                 assert norms[m].tobytes() == built.tobytes()
                 assert_allclose(norms[m], (residual[m] ** 2).sum(axis=1), rtol=1e-12)
@@ -1257,6 +1292,61 @@ class TestSweepInvariants:
             # while the batch moved every active factor's
             assert np.all(new[..., [0, 2, 3]] != old[..., [0, 2, 3]]), name
 
+    def test_inactive_factors_leave_the_sweep_at_the_prior(self):
+        n, dims, k = 8, [5, 4], 4
+        rng = np.random.default_rng(53)
+        data = GroupedDataset(
+            [rng.standard_normal((n, d)) for d in dims], ["g0", "g1"]
+        )
+        hyper = Hyperparameters(K=k)
+        state = random_state(np.random.default_rng(54), n, dims, k)
+        # factor 1 is inactive as the sweep begins, with its loadings and
+        # scores away from the prior; factor 2 is active with little mass,
+        # unsupported loadings and a large loading variance, so the loading
+        # block prunes it
+        for r in state.rho:
+            r[1] = 0.0
+            r[2] = 0.003
+        for w in state.w_mean:
+            w[2] = 0.0
+        for v in state.w_var:
+            v[2] = 50.0
+        assert active_factors(state) == {0, 2, 3}
+        before = state.copy()
+        engine.sweep(state, data, hyper)
+        assert active_factors(state) == {0, 3}
+        assert list(_kept_factors(state, hyper)) == [0, 3]
+        for j in (1, 2):
+            assert_at_prior(state, hyper, j)
+        for name in ("beta_a", "beta_b", "aux_s_mean", "aux_t_mean"):
+            old, new = getattr(before, name), getattr(state, name)
+            # frozen as it was for the factor inactive from the start, and
+            # as the batch left it, before the prune, for the other
+            assert new[..., 1].tobytes() == old[..., 1].tobytes(), name
+            assert np.all(new[..., 2] != old[..., 2]), name
+
+        # a further sweep leaves both exactly where they are
+        after = state.copy()
+        engine.sweep(state, data, hyper)
+        for name in ("beta_a", "beta_b", "aux_s_mean", "aux_t_mean"):
+            old, new = getattr(after, name), getattr(state, name)
+            assert new[..., [1, 2]].tobytes() == old[..., [1, 2]].tobytes(), name
+        for j in (1, 2):
+            assert_at_prior(state, hyper, j)
+
+    def test_every_fitted_inactive_factor_is_at_the_prior(self):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=3)
+        hyper = Hyperparameters(K=12)
+        # the warm-up's sweeps return states as fit's do
+        state = init_state(data, hyper, seed=0)
+        inactive = set(range(hyper.K)) - active_factors(state)
+        assert inactive
+        for j in inactive:
+            assert_at_prior(state, hyper, j)
+        assert list(_kept_factors(state, hyper)) == sorted(active_factors(state))
+
     def test_aux_bounded_after_sweep(self):
         data = make_dataset(seed=7, n=6, dims=(5, 3))
         hyper = Hyperparameters(K=3)
@@ -1329,14 +1419,14 @@ class TestScoreBlock:
 
         # the whole block, and each column's update alone
         moved = state.copy()
-        engine._score_block(moved, *inputs, active)
+        engine._score_block(moved, *inputs, range(hyper.K), active)
         assert engine.surrogate_elbo(moved, data, hyper) >= engine.surrogate_elbo(
             state, data, hyper
         )
         step = state.copy()
         for j in active:
             before = engine.surrogate_elbo(step, data, hyper)
-            engine._score_block(step, *inputs, [j])
+            engine._score_block(step, *inputs, range(hyper.K), [j])
             assert engine.surrogate_elbo(step, data, hyper) >= before
         assert_states_bitwise_equal(step, moved)
 
@@ -1351,7 +1441,7 @@ class TestScoreBlock:
         # lowers the objective: the update is the column's exact maximiser
         data, hyper, state, inputs = self.setup(seed)
         for j in range(hyper.K):
-            engine._score_block(state, *inputs, [j])
+            engine._score_block(state, *inputs, range(hyper.K), [j])
             top = engine.surrogate_elbo(state, data, hyper)
             shifts = [("f_mean", 1e-3), ("f_var", 1e-3 * state.f_var[:, j])]
             for name, shift in shifts:
@@ -1405,6 +1495,37 @@ class TestSurrogateElbo:
         assert engine.surrogate_elbo(
             state, data, hyper, norms=norms
         ) == engine.surrogate_elbo(state, data, hyper)
+
+    def test_prior_loading_term_is_the_per_entry_sum(self):
+        # the closed form the objective adds for the factors at the prior
+        hyper = Hyperparameters(K=30, e0=0.3, f0=0.7)
+        psi, lgamma = digamma(hyper.lambda_shape), engine._lgamma(hyper.lambda_shape)
+        n = 24 * 8000
+        prior = np.full(n, hyper.f0 / hyper.e0)
+        want = engine._loading_terms(np.zeros(n), prior, hyper, psi, lgamma)
+        got = n * engine._prior_loading_term(hyper, psi, lgamma)
+        assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_factors_at_the_prior_add_their_per_entry_terms(self, seed):
+        # a -0.0 loading mean takes a factor off the prior bit for bit
+        # (model._kept_factors) but leaves every term it adds as it was, so
+        # the per-entry route over all K rows must give the same objective
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=seed)
+        hyper = Hyperparameters(K=12)
+        state = init_state(data, hyper, seed=seed)
+        pruned = sorted(set(range(hyper.K)) - active_factors(state))
+        assert pruned
+        per_entry = state.copy()
+        per_entry.w_mean.stacked[pruned] = -0.0
+        assert list(_kept_factors(per_entry, hyper)) == list(range(hyper.K))
+        assert_allclose(
+            engine.surrogate_elbo(state, data, hyper),
+            engine.surrogate_elbo(per_entry, data, hyper),
+            rtol=1e-12,
+        )
 
     def test_single_sweep_from_init_increases_objective(self):
         from cvgfa.simdata import generate, simulation1_pattern

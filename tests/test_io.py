@@ -20,6 +20,7 @@ from cvgfa.model import (
     VariationalState,
     _eta_log_mean,
     _lambda_rate,
+    active_factors,
     init_state,
 )
 from test_model import BLOCK_FIELDS, assert_stacked_layout
@@ -504,9 +505,26 @@ class TestCheckpoint:
 DATA = Path(__file__).parent / "data"
 
 
+def at_prior_but(k, name, value):
+    """fitted_state()'s final state, whose factors but 0 are at the prior,
+    with one entry of factor k's field name (a score field or a stacked one)
+    set to value."""
+    report, _, hyper = fitted_state()
+    state = report.final_state
+    assert sorted(active_factors(state)) == [0]
+    field = getattr(state, name)
+    if name.startswith("f_"):
+        field[0, k] = value
+    else:
+        field.stacked[k, 0] = value
+    return state, hyper
+
+
 @pytest.fixture(scope="module")
-def v4_text(tmp_path_factory):
-    """A version 4 checkpoint of fitted_state() as text; tests parse a copy."""
+def checkpoint_text(tmp_path_factory):
+    """A checkpoint of fitted_state() as text, in the current version; tests
+    parse a copy. Its state keeps one factor of five, so each group's rho,
+    w_mean and w_var array is 1 x 8 and f_mean and f_var 12 x 1."""
     report, data, hyper = fitted_state()
     path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
     io.write_checkpoint(path, report.final_state, hyper, group_names=data.group_names)
@@ -548,20 +566,27 @@ def set_value(value):
 
 
 class TestCheckpointEncoding:
-    def test_layout_and_decoded_arrays(self, tmp_path, v4_text):
-        obj = json.loads(v4_text)
-        assert obj["version"] == io.CHECKPOINT_VERSION == 4
+    def test_layout_and_decoded_arrays(self, tmp_path, checkpoint_text):
+        obj = json.loads(checkpoint_text)
+        assert obj["version"] == io.CHECKPOINT_VERSION == 5
         # only free parameters: nothing the reader derives is stored
         for derived in ("lambda_shape", "tau_shape", "lambda_rate", "eta_log_mean"):
             assert derived not in obj["state"]
-        assert obj["state"].keys() == {name for name, _ in io.STATE_FIELDS}
+        assert obj["state"].keys() == {name for name, _ in io.STATE_FIELDS} | {
+            io.STORED_FACTORS
+        }
+        # only the rows (score columns) of the factors not at the prior
+        assert obj["state"][io.STORED_FACTORS] == [0]
         assert obj["hyperparameters"]["K"] == 5
         assert obj["state"]["w_mean"][0].keys() == {"shape", "f8"}
-        assert obj["state"]["w_mean"][0]["shape"] == [5, 8]
-        assert obj["state"]["f_mean"]["shape"] == [12, 5]
+        assert obj["state"]["w_mean"][0]["shape"] == [1, 8]
+        assert obj["state"]["f_mean"]["shape"] == [12, 1]
+        assert obj["state"]["beta_a"]["shape"] == [5]
+        assert obj["state"]["aux_s_mean"]["shape"] == [4, 5]
         path = tmp_path / "checkpoint.json"
-        path.write_text(v4_text)
+        path.write_text(checkpoint_text)
         state, _, _ = io.read_checkpoint(path)
+        assert state.n_factors == 5 and state.rho.stacked.shape == (5, 32)
         for name, arr in state_arrays(state).items():
             assert arr.dtype == np.float64, name
             assert arr.flags.writeable, name
@@ -579,8 +604,8 @@ class TestCheckpointEncoding:
             pytest.param("w_mean", non_alphabet("\u00e9"), None, id="non-ascii"),
             pytest.param("w_mean", drop_three_bytes, "do not fill", id="short-bytes"),
             pytest.param("w_mean", set_shape([5, 7]), "do not fill", id="bytes-exceed-shape"),
-            pytest.param("w_mean", set_shape([8, 5]), "want", id="transposed-shape"),
-            pytest.param("rho", set_shape([40]), "rho", id="flat-rho"),
+            pytest.param("w_mean", set_shape([8, 1]), "want", id="transposed-shape"),
+            pytest.param("rho", set_shape([8]), "rho", id="flat-rho"),
             pytest.param("w_mean", set_shape([-5, -8]), "bad array shape", id="negative-shape"),
             pytest.param("w_mean", set_shape([5.0, 8.0]), "bad array shape", id="float-shape"),
             pytest.param("w_mean", set_shape([True, 40]), "bad array shape", id="bool-shape"),
@@ -592,8 +617,8 @@ class TestCheckpointEncoding:
             pytest.param("rho", set_value(1.5), "outside", id="rho-above-1"),
         ],
     )
-    def test_bad_array_rejected(self, tmp_path, v4_text, field, corrupt, message):
-        obj = json.loads(v4_text)
+    def test_bad_array_rejected(self, tmp_path, checkpoint_text, field, corrupt, message):
+        obj = json.loads(checkpoint_text)
         corrupt(obj["state"][field][0])
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
@@ -616,10 +641,10 @@ class TestCheckpointEncoding:
         with pytest.raises(DataError):
             io.read_checkpoint(path)
 
-    # 4.0 and True compare equal to known versions; only exact ints pass
-    @pytest.mark.parametrize("version", [0, 5, "2", None, 2.0, 3.0, 4.0, True])
-    def test_unknown_version_rejected(self, tmp_path, v4_text, version):
-        obj = json.loads(v4_text)
+    # 5.0 and True compare equal to known versions; only exact ints pass
+    @pytest.mark.parametrize("version", [0, 6, "2", None, 2.0, 3.0, 4.0, 5.0, True])
+    def test_unknown_version_rejected(self, tmp_path, checkpoint_text, version):
+        obj = json.loads(checkpoint_text)
         obj["version"] = version
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
@@ -638,8 +663,8 @@ class TestCheckpointEncoding:
             pytest.param({"K": None}, "bad hyperparameters", id="null-K"),
         ],
     )
-    def test_bad_hyperparameters_rejected(self, tmp_path, v4_text, changes, message):
-        obj = json.loads(v4_text)
+    def test_bad_hyperparameters_rejected(self, tmp_path, checkpoint_text, changes, message):
+        obj = json.loads(checkpoint_text)
         obj["hyperparameters"].update(changes)
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
@@ -709,18 +734,119 @@ class TestCheckpointEncoding:
             assert_states_bitwise_equal(from_v1, state)
             assert hyper == hyper_v1 == Hyperparameters(K=5)
             assert info == info_v1
-        # the version 4 layout is pinned byte for byte
+        # no factor of that state is at the prior, so the current writer
+        # stores every row, as version 4 did: its layout is version 4's,
+        # plus the list of the stored factors
         rewritten = tmp_path / "checkpoint.json"
         io.write_checkpoint(
             rewritten, from_v1, hyper_v1, info_v1["fit"], info_v1["group_names"]
         )
-        assert rewritten.read_bytes() == paths[3].read_bytes()
+        obj = json.loads(rewritten.read_text())
+        v4_obj = json.loads(paths[3].read_text())
+        assert obj["version"] == 5
+        assert obj["state"].pop(io.STORED_FACTORS) == list(range(5))
+        obj["version"] = 4
+        assert obj == v4_obj
         # and holds every array of the version 3 file but the derived two
         v3, v4 = (json.loads(p.read_text())["state"] for p in paths[2:])
         assert v3.keys() - v4.keys() == {"lambda_rate", "eta_log_mean"}
         assert all(v3[name] == v4[name] for name in v4)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_version_5_file_stores_the_rows_of_the_kept_factors(self, tmp_path):
+        """checkpoint_v5.json holds the final state of fitted_state(), whose
+        fit keeps factor 0 of five, with the fit_info cvgfa fit writes."""
+        path = DATA / "checkpoint_v5.json"
+        # a plain JSON reader gets the fit summary
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        assert obj["version"] == 5 and obj["fit"]["sweeps_run"] == 3
+        assert obj["state"][io.STORED_FACTORS] == [0]
+        state, hyper, _ = io.read_checkpoint(path)
+        assert sorted(active_factors(state)) == [0]
+        assert_stacked_layout(state)
+        # the factors that were not stored read back at the prior
+        for blocks, value in (
+            (state.rho, 0.0),
+            (state.w_mean, 0.0),
+            (state.w_var, hyper.f0 / hyper.e0),
+        ):
+            assert np.all(blocks.stacked[1:] == value)
+            assert not np.signbit(blocks.stacked[1:]).any()
+        assert np.all(state.f_mean[:, 1:] == 0.0) and np.all(state.f_var[:, 1:] == 1.0)
+        assert not np.signbit(state.f_mean[:, 1:]).any()
+        assert np.all(state.w_var[0][0] != hyper.f0 / hyper.e0)
+        # the version 5 layout is pinned byte for byte
+        rewritten = tmp_path / "checkpoint.json"
+        info = io.read_checkpoint(path)[2]
+        io.write_checkpoint(rewritten, state, hyper, info["fit"], info["group_names"])
+        assert rewritten.read_bytes() == path.read_bytes()
+
+    def test_version_5_round_trips_a_fitted_state_bitwise(self, tmp_path):
+        # the acceptance size prunes most of K = 30
+        data, _ = simdata.generate(
+            simdata.simulation1_pattern(), 100, [100] * 4, seed=0
+        )
+        hyper = Hyperparameters(K=30)
+        state = engine.fit(data, hyper, FitOptions(max_sweeps=2)).final_state
+        kept = sorted(active_factors(state))
+        assert 0 < len(kept) < 10
+        path = tmp_path / "checkpoint.json"
+        io.write_checkpoint(path, state, hyper, {"sweeps_run": 2})
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        assert obj["fit"]["sweeps_run"] == 2
+        assert obj["state"][io.STORED_FACTORS] == kept
+        assert obj["state"]["rho"][0]["shape"] == [len(kept), 100]
+        assert obj["state"]["f_var"]["shape"] == [100, len(kept)]
+        back, _, _ = io.read_checkpoint(path)
+        assert_states_bitwise_equal(back, state)
+
+    def test_minus_zero_keeps_a_factor_stored(self, tmp_path):
+        # a mean of -0.0 is not the prior's +0.0 bit for bit, so that factor
+        # is stored and reads back with its sign
+        state, hyper = at_prior_but(2, "f_mean", -0.0)
+        path = tmp_path / "checkpoint.json"
+        io.write_checkpoint(path, state, hyper)
+        assert json.loads(path.read_text())["state"][io.STORED_FACTORS] == [0, 2]
+        back, _, _ = io.read_checkpoint(path)
+        assert_states_bitwise_equal(back, state)
+
+    @pytest.mark.parametrize(
+        "stored, message",
+        [
+            pytest.param([1, 0], "ascend", id="descending"),
+            pytest.param([0, 0], "ascend", id="repeated"),
+            pytest.param([0, 5], "ascend", id="out-of-range"),
+            pytest.param([-1, 0], "ascend", id="negative"),
+            pytest.param([0, 2.0], "integers", id="float"),
+            pytest.param([0, True], "integers", id="bool"),
+            pytest.param("0,2", "integers", id="text"),
+            pytest.param([0], "rows", id="too-few"),
+            pytest.param([0, 2, 4], "rows", id="too-many"),
+        ],
+    )
+    def test_bad_stored_factors_rejected(self, tmp_path, stored, message):
+        state, hyper = at_prior_but(2, "w_mean", 0.5)
+        path = tmp_path / "checkpoint.json"
+        io.write_checkpoint(path, state, hyper)
+        obj = json.loads(path.read_text())
+        assert obj["state"][io.STORED_FACTORS] == [0, 2]
+        obj["state"][io.STORED_FACTORS] = stored
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=message):
+            io.read_checkpoint(path)
+
+    def test_version_5_without_its_factor_list_rejected(self, tmp_path):
+        state, hyper = at_prior_but(2, "w_mean", 0.5)
+        path = tmp_path / "checkpoint.json"
+        io.write_checkpoint(path, state, hyper)
+        obj = json.loads(path.read_text())
+        del obj["state"][io.STORED_FACTORS]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=io.STORED_FACTORS):
+            io.read_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_every_version_loads_into_the_stacked_layout(self, version):
         state, _, _ = io.read_checkpoint(DATA / f"checkpoint_v{version}.json")
         assert_stacked_layout(state)
@@ -734,8 +860,8 @@ class TestCheckpointEncoding:
         io.write_checkpoint(second, back, hyper_back, info["fit"], info["group_names"])
         assert second.read_bytes() == first.read_bytes()
 
-    def test_rank_on_corrupted_checkpoint_exits_3(self, tmp_path, v4_text):
-        obj = json.loads(v4_text)
+    def test_rank_on_corrupted_checkpoint_exits_3(self, tmp_path, checkpoint_text):
+        obj = json.loads(checkpoint_text)
         truncate(obj["state"]["rho"][0])
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))

@@ -262,10 +262,12 @@ class TestInitState:
         data = make_dataset()
         state = init_state(data, Hyperparameters(K=4), seed=1)
         clone = state.copy()
-        clone.rho[0][0, 0] = 0.0
-        clone.f_mean[0, 0] = 99.0
-        assert state.rho[0][0, 0] != 0.0
-        assert state.f_mean[0, 0] != 99.0
+        # factor 0 may be pruned, at the prior (rho 0, score mean 0)
+        rho, f = state.rho[0][0, 0], state.f_mean[0, 0]
+        clone.rho[0][0, 0] = 0.5 * (rho + 1.0)
+        clone.f_mean[0, 0] = f + 99.0
+        assert state.rho[0][0, 0] == rho
+        assert state.f_mean[0, 0] == f
 
 
 def svd_components(groups, k):
