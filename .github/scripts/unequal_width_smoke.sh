@@ -12,7 +12,10 @@
 # reconstruct from two of the groups, and require `cvgfa eval` to count the
 # same active factors (K+) as best.json. `cvgfa rank` reads the best
 # checkpoint, and also tests/data/checkpoint_v3.json, whose stored lambda
-# rates and E[log eta] the reader checks against their derived values.
+# rates and E[log eta] the reader checks against their derived values,
+# tests/data/checkpoint_v4.json, which stores the rows of every factor, and
+# tests/data/checkpoint_v5.json, which stores those of the factors not at
+# the prior only.
 # Exits non-zero if any step fails, and removes its work directory either
 # way.
 set -eo pipefail
@@ -44,8 +47,11 @@ k_active() {
 }
 test "$(k_active "$out/eval.json")" -eq "$(k_active "$out/a/best.json")"
 # no two groups share a width, so group 1 (40 columns) is ranked against
-# itself; the version 3 fixture has four groups of 8 columns
+# itself; the fixtures have four groups of 8 columns
 python -m cvgfa.cli rank "$out/a/$(best "$out/a")" --groups 1,1 --out "$out/rank"
 test "$(wc -l < "$out/rank/scores.csv")" -eq 41
-python -m cvgfa.cli rank tests/data/checkpoint_v3.json --groups 0,1 --out "$out/rank_v3"
-test "$(wc -l < "$out/rank_v3/scores.csv")" -eq 9
+for version in 3 4 5; do
+  python -m cvgfa.cli rank "tests/data/checkpoint_v$version.json" --groups 0,1 \
+    --out "$out/rank_v$version"
+  test "$(wc -l < "$out/rank_v$version/scores.csv")" -eq 9
+done

@@ -29,8 +29,11 @@ them: its rows side by side, whatever the group widths, with the
 per-group quantities (count moments, concentrations, factor-score sums)
 taken per group. No N x D residual is formed: the products that leave
 one factor out come from products of the data taken once per sweep and
-the K x D expected loadings, and every other reader of the residual takes
-its per-sample squared norms, which sweep() returns (see model._sq_norms).
+the expected loadings, and every other reader of the residual takes its
+per-sample squared norms, which sweep() returns (see model._sq_norms). A
+factor that falls below model.ACTIVE_MASS goes back to its prior, whose
+expected loadings are zeros, so these products, like the objective's
+per-entry terms, run over the active factors only.
 """
 
 import math
@@ -224,7 +227,7 @@ def _inclusion_probs(logit, widths, k):
     return new
 
 
-def _score_block(state, tau_bar, products, second, rows, update=None):
+def _score_block(state, tau_bar, products, second, rows, update):
     """Update the scores of factors, one column after another.
 
     products[m] holds group m's _loading_products (X_m C_m^T, C_m C_m^T)
@@ -232,9 +235,9 @@ def _score_block(state, tau_bar, products, second, rows, update=None):
     over the factors rows (C_m = rho[m] * w_mean[m], rows rows), at the
     state's loadings, which the block does not move; every factor with
     nonzero expected loadings must be among rows. tau_bar[m] holds E[tau]
-    of group m's samples. The factors update (all of rows when None, each
-    one of rows) are updated in that order. Column k's moment is
-    sum_m tau_bar_m (R_m c_k + f_k (c_k . c_k)), taken as
+    of group m's samples. The factors update, each one of rows, are
+    updated in that order (the sweep updates all of rows). Column k's
+    moment is sum_m tau_bar_m (R_m c_k + f_k (c_k . c_k)), taken as
     sum_m tau_bar_m (X_m C_m^T[:, k] - F h_m) with h_m column k of
     C_m C_m^T, entry k zeroed, and F the scores of rows as the earlier
     columns of the block have left them. Its precision,
@@ -242,8 +245,9 @@ def _score_block(state, tau_bar, products, second, rows, update=None):
     taken at once. Each column's update maximises the objective given
     everything else, and the samples are independent given the loadings.
     """
-    rows = list(rows)
-    at = range(len(rows)) if update is None else [rows.index(k) for k in update]
+    rows = [int(k) for k in rows]
+    position = {k: i for i, k in enumerate(rows)}
+    at = [position[int(k)] for k in update]
     f_rows = state.f_mean[:, rows]
     tau = np.column_stack(tau_bar)
     txc = np.zeros_like(f_rows)
@@ -275,9 +279,23 @@ def sweep(state, data, hyper, *, _data_norms=None):
     (_score_block). Then every group's alpha, then each group's noise
     precisions. This is the block order of variational group factor
     analysis (Virtanen et al., AISTATS 2012): all loadings, then all latent
-    factors. The active factors are those of
-    model.active_factors as the pass begins; the others keep their loadings
-    and scores.
+    factors. The active factors are those of model.active_factors as the
+    pass begins.
+
+    The loading block is the only one that moves rho. After it, every
+    factor below model.ACTIVE_MASS, whether the block pruned it or it was
+    inactive as the pass began, is set to its prior fixed point
+    (model._reset_to_prior): rho 0, q(w) mean 0 and variance f0 / e0 (the
+    fixed point of the w_var update and its derived lambda rate at rho 0),
+    q(f) N(0, 1). This is the treatment of an unused feature in the
+    truncated variational IBP (Doshi-Velez et al., AISTATS 2009), and the
+    always-accepted delete move of memoized variational inference (Hughes &
+    Sudderth, NIPS 2013). Its q(beta) and table counts keep their values
+    (the batch's, for a factor pruned in this pass), so update_alpha reads
+    them as before. Every state a sweep returns holds each inactive factor
+    exactly at the prior, whose expected loadings are zeros: so every
+    K-row quantity of the pass is taken over the active rows alone, the
+    rows A of the loading block and the rows K+ left after it.
 
     The collapsed-prior part of the loading block is one batch over the
     active factors A, taken before the factor loop: q(beta) of every factor
@@ -323,20 +341,22 @@ def sweep(state, data, hyper, *, _data_norms=None):
     No N x D residual R = X_m - F C_m is formed, and the factor loop reads
     no data. F and the noise precisions stay fixed through the loading
     block, so what it needs of them is taken before it, for all active
-    factors A at once: each group's sff, and one (tau_bar_m F_A)^T F and
+    factors A at once: each group's sff, and one (tau_bar_m F_A)^T F_A and
     one (tau_bar_m F_A)^T X_m product per group. The first, with each
-    factor's own entry zeroed, gives the |A| x M x K leave-one-out weights
-    (_loo_weights); in the loop, dotx of group m is the second's row minus
-    one product of those weights with the K x D expected loadings
-    C_m = rho[m] * w_mean[m], group m's columns of one K x sum_m D_m
-    product (row k rewritten after each row update). After the loading
-    block C_m is final for the pass: one X_m C_m^T and one C_m C_m^T per
-    group (model._loading_products) serve the score block and then the
+    factor's own entry zeroed, gives the |A| x M x |A| leave-one-out
+    weights (_loo_weights); in the loop, dotx of group m is the second's
+    row minus one product of those weights with the |A| x D_m expected
+    loadings C_m = rho[m][A] * w_mean[m][A], group m's columns of one
+    |A| x sum_m D_m product (row i rewritten after factor A[i]'s update).
+    After the loading block and the prior reset C_m is final for the pass,
+    over the rows K+: one X_m C_m^T and one C_m C_m^T per group
+    (model._loading_products) serve the score block and then the
     residual's per-sample squared norms (model._sq_norms), which the noise
     precisions read and which are returned, one vector per group, for the
     caller's training error and objective. Each group's loading sums
-    (model._loading_sums) are taken once, one group at a time, for both
-    the score block's precision and the noise precisions. So per pass and
+    (model._loading_sums) over the rows K+ are taken once, one group at a
+    time, for both the score block's precision and the noise precisions.
+    So per pass and
     group the data is read by (tau_bar_m F_A)^T X_m and X_m C_m^T only; its
     row norms (model._row_norms) are taken once per fit by the caller and
     passed as _data_norms, or here when it is omitted. The moments of a
@@ -382,13 +402,14 @@ def sweep(state, data, hyper, *, _data_norms=None):
     del block, nhat
 
     # every K-row quantity from here on is taken over the active rows: the
-    # other factors are at the prior, whose expected loadings are zeros
+    # other factors are at the prior, whose expected loadings are zeros.
+    # Row by row, so that no copies of the active rows of rho and w_mean
+    # exist next to the batch's prior halves
     loads = np.empty((idx.size, rho_all.shape[1]))
     for i, k in enumerate(active):
         np.multiply(rho_all[k], w_all[k], out=loads[i])
     f_act = f_mean[:, idx]
-    f2 = f_act * f_act
-    f2 += state.f_var[:, idx]
+    f2 = f_act * f_act + state.f_var[:, idx]
     sff_all = np.array([tb @ f2 for tb in tau_bar])
     tf = [tb[:, None] * f_act for tb in tau_bar]
     xt_tf = [t.T @ x for t, x in zip(tf, data.groups)]
@@ -442,8 +463,7 @@ def sweep(state, data, hyper, *, _data_norms=None):
     stale = np.ones(state.n_factors, dtype=bool)
     stale[kept] = False
     _reset_to_prior(state, hyper, stale)
-    if not still.all():
-        loads = loads[still]
+    loads = loads[still]
 
     # each group's products and loading sums at the final loadings of the
     # pass, for the score block and the noise precisions
@@ -454,7 +474,7 @@ def sweep(state, data, hyper, *, _data_norms=None):
         products.append(_loading_products(x, coef))
         rows = (a[m][kept] for a in (state.rho, state.w_mean, state.w_var))
         sums.append(_loading_sums(*rows, coef))
-    _score_block(state, tau_bar, products, [s for s, _ in sums], kept)
+    _score_block(state, tau_bar, products, [s for s, _ in sums], kept, kept)
     if _data_norms is None:
         _data_norms = [_row_norms(x) for x in data.groups]
     f_kept = f_mean[:, kept]

@@ -281,7 +281,7 @@ def _read_shaped(path, fname, shape):
 
 # Every VariationalState field, in the order the checkpoint stores them
 # (sorted by name); True marks the per-group lists of arrays. From version 5
-# the rows of FACTOR_ROW_FIELDS (columns of FACTOR_COLUMN_FIELDS) are
+# the rows of GROUP_BLOCK_FIELDS (columns of FACTOR_COLUMN_FIELDS) are
 # stored only for the factors listed under STORED_FACTORS.
 STATE_FIELDS = (
     ("alpha_rate", False),
@@ -297,7 +297,6 @@ STATE_FIELDS = (
     ("w_mean", True),
     ("w_var", True),
 )
-FACTOR_ROW_FIELDS = GROUP_BLOCK_FIELDS
 FACTOR_COLUMN_FIELDS = ("f_mean", "f_var")
 STORED_FACTORS = "stored_factors"
 
@@ -382,7 +381,7 @@ def _spread_stored_factors(obj, fields):
         raise ValueError(
             f"{STORED_FACTORS} must ascend strictly within [0, {n_factors})"
         )
-    for name in FACTOR_ROW_FIELDS:
+    for name in GROUP_BLOCK_FIELDS:
         packed = fields[name]
         rows = packed.stacked.shape[0]
         if rows != len(stored):
@@ -445,7 +444,7 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
                 for m, a in enumerate(value):
                     if m:
                         fh.write(",")
-                    fh.write(_encode_array(a[kept] if name in FACTOR_ROW_FIELDS else a))
+                    fh.write(_encode_array(a[kept] if name in GROUP_BLOCK_FIELDS else a))
                 fh.write("]")
             elif name in FACTOR_COLUMN_FIELDS:
                 fh.write(_encode_array(value[:, kept]))

@@ -33,7 +33,8 @@ __all__ = [
 BETA_B_FLOOR = 1e-6
 
 # The inclusion mass that makes a factor active (active_factors), the one
-# rule behind the sweep's factor skipping, trace.csv, best.json and eval.
+# rule behind the sweep's factor skipping and prior reset, trace.csv,
+# best.json and eval.
 ACTIVE_MASS = 1e-2
 
 
@@ -459,7 +460,7 @@ def init_state(
     sweeps renegotiating borderline inclusions, which is not monotone in
     reconstruction error; relaxing here hands the caller a state already
     settled inside its attraction basin. Its sweeps skip the inactive
-    factors, as fit's do.
+    factors and return them to the prior, as fit's do.
     A NumericalError from one of them gains the context {"phase": "warmup",
     "sweep": n}, n counted from 1. Deterministic given (data, seed).
     """
@@ -617,17 +618,18 @@ def _active_rows(rows, dims):
 
 
 def _prior_w_var(hyper):
-    """f0 / e0, the loading variance of a factor at the prior: at rho = 0
-    the w_var update 1 / (E[lambda]) with the lambda rate f0 + w_var / 2
-    derived from it has this fixed point, and the mean is 0."""
+    """f0 / e0, the loading variance of a factor at the prior. At rho = 0
+    the loading mean is 0 and the variance update is 1 / E[lambda] =
+    (f0 + w_var / 2) / (e0 + 1/2), with the rate derived from the variance
+    it replaces, whose fixed point this is."""
     return hyper.f0 / hyper.e0
 
 
 def _reset_to_prior(state, hyper, factors):
     """Set factors (an index array or a boolean mask over the K factors)
-    to the prior in every group: rho 0,
-    q(w) mean 0 and variance _prior_w_var, q(f) mean 0 and variance 1.
-    Their q(beta) and table counts are left as they are."""
+    to the prior in every group: rho 0, q(w) mean 0 and variance
+    _prior_w_var, q(f) mean 0 and variance 1. Their q(beta) and table
+    counts are left as they are."""
     state.rho.stacked[factors] = 0.0
     state.w_mean.stacked[factors] = 0.0
     state.w_var.stacked[factors] = _prior_w_var(hyper)
@@ -638,19 +640,26 @@ def _reset_to_prior(state, hyper, factors):
 def _kept_factors(state, hyper):
     """The factors not exactly at the prior (_reset_to_prior), ascending,
     an index array: the rows the objective sums entry by entry and a
-    checkpoint stores. Exactly means bit for bit: a -0.0 mean is kept,
-    so that the prior values a reader fills in are the ones it dropped.
-    Only factors whose rho rows are all +0.0 are read further."""
-    zero_rho = ~state.rho.stacked.view(np.uint64).any(axis=1)
-    maybe = np.flatnonzero(zero_rho)
-    at_prior = (
-        ~state.w_mean.stacked[maybe].view(np.uint64).any(axis=1)
-        & (state.w_var.stacked[maybe] == _prior_w_var(hyper)).all(axis=1)
-        & ~state.f_mean[:, maybe].view(np.uint64).any(axis=0)
-        & (state.f_var[:, maybe] == 1.0).all(axis=0)
-    )
-    zero_rho[maybe] = at_prior
-    return np.flatnonzero(~zero_rho)
+    checkpoint stores. Exactly means bit for bit, so that the prior values
+    a reader fills in are the ones it dropped: a -0.0 mean keeps a factor.
+    Each field's check is one max and, for the nonzero prior values, one
+    min of its bits over every factor, whole-array reductions that cost
+    less than a copy of the candidate rows would."""
+
+    def bits_equal(a, value, axis):
+        bits = a.view(np.uint64)
+        want = np.float64(value).view(np.uint64)
+        same = bits.max(axis=axis, initial=0) == want
+        if value != 0.0:
+            same &= bits.min(axis=axis, initial=want) == want
+        return same
+
+    at_prior = bits_equal(state.rho.stacked, 0.0, 1)
+    at_prior &= bits_equal(state.w_mean.stacked, 0.0, 1)
+    at_prior &= bits_equal(state.w_var.stacked, _prior_w_var(hyper), 1)
+    at_prior &= bits_equal(state.f_mean, 0.0, 0)
+    at_prior &= bits_equal(state.f_var, 1.0, 0)
+    return np.flatnonzero(~at_prior)
 
 
 # The helpers below are shared with engine: the derived lambda rates and
