@@ -8,7 +8,9 @@ table counts. Everything here is a pure function.
 Every public function takes arrays and returns one of their broadcast
 shape, 0-d for scalars. digamma and trigamma map float kernels over the
 elements (_elementwise), cheaper than masked numpy steps on the few values
-per call the sweep passes; crt_mean_approx is one masked array expression.
+per call the sweep passes; crt_mean_approx is one masked array expression,
+which takes the digamma and trigamma of its shifted argument from one
+recurrence per element (_digamma_trigamma).
 The kernels take numpy's log, not math.log: the two are different
 implementations that disagree in the last bit for a few arguments in a
 hundred thousand (measured on an AVX-512 x86-64 host).

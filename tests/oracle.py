@@ -20,7 +20,9 @@ into a once-per-command and a per-row step; and rho_row_priors and
 loo_dotx, the collapsed-prior halves of one stacked row's inclusion logits
 and the leave-one-factor-out data product of one (factor, group) row, which
 engine.sweep takes for every active factor before its factor loop
-(engine._prior_halves and engine._loo_weights).
+(engine._prior_halves and engine._loo_weights). prior_reset sets the
+factors the loading block leaves inactive to the prior one coordinate at
+a time, where the sweep writes whole rows (model._reset_to_prior).
 """
 
 import math
