@@ -512,69 +512,56 @@ def _check_state_finite(state):
             )
 
 
-def _gamma_prior_gap(a0, b0, shape, rate, log_rate, e_log, mean, log_gamma):
-    """E_q[log p(x)] - E_q[log q(x)] for gamma prior (a0, b0), summed.
-
-    shape is one number shared by every rate, or an array shaped like rate;
-    log_gamma is its log-gamma. The caller, which reads them too, hands in
-    log_rate = log(rate), e_log = E[log x] = psi(shape) - log_rate and
-    mean = E[x] = shape / rate.
-    """
-    if rate.size == 0:
-        return 0.0
-    term = (
-        a0 * math.log(b0)
-        - math.lgamma(a0)
-        - (shape * log_rate - log_gamma)
-        + (a0 - shape) * e_log
-        - (b0 - rate) * mean
-    )
-    return float(np.sum(term))
-
-
-def _gamma_moments(shape, rate, psi):
-    """log(rate), E[log x] = psi - log(rate) and E[x] = shape / rate of
-    x ~ Gamma(shape, rate), psi the digamma of shape: each log taken once."""
-    log_rate = np.log(rate)
-    return log_rate, psi - log_rate, shape / rate
-
-
 def _bernoulli_entropy(rho):
     interior = (rho > 0.0) & (rho < 1.0)
     r = rho[interior]
     return float(-np.sum(r * np.log(r) + (1.0 - r) * np.log1p(-r)))
 
 
-def _loading_terms(w_mean, w_var, hyper, psi_lam, lgamma_lam):
+def _loading_terms(w_mean, w_var, hyper):
     """The loadings' share of the objective, summed over the entries of
     (w_mean, w_var): E[log p(w | lambda)] + H[q(w)] and the q(lambda) gap,
-    the rates derived from q(w). psi_lam and lgamma_lam are the digamma
-    and log-gamma of the q(lambda) shape."""
-    lam_shape = hyper.lambda_shape
-    lam_rate = _lambda_rate(w_mean, w_var, hyper.f0)
-    log_lam, e_log_lam, lam_bar = _gamma_moments(lam_shape, lam_rate, psi_lam)
-    ew2 = w_mean**2 + w_var
-    total = float(0.5 * np.sum(e_log_lam - lam_bar * ew2 + np.log(w_var) + 1.0))
-    return total + _gamma_prior_gap(
-        hyper.e0, hyper.f0, lam_shape, lam_rate, log_lam, e_log_lam, lam_bar, lgamma_lam
-    )
+    the rates r = f0 + E[w^2] / 2 derived from q(w) (model._lambda_rate)
+    and the shape e0 + 1/2. At that shape and rate E[log lambda] and
+    E[lambda] cancel, so each entry adds 1/2 log w_var - (e0 + 1/2) log r
+    plus 1/2 + e0 log f0 - lgamma(e0) + lgamma(e0 + 1/2)."""
+    shape = hyper.lambda_shape
+    const = 0.5 + hyper.e0 * math.log(hyper.f0) - math.lgamma(hyper.e0)
+    const += math.lgamma(shape)
+    log_rate = np.log(_lambda_rate(w_mean, w_var, hyper.f0))
+    total = 0.5 * np.sum(np.log(w_var)) - shape * np.sum(log_rate)
+    return float(total) + w_mean.size * const
 
 
-def _prior_loading_term(hyper, psi_lam, lgamma_lam):
+def _prior_loading_term(hyper):
     """_loading_terms of one entry at the prior (mean 0, variance f0 / e0):
     what each entry of a factor at the prior adds to the objective."""
-    return _loading_terms(
-        np.zeros(1), np.full(1, _prior_w_var(hyper)), hyper, psi_lam, lgamma_lam
-    )
+    return _loading_terms(np.zeros(1), np.full(1, _prior_w_var(hyper)), hyper)
 
 
 def surrogate_elbo(state, data, hyper, norms=None) -> float:
     """Variational objective with the collapsed inclusion prior approximated.
 
-    Conjugate terms are exact given the posterior moments; E[log p(Z)] uses
-    the marginal's log-gamma ratios evaluated at geometric means of the
-    concentrations and expected counts (see COLLAPSED_Z_METHOD). The
-    auxiliary-variable terms cancel because their posteriors are exact.
+    The terms: the likelihood with q(tau) against its gamma prior; the
+    loadings against their normal prior with q(lambda) against its gamma
+    prior (_loading_terms); the inclusion entropy; the scores against their
+    standard normal prior; q(alpha) and q(beta) against their priors; and
+    E[log p(Z)], the collapsed prior on the inclusions, which uses the
+    marginal's log-gamma ratios at the geometric means of the
+    concentrations and the expected counts (see COLLAPSED_Z_METHOD). That
+    last term is a plug-in approximation, not a bound. The auxiliary-variable
+    terms cancel because their posteriors are exact.
+
+    Only the q(alpha) and q(beta) terms take digamma: one call on the alpha
+    shapes, whose exp(psi) / rate are also the geometric means the
+    collapsed term reads, and one on [a, b, a + b] of q(beta). The q(lambda)
+    and q(tau) shapes, e0 + 1/2 and g0 + D_m / 2, are derived, and so are
+    the q(lambda) rates; at them E[log lambda], E[lambda] and E[log tau]
+    cancel for every state, not only at the updates. Each loading entry
+    adds 1/2 log w_var - (e0 + 1/2) log r plus a constant (_loading_terms).
+    Each sample n of group m, with a = g0 + D_m / 2, rate r_n and sq_n its
+    expected squared residual, adds -a log r_n - a (h0 + sq_n / 2) / r_n
+    plus a - D_m / 2 log(2 pi) + g0 log h0 - lgamma(g0) + lgamma(a).
     norms, if given, must be the residual's per-sample squared norms at
     state, as sweep returns them; otherwise they are computed here.
 
@@ -595,49 +582,55 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
 
     if norms is None:
         norms = _state_sq_norms(state, data, kept)
-    # the q(tau) and q(lambda) shapes' special functions, for every group at once
-    tau_shapes = hyper.tau_shape(np.array(state.dims))
-    psi_tau, lgamma_tau = digamma(tau_shapes), _lgamma(tau_shapes)
-    psi_lam, lgamma_lam = digamma(hyper.lambda_shape), _lgamma(hyper.lambda_shape)
+    g0, h0 = hyper.g0, hyper.h0
+    tau_prior = g0 * math.log(h0) - math.lgamma(g0)
     f_mean, f_var = state.f_mean[:, kept], state.f_var[:, kept]
     counts = []
     for m in range(M):
         d_m = state.dims[m]
-        tau_shape = tau_shapes[m]
+        tau_shape = hyper.tau_shape(d_m)
         tau_rate = state.tau_rate[m]
-        log_tau, e_log_tau, tb = _gamma_moments(tau_shape, tau_rate, psi_tau[m])
         # contiguous copies of the group's kept rows: numpy's elementwise
         # steps on a column block of a stacked array take about twice as long
         blocks = (state.rho, state.w_mean, state.w_var)
         rho, w_mean, w_var = (a[m][kept] for a in blocks)
         sums = _loading_sums(rho, w_mean, w_var, rho * w_mean)
         sq = _expected_sq_residual(norms[m], f_mean, f_var, *sums)
-        total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
+        # the likelihood with q(tau) against its prior
+        per_sample = np.log(tau_rate) + (h0 + 0.5 * sq) / tau_rate
+        const = tau_shape - 0.5 * d_m * LOG_2PI + tau_prior + math.lgamma(tau_shape)
+        total += float(-tau_shape * np.sum(per_sample)) + tau_rate.size * const
 
         # loadings against their elementwise gamma-precision prior
-        total += _loading_terms(w_mean, w_var, hyper, psi_lam, lgamma_lam)
-        total += _gamma_prior_gap(
-            hyper.g0, hyper.h0, tau_shape, tau_rate, log_tau, e_log_tau, tb,
-            lgamma_tau[m],
-        )
+        total += _loading_terms(w_mean, w_var, hyper)
         total += _bernoulli_entropy(rho)
         counts.append((rho.sum(axis=1), (1.0 - rho).sum(axis=1)))
     n_prior = K - kept.size
     if n_prior:
         prior_entries = n_prior * sum(state.dims)
-        total += prior_entries * _prior_loading_term(hyper, psi_lam, lgamma_lam)
+        total += prior_entries * _prior_loading_term(hyper)
 
     # factor scores against the standard normal prior
     if f_mean.size:
         ef2 = f_mean**2 + f_var
         total += float(0.5 * np.sum(np.log(f_var) - ef2 + 1.0))
 
-    if M:
-        shape, rate = state.alpha_shape, state.alpha_rate
-        total += _gamma_prior_gap(
-            hyper.c0, hyper.d0, shape, rate, *_gamma_moments(shape, rate, digamma(shape)),
-            _lgamma(shape),
+    # q(alpha) against its gamma prior; exp(psi) / rate is
+    # geo_expect_gamma's expression, the concentrations' geometric means
+    shape, rate = state.alpha_shape, state.alpha_rate
+    psi_alpha = digamma(shape)
+    log_rate = np.log(rate)
+    c0, d0 = hyper.c0, hyper.d0
+    total += float(
+        np.sum(
+            c0 * math.log(d0)
+            - math.lgamma(c0)
+            - (shape * log_rate - _lgamma(shape))
+            + (c0 - shape) * (psi_alpha - log_rate)
+            - (d0 - rate) * (shape / rate)
         )
+    )
+    g_alphas = np.exp(psi_alpha) / rate
 
     if K:
         a0 = hyper.kappa0 / K
@@ -661,7 +654,6 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         # what geo_expect_beta computes
         g_beta = np.exp(e_log_beta)
         g_beta_bar = np.exp(e_log_bbar)
-        g_alphas = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
         for m in range(M):
             d_m = state.dims[m]
             g_alpha = g_alphas[m]

@@ -23,6 +23,14 @@ engine.sweep takes for every active factor before its factor loop
 (engine._prior_halves and engine._loo_weights). prior_reset sets the
 factors the loading block leaves inactive to the prior one coordinate at
 a time, where the sweep writes whole rows (model._reset_to_prior).
+
+surrogate_elbo is the objective written term by term, as the textbook
+conjugate-gamma bound of variational group factor analysis (Virtanen et
+al., AISTATS 2012) gives it: each gamma factor q(lambda), q(tau) and
+q(alpha) against its prior through one general prior/entropy gap, and the
+likelihood and loading terms through E[log lambda], E[lambda], E[log tau]
+and E[tau], psi of their shapes included. engine.surrogate_elbo takes the
+q(lambda) and q(tau) parts in the closed forms these cancel to.
 """
 
 import math
@@ -37,9 +45,23 @@ from cvgfa.approx import (
     geo_expect_beta,
     geo_expect_gamma,
 )
-from cvgfa.engine import GEO_FLOOR
+from cvgfa.engine import (
+    GEO_FLOOR,
+    LOG_2PI,
+    _bernoulli_entropy,
+    _lgamma,
+    _state_sq_norms,
+)
 from cvgfa.errors import DataError, NumericalError, UsageError
-from cvgfa.model import ACTIVE_MASS
+from cvgfa.model import (
+    ACTIVE_MASS,
+    BETA_B_FLOOR,
+    _expected_sq_residual,
+    _kept_factors,
+    _lambda_rate,
+    _loading_sums,
+    _prior_w_var,
+)
 
 
 def rho_row_priors(rho, count_mean, count_var, g_ab, g_abbar, widths):
@@ -293,3 +315,147 @@ def predict_factors(state, hyper, observed):
         rhs += tau_avg * (g @ x)
     covariance = np.linalg.inv(precision)
     return covariance @ rhs, covariance
+
+
+def _gamma_prior_gap(a0, b0, shape, rate, log_rate, e_log, mean, log_gamma):
+    """E_q[log p(x)] - E_q[log q(x)] for gamma prior (a0, b0), summed.
+
+    shape is one number shared by every rate, or an array shaped like rate;
+    log_gamma is its log-gamma. The caller, which reads them too, hands in
+    log_rate = log(rate), e_log = E[log x] = psi(shape) - log_rate and
+    mean = E[x] = shape / rate.
+    """
+    if rate.size == 0:
+        return 0.0
+    term = (
+        a0 * math.log(b0)
+        - math.lgamma(a0)
+        - (shape * log_rate - log_gamma)
+        + (a0 - shape) * e_log
+        - (b0 - rate) * mean
+    )
+    return float(np.sum(term))
+
+
+def _gamma_moments(shape, rate, psi):
+    """log(rate), E[log x] = psi - log(rate) and E[x] = shape / rate of
+    x ~ Gamma(shape, rate), psi the digamma of shape: each log taken once."""
+    log_rate = np.log(rate)
+    return log_rate, psi - log_rate, shape / rate
+
+
+def _loading_terms(w_mean, w_var, hyper, psi_lam, lgamma_lam):
+    """The loadings' share of the objective, summed over the entries of
+    (w_mean, w_var): E[log p(w | lambda)] + H[q(w)] and the q(lambda) gap,
+    the rates derived from q(w). psi_lam and lgamma_lam are the digamma
+    and log-gamma of the q(lambda) shape."""
+    lam_shape = hyper.lambda_shape
+    lam_rate = _lambda_rate(w_mean, w_var, hyper.f0)
+    log_lam, e_log_lam, lam_bar = _gamma_moments(lam_shape, lam_rate, psi_lam)
+    ew2 = w_mean**2 + w_var
+    total = float(0.5 * np.sum(e_log_lam - lam_bar * ew2 + np.log(w_var) + 1.0))
+    return total + _gamma_prior_gap(
+        hyper.e0, hyper.f0, lam_shape, lam_rate, log_lam, e_log_lam, lam_bar, lgamma_lam
+    )
+
+
+def _prior_loading_term(hyper, psi_lam, lgamma_lam):
+    """_loading_terms of one entry at the prior (mean 0, variance f0 / e0):
+    what each entry of a factor at the prior adds to the objective."""
+    return _loading_terms(
+        np.zeros(1), np.full(1, _prior_w_var(hyper)), hyper, psi_lam, lgamma_lam
+    )
+
+
+def surrogate_elbo(state, data, hyper, norms=None) -> float:
+    """The variational objective term by term: the likelihood through
+    E[log tau] and E[tau], the loadings through E[log lambda] and
+    E[lambda], every gamma factor against its prior through
+    _gamma_prior_gap, the inclusion entropy, the scores, q(beta) and the
+    collapsed prior on Z at plug-in concentrations. Factors exactly at the
+    prior add _prior_loading_term per entry."""
+    total = 0.0
+    M = state.n_groups
+    K = state.n_factors
+    kept = _kept_factors(state, hyper)
+
+    if norms is None:
+        norms = _state_sq_norms(state, data, kept)
+    # the q(tau) and q(lambda) shapes' special functions, for every group at once
+    tau_shapes = hyper.tau_shape(np.array(state.dims))
+    psi_tau, lgamma_tau = digamma(tau_shapes), _lgamma(tau_shapes)
+    psi_lam, lgamma_lam = digamma(hyper.lambda_shape), _lgamma(hyper.lambda_shape)
+    f_mean, f_var = state.f_mean[:, kept], state.f_var[:, kept]
+    counts = []
+    for m in range(M):
+        d_m = state.dims[m]
+        tau_shape = tau_shapes[m]
+        tau_rate = state.tau_rate[m]
+        log_tau, e_log_tau, tb = _gamma_moments(tau_shape, tau_rate, psi_tau[m])
+        blocks = (state.rho, state.w_mean, state.w_var)
+        rho, w_mean, w_var = (a[m][kept] for a in blocks)
+        sums = _loading_sums(rho, w_mean, w_var, rho * w_mean)
+        sq = _expected_sq_residual(norms[m], f_mean, f_var, *sums)
+        total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
+
+        # loadings against their elementwise gamma-precision prior
+        total += _loading_terms(w_mean, w_var, hyper, psi_lam, lgamma_lam)
+        total += _gamma_prior_gap(
+            hyper.g0, hyper.h0, tau_shape, tau_rate, log_tau, e_log_tau, tb,
+            lgamma_tau[m],
+        )
+        total += _bernoulli_entropy(rho)
+        counts.append((rho.sum(axis=1), (1.0 - rho).sum(axis=1)))
+    n_prior = K - kept.size
+    if n_prior:
+        prior_entries = n_prior * sum(state.dims)
+        total += prior_entries * _prior_loading_term(hyper, psi_lam, lgamma_lam)
+
+    # factor scores against the standard normal prior
+    if f_mean.size:
+        ef2 = f_mean**2 + f_var
+        total += float(0.5 * np.sum(np.log(f_var) - ef2 + 1.0))
+
+    if M:
+        shape, rate = state.alpha_shape, state.alpha_rate
+        total += _gamma_prior_gap(
+            hyper.c0, hyper.d0, shape, rate, *_gamma_moments(shape, rate, digamma(shape)),
+            _lgamma(shape),
+        )
+
+    if K:
+        a0 = hyper.kappa0 / K
+        b0 = max(hyper.kappa0 * (K - 1) / K, BETA_B_FLOOR)
+        a = state.beta_a
+        b = state.beta_b
+        ab = a + b
+        psi_a, psi_b, psi_ab = digamma(np.stack([a, b, ab]))
+        e_log_beta = psi_a - psi_ab
+        e_log_bbar = psi_b - psi_ab
+        log_b_q = _lgamma(a) + _lgamma(b) - _lgamma(ab)
+        log_b_0 = math.lgamma(a0) + math.lgamma(b0) - math.lgamma(a0 + b0)
+        total += float(
+            np.sum(
+                log_b_q - log_b_0 + (a0 - a) * e_log_beta + (b0 - b) * e_log_bbar
+            )
+        )
+
+        # collapsed prior on Z at plug-in concentrations and expected counts
+        g_beta = np.exp(e_log_beta)
+        g_beta_bar = np.exp(e_log_bbar)
+        g_alphas = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
+        for m in range(M):
+            d_m = state.dims[m]
+            g_alpha = g_alphas[m]
+            g_ab = np.maximum(g_alpha * g_beta, GEO_FLOOR)
+            g_abbar = np.maximum(g_alpha * g_beta_bar, GEO_FLOOR)
+            # a factor at the prior includes no column of any group
+            nhat = np.zeros(K)
+            ntil = np.full(K, float(d_m))
+            nhat[kept], ntil[kept] = counts[m]
+            total += float(
+                K * (math.lgamma(g_alpha) - math.lgamma(g_alpha + d_m))
+                + np.sum(_lgamma(g_ab + nhat) - _lgamma(g_ab))
+                + np.sum(_lgamma(g_abbar + ntil) - _lgamma(g_abbar))
+            )
+    return total

@@ -6,6 +6,7 @@ states with analytically known outputs.
 """
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -1451,6 +1452,89 @@ class TestScoreBlock:
                     assert engine.surrogate_elbo(moved, data, hyper) < top
 
 
+class TestNoiseBlock:
+    """The q(tau) rates a sweep leaves are the objective's exact maximiser
+    given everything else: the sweep updates them last."""
+
+    @staticmethod
+    def swept(case):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        if case == "sim1":
+            # test_single_sweep_from_init_increases_objective's draw
+            data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=1)
+            hyper = Hyperparameters(K=12)
+            state = init_state(data, hyper, seed=0)
+        else:
+            data = make_dataset(seed=9, n=10, dims=(8, 6))
+            hyper = Hyperparameters(K=3)
+            state = random_state(np.random.default_rng(9), 10, (8, 6), 3)
+        engine.sweep(state, data, hyper)
+        return data, hyper, state
+
+    @pytest.mark.parametrize("case", ["sim1", "random"])
+    def test_each_group_lands_on_its_maximiser(self, case):
+        data, hyper, state = self.swept(case)
+        top = engine.surrogate_elbo(state, data, hyper)
+        for m in range(state.n_groups):
+            for scale in (1.0 + 1e-2, 1.0 - 1e-2):
+                moved = state.copy()
+                moved.tau_rate[m] *= scale
+                assert engine.surrogate_elbo(moved, data, hyper) < top
+
+
+@functools.cache
+def _fitted_acceptance():
+    """The criterion fixture's data (sim1, N=100, 4 x 100, data seed 0)
+    and restart seed 0's fitted state at K=30, most of its factors pruned
+    to the prior."""
+    from cvgfa.simdata import generate, simulation1_pattern
+
+    data, _ = generate(simulation1_pattern(), 100, [100] * 4, seed=0)
+    hyper = Hyperparameters(K=30)
+    report = engine.fit(data, hyper, FitOptions(seed=0))
+    return data, hyper, report.final_state
+
+
+def elbo_case(name):
+    """(state, data, hyper) of one objective test case, a fresh state."""
+    from cvgfa.simdata import generate, simulation1_pattern
+
+    if name.startswith("random"):
+        seed = int(name[-1])
+        dims = (4, 9, 3)
+        data = make_dataset(seed=seed, n=7, dims=dims)
+        state = random_state(np.random.default_rng(seed), 7, dims, 4)
+        hyper = Hyperparameters(K=4)
+        if name.startswith("random-priors"):
+            hyper = Hyperparameters(K=4, e0=0.3, f0=0.7, g0=2.0, h0=0.4)
+        return state, data, hyper
+    if name == "init":
+        data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=1)
+        hyper = Hyperparameters(K=12)
+        return init_state(data, hyper, seed=0), data, hyper
+    data, hyper, fitted = _fitted_acceptance()
+    state = fitted.copy()
+    pruned = sorted(set(range(hyper.K)) - active_factors(state))
+    assert pruned and list(_kept_factors(state, hyper)) == sorted(active_factors(state))
+    if name == "fitted-kept":
+        # -0.0 takes a factor off the prior bit for bit (model._kept_factors)
+        state.w_mean.stacked[pruned[0]] = -0.0
+        assert pruned[0] in _kept_factors(state, hyper)
+    return state, data, hyper
+
+
+ELBO_CASES = [
+    "random-0",
+    "random-1",
+    "random-2",
+    "random-priors-3",
+    "init",
+    "fitted",
+    "fitted-kept",
+]
+
+
 class TestSurrogateElbo:
     def test_empty_state_is_zero(self):
         state = VariationalState(
@@ -1496,14 +1580,42 @@ class TestSurrogateElbo:
             state, data, hyper, norms=norms
         ) == engine.surrogate_elbo(state, data, hyper)
 
+    @pytest.mark.parametrize("case", ELBO_CASES)
+    def test_matches_the_term_by_term_oracle(self, case):
+        # the closed-form q(lambda) and q(tau) terms against the textbook
+        # form with psi of their shapes and the general gamma gap
+        state, data, hyper = elbo_case(case)
+        assert_allclose(
+            engine.surrogate_elbo(state, data, hyper),
+            oracle.surrogate_elbo(state, data, hyper),
+            rtol=1e-12,
+        )
+
+    def test_takes_digamma_twice(self, monkeypatch):
+        # once on the alpha shapes, whose exp(psi) / rate are also the
+        # collapsed term's geometric means, and once on q(beta)'s a, b, a + b
+        state, data, hyper = elbo_case("random-0")
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return digamma(x)
+
+        def refused(*args):
+            raise AssertionError("geo_expect_gamma called")
+
+        monkeypatch.setattr(engine, "digamma", counted)
+        monkeypatch.setattr(engine, "geo_expect_gamma", refused)
+        engine.surrogate_elbo(state, data, hyper)
+        assert calls == [(state.n_groups,), (3, hyper.K)]
+
     def test_prior_loading_term_is_the_per_entry_sum(self):
         # the closed form the objective adds for the factors at the prior
         hyper = Hyperparameters(K=30, e0=0.3, f0=0.7)
-        psi, lgamma = digamma(hyper.lambda_shape), engine._lgamma(hyper.lambda_shape)
         n = 24 * 8000
         prior = np.full(n, hyper.f0 / hyper.e0)
-        want = engine._loading_terms(np.zeros(n), prior, hyper, psi, lgamma)
-        got = n * engine._prior_loading_term(hyper, psi, lgamma)
+        want = engine._loading_terms(np.zeros(n), prior, hyper)
+        got = n * engine._prior_loading_term(hyper)
         assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
