@@ -11,11 +11,8 @@
 # workload reconstructs from or evaluates unequal widths either, so
 # reconstruct from two of the groups, and require `cvgfa eval` to count the
 # same active factors (K+) as best.json. `cvgfa rank` reads the best
-# checkpoint, and also tests/data/checkpoint_v3.json, whose stored lambda
-# rates and E[log eta] the reader checks against their derived values,
-# tests/data/checkpoint_v4.json, which stores the rows of every factor, and
-# tests/data/checkpoint_v5.json, which stores those of the factors not at
-# the prior only.
+# checkpoint, and also tests/data/checkpoint_v5.json, which stores the rows
+# of the factors not at the prior only.
 # Exits non-zero if any step fails, and removes its work directory either
 # way.
 set -eo pipefail
@@ -47,11 +44,8 @@ k_active() {
 }
 test "$(k_active "$out/eval.json")" -eq "$(k_active "$out/a/best.json")"
 # no two groups share a width, so group 1 (40 columns) is ranked against
-# itself; the fixtures have four groups of 8 columns
+# itself; the fixture has four groups of 8 columns
 python -m cvgfa.cli rank "$out/a/$(best "$out/a")" --groups 1,1 --out "$out/rank"
 test "$(wc -l < "$out/rank/scores.csv")" -eq 41
-for version in 3 4 5; do
-  python -m cvgfa.cli rank "tests/data/checkpoint_v$version.json" --groups 0,1 \
-    --out "$out/rank_v$version"
-  test "$(wc -l < "$out/rank_v$version/scores.csv")" -eq 9
-done
+python -m cvgfa.cli rank tests/data/checkpoint_v5.json --groups 0,1 --out "$out/rank_v5"
+test "$(wc -l < "$out/rank_v5/scores.csv")" -eq 9

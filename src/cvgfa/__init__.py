@@ -1,3 +1,3 @@
 """Collapsed variational inference for sparse Bayesian group factor analysis."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -1,13 +1,14 @@
 """Special functions and moment approximations used by the inference engine.
 
-Dependency-free digamma and trigamma, geometric expectations of gamma and
-beta variables, exact moments of sums of independent Bernoullis, and the
-second-order approximations for expected shifted logs and Chinese restaurant
-table counts. Everything here is a pure function.
+Dependency-free digamma (and trigamma, for crt_mean_approx), geometric
+expectations of gamma and beta variables, exact moments of sums of
+independent Bernoullis, and the second-order approximations for expected
+shifted logs and Chinese restaurant table counts. Everything here is a
+pure function.
 
 Every public function takes arrays and returns one of their broadcast
-shape, 0-d for scalars. digamma and trigamma map float kernels over the
-elements (_elementwise), cheaper than masked numpy steps on the few values
+shape, 0-d for scalars. digamma maps a float kernel over the elements
+(_elementwise), cheaper than masked numpy steps on the few values
 per call the sweep passes; crt_mean_approx is one masked array expression,
 which takes the digamma and trigamma of its shifted argument from one
 recurrence per element (_digamma_trigamma).
@@ -34,7 +35,6 @@ __all__ = [
     "BernoulliSumMoments",
     "P_PLUS_FLOOR",
     "digamma",
-    "trigamma",
     "geo_expect_gamma",
     "geo_expect_beta",
     "bernoulli_sum_moments",
@@ -117,7 +117,9 @@ def _digamma(y):
 def _digamma_trigamma(y):
     """digamma and trigamma of one float from one recurrence: the digamma
     is _digamma's bit for bit, since both step y alike and the trigamma
-    keeps its own sum. crt_mean_approx needs both of one argument."""
+    keeps its own sum: psi'(x) = psi'(x + 1) + 1/x^2 up to 6, then
+    psi'(x) ~ 1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1). crt_mean_approx needs
+    both of one argument."""
     if not y > 0:
         raise ValueError("digamma and trigamma require x > 0")
     acc = 0.0
@@ -132,11 +134,6 @@ def _digamma_trigamma(y):
     inv2 = inv * inv
     psi = float(acc + (np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)))
     return psi, acc2 + (inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2))
-
-
-def _trigamma(y):
-    """trigamma of one float: the kernel of :func:`trigamma`."""
-    return _digamma_trigamma(y)[1]
 
 
 def _elementwise(kernel, x):
@@ -167,15 +164,6 @@ def digamma(x):
         psi evaluated at x, of x's shape (0-d for a scalar).
     """
     return _elementwise(_digamma, x)
-
-
-def trigamma(x):
-    """Trigamma function for positive arguments, elementwise on arrays.
-
-    Same scheme as :func:`digamma`: recurrence psi'(x) = psi'(x+1) + 1/x^2
-    up to 6, then psi'(x) ~ 1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1).
-    """
-    return _elementwise(_trigamma, x)
 
 
 def geo_expect_gamma(shape, rate):

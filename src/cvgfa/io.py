@@ -32,11 +32,8 @@ reader fills the other factors from the stored hyperparameters
 (model._reset_to_prior: rho 0, w mean 0 and variance f0 / e0, f mean 0
 and variance 1), so a state reads back bit for bit, with all K rows in
 memory. On a wide fit (K = 30, K+ = 6) this is a fifth of version 4's
-bytes. Versions 1 to 4 stored all K rows and still load as stored;
-versions 1 to 3 stored some derived values too, each of which must equal
-its derived value, and is dropped. Version 1 stored every array as
-nested JSON float lists (compact or indented); a file that mixes the two
-array encodings is rejected.
+bytes. The reader takes version 5 only: a checkpoint of versions 1 to 4
+is rejected, and its fit has to be run again.
 """
 
 import base64
@@ -54,9 +51,7 @@ from .model import (
     GroupedDataset,
     Hyperparameters,
     VariationalState,
-    _eta_log_mean,
     _kept_factors,
-    _lambda_rate,
     _reset_to_prior,
 )
 from .simdata import SparsityPattern
@@ -64,10 +59,6 @@ from .simdata import SparsityPattern
 DATASET_FORMAT = "cvgfa-dataset"
 CHECKPOINT_FORMAT = "cvgfa-checkpoint"
 FORMAT_VERSION = 1
-# version 1 checkpoints stored the state arrays as JSON float lists; versions
-# 1 to 3 also stored the lambda rates and E[log eta], and versions 1 and 2
-# the constant gamma shapes (see _check_derived_fields); versions 1 to 4
-# stored the rows of every factor, the factors at the prior included
 CHECKPOINT_VERSION = 5
 TRACE_HEADER = "sweep,objective,train_mse,k_active"
 
@@ -117,7 +108,7 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def _read_json(path, expected_format, versions=(FORMAT_VERSION,)):
+def _read_json(path, expected_format, expected_version=FORMAT_VERSION):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -129,10 +120,9 @@ def _read_json(path, expected_format, versions=(FORMAT_VERSION,)):
         raise DataError(f"{path} is not a {expected_format} file")
     version = obj.get("version")
     # exact ints only: 2.0 and True compare equal to 2 and 1
-    if type(version) is not int or version not in versions:
+    if type(version) is not int or version != expected_version:
         raise DataError(
-            f"{path} has schema version {obj.get('version')!r}, "
-            f"expected {' or '.join(map(str, versions))}"
+            f"{path} has schema version {version!r}, expected {expected_version}"
         )
     return obj
 
@@ -280,9 +270,9 @@ def _read_shaped(path, fname, shape):
 
 
 # Every VariationalState field, in the order the checkpoint stores them
-# (sorted by name); True marks the per-group lists of arrays. From version 5
-# the rows of GROUP_BLOCK_FIELDS (columns of FACTOR_COLUMN_FIELDS) are
-# stored only for the factors listed under STORED_FACTORS.
+# (sorted by name); True marks the per-group lists of arrays. The rows of
+# GROUP_BLOCK_FIELDS (columns of FACTOR_COLUMN_FIELDS) are stored only for
+# the factors listed under STORED_FACTORS.
 STATE_FIELDS = (
     ("alpha_rate", False),
     ("alpha_shape", False),
@@ -330,35 +320,28 @@ def _decode_view(obj) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
-def _list_array(obj) -> np.ndarray:
-    return np.array(obj, dtype=float)
-
-
-def _state_from_json(obj, decode, decode_block, hyper=None) -> VariationalState:
-    """The state from its JSON object. decode gives a writable array, and
-    decode_block may give a read-only one: GroupBlocks.from_groups copies
-    those into the stacked layout, one field at a time. With hyper, the
-    object is a version 5 state: the factor rows and columns are those of
-    the stored factors only, and the other factors are set to the prior
-    that hyper gives."""
+def _state_from_json(obj, hyper) -> VariationalState:
+    """The state from its JSON object. The factor rows and columns are
+    those of the stored factors only, and the other factors are set to the
+    prior that hyper gives. The stacked fields' blocks are read as
+    read-only views: GroupBlocks.from_groups copies them into the stacked
+    layout, one field at a time."""
     fields = {}
     try:
         for name, per_group in STATE_FIELDS:
             if not per_group:
-                fields[name] = decode(obj[name])
+                fields[name] = _decode_array(obj[name])
             elif name in GROUP_BLOCK_FIELDS:
-                blocks = [decode_block(a) for a in obj[name]]
+                blocks = [_decode_view(a) for a in obj[name]]
                 fields[name] = GroupBlocks.from_groups(blocks, name)
             else:
-                fields[name] = [decode(a) for a in obj[name]]
-        if hyper is not None:
-            stale = _spread_stored_factors(obj, fields)
+                fields[name] = [_decode_array(a) for a in obj[name]]
+        stale = _spread_stored_factors(obj, fields)
     except (KeyError, TypeError, ValueError) as err:
         # binascii.Error, raised for bad base64, is a ValueError
         raise DataError(f"malformed checkpoint state: {err}") from None
     state = VariationalState(**fields)
-    if hyper is not None:
-        _reset_to_prior(state, hyper, stale)
+    _reset_to_prior(state, hyper, stale)
     return state
 
 
@@ -453,39 +436,15 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
         fh.write("}}\n")
 
 
-def _check_derived_fields(path, block, decode, state, hyper, version):
-    """Versions 1 to 3 stored E[log eta] and the q(lambda) rates (one array
-    per group), versions 1 and 2 the q(lambda) and q(tau) shapes too (one
-    per group). Each must equal its derived value exactly, so that an edited
-    file fails instead of losing the edit unseen."""
-    loadings = zip(state.w_mean, state.w_var)
-    derived = {
-        "eta_log_mean": [_eta_log_mean(state)],
-        "lambda_rate": [_lambda_rate(w, v, hyper.f0) for w, v in loadings],
-    }
-    if version < 3:
-        N, lam_shape = state.n_samples, hyper.lambda_shape
-        derived["lambda_shape"] = [np.full(r.shape, lam_shape) for r in state.rho]
-        derived["tau_shape"] = [np.full(N, hyper.tau_shape(d)) for d in state.dims]
-    for name, want in derived.items():
-        try:
-            stored = [block[name]] if name == "eta_log_mean" else block[name]
-            stored = [decode(a) for a in stored]
-        except (KeyError, TypeError, ValueError) as err:
-            raise DataError(f"{path}: malformed checkpoint state: {err}") from None
-        if len(stored) != len(want) or not all(map(np.array_equal, stored, want)):
-            raise DataError(f"{path}: stored {name} differs from its derived value")
-
-
 def read_checkpoint(path):
     """Returns (VariationalState, Hyperparameters, info dict).
 
-    Reads versions 5 to 2 (base64 float64 arrays) and version 1 (JSON float
-    lists). The hyperparameters must be valid and their K must match the
-    state, since the derived gamma shapes depend on them; from version 5
-    they also give the factors that were not stored their prior values.
+    Reads CHECKPOINT_VERSION only. The hyperparameters must be valid and
+    their K must match the state, since the derived gamma shapes depend on
+    them; they also give the factors that were not stored their prior
+    values.
     """
-    obj = _read_json(path, CHECKPOINT_FORMAT, versions=(1, 2, 3, 4, CHECKPOINT_VERSION))
+    obj = _read_json(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     hp = obj.get("hyperparameters")
     if not isinstance(hp, dict) or any(f not in hp for f in HYPER_FIELDS):
         raise DataError(f"{path}: incomplete hyperparameters")
@@ -498,22 +457,13 @@ def read_checkpoint(path):
     block = obj.get("state")
     if not isinstance(block, dict):
         raise DataError(f"{path}: missing state block")
-    # the stacked fields' blocks and the stored derived arrays are only
-    # copied or compared, so a read-only view of the decoded bytes serves them
-    if obj["version"] == 1:
-        decode = view = _list_array
-    else:
-        decode, view = _decode_array, _decode_view
-    version = obj["version"]
-    state = _state_from_json(block, decode, view, hyper if version >= 5 else None)
+    state = _state_from_json(block, hyper)
     state.validate()
     if type(hyper.K) is not int or hyper.K != state.n_factors:
         raise DataError(
             f"{path}: hyperparameter K={hyper.K!r}, but the state has "
             f"{state.n_factors} factors"
         )
-    if version < 4:
-        _check_derived_fields(path, block, view, state, hyper, version)
     info = {
         "fit": obj.get("fit") or {},
         "group_names": obj.get("group_names"),

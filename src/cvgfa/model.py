@@ -674,8 +674,9 @@ def _kept_factors(state, hyper):
 
 def _lambda_rate(w_mean, w_var, f0):
     """The q(lambda) gamma rates f0 + E[w^2] / 2 of loadings (w_mean, w_var),
-    a new array, as ((w * w + var) * 0.5) + f0: the order of every rate a
-    version 1-3 checkpoint stored, so each derives bit for bit."""
+    a new array, as ((w * w + var) * 0.5) + f0: in this order each rate
+    equals the printed update's bit for bit, which TestLambdaRate checks
+    against oracle.update_lambda, so the order must not change."""
     rate = w_mean * w_mean
     rate += w_var
     rate *= 0.5

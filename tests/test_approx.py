@@ -24,11 +24,16 @@ from cvgfa.approx import (
     expect_log_shifted_count,
     geo_expect_beta,
     geo_expect_gamma,
-    trigamma,
 )
 from oracle import crt_mean_exact
 
 EULER_GAMMA = 0.5772156649015329
+
+
+def trigamma(xs):
+    """psi' of each element of xs, from approx._digamma_trigamma: the one
+    trigamma route, which crt_mean_approx takes."""
+    return np.array([approx._digamma_trigamma(x)[1] for x in np.ravel(xs).tolist()])
 
 
 def enumerate_count_pmf(probs):
@@ -78,10 +83,9 @@ class TestDigammaTrigamma:
 
     def test_scalar_in_scalar_out(self):
         # one route: a scalar gives a 0-d array, the array route's element
-        for fn in (digamma, trigamma):
-            got = fn(1.5)
-            assert isinstance(got, np.ndarray) and got.shape == ()
-            assert same_bits(got, fn(np.array([1.5]))[0])
+        got = digamma(1.5)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert same_bits(got, digamma(np.array([1.5]))[0])
         assert digamma(np.array([1.5, 2.5])).shape == (2,)
 
 
@@ -174,7 +178,7 @@ class TestScalarRoute:
     """Scalar inputs take the array route and give 0-d results, whose bits
     are the array route's element for element."""
 
-    @pytest.mark.parametrize("fn", [digamma, trigamma])
+    @pytest.mark.parametrize("fn", [digamma])
     def test_float_matches_array_route(self, fn):
         grid = scalar_grid()
         whole = fn(grid)
@@ -201,14 +205,14 @@ class TestScalarRoute:
         assert same_bits(engine._lgamma(2.5), math.lgamma(2.5))
         assert engine._lgamma(np.zeros((0, 3))).shape == (0, 3)
 
-    @pytest.mark.parametrize("fn", [digamma, trigamma])
+    @pytest.mark.parametrize("fn", [digamma])
     def test_array_shapes_are_kept(self, fn):
         grid = scalar_grid(n_random=10)
         whole = fn(grid)
         assert same_bits(fn(grid[:12].reshape(2, 3, 2)), whole[:12].reshape(2, 3, 2))
         assert fn(np.zeros((0, 2))).shape == (0, 2)
 
-    @pytest.mark.parametrize("fn", [digamma, trigamma])
+    @pytest.mark.parametrize("fn", [digamma])
     def test_other_scalars_match_array_route(self, fn):
         ints = [1, 2, 5, 6, 7, 100, 10**6, 10**15]
         whole = fn(np.array(ints, dtype=float))

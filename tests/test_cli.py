@@ -546,6 +546,19 @@ class TestRank:
         assert run_cli("rank", ckpt, "--groups", "0,1", "--out", out) == 3
         assert not (out / "scores.csv").exists()
 
+    def test_older_checkpoint_version_data_error(self, tmp_path, capsys):
+        # only the current version is read: an older fit has to be run again
+        ckpt = planted_checkpoint(tmp_path / "ckpt.json")
+        obj = json.loads(ckpt.read_text())
+        obj["version"] = 4
+        ckpt.write_text(json.dumps(obj))
+        out = tmp_path / "rank"
+        assert run_cli("rank", ckpt, "--groups", "0,1", "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {ckpt} has schema version 4, expected 5\n"
+        )
+        assert not (out / "scores.csv").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "2", "-1", "0.5"])
     def test_labels_other_than_zero_one_data_error(self, tmp_path, bad):
         ckpt = planted_checkpoint(tmp_path / "ckpt.json")

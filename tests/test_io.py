@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -18,10 +19,11 @@ from cvgfa.model import (
     GroupedDataset,
     Hyperparameters,
     VariationalState,
-    _eta_log_mean,
-    _lambda_rate,
+    _reset_to_prior,
+    _seeded_start,
     active_factors,
     init_state,
+    spectral_start,
 )
 from test_model import BLOCK_FIELDS, assert_stacked_layout
 
@@ -255,101 +257,8 @@ def fitted_state(seed=0):
     return report, data, hyper
 
 
-# versions 1 to 3 also stored the q(lambda) rates and E[log eta], and
-# versions 1 and 2 the q(lambda) and q(tau) shapes
-LEGACY_STATE_FIELDS = sorted(
-    io.STATE_FIELDS
-    + (("eta_log_mean", False), ("lambda_rate", True))
-    + (("lambda_shape", True), ("tau_shape", True))
-)
-
-
-def legacy_field(state, hyper, name):
-    """A state field as versions 1 and 2 stored it, derived arrays included."""
-    if name == "lambda_shape":
-        return [np.full(r.shape, hyper.lambda_shape) for r in state.rho]
-    if name == "tau_shape":
-        return [np.full(state.n_samples, hyper.tau_shape(d)) for d in state.dims]
-    if name == "lambda_rate":
-        return [_lambda_rate(w, v, hyper.f0) for w, v in zip(state.w_mean, state.w_var)]
-    if name == "eta_log_mean":
-        return _eta_log_mean(state)
-    return getattr(state, name)
-
-
-def write_checkpoint_indented(path, state, hyper, fit_info=None, group_names=None):
-    """The checkpoint writer before compact output: one json.dump, indent=2."""
-
-    def per_group(arrs):
-        return [a.tolist() for a in arrs]
-
-    payload = {
-        "format": io.CHECKPOINT_FORMAT,
-        "version": io.FORMAT_VERSION,
-        "hyperparameters": {f: getattr(hyper, f) for f in io.HYPER_FIELDS},
-        "group_names": list(group_names) if group_names else None,
-        "fit": dict(fit_info or {}),
-        "state": {
-            "rho": per_group(state.rho),
-            "w_mean": per_group(state.w_mean),
-            "w_var": per_group(state.w_var),
-            "f_mean": state.f_mean.tolist(),
-            "f_var": state.f_var.tolist(),
-            "beta_a": state.beta_a.tolist(),
-            "beta_b": state.beta_b.tolist(),
-            "lambda_shape": per_group(legacy_field(state, hyper, "lambda_shape")),
-            "lambda_rate": per_group(legacy_field(state, hyper, "lambda_rate")),
-            "tau_shape": per_group(legacy_field(state, hyper, "tau_shape")),
-            "tau_rate": per_group(state.tau_rate),
-            "alpha_shape": state.alpha_shape.tolist(),
-            "alpha_rate": state.alpha_rate.tolist(),
-            "aux_s_mean": state.aux_s_mean.tolist(),
-            "aux_t_mean": state.aux_t_mean.tolist(),
-            "eta_log_mean": legacy_field(state, hyper, "eta_log_mean").tolist(),
-        },
-    }
-    payload["hyperparameters"]["K"] = int(hyper.K)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_checkpoint_compact_v1(path, state, hyper, fit_info=None, group_names=None):
-    """The version 1 writer before base64 arrays: compact JSON float lists."""
-    compact = (",", ":")
-    hyperparameters = {f: getattr(hyper, f) for f in io.HYPER_FIELDS}
-    hyperparameters["K"] = int(hyper.K)
-    header = json.dumps(
-        {
-            "format": io.CHECKPOINT_FORMAT,
-            "version": 1,
-            "hyperparameters": hyperparameters,
-            "group_names": list(group_names) if group_names else None,
-            "fit": dict(fit_info or {}),
-        },
-        sort_keys=True,
-        separators=compact,
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header[:-1])
-        fh.write(',"state":{')
-        for i, (name, per_group) in enumerate(LEGACY_STATE_FIELDS):
-            value = legacy_field(state, hyper, name)
-            fh.write(f'{"," if i else ""}"{name}":')
-            if per_group:
-                fh.write("[")
-                for m, a in enumerate(value):
-                    if m:
-                        fh.write(",")
-                    fh.write(json.dumps(a.tolist(), separators=compact))
-                fh.write("]")
-            else:
-                fh.write(json.dumps(value.tolist(), separators=compact))
-        fh.write("}}\n")
-
-
 def decode(entry):
-    """One base64 state array of a version 2 or 3 checkpoint, as a numpy array."""
+    """One base64 state array of a checkpoint, as a numpy array."""
     raw = base64.b64decode(entry["f8"])
     return np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
 
@@ -421,25 +330,6 @@ class TestCheckpoint:
         assert_states_bitwise_equal(back, state)
         assert np.signbit(back.w_mean[0][0, 0]) and not np.signbit(back.w_mean[1][0, 0])
         assert np.signbit(back.f_mean[0, 1]) and np.signbit(back.f_mean[0, 0])
-
-    def test_indented_checkpoint_still_loads(self, tmp_path):
-        report, data, hyper = edge_state()
-        state = report.final_state
-        fit_info = {"converged": bool(report.converged), "metadata": report.metadata}
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        compact = tmp_path / "compact.json"
-        write_checkpoint_indented(old, state, hyper, fit_info, data.group_names)
-        write_checkpoint_compact_v1(compact, state, hyper, fit_info, data.group_names)
-        io.write_checkpoint(new, state, hyper, fit_info, data.group_names)
-        assert json.loads(old.read_text()) == json.loads(compact.read_text())
-        assert new.stat().st_size < old.stat().st_size
-        from_old, hyper_old, info_old = io.read_checkpoint(old)
-        from_new, hyper_new, info_new = io.read_checkpoint(new)
-        assert_states_bitwise_equal(from_old, state)
-        assert_states_bitwise_equal(from_new, state)
-        assert_states_bitwise_equal(io.read_checkpoint(compact)[0], state)
-        assert hyper_old == hyper_new == hyper
-        assert info_old == info_new
 
     def test_bitwise_round_trip(self, tmp_path):
         report, data, hyper = fitted_state()
@@ -625,30 +515,20 @@ class TestCheckpointEncoding:
         with pytest.raises(DataError, match=message):
             io.read_checkpoint(path)
 
-    def test_version_2_with_float_list_rejected(self, tmp_path):
-        obj = json.loads((DATA / "checkpoint_v2.json").read_text())
-        obj["state"]["w_mean"][0] = decode(obj["state"]["w_mean"][0]).tolist()
-        path = tmp_path / "checkpoint.json"
-        path.write_text(json.dumps(obj))
-        with pytest.raises(DataError):
-            io.read_checkpoint(path)
-
-    def test_version_1_with_encoded_array_rejected(self, tmp_path):
-        obj = json.loads((DATA / "checkpoint_v1.json").read_text())
-        obj["state"]["f_mean"] = encode(np.array(obj["state"]["f_mean"]))
-        path = tmp_path / "checkpoint.json"
-        path.write_text(json.dumps(obj))
-        with pytest.raises(DataError):
-            io.read_checkpoint(path)
-
-    # 5.0 and True compare equal to known versions; only exact ints pass
-    @pytest.mark.parametrize("version", [0, 6, "2", None, 2.0, 3.0, 4.0, 5.0, True])
+    # versions 1 to 4 are no longer read; 5.0 and True compare equal to 5
+    # and 1, and only exact ints pass
+    @pytest.mark.parametrize(
+        "version",
+        [0, 6, "2", None, 2.0, 3.0, 4.0, 5.0, True]
+        + [pytest.param(v, id=f"retired-{v}") for v in (1, 2, 3, 4)],
+    )
     def test_unknown_version_rejected(self, tmp_path, checkpoint_text, version):
         obj = json.loads(checkpoint_text)
         obj["version"] = version
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(DataError):
+        message = f"has schema version {version!r}, expected 5"
+        with pytest.raises(DataError, match=re.escape(message)):
             io.read_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -670,87 +550,6 @@ class TestCheckpointEncoding:
         path.write_text(json.dumps(obj))
         with pytest.raises(DataError, match=message):
             io.read_checkpoint(path)
-
-    @pytest.mark.parametrize(
-        "field, fixture",
-        [
-            (field, f"checkpoint_v{version}.json")
-            for field, versions in [
-                ("lambda_shape", (1, 2)),
-                ("tau_shape", (1, 2)),
-                ("lambda_rate", (1, 2, 3)),
-                ("eta_log_mean", (1, 2, 3)),
-            ]
-            for version in versions
-        ],
-    )
-    def test_edited_stored_shape_rejected(self, tmp_path, fixture, field):
-        """Every stored array that the reader derives must equal its derived
-        value exactly: one entry moved by one ulp is rejected."""
-        obj = json.loads((DATA / fixture).read_text())
-        lists = obj["version"] == 1
-        # group 1's array, or the one array E[log eta]
-        per_group = field != "eta_log_mean"
-        stored = obj["state"][field][1] if per_group else obj["state"][field]
-        a = np.array(stored) if lists else decode(stored)
-        a.flat[0] = np.nextafter(a.flat[0], np.inf)
-        edited = a.tolist() if lists else encode(a)
-        if per_group:
-            obj["state"][field][1] = edited
-        else:
-            obj["state"][field] = edited
-        path = tmp_path / "checkpoint.json"
-        path.write_text(json.dumps(obj))
-        with pytest.raises(DataError, match=f"{field} differs"):
-            io.read_checkpoint(path)
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            pytest.param(lambda block: block.pop("tau_shape"), id="missing"),
-            pytest.param(lambda block: block["tau_shape"].pop(), id="one-group-short"),
-            pytest.param(lambda block: block.update(tau_shape=[]), id="empty"),
-        ],
-    )
-    def test_version_2_without_its_shapes_rejected(self, tmp_path, corrupt):
-        obj = json.loads((DATA / "checkpoint_v2.json").read_text())
-        corrupt(obj["state"])
-        path = tmp_path / "checkpoint.json"
-        path.write_text(json.dumps(obj))
-        with pytest.raises(DataError):
-            io.read_checkpoint(path)
-
-    def test_version_1_file_loads_bitwise_equal_to_version_2(self, tmp_path):
-        """The four files hold the final state of fitted_state(), written by
-        the version 1 to 4 writers, with the fit_info cvgfa fit writes."""
-        paths = [DATA / f"checkpoint_v{v}.json" for v in (1, 2, 3, 4)]
-        loaded = []
-        for version, path in enumerate(paths, start=1):
-            assert json.loads(path.read_text())["version"] == version
-            loaded.append(io.read_checkpoint(path))
-        from_v1, hyper_v1, info_v1 = loaded[0]
-        assert from_v1.n_factors == 5 and from_v1.dims == [8] * 4
-        for state, hyper, info in loaded[1:]:
-            assert_states_bitwise_equal(from_v1, state)
-            assert hyper == hyper_v1 == Hyperparameters(K=5)
-            assert info == info_v1
-        # no factor of that state is at the prior, so the current writer
-        # stores every row, as version 4 did: its layout is version 4's,
-        # plus the list of the stored factors
-        rewritten = tmp_path / "checkpoint.json"
-        io.write_checkpoint(
-            rewritten, from_v1, hyper_v1, info_v1["fit"], info_v1["group_names"]
-        )
-        obj = json.loads(rewritten.read_text())
-        v4_obj = json.loads(paths[3].read_text())
-        assert obj["version"] == 5
-        assert obj["state"].pop(io.STORED_FACTORS) == list(range(5))
-        obj["version"] = 4
-        assert obj == v4_obj
-        # and holds every array of the version 3 file but the derived two
-        v3, v4 = (json.loads(p.read_text())["state"] for p in paths[2:])
-        assert v3.keys() - v4.keys() == {"lambda_rate", "eta_log_mean"}
-        assert all(v3[name] == v4[name] for name in v4)
 
     def test_version_5_file_stores_the_rows_of_the_kept_factors(self, tmp_path):
         """checkpoint_v5.json holds the final state of fitted_state(), whose
@@ -811,6 +610,39 @@ class TestCheckpointEncoding:
         back, _, _ = io.read_checkpoint(path)
         assert_states_bitwise_equal(back, state)
 
+    @pytest.mark.parametrize("at_prior", [False, True], ids=["none-at-prior", "all-at-prior"])
+    def test_all_or_no_factors_stored(self, tmp_path, at_prior):
+        """The spectral warm start of fitted_state()'s data has every rho
+        entry above 0, so it stores all five factors' rows; with every
+        factor reset to the prior, it stores none, and rank reads it."""
+        data, _ = simdata.generate(simdata.simulation1_pattern(), 12, [8] * 4, seed=2)
+        hyper = Hyperparameters(K=5)
+        state = _seeded_start(data, hyper, 0, spectral_start(data, hyper))
+        if at_prior:
+            _reset_to_prior(state, hyper, np.ones(5, dtype=bool))
+        stored = [] if at_prior else [0, 1, 2, 3, 4]
+        path = tmp_path / "checkpoint.json"
+        io.write_checkpoint(path, state, hyper, {"seed": 0}, data.group_names)
+        block = json.loads(path.read_text())["state"]
+        assert block[io.STORED_FACTORS] == stored
+        arrays = [block[name][m] for name in ("rho", "w_mean", "w_var") for m in range(4)]
+        arrays += [block["f_mean"], block["f_var"]]
+        shapes = [[len(stored), 8]] * 12 + [[12, len(stored)]] * 2
+        assert [a["shape"] for a in arrays] == shapes
+        assert all((a["f8"] == "") == at_prior for a in arrays)
+        back, hyper_back, info = io.read_checkpoint(path)
+        assert_states_bitwise_equal(back, state)
+        rewritten = tmp_path / "rewritten.json"
+        io.write_checkpoint(rewritten, back, hyper_back, info["fit"], info["group_names"])
+        assert rewritten.read_bytes() == path.read_bytes()
+        out = tmp_path / "rank"
+        assert cli.main(["rank", str(path), "--groups", "0,1", "--out", str(out)]) == 0
+        lines = (out / "scores.csv").read_text().splitlines()[1:]
+        scores = [float(line.split(",")[1]) for line in lines]
+        assert len(scores) == 8
+        if at_prior:
+            assert scores == [0.0] * 8
+
     @pytest.mark.parametrize(
         "stored, message",
         [
@@ -846,7 +678,7 @@ class TestCheckpointEncoding:
         with pytest.raises(DataError, match=io.STORED_FACTORS):
             io.read_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [5])
     def test_every_version_loads_into_the_stacked_layout(self, version):
         state, _, _ = io.read_checkpoint(DATA / f"checkpoint_v{version}.json")
         assert_stacked_layout(state)
