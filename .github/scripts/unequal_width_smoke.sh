@@ -10,9 +10,10 @@
 # pool's workers get the spectral start that all restarts share pickled. No
 # workload reconstructs from or evaluates unequal widths either, so
 # reconstruct from two of the groups, and require `cvgfa eval` to count the
-# same active factors (K+) as best.json. `cvgfa rank` reads the best
+# same active factors (K+) as best.json. Each best checkpoint must store
+# the rows of exactly those K+ factors. `cvgfa rank` reads the best
 # checkpoint, and also tests/data/checkpoint_v5.json, which stores the rows
-# of the factors not at the prior only.
+# of one factor of five.
 # Exits non-zero if any step fails, and removes its work directory either
 # way.
 set -eo pipefail
@@ -31,6 +32,14 @@ best() {
 }
 cmp "$out/a/$(best "$out/a")" "$out/b/$(best "$out/b")"
 cmp "$out/a/$(best "$out/a")" "$out/pool/$(best "$out/pool")"
+# a fitted state holds its active factors only, so each best checkpoint
+# stores exactly best.json's K+ factors
+for run in a b pool; do
+  python -c 'import json, sys
+best = json.load(open(sys.argv[1] + "/best.json"))
+state = json.load(open(sys.argv[1] + "/" + best["checkpoint"]))["state"]
+sys.exit(len(state["stored_factors"]) != best["k_active"])' "$out/$run"
+done
 # reconstruct from groups of unequal widths, listed out of sorted
 # order: the observed columns are group 3's, then group 0's
 paste -d, "$out/ds/group_group4.csv" "$out/ds/group_group1.csv" > "$out/observed.csv"

@@ -16,7 +16,7 @@ import numpy as np
 from . import engine, io, metrics
 from .errors import CvgfaError, DataError, NumericalError, UsageError
 from .metrics import StabilityReport
-from .model import FitOptions, Hyperparameters, active_factors
+from .model import FitOptions, Hyperparameters, _active_rows
 from .simdata import (
     ABSENT,
     DENSE,
@@ -314,7 +314,7 @@ def cmd_eval(args) -> int:
     if pattern.n_groups != data.n_groups:
         raise DataError("truth pattern does not match the dataset groups")
 
-    active = sorted(active_factors(state))
+    active = _active_rows(state.rho.stacked, state.dims)
     mse = metrics.train_mse(data, state)
 
     per_group = []
@@ -337,7 +337,10 @@ def cmd_eval(args) -> int:
     else:
         dense_corrs = []
         for m, name in enumerate(data.group_names):
-            g_hat = engine.expected_loadings(state, m)
+            # all K rows, zero for the factors the state does not hold (at
+            # the prior): the protocol ranks and averages over them
+            g_hat = np.zeros((state.n_factors, state.dims[m]))
+            g_hat[state.factors] = engine.expected_loadings(state, m)
             sparse_hat, dense_hat = metrics.split_sparse_dense(
                 g_hat, EVAL_SPARSITY_THRESHOLD, EVAL_N_DENSE
             )
@@ -376,7 +379,7 @@ def cmd_eval(args) -> int:
         "mode": args.mode,
         "checkpoint": args.checkpoint,
         "stability": asdict(report),
-        "k_active": len(active),
+        "k_active": int(active.sum()),
         "train_mse": mse,
     }
     result.update(extra)
@@ -517,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("checkpoint", help="checkpoint.json from fit")
     p_eval.add_argument("dataset", help="dataset directory with truth files")
     p_eval.add_argument("--mode", choices=("sim1", "sim2"), required=True)
-    p_eval.add_argument("--seed", type=int, default=0, help="unused; deterministic")
     p_eval.add_argument("--out", default=None, help="metrics JSON path")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -525,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("checkpoint")
     p_rank.add_argument("--groups", required=True, help="two group indices, e.g. 0,1")
     p_rank.add_argument("--labels", default=None, help="0/1 CSV for AUC")
-    p_rank.add_argument("--seed", type=int, default=0, help="unused; deterministic")
     p_rank.add_argument("--out", default=".", help="output directory")
     p_rank.set_defaults(func=cmd_rank)
 
@@ -539,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rec.add_argument("--target", type=int, required=True, help="group to predict")
     p_rec.add_argument("--truth", default=None, help="target matrix for MSE")
-    p_rec.add_argument("--seed", type=int, default=0, help="unused; deterministic")
     p_rec.add_argument("--out", default=".", help="output directory")
     p_rec.set_defaults(func=cmd_reconstruct)
     return parser

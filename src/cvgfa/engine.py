@@ -31,9 +31,9 @@ taken per group. No N x D residual is formed: the products that leave
 one factor out come from products of the data taken once per sweep and
 the expected loadings, and every other reader of the residual takes its
 per-sample squared norms, which sweep() returns (see model._sq_norms). A
-factor that falls below model.ACTIVE_MASS goes back to its prior, whose
-expected loadings are zeros, so these products, like the objective's
-per-entry terms, run over the active factors only.
+factor that falls below model.ACTIVE_MASS leaves the state (it is at its
+prior, whose expected loadings are zeros), so these products, like the
+objective's per-entry terms, run over the rows the state holds.
 """
 
 import math
@@ -62,13 +62,12 @@ from .model import (
     _eta_log_mean,
     _active_rows,
     _expected_sq_residual,
-    _kept_factors,
+    _keep_rows,
     _lambda_rate,
     _loading_products,
     _loading_sums,
     _norms_mse,
     _prior_w_var,
-    _reset_to_prior,
     _row_norms,
     _sq_norms,
     active_factors,
@@ -114,13 +113,10 @@ class FitReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _state_sq_norms(state, data, rows):
-    """_sq_norms of every group at the state's expected loadings and scores,
-    over the factors rows: every factor whose expected loadings are not all
-    zero must be among them."""
-    f_rows = state.f_mean[:, rows]
+def _state_sq_norms(state, data):
+    """_sq_norms of every group at the state's expected loadings and scores."""
     return [
-        _sq_norms(_row_norms(x), f_rows, *_loading_products(x, r[rows] * w[rows]))
+        _sq_norms(_row_norms(x), state.f_mean, *_loading_products(x, r * w))
         for x, r, w in zip(data.groups, state.rho, state.w_mean)
     ]
 
@@ -227,97 +223,91 @@ def _inclusion_probs(logit, widths, k):
     return new
 
 
-def _score_block(state, tau_bar, products, second, rows, update):
-    """Update the scores of factors, one column after another.
+def _score_block(state, tau_bar, products, second, update):
+    """Update the scores of held factors, one column after another.
 
     products[m] holds group m's _loading_products (X_m C_m^T, C_m C_m^T)
     and second[m] its sums sum_d rho E[w^2] (model._loading_sums), taken
-    over the factors rows (C_m = rho[m] * w_mean[m], rows rows), at the
-    state's loadings, which the block does not move; every factor with
-    nonzero expected loadings must be among rows. tau_bar[m] holds E[tau]
-    of group m's samples. The factors update, each one of rows, are
-    updated in that order (the sweep updates all of rows). Column k's
-    moment is sum_m tau_bar_m (R_m c_k + f_k (c_k . c_k)), taken as
-    sum_m tau_bar_m (X_m C_m^T[:, k] - F h_m) with h_m column k of
-    C_m C_m^T, entry k zeroed, and F the scores of rows as the earlier
-    columns of the block have left them. Its precision,
-    1 + sum_m tau_bar_m second[m], reads no score, so every column's is
-    taken at once. Each column's update maximises the objective given
-    everything else, and the samples are independent given the loadings.
+    over the held rows (C_m = rho[m] * w_mean[m]) at the state's loadings,
+    which the block does not move. tau_bar[m] holds E[tau] of group m's
+    samples. The held rows update, each a row index, are updated in that
+    order (the sweep updates every held row), in place. Column i's moment
+    is sum_m tau_bar_m (R_m c_i + f_i (c_i . c_i)), taken as
+    sum_m tau_bar_m (X_m C_m^T[:, i] - F h_m) with h_m column i of
+    C_m C_m^T, entry i zeroed, and F the scores as the earlier columns of
+    the block have left them. Its precision, 1 + sum_m tau_bar_m second[m],
+    reads no score, so every column's is taken at once. Each column's update
+    maximises the objective given everything else, and the samples are
+    independent given the loadings.
     """
-    rows = [int(k) for k in rows]
-    position = {k: i for i, k in enumerate(rows)}
-    at = [position[int(k)] for k in update]
-    f_rows = state.f_mean[:, rows]
+    update = [int(i) for i in update]
+    f_mean = state.f_mean
     tau = np.column_stack(tau_bar)
-    txc = np.zeros_like(f_rows)
-    precision = np.ones_like(f_rows)
+    txc = np.zeros_like(f_mean)
+    precision = np.ones_like(f_mean)
     for m, (xc, _) in enumerate(products):
         tb = tau_bar[m][:, None]
         txc += tb * xc
         precision += tb * second[m]
-    # h[i] is M x |rows|: row m is column i of C_m C_m^T with entry i zeroed
+    # h[i] is M x K+: row m is column i of C_m C_m^T with entry i zeroed
     h = np.stack([cc.T for _, cc in products], axis=1)
     diag = np.arange(h.shape[0])
     h[diag, :, diag] = 0.0
     f_var = 1.0 / precision
-    for i in at:
-        moment = txc[:, i] - np.einsum("nj,nj->n", f_rows, tau @ h[i])
-        f_rows[:, i] = f_var[:, i] * moment
-    cols = [rows[i] for i in at]
-    state.f_mean[:, cols] = f_rows[:, at]
-    state.f_var[:, cols] = f_var[:, at]
+    for i in update:
+        moment = txc[:, i] - np.einsum("nj,nj->n", f_mean, tau @ h[i])
+        f_mean[:, i] = f_var[:, i] * moment
+    state.f_var[:, update] = f_var[:, update]
 
 
 def sweep(state, data, hyper, *, _data_norms=None):
     """One full coordinate-ascent pass, mutating state in place.
 
     Order per iteration, in two blocks and a tail. The loading block: for
-    every active factor, (a_k, b_k), then every group's count moments and
-    (E[s], E[t]); then, one active factor k after another, every group's
-    row of rho, then their w. The score block: each active factor's scores
+    every held factor, (a_k, b_k), then every group's count moments and
+    (E[s], E[t]); then, one held factor after another, every group's row of
+    rho, then their w. The score block: each held factor's scores
     (_score_block). Then every group's alpha, then each group's noise
     precisions. This is the block order of variational group factor
     analysis (Virtanen et al., AISTATS 2012): all loadings, then all latent
-    factors. The active factors are those of model.active_factors as the
-    pass begins.
+    factors.
 
-    The loading block is the only one that moves rho. After it, every
-    factor below model.ACTIVE_MASS, whether the block pruned it or it was
-    inactive as the pass began, is set to its prior fixed point
-    (model._reset_to_prior): rho 0, q(w) mean 0 and variance f0 / e0 (the
-    fixed point of the w_var update and its derived lambda rate at rho 0),
-    q(f) N(0, 1). This is the treatment of an unused feature in the
-    truncated variational IBP (Doshi-Velez et al., AISTATS 2009), and the
-    always-accepted delete move of memoized variational inference (Hughes &
-    Sudderth, NIPS 2013). Its q(beta) and table counts keep their values
-    (the batch's, for a factor pruned in this pass), so update_alpha reads
-    them as before. Every state a sweep returns holds each inactive factor
-    exactly at the prior, whose expected loadings are zeros: so every
-    K-row quantity of the pass is taken over the active rows alone, the
-    rows A of the loading block and the rows K+ left after it.
+    The pass runs over the factors the state holds (state.factors), and it
+    holds only active ones: a held factor below model.ACTIVE_MASS as the
+    pass begins leaves the state first (model._keep_rows), and so does
+    every factor the loading block, the only block that moves rho, leaves
+    below it. A factor that leaves is at its prior: rho 0, q(w) mean 0 and
+    variance f0 / e0 (the fixed point of the w_var update and its derived
+    lambda rate at rho 0), q(f) N(0, 1), whose expected loadings are zeros,
+    so no product of the pass needs its rows. This is the treatment of an
+    unused feature in the truncated variational IBP (Doshi-Velez et al.,
+    AISTATS 2009), and the always-accepted delete move of memoized
+    variational inference (Hughes & Sudderth, NIPS 2013). Its q(beta) and
+    table counts keep their values (the batch's, for a factor pruned in
+    this pass), so update_alpha reads them as before. Rows are indexed by
+    position; the ids in state.factors index q(beta) and the table counts
+    only, which keep all K factors.
 
     The collapsed-prior part of the loading block is one batch over the
-    active factors A, taken before the factor loop: q(beta) of every factor
+    held factors A, taken before the factor loop: q(beta) of every factor
     in A (update_beta_params), the concentrations g_ab and g_abbar as
     |A| x M arrays, each group's count moments and those of its complement
-    over the |A| x D_m block rho[m][A] (bernoulli_sum_moments and
+    over the |A| x D_m block rho[m] (bernoulli_sum_moments and
     _complement_moments, one reduction per group), the table counts of
     every (factor, group) row from one crt_mean_approx call for E[s] and
     one for E[t], and the two prior halves of every column's inclusion
     logit as two |A| x sum_m D_m arrays (_prior_halves, one group's columns
-    at a time); the block is rows A of rho.stacked. Factor k's batch
-    values read only its own rows as the pass began, q(beta_k) and alpha,
-    which no other factor's step moves (only factor k's step writes row k
-    of rho), so each equals the value a step of k alone would compute
-    after the factors before it, bit for bit: every sum runs over one row
-    (or the groups of one factor) in numpy's pairwise order, as np.sum of
-    it alone would, and every elementwise step is the one a row alone
-    would take.
+    at a time, over a copy of rho.stacked). Factor k's batch values read
+    only its own rows as the pass began, q(beta_k) and alpha, which no
+    other factor's step moves (only factor k's step writes its row of rho),
+    so each equals the value a step of k alone would compute after the
+    factors before it, bit for bit: every sum runs over one row (or the
+    groups of one factor) in numpy's pairwise order, as np.sum of it alone
+    would, and every elementwise step is the one a row alone would take.
 
     A factor's step in the loop moves all its rows at once: they lie side
-    by side in row k of the state's stacked arrays (model.GroupBlocks), of
-    sum_m D_m columns, which the step reads and writes back as one row
+    by side in one row of the state's stacked arrays (model.GroupBlocks),
+    of sum_m D_m columns, which the step reads and writes back as one row
     each, and the group widths mark the boundaries. Given (a_k, b_k) the
     rows read disjoint state, so this regroups the same update. The
     per-group scalars (the concentrations, sff, the count moments) are
@@ -340,84 +330,77 @@ def sweep(state, data, hyper, *, _data_norms=None):
 
     No N x D residual R = X_m - F C_m is formed, and the factor loop reads
     no data. F and the noise precisions stay fixed through the loading
-    block, so what it needs of them is taken before it, for all active
-    factors A at once: each group's sff, and one (tau_bar_m F_A)^T F_A and
-    one (tau_bar_m F_A)^T X_m product per group. The first, with each
-    factor's own entry zeroed, gives the |A| x M x |A| leave-one-out
-    weights (_loo_weights); in the loop, dotx of group m is the second's
-    row minus one product of those weights with the |A| x D_m expected
-    loadings C_m = rho[m][A] * w_mean[m][A], group m's columns of one
-    |A| x sum_m D_m product (row i rewritten after factor A[i]'s update).
-    After the loading block and the prior reset C_m is final for the pass,
-    over the rows K+: one X_m C_m^T and one C_m C_m^T per group
-    (model._loading_products) serve the score block and then the
-    residual's per-sample squared norms (model._sq_norms), which the noise
-    precisions read and which are returned, one vector per group, for the
-    caller's training error and objective. Each group's loading sums
-    (model._loading_sums) over the rows K+ are taken once, one group at a
-    time, for both the score block's precision and the noise precisions.
-    So per pass and
-    group the data is read by (tau_bar_m F_A)^T X_m and X_m C_m^T only; its
-    row norms (model._row_norms) are taken once per fit by the caller and
-    passed as _data_norms, or here when it is omitted. The moments of a
-    row's count of zeros derive from those of its count of ones
-    (_complement_moments).
+    block, so what it needs of them is taken before it, for all held
+    factors at once: each group's sff, and one (tau_bar_m F)^T F and one
+    (tau_bar_m F)^T X_m product per group. The first, with each factor's
+    own entry zeroed, gives the |A| x M x |A| leave-one-out weights
+    (_loo_weights); in the loop, dotx of group m is the second's row minus
+    one product of those weights with the |A| x D_m expected loadings
+    C_m = rho[m] * w_mean[m], group m's columns of one |A| x sum_m D_m
+    product (row i rewritten after factor i's update). After the loading
+    block and the pruning C_m is final for the pass, over the rows K+ left:
+    one X_m C_m^T and one C_m C_m^T per group (model._loading_products)
+    serve the score block and then the residual's per-sample squared norms
+    (model._sq_norms), which the noise precisions read and which are
+    returned, one vector per group, for the caller's training error and
+    objective. Each group's loading sums (model._loading_sums) are taken
+    once, one group at a time, for both the score block's precision and
+    the noise precisions. So per pass and group the data is read by
+    (tau_bar_m F)^T X_m and X_m C_m^T only; its row norms
+    (model._row_norms) are taken once per fit by the caller and passed as
+    _data_norms, or here when it is omitted. The moments of a row's count
+    of zeros derive from those of its count of ones (_complement_moments).
     """
     lam_shape = hyper.lambda_shape
-    f_mean = state.f_mean
     dims = state.dims
     widths = np.array(dims)
     # each group's columns in a stacked row, the groups side by side
     ends = np.cumsum(dims).tolist()
     spans = [slice(end - d_m, end) for end, d_m in zip(ends, dims)]
     tau_bar = [hyper.tau_shape(d_m) / state.tau_rate[m] for m, d_m in enumerate(dims)]
-    active = sorted(active_factors(state))
+    # a held factor that is inactive as the pass begins (only a state not
+    # returned by a sweep holds one) leaves the state unswept
+    _keep_rows(state, _active_rows(state.rho.stacked, dims))
+    ids = state.factors
     rho_all = state.rho.stacked
     w_all = state.w_mean.stacked
     w_var_all = state.w_var.stacked
+    f_mean = state.f_mean
 
-    # the batch: every active factor's q(beta), count moments, table counts
+    # the batch: every held factor's q(beta), count moments, table counts
     # and the prior halves of its inclusion logits, taken before the
     # loadings and products below so that its temporaries are gone before
     # those exist
-    idx = np.array(active, dtype=np.intp)
-    beta_a, beta_b = update_beta_params(state, hyper, idx)
-    state.beta_a[idx] = beta_a
-    state.beta_b[idx] = beta_b
+    beta_a, beta_b = update_beta_params(state, hyper, ids)
+    state.beta_a[ids] = beta_a
+    state.beta_b[ids] = beta_b
     g_alpha = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
     g_beta, g_beta_bar = geo_expect_beta(beta_a, beta_b)
     g_ab = np.maximum(g_beta[:, None] * g_alpha, GEO_FLOOR)
     g_abbar = np.maximum(g_beta_bar[:, None] * g_alpha, GEO_FLOOR)
-    block = rho_all[idx]
+    block = rho_all.copy()
     nhat = bernoulli_sum_moments(block, widths)
     ntil = _complement_moments(nhat, block, widths)
-    state.aux_s_mean[:, idx] = np.minimum(
+    state.aux_s_mean[:, ids] = np.minimum(
         np.maximum(crt_mean_approx(g_ab, nhat), 0.0), widths
     ).T
-    state.aux_t_mean[:, idx] = np.minimum(
+    state.aux_t_mean[:, ids] = np.minimum(
         np.maximum(crt_mean_approx(g_abbar, ntil), 0.0), widths
     ).T
     del ntil
     prior_on, prior_off = _prior_halves(block, nhat, g_ab, g_abbar, spans)
     del block, nhat
 
-    # every K-row quantity from here on is taken over the active rows: the
-    # other factors are at the prior, whose expected loadings are zeros.
-    # Row by row, so that no copies of the active rows of rho and w_mean
-    # exist next to the batch's prior halves
-    loads = np.empty((idx.size, rho_all.shape[1]))
-    for i, k in enumerate(active):
-        np.multiply(rho_all[k], w_all[k], out=loads[i])
-    f_act = f_mean[:, idx]
-    f2 = f_act * f_act + state.f_var[:, idx]
+    loads = rho_all * w_all
+    f2 = f_mean * f_mean + state.f_var
     sff_all = np.array([tb @ f2 for tb in tau_bar])
-    tf = [tb[:, None] * f_act for tb in tau_bar]
+    tf = [tb[:, None] * f_mean for tb in tau_bar]
     xt_tf = [t.T @ x for t, x in zip(tf, data.groups)]
-    loo = _loo_weights([t.T @ f_act for t in tf])
-    del f_act, f2, tf
+    loo = _loo_weights([t.T @ f_mean for t in tf])
+    del f2, tf
     dotx = np.empty(loads.shape[1])
 
-    for i, k in enumerate(active):
+    for i, k in enumerate(ids.tolist()):
         sff = np.repeat(sff_all[:, i], widths)
         # sum_n tau f x~(no k): constant through the row update since only
         # factor k's own parameters change inside it
@@ -426,9 +409,9 @@ def sweep(state, data, hyper, *, _data_norms=None):
         # the likelihood term 0.5 (E[w^2] sff - 2 w dotx), built in place:
         # row-sized arrays are few and dropped as soon as they are spent,
         # which keeps the sweep's peak memory below one group's data
-        w = w_all[k]
+        w = w_all[i]
         logit = w * w
-        logit += w_var_all[k]
+        logit += w_var_all[i]
         logit *= sff
         wx = 2.0 * w
         wx *= dotx
@@ -442,7 +425,7 @@ def sweep(state, data, hyper, *, _data_norms=None):
 
         # w_var = 1 / (lam_shape / lam + rho sff) and w = w_var rho dotx,
         # each written over its spent row, lam from the old loadings
-        w_var = w_var_all[k]
+        w_var = w_var_all[i]
         np.divide(lam_shape, _lambda_rate(w, w_var, hyper.f0), out=w_var)
         sff *= rho
         w_var += sff
@@ -450,19 +433,15 @@ def sweep(state, data, hyper, *, _data_norms=None):
         np.divide(1.0, w_var, out=w_var)
         np.multiply(w_var, rho, out=w)
         w *= dotx
-        rho_all[k] = rho
+        rho_all[i] = rho
         np.multiply(rho, w, out=loads[i])
         del rho
     del prior_on, prior_off, xt_tf, loo
 
-    # the loading block alone moves rho: the factors it leaves inactive,
-    # and any other inactive factor, go to the prior, and only the active
-    # rows K+ are read from here on
-    still = _active_rows(rho_all[idx], dims)
-    kept = idx[still]
-    stale = np.ones(state.n_factors, dtype=bool)
-    stale[kept] = False
-    _reset_to_prior(state, hyper, stale)
+    # the loading block alone moves rho: the factors it leaves inactive
+    # leave the state
+    still = _active_rows(rho_all, dims)
+    _keep_rows(state, still)
     loads = loads[still]
 
     # each group's products and loading sums at the final loadings of the
@@ -472,20 +451,20 @@ def sweep(state, data, hyper, *, _data_norms=None):
     for m, (x, cols) in enumerate(zip(data.groups, spans)):
         coef = loads[:, cols]
         products.append(_loading_products(x, coef))
-        rows = (a[m][kept] for a in (state.rho, state.w_mean, state.w_var))
+        rows = (a[m] for a in (state.rho, state.w_mean, state.w_var))
         sums.append(_loading_sums(*rows, coef))
-    _score_block(state, tau_bar, products, [s for s, _ in sums], kept, kept)
+    second = [s for s, _ in sums]
+    _score_block(state, tau_bar, products, second, range(len(state.factors)))
     if _data_norms is None:
         _data_norms = [_row_norms(x) for x in data.groups]
-    f_kept = f_mean[:, kept]
+    f_mean = state.f_mean
     norms = [
-        _sq_norms(xx, f_kept, xc, cc) for xx, (xc, cc) in zip(_data_norms, products)
+        _sq_norms(xx, f_mean, xc, cc) for xx, (xc, cc) in zip(_data_norms, products)
     ]
     # group m's alpha reads only its own eta, at the alpha it replaces
     state.alpha_shape[:], state.alpha_rate[:] = update_alpha(state, hyper)
-    f_var_kept = state.f_var[:, kept]
     for m in range(state.n_groups):
-        sq = _expected_sq_residual(norms[m], f_kept, f_var_kept, *sums[m])
+        sq = _expected_sq_residual(norms[m], f_mean, state.f_var, *sums[m])
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
 
     _check_state_finite(state)
@@ -567,33 +546,31 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
 
     The per-entry terms (the likelihood's loading sums, the loadings
     against their prior, the inclusion entropy, the scores against theirs)
-    are summed over the factors not exactly at the prior
-    (model._kept_factors), the active ones on a state a sweep returned.
-    Each entry of a factor at the prior adds the same loading term
-    (_prior_loading_term), so those factors add it times their count times
-    sum_m D_m; their entropy and score terms are 0, their expected loadings
-    zeros. Their q(beta) terms and collapsed counts (none included, D_m
-    excluded) are taken with every other factor's.
+    are summed over the rows the state holds (state.factors). Every other
+    factor is at the prior, and each of its entries adds the same loading
+    term (_prior_loading_term), so those K - len(factors) factors add it
+    times their count times sum_m D_m; their entropy and score terms are 0,
+    their expected loadings zeros. Their q(beta) terms and collapsed counts
+    (none included, D_m excluded) are taken with every other factor's.
     """
     total = 0.0
     M = state.n_groups
     K = state.n_factors
-    kept = _kept_factors(state, hyper)
 
     if norms is None:
-        norms = _state_sq_norms(state, data, kept)
+        norms = _state_sq_norms(state, data)
     g0, h0 = hyper.g0, hyper.h0
     tau_prior = g0 * math.log(h0) - math.lgamma(g0)
-    f_mean, f_var = state.f_mean[:, kept], state.f_var[:, kept]
+    f_mean, f_var = state.f_mean, state.f_var
     counts = []
     for m in range(M):
         d_m = state.dims[m]
         tau_shape = hyper.tau_shape(d_m)
         tau_rate = state.tau_rate[m]
-        # contiguous copies of the group's kept rows: numpy's elementwise
-        # steps on a column block of a stacked array take about twice as long
+        # contiguous copies of the group's rows: numpy's elementwise steps
+        # on a column block of a stacked array take about twice as long
         blocks = (state.rho, state.w_mean, state.w_var)
-        rho, w_mean, w_var = (a[m][kept] for a in blocks)
+        rho, w_mean, w_var = (a[m].copy() for a in blocks)
         sums = _loading_sums(rho, w_mean, w_var, rho * w_mean)
         sq = _expected_sq_residual(norms[m], f_mean, f_var, *sums)
         # the likelihood with q(tau) against its prior
@@ -605,7 +582,7 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         total += _loading_terms(w_mean, w_var, hyper)
         total += _bernoulli_entropy(rho)
         counts.append((rho.sum(axis=1), (1.0 - rho).sum(axis=1)))
-    n_prior = K - kept.size
+    n_prior = K - state.factors.size
     if n_prior:
         prior_entries = n_prior * sum(state.dims)
         total += prior_entries * _prior_loading_term(hyper)
@@ -662,7 +639,7 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
             # a factor at the prior includes no column of any group
             nhat = np.zeros(K)
             ntil = np.full(K, float(d_m))
-            nhat[kept], ntil[kept] = counts[m]
+            nhat[state.factors], ntil[state.factors] = counts[m]
             total += float(
                 K * (math.lgamma(g_alpha) - math.lgamma(g_alpha + d_m))
                 + np.sum(_lgamma(g_ab + nhat) - _lgamma(g_ab))
@@ -737,7 +714,8 @@ def fit(
 
 
 def expected_loadings(state, m):
-    """Posterior mean loading matrix E[G] = rho * mu_w for group m."""
+    """Posterior mean loading matrix E[G] = rho * mu_w for group m, one row
+    per held factor (state.factors); every other factor's row is zero."""
     return state.rho[m] * state.w_mean[m]
 
 
@@ -761,7 +739,10 @@ def condition_scores(state, hyper, groups):
     """The factor-score posterior shared by every sample observed on groups.
 
     Gaussian conditioning at posterior-mean loadings, with the loading
-    variances rho E[w^2] - (rho mu_w)^2 entering the precision diagonal.
+    variances rho E[w^2] - (rho mu_w)^2 entering the precision diagonal,
+    over the held factors (state.factors): a factor at the prior has zero
+    loadings, so its score's posterior is its N(0, 1) prior whatever is
+    observed, and it adds nothing to a reconstruction.
     Noise precisions are averaged over the training samples; hyper supplies
     their q(tau) shapes. Each group adds its share to the identity prior
     precision in sorted group order, and the sum is inverted once. Pass the
@@ -775,7 +756,7 @@ def condition_scores(state, hyper, groups):
     for m in groups:
         if not 0 <= m < state.n_groups:
             raise UsageError(f"group index {m} out of range [0, {state.n_groups})")
-    precision = np.eye(state.n_factors)
+    precision = np.eye(len(state.factors))
     tau_bars, loadings = [], []
     for m in groups:
         tau_bar = float(np.mean(hyper.tau_shape(state.dims[m]) / state.tau_rate[m]))
@@ -793,7 +774,7 @@ def condition_scores(state, hyper, groups):
 
 
 def predict_factors(posterior, observed):
-    """Posterior mean factor scores of one new sample.
+    """Posterior mean scores of the held factors for one new sample.
 
     posterior comes from condition_scores; observed maps each of its groups
     to that group's length-D_m value vector. The mean is
@@ -818,10 +799,11 @@ def predict_factors(posterior, observed):
 
 
 def reconstruct_group(state, factor_means, m):
-    """Reconstruction F_hat E[G] of group m from given factor scores."""
+    """Reconstruction F_hat E[G] of group m from given factor scores, one
+    column per held factor (state.factors)."""
     fm = np.asarray(factor_means, dtype=float)
-    if fm.ndim != 2 or fm.shape[1] != state.n_factors:
-        raise DataError("factor_means must be N' x K")
+    if fm.ndim != 2 or fm.shape[1] != len(state.factors):
+        raise DataError("factor_means must be N' x K+, one column per held factor")
     return fm @ expected_loadings(state, m)
 
 

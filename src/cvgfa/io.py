@@ -21,19 +21,18 @@ the q(lambda) and q(tau) shapes follow from the hyperparameters and the
 group widths, so the reader validates the hyperparameters against the
 state, and the q(lambda) rates and E[log eta] from the state.
 
-Version 5 stores the rows of a factor only when it is not exactly at the
-prior (model._kept_factors; on a fitted state, the active factors K+).
-The state block lists those factors, ascending, as "stored_factors", a
-JSON list of integers; each group's rho, w_mean and w_var array has one
+Version 5 stores the state as it is held: the rows of the factors it
+holds (VariationalState.factors; on a fitted state, the active factors
+K+). The state block lists those factors, ascending, as "stored_factors",
+a JSON list of integers; each group's rho, w_mean and w_var array has one
 row per stored factor (K+ x D_m), and f_mean and f_var one column per
 stored factor (N x K+). Every other array keeps its K factors: q(beta)
 and the table counts of a factor at the prior are not prior values. The
-reader fills the other factors from the stored hyperparameters
-(model._reset_to_prior: rho 0, w mean 0 and variance f0 / e0, f mean 0
-and variance 1), so a state reads back bit for bit, with all K rows in
-memory. On a wide fit (K = 30, K+ = 6) this is a fifth of version 4's
-bytes. The reader takes version 5 only: a checkpoint of versions 1 to 4
-is rejected, and its fit has to be run again.
+reader builds the state from the stored rows and the list, which
+VariationalState.validate checks, so a state reads back bit for bit. On a
+wide fit (K = 30, K+ = 6) this is a fifth of version 4's bytes. The
+reader takes version 5 only: a checkpoint of versions 1 to 4 is
+rejected, and its fit has to be run again.
 """
 
 import base64
@@ -51,8 +50,6 @@ from .model import (
     GroupedDataset,
     Hyperparameters,
     VariationalState,
-    _kept_factors,
-    _reset_to_prior,
 )
 from .simdata import SparsityPattern
 
@@ -269,10 +266,10 @@ def _read_shaped(path, fname, shape):
     return matrix
 
 
-# Every VariationalState field, in the order the checkpoint stores them
-# (sorted by name); True marks the per-group lists of arrays. The rows of
-# GROUP_BLOCK_FIELDS (columns of FACTOR_COLUMN_FIELDS) are stored only for
-# the factors listed under STORED_FACTORS.
+# Every VariationalState array field, in the order the checkpoint stores
+# them (sorted by name); True marks the per-group lists of arrays. The
+# state's factors are stored as STORED_FACTORS, in its sorted place
+# between rho and tau_rate.
 STATE_FIELDS = (
     ("alpha_rate", False),
     ("alpha_shape", False),
@@ -287,7 +284,6 @@ STATE_FIELDS = (
     ("w_mean", True),
     ("w_var", True),
 )
-FACTOR_COLUMN_FIELDS = ("f_mean", "f_var")
 STORED_FACTORS = "stored_factors"
 
 
@@ -320,11 +316,9 @@ def _decode_view(obj) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
-def _state_from_json(obj, hyper) -> VariationalState:
-    """The state from its JSON object. The factor rows and columns are
-    those of the stored factors only, and the other factors are set to the
-    prior that hyper gives. The stacked fields' blocks are read as
-    read-only views: GroupBlocks.from_groups copies them into the stacked
+def _state_from_json(obj) -> VariationalState:
+    """The state from its JSON object. The stacked fields' blocks are read
+    as read-only views: GroupBlocks.from_groups copies them into the stacked
     layout, one field at a time."""
     fields = {}
     try:
@@ -336,68 +330,25 @@ def _state_from_json(obj, hyper) -> VariationalState:
                 fields[name] = GroupBlocks.from_groups(blocks, name)
             else:
                 fields[name] = [_decode_array(a) for a in obj[name]]
-        stale = _spread_stored_factors(obj, fields)
-    except (KeyError, TypeError, ValueError) as err:
-        # binascii.Error, raised for bad base64, is a ValueError
+        stored = obj[STORED_FACTORS]
+        if not (isinstance(stored, list) and all(type(k) is int for k in stored)):
+            raise ValueError(f"{STORED_FACTORS} is not a list of integers")
+        fields["factors"] = np.array(stored, dtype=np.intp)
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        # binascii.Error, raised for bad base64, is a ValueError;
+        # OverflowError, a factor id beyond the integer range
         raise DataError(f"malformed checkpoint state: {err}") from None
-    state = VariationalState(**fields)
-    _reset_to_prior(state, hyper, stale)
-    return state
-
-
-def _spread_stored_factors(obj, fields):
-    """Widens the stored factors' rows (columns) of fields to all K factors,
-    K the length of beta_a, in place; returns the mask of the factors that
-    were not stored, whose entries are left for _reset_to_prior to set.
-    Raises ValueError for a malformed list of factors or a row count that
-    does not match it."""
-    beta_a = fields["beta_a"]
-    if beta_a.ndim != 1:
-        raise ValueError("beta_a is not a vector")
-    n_factors = beta_a.shape[0]
-    stored = obj[STORED_FACTORS]
-    if not (isinstance(stored, list) and all(type(k) is int for k in stored)):
-        raise ValueError(f"{STORED_FACTORS} is not a list of integers")
-    if any(b <= a for a, b in zip(stored, stored[1:])) or not all(
-        0 <= k < n_factors for k in stored
-    ):
-        raise ValueError(
-            f"{STORED_FACTORS} must ascend strictly within [0, {n_factors})"
-        )
-    for name in GROUP_BLOCK_FIELDS:
-        packed = fields[name]
-        rows = packed.stacked.shape[0]
-        if rows != len(stored):
-            raise ValueError(
-                f"{name} has {rows} rows, want one per stored factor ({len(stored)})"
-            )
-        full = np.empty((n_factors, packed.stacked.shape[1]))
-        full[stored] = packed.stacked
-        fields[name] = GroupBlocks(full, packed.dims)
-    for name in FACTOR_COLUMN_FIELDS:
-        packed = fields[name]
-        if packed.ndim != 2 or packed.shape[1] != len(stored):
-            raise ValueError(
-                f"{name} has shape {packed.shape}, want one column per stored "
-                f"factor ({len(stored)})"
-            )
-        full = np.empty((packed.shape[0], n_factors))
-        full[:, stored] = packed
-        fields[name] = full
-    stale = np.ones(n_factors, dtype=bool)
-    stale[stored] = False
-    return stale
+    return VariationalState(**fields)
 
 
 def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_names=None):
     """Compact JSON: the metadata, then the state one base64 array at a time.
 
     Each array exists as bytes and text only while it is written, so no
-    encoded copy of the whole state is ever held. The factor rows (columns)
-    are written for the factors not at the prior only, which are listed
-    (see the module docstring).
+    encoded copy of the whole state is ever held. The state's factors are
+    listed, and its arrays written as they stand (see the module
+    docstring).
     """
-    kept = _kept_factors(state, hyper)
     hyperparameters = {f: getattr(hyper, f) for f in HYPER_FIELDS}
     hyperparameters["K"] = int(hyper.K)
     header = json.dumps(
@@ -419,7 +370,7 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
             value = getattr(state, name)
             if name == "tau_rate":
                 # the list's place in the sorted order of the keys
-                stored = json.dumps(kept.tolist(), separators=_COMPACT)
+                stored = json.dumps(state.factors.tolist(), separators=_COMPACT)
                 fh.write(f',"{STORED_FACTORS}":{stored}')
             fh.write(f'{"," if i else ""}"{name}":')
             if per_group:
@@ -427,10 +378,8 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
                 for m, a in enumerate(value):
                     if m:
                         fh.write(",")
-                    fh.write(_encode_array(a[kept] if name in GROUP_BLOCK_FIELDS else a))
+                    fh.write(_encode_array(a))
                 fh.write("]")
-            elif name in FACTOR_COLUMN_FIELDS:
-                fh.write(_encode_array(value[:, kept]))
             else:
                 fh.write(_encode_array(value))
         fh.write("}}\n")
@@ -441,8 +390,7 @@ def read_checkpoint(path):
 
     Reads CHECKPOINT_VERSION only. The hyperparameters must be valid and
     their K must match the state, since the derived gamma shapes depend on
-    them; they also give the factors that were not stored their prior
-    values.
+    them.
     """
     obj = _read_json(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     hp = obj.get("hyperparameters")
@@ -457,7 +405,7 @@ def read_checkpoint(path):
     block = obj.get("state")
     if not isinstance(block, dict):
         raise DataError(f"{path}: missing state block")
-    state = _state_from_json(block, hyper)
+    state = _state_from_json(block)
     state.validate()
     if type(hyper.K) is not int or hyper.K != state.n_factors:
         raise DataError(
@@ -480,34 +428,3 @@ def write_trace(path, trace):
                 f"{sweep},{repr(float(objective))},"
                 f"{repr(float(mse))},{int(k_active)}\n"
             )
-
-
-def read_trace(path):
-    """The (sweep, objective, train_mse, k_active) rows of a trace.csv.
-
-    A row that is not four numbers, whose objective or MSE is not finite,
-    whose sweep is below 1 or whose k_active is negative raises DataError
-    naming the file and the line: fit writes none of these.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as err:
-        raise DataError(f"cannot read {path}: {err}") from None
-    if not lines or lines[0] != TRACE_HEADER:
-        raise DataError(f"{path} lacks the expected trace header")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            sweep, objective, mse, k_active = line.split(",")
-            row = (int(sweep), float(objective), float(mse), int(k_active))
-        except ValueError:
-            raise DataError(f"{path} line {number} is not a trace row") from None
-        if not (math.isfinite(row[1]) and math.isfinite(row[2])):
-            raise DataError(f"{path} line {number} has a non-finite objective or MSE")
-        if row[0] < 1 or row[3] < 0:
-            raise DataError(
-                f"{path} line {number} has a sweep below 1 or a negative k_active"
-            )
-        rows.append(row)
-    return rows

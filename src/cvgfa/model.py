@@ -3,7 +3,10 @@
 A dataset is M matrices sharing N sample rows. Factor k loads on group m
 through a spike-and-slab column gated by binary inclusions z, whose
 group-level probabilities are marginalized out; everything that remains
-lives in VariationalState.
+lives in VariationalState. Of the K factors of the truncation, the state
+holds the rows of the active ones only (VariationalState.factors): a
+factor the sweep prunes is at its prior and leaves the state
+(_keep_rows), keeping only its q(beta) and table counts.
 """
 
 import math
@@ -33,8 +36,7 @@ __all__ = [
 BETA_B_FLOOR = 1e-6
 
 # The inclusion mass that makes a factor active (active_factors), the one
-# rule behind the sweep's factor skipping and prior reset, trace.csv,
-# best.json and eval.
+# rule behind the sweep's pruning, trace.csv, best.json and eval.
 ACTIVE_MASS = 1e-2
 
 
@@ -134,15 +136,23 @@ class FitOptions:
 
 
 class GroupBlocks:
-    """One K x sum(D_m) array, the groups' columns side by side in order.
+    """One K+ x sum(D_m) array, the groups' columns side by side in order.
 
-    blocks[m] is group m's K x D_m block, a view of the one array, so
+    blocks[m] is group m's K+ x D_m block, a view of the one array, so
     writes through it reach the whole; blocks.stacked is the whole, whose
-    row k holds factor k of every group. A group cannot be rebound (no item
-    assignment): a new array put in its place would leave the whole behind.
-    copy() and pickling rebuild the views over one new array; pickle keeps
-    no views, so a state that crosses a process pool would otherwise come
-    back as unrelated arrays.
+    row i holds held factor i of every group. A group cannot be rebound (no
+    item assignment): a new array put in its place would leave the whole
+    behind. copy() and pickling rebuild the views over one new array; pickle
+    keeps no views, so a state that crosses a process pool would otherwise
+    come back as unrelated arrays.
+
+    The factor scores are laid out the other way round: VariationalState
+    holds f_mean and f_var (N x K+) in Fortran order, each factor's column
+    contiguous, as a column gather such as f_mean[:, rows] returns them. The
+    sweep and the objective multiply these arrays with BLAS and einsum,
+    which add in an order that follows the layout, so the layout is part of
+    every fitted value: in C order the first sweep's scores differ in the
+    last bit.
     """
 
     __slots__ = ("_stacked", "_views")
@@ -156,7 +166,7 @@ class GroupBlocks:
 
     @classmethod
     def from_groups(cls, arrays, name):
-        """Copies per-group K x D_m arrays into one stacked array.
+        """Copies per-group K+ x D_m arrays into one stacked array.
 
         Raises DataError, naming the field name, when the arrays are not
         matrices with one common row count.
@@ -209,20 +219,31 @@ GROUP_BLOCK_FIELDS = ("rho", "w_mean", "w_var")
 class VariationalState:
     """The free variational parameters of the mean-field posterior.
 
+    The state holds the rows of the factors listed in factors, their ids
+    among the K of the truncation in ascending order (K+ of them; every
+    factor, arange(K), when not given). A factor the sweep prunes leaves
+    the state: it is at the prior, whose expected loadings are zeros, and
+    nothing but its q(beta) and table counts is kept of it.
     Group-indexed fields hold one array per group m:
-      rho[m]          K x D_m   inclusion probabilities q(z = 1)
-      w_mean[m]       K x D_m   loading means
-      w_var[m]        K x D_m   loading variances
+      rho[m]          K+ x D_m  inclusion probabilities q(z = 1)
+      w_mean[m]       K+ x D_m  loading means
+      w_var[m]        K+ x D_m  loading variances
       tau_rate[m]     N         q(tau) gamma rates, one per sample
     rho, w_mean and w_var are GroupBlocks: each keeps all its groups in one
-    K x sum(D_m) array (.stacked), and [m] is group m's view of it. Given
+    K+ x sum(D_m) array (.stacked), and [m] is group m's view of it. Given
     per-group arrays instead, the constructor copies them into that layout.
     tau_rate is a list.
     Shared arrays:
-      f_mean, f_var   N x K     factor score means / variances
+      f_mean, f_var   N x K+    factor score means / variances, in Fortran
+                                order (see GroupBlocks)
       beta_a, beta_b  K         q(beta) parameters
       alpha_shape, alpha_rate   M    q(alpha) parameters
       aux_s_mean, aux_t_mean    M x K  expected table counts
+    q(beta) and the table counts keep all K factors: the prior reads the
+    truncation K (a0 = kappa0 / K), and a pruned factor's frozen values
+    still feed q(alpha). Row i of rho and column i of f_mean belong to
+    factor factors[i], entry factors[i] of beta_a and column factors[i] of
+    aux_s_mean.
     Nothing derived is stored: the q(lambda) and q(tau) shapes are
     Hyperparameters.lambda_shape and .tau_shape(D_m), the q(lambda) rates
     follow from q(w) (_lambda_rate) and E[log eta] from q(alpha)
@@ -241,12 +262,17 @@ class VariationalState:
     alpha_rate: np.ndarray
     aux_s_mean: np.ndarray
     aux_t_mean: np.ndarray
+    factors: np.ndarray = None
 
     def __post_init__(self):
         for name in GROUP_BLOCK_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, GroupBlocks):
                 setattr(self, name, GroupBlocks.from_groups(value, name))
+        self.f_mean = np.asfortranarray(self.f_mean)
+        self.f_var = np.asfortranarray(self.f_var)
+        if self.factors is None:
+            self.factors = np.arange(self.rho.stacked.shape[0])
 
     @property
     def n_groups(self) -> int:
@@ -254,6 +280,7 @@ class VariationalState:
 
     @property
     def n_factors(self) -> int:
+        """K, the truncation; the state holds len(factors) of them."""
         return int(self.beta_a.shape[0])
 
     @property
@@ -269,8 +296,8 @@ class VariationalState:
             rho=self.rho.copy(),
             w_mean=self.w_mean.copy(),
             w_var=self.w_var.copy(),
-            f_mean=self.f_mean.copy(),
-            f_var=self.f_var.copy(),
+            f_mean=self.f_mean.copy(order="F"),
+            f_var=self.f_var.copy(order="F"),
             beta_a=self.beta_a.copy(),
             beta_b=self.beta_b.copy(),
             tau_rate=[a.copy() for a in self.tau_rate],
@@ -278,6 +305,7 @@ class VariationalState:
             alpha_rate=self.alpha_rate.copy(),
             aux_s_mean=self.aux_s_mean.copy(),
             aux_t_mean=self.aux_t_mean.copy(),
+            factors=self.factors.copy(),
         )
 
     def validate(self):
@@ -288,6 +316,24 @@ class VariationalState:
         M = self.n_groups
         K = self.n_factors
         N = self.n_samples
+        factors = self.factors
+        if not (
+            isinstance(factors, np.ndarray)
+            and factors.ndim == 1
+            and factors.dtype.kind in "iu"
+        ):
+            raise DataError("factors must be a vector of integers")
+        if np.any(factors[1:] <= factors[:-1]) or not np.all(
+            (factors >= 0) & (factors < K)
+        ):
+            raise DataError(f"factors must ascend strictly within [0, {K})")
+        held = factors.shape[0]
+        for name in GROUP_BLOCK_FIELDS:
+            rows = getattr(self, name).stacked.shape[0]
+            if rows != held:
+                raise DataError(
+                    f"{name} has {rows} rows, want one per held factor ({held})"
+                )
         group_lists = {
             "w_mean": self.w_mean,
             "w_var": self.w_var,
@@ -300,8 +346,10 @@ class VariationalState:
             d_m = self.rho[m].shape[1]
             for name in GROUP_BLOCK_FIELDS:
                 arr = getattr(self, name)[m]
-                if arr.shape != (K, d_m):
-                    raise DataError(f"{name}[{m}] has shape {arr.shape}, want {(K, d_m)}")
+                if arr.shape != (held, d_m):
+                    raise DataError(
+                        f"{name}[{m}] has shape {arr.shape}, want {(held, d_m)}"
+                    )
                 if not np.all(np.isfinite(arr)):
                     raise DataError(f"{name}[{m}] contains non-finite entries")
             if self.tau_rate[m].shape != (N,):
@@ -317,8 +365,8 @@ class VariationalState:
                 raise DataError(f"aux_s_mean[{m}] outside [0, D_m]")
             if np.any(self.aux_t_mean[m] < 0) or np.any(self.aux_t_mean[m] > d_m):
                 raise DataError(f"aux_t_mean[{m}] outside [0, D_m]")
-        if self.f_mean.shape != (N, K) or self.f_var.shape != (N, K):
-            raise DataError("f_mean/f_var must be N x K")
+        if self.f_mean.shape != (N, held) or self.f_var.shape != (N, held):
+            raise DataError("f_mean/f_var must be N x K+, one column per held factor")
         if not np.all(np.isfinite(self.f_mean)) or not np.all(self.f_var > 0):
             raise DataError("factor scores must be finite with positive variance")
         for name in ("beta_a", "beta_b"):
@@ -459,8 +507,8 @@ def init_state(
     capped at 150 passes). Fresh warm starts spend their first dozens of
     sweeps renegotiating borderline inclusions, which is not monotone in
     reconstruction error; relaxing here hands the caller a state already
-    settled inside its attraction basin. Its sweeps skip the inactive
-    factors and return them to the prior, as fit's do.
+    settled inside its attraction basin. Its sweeps drop the inactive
+    factors from the state, as fit's do.
     A NumericalError from one of them gains the context {"phase": "warmup",
     "sweep": n}, n counted from 1. Deterministic given (data, seed).
     """
@@ -590,10 +638,12 @@ def active_factors(state: VariationalState):
     """Factors whose expected loading mass reaches ACTIVE_MASS in some group.
 
     Mass of factor k in group m is sum_d rho[m][k, d]; a factor counts as
-    active when its best group mass is at least ACTIVE_MASS.
+    active when its best group mass is at least ACTIVE_MASS. Returns the
+    ids (state.factors) of the active held rows; after a sweep, every held
+    factor.
     """
     active = _active_rows(state.rho.stacked, state.dims)
-    return {int(k) for k in np.flatnonzero(active)}
+    return {int(k) for k in state.factors[active]}
 
 
 def _active_rows(rows, dims):
@@ -610,56 +660,30 @@ def _active_rows(rows, dims):
     return mass >= ACTIVE_MASS
 
 
-# A factor below ACTIVE_MASS is returned to its prior (engine.sweep): rho 0,
-# q(w) mean 0 and variance f0 / e0, q(f) N(0, 1). Its expected loadings are
-# then exact zeros, so products over the K rows need only the others, and a
-# checkpoint stores only those. Its q(beta) and table counts stay as the
-# sweep that pruned it left them.
+def _keep_rows(state, keep):
+    """Drop from state the held factors whose entry of the boolean mask keep
+    (one per held row) is False: their rows of rho, w_mean and w_var, their
+    columns of f_mean and f_var, and their ids. Their q(beta) and table
+    counts stay, at all K factors."""
+    if keep.all():
+        return
+    dims = state.dims
+    for name in GROUP_BLOCK_FIELDS:
+        setattr(state, name, GroupBlocks(getattr(state, name).stacked[keep], dims))
+    # a column gather is in Fortran order, the scores' layout
+    state.f_mean = state.f_mean[:, keep]
+    state.f_var = state.f_var[:, keep]
+    state.factors = state.factors[keep]
 
 
 def _prior_w_var(hyper):
     """f0 / e0, the loading variance of a factor at the prior. At rho = 0
     the loading mean is 0 and the variance update is 1 / E[lambda] =
     (f0 + w_var / 2) / (e0 + 1/2), with the rate derived from the variance
-    it replaces, whose fixed point this is."""
+    it replaces, whose fixed point this is. A factor the state does not
+    hold is at the prior: rho 0, q(w) mean 0 and this variance, q(f)
+    N(0, 1)."""
     return hyper.f0 / hyper.e0
-
-
-def _reset_to_prior(state, hyper, factors):
-    """Set factors (an index array or a boolean mask over the K factors)
-    to the prior in every group: rho 0, q(w) mean 0 and variance
-    _prior_w_var, q(f) mean 0 and variance 1. Their q(beta) and table
-    counts are left as they are."""
-    state.rho.stacked[factors] = 0.0
-    state.w_mean.stacked[factors] = 0.0
-    state.w_var.stacked[factors] = _prior_w_var(hyper)
-    state.f_mean[:, factors] = 0.0
-    state.f_var[:, factors] = 1.0
-
-
-def _kept_factors(state, hyper):
-    """The factors not exactly at the prior (_reset_to_prior), ascending,
-    an index array: the rows the objective sums entry by entry and a
-    checkpoint stores. Exactly means bit for bit, so that the prior values
-    a reader fills in are the ones it dropped: a -0.0 mean keeps a factor.
-    Each field's check is one max and, for the nonzero prior values, one
-    min of its bits over every factor, whole-array reductions that cost
-    less than a copy of the candidate rows would."""
-
-    def bits_equal(a, value, axis):
-        bits = a.view(np.uint64)
-        want = np.float64(value).view(np.uint64)
-        same = bits.max(axis=axis, initial=0) == want
-        if value != 0.0:
-            same &= bits.min(axis=axis, initial=want) == want
-        return same
-
-    at_prior = bits_equal(state.rho.stacked, 0.0, 1)
-    at_prior &= bits_equal(state.w_mean.stacked, 0.0, 1)
-    at_prior &= bits_equal(state.w_var.stacked, _prior_w_var(hyper), 1)
-    at_prior &= bits_equal(state.f_mean, 0.0, 0)
-    at_prior &= bits_equal(state.f_var, 1.0, 0)
-    return np.flatnonzero(~at_prior)
 
 
 # The helpers below are shared with engine: the derived lambda rates and

@@ -20,17 +20,25 @@ into a once-per-command and a per-row step; and rho_row_priors and
 loo_dotx, the collapsed-prior halves of one stacked row's inclusion logits
 and the leave-one-factor-out data product of one (factor, group) row, which
 engine.sweep takes for every active factor before its factor loop
-(engine._prior_halves and engine._loo_weights). prior_reset sets the
-factors the loading block leaves inactive to the prior one coordinate at
-a time, where the sweep writes whole rows (model._reset_to_prior).
+(engine._prior_halves and engine._loo_weights).
+
+The oracles run on states that hold all K factors, the layout of the
+printed equations: prior_reset sets the factors the loading block leaves
+inactive to the prior one coordinate at a time, where the sweep drops
+their rows from the state (model._keep_rows). full_state gives such a
+state from one that holds fewer rows, every other factor at the prior, so
+the package's rows can be compared with the oracle's rows at
+state.factors and every other oracle row with the prior.
 
 surrogate_elbo is the objective written term by term, as the textbook
 conjugate-gamma bound of variational group factor analysis (Virtanen et
 al., AISTATS 2012) gives it: each gamma factor q(lambda), q(tau) and
 q(alpha) against its prior through one general prior/entropy gap, and the
 likelihood and loading terms through E[log lambda], E[lambda], E[log tau]
-and E[tau], psi of their shapes included. engine.surrogate_elbo takes the
-q(lambda) and q(tau) parts in the closed forms these cancel to.
+and E[tau], psi of their shapes included, every entry of all K factors
+summed. engine.surrogate_elbo takes the q(lambda) and q(tau) parts in the
+closed forms these cancel to, and the factors it does not hold as one
+closed-form prior term.
 """
 
 import math
@@ -56,11 +64,11 @@ from cvgfa.errors import DataError, NumericalError, UsageError
 from cvgfa.model import (
     ACTIVE_MASS,
     BETA_B_FLOOR,
+    GROUP_BLOCK_FIELDS,
+    GroupBlocks,
     _expected_sq_residual,
-    _kept_factors,
     _lambda_rate,
     _loading_sums,
-    _prior_w_var,
 )
 
 
@@ -272,6 +280,28 @@ def prior_reset(state, hyper):
             state.f_var[n, k] = 1.0
 
 
+def full_state(state, hyper):
+    """A copy of state holding all K factors: the rows of rho, w_mean and
+    w_var and the columns of f_mean and f_var of the held factors at their
+    ids (state.factors), every other factor at the prior as prior_reset
+    sets it."""
+    full = state.copy()
+    K, ids = state.n_factors, state.factors
+    prior = {"rho": 0.0, "w_mean": 0.0, "w_var": hyper.f0 / hyper.e0}
+    for name in GROUP_BLOCK_FIELDS:
+        held = getattr(state, name)
+        stacked = np.full((K, held.stacked.shape[1]), prior[name])
+        stacked[ids] = held.stacked
+        setattr(full, name, GroupBlocks(stacked, held.dims))
+    for name, value in (("f_mean", 0.0), ("f_var", 1.0)):
+        held = getattr(state, name)
+        scores = np.full((held.shape[0], K), value, order="F")
+        scores[:, ids] = held
+        setattr(full, name, scores)
+    full.factors = np.arange(K)
+    return full
+
+
 def crt_mean_exact(a, l):
     """Exact mean table count of a Chinese restaurant process.
 
@@ -293,11 +323,13 @@ def predict_factors(state, hyper, observed):
     conditioning at posterior-mean loadings, with the loading variances
     rho E[w^2] - (rho mu_w)^2 entering the precision diagonal. Noise
     precisions are averaged over the training samples; hyper supplies
-    their q(tau) shapes. Everything is rebuilt for the one sample.
+    their q(tau) shapes. Everything is rebuilt for the one sample. The
+    scores are those of the factors whose loadings state holds: all K, or
+    the rows of state.factors only.
     """
     if not observed:
         raise UsageError("at least one observed group is required")
-    K = state.n_factors
+    K = state.rho.stacked.shape[0]
     precision = np.eye(K)
     rhs = np.zeros(K)
     for m in sorted(observed):
@@ -359,41 +391,32 @@ def _loading_terms(w_mean, w_var, hyper, psi_lam, lgamma_lam):
     )
 
 
-def _prior_loading_term(hyper, psi_lam, lgamma_lam):
-    """_loading_terms of one entry at the prior (mean 0, variance f0 / e0):
-    what each entry of a factor at the prior adds to the objective."""
-    return _loading_terms(
-        np.zeros(1), np.full(1, _prior_w_var(hyper)), hyper, psi_lam, lgamma_lam
-    )
-
-
 def surrogate_elbo(state, data, hyper, norms=None) -> float:
     """The variational objective term by term: the likelihood through
     E[log tau] and E[tau], the loadings through E[log lambda] and
     E[lambda], every gamma factor against its prior through
     _gamma_prior_gap, the inclusion entropy, the scores, q(beta) and the
-    collapsed prior on Z at plug-in concentrations. Factors exactly at the
-    prior add _prior_loading_term per entry."""
+    collapsed prior on Z at plug-in concentrations. state must hold all K
+    factors (full_state), each of which adds its terms entry by entry."""
     total = 0.0
     M = state.n_groups
     K = state.n_factors
-    kept = _kept_factors(state, hyper)
+    assert list(state.factors) == list(range(K)), "the oracle reads all K rows"
 
     if norms is None:
-        norms = _state_sq_norms(state, data, kept)
+        norms = _state_sq_norms(state, data)
     # the q(tau) and q(lambda) shapes' special functions, for every group at once
     tau_shapes = hyper.tau_shape(np.array(state.dims))
     psi_tau, lgamma_tau = digamma(tau_shapes), _lgamma(tau_shapes)
     psi_lam, lgamma_lam = digamma(hyper.lambda_shape), _lgamma(hyper.lambda_shape)
-    f_mean, f_var = state.f_mean[:, kept], state.f_var[:, kept]
+    f_mean, f_var = state.f_mean, state.f_var
     counts = []
     for m in range(M):
         d_m = state.dims[m]
         tau_shape = tau_shapes[m]
         tau_rate = state.tau_rate[m]
         log_tau, e_log_tau, tb = _gamma_moments(tau_shape, tau_rate, psi_tau[m])
-        blocks = (state.rho, state.w_mean, state.w_var)
-        rho, w_mean, w_var = (a[m][kept] for a in blocks)
+        rho, w_mean, w_var = state.rho[m], state.w_mean[m], state.w_var[m]
         sums = _loading_sums(rho, w_mean, w_var, rho * w_mean)
         sq = _expected_sq_residual(norms[m], f_mean, f_var, *sums)
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
@@ -406,11 +429,6 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         )
         total += _bernoulli_entropy(rho)
         counts.append((rho.sum(axis=1), (1.0 - rho).sum(axis=1)))
-    n_prior = K - kept.size
-    if n_prior:
-        prior_entries = n_prior * sum(state.dims)
-        total += prior_entries * _prior_loading_term(hyper, psi_lam, lgamma_lam)
-
     # factor scores against the standard normal prior
     if f_mean.size:
         ef2 = f_mean**2 + f_var
@@ -449,10 +467,7 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
             g_alpha = g_alphas[m]
             g_ab = np.maximum(g_alpha * g_beta, GEO_FLOOR)
             g_abbar = np.maximum(g_alpha * g_beta_bar, GEO_FLOOR)
-            # a factor at the prior includes no column of any group
-            nhat = np.zeros(K)
-            ntil = np.full(K, float(d_m))
-            nhat[kept], ntil[kept] = counts[m]
+            nhat, ntil = counts[m]
             total += float(
                 K * (math.lgamma(g_alpha) - math.lgamma(g_alpha + d_m))
                 + np.sum(_lgamma(g_ab + nhat) - _lgamma(g_ab))

@@ -19,7 +19,7 @@ import pytest
 
 import oracle
 from cvgfa import cli, engine, io
-from cvgfa.model import Hyperparameters, VariationalState
+from cvgfa.model import Hyperparameters, VariationalState, _keep_rows
 
 
 def run_cli(*args):
@@ -127,9 +127,9 @@ class TestFit:
             "fit", sim1_dataset, "--k", 5, "--restarts", 1,
             "--max-sweeps", 1, "--out", out,
         ) == 0
-        rows = io.read_trace(out / "restart_0" / "trace.csv")
-        assert len(rows) == 1
-        assert rows[0][0] == 1
+        lines = (out / "restart_0" / "trace.csv").read_text().splitlines()
+        assert lines[0] == io.TRACE_HEADER
+        assert len(lines) == 2 and lines[1].startswith("1,")
 
     def test_aborted_restart_names_its_main_sweep(
         self, monkeypatch, tmp_path, sim1_dataset
@@ -417,6 +417,52 @@ class TestEval:
         for row in stability["per_group"]:
             assert set(row) == {"group", "ssi_sparse", "dsi_dense", "dense_max_corr"}
         assert "dense_max_corr_mean" in result
+
+    def test_sim2_mode_splits_all_k_rows(self, tmp_path):
+        # a state that holds fewer than the 4 dense rows the protocol
+        # selects: the split runs over all K rows, the others zero, as it
+        # does for the same state with those rows held at the prior
+        ds = tmp_path / "ds"
+        assert run_cli("simulate", "sim2", "--n", 20, "--seed", 2, "--out", ds) == 0
+        fit_dir = tmp_path / "run"
+        assert run_cli(
+            "fit", ds, "--k", 8, "--restarts", 1, "--max-sweeps", 20,
+            "--out", fit_dir,
+        ) == 0
+        state, hyper, _ = io.read_checkpoint(fit_dir / "restart_0" / "checkpoint.json")
+        assert len(state.factors) >= 2
+        _keep_rows(state, np.arange(len(state.factors)) < 2)
+        results = []
+        for name, held in (("few", state), ("all", oracle.full_state(state, hyper))):
+            ckpt, out = tmp_path / f"{name}.json", tmp_path / f"{name}_eval.json"
+            io.write_checkpoint(ckpt, held, hyper)
+            assert run_cli("eval", ckpt, ds, "--mode", "sim2", "--out", out) == 0
+            result = json.loads(out.read_text())
+            assert result.pop("checkpoint") == str(ckpt)
+            results.append(result)
+        assert results[0] == results[1]
+        assert results[0]["k_active"] == 2
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("eval", ["{dataset}", "--mode", "sim1"]),
+            ("rank", ["--groups", "0,1"]),
+            ("reconstruct", ["--observed", "x.csv", "--observed-groups", "0", "--target", "1"]),
+        ],
+    )
+    def test_seed_flag_is_gone(
+        self, tmp_path, sim1_dataset, sim1_fit, capsys, command, args
+    ):
+        # these commands are deterministic and never read a seed
+        best = json.loads((sim1_fit / "best.json").read_text())
+        argv = [command, str(sim1_fit / best["checkpoint"])]
+        argv += [a.format(dataset=sim1_dataset) for a in args]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ["--seed", "0", "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_prints_json_without_out(self, sim1_dataset, sim1_fit, capsys):
         best = json.loads((sim1_fit / "best.json").read_text())

@@ -32,13 +32,13 @@ from cvgfa.model import (
     Hyperparameters,
     VariationalState,
     _eta_log_mean,
-    _kept_factors,
+    _keep_rows,
     _lambda_rate,
     active_factors,
     init_state,
     spectral_start,
 )
-from test_model import assert_stacked_layout
+from test_model import assert_stacked_layout, seeded_state
 
 
 def make_dataset(seed=0, n=6, dims=(4, 3)):
@@ -108,18 +108,20 @@ def make_state(
     )
 
 
-def assert_at_prior(state, hyper, k):
-    """Factor k's rows and score column hold the prior's values bit for bit:
-    rho and the loading means +0.0, the loading variances f0 / e0, the
-    score means +0.0 and variances 1."""
-    zero = np.zeros(1).tobytes()
-    for name, value in (("rho", zero), ("w_mean", zero)):
-        row = getattr(state, name).stacked[k]
-        assert row.tobytes() == zero * row.size, name
-    w_var = state.w_var.stacked[k]
-    assert w_var.tobytes() == np.full(w_var.size, hyper.f0 / hyper.e0).tobytes()
-    assert state.f_mean[:, k].tobytes() == zero * state.n_samples
-    assert state.f_var[:, k].tobytes() == np.ones(state.n_samples).tobytes()
+def assert_holds_the_active_factors(state):
+    """The state holds exactly its active factors, one row (score column)
+    each, in ascending order: what every sweep leaves."""
+    held = sorted(active_factors(state))
+    assert list(state.factors) == held
+    assert state.rho.stacked.shape[0] == state.f_mean.shape[1] == len(held)
+
+
+def holding(state, hyper, factors):
+    """A copy of state that holds the factors given, ascending: the rows of
+    those state does not hold are at the prior (oracle.full_state)."""
+    held = oracle.full_state(state, hyper)
+    _keep_rows(held, np.isin(np.arange(state.n_factors), factors))
+    return held
 
 
 def random_state(rng, n, dims, k):
@@ -706,6 +708,9 @@ class TestSweepRoutesAgree:
 
         engine.sweep(fast, data, hyper)
         reference_sweep(slow, data, hyper)
+        # the oracle's rows at fast.factors, and the prior at every other
+        assert_holds_the_active_factors(fast)
+        fast = oracle.full_state(fast, hyper)
 
         for m in range(2):
             assert_allclose(fast.rho[m], slow.rho[m], rtol=1e-9, atol=1e-9)
@@ -880,7 +885,7 @@ def per_column_sweep(state, data, hyper):
 
 
 STATE_ARRAYS = ("f_mean", "f_var", "beta_a", "beta_b", "alpha_shape",
-                "alpha_rate", "aux_s_mean", "aux_t_mean")
+                "alpha_rate", "aux_s_mean", "aux_t_mean", "factors")
 STATE_LISTS = ("rho", "w_mean", "w_var", "tau_rate")
 
 
@@ -933,13 +938,16 @@ class TestSweepMatchesPerColumnLoop:
         if gap is not None:
             for r in fast.rho:
                 r[gap] = 0.0
-        slow = fast.copy()
-        assert_states_bitwise_equal(fast, slow)
+        # the oracle runs on all K rows, the factors fast does not hold at
+        # the prior; fast's rows must be the oracle's rows at fast.factors
+        # and every other oracle row the prior, bit for bit
+        slow = oracle.full_state(fast, hyper)
         active = [sorted(active_factors(fast))]
         for _ in range(6):
             engine.sweep(fast, data, hyper)
             per_column_sweep(slow, data, hyper)
-            assert_states_bitwise_equal(fast, slow)
+            assert_holds_the_active_factors(fast)
+            assert_states_bitwise_equal(oracle.full_state(fast, hyper), slow)
             active.append(sorted(active_factors(fast)))
         sizes = [len(a) for a in active]
         assert sizes[-1] < hyper.K
@@ -1145,7 +1153,7 @@ class TestLeaveOneFactorOutProducts:
             )
             # the block's new score is its moment times the new variance
             moved = state.copy()
-            engine._score_block(moved, tau_bar, products, second, range(k), [j])
+            engine._score_block(moved, tau_bar, products, second, [j])
             self.assert_close(moved.f_mean[:, j] / moved.f_var[:, j], want)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1157,16 +1165,16 @@ class TestLeaveOneFactorOutProducts:
         state = init_state(data, hyper, seed=seed)
         for _ in range(3):
             norms = engine.sweep(state, data, hyper)
-            residual = oracle.residual(state, data)
-            # the sweep's products run over the active rows
-            kept = sorted(active_factors(state))
-            assert len(kept) < hyper.K
+            residual = oracle.residual(oracle.full_state(state, hyper), data)
+            # the sweep's products run over the rows it holds, the active ones
+            assert_holds_the_active_factors(state)
+            assert len(state.factors) < hyper.K
             for m in range(data.n_groups):
                 x = data.groups[m]
-                c = (state.rho[m] * state.w_mean[m])[kept]
+                c = state.rho[m] * state.w_mean[m]
                 built = engine._sq_norms(
                     engine._row_norms(x),
-                    state.f_mean[:, kept],
+                    state.f_mean,
                     *engine._loading_products(x, c),
                 )
                 assert norms[m].tobytes() == built.tobytes()
@@ -1255,8 +1263,7 @@ class TestSweepInvariants:
         state = init_state(data, hyper, seed=1)
         engine.sweep(state, data, hyper)
         for m in range(2):
-            for k in range(3):
-                rho_row = state.rho[m][k]
+            for rho_row in state.rho[m]:
                 nhat = bernoulli_sum_moments(rho_row)
                 ntil = bernoulli_sum_moments(1.0 - rho_row)
                 total = nhat.mean + ntil.mean
@@ -1272,8 +1279,9 @@ class TestSweepInvariants:
         state = init_state(data, hyper, seed=0)
         for _ in range(10):
             engine.sweep(state, data, hyper)
+        # every loading the state still holds is near zero
         for m in range(2):
-            assert np.max(np.abs(state.w_mean[m])) < 1e-6
+            assert np.all(np.abs(state.w_mean[m]) < 1e-6)
 
     def test_factors_outside_the_active_set_keep_their_collapsed_state(self):
         n, dims, k = 6, [5, 4], 4
@@ -1315,10 +1323,10 @@ class TestSweepInvariants:
         assert active_factors(state) == {0, 2, 3}
         before = state.copy()
         engine.sweep(state, data, hyper)
+        # both leave the state: its rows are those of factors 0 and 3
         assert active_factors(state) == {0, 3}
-        assert list(_kept_factors(state, hyper)) == [0, 3]
-        for j in (1, 2):
-            assert_at_prior(state, hyper, j)
+        assert_holds_the_active_factors(state)
+        assert [r.shape for r in state.rho] == [(2, 5), (2, 4)]
         for name in ("beta_a", "beta_b", "aux_s_mean", "aux_t_mean"):
             old, new = getattr(before, name), getattr(state, name)
             # frozen as it was for the factor inactive from the start, and
@@ -1332,8 +1340,7 @@ class TestSweepInvariants:
         for name in ("beta_a", "beta_b", "aux_s_mean", "aux_t_mean"):
             old, new = getattr(after, name), getattr(state, name)
             assert new[..., [1, 2]].tobytes() == old[..., [1, 2]].tobytes(), name
-        for j in (1, 2):
-            assert_at_prior(state, hyper, j)
+        assert list(state.factors) == [0, 3]
 
     def test_every_fitted_inactive_factor_is_at_the_prior(self):
         from cvgfa.simdata import generate, simulation1_pattern
@@ -1344,9 +1351,26 @@ class TestSweepInvariants:
         state = init_state(data, hyper, seed=0)
         inactive = set(range(hyper.K)) - active_factors(state)
         assert inactive
-        for j in inactive:
-            assert_at_prior(state, hyper, j)
-        assert list(_kept_factors(state, hyper)) == sorted(active_factors(state))
+        # held no more: the state's rows are those of the active factors
+        assert inactive.isdisjoint(state.factors.tolist())
+        assert_holds_the_active_factors(state)
+
+    def test_a_pruned_factor_never_returns(self):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=3)
+        hyper = Hyperparameters(K=12)
+        state = seeded_state(data, hyper)
+        assert list(state.factors) == list(range(hyper.K))
+        held = [list(state.factors)]
+        for _ in range(20):
+            engine.sweep(state, data, hyper)
+            state.validate()
+            assert_holds_the_active_factors(state)
+            # the factors held only ever shrink
+            assert set(state.factors.tolist()) <= set(held[-1])
+            held.append(list(state.factors))
+        assert len(held[-1]) < hyper.K
 
     def test_aux_bounded_after_sweep(self):
         data = make_dataset(seed=7, n=6, dims=(5, 3))
@@ -1420,14 +1444,14 @@ class TestScoreBlock:
 
         # the whole block, and each column's update alone
         moved = state.copy()
-        engine._score_block(moved, *inputs, range(hyper.K), active)
+        engine._score_block(moved, *inputs, active)
         assert engine.surrogate_elbo(moved, data, hyper) >= engine.surrogate_elbo(
             state, data, hyper
         )
         step = state.copy()
         for j in active:
             before = engine.surrogate_elbo(step, data, hyper)
-            engine._score_block(step, *inputs, range(hyper.K), [j])
+            engine._score_block(step, *inputs, [j])
             assert engine.surrogate_elbo(step, data, hyper) >= before
         assert_states_bitwise_equal(step, moved)
 
@@ -1442,7 +1466,7 @@ class TestScoreBlock:
         # lowers the objective: the update is the column's exact maximiser
         data, hyper, state, inputs = self.setup(seed)
         for j in range(hyper.K):
-            engine._score_block(state, *inputs, range(hyper.K), [j])
+            engine._score_block(state, *inputs, [j])
             top = engine.surrogate_elbo(state, data, hyper)
             shifts = [("f_mean", 1e-3), ("f_var", 1e-3 * state.f_var[:, j])]
             for name, shift in shifts:
@@ -1516,11 +1540,11 @@ def elbo_case(name):
     data, hyper, fitted = _fitted_acceptance()
     state = fitted.copy()
     pruned = sorted(set(range(hyper.K)) - active_factors(state))
-    assert pruned and list(_kept_factors(state, hyper)) == sorted(active_factors(state))
+    assert pruned and list(state.factors) == sorted(active_factors(state))
     if name == "fitted-kept":
-        # -0.0 takes a factor off the prior bit for bit (model._kept_factors)
-        state.w_mean.stacked[pruned[0]] = -0.0
-        assert pruned[0] in _kept_factors(state, hyper)
+        # a pruned factor's row held, exactly at the prior
+        state = holding(state, hyper, state.factors.tolist() + pruned[:1])
+        assert pruned[0] in state.factors
     return state, data, hyper
 
 
@@ -1587,7 +1611,7 @@ class TestSurrogateElbo:
         state, data, hyper = elbo_case(case)
         assert_allclose(
             engine.surrogate_elbo(state, data, hyper),
-            oracle.surrogate_elbo(state, data, hyper),
+            oracle.surrogate_elbo(oracle.full_state(state, hyper), data, hyper),
             rtol=1e-12,
         )
 
@@ -1620,9 +1644,9 @@ class TestSurrogateElbo:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_factors_at_the_prior_add_their_per_entry_terms(self, seed):
-        # a -0.0 loading mean takes a factor off the prior bit for bit
-        # (model._kept_factors) but leaves every term it adds as it was, so
-        # the per-entry route over all K rows must give the same objective
+        # a state that holds the pruned factors' rows, exactly at the prior,
+        # sums their terms entry by entry; the one without them adds the
+        # closed-form prior term instead, and the two must agree
         from cvgfa.simdata import generate, simulation1_pattern
 
         data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=seed)
@@ -1630,9 +1654,8 @@ class TestSurrogateElbo:
         state = init_state(data, hyper, seed=seed)
         pruned = sorted(set(range(hyper.K)) - active_factors(state))
         assert pruned
-        per_entry = state.copy()
-        per_entry.w_mean.stacked[pruned] = -0.0
-        assert list(_kept_factors(per_entry, hyper)) == list(range(hyper.K))
+        per_entry = oracle.full_state(state, hyper)
+        assert list(per_entry.factors) == list(range(hyper.K))
         assert_allclose(
             engine.surrogate_elbo(state, data, hyper),
             engine.surrogate_elbo(per_entry, data, hyper),
@@ -1834,7 +1857,9 @@ class TestPredictFactors:
 
 class TestConditionedMatchesOracle:
     """The once-per-command posterior gives oracle.predict_factors's
-    rebuild-per-sample values bit for bit."""
+    rebuild-per-sample values bit for bit, both over the rows the state
+    holds; against the oracle on all K rows, it gives the oracle's entries
+    at state.factors, and every other factor keeps its prior N(0, 1)."""
 
     @staticmethod
     def state_with_pruned_factor(seed):
@@ -1843,6 +1868,9 @@ class TestConditionedMatchesOracle:
         for r in state.rho:
             r[3] = 0.0  # factor 3 is pruned in every group
         assert active_factors(state) == {0, 1, 2, 4}
+        # and leaves the state, as a sweep would drop it
+        _keep_rows(state, np.array([True, True, True, False, True]))
+        assert list(state.factors) == [0, 1, 2, 4]
         return state, rng
 
     @pytest.mark.parametrize("seed", [21, 22])
@@ -1869,6 +1897,31 @@ class TestConditionedMatchesOracle:
             observed = {3: row[:25], 0: row[25:]}
             mean, _ = oracle.predict_factors(state, PRIOR, observed)
             assert np.array_equal(engine.predict_factors(posterior, observed), mean)
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    @pytest.mark.parametrize("groups", [(2, 0), (1,), (3, 2, 1, 0)])
+    def test_held_rows_are_the_oracles_at_their_ids(self, seed, groups):
+        # with factor 3 dropped, the package conditions 4 x 4 where the
+        # oracle, on all K rows, conditions 5 x 5 with factor 3 at the prior:
+        # the inverses round apart, so the held entries agree to rounding
+        state, rng = self.state_with_pruned_factor(seed)
+        held = state.factors
+        posterior = engine.condition_scores(state, PRIOR, groups)
+        for _ in range(3):
+            observed = {m: rng.standard_normal(state.dims[m]) for m in groups}
+            mean, cov = oracle.predict_factors(
+                oracle.full_state(state, PRIOR), PRIOR, observed
+            )
+            # factor 3 keeps its prior, whatever is observed
+            assert mean[3] == 0.0
+            assert np.array_equal(cov[3], np.eye(5)[3])
+            assert np.array_equal(cov[:, 3], np.eye(5)[:, 3])
+            got = engine.predict_factors(posterior, observed)
+            assert_allclose(got, mean[held], rtol=0, atol=1e-14 * np.abs(mean).max())
+            want = cov[np.ix_(held, held)]
+            assert_allclose(
+                posterior.covariance, want, rtol=0, atol=1e-14 * np.abs(want).max()
+            )
 
 
 class TestReconstructGroup:

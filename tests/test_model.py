@@ -33,10 +33,21 @@ def make_dataset(seed=0, n=6, dims=(4, 3)):
     return GroupedDataset(groups, [f"g{i}" for i in range(len(dims))])
 
 
+def seeded_state(data, hyper, seed=0):
+    """init_state's first phase alone: the warm start's state, before any
+    sweep has pruned a factor, so it holds all K."""
+    return model._seeded_start(data, hyper, seed, model.spectral_start(data, hyper))
+
+
 def assert_stacked_layout(state):
-    """Each of rho, w_mean and w_var is one C-contiguous
-    K x sum(D_m) float64 array, and its [m] is exactly group m's columns."""
-    K, dims = state.n_factors, state.dims
+    """Each of rho, w_mean and w_var is one C-contiguous K+ x sum(D_m)
+    float64 array, one row per held factor, and its [m] is exactly group
+    m's columns; f_mean and f_var are N x K+ in Fortran order."""
+    K, dims = len(state.factors), state.dims
+    for name in ("f_mean", "f_var"):
+        scores = getattr(state, name)
+        assert scores.shape == (state.n_samples, K), name
+        assert scores.flags.f_contiguous and scores.flags.writeable, name
     for name in BLOCK_FIELDS:
         blocks = getattr(state, name)
         assert isinstance(blocks, GroupBlocks), name
@@ -48,7 +59,9 @@ def assert_stacked_layout(state):
         for m, d in enumerate(dims):
             view = blocks[m]
             assert view.shape == (K, d) and view.strides == whole.strides, name
-            assert view.__array_interface__["data"][0] == start, (name, m)
+            # numpy does not move the data pointer of an empty slice
+            if K:
+                assert view.__array_interface__["data"][0] == start, (name, m)
             start += d * whole.itemsize
 
 
@@ -130,10 +143,14 @@ class TestInitState:
         assert state.n_groups == 2
         assert state.n_factors == 5
         assert state.n_samples == 6
-        assert [r.shape for r in state.rho] == [(5, 4), (5, 3)]
+        # the warm-up's sweeps drop the factors they prune
+        held = sorted(active_factors(state))
+        assert list(state.factors) == held
+        assert [r.shape for r in state.rho] == [(len(held), 4), (len(held), 3)]
         for r in state.rho:
             assert np.all(r >= 0.0) and np.all(r <= 1.0)
-        assert state.f_mean.shape == (6, 5)
+        assert state.f_mean.shape == (6, len(held))
+        assert_stacked_layout(state)
 
     def test_posterior_shaped_precisions(self):
         data = make_dataset(dims=(4, 3))
@@ -260,14 +277,16 @@ class TestInitState:
 
     def test_copy_is_deep(self):
         data = make_dataset()
-        state = init_state(data, Hyperparameters(K=4), seed=1)
+        state = seeded_state(data, Hyperparameters(K=4), seed=1)
+        state.factors = np.array([0, 1, 3, 4])
         clone = state.copy()
-        # factor 0 may be pruned, at the prior (rho 0, score mean 0)
         rho, f = state.rho[0][0, 0], state.f_mean[0, 0]
         clone.rho[0][0, 0] = 0.5 * (rho + 1.0)
         clone.f_mean[0, 0] = f + 99.0
+        clone.factors[0] = 2
         assert state.rho[0][0, 0] == rho
         assert state.f_mean[0, 0] == f
+        assert list(state.factors) == [0, 1, 3, 4]
 
 
 def svd_components(groups, k):
@@ -424,7 +443,7 @@ class TestActiveFactors:
 
     def _state_with_rho(self, rho_rows):
         data = make_dataset(dims=(len(rho_rows[0]),))
-        state = init_state(data, Hyperparameters(K=len(rho_rows)), seed=0)
+        state = seeded_state(data, Hyperparameters(K=len(rho_rows)))
         state.rho[0][...] = rho_rows
         return state
 
@@ -448,7 +467,7 @@ class TestActiveFactors:
 
     def test_max_over_groups(self):
         data = make_dataset(dims=(4, 4))
-        state = init_state(data, Hyperparameters(K=2), seed=0)
+        state = seeded_state(data, Hyperparameters(K=2))
         state.rho[0][...] = 0.0
         state.rho[1][...] = 0.0
         # factor 0: 0.006 in each group, 0.012 in all, below in every group
@@ -470,12 +489,15 @@ class TestStackedLayout:
 
     @staticmethod
     def state(seed=0):
-        # unequal widths; init_state ends with its warm-up sweeps
+        # unequal widths, four of five factors held
         data = make_dataset(seed=seed, n=8, dims=(5, 2, 7))
-        return init_state(data, Hyperparameters(K=4), seed=seed)
+        state = seeded_state(data, Hyperparameters(K=5), seed=seed)
+        model._keep_rows(state, np.arange(5) != 2)
+        return state
 
     def test_init_state_and_its_sweeps_keep_the_layout(self):
-        assert_stacked_layout(self.state())
+        data = make_dataset(n=8, dims=(5, 2, 7))
+        assert_stacked_layout(init_state(data, Hyperparameters(K=4), seed=0))
 
     def test_group_arrays_are_copied_into_the_layout(self):
         state = self.state()
@@ -518,6 +540,8 @@ class TestStackedLayout:
         state = self.state()
         other = state.copy() if how == "copy" else pickle.loads(pickle.dumps(state))
         assert_stacked_layout(other)
+        assert other.factors.tolist() == [0, 1, 3, 4]
+        assert not np.shares_memory(other.factors, state.factors)
         for name in BLOCK_FIELDS:
             a, b = getattr(state, name), getattr(other, name)
             assert a.stacked.tobytes() == b.stacked.tobytes(), name
@@ -536,3 +560,38 @@ class TestStackedLayout:
     def test_unstackable_groups_rejected(self, arrays, message):
         with pytest.raises(DataError, match=message):
             GroupBlocks.from_groups(arrays, "rho")
+
+
+
+class TestHeldFactors:
+    """VariationalState.validate on the list of held factors; the checkpoint
+    tests (test_io) reject the malformed lists a file can hold."""
+
+    @staticmethod
+    def state():
+        data = make_dataset(seed=4, n=8, dims=(5, 2, 7))
+        state = seeded_state(data, Hyperparameters(K=5), seed=4)
+        model._keep_rows(state, np.isin(np.arange(5), [0, 2, 3]))
+        return state
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            pytest.param(np.array([0.0, 2.0, 3.0]), id="float"),
+            pytest.param(np.array([True, False, True]), id="bool"),
+            pytest.param(np.array([[0, 2, 3]]), id="matrix"),
+            pytest.param([0, 2, 3], id="list"),
+        ],
+    )
+    def test_factors_must_be_an_integer_vector(self, factors):
+        state = self.state()
+        state.validate()
+        state.factors = factors
+        with pytest.raises(DataError, match="vector of integers"):
+            state.validate()
+
+    def test_scores_need_one_column_per_held_factor(self):
+        state = self.state()
+        state.f_var = state.f_var[:, :2]
+        with pytest.raises(DataError, match="one column per held factor"):
+            state.validate()
