@@ -206,6 +206,8 @@ def cmd_fit(args) -> int:
                     "converged": bool(report.converged),
                     "sweeps_run": int(report.sweeps_run),
                     "metadata": report.metadata,
+                    # exact, while the data are in memory: eval reports it
+                    "train_mse": metrics.train_mse(data, report.final_state),
                 },
                 group_names=data.group_names,
             )
@@ -292,13 +294,23 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _check_state_matches_data(state, data):
-    if (
-        state.n_groups != data.n_groups
-        or state.n_samples != data.n_samples
-        or state.dims != [x.shape[1] for x in data.groups]
-    ):
+def _check_state_matches_manifest(state, manifest):
+    dims = [entry["n_columns"] for entry in manifest["groups"]]
+    if state.n_samples != manifest["n_samples"] or state.dims != dims:
         raise DataError("checkpoint shapes do not match the dataset")
+
+
+def _recorded_train_mse(path, fit):
+    """The exact training MSE fit recorded in the checkpoint's fit block:
+    None when there is none, else a finite float >= 0."""
+    if "train_mse" not in fit:
+        return None
+    value = fit["train_mse"]
+    # a JSON number (bool is an int type); NaN fails both comparisons, and
+    # an int compares exactly, so none that float() cannot hold passes
+    if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+        raise DataError(f"{path}: fit train_mse {value!r} is not a finite number >= 0")
+    return float(value)
 
 
 def _present_rows(loadings_m, pattern_row, kinds):
@@ -308,18 +320,19 @@ def _present_rows(loadings_m, pattern_row, kinds):
 
 def cmd_eval(args) -> int:
     state, hyper, info = io.read_checkpoint(args.checkpoint)
-    data, manifest = io.read_dataset(args.dataset)
+    mse = _recorded_train_mse(args.checkpoint, info["fit"])
+    manifest = io.read_manifest(args.dataset)
     loadings, pattern, factors = io.read_truth(args.dataset, manifest)
-    _check_state_matches_data(state, data)
-    if pattern.n_groups != data.n_groups:
+    _check_state_matches_manifest(state, manifest)
+    names = io.manifest_group_names(manifest)
+    if pattern.n_groups != len(names):
         raise DataError("truth pattern does not match the dataset groups")
 
     active = _active_rows(state.rho.stacked, state.dims)
-    mse = metrics.train_mse(data, state)
 
     per_group = []
     if args.mode == "sim1":
-        for m, name in enumerate(data.group_names):
+        for m, name in enumerate(names):
             recovered = engine.expected_loadings(state, m)[active]
             truth_rows = _present_rows(loadings[m], pattern.entries[m], (SPARSE, DENSE))
             if recovered.shape[0] == 0 or truth_rows.shape[0] == 0:
@@ -336,7 +349,7 @@ def cmd_eval(args) -> int:
         extra = {}
     else:
         dense_corrs = []
-        for m, name in enumerate(data.group_names):
+        for m, name in enumerate(names):
             # all K rows, zero for the factors the state does not hold (at
             # the prior): the protocol ranks and averages over them
             g_hat = np.zeros((state.n_factors, state.dims[m]))

@@ -662,10 +662,11 @@ def fit(
     recorded per sweep but not used as the stopping rule since its collapsed
     term is approximate. Both read the squared norms the sweep returns, so
     the MSE is not exact on near noise-free data (model._sq_norms);
-    metrics.train_mse is. A NumericalError from a sweep of the fit, or a
-    non-finite objective, carries the context {"phase": "main", "sweep": n},
-    n counted from 1 as trace.csv counts it; one from the warm-up inside
-    init_state carries phase "warmup".
+    metrics.train_mse is, and cvgfa fit takes it once from the report's
+    final state for the checkpoint. A NumericalError from a sweep of the
+    fit, or a non-finite objective, carries the context {"phase": "main",
+    "sweep": n}, n counted from 1 as trace.csv counts it; one from the
+    warm-up inside init_state carries phase "warmup".
     """
     data.validate()
     hyper.validate()

@@ -33,6 +33,14 @@ VariationalState.validate checks, so a state reads back bit for bit. On a
 wide fit (K = 30, K+ = 6) this is a fifth of version 4's bytes. The
 reader takes version 5 only: a checkpoint of versions 1 to 4 is
 rejected, and its fit has to be run again.
+
+The checkpoint's "fit" block is what cvgfa fit recorded about the restart:
+"converged" (bool), "sweeps_run" (int), "metadata" (FitReport.metadata)
+and "train_mse", the exact training MSE of the final state
+(metrics.train_mse), taken while fit held the data. cvgfa eval reports
+that value and reads no group data file. The block must be a JSON object;
+read_checkpoint passes it on unread otherwise. A checkpoint written
+without fit_info has an empty block.
 """
 
 import base64
@@ -202,16 +210,20 @@ def write_dataset(out_dir, data: GroupedDataset, truth=None, generator=None):
     return os.path.join(out_dir, "manifest.json")
 
 
-def read_dataset(path):
-    """Load a dataset directory; returns (GroupedDataset, manifest dict)."""
+def read_manifest(path):
+    """The checked manifest dict of the dataset directory path.
+
+    It must list at least one group over n_samples >= 1 samples, and each
+    group a name, unique among the groups as a string, a data file and
+    n_columns >= 1. No data file is opened.
+    """
     manifest = _read_json(os.path.join(path, "manifest.json"), DATASET_FORMAT)
     n = manifest.get("n_samples")
     entries = manifest.get("groups")
-    if type(n) is not int:
-        raise DataError(f"{path}: manifest n_samples is not an integer")
+    if type(n) is not int or n < 1:
+        raise DataError(f"{path}: manifest n_samples is not a positive integer")
     if not isinstance(entries, list) or not entries:
         raise DataError(f"{path}: manifest lists no groups")
-    groups, names = [], []
     for entry in entries:
         if not isinstance(entry, dict):
             raise DataError(f"{path}: malformed group entry in manifest")
@@ -220,9 +232,28 @@ def read_dataset(path):
         n_columns = entry.get("n_columns")
         if not (name and fname and isinstance(fname, str) and type(n_columns) is int):
             raise DataError(f"{path}: malformed group entry in manifest")
-        groups.append(_read_shaped(path, fname, (n, n_columns)))
-        names.append(str(name))
-    data = GroupedDataset(groups, names).validate()
+        if n_columns < 1:
+            raise DataError(f"{path}: manifest group {name!r} has no columns")
+    names = manifest_group_names(manifest)
+    if len(set(names)) != len(names):
+        raise DataError(f"{path}: manifest group names are not unique")
+    return manifest
+
+
+def manifest_group_names(manifest):
+    """The group names of a manifest that read_manifest checked, as strings."""
+    return [str(entry["name"]) for entry in manifest["groups"]]
+
+
+def read_dataset(path):
+    """Load a dataset directory; returns (GroupedDataset, manifest dict)."""
+    manifest = read_manifest(path)
+    shape = (manifest["n_samples"],)
+    groups = [
+        _read_shaped(path, entry["data_file"], shape + (entry["n_columns"],))
+        for entry in manifest["groups"]
+    ]
+    data = GroupedDataset(groups, manifest_group_names(manifest)).validate()
     return data, manifest
 
 
@@ -412,10 +443,12 @@ def read_checkpoint(path):
             f"{path}: hyperparameter K={hyper.K!r}, but the state has "
             f"{state.n_factors} factors"
         )
-    info = {
-        "fit": obj.get("fit") or {},
-        "group_names": obj.get("group_names"),
-    }
+    fit = obj.get("fit")
+    if fit is None:
+        fit = {}
+    if not isinstance(fit, dict):
+        raise DataError(f"{path}: the fit block is not an object")
+    info = {"fit": fit, "group_names": obj.get("group_names")}
     return state, hyper, info
 
 

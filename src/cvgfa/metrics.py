@@ -184,8 +184,10 @@ def auc(scores, labels) -> float:
 def train_mse(data, state) -> float:
     """Mean squared reconstruction error over every observed cell.
 
-    Exact, unlike fit's MSE from squared norms (model._sq_norms): each
-    group's residual X - F (rho * mu_w) is formed, one group at a time.
+    Exact, unlike the sweep's MSE from squared norms (model._sq_norms):
+    each group's residual X - F (rho * mu_w) is formed and squared in one
+    N x D_m array, one group at a time. cvgfa fit records it in each
+    restart's checkpoint, and cvgfa eval reports the recorded value.
     """
     groups = [np.asarray(x) for x in data.groups]
     cells = sum(x.size for x in groups)
@@ -194,7 +196,9 @@ def train_mse(data, state) -> float:
     f = np.asarray(state.f_mean)
     sq = 0.0
     for x, rho, w in zip(groups, state.rho, state.w_mean):
-        resid = x - f @ (np.asarray(rho) * np.asarray(w))
-        sq += float((resid * resid).sum())
-        del resid  # freed before the next group's is built
+        r = f @ (np.asarray(rho) * np.asarray(w))
+        np.subtract(x, r, out=r)
+        np.multiply(r, r, out=r)
+        sq += float(r.sum())
+        del r  # freed before the next group's is built
     return sq / cells

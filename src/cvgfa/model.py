@@ -692,8 +692,9 @@ def _prior_w_var(hyper):
 # error. They are steps of their callers, not entry points, hence private
 # names; bench/tracer.py times public functions only, so their time stays
 # with the caller. The fit's training MSE (convergence monitor, trace.csv,
-# best.json) comes from these norms; metrics.train_mse, which cvgfa eval
-# reports, is exact.
+# best.json) comes from these norms. metrics.train_mse is exact: cvgfa fit
+# takes it once per restart, after the last sweep, records it in the
+# checkpoint, and cvgfa eval reports the recorded value.
 
 
 def _lambda_rate(w_mean, w_var, f0):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import oracle
-from cvgfa import cli, engine, io
+from cvgfa import cli, engine, io, metrics
 from cvgfa.model import Hyperparameters, VariationalState, _keep_rows
 
 
@@ -42,6 +42,19 @@ def sim1_fit(tmp_path_factory, sim1_dataset):
     )
     assert code == 0
     return out
+
+
+# manifests that every command reading one rejects (exit 3), by id
+MALFORMED_MANIFESTS = [
+    ("no-n_samples", lambda m: m.pop("n_samples")),
+    ("text-n_samples", lambda m: m.update(n_samples="20")),
+    ("text-group", lambda m: m.update(groups=["group_0.csv"])),
+    ("text-n_columns", lambda m: m["groups"][0].update(n_columns="abc")),
+    ("number-file", lambda m: m["groups"][0].update(data_file=5)),
+    ("zero-n_samples", lambda m: m.update(n_samples=0)),
+    ("duplicate-name", lambda m: m["groups"][2].update(name=m["groups"][0]["name"])),
+    ("zero-n_columns", lambda m: m["groups"][1].update(n_columns=0)),
+]
 
 
 class TestSimulate:
@@ -270,27 +283,33 @@ class TestFit:
         assert run_cli("fit", tmp_path / "nope", "--restarts", 1) == 3
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "command, corrupt",
         [
-            pytest.param(lambda m: m.pop("n_samples"), id="no-n_samples"),
-            pytest.param(lambda m: m.update(n_samples="20"), id="text-n_samples"),
-            pytest.param(lambda m: m.update(groups=["group_0.csv"]), id="text-group"),
-            pytest.param(
-                lambda m: m["groups"][0].update(n_columns="abc"), id="text-n_columns"
-            ),
-            pytest.param(
-                lambda m: m["groups"][0].update(data_file=5), id="number-file"
-            ),
+            # fit's cases keep their bare ids
+            pytest.param(command, corrupt, id=name if command == "fit" else f"eval-{name}")
+            for command in ("fit", "eval")
+            for name, corrupt in MALFORMED_MANIFESTS
         ],
     )
-    def test_malformed_manifest_data_error(self, tmp_path, sim1_dataset, corrupt):
+    def test_malformed_manifest_data_error(
+        self, tmp_path, sim1_dataset, sim1_fit, command, corrupt
+    ):
         ds = tmp_path / "ds"
         shutil.copytree(sim1_dataset, ds)
         manifest = json.loads((ds / "manifest.json").read_text())
         corrupt(manifest)
         (ds / "manifest.json").write_text(json.dumps(manifest))
         out = tmp_path / "out"
-        assert run_cli("fit", ds, "--restarts", 1, "--out", out) == 3
+        if command == "fit":
+            argv = ["fit", ds, "--restarts", 1]
+        else:
+            # eval reads no group data file, so the manifest alone must
+            # reject these
+            for path in ds.glob("group_*.csv"):
+                path.unlink()
+            best = json.loads((sim1_fit / "best.json").read_text())
+            argv = ["eval", sim1_fit / best["checkpoint"], ds, "--mode", "sim1"]
+        assert run_cli(*argv, "--out", out) == 3
         assert not out.exists()
 
     def test_empty_group_file_data_error(self, tmp_path, sim1_dataset, capsys):
@@ -364,6 +383,62 @@ class TestEval:
         assert stability["n_dense_selected"] == 0
         assert result["k_active"] >= 0
         assert result["train_mse"] > 0.0
+
+    def test_train_mse_is_the_exact_value_fit_recorded(
+        self, tmp_path, sim1_dataset, sim1_fit
+    ):
+        best = json.loads((sim1_fit / "best.json").read_text())
+        ckpt = sim1_fit / best["checkpoint"]
+        out = tmp_path / "eval.json"
+        assert run_cli("eval", ckpt, sim1_dataset, "--mode", "sim1", "--out", out) == 0
+        data, _ = io.read_dataset(sim1_dataset)
+        state, _, info = io.read_checkpoint(ckpt)
+        want = metrics.train_mse(data, state)
+        assert info["fit"]["train_mse"] == want
+        assert json.loads(out.read_text())["train_mse"] == want
+
+    def test_reads_no_group_data_file(self, tmp_path, sim1_dataset, sim1_fit):
+        ds = tmp_path / "ds"
+        shutil.copytree(sim1_dataset, ds)
+        gone = sorted(ds.glob("group_*.csv"))
+        assert len(gone) == 4
+        for path in gone:
+            path.unlink()
+        best = json.loads((sim1_fit / "best.json").read_text())
+        ckpt = sim1_fit / best["checkpoint"]
+        outputs = []
+        for dataset, name in ((sim1_dataset, "with"), (ds, "without")):
+            out = tmp_path / f"{name}.json"
+            assert run_cli("eval", ckpt, dataset, "--mode", "sim1", "--out", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_no_recorded_train_mse_reports_null(self, tmp_path, sim1_dataset, sim1_fit):
+        # a checkpoint written through the API without fit info
+        best = json.loads((sim1_fit / "best.json").read_text())
+        state, hyper, _ = io.read_checkpoint(sim1_fit / best["checkpoint"])
+        ckpt, out = tmp_path / "ckpt.json", tmp_path / "eval.json"
+        io.write_checkpoint(ckpt, state, hyper)
+        assert run_cli("eval", ckpt, sim1_dataset, "--mode", "sim1", "--out", out) == 0
+        result = json.loads(out.read_text())
+        assert result["train_mse"] is None
+        assert result["k_active"] == best["k_active"]
+
+    @pytest.mark.parametrize(
+        "value", ["x", True, -1.0, math.nan, math.inf, [], None, 10**400]
+    )
+    def test_bad_recorded_train_mse_data_error(
+        self, tmp_path, sim1_dataset, sim1_fit, capsys, value
+    ):
+        best = json.loads((sim1_fit / "best.json").read_text())
+        obj = json.loads((sim1_fit / best["checkpoint"]).read_text())
+        obj["fit"]["train_mse"] = value
+        ckpt, out = tmp_path / "ckpt.json", tmp_path / "eval.json"
+        # NaN and Infinity as json writes them, which json.load reads back
+        ckpt.write_text(json.dumps(obj))
+        assert run_cli("eval", ckpt, sim1_dataset, "--mode", "sim1", "--out", out) == 3
+        assert "train_mse" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_k_active_matches_best_json(self, tmp_path, sim1_dataset, sim1_fit):
         best = json.loads((sim1_fit / "best.json").read_text())

@@ -229,6 +229,49 @@ class TestDataset:
         with pytest.raises(DataError):
             io.read_dataset(tmp_path)
 
+    def test_manifest_read_without_the_group_files(self, tmp_path):
+        data = GroupedDataset([np.ones((3, 2)), np.zeros((3, 4))], ["left", "right"])
+        io.write_dataset(tmp_path, data)
+        for name in data.group_names:
+            (tmp_path / io.group_data_filename(name)).unlink()
+        manifest = io.read_manifest(tmp_path)
+        assert manifest["n_samples"] == 3
+        assert [g["n_columns"] for g in manifest["groups"]] == [2, 4]
+        assert io.manifest_group_names(manifest) == ["left", "right"]
+        with pytest.raises(DataError, match="group_left.csv"):
+            io.read_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            pytest.param(
+                lambda m: m.update(n_samples=0), "not a positive integer", id="zero-n_samples"
+            ),
+            pytest.param(
+                lambda m: m["groups"][1].update(name="left"), "not unique", id="duplicate-name"
+            ),
+            # names are read as strings, so 7 and "7" are one name
+            pytest.param(
+                lambda m: [g.update(name=n) for g, n in zip(m["groups"], [7, "7"])],
+                "not unique",
+                id="duplicate-as-string",
+            ),
+            pytest.param(
+                lambda m: m["groups"][0].update(n_columns=0), "has no columns", id="zero-n_columns"
+            ),
+        ],
+    )
+    def test_manifest_checks_of_the_dataset(self, tmp_path, corrupt, message):
+        data = GroupedDataset([np.ones((3, 2)), np.zeros((3, 4))], ["left", "right"])
+        io.write_dataset(tmp_path, data)
+        manifest_path = tmp_path / "manifest.json"
+        obj = json.loads(manifest_path.read_text())
+        corrupt(obj)
+        manifest_path.write_text(json.dumps(obj))
+        for read in (io.read_manifest, io.read_dataset):
+            with pytest.raises(DataError, match=message):
+                read(tmp_path)
+
     def test_wrong_version_rejected(self, tmp_path):
         data = GroupedDataset([np.ones((3, 2))], ["only"])
         io.write_dataset(tmp_path, data)
@@ -382,6 +425,17 @@ class TestCheckpoint:
         obj["state"]["tau_rate"][0] = encode(tau_rate)
         path.write_text(json.dumps(obj))
         with pytest.raises(DataError, match="tau"):
+            io.read_checkpoint(path)
+
+    @pytest.mark.parametrize("block", [[], "converged", 3])
+    def test_fit_block_not_an_object_rejected(self, tmp_path, block):
+        report, data, hyper = fitted_state()
+        path = tmp_path / "checkpoint.json"
+        io.write_checkpoint(path, report.final_state, hyper)
+        obj = json.loads(path.read_text())
+        obj["fit"] = block
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match="fit block"):
             io.read_checkpoint(path)
 
     def test_missing_field_rejected(self, tmp_path):
@@ -564,7 +618,8 @@ class TestCheckpointEncoding:
 
     def test_version_5_file_stores_the_rows_of_the_kept_factors(self, tmp_path):
         """checkpoint_v5.json holds the final state of fitted_state(), whose
-        fit keeps factor 0 of five, with the fit_info cvgfa fit writes."""
+        fit keeps factor 0 of five, with the fit_info cvgfa fit wrote
+        before it recorded train_mse."""
         path = DATA / "checkpoint_v5.json"
         # a plain JSON reader gets the fit summary
         with open(path, encoding="utf-8") as fh:

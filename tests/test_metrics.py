@@ -306,14 +306,29 @@ class TestTrainMse:
         )
         return SimpleNamespace(groups=groups), state
 
-    def test_bitwise_equal_to_the_group_by_group_sum(self):
-        data, state = self._random_fit(7, [5, 9, 4], 3, seed=15)
+    @staticmethod
+    def _three_temporaries(data, state):
+        """train_mse with three N x D temporaries per group: the product,
+        the residual and its square."""
         sq = 0.0
         for x, r, w in zip(data.groups, state.rho, state.w_mean):
             resid = x - state.f_mean @ (r * w)
             sq += float((resid * resid).sum())
-        want = sq / sum(x.size for x in data.groups)
-        assert train_mse(data, state) == want
+        return sq / sum(x.size for x in data.groups)
+
+    def test_bitwise_equal_to_the_group_by_group_sum(self):
+        data, state = self._random_fit(7, [5, 9, 4], 3, seed=15)
+        assert train_mse(data, state) == self._three_temporaries(data, state)
+
+    @pytest.mark.parametrize(
+        "n, width",
+        [pytest.param(100, 100, id="acceptance"), pytest.param(200, 2000, id="wide")],
+    )
+    def test_bitwise_equal_at_the_benchmark_shapes(self, n, width):
+        # the in-place steps are the same elementwise operations and the
+        # same pairwise sum over a C-ordered array
+        data, state = self._random_fit(n, [width] * 4, 6, seed=17)
+        assert train_mse(data, state) == self._three_temporaries(data, state)
 
     def test_holds_one_group_residual_at_a_time(self):
         import tracemalloc
@@ -327,7 +342,6 @@ class TestTrainMse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # at most two group-sized arrays live at once (a residual and its
-        # square, or the reconstruction and the residual taken from it);
-        # all four residuals at once would take at least 4 * one
-        assert peak < 2.5 * one
+        # one group-sized array at a time, squared in place: two at once
+        # (a residual and its square) would take at least 2 * one
+        assert peak < 1.5 * one
