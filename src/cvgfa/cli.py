@@ -28,10 +28,10 @@ from .simdata import (
     simulation2_pattern,
 )
 
-# evaluation protocol constants: loading entries below the threshold are
-# treated as zero, and the 4 densest surviving rows count as dense factors
+# evaluation protocol: loading entries below the threshold are treated as
+# zero; in sim2 mode, each group's densest surviving rows count as dense
+# factors, as many as the truth pattern has dense factors in the group
 EVAL_SPARSITY_THRESHOLD = 0.15
-EVAL_N_DENSE = 4
 
 DEFAULT_N_RESTARTS = 20
 
@@ -211,7 +211,9 @@ def cmd_fit(args) -> int:
                 },
                 group_names=data.group_names,
             )
-            io.write_trace(os.path.join(rdir, "trace.csv"), report.trace)
+            io.write_trace(
+                os.path.join(rdir, "trace.csv"), report.warmup_trace, report.trace
+            )
             final_obj, final_mse, k_active = report.trace[-1]
             rows.append(
                 {
@@ -344,18 +346,19 @@ def cmd_eval(args) -> int:
             ssi=float(np.mean([g["ssi"] for g in per_group])),
             dsi=0.0,
             per_group=per_group,
-            n_dense_selected=0,
+            n_dense_selected=[0] * len(names),
         )
         extra = {}
     else:
         dense_corrs = []
+        n_dense = [row.count(DENSE) for row in pattern.entries]
         for m, name in enumerate(names):
             # all K rows, zero for the factors the state does not hold (at
             # the prior): the protocol ranks and averages over them
             g_hat = np.zeros((state.n_factors, state.dims[m]))
             g_hat[state.factors] = engine.expected_loadings(state, m)
             sparse_hat, dense_hat = metrics.split_sparse_dense(
-                g_hat, EVAL_SPARSITY_THRESHOLD, EVAL_N_DENSE
+                g_hat, EVAL_SPARSITY_THRESHOLD, n_dense[m]
             )
             true_sparse = _present_rows(loadings[m], pattern.entries[m], (SPARSE,))
             true_dense = _present_rows(loadings[m], pattern.entries[m], (DENSE,))
@@ -382,7 +385,7 @@ def cmd_eval(args) -> int:
             ssi=float(np.mean([g["ssi_sparse"] for g in per_group])),
             dsi=float(np.mean([g["dsi_dense"] for g in per_group])),
             per_group=per_group,
-            n_dense_selected=EVAL_N_DENSE,
+            n_dense_selected=n_dense,
         )
         extra = {"dense_max_corr_mean": float(np.mean(dense_corrs))}
 

@@ -1,8 +1,9 @@
 """Coordinate-ascent inference engine.
 
 sweep() is the one implementation of the update equations, and fit()
-drives it. The per-coordinate transcriptions of the printed equations, which
-tests pin sweep() against, live with the tests (tests/oracle.py).
+drives it, through a warm-up phase and a main phase of one loop
+(_run_phase). The per-coordinate transcriptions of the printed equations,
+which tests pin sweep() against, live with the tests (tests/oracle.py).
 
 A sweep updates the loadings of every active factor first and their
 scores after, the block order of variational group factor analysis
@@ -66,7 +67,6 @@ from .model import (
     _lambda_rate,
     _loading_products,
     _loading_sums,
-    _norms_mse,
     _prior_w_var,
     _row_norms,
     _sq_norms,
@@ -104,13 +104,31 @@ def _lgamma(x):
     return _elementwise(math.lgamma, x)
 
 
+# fit's warm-up phase stops once three consecutive sweeps change the
+# training MSE by less than _WARMUP_TOL of its previous value, or after
+# _WARMUP_CAP sweeps
+_WARMUP_TOL = 5e-7
+_WARMUP_CAP = 150
+
+
 @dataclass
 class FitReport:
+    """What fit returns: the final state and one row per sweep.
+
+    trace holds one (objective, train_mse, k_active) row per sweep of the
+    main phase, warmup_trace one (None, train_mse, k_active) row per sweep
+    of the warm-up, which takes no objective. sweeps_run counts the sweeps
+    of both phases, converged is the main phase's stopping rule, and
+    metadata records the warm-up's sweep count ("warmup_sweeps") and
+    whether it stopped at its cap ("warmup_capped").
+    """
+
     final_state: VariationalState
     sweeps_run: int
-    trace: list  # one (objective, train_mse, k_active) tuple per sweep
+    trace: list
     converged: bool
     metadata: dict = field(default_factory=dict)
+    warmup_trace: list = field(default_factory=list)
 
 
 def _state_sq_norms(state, data):
@@ -528,8 +546,10 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
     E[log p(Z)], the collapsed prior on the inclusions, which uses the
     marginal's log-gamma ratios at the geometric means of the
     concentrations and the expected counts (see COLLAPSED_Z_METHOD). That
-    last term is a plug-in approximation, not a bound. The auxiliary-variable
-    terms cancel because their posteriors are exact.
+    last term is a plug-in approximation, not a bound. No auxiliary
+    variable enters the objective: the collapsed term is taken from the
+    marginal of Z itself, so eta and the table counts, which only the
+    alpha and beta updates read, add no term of their own.
 
     Only the q(alpha) and q(beta) terms take digamma: one call on the alpha
     shapes, whose exp(psi) / rate are also the geometric means the
@@ -648,25 +668,78 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
     return total
 
 
+def _norms_mse(norms, dims):
+    """Mean squared residual entry from every group's per-sample squared norms."""
+    return sum(float(r.sum()) for r in norms) / (norms[0].shape[0] * sum(dims))
+
+
+def _run_phase(state, data, hyper, phase, max_sweeps, rel_tolerance, data_norms):
+    """Sweeps state in place through one phase of fit; returns its trace
+    rows and whether its stopping rule, not max_sweeps, ended it.
+
+    Each sweep adds an (objective, train_mse, k_active) row; the warm-up
+    takes no objective and records None. A phase stops after three
+    consecutive sweeps whose relative MSE change is below its tolerance:
+    the change over the previous MSE and below _WARMUP_TOL in the warm-up,
+    over the current one and below rel_tolerance in the main phase. A
+    NumericalError from a sweep, or a non-finite main-phase objective,
+    carries the context {"phase": phase, "sweep": n}, n counted from 1
+    within the phase.
+    """
+    rows = []
+    prev = None
+    streak = 0
+    for n_sweep in range(1, int(max_sweeps) + 1):
+        try:
+            norms = sweep(state, data, hyper, _data_norms=data_norms)
+        except NumericalError as err:
+            err.context.setdefault("phase", phase)
+            err.context.setdefault("sweep", n_sweep)
+            raise
+        mse = _norms_mse(norms, data.dims)
+        objective = None
+        if phase == "main":
+            objective = surrogate_elbo(state, data, hyper, norms=norms)
+            if not (math.isfinite(objective) and math.isfinite(mse)):
+                raise NumericalError(
+                    "non-finite objective", context={"phase": phase, "sweep": n_sweep}
+                )
+        rows.append((objective, mse, len(active_factors(state))))
+        if prev is not None:
+            if phase == "main":
+                settled = abs(mse - prev) / max(mse, 1e-12) < rel_tolerance
+            else:
+                settled = abs(mse - prev) < _WARMUP_TOL * max(prev, 1e-12)
+            streak = streak + 1 if settled else 0
+        prev = mse
+        if streak >= 3:
+            return rows, True
+    return rows, False
+
+
 def fit(
     data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions, start=None
 ) -> FitReport:
-    """Initialize and sweep to convergence.
+    """Initialize, warm up and sweep to convergence.
 
     start is model.spectral_start(data, hyper), taken here when None;
     run_restarts takes it once and passes it to every restart, whose
     results are the same bit for bit as without it. Its row norms serve
-    every sweep, the warm-up's included.
-    Convergence is monitored on the training MSE: three consecutive sweeps
-    with relative change below rel_tolerance. The surrogate objective is
-    recorded per sweep but not used as the stopping rule since its collapsed
-    term is approximate. Both read the squared norms the sweep returns, so
-    the MSE is not exact on near noise-free data (model._sq_norms);
-    metrics.train_mse is, and cvgfa fit takes it once from the report's
-    final state for the checkpoint. A NumericalError from a sweep of the
-    fit, or a non-finite objective, carries the context {"phase": "main",
-    "sweep": n}, n counted from 1 as trace.csv counts it; one from the
-    warm-up inside init_state carries phase "warmup".
+    every sweep. From init_state's warm start, two phases of sweeps run
+    (_run_phase), both monitored on the training MSE. The warm-up relaxes
+    the warm start, whose first sweeps renegotiate borderline inclusions
+    and are not monotone in the MSE: it runs until three consecutive
+    relative changes fall below 5e-7, at most 150 sweeps, and takes no
+    objective. The main phase then runs until three consecutive relative
+    changes fall below rel_tolerance, at most max_sweeps sweeps, and
+    records the surrogate objective of every sweep; it is not the stopping
+    rule, since its collapsed term is approximate. Both read the squared
+    norms the sweep returns, so the MSE is not exact on near noise-free
+    data (model._sq_norms); metrics.train_mse is, and cvgfa fit takes it
+    once from the report's final state for the checkpoint. A NumericalError
+    from a sweep, or a non-finite objective, carries the context
+    {"phase": "warmup" or "main", "sweep": n}, n counted from 1 within the
+    phase.
     """
     data.validate()
     hyper.validate()
@@ -674,43 +747,24 @@ def fit(
     if start is None:
         start = spectral_start(data, hyper)
     state = init_state(data, hyper, opts.seed, start=start)
-    data_norms = start.row_norms
-    trace = []
-    prev_mse = None
-    streak = 0
-    converged = False
-    for n_sweep in range(1, int(opts.max_sweeps) + 1):
-        try:
-            norms = sweep(state, data, hyper, _data_norms=data_norms)
-        except NumericalError as err:
-            err.context.setdefault("phase", "main")
-            err.context.setdefault("sweep", n_sweep)
-            raise
-        mse = _norms_mse(norms, data.dims)
-        objective = surrogate_elbo(state, data, hyper, norms=norms)
-        if not (math.isfinite(objective) and math.isfinite(mse)):
-            raise NumericalError(
-                "non-finite objective", context={"phase": "main", "sweep": n_sweep}
-            )
-        k_active = len(active_factors(state))
-        trace.append((objective, mse, k_active))
-        if prev_mse is not None:
-            rel = abs(mse - prev_mse) / max(mse, 1e-12)
-            streak = streak + 1 if rel < opts.rel_tolerance else 0
-        prev_mse = mse
-        if streak >= 3:
-            converged = True
-            break
+    norms = start.row_norms
+    warmup, settled = _run_phase(state, data, hyper, "warmup", _WARMUP_CAP, None, norms)
+    trace, converged = _run_phase(
+        state, data, hyper, "main", opts.max_sweeps, opts.rel_tolerance, norms
+    )
     return FitReport(
         final_state=state,
-        sweeps_run=len(trace),
+        sweeps_run=len(warmup) + len(trace),
         trace=trace,
         converged=converged,
         metadata={
             "collapsed_z_term": COLLAPSED_Z_METHOD,
             "convergence_monitor": "train_mse",
             "seed": int(opts.seed),
+            "warmup_sweeps": len(warmup),
+            "warmup_capped": not settled,
         },
+        warmup_trace=warmup,
     )
 
 

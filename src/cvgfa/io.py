@@ -15,7 +15,8 @@ reader, or `python -m json.tool`, can read. Each state array is one object
 float64 bytes in C order: raw bytes round-trip bitwise by construction,
 encode identically on every run, and cost no decimal formatting or parsing,
 which took most of a wide checkpoint's read and write time. The writer
-streams one array at a time. Checkpoints carry their own version,
+encodes the state with the json module, one string per array (1.6 MB in
+all on a wide fit, K+ = 6 of 30). Checkpoints carry their own version,
 CHECKPOINT_VERSION, and store only free parameters (VariationalState):
 the q(lambda) and q(tau) shapes follow from the hyperparameters and the
 group widths, so the reader validates the hyperparameters against the
@@ -35,12 +36,19 @@ reader takes version 5 only: a checkpoint of versions 1 to 4 is
 rejected, and its fit has to be run again.
 
 The checkpoint's "fit" block is what cvgfa fit recorded about the restart:
-"converged" (bool), "sweeps_run" (int), "metadata" (FitReport.metadata)
-and "train_mse", the exact training MSE of the final state
-(metrics.train_mse), taken while fit held the data. cvgfa eval reports
-that value and reads no group data file. The block must be a JSON object;
-read_checkpoint passes it on unread otherwise. A checkpoint written
-without fit_info has an empty block.
+"converged" (bool, the main phase's stopping rule), "sweeps_run" (int,
+the sweeps of the warm-up and the main phase), "metadata"
+(FitReport.metadata, with the warm-up's "warmup_sweeps" and
+"warmup_capped") and "train_mse", the exact training MSE of the final
+state (metrics.train_mse), taken while fit held the data. cvgfa eval
+reports that value and reads no group data file. The block must be a
+JSON object; read_checkpoint passes it on unread otherwise. A checkpoint
+written without fit_info has an empty block.
+
+trace.csv has one row per sweep of a fit, numbered from 1 across the
+warm-up and the main phase, so it has sweeps_run rows: sweep, objective,
+train_mse, k_active, phase ("warmup" or "main"). A warm-up row leaves
+the objective empty, since the warm-up takes none.
 """
 
 import base64
@@ -65,7 +73,7 @@ DATASET_FORMAT = "cvgfa-dataset"
 CHECKPOINT_FORMAT = "cvgfa-checkpoint"
 FORMAT_VERSION = 1
 CHECKPOINT_VERSION = 5
-TRACE_HEADER = "sweep,objective,train_mse,k_active"
+TRACE_HEADER = "sweep,objective,train_mse,k_active,phase"
 
 HYPER_FIELDS = ("K", "kappa0", "c0", "d0", "e0", "f0", "g0", "h0")
 _COMPACT = (",", ":")
@@ -318,11 +326,11 @@ STATE_FIELDS = (
 STORED_FACTORS = "stored_factors"
 
 
-def _encode_array(a) -> str:
+def _encode_array(a):
+    """One state array as the JSON object {"shape": [...], "f8": "<base64>"}."""
     arr = np.asarray(a, dtype="<f8")
-    shape = json.dumps(list(arr.shape), separators=_COMPACT)
     text = base64.b64encode(arr.tobytes()).decode("ascii")
-    return f'{{"shape":{shape},"f8":"{text}"}}'
+    return {"shape": list(arr.shape), "f8": text}
 
 
 def _decode_array(obj) -> np.ndarray:
@@ -373,12 +381,12 @@ def _state_from_json(obj) -> VariationalState:
 
 
 def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_names=None):
-    """Compact JSON: the metadata, then the state one base64 array at a time.
+    """Compact JSON: the metadata with sorted keys, then the state.
 
-    Each array exists as bytes and text only while it is written, so no
-    encoded copy of the whole state is ever held. The state's factors are
-    listed, and its arrays written as they stand (see the module
-    docstring).
+    The state object lists its fields in STATE_FIELDS order, with the
+    state's factors in their sorted place, and its arrays as they stand
+    (see the module docstring). json.dump writes the text piece by piece,
+    so only the arrays' base64 strings are held, not the whole file.
     """
     hyperparameters = {f: getattr(hyper, f) for f in HYPER_FIELDS}
     hyperparameters["K"] = int(hyper.K)
@@ -393,27 +401,20 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
         sort_keys=True,
         separators=_COMPACT,
     )
+    fields = {}
+    for name, per_group in STATE_FIELDS:
+        if name == "tau_rate":
+            fields[STORED_FACTORS] = state.factors.tolist()
+        value = getattr(state, name)
+        if per_group:
+            fields[name] = [_encode_array(a) for a in value]
+        else:
+            fields[name] = _encode_array(value)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # the state goes last, so the metadata opens the file
-        fh.write(header[:-1])
-        fh.write(',"state":{')
-        for i, (name, per_group) in enumerate(STATE_FIELDS):
-            value = getattr(state, name)
-            if name == "tau_rate":
-                # the list's place in the sorted order of the keys
-                stored = json.dumps(state.factors.tolist(), separators=_COMPACT)
-                fh.write(f',"{STORED_FACTORS}":{stored}')
-            fh.write(f'{"," if i else ""}"{name}":')
-            if per_group:
-                fh.write("[")
-                for m, a in enumerate(value):
-                    if m:
-                        fh.write(",")
-                    fh.write(_encode_array(a))
-                fh.write("]")
-            else:
-                fh.write(_encode_array(value))
-        fh.write("}}\n")
+        fh.write(header[:-1] + ',"state":')
+        json.dump(fields, fh, separators=_COMPACT)
+        fh.write("}\n")
 
 
 def read_checkpoint(path):
@@ -452,12 +453,14 @@ def read_checkpoint(path):
     return state, hyper, info
 
 
-def write_trace(path, trace):
-    """trace.csv from fit trace rows; sweep numbering starts at 1."""
+def write_trace(path, warmup, main):
+    """trace.csv: one row per sweep of a fit, the warm-up's rows (warmup,
+    FitReport.warmup_trace) and then the main phase's (main,
+    FitReport.trace), numbered from 1 across both and named by the trailing
+    phase column. A warm-up row leaves the objective empty."""
+    rows = [(row, "warmup") for row in warmup] + [(row, "main") for row in main]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for sweep, (objective, mse, k_active) in enumerate(trace, start=1):
-            fh.write(
-                f"{sweep},{repr(float(objective))},"
-                f"{repr(float(mse))},{int(k_active)}\n"
-            )
+        for sweep, ((objective, mse, k_active), phase) in enumerate(rows, start=1):
+            text = "" if objective is None else repr(float(objective))
+            fh.write(f"{sweep},{text},{repr(float(mse))},{int(k_active)},{phase}\n")

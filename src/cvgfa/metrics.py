@@ -25,10 +25,13 @@ __all__ = [
 
 @dataclass
 class StabilityReport:
+    """cvgfa eval's indices; n_dense_selected holds, per group, the number
+    of rows the sim2 split took as dense (0 in sim1 mode)."""
+
     ssi: float
     dsi: float
     per_group: list = field(default_factory=list)
-    n_dense_selected: int = 0
+    n_dense_selected: list = field(default_factory=list)
 
 
 def abs_correlation(a, b) -> np.ndarray:

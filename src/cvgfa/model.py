@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import digamma
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, UsageError
 
 __all__ = [
     "ACTIVE_MASS",
@@ -384,9 +384,7 @@ class VariationalState:
 
 # Warm-start construction constants. Singular values above _INIT_EDGE_MULT
 # times the median count as signal; rotated loadings at least _INIT_LOADING_CUT
-# in magnitude seed confident inclusions. The relaxation phase stops once the
-# training reconstruction error is stationary to _INIT_RELAX_TOL on
-# _INIT_RELAX_STREAK consecutive passes.
+# in magnitude seed confident inclusions.
 _INIT_EDGE_MULT = 2.0
 _INIT_LOADING_CUT = 0.5
 _INIT_RHO_IN = 0.9
@@ -394,9 +392,6 @@ _INIT_RHO_OUT = 0.02
 _INIT_W_VAR = 1e-2
 _INIT_F_VAR = 1e-2
 _INIT_F_JITTER = 0.1
-_INIT_RELAX_TOL = 5e-7
-_INIT_RELAX_STREAK = 3
-_INIT_RELAX_CAP = 150
 
 
 def _varimax(loadings, max_iters=200, tol=1e-10):
@@ -488,29 +483,20 @@ def spectral_start(data: GroupedDataset, hyper: Hyperparameters) -> SpectralStar
 def init_state(
     data: GroupedDataset, hyper: Hyperparameters, seed, start=None
 ) -> VariationalState:
-    """Spectral warm start relaxed to a stationary point of the sweep cycle.
+    """The spectral warm start of one restart: a state, before any sweep.
 
-    Phase one lays out the state from the seed-free components of
-    spectral_start (start, taken here when None) and the seed. Entries of
-    the rotated signal loadings whose magnitude reaches 0.5 become confident
-    inclusions (rho 0.9, the rest 0.02). The rows of components below the
-    signal cut get no inclusion, but rho 0.02 gives each a mass of
-    0.02 D_m, at least ACTIVE_MASS: every factor starts active, and the
-    first sweeps prune those the data do not support. Loading and noise
-    precision posteriors start at their one-step updates given those
-    loadings, and the factor scores get a small seed-dependent jitter.
-    A start given here must be spectral_start(data, hyper) of the same
-    data and K; the result is then the same, bit for bit.
-
-    Phase two runs full coordinate sweeps until the training reconstruction
-    error is stationary (three consecutive relative changes below 5e-7,
-    capped at 150 passes). Fresh warm starts spend their first dozens of
-    sweeps renegotiating borderline inclusions, which is not monotone in
-    reconstruction error; relaxing here hands the caller a state already
-    settled inside its attraction basin. Its sweeps drop the inactive
-    factors from the state, as fit's do.
-    A NumericalError from one of them gains the context {"phase": "warmup",
-    "sweep": n}, n counted from 1. Deterministic given (data, seed).
+    Lays out the seed-free components of spectral_start (start, taken here
+    when None) and the seed. Entries of the rotated signal loadings whose
+    magnitude reaches 0.5 become confident inclusions (rho 0.9, the rest
+    0.02). The rows of components below the signal cut get no inclusion,
+    but rho 0.02 gives each a mass of 0.02 D_m, at least ACTIVE_MASS: the
+    state holds all K factors, every one active, and the first sweeps prune
+    those the data do not support. Loading and noise precision posteriors
+    start at their one-step updates given those loadings, and the factor
+    scores get a small seed-dependent jitter. A start given here must be
+    spectral_start(data, hyper) of the same data and K; the result is then
+    the same, bit for bit. Runs no sweep: engine.fit's warm-up phase
+    relaxes this state. Deterministic given (data, seed).
     """
     hyper.validate()
     data.validate()
@@ -518,73 +504,6 @@ def init_state(
         raise UsageError("seed must be a non-negative integer")
     if start is None:
         start = spectral_start(data, hyper)
-    state = _seeded_start(data, hyper, seed, start)
-
-    # engine imports this module at load time, hence the local import
-    from . import engine
-
-    prev = None
-    streak = 0
-    for n_sweep in range(1, _INIT_RELAX_CAP + 1):
-        try:
-            norms = engine.sweep(state, data, hyper, _data_norms=start.row_norms)
-        except NumericalError as err:
-            err.context.setdefault("phase", "warmup")
-            err.context.setdefault("sweep", n_sweep)
-            raise
-        cur = _norms_mse(norms, data.dims)
-        if prev is not None and abs(cur - prev) < _INIT_RELAX_TOL * max(prev, 1e-12):
-            streak += 1
-            if streak >= _INIT_RELAX_STREAK:
-                break
-        elif prev is not None:
-            streak = 0
-        prev = cur
-    return state
-
-
-def _principal_components(groups, k):
-    """Singular values, scores and loadings of the column-stacked data.
-
-    The stacked N x sum(D_m) matrix is never formed: its left singular
-    vectors u and squared singular values are the eigenpairs of the N x N
-    Gram matrix sum_m X_m X_m^T. Returns all min(N, sum D_m) singular values
-    in descending order, the scores sqrt(N) u of the leading k_use =
-    min(k, that count) components (N x k_use), and their loadings
-    u^T X_m / sqrt(N), one block of columns per group (k_use x sum D_m),
-    which equal the SVD's s v^T / sqrt(N). Signs are eigh's: a component and
-    its negation are the same component.
-    """
-    n = groups[0].shape[0]
-    gram = groups[0] @ groups[0].T
-    for x in groups[1:]:
-        gram += x @ x.T
-    evals, evecs = np.linalg.eigh(gram)
-    n_sv = min(n, sum(x.shape[1] for x in groups))
-    # eigh sorts ascending; rounding can leave the zero eigenvalues of
-    # rank-deficient data slightly negative
-    sv = np.sqrt(np.maximum(evals[::-1][:n_sv], 0.0))
-    u = np.ascontiguousarray(evecs[:, ::-1][:, : min(k, n_sv)])
-    del evecs
-    root_n = np.sqrt(n)
-    loads = np.empty((u.shape[1], sum(x.shape[1] for x in groups)))
-    end = 0
-    for x in groups:
-        end += x.shape[1]
-        np.matmul(u.T, x, out=loads[:, end - x.shape[1] : end])
-    loads /= root_n
-    return sv, root_n * u, loads
-
-
-def _seeded_start(
-    data: GroupedDataset, hyper: Hyperparameters, seed, start: SpectralStart
-) -> VariationalState:
-    """Phase one of init_state: the state of the spectral warm start.
-
-    Lays out start (spectral_start of the same data and K) as a state: the
-    seed's score jitter, rho and the loadings in the stacked layout, and the
-    noise precisions they imply.
-    """
     K = int(hyper.K)
     M = data.n_groups
     N = data.n_samples
@@ -632,6 +551,39 @@ def _seeded_start(
         aux_s_mean=np.zeros((M, K)),
         aux_t_mean=np.zeros((M, K)),
     )
+
+
+def _principal_components(groups, k):
+    """Singular values, scores and loadings of the column-stacked data.
+
+    The stacked N x sum(D_m) matrix is never formed: its left singular
+    vectors u and squared singular values are the eigenpairs of the N x N
+    Gram matrix sum_m X_m X_m^T. Returns all min(N, sum D_m) singular values
+    in descending order, the scores sqrt(N) u of the leading k_use =
+    min(k, that count) components (N x k_use), and their loadings
+    u^T X_m / sqrt(N), one block of columns per group (k_use x sum D_m),
+    which equal the SVD's s v^T / sqrt(N). Signs are eigh's: a component and
+    its negation are the same component.
+    """
+    n = groups[0].shape[0]
+    gram = groups[0] @ groups[0].T
+    for x in groups[1:]:
+        gram += x @ x.T
+    evals, evecs = np.linalg.eigh(gram)
+    n_sv = min(n, sum(x.shape[1] for x in groups))
+    # eigh sorts ascending; rounding can leave the zero eigenvalues of
+    # rank-deficient data slightly negative
+    sv = np.sqrt(np.maximum(evals[::-1][:n_sv], 0.0))
+    u = np.ascontiguousarray(evecs[:, ::-1][:, : min(k, n_sv)])
+    del evecs
+    root_n = np.sqrt(n)
+    loads = np.empty((u.shape[1], sum(x.shape[1] for x in groups)))
+    end = 0
+    for x in groups:
+        end += x.shape[1]
+        np.matmul(u.T, x, out=loads[:, end - x.shape[1] : end])
+    loads /= root_n
+    return sv, root_n * u, loads
 
 
 def active_factors(state: VariationalState):
@@ -688,11 +640,11 @@ def _prior_w_var(hyper):
 
 # The helpers below are shared with engine: the derived lambda rates and
 # E[log eta], the data's row norms, the data and loading products, the
-# residual's per-sample squared norms, the q(tau) update and the training
-# error. They are steps of their callers, not entry points, hence private
-# names; bench/tracer.py times public functions only, so their time stays
-# with the caller. The fit's training MSE (convergence monitor, trace.csv,
-# best.json) comes from these norms. metrics.train_mse is exact: cvgfa fit
+# residual's per-sample squared norms and the q(tau) update. They are
+# steps of their callers, not entry points, hence private names;
+# bench/tracer.py times public functions only, so their time stays with
+# the caller. The fit's training MSE (both phases' stopping rules,
+# trace.csv, best.json) comes from these norms. metrics.train_mse is exact: cvgfa fit
 # takes it once per restart, after the last sweep, records it in the
 # checkpoint, and cvgfa eval reports the recorded value.
 
@@ -719,8 +671,8 @@ def _eta_log_mean(state):
 
 def _row_norms(x):
     """||x_n||^2 of every sample n of one group: what _sq_norms reads of the
-    data alone. The data never change during a fit, so init_state and
-    engine.fit take them once and hand them to every sweep."""
+    data alone. The data never change during a fit, so spectral_start takes
+    them once (SpectralStart.row_norms), for init_state and every sweep."""
     return np.einsum("nd,nd->n", x, x)
 
 
@@ -770,8 +722,3 @@ def _expected_sq_residual(norms, f_mean, f_var, second, square):
     """
     ef2 = f_mean * f_mean + f_var
     return norms + ef2 @ second - (f_mean * f_mean) @ square
-
-
-def _norms_mse(norms, dims):
-    """Mean squared residual entry from every group's per-sample squared norms."""
-    return sum(float(r.sum()) for r in norms) / (norms[0].shape[0] * sum(dims))

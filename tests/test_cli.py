@@ -142,13 +142,36 @@ class TestFit:
         ) == 0
         lines = (out / "restart_0" / "trace.csv").read_text().splitlines()
         assert lines[0] == io.TRACE_HEADER
-        assert len(lines) == 2 and lines[1].startswith("1,")
+        # one main row, numbered after the warm-up's rows
+        main = [line for line in lines[1:] if line.endswith(",main")]
+        assert len(main) == 1 and main[0].startswith(f"{len(lines) - 1},")
+        assert lines[-1] == main[0]
+
+    def test_trace_has_a_row_for_every_sweep(self, sim1_fit):
+        agg = json.loads((sim1_fit / "aggregate.json").read_text())
+        for row in agg["restarts"]:
+            rdir = sim1_fit / row["restart_dir"]
+            _, _, info = io.read_checkpoint(rdir / "checkpoint.json")
+            fit = info["fit"]
+            lines = (rdir / "trace.csv").read_text().splitlines()
+            assert lines[0] == io.TRACE_HEADER
+            rows = [line.split(",") for line in lines[1:]]
+            n_warmup = fit["metadata"]["warmup_sweeps"]
+            # numbered from 1 across the warm-up and the main phase
+            assert len(rows) == row["sweeps_run"] == fit["sweeps_run"]
+            assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+            phases = [r[4] for r in rows]
+            assert phases == ["warmup"] * n_warmup + ["main"] * (len(rows) - n_warmup)
+            assert 0 < n_warmup < len(rows)
+            # the warm-up takes no objective; the main phase takes one
+            assert all(r[1] == "" for r in rows[:n_warmup])
+            assert all(float(r[1]) < 0.0 for r in rows[n_warmup:])
+            assert float(rows[-1][2]) == row["train_mse"]
+            assert int(rows[-1][3]) == row["k_active"]
 
     def test_aborted_restart_names_its_main_sweep(
         self, monkeypatch, tmp_path, sim1_dataset
     ):
-        from cvgfa import model
-
         sweep = cli.engine.sweep
         calls = []
 
@@ -159,7 +182,7 @@ class TestFit:
                 raise cli.engine.NumericalError("planted", context={"group": 0})
             return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(model, "_INIT_RELAX_CAP", 1)
+        monkeypatch.setattr(cli.engine, "_WARMUP_CAP", 1)
         monkeypatch.setattr(cli.engine, "sweep", spy)
         out = tmp_path / "run"
         assert run_cli(
@@ -167,7 +190,7 @@ class TestFit:
             "--max-sweeps", 5, "--out", out,
         ) == 4
         status = json.loads((out / "restart_0" / "status.json").read_text())
-        # the sweep as trace.csv would number it
+        # the sweep counted from 1 within its phase
         assert status["context"] == {"phase": "main", "sweep": 3, "group": 0}
 
     def test_defaults_recorded_in_metadata(self, tmp_path):
@@ -222,7 +245,10 @@ class TestFit:
         assert agg["truncation_defaulted"] is False
         # explicit flag wins over the config value
         assert agg["fit_options"]["max_sweeps"] == 2
-        assert agg["restarts"][0]["sweeps_run"] == 2
+        # two main sweeps after the warm-up's
+        _, _, info = io.read_checkpoint(out / "restart_9" / "checkpoint.json")
+        warmup = info["fit"]["metadata"]["warmup_sweeps"]
+        assert agg["restarts"][0]["sweeps_run"] == warmup + 2
 
     def test_unknown_config_key_usage_error(self, tmp_path, sim1_dataset):
         cfg = tmp_path / "config.json"
@@ -380,7 +406,7 @@ class TestEval:
         stability = result["stability"]
         assert len(stability["per_group"]) == 4
         assert 0.0 <= stability["ssi"] <= 1.0
-        assert stability["n_dense_selected"] == 0
+        assert stability["n_dense_selected"] == [0, 0, 0, 0]
         assert result["k_active"] >= 0
         assert result["train_mse"] > 0.0
 
@@ -487,16 +513,36 @@ class TestEval:
         ) == 0
         result = json.loads(out.read_text())
         stability = result["stability"]
-        assert stability["n_dense_selected"] == 4
+        # one dense factor in each sim2 group
+        assert stability["n_dense_selected"] == [1, 1, 1, 1]
         assert len(stability["per_group"]) == 4
         for row in stability["per_group"]:
             assert set(row) == {"group", "ssi_sparse", "dsi_dense", "dense_max_corr"}
         assert "dense_max_corr_mean" in result
 
+    def test_sim2_sparse_ssi_reads_the_sparse_rows(self, tmp_path):
+        # a sim2 group has one dense factor; when the four densest rows were
+        # taken as dense, no sparse row with an entry above the threshold
+        # was left, and the sparse SSI read 0.0 in every group
+        ds = tmp_path / "ds"
+        assert run_cli("simulate", "sim2", "--n", 20, "--seed", 0, "--out", ds) == 0
+        fit_dir = tmp_path / "run"
+        assert run_cli(
+            "fit", ds, "--k", 8, "--restarts", 1, "--out", fit_dir
+        ) == 0
+        out = tmp_path / "eval.json"
+        assert run_cli(
+            "eval", fit_dir / "restart_0" / "checkpoint.json", ds,
+            "--mode", "sim2", "--out", out,
+        ) == 0
+        stability = json.loads(out.read_text())["stability"]
+        assert stability["n_dense_selected"] == [1, 1, 1, 1]
+        assert stability["ssi"] > 0.0
+
     def test_sim2_mode_splits_all_k_rows(self, tmp_path):
-        # a state that holds fewer than the 4 dense rows the protocol
-        # selects: the split runs over all K rows, the others zero, as it
-        # does for the same state with those rows held at the prior
+        # a state that holds 2 of the K rows: the split runs over all K
+        # rows, the others zero, as it does for the same state with those
+        # rows held at the prior
         ds = tmp_path / "ds"
         assert run_cli("simulate", "sim2", "--n", 20, "--seed", 2, "--out", ds) == 0
         fit_dir = tmp_path / "run"

@@ -38,7 +38,7 @@ from cvgfa.model import (
     init_state,
     spectral_start,
 )
-from test_model import assert_stacked_layout, seeded_state
+from test_model import assert_stacked_layout, warmed_up
 
 
 def make_dataset(seed=0, n=6, dims=(4, 3)):
@@ -905,7 +905,8 @@ NINE_GROUPS = ["s..s..", ".s.s.s", "..s.s.", "...s.s", "s....s",
 
 class TestSweepMatchesPerColumnLoop:
     # K above sim1's 6 true factors; the sweep steps through every group's
-    # row of a factor at once, so unequal widths get their own cases. gap
+    # row of a factor at once, so unequal widths get their own cases.
+    # relax_cap caps fit's warm-up (None: its own cap, 0: no sweep). gap
     # names a factor pruned by hand before the first sweep, so the active
     # set is not 0, 1, ..., |A| - 1 and the sweep's batch rows are not the
     # factors' indices
@@ -925,16 +926,15 @@ class TestSweepMatchesPerColumnLoop:
     def test_bitwise_over_sweeps_with_pruning(
         self, monkeypatch, relax_cap, n, dims, k, grid, gap
     ):
-        from cvgfa import model
         from cvgfa.simdata import _from_grid, generate, simulation1_pattern
 
         if relax_cap is not None:
             # start from the bare spectral warm start, before any pruning
-            monkeypatch.setattr(model, "_INIT_RELAX_CAP", relax_cap)
+            monkeypatch.setattr(engine, "_WARMUP_CAP", relax_cap)
         pattern = simulation1_pattern() if grid is None else _from_grid(grid)
         data, _ = generate(pattern, n, dims, seed=2)
         hyper = Hyperparameters(K=k)
-        fast = init_state(data, hyper, seed=0)
+        fast, _ = warmed_up(data, hyper, seed=0)
         if gap is not None:
             for r in fast.rho:
                 r[gap] = 0.0
@@ -1162,7 +1162,7 @@ class TestLeaveOneFactorOutProducts:
 
         data, _ = generate(simulation1_pattern(), 30, [12] * 4, seed=seed)
         hyper = Hyperparameters(K=8)
-        state = init_state(data, hyper, seed=seed)
+        state, _ = warmed_up(data, hyper, seed=seed)
         for _ in range(3):
             norms = engine.sweep(state, data, hyper)
             residual = oracle.residual(oracle.full_state(state, hyper), data)
@@ -1347,8 +1347,8 @@ class TestSweepInvariants:
 
         data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=3)
         hyper = Hyperparameters(K=12)
-        # the warm-up's sweeps return states as fit's do
-        state = init_state(data, hyper, seed=0)
+        # the warm-up's sweeps return states as fit's main sweeps do
+        state, _ = warmed_up(data, hyper, seed=0)
         inactive = set(range(hyper.K)) - active_factors(state)
         assert inactive
         # held no more: the state's rows are those of the active factors
@@ -1360,7 +1360,7 @@ class TestSweepInvariants:
 
         data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=3)
         hyper = Hyperparameters(K=12)
-        state = seeded_state(data, hyper)
+        state = init_state(data, hyper, seed=0)
         assert list(state.factors) == list(range(hyper.K))
         held = [list(state.factors)]
         for _ in range(20):
@@ -1651,7 +1651,7 @@ class TestSurrogateElbo:
 
         data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=seed)
         hyper = Hyperparameters(K=12)
-        state = init_state(data, hyper, seed=seed)
+        state, _ = warmed_up(data, hyper, seed=seed)
         pruned = sorted(set(range(hyper.K)) - active_factors(state))
         assert pruned
         per_entry = oracle.full_state(state, hyper)
@@ -1688,7 +1688,8 @@ class TestFit:
         data = make_dataset(seed=10, n=6, dims=(4, 3))
         hyper = Hyperparameters(K=2)
         report = engine.fit(data, hyper, FitOptions(max_sweeps=1))
-        assert report.sweeps_run == 1
+        # one main sweep after the warm-up's
+        assert report.sweeps_run == len(report.warmup_trace) + 1
         assert len(report.trace) == 1
         assert report.converged is False
         objective, mse, k_active = report.trace[0]
@@ -1700,7 +1701,8 @@ class TestFit:
         data = make_dataset(seed=11, n=6, dims=(4, 3))
         hyper = Hyperparameters(K=2)
         report = engine.fit(data, hyper, FitOptions(max_sweeps=5))
-        assert len(report.trace) == report.sweeps_run
+        assert len(report.warmup_trace) + len(report.trace) == report.sweeps_run
+        assert report.metadata["warmup_sweeps"] == len(report.warmup_trace)
 
     def test_bitwise_deterministic(self):
         data = make_dataset(seed=12, n=8, dims=(5, 4))
@@ -1724,8 +1726,6 @@ class TestFit:
         ],
     )
     def test_abort_names_the_phase_and_sweep(self, monkeypatch, fail_at, want):
-        from cvgfa import model
-
         data = make_dataset(seed=19, n=6, dims=(4, 3))
         sweep = engine.sweep
         calls = []
@@ -1736,11 +1736,11 @@ class TestFit:
                 raise NumericalError("planted", context={"group": 1})
             return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(model, "_INIT_RELAX_CAP", 2)
+        monkeypatch.setattr(engine, "_WARMUP_CAP", 2)
         monkeypatch.setattr(engine, "sweep", spy)
         with pytest.raises(NumericalError) as info:
             engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=5))
-        # numbered from 1 within the phase, as trace.csv numbers main sweeps
+        # numbered from 1 within the phase
         assert info.value.context == dict(want, group=1)
         assert len(calls) == fail_at
 
@@ -1755,6 +1755,42 @@ class TestFit:
             warnings.simplefilter("error", RuntimeWarning)
             report = engine.fit(data, Hyperparameters(K=30), FitOptions(seed=0))
         assert report.converged
+
+    def test_warm_up_runs_inside_fit(self, monkeypatch):
+        # fit starts from init_state's warm start, sweeps it through the
+        # warm-up and then the main phase, every sweep under fit
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 30, [12] * 4, seed=1)
+        hyper = Hyperparameters(K=8)
+        state, rows = warmed_up(data, hyper, seed=3)
+        sweep = engine.sweep
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "sweep", spy)
+        report = engine.fit(data, hyper, FitOptions(max_sweeps=4, seed=3))
+        assert report.warmup_trace == rows
+        assert all(obj is None for obj, _, _ in rows)
+        assert report.metadata["warmup_sweeps"] == len(rows) >= 3
+        assert report.metadata["warmup_capped"] is False
+        assert len(calls) == report.sweeps_run == len(rows) + len(report.trace)
+        # the main phase starts from the state the warm-up left
+        again = state.copy()
+        engine.sweep(again, data, hyper)
+        first = engine.fit(data, hyper, FitOptions(max_sweeps=1, seed=3))
+        assert_states_bitwise_equal(first.final_state, again)
+
+    def test_a_warm_up_at_its_cap_is_recorded(self, monkeypatch):
+        monkeypatch.setattr(engine, "_WARMUP_CAP", 2)
+        data = make_dataset(seed=13, n=5, dims=(3,))
+        report = engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=1))
+        assert len(report.warmup_trace) == report.metadata["warmup_sweeps"] == 2
+        assert report.metadata["warmup_capped"] is True
+        assert report.sweeps_run == 3
 
     def test_metadata_names_the_collapsed_term(self):
         data = make_dataset(seed=13, n=5, dims=(3,))
@@ -1959,7 +1995,11 @@ class TestRunRestarts:
         results = engine.run_restarts(data, hyper, opts, n_restarts=3)
         assert [r["seed"] for r in results] == [5, 6, 7]
         assert all(r["error"] is None for r in results)
-        assert all(r["report"].sweeps_run == 2 for r in results)
+        assert all(len(r["report"].trace) == 2 for r in results)
+        assert all(
+            r["report"].sweeps_run == r["report"].metadata["warmup_sweeps"] + 2
+            for r in results
+        )
 
     def test_worker_count_does_not_change_results(self):
         data = make_dataset(seed=18, n=8, dims=(5, 4))

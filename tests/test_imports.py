@@ -25,3 +25,19 @@ def test_imports_are_relative_numpy_or_stdlib(path):
 
 def test_the_package_sources_are_found():
     assert {"engine.py", "io.py", "model.py"} <= {p.name for p in SOURCES}
+
+
+def test_model_imports_nothing_from_engine():
+    # engine builds on model; no import of engine, at module level or
+    # inside a function, may run the other way
+    path = Path(__file__).parent.parent / "src" / "cvgfa" / "model.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            where = f"model.py:{node.lineno}"
+            assert "engine" not in name.split("."), f"{where} imports {name}"

@@ -20,10 +20,8 @@ from cvgfa.model import (
     Hyperparameters,
     VariationalState,
     _keep_rows,
-    _seeded_start,
     active_factors,
     init_state,
-    spectral_start,
 )
 from test_engine import holding
 from test_model import BLOCK_FIELDS, assert_stacked_layout
@@ -677,7 +675,7 @@ class TestCheckpointEncoding:
         stores none, and rank reads it."""
         data, _ = simdata.generate(simdata.simulation1_pattern(), 12, [8] * 4, seed=2)
         hyper = Hyperparameters(K=5)
-        state = _seeded_start(data, hyper, 0, spectral_start(data, hyper))
+        state = init_state(data, hyper, seed=0)
         if at_prior:
             _keep_rows(state, np.zeros(5, dtype=bool))
         stored = [] if at_prior else [0, 1, 2, 3, 4]
@@ -765,21 +763,27 @@ class TestCheckpointEncoding:
 class TestTrace:
     def test_round_trip(self, tmp_path):
         # every value's repr, so float() reads each back exactly
+        warmup = [(None, 1.25, 6), (None, 1.0626462360590302, 5)]
         trace = [(-15.25, 1.0626462360590301, 5), (-14.0, 0.9, 4)]
         path = tmp_path / "trace.csv"
-        io.write_trace(path, trace)
+        io.write_trace(path, warmup, trace)
         lines = path.read_text().splitlines()
         assert lines[0] == io.TRACE_HEADER
         rows = [line.split(",") for line in lines[1:]]
-        rows = [(int(s), float(o), float(m), int(k)) for s, o, m, k in rows]
+        rows = [
+            (int(s), float(o) if o else None, float(m), int(k), p)
+            for s, o, m, k, p in rows
+        ]
         assert rows == [
-            (1, -15.25, 1.0626462360590301, 5),
-            (2, -14.0, 0.9, 4),
+            (1, None, 1.25, 6, "warmup"),
+            (2, None, 1.0626462360590302, 5, "warmup"),
+            (3, -15.25, 1.0626462360590301, 5, "main"),
+            (4, -14.0, 0.9, 4, "main"),
         ]
 
     def test_header_and_numbering(self, tmp_path):
         path = tmp_path / "trace.csv"
-        io.write_trace(path, [(0.0, 1.0, 2)])
+        io.write_trace(path, [(None, 2.0, 2)], [(0.0, 1.0, 2)])
         lines = path.read_text().splitlines()
-        assert lines[0] == "sweep,objective,train_mse,k_active"
-        assert lines[1].startswith("1,")
+        assert lines[0] == "sweep,objective,train_mse,k_active,phase"
+        assert lines[1:] == ["1,,2.0,2,warmup", "2,0.0,1.0,2,main"]

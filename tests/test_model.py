@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
-from cvgfa import model
+from cvgfa import engine, model
 from cvgfa.errors import DataError, UsageError
 from cvgfa.model import (
     ACTIVE_MASS,
@@ -33,10 +33,15 @@ def make_dataset(seed=0, n=6, dims=(4, 3)):
     return GroupedDataset(groups, [f"g{i}" for i in range(len(dims))])
 
 
-def seeded_state(data, hyper, seed=0):
-    """init_state's first phase alone: the warm start's state, before any
-    sweep has pruned a factor, so it holds all K."""
-    return model._seeded_start(data, hyper, seed, model.spectral_start(data, hyper))
+def warmed_up(data, hyper, seed):
+    """The state engine.fit's warm-up phase hands its main phase, and the
+    warm-up's trace rows: init_state's warm start swept as fit sweeps it,
+    at most engine._WARMUP_CAP times."""
+    state = init_state(data, hyper, seed)
+    rows, _ = engine._run_phase(
+        state, data, hyper, "warmup", engine._WARMUP_CAP, None, None
+    )
+    return state, rows
 
 
 def assert_stacked_layout(state):
@@ -143,7 +148,7 @@ class TestInitState:
         assert state.n_groups == 2
         assert state.n_factors == 5
         assert state.n_samples == 6
-        # the warm-up's sweeps drop the factors they prune
+        # no sweep has pruned a factor: every one is active and held
         held = sorted(active_factors(state))
         assert list(state.factors) == held
         assert [r.shape for r in state.rho] == [(len(held), 4), (len(held), 3)]
@@ -183,11 +188,10 @@ class TestInitState:
         assert len(active_factors(state)) >= 1
 
     def test_stationary_under_extra_sweep(self):
-        from cvgfa import engine
-
+        # the warm start as fit's warm-up leaves it
         data = make_dataset(seed=3, n=30, dims=(8, 6))
         hyper = Hyperparameters(K=4)
-        state = init_state(data, hyper, seed=1)
+        state, _ = warmed_up(data, hyper, seed=1)
 
         def mse(st):
             sq = 0.0
@@ -200,6 +204,17 @@ class TestInitState:
         engine.sweep(state, data, hyper)
         after = mse(state)
         assert abs(after - before) < 1e-4 * max(before, 1e-12)
+
+    def test_runs_no_sweep(self, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("init_state ran a sweep")
+
+        monkeypatch.setattr(engine, "sweep", no_sweep)
+        data = make_dataset(seed=3, n=30, dims=(8, 6))
+        state = init_state(data, Hyperparameters(K=4), seed=1)
+        # every factor still held, none pruned, q(beta) at its prior
+        assert list(state.factors) == [0, 1, 2, 3]
+        assert np.all(state.beta_a == 1.0 / 4) and not state.aux_s_mean.any()
 
     def test_k_equal_one(self):
         data = make_dataset(dims=(3,))
@@ -277,7 +292,7 @@ class TestInitState:
 
     def test_copy_is_deep(self):
         data = make_dataset()
-        state = seeded_state(data, Hyperparameters(K=4), seed=1)
+        state = init_state(data, Hyperparameters(K=4), seed=1)
         state.factors = np.array([0, 1, 3, 4])
         clone = state.copy()
         rho, f = state.rho[0][0, 0], state.f_mean[0, 0]
@@ -329,12 +344,9 @@ class TestPrincipalComponents:
 
     @staticmethod
     def assert_same_inclusions(monkeypatch, data, hyper):
-        def seeded(data, hyper):
-            return model._seeded_start(data, hyper, 0, model.spectral_start(data, hyper))
-
-        state = seeded(data, hyper)
+        state = init_state(data, hyper, 0)
         monkeypatch.setattr(model, "_principal_components", svd_components)
-        want = seeded(data, hyper)
+        want = init_state(data, hyper, 0)
         for m in range(data.n_groups):
             assert np.array_equal(state.rho[m], want.rho[m])
             assert_allclose(np.abs(state.w_mean[m]), np.abs(want.w_mean[m]), atol=1e-12)
@@ -443,7 +455,7 @@ class TestActiveFactors:
 
     def _state_with_rho(self, rho_rows):
         data = make_dataset(dims=(len(rho_rows[0]),))
-        state = seeded_state(data, Hyperparameters(K=len(rho_rows)))
+        state = init_state(data, Hyperparameters(K=len(rho_rows)), seed=0)
         state.rho[0][...] = rho_rows
         return state
 
@@ -467,7 +479,7 @@ class TestActiveFactors:
 
     def test_max_over_groups(self):
         data = make_dataset(dims=(4, 4))
-        state = seeded_state(data, Hyperparameters(K=2))
+        state = init_state(data, Hyperparameters(K=2), seed=0)
         state.rho[0][...] = 0.0
         state.rho[1][...] = 0.0
         # factor 0: 0.006 in each group, 0.012 in all, below in every group
@@ -491,7 +503,7 @@ class TestStackedLayout:
     def state(seed=0):
         # unequal widths, four of five factors held
         data = make_dataset(seed=seed, n=8, dims=(5, 2, 7))
-        state = seeded_state(data, Hyperparameters(K=5), seed=seed)
+        state = init_state(data, Hyperparameters(K=5), seed=seed)
         model._keep_rows(state, np.arange(5) != 2)
         return state
 
@@ -570,7 +582,7 @@ class TestHeldFactors:
     @staticmethod
     def state():
         data = make_dataset(seed=4, n=8, dims=(5, 2, 7))
-        state = seeded_state(data, Hyperparameters(K=5), seed=4)
+        state = init_state(data, Hyperparameters(K=5), seed=4)
         model._keep_rows(state, np.isin(np.arange(5), [0, 2, 3]))
         return state
 
