@@ -11,8 +11,8 @@
 # workload reconstructs from or evaluates unequal widths either, so
 # reconstruct from two of the groups. Run `cvgfa eval` with the group data
 # files moved aside, and require it to report the training MSE that the
-# best checkpoint records and to count the same active factors (K+) as
-# best.json. Each best checkpoint must store
+# best checkpoint records, as best.json does, and to count the same active
+# factors (K+) as best.json. Each best checkpoint must store
 # the rows of exactly those K+ factors. `cvgfa rank` reads the best
 # checkpoint, and also tests/data/checkpoint_v5.json, which stores the rows
 # of one factor of five.
@@ -49,15 +49,16 @@ python -m cvgfa.cli reconstruct "$out/a/$(best "$out/a")" --observed "$out/obser
   --observed-groups 3,0 --target 1 --out "$out/rec"
 test "$(wc -l < "$out/rec/reconstruction.csv")" -eq 60
 # eval reads no group data file: run it with them moved aside, and
-# require the training MSE that fit recorded in the best checkpoint
+# require the training MSE that fit recorded in the best checkpoint, from
+# eval and from best.json alike
 mkdir "$out/aside"
 mv "$out"/ds/group_*.csv "$out/aside/"
 python -m cvgfa.cli eval "$out/a/$(best "$out/a")" "$out/ds" --mode sim1 --out "$out/eval.json"
 mv "$out"/aside/group_*.csv "$out/ds/"
 python -c 'import json, sys
 recorded = json.load(open(sys.argv[1]))["fit"]["train_mse"]
-sys.exit(json.load(open(sys.argv[2]))["train_mse"] != recorded)' \
-  "$out/a/$(best "$out/a")" "$out/eval.json"
+sys.exit(any(json.load(open(p))["train_mse"] != recorded for p in sys.argv[2:]))' \
+  "$out/a/$(best "$out/a")" "$out/eval.json" "$out/a/best.json"
 # eval and fit read one active-factor rule (model.ACTIVE_MASS)
 k_active() {
   python -c 'import json, sys; print(json.load(open(sys.argv[1]))["k_active"])' "$1"

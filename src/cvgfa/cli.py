@@ -9,13 +9,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine, io, metrics
 from .errors import CvgfaError, DataError, NumericalError, UsageError
-from .metrics import StabilityReport
 from .model import FitOptions, Hyperparameters, _active_rows
 from .simdata import (
     ABSENT,
@@ -198,35 +197,33 @@ def cmd_fit(args) -> int:
         os.makedirs(rdir, exist_ok=True)
         if res["error"] is None:
             report = res["report"]
+            # exact, while the data are in memory: every output but trace.csv
+            # reads it
+            summary = {
+                "converged": bool(report.converged),
+                "sweeps_run": int(report.sweeps_run),
+                "train_mse": metrics.train_mse(data, report.final_state),
+            }
             io.write_checkpoint(
                 os.path.join(rdir, "checkpoint.json"),
                 report.final_state,
                 run.hyper,
-                fit_info={
-                    "converged": bool(report.converged),
-                    "sweeps_run": int(report.sweeps_run),
-                    "metadata": report.metadata,
-                    # exact, while the data are in memory: eval reports it
-                    "train_mse": metrics.train_mse(data, report.final_state),
-                },
+                fit_info=dict(summary, metadata=report.metadata),
                 group_names=data.group_names,
             )
             io.write_trace(
                 os.path.join(rdir, "trace.csv"), report.warmup_trace, report.trace
             )
-            final_obj, final_mse, k_active = report.trace[-1]
             rows.append(
-                {
-                    "seed": res["seed"],
-                    "status": "ok",
-                    "restart_dir": rdir_name,
-                    "checkpoint": f"{rdir_name}/checkpoint.json",
-                    "converged": bool(report.converged),
-                    "sweeps_run": int(report.sweeps_run),
-                    "objective": float(final_obj),
-                    "train_mse": float(final_mse),
-                    "k_active": int(k_active),
-                }
+                dict(
+                    summary,
+                    seed=res["seed"],
+                    status="ok",
+                    restart_dir=rdir_name,
+                    checkpoint=f"{rdir_name}/checkpoint.json",
+                    objective=float(report.trace[-1][0]),
+                    k_active=len(report.final_state.factors),
+                )
             )
         else:
             status = {
@@ -245,19 +242,11 @@ def cmd_fit(args) -> int:
         )
 
     best = min(ok, key=lambda r: (r["train_mse"], r["seed"]))
+    # the best restart's row, but for its status and objective
+    best_row = {k: v for k, v in best.items() if k not in ("status", "objective")}
     io.write_json(
         os.path.join(run.output_dir, "best.json"),
-        {
-            "format": "cvgfa-best",
-            "version": io.FORMAT_VERSION,
-            "seed": best["seed"],
-            "restart_dir": best["restart_dir"],
-            "checkpoint": best["checkpoint"],
-            "train_mse": best["train_mse"],
-            "k_active": best["k_active"],
-            "converged": best["converged"],
-            "sweeps_run": best["sweeps_run"],
-        },
+        dict(best_row, format="cvgfa-best", version=io.FORMAT_VERSION),
     )
 
     mses = [r["train_mse"] for r in ok]
@@ -342,12 +331,12 @@ def cmd_eval(args) -> int:
             else:
                 score = metrics.ssi(metrics.abs_correlation(truth_rows, recovered))
             per_group.append({"group": name, "ssi": score})
-        report = StabilityReport(
-            ssi=float(np.mean([g["ssi"] for g in per_group])),
-            dsi=0.0,
-            per_group=per_group,
-            n_dense_selected=[0] * len(names),
-        )
+        stability = {
+            "ssi": float(np.mean([g["ssi"] for g in per_group])),
+            "dsi": 0.0,
+            "per_group": per_group,
+            "n_dense_selected": [0] * len(names),
+        }
         extra = {}
     else:
         dense_corrs = []
@@ -381,12 +370,12 @@ def cmd_eval(args) -> int:
                     "dense_max_corr": max_corr,
                 }
             )
-        report = StabilityReport(
-            ssi=float(np.mean([g["ssi_sparse"] for g in per_group])),
-            dsi=float(np.mean([g["dsi_dense"] for g in per_group])),
-            per_group=per_group,
-            n_dense_selected=n_dense,
-        )
+        stability = {
+            "ssi": float(np.mean([g["ssi_sparse"] for g in per_group])),
+            "dsi": float(np.mean([g["dsi_dense"] for g in per_group])),
+            "per_group": per_group,
+            "n_dense_selected": n_dense,
+        }
         extra = {"dense_max_corr_mean": float(np.mean(dense_corrs))}
 
     result = {
@@ -394,7 +383,7 @@ def cmd_eval(args) -> int:
         "version": io.FORMAT_VERSION,
         "mode": args.mode,
         "checkpoint": args.checkpoint,
-        "stability": asdict(report),
+        "stability": stability,
         "k_active": int(active.sum()),
         "train_mse": mse,
     }

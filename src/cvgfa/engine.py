@@ -70,7 +70,6 @@ from .model import (
     _prior_w_var,
     _row_norms,
     _sq_norms,
-    active_factors,
     init_state,
     spectral_start,
 )
@@ -704,7 +703,7 @@ def _run_phase(state, data, hyper, phase, max_sweeps, rel_tolerance, data_norms)
                 raise NumericalError(
                     "non-finite objective", context={"phase": phase, "sweep": n_sweep}
                 )
-        rows.append((objective, mse, len(active_factors(state))))
+        rows.append((objective, mse, len(state.factors)))
         if prev is not None:
             if phase == "main":
                 settled = abs(mse - prev) / max(mse, 1e-12) < rel_tolerance
@@ -734,9 +733,10 @@ def fit(
     changes fall below rel_tolerance, at most max_sweeps sweeps, and
     records the surrogate objective of every sweep; it is not the stopping
     rule, since its collapsed term is approximate. Both read the squared
-    norms the sweep returns, so the MSE is not exact on near noise-free
-    data (model._sq_norms); metrics.train_mse is, and cvgfa fit takes it
-    once from the report's final state for the checkpoint. A NumericalError
+    norms the sweep returns, so the traced MSE is an estimate, not exact on
+    near noise-free data (model._sq_norms); metrics.train_mse is exact, and
+    cvgfa fit takes it once from the report's final state for every output
+    but trace.csv, the choice of the best restart included. A NumericalError
     from a sweep, or a non-finite objective, carries the context
     {"phase": "warmup" or "main", "sweep": n}, n counted from 1 within the
     phase.

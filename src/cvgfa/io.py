@@ -40,15 +40,19 @@ The checkpoint's "fit" block is what cvgfa fit recorded about the restart:
 the sweeps of the warm-up and the main phase), "metadata"
 (FitReport.metadata, with the warm-up's "warmup_sweeps" and
 "warmup_capped") and "train_mse", the exact training MSE of the final
-state (metrics.train_mse), taken while fit held the data. cvgfa eval
-reports that value and reads no group data file. The block must be a
-JSON object; read_checkpoint passes it on unread otherwise. A checkpoint
-written without fit_info has an empty block.
+state (metrics.train_mse), taken while fit held the data. It is the
+restart's one training MSE: best.json, aggregate.json and fit's printed
+line carry the same value, and cvgfa eval reports it and reads no group
+data file. The block must be a JSON object; read_checkpoint passes it on
+unread otherwise. A checkpoint written without fit_info has an empty
+block.
 
 trace.csv has one row per sweep of a fit, numbered from 1 across the
 warm-up and the main phase, so it has sweeps_run rows: sweep, objective,
 train_mse, k_active, phase ("warmup" or "main"). A warm-up row leaves
-the objective empty, since the warm-up takes none.
+the objective empty, since the warm-up takes none. Its train_mse is the
+sweep's estimate from squared norms (model._sq_norms), which the stopping
+rules read, not the exact value the fit block records.
 """
 
 import base64
@@ -268,29 +272,27 @@ def read_dataset(path):
 def read_truth(path, manifest=None):
     """True loadings, pattern, and factors for a simulated dataset directory.
 
-    Returns (loadings list, SparsityPattern, factors array); raises
-    DataError when the directory was not written with truth files.
+    manifest is read_manifest(path), read here when None. Returns
+    (loadings list, SparsityPattern, factors array); raises DataError when
+    the directory was not written with truth files.
     """
     if manifest is None:
-        manifest = _read_json(os.path.join(path, "manifest.json"), DATASET_FORMAT)
+        manifest = read_manifest(path)
     gen = manifest.get("generator")
     if not isinstance(gen, dict) or not gen.get("pattern_file"):
         raise DataError(f"{path} holds no simulation truth")
     for key in ("pattern_file", "factors_file"):
         if not (gen.get(key) and isinstance(gen[key], str)):
             raise DataError(f"{path}: manifest generator has no {key}")
-    entries = manifest.get("groups")
-    if not isinstance(entries, list) or not entries:
-        raise DataError(f"{path}: manifest lists no groups")
     pattern = read_pattern(os.path.join(path, gen["pattern_file"]))
     k = pattern.n_factors
-    factors = _read_shaped(path, gen["factors_file"], (manifest.get("n_samples"), k))
+    factors = _read_shaped(path, gen["factors_file"], (manifest["n_samples"], k))
     loadings = []
-    for entry in entries:
-        tname = entry.get("truth_file") if isinstance(entry, dict) else None
+    for entry in manifest["groups"]:
+        tname = entry.get("truth_file")
         if not (tname and isinstance(tname, str)):
             raise DataError(f"{path}: a group entry in the manifest has no truth file")
-        loadings.append(_read_shaped(path, tname, (k, entry.get("n_columns"))))
+        loadings.append(_read_shaped(path, tname, (k, entry["n_columns"])))
     return loadings, pattern, factors
 
 

@@ -4,14 +4,11 @@
 compares such rows across two matrices over the same D columns.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import UsageError
 
 __all__ = [
-    "StabilityReport",
     "abs_correlation",
     "ssi",
     "dsi",
@@ -21,17 +18,6 @@ __all__ = [
     "auc",
     "train_mse",
 ]
-
-
-@dataclass
-class StabilityReport:
-    """cvgfa eval's indices; n_dense_selected holds, per group, the number
-    of rows the sim2 split took as dense (0 in sim1 mode)."""
-
-    ssi: float
-    dsi: float
-    per_group: list = field(default_factory=list)
-    n_dense_selected: list = field(default_factory=list)
 
 
 def abs_correlation(a, b) -> np.ndarray:
@@ -189,8 +175,9 @@ def train_mse(data, state) -> float:
 
     Exact, unlike the sweep's MSE from squared norms (model._sq_norms):
     each group's residual X - F (rho * mu_w) is formed and squared in one
-    N x D_m array, one group at a time. cvgfa fit records it in each
-    restart's checkpoint, and cvgfa eval reports the recorded value.
+    N x D_m array, one group at a time. cvgfa fit takes it once per
+    restart for the checkpoint, best.json and aggregate.json, and cvgfa
+    eval reports the recorded value.
     """
     groups = [np.asarray(x) for x in data.groups]
     cells = sum(x.size for x in groups)

@@ -643,10 +643,10 @@ def _prior_w_var(hyper):
 # residual's per-sample squared norms and the q(tau) update. They are
 # steps of their callers, not entry points, hence private names;
 # bench/tracer.py times public functions only, so their time stays with
-# the caller. The fit's training MSE (both phases' stopping rules,
-# trace.csv, best.json) comes from these norms. metrics.train_mse is exact: cvgfa fit
-# takes it once per restart, after the last sweep, records it in the
-# checkpoint, and cvgfa eval reports the recorded value.
+# the caller. The sweeps' training MSE (both phases' stopping rules and
+# trace.csv's column) is estimated from these norms. metrics.train_mse is
+# exact: cvgfa fit takes it once per restart, after the last sweep, and
+# the checkpoint, best.json, aggregate.json and cvgfa eval all report it.
 
 
 def _lambda_rate(w_mean, w_var, f0):

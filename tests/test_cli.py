@@ -133,6 +133,7 @@ class TestFit:
         assert mses[best["seed"]] == best["train_mse"]
         state, hyper, info = io.read_checkpoint(sim1_fit / best["checkpoint"])
         assert hyper.K == 7
+        assert best["train_mse"] == info["fit"]["train_mse"]
 
     def test_max_sweeps_one_gives_one_trace_row(self, tmp_path, sim1_dataset):
         out = tmp_path / "run"
@@ -166,7 +167,10 @@ class TestFit:
             # the warm-up takes no objective; the main phase takes one
             assert all(r[1] == "" for r in rows[:n_warmup])
             assert all(float(r[1]) < 0.0 for r in rows[n_warmup:])
-            assert float(rows[-1][2]) == row["train_mse"]
+            # the row carries the exact MSE the checkpoint records; the
+            # trace's last MSE is the sweep's estimate of it
+            assert row["train_mse"] == fit["train_mse"]
+            assert float(rows[-1][2]) == pytest.approx(fit["train_mse"], rel=1e-12)
             assert int(rows[-1][3]) == row["k_active"]
 
     def test_aborted_restart_names_its_main_sweep(

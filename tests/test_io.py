@@ -200,7 +200,7 @@ class TestDataset:
             pytest.param(lambda m: m.pop("groups"), "lists no groups", id="no-groups"),
             pytest.param(
                 lambda m: m.update(groups=["truth_g0.csv"]),
-                "no truth file",
+                "malformed group entry",
                 id="text-group",
             ),
         ],
