@@ -1,9 +1,10 @@
 """Coordinate-ascent inference engine.
 
 sweep() is the one implementation of the update equations, and fit()
-drives it, through a warm-up phase and a main phase of one loop
-(_run_phase). The per-coordinate transcriptions of the printed equations,
-which tests pin sweep() against, live with the tests (tests/oracle.py).
+drives it through one loop (_run_phase): a warm-up that its one stopping
+rule ends, then _MAIN_SWEEPS sweeps that record the objective. The
+per-coordinate transcriptions of the printed equations, which tests pin
+sweep() against, live with the tests (tests/oracle.py).
 
 A sweep updates the loadings of every active factor first and their
 scores after, the block order of variational group factor analysis
@@ -103,31 +104,30 @@ def _lgamma(x):
     return _elementwise(math.lgamma, x)
 
 
-# fit's warm-up phase stops once three consecutive sweeps change the
-# training MSE by less than _WARMUP_TOL of its previous value, or after
-# _WARMUP_CAP sweeps
-_WARMUP_TOL = 5e-7
-_WARMUP_CAP = 150
+# fit's main phase: the sweeps after the warm-up that record the objective
+_MAIN_SWEEPS = 4
 
 
 @dataclass
 class FitReport:
     """What fit returns: the final state and one row per sweep.
 
-    trace holds one (objective, train_mse, k_active) row per sweep of the
-    main phase, warmup_trace one (None, train_mse, k_active) row per sweep
-    of the warm-up, which takes no objective. sweeps_run counts the sweeps
-    of both phases, converged is the main phase's stopping rule, and
-    metadata records the warm-up's sweep count ("warmup_sweeps") and
-    whether it stopped at its cap ("warmup_capped").
+    trace holds one (objective, train_mse, k_active, phase) row per sweep,
+    in the order of trace.csv: the warm-up's rows (phase "warmup"), which
+    take no objective and record None, then the main phase's ("main").
+    sweeps_run is its length. converged says whether the stopping rule,
+    not FitOptions.max_sweeps, ended the warm-up, and metadata records the
+    warm-up's sweep count ("warmup_sweeps").
     """
 
     final_state: VariationalState
-    sweeps_run: int
     trace: list
     converged: bool
     metadata: dict = field(default_factory=dict)
-    warmup_trace: list = field(default_factory=list)
+
+    @property
+    def sweeps_run(self):
+        return len(self.trace)
 
 
 def _state_sq_norms(state, data):
@@ -672,23 +672,22 @@ def _norms_mse(norms, dims):
     return sum(float(r.sum()) for r in norms) / (norms[0].shape[0] * sum(dims))
 
 
-def _run_phase(state, data, hyper, phase, max_sweeps, rel_tolerance, data_norms):
-    """Sweeps state in place through one phase of fit; returns its trace
-    rows and whether its stopping rule, not max_sweeps, ended it.
+def _run_phase(state, data, hyper, trace, phase, n_sweeps, rel_tolerance, data_norms):
+    """Sweeps state in place through one phase of fit, at most n_sweeps
+    times, appending one (objective, train_mse, k_active, phase) row per
+    sweep to trace; returns whether the stopping rule ended the phase.
 
-    Each sweep adds an (objective, train_mse, k_active) row; the warm-up
-    takes no objective and records None. A phase stops after three
-    consecutive sweeps whose relative MSE change is below its tolerance:
-    the change over the previous MSE and below _WARMUP_TOL in the warm-up,
-    over the current one and below rel_tolerance in the main phase. A
-    NumericalError from a sweep, or a non-finite main-phase objective,
-    carries the context {"phase": phase, "sweep": n}, n counted from 1
-    within the phase.
+    The rule, which the main phase (rel_tolerance None) does not have:
+    three consecutive sweeps each change the training MSE by less than
+    rel_tolerance of its previous value. The warm-up takes no objective and
+    records None. A NumericalError from a sweep, or a non-finite main-phase
+    objective, carries the context {"phase": phase, "sweep": n}, n the
+    row's number in trace.csv.
     """
-    rows = []
     prev = None
     streak = 0
-    for n_sweep in range(1, int(max_sweeps) + 1):
+    for _ in range(int(n_sweeps)):
+        n_sweep = len(trace) + 1
         try:
             norms = sweep(state, data, hyper, _data_norms=data_norms)
         except NumericalError as err:
@@ -703,43 +702,38 @@ def _run_phase(state, data, hyper, phase, max_sweeps, rel_tolerance, data_norms)
                 raise NumericalError(
                     "non-finite objective", context={"phase": phase, "sweep": n_sweep}
                 )
-        rows.append((objective, mse, len(state.factors)))
-        if prev is not None:
-            if phase == "main":
-                settled = abs(mse - prev) / max(mse, 1e-12) < rel_tolerance
-            else:
-                settled = abs(mse - prev) < _WARMUP_TOL * max(prev, 1e-12)
+        trace.append((objective, mse, len(state.factors), phase))
+        if rel_tolerance is not None and prev is not None:
+            settled = abs(mse - prev) < rel_tolerance * max(prev, 1e-12)
             streak = streak + 1 if settled else 0
         prev = mse
         if streak >= 3:
-            return rows, True
-    return rows, False
+            return True
+    return False
 
 
 def fit(
     data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions, start=None
 ) -> FitReport:
-    """Initialize, warm up and sweep to convergence.
+    """Initialize, warm up to the stopping rule, then take the main sweeps.
 
     start is model.spectral_start(data, hyper), taken here when None;
     run_restarts takes it once and passes it to every restart, whose
     results are the same bit for bit as without it. Its row norms serve
-    every sweep. From init_state's warm start, two phases of sweeps run
-    (_run_phase), both monitored on the training MSE. The warm-up relaxes
-    the warm start, whose first sweeps renegotiate borderline inclusions
-    and are not monotone in the MSE: it runs until three consecutive
-    relative changes fall below 5e-7, at most 150 sweeps, and takes no
-    objective. The main phase then runs until three consecutive relative
-    changes fall below rel_tolerance, at most max_sweeps sweeps, and
-    records the surrogate objective of every sweep; it is not the stopping
-    rule, since its collapsed term is approximate. Both read the squared
-    norms the sweep returns, so the traced MSE is an estimate, not exact on
-    near noise-free data (model._sq_norms); metrics.train_mse is exact, and
-    cvgfa fit takes it once from the report's final state for every output
-    but trace.csv, the choice of the best restart included. A NumericalError
-    from a sweep, or a non-finite objective, carries the context
-    {"phase": "warmup" or "main", "sweep": n}, n counted from 1 within the
-    phase.
+    every sweep. From init_state's warm start, the warm-up sweeps until the
+    stopping rule (_run_phase) holds at opts.rel_tolerance, at most
+    opts.max_sweeps sweeps; converged says whether the rule, not the cap,
+    ended it. Its first sweeps renegotiate the warm start's borderline
+    inclusions and are not monotone in the MSE. The main phase then runs
+    _MAIN_SWEEPS sweeps and records the surrogate objective of each, which
+    is not the stopping rule, since its collapsed term is approximate. The
+    rule reads the squared norms the sweep returns, so the traced MSE is an
+    estimate, not exact on near noise-free data (model._sq_norms);
+    metrics.train_mse is exact, and cvgfa fit takes it once from the
+    report's final state for every output but trace.csv, the choice of the
+    best restart included. A NumericalError from a sweep, or a non-finite
+    objective, carries the context {"phase": "warmup" or "main",
+    "sweep": n}, n the sweep's row in trace.csv.
     """
     data.validate()
     hyper.validate()
@@ -748,23 +742,22 @@ def fit(
         start = spectral_start(data, hyper)
     state = init_state(data, hyper, opts.seed, start=start)
     norms = start.row_norms
-    warmup, settled = _run_phase(state, data, hyper, "warmup", _WARMUP_CAP, None, norms)
-    trace, converged = _run_phase(
-        state, data, hyper, "main", opts.max_sweeps, opts.rel_tolerance, norms
+    trace = []
+    converged = _run_phase(
+        state, data, hyper, trace, "warmup", opts.max_sweeps, opts.rel_tolerance, norms
     )
+    warmup_sweeps = len(trace)
+    _run_phase(state, data, hyper, trace, "main", _MAIN_SWEEPS, None, norms)
     return FitReport(
         final_state=state,
-        sweeps_run=len(warmup) + len(trace),
         trace=trace,
         converged=converged,
         metadata={
             "collapsed_z_term": COLLAPSED_Z_METHOD,
             "convergence_monitor": "train_mse",
             "seed": int(opts.seed),
-            "warmup_sweeps": len(warmup),
-            "warmup_capped": not settled,
+            "warmup_sweeps": warmup_sweeps,
         },
-        warmup_trace=warmup,
     )
 
 

@@ -32,6 +32,6 @@ class NumericalError(CvgfaError):
         super().__init__(message)
         # context identifies where the failure happened, e.g.
         # {"phase": "main", "sweep": 3, "group": 1, "factor": 0, "column": 2};
-        # sweeps are counted from 1 within their phase ("warmup" or "main"),
-        # as trace.csv counts the main ones
+        # a sweep is its row number in trace.csv, counted from 1 across the
+        # phases ("warmup" and "main")
         self.context = dict(context) if context else {}

@@ -36,10 +36,10 @@ reader takes version 5 only: a checkpoint of versions 1 to 4 is
 rejected, and its fit has to be run again.
 
 The checkpoint's "fit" block is what cvgfa fit recorded about the restart:
-"converged" (bool, the main phase's stopping rule), "sweeps_run" (int,
-the sweeps of the warm-up and the main phase), "metadata"
-(FitReport.metadata, with the warm-up's "warmup_sweeps" and
-"warmup_capped") and "train_mse", the exact training MSE of the final
+"converged" (bool, whether the stopping rule, not max_sweeps, ended the
+warm-up), "sweeps_run" (int, the sweeps of the warm-up and the main
+phase), "metadata" (FitReport.metadata, with the warm-up's
+"warmup_sweeps") and "train_mse", the exact training MSE of the final
 state (metrics.train_mse), taken while fit held the data. It is the
 restart's one training MSE: best.json, aggregate.json and fit's printed
 line carry the same value, and cvgfa eval reports it and reads no group
@@ -52,7 +52,7 @@ warm-up and the main phase, so it has sweeps_run rows: sweep, objective,
 train_mse, k_active, phase ("warmup" or "main"). A warm-up row leaves
 the objective empty, since the warm-up takes none. Its train_mse is the
 sweep's estimate from squared norms (model._sq_norms), which the stopping
-rules read, not the exact value the fit block records.
+rule reads, not the exact value the fit block records.
 """
 
 import base64
@@ -455,14 +455,12 @@ def read_checkpoint(path):
     return state, hyper, info
 
 
-def write_trace(path, warmup, main):
-    """trace.csv: one row per sweep of a fit, the warm-up's rows (warmup,
-    FitReport.warmup_trace) and then the main phase's (main,
-    FitReport.trace), numbered from 1 across both and named by the trailing
-    phase column. A warm-up row leaves the objective empty."""
-    rows = [(row, "warmup") for row in warmup] + [(row, "main") for row in main]
+def write_trace(path, trace):
+    """trace.csv: FitReport.trace's (objective, train_mse, k_active, phase)
+    rows as they stand, numbered from 1. A warm-up row leaves the objective
+    empty."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for sweep, ((objective, mse, k_active), phase) in enumerate(rows, start=1):
+        for sweep, (objective, mse, k_active, phase) in enumerate(trace, start=1):
             text = "" if objective is None else repr(float(objective))
             fh.write(f"{sweep},{text},{repr(float(mse))},{int(k_active)},{phase}\n")

@@ -119,10 +119,11 @@ class Hyperparameters:
 
 @dataclass
 class FitOptions:
-    """Knobs for a single fit run."""
+    """Knobs for a single fit run: engine.fit's stopping rule (rel_tolerance)
+    and the most sweeps it waits for (max_sweeps)."""
 
-    max_sweeps: int = 200
-    rel_tolerance: float = 1e-5
+    max_sweeps: int = 150
+    rel_tolerance: float = 5e-7
     seed: int = 0
 
     def validate(self):
@@ -643,8 +644,8 @@ def _prior_w_var(hyper):
 # residual's per-sample squared norms and the q(tau) update. They are
 # steps of their callers, not entry points, hence private names;
 # bench/tracer.py times public functions only, so their time stays with
-# the caller. The sweeps' training MSE (both phases' stopping rules and
-# trace.csv's column) is estimated from these norms. metrics.train_mse is
+# the caller. The sweeps' training MSE (the stopping rule and trace.csv's
+# column) is estimated from these norms. metrics.train_mse is
 # exact: cvgfa fit takes it once per restart, after the last sweep, and
 # the checkpoint, best.json, aggregate.json and cvgfa eval all report it.
 

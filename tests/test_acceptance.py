@@ -249,7 +249,8 @@ def test_criterion_08_train_mse_non_increasing(sim1_runs, sim2_runs):
     transitions = 0
     for runs in (sim1_runs, sim2_runs):
         for res in runs.results:
-            trace = res["report"].trace
+            # the main phase's rows: its sweeps 3 to 4, one transition per fit
+            trace = [row for row in res["report"].trace if row[3] == "main"]
             for i in range(2, len(trace) - 1):  # transitions from sweep 3 on
                 transitions += 1
                 if trace[i + 1][1] > trace[i][1] * (1.0 + 1e-6):

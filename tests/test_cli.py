@@ -143,10 +143,35 @@ class TestFit:
         ) == 0
         lines = (out / "restart_0" / "trace.csv").read_text().splitlines()
         assert lines[0] == io.TRACE_HEADER
-        # one main row, numbered after the warm-up's rows
-        main = [line for line in lines[1:] if line.endswith(",main")]
-        assert len(main) == 1 and main[0].startswith(f"{len(lines) - 1},")
-        assert lines[-1] == main[0]
+        # one warm-up row, at the cap, then the four main rows after it
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[4] for r in rows] == ["warmup"] + ["main"] * 4
+        assert [r[0] for r in rows] == ["1", "2", "3", "4", "5"]
+
+    def test_max_sweeps_caps_every_restart(self, tmp_path, sim1_dataset):
+        out = tmp_path / "run"
+        assert run_cli(
+            "fit", sim1_dataset, "--k", 5, "--restarts", 2,
+            "--max-sweeps", 2, "--out", out,
+        ) == 0
+        agg = json.loads((out / "aggregate.json").read_text())
+        # two warm-up sweeps, too few for the stopping rule, and four main
+        for row in agg["restarts"]:
+            assert row["sweeps_run"] == 6
+            assert row["converged"] is False
+
+    def test_a_looser_tol_stops_sooner(self, tmp_path, sim1_dataset):
+        sweeps = {}
+        for tol in (None, 1e-3):
+            out = tmp_path / f"run-{tol}"
+            flags = [] if tol is None else ["--tol", tol]
+            assert run_cli(
+                "fit", sim1_dataset, "--k", 5, "--restarts", 1, *flags, "--out", out
+            ) == 0
+            (row,) = json.loads((out / "aggregate.json").read_text())["restarts"]
+            assert row["converged"] is True
+            sweeps[tol] = row["sweeps_run"]
+        assert sweeps[1e-3] < sweeps[None]
 
     def test_trace_has_a_row_for_every_sweep(self, sim1_fit):
         agg = json.loads((sim1_fit / "aggregate.json").read_text())
@@ -181,21 +206,20 @@ class TestFit:
 
         def spy(*args, **kwargs):
             calls.append(None)
-            # one warm-up sweep, then main sweeps 1 and 2; the third fails
+            # one warm-up sweep, then main sweeps 2 and 3; the fourth fails
             if len(calls) == 4:
                 raise cli.engine.NumericalError("planted", context={"group": 0})
             return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(cli.engine, "_WARMUP_CAP", 1)
         monkeypatch.setattr(cli.engine, "sweep", spy)
         out = tmp_path / "run"
         assert run_cli(
             "fit", sim1_dataset, "--k", 5, "--restarts", 1,
-            "--max-sweeps", 5, "--out", out,
+            "--max-sweeps", 1, "--out", out,
         ) == 4
         status = json.loads((out / "restart_0" / "status.json").read_text())
-        # the sweep counted from 1 within its phase
-        assert status["context"] == {"phase": "main", "sweep": 3, "group": 0}
+        # the sweep is its row number in trace.csv, counted across the phases
+        assert status["context"] == {"phase": "main", "sweep": 4, "group": 0}
 
     def test_defaults_recorded_in_metadata(self, tmp_path):
         ds = tmp_path / "ds"
@@ -249,10 +273,11 @@ class TestFit:
         assert agg["truncation_defaulted"] is False
         # explicit flag wins over the config value
         assert agg["fit_options"]["max_sweeps"] == 2
-        # two main sweeps after the warm-up's
+        # two warm-up sweeps, at the flag's cap, then the four main sweeps
         _, _, info = io.read_checkpoint(out / "restart_9" / "checkpoint.json")
         warmup = info["fit"]["metadata"]["warmup_sweeps"]
-        assert agg["restarts"][0]["sweeps_run"] == warmup + 2
+        assert warmup == 2
+        assert agg["restarts"][0]["sweeps_run"] == warmup + 4
 
     def test_unknown_config_key_usage_error(self, tmp_path, sim1_dataset):
         cfg = tmp_path / "config.json"

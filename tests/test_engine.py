@@ -906,7 +906,7 @@ NINE_GROUPS = ["s..s..", ".s.s.s", "..s.s.", "...s.s", "s....s",
 class TestSweepMatchesPerColumnLoop:
     # K above sim1's 6 true factors; the sweep steps through every group's
     # row of a factor at once, so unequal widths get their own cases.
-    # relax_cap caps fit's warm-up (None: its own cap, 0: no sweep). gap
+    # relax_cap caps fit's warm-up (None: the default cap, 0: no sweep). gap
     # names a factor pruned by hand before the first sweep, so the active
     # set is not 0, 1, ..., |A| - 1 and the sweep's batch rows are not the
     # factors' indices
@@ -923,18 +923,16 @@ class TestSweepMatchesPerColumnLoop:
             ),
         ],
     )
-    def test_bitwise_over_sweeps_with_pruning(
-        self, monkeypatch, relax_cap, n, dims, k, grid, gap
-    ):
+    def test_bitwise_over_sweeps_with_pruning(self, relax_cap, n, dims, k, grid, gap):
         from cvgfa.simdata import _from_grid, generate, simulation1_pattern
 
-        if relax_cap is not None:
-            # start from the bare spectral warm start, before any pruning
-            monkeypatch.setattr(engine, "_WARMUP_CAP", relax_cap)
         pattern = simulation1_pattern() if grid is None else _from_grid(grid)
         data, _ = generate(pattern, n, dims, seed=2)
         hyper = Hyperparameters(K=k)
-        fast, _ = warmed_up(data, hyper, seed=0)
+        # relax_cap 0 starts from the bare spectral warm start, before any
+        # pruning
+        cap = FitOptions.max_sweeps if relax_cap is None else relax_cap
+        fast, _ = warmed_up(data, hyper, seed=0, max_sweeps=cap)
         if gap is not None:
             for r in fast.rho:
                 r[gap] = 0.0
@@ -1688,21 +1686,22 @@ class TestFit:
         data = make_dataset(seed=10, n=6, dims=(4, 3))
         hyper = Hyperparameters(K=2)
         report = engine.fit(data, hyper, FitOptions(max_sweeps=1))
-        # one main sweep after the warm-up's
-        assert report.sweeps_run == len(report.warmup_trace) + 1
-        assert len(report.trace) == 1
+        # one warm-up sweep, at its cap, then the four main sweeps
+        assert [row[3] for row in report.trace] == ["warmup"] + ["main"] * 4
+        assert report.sweeps_run == 5
         assert report.converged is False
-        objective, mse, k_active = report.trace[0]
-        assert math.isfinite(objective)
-        assert mse >= 0.0
-        assert isinstance(k_active, int)
+        for objective, mse, k_active, _ in report.trace[1:]:
+            assert math.isfinite(objective)
+            assert mse >= 0.0
+            assert isinstance(k_active, int)
 
     def test_trace_length_matches_sweeps(self):
         data = make_dataset(seed=11, n=6, dims=(4, 3))
         hyper = Hyperparameters(K=2)
         report = engine.fit(data, hyper, FitOptions(max_sweeps=5))
-        assert len(report.warmup_trace) + len(report.trace) == report.sweeps_run
-        assert report.metadata["warmup_sweeps"] == len(report.warmup_trace)
+        assert len(report.trace) == report.sweeps_run
+        phases = [row[3] for row in report.trace]
+        assert report.metadata["warmup_sweeps"] == phases.count("warmup")
 
     def test_bitwise_deterministic(self):
         data = make_dataset(seed=12, n=8, dims=(5, 4))
@@ -1721,8 +1720,8 @@ class TestFit:
         "fail_at, want",
         [
             (2, {"phase": "warmup", "sweep": 2}),
-            # two warm-up sweeps, then main sweep 3 fails
-            (5, {"phase": "main", "sweep": 3}),
+            # two warm-up sweeps, then the third main sweep, row 5, fails
+            (5, {"phase": "main", "sweep": 5}),
         ],
     )
     def test_abort_names_the_phase_and_sweep(self, monkeypatch, fail_at, want):
@@ -1736,11 +1735,10 @@ class TestFit:
                 raise NumericalError("planted", context={"group": 1})
             return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "_WARMUP_CAP", 2)
         monkeypatch.setattr(engine, "sweep", spy)
         with pytest.raises(NumericalError) as info:
-            engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=5))
-        # numbered from 1 within the phase
+            engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=2))
+        # numbered as trace.csv numbers its rows, from 1 across the phases
         assert info.value.context == dict(want, group=1)
         assert len(calls) == fail_at
 
@@ -1772,25 +1770,40 @@ class TestFit:
             return sweep(*args, **kwargs)
 
         monkeypatch.setattr(engine, "sweep", spy)
-        report = engine.fit(data, hyper, FitOptions(max_sweeps=4, seed=3))
-        assert report.warmup_trace == rows
-        assert all(obj is None for obj, _, _ in rows)
+        report = engine.fit(data, hyper, FitOptions(seed=3))
+        assert report.trace[: len(rows)] == rows
+        assert all(obj is None and phase == "warmup" for obj, _, _, phase in rows)
         assert report.metadata["warmup_sweeps"] == len(rows) >= 3
-        assert report.metadata["warmup_capped"] is False
-        assert len(calls) == report.sweeps_run == len(rows) + len(report.trace)
+        assert report.converged is True
+        assert len(calls) == report.sweeps_run == len(rows) + 4
         # the main phase starts from the state the warm-up left
         again = state.copy()
-        engine.sweep(again, data, hyper)
-        first = engine.fit(data, hyper, FitOptions(max_sweeps=1, seed=3))
-        assert_states_bitwise_equal(first.final_state, again)
+        for _ in range(4):
+            engine.sweep(again, data, hyper)
+        assert_states_bitwise_equal(report.final_state, again)
 
-    def test_a_warm_up_at_its_cap_is_recorded(self, monkeypatch):
-        monkeypatch.setattr(engine, "_WARMUP_CAP", 2)
+    def test_a_warm_up_at_its_cap_is_recorded(self):
         data = make_dataset(seed=13, n=5, dims=(3,))
-        report = engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=1))
-        assert len(report.warmup_trace) == report.metadata["warmup_sweeps"] == 2
-        assert report.metadata["warmup_capped"] is True
-        assert report.sweeps_run == 3
+        report = engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=2))
+        assert report.metadata["warmup_sweeps"] == 2
+        assert [row[3] for row in report.trace] == ["warmup"] * 2 + ["main"] * 4
+        assert report.converged is False
+        assert report.sweeps_run == 6
+
+    @pytest.mark.parametrize("cap", [1, 3, 10])
+    def test_max_sweeps_bounds_the_sweeps(self, cap):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 30, [12] * 4, seed=1)
+        hyper = Hyperparameters(K=8)
+        free = engine.fit(data, hyper, FitOptions(seed=3))
+        # the rule alone would take more warm-up sweeps than the cap
+        assert free.converged and free.metadata["warmup_sweeps"] > cap
+        report = engine.fit(data, hyper, FitOptions(max_sweeps=cap, seed=3))
+        assert report.sweeps_run == cap + 4
+        assert report.metadata["warmup_sweeps"] == cap
+        assert report.converged is False
+        assert report.trace[:cap] == free.trace[:cap]
 
     def test_metadata_names_the_collapsed_term(self):
         data = make_dataset(seed=13, n=5, dims=(3,))
@@ -1995,11 +2008,9 @@ class TestRunRestarts:
         results = engine.run_restarts(data, hyper, opts, n_restarts=3)
         assert [r["seed"] for r in results] == [5, 6, 7]
         assert all(r["error"] is None for r in results)
-        assert all(len(r["report"].trace) == 2 for r in results)
-        assert all(
-            r["report"].sweeps_run == r["report"].metadata["warmup_sweeps"] + 2
-            for r in results
-        )
+        # two warm-up sweeps, at the cap, then the four main sweeps
+        assert all(len(r["report"].trace) == 6 for r in results)
+        assert all(r["report"].metadata["warmup_sweeps"] == 2 for r in results)
 
     def test_worker_count_does_not_change_results(self):
         data = make_dataset(seed=18, n=8, dims=(5, 4))

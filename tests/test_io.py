@@ -763,10 +763,14 @@ class TestCheckpointEncoding:
 class TestTrace:
     def test_round_trip(self, tmp_path):
         # every value's repr, so float() reads each back exactly
-        warmup = [(None, 1.25, 6), (None, 1.0626462360590302, 5)]
-        trace = [(-15.25, 1.0626462360590301, 5), (-14.0, 0.9, 4)]
+        trace = [
+            (None, 1.25, 6, "warmup"),
+            (None, 1.0626462360590302, 5, "warmup"),
+            (-15.25, 1.0626462360590301, 5, "main"),
+            (-14.0, 0.9, 4, "main"),
+        ]
         path = tmp_path / "trace.csv"
-        io.write_trace(path, warmup, trace)
+        io.write_trace(path, trace)
         lines = path.read_text().splitlines()
         assert lines[0] == io.TRACE_HEADER
         rows = [line.split(",") for line in lines[1:]]
@@ -783,7 +787,7 @@ class TestTrace:
 
     def test_header_and_numbering(self, tmp_path):
         path = tmp_path / "trace.csv"
-        io.write_trace(path, [(None, 2.0, 2)], [(0.0, 1.0, 2)])
+        io.write_trace(path, [(None, 2.0, 2, "warmup"), (0.0, 1.0, 2, "main")])
         lines = path.read_text().splitlines()
         assert lines[0] == "sweep,objective,train_mse,k_active,phase"
         assert lines[1:] == ["1,,2.0,2,warmup", "2,0.0,1.0,2,main"]

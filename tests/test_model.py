@@ -33,13 +33,14 @@ def make_dataset(seed=0, n=6, dims=(4, 3)):
     return GroupedDataset(groups, [f"g{i}" for i in range(len(dims))])
 
 
-def warmed_up(data, hyper, seed):
+def warmed_up(data, hyper, seed, max_sweeps=FitOptions.max_sweeps):
     """The state engine.fit's warm-up phase hands its main phase, and the
-    warm-up's trace rows: init_state's warm start swept as fit sweeps it,
-    at most engine._WARMUP_CAP times."""
+    warm-up's trace rows: init_state's warm start swept as fit sweeps it at
+    the default stopping rule, at most max_sweeps times (0: not at all)."""
     state = init_state(data, hyper, seed)
-    rows, _ = engine._run_phase(
-        state, data, hyper, "warmup", engine._WARMUP_CAP, None, None
+    rows = []
+    engine._run_phase(
+        state, data, hyper, rows, "warmup", max_sweeps, FitOptions.rel_tolerance, None
     )
     return state, rows
 
