@@ -158,12 +158,17 @@ def update_beta_params(state, hyper, k):
 
 
 def update_alpha(state, hyper):
-    """q(alpha_m) gamma (shapes, rates) of every group from its table-count
-    totals, row sums of the C-ordered M x K counts, each np.sum of its row,
-    and E[log eta_m] at the current q(alpha_m) (model._eta_log_mean)."""
+    """q(alpha_m) gamma (shapes, rates) of every group. Group m's collapsed
+    prior has one normaliser Gamma(alpha_m) / Gamma(alpha_m + D_m) per
+    factor, K in all, each augmented by its own eta_mk ~ Beta(alpha_m, D_m).
+    So the shape is c0 plus the table-count totals of all K factors, row
+    sums of the C-ordered M x K counts, each np.sum of its row, and the rate
+    d0 - sum_k E[log eta_mk] = d0 - K E[log eta_m], as q(eta_mk) does not
+    depend on k; E[log eta_m] is at the current q(alpha_m)
+    (model._eta_log_mean)."""
     totals = np.add.reduce(state.aux_s_mean, axis=-1)
     totals += np.add.reduce(state.aux_t_mean, axis=-1)
-    return hyper.c0 + totals, hyper.d0 - _eta_log_mean(state)
+    return hyper.c0 + totals, hyper.d0 - state.n_factors * _eta_log_mean(state)
 
 
 def _prior_halves(block, nhat, g_ab, g_abbar, spans):

@@ -229,9 +229,10 @@ def update_aux_s_t(state, m, k):
 
 def update_alpha(state, hyper, m):
     """q(alpha_m) gamma (shape, rate) from group m's table-count totals and
-    E[log eta_m] at the current q(alpha_m)."""
+    E[log eta_m] at the current q(alpha_m), once for each of the K
+    factors' eta_mk ~ Beta(alpha_m, D_m)."""
     totals = float(np.sum(state.aux_s_mean[m]) + np.sum(state.aux_t_mean[m]))
-    return hyper.c0 + totals, hyper.d0 - update_eta(state, m)
+    return hyper.c0 + totals, hyper.d0 - state.n_factors * update_eta(state, m)
 
 
 def update_eta(state, m):

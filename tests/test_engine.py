@@ -416,8 +416,28 @@ class TestUpdateAlpha:
         shape, rate = engine.update_alpha(state, hyper)
         assert shape.shape == rate.shape == (1,)
         assert shape[0] == pytest.approx(7.1, abs=1e-12)
-        # d0 - E[log eta] at E[alpha] = 1 and D = 3: psi(4) - psi(1) = 11/6
-        assert rate[0] == pytest.approx(0.1 + 1.0 + 0.5 + 1.0 / 3.0, abs=1e-9)
+        # d0 - K E[log eta] at K = 2, E[alpha] = 1 and D = 3, where
+        # -E[log eta] = psi(4) - psi(1) = 11/6: one eta per factor
+        assert rate[0] == pytest.approx(0.1 + 2.0 * (1.0 + 0.5 + 1.0 / 3.0), abs=1e-9)
+
+    @pytest.mark.parametrize("data_seed", [0, 1])
+    @pytest.mark.parametrize("spec", ["sim1", "sim2"])
+    def test_no_sweep_lowers_the_objective(self, spec, data_seed):
+        # with one E[log eta] per group in the rate, not one per factor,
+        # the objective fell by hundreds of nats in sweeps 4-7 of each draw
+        from cvgfa import simdata
+
+        patterns = {"sim1": simdata.simulation1_pattern, "sim2": simdata.simulation2_pattern}
+        pattern = patterns[spec]()
+        data, _ = simdata.generate(pattern, 60, [30] * 4, seed=data_seed)
+        hyper = Hyperparameters(K=12)
+        state = init_state(data, hyper, seed=0)
+        before = engine.surrogate_elbo(state, data, hyper)
+        for n_sweep in range(1, 61):
+            engine.sweep(state, data, hyper)
+            after = engine.surrogate_elbo(state, data, hyper)
+            assert after >= before, f"sweep {n_sweep}: {before} -> {after}"
+            before = after
 
     def test_prior_limit(self):
         # E[log eta] = psi(1e9) - psi(1e9 + 3), about -3e-9
