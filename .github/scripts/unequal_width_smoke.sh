@@ -16,7 +16,7 @@
 # the rows of exactly those K+ factors. `cvgfa rank` reads the best
 # checkpoint, and also tests/data/checkpoint_v5.json, which stores the rows
 # of one factor of five. A last fit with --max-sweeps 2 must stop every
-# restart's warm-up at its cap.
+# restart at its cap, with the fit's one objective on its last trace row.
 # Exits non-zero if any step fails, and removes its work directory either
 # way.
 set -eo pipefail
@@ -71,15 +71,24 @@ python -m cvgfa.cli rank "$out/a/$(best "$out/a")" --groups 1,1 --out "$out/rank
 test "$(wc -l < "$out/rank/scores.csv")" -eq 41
 python -m cvgfa.cli rank tests/data/checkpoint_v5.json --groups 0,1 --out "$out/rank_v5"
 test "$(wc -l < "$out/rank_v5/scores.csv")" -eq 9
-# --max-sweeps caps the warm-up: 2 warm-up sweeps are too few for the
-# stopping rule, so every restart has 2 warmup and 4 main trace rows and
-# reads converged: false
+# --max-sweeps caps the sweeps: 2 are too few for the stopping rule, so
+# every restart reads converged: false and has 2 trace rows, of which only
+# the last carries an objective, the one aggregate.json records
 python -m cvgfa.cli fit "$out/ds" --k 12 --restarts 2 --max-sweeps 2 --out "$out/capped"
-python -c 'import json, sys
+python -c 'import json, math, sys
 rows = json.load(open(sys.argv[1] + "/aggregate.json"))["restarts"]
 for row in rows:
     with open(sys.argv[1] + "/" + row["restart_dir"] + "/trace.csv") as fh:
-        phases = [line.rstrip("\n").rsplit(",", 1)[1] for line in fh][1:]
-    if phases != ["warmup"] * 2 + ["main"] * 4 or row["converged"] is not False:
-        sys.exit("%s: phases %s, converged %s" % (row["restart_dir"], phases, row["converged"]))' \
+        lines = fh.read().splitlines()
+    cells = [line.split(",") for line in lines[1:]]
+    ok = (
+        lines[0] == "sweep,objective,train_mse,k_active"
+        and len(cells) == 2
+        and cells[0][1] == ""
+        and math.isfinite(float(cells[1][1]))
+        and float(cells[1][1]) == row["objective"]
+        and row["converged"] is False
+    )
+    if not ok:
+        sys.exit("%s: trace %s, converged %s" % (row["restart_dir"], lines, row["converged"]))' \
   "$out/capped"

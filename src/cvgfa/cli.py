@@ -513,9 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--k", type=int, default=None, help="truncation level")
     p_fit.add_argument("--restarts", type=int, default=None)
     p_fit.add_argument("--seed", type=int, default=None, help="first restart seed")
-    cap = "most warm-up sweeps, before the 4 main ones (default 150)"
+    cap = "most sweeps per restart (default 150)"
     p_fit.add_argument("--max-sweeps", type=int, default=None, help=cap)
-    rule = "stop the warm-up at 3 relative MSE changes in a row below this (5e-7)"
+    rule = "stop at 3 relative MSE changes in a row below this (5e-7)"
     p_fit.add_argument("--tol", type=float, default=None, help=rule)
     p_fit.add_argument("--threads", type=int, default=None, help="parallel restarts")
     p_fit.add_argument("--out", default=None, help="output directory")

@@ -1,10 +1,10 @@
 """Coordinate-ascent inference engine.
 
 sweep() is the one implementation of the update equations, and fit()
-drives it through one loop (_run_phase): a warm-up that its one stopping
-rule ends, then _MAIN_SWEEPS sweeps that record the objective. The
-per-coordinate transcriptions of the printed equations, which tests pin
-sweep() against, live with the tests (tests/oracle.py).
+drives it through one loop that its one stopping rule ends, then takes
+the objective of the final state. The per-coordinate transcriptions of
+the printed equations, which tests pin sweep() against, live with the
+tests (tests/oracle.py).
 
 A sweep updates the loadings of every active factor first and their
 scores after, the block order of variational group factor analysis
@@ -104,20 +104,15 @@ def _lgamma(x):
     return _elementwise(math.lgamma, x)
 
 
-# fit's main phase: the sweeps after the warm-up that record the objective
-_MAIN_SWEEPS = 4
-
-
 @dataclass
 class FitReport:
     """What fit returns: the final state and one row per sweep.
 
-    trace holds one (objective, train_mse, k_active, phase) row per sweep,
-    in the order of trace.csv: the warm-up's rows (phase "warmup"), which
-    take no objective and record None, then the main phase's ("main").
-    sweeps_run is its length. converged says whether the stopping rule,
-    not FitOptions.max_sweeps, ended the warm-up, and metadata records the
-    warm-up's sweep count ("warmup_sweeps").
+    trace holds one (objective, train_mse, k_active) row per sweep, in the
+    order of trace.csv. Only the last row has an objective, that of the
+    final state; every other row records None. sweeps_run is its length,
+    and converged says whether the stopping rule, not
+    FitOptions.max_sweeps, ended the loop.
     """
 
     final_state: VariationalState
@@ -677,68 +672,29 @@ def _norms_mse(norms, dims):
     return sum(float(r.sum()) for r in norms) / (norms[0].shape[0] * sum(dims))
 
 
-def _run_phase(state, data, hyper, trace, phase, n_sweeps, rel_tolerance, data_norms):
-    """Sweeps state in place through one phase of fit, at most n_sweeps
-    times, appending one (objective, train_mse, k_active, phase) row per
-    sweep to trace; returns whether the stopping rule ended the phase.
-
-    The rule, which the main phase (rel_tolerance None) does not have:
-    three consecutive sweeps each change the training MSE by less than
-    rel_tolerance of its previous value. The warm-up takes no objective and
-    records None. A NumericalError from a sweep, or a non-finite main-phase
-    objective, carries the context {"phase": phase, "sweep": n}, n the
-    row's number in trace.csv.
-    """
-    prev = None
-    streak = 0
-    for _ in range(int(n_sweeps)):
-        n_sweep = len(trace) + 1
-        try:
-            norms = sweep(state, data, hyper, _data_norms=data_norms)
-        except NumericalError as err:
-            err.context.setdefault("phase", phase)
-            err.context.setdefault("sweep", n_sweep)
-            raise
-        mse = _norms_mse(norms, data.dims)
-        objective = None
-        if phase == "main":
-            objective = surrogate_elbo(state, data, hyper, norms=norms)
-            if not (math.isfinite(objective) and math.isfinite(mse)):
-                raise NumericalError(
-                    "non-finite objective", context={"phase": phase, "sweep": n_sweep}
-                )
-        trace.append((objective, mse, len(state.factors), phase))
-        if rel_tolerance is not None and prev is not None:
-            settled = abs(mse - prev) < rel_tolerance * max(prev, 1e-12)
-            streak = streak + 1 if settled else 0
-        prev = mse
-        if streak >= 3:
-            return True
-    return False
-
-
 def fit(
     data: GroupedDataset, hyper: Hyperparameters, opts: FitOptions, start=None
 ) -> FitReport:
-    """Initialize, warm up to the stopping rule, then take the main sweeps.
+    """Initialize, then sweep until the stopping rule holds.
 
     start is model.spectral_start(data, hyper), taken here when None;
     run_restarts takes it once and passes it to every restart, whose
     results are the same bit for bit as without it. Its row norms serve
-    every sweep. From init_state's warm start, the warm-up sweeps until the
-    stopping rule (_run_phase) holds at opts.rel_tolerance, at most
-    opts.max_sweeps sweeps; converged says whether the rule, not the cap,
-    ended it. Its first sweeps renegotiate the warm start's borderline
-    inclusions and are not monotone in the MSE. The main phase then runs
-    _MAIN_SWEEPS sweeps and records the surrogate objective of each, which
-    is not the stopping rule, since its collapsed term is approximate. The
-    rule reads the squared norms the sweep returns, so the traced MSE is an
-    estimate, not exact on near noise-free data (model._sq_norms);
-    metrics.train_mse is exact, and cvgfa fit takes it once from the
-    report's final state for every output but trace.csv, the choice of the
-    best restart included. A NumericalError from a sweep, or a non-finite
-    objective, carries the context {"phase": "warmup" or "main",
-    "sweep": n}, n the sweep's row in trace.csv.
+    every sweep. From init_state's warm start, fit sweeps until three
+    consecutive sweeps each change the training MSE by less than
+    opts.rel_tolerance of its previous value, at most opts.max_sweeps
+    sweeps; converged says whether the rule, not the cap, ended the loop.
+    The first sweeps renegotiate the warm start's borderline inclusions
+    and are not monotone in the MSE. The rule reads the squared norms the
+    sweep returns, so the traced MSE is an estimate, not exact on near
+    noise-free data (model._sq_norms); metrics.train_mse is exact, and
+    cvgfa fit takes it once from the report's final state for every output
+    but trace.csv, the choice of the best restart included. The surrogate
+    objective, which is not the rule since its collapsed term is
+    approximate, is taken once, of the final state with the last sweep's
+    norms, and fills the last trace row. A NumericalError from a sweep, or
+    a non-finite final objective, carries the context {"sweep": n}, n the
+    sweep's row in trace.csv.
     """
     data.validate()
     hyper.validate()
@@ -746,22 +702,32 @@ def fit(
     if start is None:
         start = spectral_start(data, hyper)
     state = init_state(data, hyper, opts.seed, start=start)
-    norms = start.row_norms
     trace = []
-    converged = _run_phase(
-        state, data, hyper, trace, "warmup", opts.max_sweeps, opts.rel_tolerance, norms
-    )
-    warmup_sweeps = len(trace)
-    _run_phase(state, data, hyper, trace, "main", _MAIN_SWEEPS, None, norms)
+    streak = 0
+    while streak < 3 and len(trace) < int(opts.max_sweeps):
+        try:
+            norms = sweep(state, data, hyper, _data_norms=start.row_norms)
+        except NumericalError as err:
+            err.context.setdefault("sweep", len(trace) + 1)
+            raise
+        mse = _norms_mse(norms, data.dims)
+        if trace:
+            prev = trace[-1][1]
+            settled = abs(mse - prev) < opts.rel_tolerance * max(prev, 1e-12)
+            streak = streak + 1 if settled else 0
+        trace.append((None, mse, len(state.factors)))
+    objective = surrogate_elbo(state, data, hyper, norms=norms)
+    if not (math.isfinite(objective) and math.isfinite(mse)):
+        raise NumericalError("non-finite objective", context={"sweep": len(trace)})
+    trace[-1] = (objective,) + trace[-1][1:]
     return FitReport(
         final_state=state,
         trace=trace,
-        converged=converged,
+        converged=streak >= 3,
         metadata={
             "collapsed_z_term": COLLAPSED_Z_METHOD,
             "convergence_monitor": "train_mse",
             "seed": int(opts.seed),
-            "warmup_sweeps": warmup_sweeps,
         },
     )
 

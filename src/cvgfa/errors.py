@@ -31,7 +31,6 @@ class NumericalError(CvgfaError):
     def __init__(self, message, context=None):
         super().__init__(message)
         # context identifies where the failure happened, e.g.
-        # {"phase": "main", "sweep": 3, "group": 1, "factor": 0, "column": 2};
-        # a sweep is its row number in trace.csv, counted from 1 across the
-        # phases ("warmup" and "main")
+        # {"sweep": 3, "group": 1, "factor": 0, "column": 2}; a sweep is its
+        # row number in trace.csv, counted from 1
         self.context = dict(context) if context else {}

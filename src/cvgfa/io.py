@@ -37,22 +37,20 @@ rejected, and its fit has to be run again.
 
 The checkpoint's "fit" block is what cvgfa fit recorded about the restart:
 "converged" (bool, whether the stopping rule, not max_sweeps, ended the
-warm-up), "sweeps_run" (int, the sweeps of the warm-up and the main
-phase), "metadata" (FitReport.metadata, with the warm-up's
-"warmup_sweeps") and "train_mse", the exact training MSE of the final
-state (metrics.train_mse), taken while fit held the data. It is the
-restart's one training MSE: best.json, aggregate.json and fit's printed
-line carry the same value, and cvgfa eval reports it and reads no group
-data file. The block must be a JSON object; read_checkpoint passes it on
-unread otherwise. A checkpoint written without fit_info has an empty
-block.
+fit), "sweeps_run" (int), "metadata" (FitReport.metadata) and
+"train_mse", the exact training MSE of the final state
+(metrics.train_mse), taken while fit held the data. It is the restart's
+one training MSE: best.json, aggregate.json and fit's printed line carry
+the same value, and cvgfa eval reports it and reads no group data file.
+The block must be a JSON object; read_checkpoint passes it on unread
+otherwise. A checkpoint written without fit_info has an empty block.
 
-trace.csv has one row per sweep of a fit, numbered from 1 across the
-warm-up and the main phase, so it has sweeps_run rows: sweep, objective,
-train_mse, k_active, phase ("warmup" or "main"). A warm-up row leaves
-the objective empty, since the warm-up takes none. Its train_mse is the
-sweep's estimate from squared norms (model._sq_norms), which the stopping
-rule reads, not the exact value the fit block records.
+trace.csv has one row per sweep of a fit, numbered from 1, so it has
+sweeps_run rows: sweep, objective, train_mse, k_active. Only the last
+row has an objective, that of the final state; the others leave it
+empty. A row's train_mse is the sweep's estimate from squared norms
+(model._sq_norms), which the stopping rule reads, not the exact value
+the fit block records.
 """
 
 import base64
@@ -77,7 +75,7 @@ DATASET_FORMAT = "cvgfa-dataset"
 CHECKPOINT_FORMAT = "cvgfa-checkpoint"
 FORMAT_VERSION = 1
 CHECKPOINT_VERSION = 5
-TRACE_HEADER = "sweep,objective,train_mse,k_active,phase"
+TRACE_HEADER = "sweep,objective,train_mse,k_active"
 
 HYPER_FIELDS = ("K", "kappa0", "c0", "d0", "e0", "f0", "g0", "h0")
 _COMPACT = (",", ":")
@@ -456,11 +454,11 @@ def read_checkpoint(path):
 
 
 def write_trace(path, trace):
-    """trace.csv: FitReport.trace's (objective, train_mse, k_active, phase)
-    rows as they stand, numbered from 1. A warm-up row leaves the objective
+    """trace.csv: FitReport.trace's (objective, train_mse, k_active) rows as
+    they stand, numbered from 1. A row without an objective leaves it
     empty."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for sweep, (objective, mse, k_active, phase) in enumerate(trace, start=1):
+        for sweep, (objective, mse, k_active) in enumerate(trace, start=1):
             text = "" if objective is None else repr(float(objective))
-            fh.write(f"{sweep},{text},{repr(float(mse))},{int(k_active)},{phase}\n")
+            fh.write(f"{sweep},{text},{repr(float(mse))},{int(k_active)}\n")

@@ -129,8 +129,8 @@ class FitOptions:
     def validate(self):
         if int(self.max_sweeps) < 1:
             raise UsageError("max_sweeps must be at least 1")
-        if not self.rel_tolerance > 0:
-            raise UsageError("rel_tolerance must be positive")
+        if not 0 < self.rel_tolerance < math.inf:
+            raise UsageError("rel_tolerance must be positive and finite")
         if int(self.seed) < 0:
             raise UsageError("seed must be a non-negative integer")
         return self
@@ -496,8 +496,8 @@ def init_state(
     start at their one-step updates given those loadings, and the factor
     scores get a small seed-dependent jitter. A start given here must be
     spectral_start(data, hyper) of the same data and K; the result is then
-    the same, bit for bit. Runs no sweep: engine.fit's warm-up phase
-    relaxes this state. Deterministic given (data, seed).
+    the same, bit for bit. Runs no sweep: engine.fit sweeps this state.
+    Deterministic given (data, seed).
     """
     hyper.validate()
     data.validate()

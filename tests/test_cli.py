@@ -142,11 +142,11 @@ class TestFit:
             "--max-sweeps", 1, "--out", out,
         ) == 0
         lines = (out / "restart_0" / "trace.csv").read_text().splitlines()
-        assert lines[0] == io.TRACE_HEADER
-        # one warm-up row, at the cap, then the four main rows after it
-        rows = [line.split(",") for line in lines[1:]]
-        assert [r[4] for r in rows] == ["warmup"] + ["main"] * 4
-        assert [r[0] for r in rows] == ["1", "2", "3", "4", "5"]
+        assert lines[0] == io.TRACE_HEADER == "sweep,objective,train_mse,k_active"
+        # one row, at the cap, which carries the fit's objective
+        (row,) = [line.split(",") for line in lines[1:]]
+        assert len(row) == 4 and row[0] == "1"
+        assert math.isfinite(float(row[1]))
 
     def test_max_sweeps_caps_every_restart(self, tmp_path, sim1_dataset):
         out = tmp_path / "run"
@@ -155,9 +155,9 @@ class TestFit:
             "--max-sweeps", 2, "--out", out,
         ) == 0
         agg = json.loads((out / "aggregate.json").read_text())
-        # two warm-up sweeps, too few for the stopping rule, and four main
+        # two sweeps, too few for the stopping rule
         for row in agg["restarts"]:
-            assert row["sweeps_run"] == 6
+            assert row["sweeps_run"] == 2
             assert row["converged"] is False
 
     def test_a_looser_tol_stops_sooner(self, tmp_path, sim1_dataset):
@@ -173,6 +173,26 @@ class TestFit:
             sweeps[tol] = row["sweeps_run"]
         assert sweeps[1e-3] < sweeps[None]
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_non_finite_tol_usage_error(self, tmp_path, sim1_dataset, capsys, source):
+        # at inf the rule would hold at once and call any fit converged;
+        # JSON has no inf, but 1e999 reads as one
+        out = tmp_path / "run"
+        if source == "flag":
+            args = [sim1_dataset, "--tol", "inf"]
+        else:
+            cfg = tmp_path / "config.json"
+            text = json.dumps(
+                {"dataset_path": str(sim1_dataset), "fit": {"rel_tolerance": math.inf}}
+            )
+            cfg.write_text(text.replace("Infinity", "1e999"))
+            args = ["--config", cfg]
+        assert run_cli("fit", *args, "--k", 5, "--restarts", 1, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: rel_tolerance must be positive and finite\n"
+        )
+        assert not out.exists()
+
     def test_trace_has_a_row_for_every_sweep(self, sim1_fit):
         agg = json.loads((sim1_fit / "aggregate.json").read_text())
         for row in agg["restarts"]:
@@ -182,23 +202,20 @@ class TestFit:
             lines = (rdir / "trace.csv").read_text().splitlines()
             assert lines[0] == io.TRACE_HEADER
             rows = [line.split(",") for line in lines[1:]]
-            n_warmup = fit["metadata"]["warmup_sweeps"]
-            # numbered from 1 across the warm-up and the main phase
-            assert len(rows) == row["sweeps_run"] == fit["sweeps_run"]
+            # numbered from 1, one row per sweep
+            assert len(rows) == row["sweeps_run"] == fit["sweeps_run"] > 1
             assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
-            phases = [r[4] for r in rows]
-            assert phases == ["warmup"] * n_warmup + ["main"] * (len(rows) - n_warmup)
-            assert 0 < n_warmup < len(rows)
-            # the warm-up takes no objective; the main phase takes one
-            assert all(r[1] == "" for r in rows[:n_warmup])
-            assert all(float(r[1]) < 0.0 for r in rows[n_warmup:])
+            assert all(len(r) == 4 for r in rows)
+            # only the last row has an objective, the one aggregate.json records
+            assert all(r[1] == "" for r in rows[:-1])
+            assert float(rows[-1][1]) == row["objective"] < 0.0
             # the row carries the exact MSE the checkpoint records; the
             # trace's last MSE is the sweep's estimate of it
             assert row["train_mse"] == fit["train_mse"]
             assert float(rows[-1][2]) == pytest.approx(fit["train_mse"], rel=1e-12)
             assert int(rows[-1][3]) == row["k_active"]
 
-    def test_aborted_restart_names_its_main_sweep(
+    def test_aborted_restart_names_its_sweep(
         self, monkeypatch, tmp_path, sim1_dataset
     ):
         sweep = cli.engine.sweep
@@ -206,7 +223,7 @@ class TestFit:
 
         def spy(*args, **kwargs):
             calls.append(None)
-            # one warm-up sweep, then main sweeps 2 and 3; the fourth fails
+            # sweeps 1 to 3 run; the fourth fails
             if len(calls) == 4:
                 raise cli.engine.NumericalError("planted", context={"group": 0})
             return sweep(*args, **kwargs)
@@ -215,11 +232,11 @@ class TestFit:
         out = tmp_path / "run"
         assert run_cli(
             "fit", sim1_dataset, "--k", 5, "--restarts", 1,
-            "--max-sweeps", 1, "--out", out,
+            "--max-sweeps", 4, "--out", out,
         ) == 4
         status = json.loads((out / "restart_0" / "status.json").read_text())
-        # the sweep is its row number in trace.csv, counted across the phases
-        assert status["context"] == {"phase": "main", "sweep": 4, "group": 0}
+        # the sweep is its row number in trace.csv
+        assert status["context"] == {"sweep": 4, "group": 0}
 
     def test_defaults_recorded_in_metadata(self, tmp_path):
         ds = tmp_path / "ds"
@@ -273,11 +290,10 @@ class TestFit:
         assert agg["truncation_defaulted"] is False
         # explicit flag wins over the config value
         assert agg["fit_options"]["max_sweeps"] == 2
-        # two warm-up sweeps, at the flag's cap, then the four main sweeps
+        # two sweeps, at the flag's cap
         _, _, info = io.read_checkpoint(out / "restart_9" / "checkpoint.json")
-        warmup = info["fit"]["metadata"]["warmup_sweeps"]
-        assert warmup == 2
-        assert agg["restarts"][0]["sweeps_run"] == warmup + 4
+        assert info["fit"]["sweeps_run"] == 2
+        assert agg["restarts"][0]["sweeps_run"] == 2
 
     def test_unknown_config_key_usage_error(self, tmp_path, sim1_dataset):
         cfg = tmp_path / "config.json"

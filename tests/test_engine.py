@@ -926,7 +926,7 @@ NINE_GROUPS = ["s..s..", ".s.s.s", "..s.s.", "...s.s", "s....s",
 class TestSweepMatchesPerColumnLoop:
     # K above sim1's 6 true factors; the sweep steps through every group's
     # row of a factor at once, so unequal widths get their own cases.
-    # relax_cap caps fit's warm-up (None: the default cap, 0: no sweep). gap
+    # relax_cap caps fit's sweeps (None: the default cap, 0: no sweep). gap
     # names a factor pruned by hand before the first sweep, so the active
     # set is not 0, 1, ..., |A| - 1 and the sweep's batch rows are not the
     # factors' indices
@@ -952,7 +952,7 @@ class TestSweepMatchesPerColumnLoop:
         # relax_cap 0 starts from the bare spectral warm start, before any
         # pruning
         cap = FitOptions.max_sweeps if relax_cap is None else relax_cap
-        fast, _ = warmed_up(data, hyper, seed=0, max_sweeps=cap)
+        fast = warmed_up(data, hyper, seed=0, max_sweeps=cap)
         if gap is not None:
             for r in fast.rho:
                 r[gap] = 0.0
@@ -1180,7 +1180,7 @@ class TestLeaveOneFactorOutProducts:
 
         data, _ = generate(simulation1_pattern(), 30, [12] * 4, seed=seed)
         hyper = Hyperparameters(K=8)
-        state, _ = warmed_up(data, hyper, seed=seed)
+        state = warmed_up(data, hyper, seed=seed)
         for _ in range(3):
             norms = engine.sweep(state, data, hyper)
             residual = oracle.residual(oracle.full_state(state, hyper), data)
@@ -1365,8 +1365,8 @@ class TestSweepInvariants:
 
         data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=3)
         hyper = Hyperparameters(K=12)
-        # the warm-up's sweeps return states as fit's main sweeps do
-        state, _ = warmed_up(data, hyper, seed=0)
+        # a state as fit returns it
+        state = warmed_up(data, hyper, seed=0)
         inactive = set(range(hyper.K)) - active_factors(state)
         assert inactive
         # held no more: the state's rows are those of the active factors
@@ -1669,7 +1669,7 @@ class TestSurrogateElbo:
 
         data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=seed)
         hyper = Hyperparameters(K=12)
-        state, _ = warmed_up(data, hyper, seed=seed)
+        state = warmed_up(data, hyper, seed=seed)
         pruned = sorted(set(range(hyper.K)) - active_factors(state))
         assert pruned
         per_entry = oracle.full_state(state, hyper)
@@ -1706,22 +1706,23 @@ class TestFit:
         data = make_dataset(seed=10, n=6, dims=(4, 3))
         hyper = Hyperparameters(K=2)
         report = engine.fit(data, hyper, FitOptions(max_sweeps=1))
-        # one warm-up sweep, at its cap, then the four main sweeps
-        assert [row[3] for row in report.trace] == ["warmup"] + ["main"] * 4
-        assert report.sweeps_run == 5
+        # one sweep, at the cap, which takes the fit's objective
+        assert report.sweeps_run == len(report.trace) == 1
         assert report.converged is False
-        for objective, mse, k_active, _ in report.trace[1:]:
-            assert math.isfinite(objective)
-            assert mse >= 0.0
-            assert isinstance(k_active, int)
+        ((objective, mse, k_active),) = report.trace
+        assert math.isfinite(objective)
+        assert mse >= 0.0
+        assert isinstance(k_active, int)
 
     def test_trace_length_matches_sweeps(self):
         data = make_dataset(seed=11, n=6, dims=(4, 3))
         hyper = Hyperparameters(K=2)
         report = engine.fit(data, hyper, FitOptions(max_sweeps=5))
-        assert len(report.trace) == report.sweeps_run
-        phases = [row[3] for row in report.trace]
-        assert report.metadata["warmup_sweeps"] == phases.count("warmup")
+        assert len(report.trace) == report.sweeps_run <= 5
+        # only the last row has an objective
+        assert [row[0] is None for row in report.trace] == [True] * (
+            report.sweeps_run - 1
+        ) + [False]
 
     def test_bitwise_deterministic(self):
         data = make_dataset(seed=12, n=8, dims=(5, 4))
@@ -1736,15 +1737,8 @@ class TestFit:
             assert np.array_equal(a.final_state.w_mean[m], b.final_state.w_mean[m])
         assert np.array_equal(a.final_state.f_mean, b.final_state.f_mean)
 
-    @pytest.mark.parametrize(
-        "fail_at, want",
-        [
-            (2, {"phase": "warmup", "sweep": 2}),
-            # two warm-up sweeps, then the third main sweep, row 5, fails
-            (5, {"phase": "main", "sweep": 5}),
-        ],
-    )
-    def test_abort_names_the_phase_and_sweep(self, monkeypatch, fail_at, want):
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_abort_names_the_sweep(self, monkeypatch, fail_at):
         data = make_dataset(seed=19, n=6, dims=(4, 3))
         sweep = engine.sweep
         calls = []
@@ -1758,9 +1752,16 @@ class TestFit:
         monkeypatch.setattr(engine, "sweep", spy)
         with pytest.raises(NumericalError) as info:
             engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=2))
-        # numbered as trace.csv numbers its rows, from 1 across the phases
-        assert info.value.context == dict(want, group=1)
+        # numbered as trace.csv numbers its rows, from 1
+        assert info.value.context == {"sweep": fail_at, "group": 1}
         assert len(calls) == fail_at
+
+    def test_a_non_finite_objective_names_the_last_sweep(self, monkeypatch):
+        data = make_dataset(seed=19, n=6, dims=(4, 3))
+        monkeypatch.setattr(engine, "surrogate_elbo", lambda *a, **k: math.nan)
+        with pytest.raises(NumericalError, match="non-finite objective") as info:
+            engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=3))
+        assert info.value.context == {"sweep": 3}
 
     def test_acceptance_fit_raises_no_floating_point_warning(self):
         from cvgfa.simdata import generate, simulation1_pattern
@@ -1775,13 +1776,12 @@ class TestFit:
         assert report.converged
 
     def test_warm_up_runs_inside_fit(self, monkeypatch):
-        # fit starts from init_state's warm start, sweeps it through the
-        # warm-up and then the main phase, every sweep under fit
+        # fit starts from init_state's warm start and sweeps it until the
+        # rule holds, every sweep under fit and a row of the trace
         from cvgfa.simdata import generate, simulation1_pattern
 
         data, _ = generate(simulation1_pattern(), 30, [12] * 4, seed=1)
         hyper = Hyperparameters(K=8)
-        state, rows = warmed_up(data, hyper, seed=3)
         sweep = engine.sweep
         calls = []
 
@@ -1791,24 +1791,45 @@ class TestFit:
 
         monkeypatch.setattr(engine, "sweep", spy)
         report = engine.fit(data, hyper, FitOptions(seed=3))
-        assert report.trace[: len(rows)] == rows
-        assert all(obj is None and phase == "warmup" for obj, _, _, phase in rows)
-        assert report.metadata["warmup_sweeps"] == len(rows) >= 3
         assert report.converged is True
-        assert len(calls) == report.sweeps_run == len(rows) + 4
-        # the main phase starts from the state the warm-up left
-        again = state.copy()
-        for _ in range(4):
-            engine.sweep(again, data, hyper)
-        assert_states_bitwise_equal(report.final_state, again)
+        # the rule reads three changes, so four sweeps at the least
+        assert len(calls) == report.sweeps_run >= 4
+        state = init_state(data, hyper, seed=3)
+        rows = []
+        for _ in range(report.sweeps_run):
+            norms = sweep(state, data, hyper)
+            rows.append((None, engine._norms_mse(norms, data.dims), len(state.factors)))
+        assert report.trace[:-1] == rows[:-1]
+        assert report.trace[-1][1:] == rows[-1][1:]
+        assert_states_bitwise_equal(report.final_state, state)
+
+    def test_the_objective_is_taken_once_of_the_final_state(self, monkeypatch):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 30, [12] * 4, seed=1)
+        hyper = Hyperparameters(K=8)
+        surrogate_elbo = engine.surrogate_elbo
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return surrogate_elbo(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "surrogate_elbo", spy)
+        report = engine.fit(data, hyper, FitOptions(seed=3))
+        assert report.sweeps_run > 1
+        assert len(calls) == 1
+        want = surrogate_elbo(report.final_state, data, hyper)
+        assert report.trace[-1][0] == want
+        assert all(row[0] is None for row in report.trace[:-1])
 
     def test_a_warm_up_at_its_cap_is_recorded(self):
+        # a fit that the cap, not the rule, ends
         data = make_dataset(seed=13, n=5, dims=(3,))
         report = engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=2))
-        assert report.metadata["warmup_sweeps"] == 2
-        assert [row[3] for row in report.trace] == ["warmup"] * 2 + ["main"] * 4
+        assert report.sweeps_run == 2
+        assert report.trace[0][0] is None and math.isfinite(report.trace[1][0])
         assert report.converged is False
-        assert report.sweeps_run == 6
 
     @pytest.mark.parametrize("cap", [1, 3, 10])
     def test_max_sweeps_bounds_the_sweeps(self, cap):
@@ -1817,19 +1838,24 @@ class TestFit:
         data, _ = generate(simulation1_pattern(), 30, [12] * 4, seed=1)
         hyper = Hyperparameters(K=8)
         free = engine.fit(data, hyper, FitOptions(seed=3))
-        # the rule alone would take more warm-up sweeps than the cap
-        assert free.converged and free.metadata["warmup_sweeps"] > cap
+        # the rule alone would take more sweeps than the cap
+        assert free.converged and free.sweeps_run > cap
         report = engine.fit(data, hyper, FitOptions(max_sweeps=cap, seed=3))
-        assert report.sweeps_run == cap + 4
-        assert report.metadata["warmup_sweeps"] == cap
+        assert report.sweeps_run == cap
         assert report.converged is False
-        assert report.trace[:cap] == free.trace[:cap]
+        # the same sweeps; only the capped fit's last row has an objective
+        assert report.trace[: cap - 1] == free.trace[: cap - 1]
+        assert report.trace[-1][1:] == free.trace[cap - 1][1:]
+        assert free.trace[cap - 1][0] is None
 
     def test_metadata_names_the_collapsed_term(self):
         data = make_dataset(seed=13, n=5, dims=(3,))
         report = engine.fit(data, Hyperparameters(K=2), FitOptions(max_sweeps=1))
-        assert report.metadata["collapsed_z_term"] == engine.COLLAPSED_Z_METHOD
-        assert report.metadata["convergence_monitor"] == "train_mse"
+        assert report.metadata == {
+            "collapsed_z_term": engine.COLLAPSED_Z_METHOD,
+            "convergence_monitor": "train_mse",
+            "seed": 0,
+        }
 
 
 class TestExpectedLoadings:
@@ -2028,9 +2054,9 @@ class TestRunRestarts:
         results = engine.run_restarts(data, hyper, opts, n_restarts=3)
         assert [r["seed"] for r in results] == [5, 6, 7]
         assert all(r["error"] is None for r in results)
-        # two warm-up sweeps, at the cap, then the four main sweeps
-        assert all(len(r["report"].trace) == 6 for r in results)
-        assert all(r["report"].metadata["warmup_sweeps"] == 2 for r in results)
+        # two sweeps, at the cap, too few for the stopping rule
+        assert all(len(r["report"].trace) == 2 for r in results)
+        assert all(r["report"].converged is False for r in results)
 
     def test_worker_count_does_not_change_results(self):
         data = make_dataset(seed=18, n=8, dims=(5, 4))

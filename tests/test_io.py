@@ -764,10 +764,10 @@ class TestTrace:
     def test_round_trip(self, tmp_path):
         # every value's repr, so float() reads each back exactly
         trace = [
-            (None, 1.25, 6, "warmup"),
-            (None, 1.0626462360590302, 5, "warmup"),
-            (-15.25, 1.0626462360590301, 5, "main"),
-            (-14.0, 0.9, 4, "main"),
+            (None, 1.25, 6),
+            (None, 1.0626462360590302, 5),
+            (None, 1.0626462360590301, 5),
+            (-14.0, 0.9, 4),
         ]
         path = tmp_path / "trace.csv"
         io.write_trace(path, trace)
@@ -775,19 +775,18 @@ class TestTrace:
         assert lines[0] == io.TRACE_HEADER
         rows = [line.split(",") for line in lines[1:]]
         rows = [
-            (int(s), float(o) if o else None, float(m), int(k), p)
-            for s, o, m, k, p in rows
+            (int(s), float(o) if o else None, float(m), int(k)) for s, o, m, k in rows
         ]
         assert rows == [
-            (1, None, 1.25, 6, "warmup"),
-            (2, None, 1.0626462360590302, 5, "warmup"),
-            (3, -15.25, 1.0626462360590301, 5, "main"),
-            (4, -14.0, 0.9, 4, "main"),
+            (1, None, 1.25, 6),
+            (2, None, 1.0626462360590302, 5),
+            (3, None, 1.0626462360590301, 5),
+            (4, -14.0, 0.9, 4),
         ]
 
     def test_header_and_numbering(self, tmp_path):
         path = tmp_path / "trace.csv"
-        io.write_trace(path, [(None, 2.0, 2, "warmup"), (0.0, 1.0, 2, "main")])
+        io.write_trace(path, [(None, 2.0, 2), (0.0, 1.0, 2)])
         lines = path.read_text().splitlines()
-        assert lines[0] == "sweep,objective,train_mse,k_active,phase"
-        assert lines[1:] == ["1,,2.0,2,warmup", "2,0.0,1.0,2,main"]
+        assert lines[0] == "sweep,objective,train_mse,k_active"
+        assert lines[1:] == ["1,,2.0,2", "2,0.0,1.0,2"]

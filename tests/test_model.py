@@ -34,15 +34,12 @@ def make_dataset(seed=0, n=6, dims=(4, 3)):
 
 
 def warmed_up(data, hyper, seed, max_sweeps=FitOptions.max_sweeps):
-    """The state engine.fit's warm-up phase hands its main phase, and the
-    warm-up's trace rows: init_state's warm start swept as fit sweeps it at
-    the default stopping rule, at most max_sweeps times (0: not at all)."""
-    state = init_state(data, hyper, seed)
-    rows = []
-    engine._run_phase(
-        state, data, hyper, rows, "warmup", max_sweeps, FitOptions.rel_tolerance, None
-    )
-    return state, rows
+    """The state engine.fit returns at the default stopping rule, at most
+    max_sweeps sweeps from init_state's warm start (0: the warm start)."""
+    if max_sweeps == 0:
+        return init_state(data, hyper, seed)
+    opts = FitOptions(max_sweeps=max_sweeps, seed=seed)
+    return engine.fit(data, hyper, opts).final_state
 
 
 def assert_stacked_layout(state):
@@ -139,6 +136,13 @@ class TestFitOptions:
         with pytest.raises(UsageError):
             FitOptions(seed=-1).validate()
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_a_non_finite_tolerance(self, tol):
+        # at inf the rule would hold at once, whatever the MSE does
+        message = "rel_tolerance must be positive and finite"
+        with pytest.raises(UsageError, match=message):
+            FitOptions(rel_tolerance=tol).validate()
+
 
 class TestInitState:
     def test_shapes_and_validity(self):
@@ -189,10 +193,10 @@ class TestInitState:
         assert len(active_factors(state)) >= 1
 
     def test_stationary_under_extra_sweep(self):
-        # the warm start as fit's warm-up leaves it
+        # the warm start as fit leaves it
         data = make_dataset(seed=3, n=30, dims=(8, 6))
         hyper = Hyperparameters(K=4)
-        state, _ = warmed_up(data, hyper, seed=1)
+        state = warmed_up(data, hyper, seed=1)
 
         def mse(st):
             sq = 0.0
