@@ -10,6 +10,7 @@ factor the sweep prunes is at its prior and leaves the state
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,13 +128,27 @@ class FitOptions:
     seed: int = 0
 
     def validate(self):
-        if int(self.max_sweeps) < 1:
-            raise UsageError("max_sweeps must be at least 1")
+        if not (_is_whole(self.max_sweeps) and self.max_sweeps >= 1):
+            raise UsageError("max_sweeps must be an integer of at least 1")
         if not 0 < self.rel_tolerance < math.inf:
             raise UsageError("rel_tolerance must be positive and finite")
-        if int(self.seed) < 0:
+        if not (_is_whole(self.seed) and self.seed >= 0):
             raise UsageError("seed must be a non-negative integer")
         return self
+
+
+def _is_whole(value):
+    """Whether value is a whole number: an integer, or a finite float with no
+    fractional part. A bool is not one, though Python counts it an int."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, numbers.Integral):
+        return True
+    return (
+        isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and float(value).is_integer()
+    )
 
 
 class GroupBlocks:

@@ -25,6 +25,7 @@ from cvgfa.model import (
     GroupBlocks,
     GroupedDataset,
     Hyperparameters,
+    _active_rows,
     active_factors,
     init_state,
     spectral_start,
@@ -69,8 +70,12 @@ def _truth_rows(truth, m, kinds):
 
 
 def _ssi_vs_truth(state, truth, data):
-    """Group-averaged SSI of the active recovered loadings against truth."""
-    active = sorted(active_factors(state))
+    """Group-averaged SSI of the active recovered loadings against truth.
+
+    The rows of expected_loadings are positions in state.factors, not
+    factor ids, so the active ones are picked by position, as cvgfa eval
+    picks them."""
+    active = _active_rows(state.rho.stacked, state.dims)
     scores = []
     for m in range(data.n_groups):
         recovered = engine.expected_loadings(state, m)[active]

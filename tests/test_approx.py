@@ -507,6 +507,98 @@ class TestBlocksOfRows:
         assert crt_mean_approx(a_geo, ntil)[5, 0] == 0.0
 
 
+class TestArrayPsiKernel:
+    """approx._psi_array, the whole-array kernel of calls of at least
+    approx._ARRAY_PSI_MIN values, against the float kernels it repeats."""
+
+    @staticmethod
+    def points():
+        below = np.nextafter(_SERIES_START, 0.0)
+        above = np.nextafter(_SERIES_START, np.inf)
+        rng = np.random.default_rng(31)
+        return np.concatenate(
+            [
+                [engine.GEO_FLOOR, below, _SERIES_START, above, 1.0, 1e300],
+                np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 20_000)),
+                rng.uniform(0.0, 2.0 * _SERIES_START, 20_000),
+            ]
+        )
+
+    def test_equals_the_float_kernels_bitwise_without_warnings(self):
+        xs = self.points()
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            psi = approx._psi_array(xs)
+            pair = approx._psi_array(xs, trigamma=True)
+        floats = xs.tolist()
+        assert same_bits(psi, [approx._digamma(x) for x in floats])
+        want = np.array([approx._digamma_trigamma(x) for x in floats])
+        assert same_bits(pair[0], want[:, 0])
+        assert same_bits(pair[1], want[:, 1])
+
+    def test_the_switch_picks_the_array_kernel_from_40_values(self, monkeypatch):
+        xs = self.points()[: approx._ARRAY_PSI_MIN]
+        calls = []
+        kernel = approx._psi_array
+
+        def counted(x, trigamma=False):
+            calls.append(np.size(x))
+            return kernel(x, trigamma)
+
+        monkeypatch.setattr(approx, "_psi_array", counted)
+        digamma(xs[:-1])
+        assert calls == []
+        digamma(xs)
+        assert calls == [xs.size]
+        count = bernoulli_sum_moments(np.full((xs.size, 3), 0.5))
+        crt_mean_approx(xs, count)
+        # psi and psi' of the shifted argument, then psi of a_geo
+        assert calls == [xs.size] * 3
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_domain_errors(self, bad):
+        xs = np.full(approx._ARRAY_PSI_MIN, 2.0)
+        xs[7] = bad
+        with pytest.raises(ValueError):
+            digamma(xs)
+
+
+class TestGroupRuns:
+    """Runs of whole groups (approx._group_runs) change no bit of the
+    Bernoulli-sum moments, whatever approx._RUN_BUDGET is."""
+
+    WIDTHS = {"equal": [20, 20, 20, 20], "unequal": [13, 40, 7, 25, 18, 30]}
+
+    def test_runs(self, monkeypatch):
+        assert approx._group_runs(6, [100] * 4) == [(0, 4, 0, 400)]
+        assert approx._group_runs(30, [100] * 4) == [
+            (0, 1, 0, 100), (1, 2, 100, 200), (2, 3, 200, 300), (3, 4, 300, 400)
+        ]
+        # a group wider than the budget is a run of its own
+        assert approx._group_runs(1, [5000, 3, 4]) == [
+            (0, 1, 0, 5000), (1, 3, 5000, 5007)
+        ]
+        monkeypatch.setattr(approx, "_RUN_BUDGET", 10**9)
+        assert approx._group_runs(30, [2000] * 4) == [(0, 4, 0, 8000)]
+
+    @pytest.mark.parametrize("kind", sorted(WIDTHS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_moments_match_across_budgets_bitwise(self, monkeypatch, kind, seed):
+        widths = self.WIDTHS[kind]
+        block = TestBlocksOfRows.block(seed, widths)
+        fields = TestBlocksOfRows.fields
+        results, runs = [], []
+        for budget in (1, 10**9):
+            monkeypatch.setattr(approx, "_RUN_BUDGET", budget)
+            runs.append(len(approx._group_runs(len(block), widths)))
+            nhat = bernoulli_sum_moments(block, widths)
+            ntil = _complement_moments(nhat, block, widths)
+            results.append(fields(nhat) + fields(ntil))
+        # each group its own run, then all groups one run
+        assert runs == [len(widths), 1]
+        assert all(same_bits(a, b) for a, b in zip(*results))
+
+
 class TestExpectLogShiftedCount:
     def test_examples(self):
         assert_allclose(expect_log_shifted_count(1, 3, 0), math.log(4), atol=1e-12)

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
-from cvgfa import engine
+from cvgfa import approx, engine
 from cvgfa.approx import (
     _complement_moments,
     bernoulli_sum_moments,
@@ -1077,8 +1077,6 @@ class TestBatchedRowTerms:
         hyper = Hyperparameters(K=state.n_factors)
         idx = np.array(active)
         widths = np.array(state.dims)
-        ends = np.cumsum(widths).tolist()
-        spans = [slice(end - d, end) for end, d in zip(ends, state.dims)]
         beta_a, beta_b = engine.update_beta_params(state, hyper, idx)
         # the concentrations as engine.sweep takes them
         g_alpha = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
@@ -1089,7 +1087,7 @@ class TestBatchedRowTerms:
         block = state.rho.stacked[idx]
         nhat = bernoulli_sum_moments(block, widths)
         # the first halves are written over the rows they read
-        on, off = engine._prior_halves(block.copy(), nhat, g_ab, g_abbar, spans)
+        on, off = engine._prior_halves(block.copy(), nhat, g_ab, g_abbar, widths)
         for i in range(len(active)):
             want_on, want_off = oracle.rho_row_priors(
                 block[i], nhat.mean[i], nhat.variance[i], g_ab[i], g_abbar[i], widths
@@ -1115,6 +1113,47 @@ class TestBatchedRowTerms:
                 got = xt_tf[m][i] - loads[m].T @ weights[i, m]
                 want = oracle.loo_dotx(xt_tf[m][i], loads[m], ft_tf[m][i], i)
                 assert got.tobytes() == want.tobytes()
+
+
+class TestRunsOfGroups:
+    """The collapsed-prior batch and whole fits change no bit with the run
+    budget (approx._RUN_BUDGET) or the array psi kernel's switch
+    (approx._ARRAY_PSI_MIN) at either extreme."""
+
+    @pytest.mark.parametrize(
+        "dims", [[20] * 4, [13, 40, 7, 25]], ids=["equal", "unequal"]
+    )
+    def test_prior_halves_match_across_budgets(self, monkeypatch, dims):
+        state = random_state(np.random.default_rng(41), 5, dims, 7)
+        block = state.rho.stacked
+        widths = np.array(dims)
+        nhat = bernoulli_sum_moments(block, widths)
+        rng = np.random.default_rng(42)
+        g_ab, g_abbar = rng.uniform(0.05, 3.0, (2, len(block), len(dims)))
+        g_ab[:, 1] = engine.GEO_FLOOR
+        halves = []
+        for budget in (1, 10**9):
+            monkeypatch.setattr(approx, "_RUN_BUDGET", budget)
+            halves.append(
+                engine._prior_halves(block.copy(), nhat, g_ab, g_abbar, widths)
+            )
+        for got, want in zip(*halves):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 10**9])
+    @pytest.mark.parametrize("least", [1, math.inf])
+    def test_fit_matches_across_budgets_and_kernels(self, monkeypatch, budget, least):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 30, [13, 40, 7, 25], seed=4)
+        hyper = Hyperparameters(K=12)
+        opts = FitOptions(max_sweeps=8, seed=1)
+        want = engine.fit(data, hyper, opts)
+        monkeypatch.setattr(approx, "_RUN_BUDGET", budget)
+        monkeypatch.setattr(approx, "_ARRAY_PSI_MIN", least)
+        got = engine.fit(data, hyper, opts)
+        assert_states_bitwise_equal(got.final_state, want.final_state)
+        assert got.trace == want.trace
 
 
 class TestLeaveOneFactorOutProducts:

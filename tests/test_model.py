@@ -136,6 +136,20 @@ class TestFitOptions:
         with pytest.raises(UsageError):
             FitOptions(seed=-1).validate()
 
+    @pytest.mark.parametrize("name", ["max_sweeps", "seed"])
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, 2.7, -0.5, True, False, "3"]
+    )
+    def test_rejects_a_count_that_is_not_a_whole_number(self, name, value):
+        # int() would truncate 2.7 and -0.5, take True for 1 and raise
+        # OverflowError at inf and ValueError at nan
+        with pytest.raises(UsageError, match=name):
+            FitOptions(**{name: value}).validate()
+
+    @pytest.mark.parametrize("value", [1, 3.0, np.int64(7), np.float64(2.0), 10**30])
+    def test_accepts_whole_numbers(self, value):
+        FitOptions(max_sweeps=value, seed=value).validate()
+
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_rejects_a_non_finite_tolerance(self, tol):
         # at inf the rule would hold at once, whatever the MSE does
