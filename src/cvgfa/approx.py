@@ -7,37 +7,31 @@ shifted logs and Chinese restaurant table counts. Everything here is a
 pure function.
 
 Every public function takes arrays and returns one of their broadcast
-shape, 0-d for scalars. digamma has two kernels that give the same bits.
-A call of fewer than _ARRAY_PSI_MIN (40) values maps a float kernel over
-the elements (_elementwise). A larger call takes one whole-array kernel
-(_psi_array), which repeats the float kernel's steps as numpy steps over
-the whole array. crt_mean_approx is one masked array expression, which
-takes the digamma and trigamma of its shifted argument from one
-recurrence per element (_digamma_trigamma), or from the array kernel at
-40 values or more. The switch follows what the sweep passes. A steady
-acceptance-size sweep (6 factors, 4 groups) passes at most 24 values per
-call. There the float kernel is as fast or faster: 23 to 37 us against
-32 to 56 us for 24 digamma values, and the array kernel on every call
-made an acceptance-size engine.fit 9% slower (the median ratio of 300
-alternating fits). The first sweeps at K = 30 pass 90 to 120 values. For
-120 values the array kernel took 34 us against 106 us (digamma) and 50
-us against 180 us (digamma and trigamma). These are medians over 3,000
-calls on a shared 2-vCPU x86-64 host, on arguments spread over [0.001,
-30].
-The kernels take numpy's log, not math.log: the two are different
-implementations that disagree in the last bit for a few arguments in a
-hundred thousand (measured on an AVX-512 x86-64 host). numpy's log of an
-array equals its log of each element alone, which keeps the two kernels
-equal bit for bit; the tests pin that on every numpy they run.
+shape, 0-d for scalars. Every digamma and trigamma comes from one
+whole-array kernel (_psi), which takes the recurrence's steps and the
+asymptotic series as numpy steps over all the values of a call at once:
+digamma is the kernel, and crt_mean_approx takes the digamma of its
+shifted argument and of its concentration, with the trigamma, from one
+call. Each element's value is that of one recurrence per element, bit
+for bit, whatever the call's size or shape; the per-element transcription
+is kept with the tests (tests/oracle.py) as the pin. So the caller's
+batching is free: engine.sweep takes every psi of a pass in two calls,
+where each call's fixed cost, some 40 numpy steps, is what small calls
+pay most for. The kernel takes numpy's log, not math.log: the two are
+different implementations that disagree in the last bit for a few
+arguments in a hundred thousand (measured on an AVX-512 x86-64 host).
+numpy's log of an array equals its log of each element alone, which the
+tests pin on every numpy they run.
 
 The Bernoulli-sum moments take one row of probabilities or a block of
 rows, one count per row, and optionally the widths of groups lying side
-by side along the rows. engine.sweep hands them, once per sweep, the rows
-of every active factor in every group, and crt_mean_approx the resulting
-active factors x groups arrays: one call for all the (factor, group) rows
-in place of one per factor. Each count's sums are numpy's pairwise sums
-over its own row (and group), which are part of the result: they equal
-np.sum of that row taken alone, so batching the rows changes no bit.
+by side along the rows. engine.sweep takes, once per sweep, the moments
+of the counts of ones and of zeros of every active factor in every group
+from one pass over the rows (_count_moments), and their table counts from
+one crt_mean_approx call on 2 x active factors x groups arrays. Each
+count's sums are numpy's pairwise sums over its own row (and group),
+which are part of the result: they equal np.sum of that row taken alone,
+so batching the rows changes no bit.
 The summands are taken over runs of consecutive whole groups
 (_group_runs): as many groups as fit in a block of _RUN_BUDGET (4,096)
 values, rows times columns, and a wider group alone.
@@ -67,9 +61,19 @@ _SERIES_START = 6.0
 
 _SMALLEST_DOUBLE = float(np.finfo(float).smallest_subnormal)
 
-# digamma and crt_mean_approx take calls of at least this many values through
-# the whole-array kernel (_psi_array), smaller ones one float at a time.
-_ARRAY_PSI_MIN = 40
+# The asymptotic series' polynomials in 1/x^2 by Horner's rule, digamma's
+# coefficient above trigamma's: the innermost constants (from which 1/(12x^2)
+# and 7/(6x^2) are taken), then each outer level's, B_2n/(2n) and B_2n.
+_TAIL_INNER = np.array([[691.0 / 32760.0], [691.0 / 2730.0]])
+_TAIL_OUTER = np.array(
+    [
+        [[1.0 / 132.0], [5.0 / 66.0]],
+        [[1.0 / 240.0], [1.0 / 30.0]],
+        [[1.0 / 252.0], [1.0 / 42.0]],
+        [[1.0 / 120.0], [1.0 / 30.0]],
+        [[1.0 / 12.0], [1.0 / 6.0]],
+    ]
+)
 
 # A run of consecutive whole groups is taken as one block while its rows times
 # its columns stay within this many values (_group_runs).
@@ -93,123 +97,88 @@ class BernoulliSumMoments:
     mean_plus: np.ndarray
     var_plus: np.ndarray
 
-
-def _digamma_tail(inv2):
-    """B_2n/(2n) series of digamma in 1/x^2, innermost last."""
-    return 1.0 / 12.0 - inv2 * (
-        1.0 / 120.0
-        - inv2
-        * (
-            1.0 / 252.0
-            - inv2
-            * (
-                1.0 / 240.0
-                - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))
-            )
-        )
-    )
+    def __getitem__(self, i):
+        """The moments of entry i along the fields' first axis, such as the
+        count of ones (0) or of zeros (1) of _count_moments; views."""
+        fields = (self.mean, self.variance, self.p_plus, self.mean_plus, self.var_plus)
+        return BernoulliSumMoments(*(f[i, ...] for f in fields))
 
 
-def _trigamma_tail(inv2):
-    """B_2n series of trigamma in 1/x^2, innermost last."""
-    return 1.0 / 6.0 - inv2 * (
-        1.0 / 30.0
-        - inv2
-        * (
-            1.0 / 42.0
-            - inv2
-            * (
-                1.0 / 30.0
-                - inv2 * (5.0 / 66.0 - inv2 * (691.0 / 2730.0 - inv2 * (7.0 / 6.0)))
-            )
-        )
-    )
+def _psi(x, trigamma=False):
+    """digamma of every element of x, and with trigamma its trigamma too,
+    arrays of x's shape: the one kernel of this module.
 
-
-def _digamma(y):
-    """digamma of one float: the kernel of :func:`digamma`."""
-    if not y > 0:
-        raise ValueError("digamma requires x > 0")
-    acc = 0.0
-    while y < _SERIES_START:
-        acc -= 1.0 / y
-        y += 1.0
-    inv = 1.0 / y
-    inv2 = inv * inv
-    return float(acc + (np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)))
-
-
-def _digamma_trigamma(y):
-    """digamma and trigamma of one float from one recurrence: the digamma
-    is _digamma's bit for bit, since both step y alike and the trigamma
-    keeps its own sum: psi'(x) = psi'(x + 1) + 1/x^2 up to 6, then
-    psi'(x) ~ 1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1). crt_mean_approx needs
-    both of one argument."""
-    if not y > 0:
-        raise ValueError("digamma and trigamma require x > 0")
-    acc = 0.0
-    acc2 = 0.0
-    while y < _SERIES_START:
-        acc -= 1.0 / y
-        y2 = y * y
-        # 1 / y^2 is inf where y * y underflows to 0
-        acc2 += 1.0 / y2 if y2 > 0.0 else math.inf
-        y += 1.0
-    inv = 1.0 / y
-    inv2 = inv * inv
-    psi = float(acc + (np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)))
-    return psi, acc2 + (inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2))
-
-
-def _psi_array(x, trigamma=False):
-    """digamma of every element of a float64 array, and with trigamma its
-    trigamma too: _digamma and _digamma_trigamma as whole-array steps.
-
-    Each pass of the recurrence takes every element, weighted by low, 1.0
-    where the element is still below _SERIES_START and 0.0 elsewhere:
-    low / y is 1 / y or 0, and y + low is y + 1 or y, so an element that
-    has reached the start is left as it is. The passes stop when the least
-    element reaches the start, as y + 1 keeps it the least. Every float
-    step is the float kernels' own, so every value equals theirs bit for
-    bit. 1 / y overflows to inf for a subnormal y, as the float division
-    does, 1 / y^2 is inf where y * y underflows to 0, and the series'
-    powers of 1 / y underflow to 0 at a huge y: none of them warns, as no
-    float step does.
-    """
-    y = np.array(x, dtype=float)
-    if not np.all(y > 0):
-        raise ValueError("digamma requires x > 0")
-    acc = np.zeros(y.shape)
-    acc2 = np.zeros(y.shape)
-    low = np.empty(y.shape)
-    step = np.empty(y.shape)
-    least = float(y.min()) if y.size else _SERIES_START
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        while least < _SERIES_START:
-            least += 1.0
-            np.less(y, _SERIES_START, out=low)
-            acc -= np.divide(low, y, out=step)
-            if trigamma:
-                np.multiply(y, y, out=step)
-                acc2 += np.divide(low, step, out=step)
-            y += low
-        inv = 1.0 / y
-        inv2 = inv * inv
-        acc += np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)
-        if not trigamma:
-            return acc
-        acc2 += inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2)
-    return acc, acc2
-
-
-def _elementwise(kernel, x):
-    """kernel of every element of x, a float64 array of x's shape.
-
-    A list comprehension over the Python floats: on the few values the
-    sweep passes, np.vectorize's fixed cost is about twice its time.
+    psi(y) = psi(y + 1) - 1/y and psi'(y) = psi'(y + 1) + 1/y^2 step y up
+    to _SERIES_START, then psi(y) ~ log y - 1/(2y) - sum_n B_2n/(2n y^2n)
+    and psi'(y) ~ 1/y + 1/(2y^2) + sum_n B_2n/y^(2n+1) take over. A
+    positive y needs at most six steps, and the least element the most, as
+    y + 1 keeps it the least. Row j + 1 of the recurrence block is row j
+    plus 1, so row j holds every element after j steps. An element takes
+    the step of row j where that row is below the start (low), and its
+    series reads its first row at the start or above; low / y is 1/y or 0.
+    Each element's terms are summed down the block, in the order of its
+    steps: a reduction over the (at most six) rows adds them one after
+    another. The two series' polynomials are one Horner pass over a block
+    of one or two rows. Every float step is that of one recurrence per
+    element (tests/oracle.py pins them bit for bit), and np.log of the whole
+    array equals np.log of each element. 1/y overflows to inf for a
+    subnormal y and 1/y^2 where y * y underflows to 0, and the series'
+    powers of 1/y underflow to 0 at a huge y: none of them warns.
     """
     x = np.asarray(x, dtype=float)
-    return np.array([kernel(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    y = x.ravel()
+    # min propagates NaN, so a NaN fails the check
+    least = float(y.min()) if y.size else _SERIES_START
+    if not least > 0:
+        raise ValueError("digamma requires x > 0")
+    steps = 0
+    while least < _SERIES_START:
+        least += 1.0
+        steps += 1
+    kinds = 2 if trigamma else 1
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        if steps:
+            rows = np.empty((steps + 1, y.size))
+            rows[0] = y
+            for j in range(steps):
+                np.add(rows[j], 1.0, out=rows[j + 1])
+            low = rows < _SERIES_START
+            # each element's first row at the start or above, the least
+            # such as the rows increase
+            y = np.where(low, np.inf, rows).min(axis=0)
+            stepped, low = rows[:steps], low[:steps]
+            terms = np.empty((steps, kinds, y.size))
+            np.divide(low, stepped, out=terms[:, 0])
+            if trigamma:
+                np.multiply(stepped, stepped, out=terms[:, 1])
+                np.divide(low, terms[:, 1], out=terms[:, 1])
+            sums = np.add.reduce(terms, axis=0)
+        inv = 1.0 / y
+        inv2 = inv * inv
+        # the innermost terms, inv2 / 12 and inv2 * 7/6, then Horner steps
+        tail = np.empty((kinds, y.size))
+        np.divide(inv2, 12.0, out=tail[0])
+        if trigamma:
+            np.multiply(inv2, 7.0 / 6.0, out=tail[1])
+        np.subtract(_TAIL_INNER[:kinds], tail, out=tail)
+        for coef in _TAIL_OUTER:
+            tail *= inv2
+            np.subtract(coef[:kinds], tail, out=tail)
+        psi = np.log(y)
+        psi -= 0.5 * inv
+        tail[0] *= inv2
+        psi -= tail[0]
+        if steps:
+            psi -= sums[0]
+        if not trigamma:
+            return psi.reshape(x.shape)
+        tri = inv + 0.5 * inv2
+        inv *= inv2
+        inv *= tail[1]
+        tri += inv
+        if steps:
+            tri += sums[1]
+    return psi.reshape(x.shape), tri.reshape(x.shape)
 
 
 def digamma(x):
@@ -229,10 +198,7 @@ def digamma(x):
     ndarray
         psi evaluated at x, of x's shape (0-d for a scalar).
     """
-    x = np.asarray(x, dtype=float)
-    if x.size >= _ARRAY_PSI_MIN:
-        return _psi_array(x)
-    return _elementwise(_digamma, x)
+    return _psi(x)
 
 
 def geo_expect_gamma(shape, rate):
@@ -284,47 +250,73 @@ def _group_runs(rows, widths):
     return runs
 
 
-def _group_sums(terms, xi, widths):
-    """Sums of terms(xi) along the last axis, of one row or a block of rows.
+def _group_sums(terms, rows, widths):
+    """Sums over each group's columns of the summands of a block of rows.
 
-    terms maps probabilities to their summands, an array whose last axis
-    runs along them (with several kinds of summand stacked on a leading
-    axis). Without widths each row is one group, and the sums drop the last
-    axis. With widths the groups lie side by side along the last axis,
-    widths[m] columns for group m, and the last axis of the sums has one
-    entry per group; the terms of one run of groups (_group_runs) exist at
-    a time. Every sum is one np.add.reduce along the last axis of its own
-    group's slice, numpy's pairwise summation, so it equals np.sum of that
-    row's (group's) values taken alone, however the groups are run.
-    np.add.reduceat would add sequentially and differ from it in the last
-    bit, and so would a reduction across rows.
+    terms maps a slice of the block's columns to their summands, an array
+    whose last axis runs along those columns (with several kinds of summand
+    stacked on leading axes); rows is the block's row count and widths[m]
+    group m's column count, the groups side by side. The sums have one
+    entry per group along their last axis. The summands of one run of
+    groups (_group_runs) exist at a time. Every sum is one np.add.reduce
+    along the last axis of its own group's slice, numpy's pairwise
+    summation, so it equals np.sum of that row's (group's) values taken
+    alone, however the groups are run. np.add.reduceat would add
+    sequentially and differ from it in the last bit, and so would a
+    reduction across rows.
     """
-    if widths is None:
-        return np.add.reduce(terms(xi), axis=-1)
-    sums = []
-    for first, end, start, stop in _group_runs(math.prod(xi.shape[:-1]), widths):
-        run = terms(xi[..., start:stop])
+    sums = None
+    for first, end, start, stop in _group_runs(rows, widths):
+        run = terms(slice(start, stop))
+        if sums is None:
+            sums = np.empty(run.shape[:-1] + (len(widths),))
         col = 0
-        for width in widths[first:end]:
-            sums.append(np.add.reduce(run[..., col : col + width], axis=-1))
+        for m in range(first, end):
+            width = widths[m]
+            np.add.reduce(run[..., col : col + width], axis=-1, out=sums[..., m])
             col += width
-    return np.stack(sums, axis=-1)
+    return sums
 
 
 def _count_terms(xi):
-    """xi, xi (1 - xi) and log(1 - xi): the summands of a count's moments."""
-    rows = np.empty((3,) + xi.shape)
+    """xi, log(1 - xi), log xi and xi (1 - xi): the summands of the moments
+    of a count of ones and of its count of zeros."""
+    rows = np.empty((4,) + xi.shape)
     rows[0] = xi
-    np.multiply(xi, 1.0 - xi, out=rows[1])
     with np.errstate(divide="ignore"):
-        np.log1p(-xi, out=rows[2])
+        np.log1p(-xi, out=rows[1])
+        np.log(xi, out=rows[2])
+    np.multiply(xi, 1.0 - xi, out=rows[3])
     return rows
 
 
-def _log_terms(xi):
-    """log xi: the summands of log prod(xi), the complement's no-zero mass."""
-    with np.errstate(divide="ignore"):
-        return np.log(xi)
+def _count_moments(probs, widths=None) -> BernoulliSumMoments:
+    """Moments of each count of ones, the sum of Bernoulli(xi) over a row
+    (or group) of probabilities xi, and of its count of zeros, the sum of
+    Bernoulli(1 - xi): entries 0 and 1 of the result, whose fields stack
+    them on a leading axis of two (see BernoulliSumMoments.__getitem__).
+
+    probs and widths are as bernoulli_sum_moments takes them. A group of
+    width D has a count of zeros of mean D - mean and the same variance,
+    positive with probability 1 - prod(xi) = -expm1(sum(log xi)): exactly
+    1 where some xi is 0, whose log is -inf. One pass over the
+    probabilities (_group_sums) takes the summands of both counts.
+    """
+    xi = np.atleast_1d(np.asarray(probs, dtype=float))
+    # min and max propagate NaN, so a NaN fails the range check
+    if xi.size and not (xi.min() >= 0 and xi.max() <= 1):
+        raise ValueError("probabilities must lie in [0, 1]")
+    groups = [xi.shape[-1]] if widths is None else widths
+    rows = math.prod(xi.shape[:-1])
+    sums = _group_sums(lambda cols: _count_terms(xi[..., cols]), rows, groups)
+    if widths is None:
+        sums = sums[..., 0]
+    means = np.empty((2,) + sums.shape[1:])
+    means[0] = sums[0]
+    np.subtract(groups, sums[0], out=means[1:])
+    variances = np.repeat(sums[None, 3], 2, axis=0)
+    # sums[1:3] are the logs of the masses of no one and of no zero
+    return _with_conditional(means, variances, -np.expm1(sums[1:3]))
 
 
 def bernoulli_sum_moments(probs, widths=None) -> BernoulliSumMoments:
@@ -350,14 +342,11 @@ def bernoulli_sum_moments(probs, widths=None) -> BernoulliSumMoments:
     Notes
     -----
     p_plus is computed as -expm1(sum(log1p(-xi))) to avoid cancellation;
-    any xi equal to 1 makes that sum -inf, so p_plus = 1 exactly.
+    any xi equal to 1 makes that sum -inf, so p_plus = 1 exactly. The
+    moments are the first of _count_moments, which engine.sweep takes with
+    those of the counts of zeros.
     """
-    xi = np.atleast_1d(np.asarray(probs, dtype=float))
-    # min and max propagate NaN, so a NaN fails the range check
-    if xi.size and not (xi.min() >= 0 and xi.max() <= 1):
-        raise ValueError("probabilities must lie in [0, 1]")
-    mean, variance, log_none = _group_sums(_count_terms, xi, widths)
-    return _with_conditional(mean, variance, -np.expm1(log_none))
+    return _count_moments(probs, widths)[0]
 
 
 def _with_conditional(mean, variance, p_plus):
@@ -370,25 +359,6 @@ def _with_conditional(mean, variance, p_plus):
     mean_plus = np.divide(mean, p_plus, out=np.zeros(ok.shape), where=ok)
     var_plus = np.divide(variance, p_plus, out=np.zeros(ok.shape), where=ok)
     return BernoulliSumMoments(mean, variance, p_plus, mean_plus, var_plus)
-
-
-def _complement_moments(count, probs, widths=None):
-    """Moments of the complementary sums, of Bernoulli(1 - xi) over probs xi.
-
-    count is bernoulli_sum_moments(probs, widths), whose range check probs
-    have passed. A group of width D has a complement of mean D - count.mean
-    and the same variance, positive with probability 1 - prod(xi) =
-    -expm1(sum(log xi)): exactly 1 when some xi is 0, whose log is -inf.
-    Only that product reads probs again. A step of engine.sweep, not an
-    entry point, hence the private name: its time stays with the sweep when
-    bench/tracer.py times public functions.
-    """
-    xi = np.atleast_1d(np.asarray(probs, dtype=float))
-    log_all = _group_sums(_log_terms, xi, widths)
-    width = xi.shape[-1] if widths is None else np.asarray(widths)
-    return _with_conditional(
-        np.subtract(width, count.mean), count.variance, -np.expm1(log_all)
-    )
 
 
 def expect_log_shifted_count(shift_geo, count_mean, count_var):
@@ -433,14 +403,11 @@ def crt_mean_approx(a_geo, count: BernoulliSumMoments):
     # floored a_geo, V+ = 0 times an infinite trigamma would be NaN
     ok = p_plus >= P_PLUS_FLOOR
     a = a_geo[ok]
-    shifted = a + mean_plus[ok]
-    # psi and psi' of the shifted argument from one recurrence per element
-    if shifted.size >= _ARRAY_PSI_MIN:
-        psi_s, tri_s = _psi_array(shifted, trigamma=True)
-    else:
-        pairs = [_digamma_trigamma(v) for v in shifted.tolist()]
-        psi_s, tri_s = np.array(pairs).reshape(-1, 2).T
-    bracket = psi_s - digamma(a) + 0.5 * var_plus[ok] * tri_s
+    n = a.size
+    # psi of the shifted argument and of a_geo, with psi' (of the shifted
+    # one only read), from one kernel call
+    psi, tri = _psi(np.concatenate([a + mean_plus[ok], a]), trigamma=True)
+    bracket = psi[:n] - psi[n:] + 0.5 * var_plus[ok] * tri[:n]
     tables = np.zeros(ok.shape)
     tables[ok] = a * p_plus[ok] * bracket
     return tables

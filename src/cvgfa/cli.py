@@ -6,6 +6,7 @@ and writes every result as CSV or versioned JSON. Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -505,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default=".", help="dataset directory to create")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="run multi-restart inference on a dataset")
     p_fit.add_argument("dataset", nargs="?", default=None, help="dataset directory")
@@ -519,21 +519,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--tol", type=float, default=None, help=rule)
     p_fit.add_argument("--threads", type=int, default=None, help="parallel restarts")
     p_fit.add_argument("--out", default=None, help="output directory")
-    p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser("eval", help="stability indices against simulation truth")
     p_eval.add_argument("checkpoint", help="checkpoint.json from fit")
     p_eval.add_argument("dataset", help="dataset directory with truth files")
     p_eval.add_argument("--mode", choices=("sim1", "sim2"), required=True)
     p_eval.add_argument("--out", default=None, help="metrics JSON path")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_rank = sub.add_parser("rank", help="shared-structure column ranking")
     p_rank.add_argument("checkpoint")
     p_rank.add_argument("--groups", required=True, help="two group indices, e.g. 0,1")
     p_rank.add_argument("--labels", default=None, help="0/1 CSV for AUC")
     p_rank.add_argument("--out", default=".", help="output directory")
-    p_rank.set_defaults(func=cmd_rank)
 
     p_rec = sub.add_parser("reconstruct", help="predict one group from others")
     p_rec.add_argument("checkpoint")
@@ -546,14 +543,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--target", type=int, required=True, help="group to predict")
     p_rec.add_argument("--truth", default=None, help="target matrix for MSE")
     p_rec.add_argument("--out", default=".", help="output directory")
-    p_rec.set_defaults(func=cmd_reconstruct)
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser's parser, built once per process: parsing leaves it as
+    it was, so every main call of a process reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the command's function is looked up when it runs, so a rebinding of
+    # cmd_<command> (a test's or a tracer's) is the one called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except CvgfaError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -21,16 +21,17 @@ the auxiliary-variable augmentation (as in Teh, Kurihara & Welling, NIPS
 2008) and the two shifted-log halves of every column's inclusion logit,
 reads no other factor's update within the block, so it is taken for every
 active factor in one batch before the factor loop, and so are the weights
-that leave each factor out of the data products. The batch is built one
-run of consecutive whole groups at a time (approx._group_runs): a run
-takes groups while its |A| rows (for |A| active factors) times its
-columns stay within approx._RUN_BUDGET, 4,096 values, and a wider group
-is a run of its own. So each temporary holds at most 4,096 values, or
-|A| x D_m for a wider group. A steady acceptance-size sweep (5 or 6
-factors, 4 groups of 100 columns) takes its groups as one run: for 6
-rows its prior halves took 71 us in place of 148 us group by group, and
-its count moments 74 us in place of 115 us. At K = 30 and at the wide
-size (4 groups of 2,000) each group stays its own run. The budget is not
+that leave each factor out of the data products. The batch takes every
+digamma and trigamma of the sweep in two calls of approx's one kernel,
+and the moments of every row's counts of ones and of zeros in one pass
+over the rows. It is built one run of consecutive whole groups at a time
+(approx._group_runs): a run takes groups while its |A| rows (for |A|
+active factors) times its columns stay within approx._RUN_BUDGET, 4,096
+values, and a wider group is a run of its own. So each temporary holds
+at most a few kinds of summand over 4,096 values, or over |A| x D_m for a
+wider group. A steady acceptance-size sweep (5 or 6 factors, 4 groups of
+100 columns) takes its groups as one run. At K = 30 and at the wide size
+(4 groups of 2,000) each group stays its own run. The budget is not
 larger because block-wide temporaries are fresh pages at wide sizes:
 their page faults made such a sweep slower than one row at a time, and
 at the wide K = 30 size whole-block prior halves took 9.5 ms a call
@@ -55,15 +56,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .approx import (
-    _complement_moments,
-    _elementwise,
+    _count_moments,
     _group_runs,
-    bernoulli_sum_moments,
     crt_mean_approx,
     digamma,
     expect_log_shifted_count,
-    geo_expect_beta,
-    geo_expect_gamma,
+    geo_expect_gamma,  # not called here; bench/test_bench.py times it via engine
 )
 from .errors import DataError, NumericalError, UsageError
 from .model import (
@@ -111,8 +109,11 @@ COLLAPSED_Z_METHOD = "log-gamma ratios at geometric means and expected counts"
 
 
 def _lgamma(x):
-    """math.lgamma of every element of x, as an array of its shape."""
-    return _elementwise(math.lgamma, x)
+    """math.lgamma of every element of x, as an array of its shape: a list
+    comprehension over the Python floats, whose fixed cost on the few
+    values the objective passes is about half np.vectorize's."""
+    x = np.asarray(x, dtype=float)
+    return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 @dataclass
@@ -163,18 +164,21 @@ def update_beta_params(state, hyper, k):
     return a, np.maximum(b, BETA_B_FLOOR)
 
 
-def update_alpha(state, hyper):
+def update_alpha(state, hyper, eta_log_mean=None):
     """q(alpha_m) gamma (shapes, rates) of every group. Group m's collapsed
     prior has one normaliser Gamma(alpha_m) / Gamma(alpha_m + D_m) per
     factor, K in all, each augmented by its own eta_mk ~ Beta(alpha_m, D_m).
     So the shape is c0 plus the table-count totals of all K factors, row
     sums of the C-ordered M x K counts, each np.sum of its row, and the rate
     d0 - sum_k E[log eta_mk] = d0 - K E[log eta_m], as q(eta_mk) does not
-    depend on k; E[log eta_m] is at the current q(alpha_m)
-    (model._eta_log_mean)."""
+    depend on k; E[log eta_m] is at the current q(alpha_m): eta_log_mean,
+    which sweep takes with the other digammas of its pass, or
+    model._eta_log_mean(state) when it is omitted."""
+    if eta_log_mean is None:
+        eta_log_mean = _eta_log_mean(state)
     totals = np.add.reduce(state.aux_s_mean, axis=-1)
     totals += np.add.reduce(state.aux_t_mean, axis=-1)
-    return hyper.c0 + totals, hyper.d0 - state.n_factors * _eta_log_mean(state)
+    return hyper.c0 + totals, hyper.d0 - state.n_factors * eta_log_mean
 
 
 def _prior_halves(block, nhat, g_ab, g_abbar, widths):
@@ -277,26 +281,35 @@ def _score_block(state, tau_bar, products, second, update):
     sum_m tau_bar_m (X_m C_m^T[:, i] - F h_m) with h_m column i of
     C_m C_m^T, entry i zeroed, and F the scores as the earlier columns of
     the block have left them. Its precision, 1 + sum_m tau_bar_m second[m],
-    reads no score, so every column's is taken at once. Each column's update
-    maximises the objective given everything else, and the samples are
-    independent given the loadings.
+    reads no score, so every column's is taken at once, and so are the
+    sums sum_m tau_bar_m X_m C_m^T (one reduction over the groups for
+    both) and tau_bar h_m of every column (one stacked matmul). Each
+    column's update maximises the objective given everything else, and the
+    samples are independent given the loadings.
     """
     update = [int(i) for i in update]
     f_mean = state.f_mean
     tau = np.column_stack(tau_bar)
-    txc = np.zeros_like(f_mean)
-    precision = np.ones_like(f_mean)
-    for m, (xc, _) in enumerate(products):
-        tb = tau_bar[m][:, None]
-        txc += tb * xc
-        precision += tb * second[m]
+    # the moments' data parts from 0 and the precisions from 1, each adding
+    # group m's tau_bar_m-weighted N x K+ terms in group order: a reduction
+    # over the leading axis of a block of more than one column adds its
+    # rows one after another
+    terms = np.empty((len(products) + 1, 2) + f_mean.shape)
+    terms[0] = np.array([0.0, 1.0])[:, None, None]
+    weight = tau.T[:, :, None]
+    np.multiply(weight, np.stack([xc for xc, _ in products]), out=terms[1:, 0])
+    np.multiply(weight, np.asarray(second)[:, None, :], out=terms[1:, 1])
+    txc, precision = np.add.reduce(terms, axis=0)
+    del terms
     # h[i] is M x K+: row m is column i of C_m C_m^T with entry i zeroed
     h = np.stack([cc.T for _, cc in products], axis=1)
     diag = np.arange(h.shape[0])
     h[diag, :, diag] = 0.0
+    # th[i] = tau @ h[i] of every column at once, one matmul per column
+    th = tau @ h
     f_var = 1.0 / precision
     for i in update:
-        moment = txc[:, i] - np.einsum("nj,nj->n", f_mean, tau @ h[i])
+        moment = txc[:, i] - np.einsum("nj,nj->n", f_mean, th[i])
         f_mean[:, i] = f_var[:, i] * moment
     state.f_var[:, update] = f_var[:, update]
 
@@ -331,24 +344,27 @@ def sweep(state, data, hyper, *, _data_norms=None):
 
     The collapsed-prior part of the loading block is one batch over the
     held factors A, taken before the factor loop: q(beta) of every factor
-    in A (update_beta_params), the concentrations g_ab and g_abbar as
-    |A| x M arrays, each group's count moments and those of its complement
-    over the |A| x D_m block rho[m] (bernoulli_sum_moments and
-    _complement_moments, one reduction per group), the table counts of
-    every (factor, group) row from one crt_mean_approx call for E[s] and
-    one for E[t], and the two prior halves of every column's inclusion
-    logit as two |A| x sum_m D_m arrays (_prior_halves, over a copy of
+    in A (update_beta_params), the concentrations g_ab and g_abbar stacked
+    as one 2 x |A| x M array, the moments of every (factor, group) row's
+    count of ones and of its count of zeros over the |A| x sum_m D_m block
+    rho.stacked (approx._count_moments, one pass over the rows for both),
+    the table counts E[s] and E[t] of every row from one crt_mean_approx
+    call, and the two prior halves of every column's inclusion logit as
+    two |A| x sum_m D_m arrays (_prior_halves, over a copy of
     rho.stacked). The moments and the halves take their elementwise steps
     over one run of whole groups at a time (approx._group_runs), at most
-    approx._RUN_BUDGET (4,096) values or one group. A steady
-    acceptance-size sweep (5 held factors, 4 x 100) takes its columns as
-    one run: the batch took 0.39 ms of a 1.01 ms sweep, against 0.48 of
-    1.10 ms group by group. A first sweep at K = 30, with 90 to 120
-    (factor, group) rows, takes each group as its own run and its digamma
-    and trigamma from approx's whole-array kernel: the batch took 0.94 ms
-    of a 3.25 ms sweep, against 1.34 of 3.60 ms with the float kernels
-    (medians over 3,000 and 300 sweeps on a shared 2-vCPU x86-64 host, one
-    BLAS thread). Factor k's batch values read
+    approx._RUN_BUDGET (4,096) values or one group. Every digamma and
+    trigamma of the pass comes from two calls of approx's one kernel: one
+    as the pass begins, on the alpha shapes (the geometric means of
+    alpha), E[alpha] and E[alpha] + D_m (the E[log eta] that update_alpha
+    reads at the alpha it replaces, which is the alpha the pass began
+    with) and q(beta)'s a, b and a + b; and crt_mean_approx's, on both
+    table counts. Each call's fixed cost is most of its time at the
+    acceptance size, where the seven calls that took them before, of 4 to
+    24 values each, took 169 us of a steady sweep (5 held factors, 4 x 100)
+    against 102 us for the two, and the two count passes 70 us against 43
+    us for the one (medians on a shared 2-vCPU x86-64 host). Factor k's
+    batch values read
     only its own rows as the pass began, q(beta_k) and alpha, which no
     other factor's step moves (only factor k's step writes its row of rho),
     so each equals the value a step of k alone would compute after the
@@ -394,13 +410,13 @@ def sweep(state, data, hyper, *, _data_norms=None):
     serve the score block and then the residual's per-sample squared norms
     (model._sq_norms), which the noise precisions read and which are
     returned, one vector per group, for the caller's training error and
-    objective. Each group's loading sums (model._loading_sums) are taken
-    once, one group at a time, for both the score block's precision and
-    the noise precisions. So per pass and group the data is read by
+    objective. The loading sums of every group (model._loading_sums) are
+    taken once, over the runs of whole groups, for both the score block's
+    precision and the noise precisions, which take the scores' squares
+    once for all groups. So per pass and group the data is read by
     (tau_bar_m F)^T X_m and X_m C_m^T only; its row norms
     (model._row_norms) are taken once per fit by the caller and passed as
-    _data_norms, or here when it is omitted. The moments of a row's count
-    of zeros derive from those of its count of ones (_complement_moments).
+    _data_norms, or here when it is omitted.
     """
     lam_shape = hyper.lambda_shape
     dims = state.dims
@@ -425,22 +441,36 @@ def sweep(state, data, hyper, *, _data_norms=None):
     beta_a, beta_b = update_beta_params(state, hyper, ids)
     state.beta_a[ids] = beta_a
     state.beta_b[ids] = beta_b
-    g_alpha = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
-    g_beta, g_beta_bar = geo_expect_beta(beta_a, beta_b)
-    g_ab = np.maximum(g_beta[:, None] * g_alpha, GEO_FLOOR)
-    g_abbar = np.maximum(g_beta_bar[:, None] * g_alpha, GEO_FLOOR)
+    # every digamma of the pass but the table counts' in one call: of the
+    # alpha shapes, of E[alpha] and E[alpha] + D_m (E[log eta], which
+    # update_alpha reads at the alpha the pass began with) and of q(beta)'s
+    # a, b and a + b
+    n_groups = len(dims)
+    alpha_mean = state.alpha_shape / state.alpha_rate
+    psi = digamma(
+        np.concatenate(
+            [state.alpha_shape, alpha_mean, alpha_mean + widths]
+            + [beta_a, beta_b, beta_a + beta_b]
+        )
+    )
+    psi_alpha, psi_mean, psi_mean_d = psi[: 3 * n_groups].reshape(3, n_groups)
+    psi_beta = psi[3 * n_groups :].reshape(3, len(ids))
+    eta_log_mean = psi_mean - psi_mean_d
+    # the geometric means of alpha (geo_expect_gamma's expression) and of
+    # beta and 1 - beta (geo_expect_beta's), then g_ab and g_abbar stacked
+    g_alpha = np.exp(psi_alpha) / state.alpha_rate
+    geo = np.exp(psi_beta[:2] - psi_beta[2])[:, :, None] * g_alpha
+    np.maximum(geo, GEO_FLOOR, out=geo)
+    # the moments of every row's count of ones and of zeros from one pass,
+    # stacked as geo is, and both table counts from one call
     block = rho_all.copy()
-    nhat = bernoulli_sum_moments(block, widths)
-    ntil = _complement_moments(nhat, block, widths)
-    state.aux_s_mean[:, ids] = np.minimum(
-        np.maximum(crt_mean_approx(g_ab, nhat), 0.0), widths
-    ).T
-    state.aux_t_mean[:, ids] = np.minimum(
-        np.maximum(crt_mean_approx(g_abbar, ntil), 0.0), widths
-    ).T
-    del ntil
-    prior_on, prior_off = _prior_halves(block, nhat, g_ab, g_abbar, widths)
-    del block, nhat
+    counts = _count_moments(block, widths)
+    tables = crt_mean_approx(geo, counts)
+    np.maximum(tables, 0.0, out=tables)
+    np.minimum(tables, widths, out=tables)
+    state.aux_s_mean[:, ids], state.aux_t_mean[:, ids] = tables.transpose(0, 2, 1)
+    prior_on, prior_off = _prior_halves(block, counts[0], *geo, widths)
+    del block, counts, tables, geo
 
     loads = rho_all * w_all
     f2 = f_mean * f_mean + state.f_var
@@ -497,14 +527,11 @@ def sweep(state, data, hyper, *, _data_norms=None):
 
     # each group's products and loading sums at the final loadings of the
     # pass, for the score block and the noise precisions
-    products = []
-    sums = []
-    for m, (x, cols) in enumerate(zip(data.groups, spans)):
-        coef = loads[:, cols]
-        products.append(_loading_products(x, coef))
-        rows = (a[m] for a in (state.rho, state.w_mean, state.w_var))
-        sums.append(_loading_sums(*rows, coef))
-    second = [s for s, _ in sums]
+    products = [
+        _loading_products(x, loads[:, cols]) for x, cols in zip(data.groups, spans)
+    ]
+    rows = (a.stacked for a in (state.rho, state.w_mean, state.w_var))
+    second, square = _loading_sums(*rows, loads, widths)
     _score_block(state, tau_bar, products, second, range(len(state.factors)))
     if _data_norms is None:
         _data_norms = [_row_norms(x) for x in data.groups]
@@ -513,9 +540,12 @@ def sweep(state, data, hyper, *, _data_norms=None):
         _sq_norms(xx, f_mean, xc, cc) for xx, (xc, cc) in zip(_data_norms, products)
     ]
     # group m's alpha reads only its own eta, at the alpha it replaces
-    state.alpha_shape[:], state.alpha_rate[:] = update_alpha(state, hyper)
+    shape, rate = update_alpha(state, hyper, eta_log_mean)
+    state.alpha_shape[:], state.alpha_rate[:] = shape, rate
+    f2 = f_mean * f_mean
+    ef2 = f2 + state.f_var
     for m in range(state.n_groups):
-        sq = _expected_sq_residual(norms[m], f_mean, state.f_var, *sums[m])
+        sq = _expected_sq_residual(norms[m], f2, ef2, second[m], square[m])
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
 
     _check_state_finite(state)
@@ -523,6 +553,10 @@ def sweep(state, data, hyper, *, _data_norms=None):
 
 
 def _check_state_finite(state):
+    """Raise NumericalError naming the first state array with a non-finite
+    entry. An array's sum is finite only if every entry is (an inf or NaN
+    makes it inf or NaN), so the entries are checked only where the sum is
+    not: a sum of huge finite entries can overflow."""
     checks = [
         ("f_mean", state.f_mean),
         ("f_var", state.f_var),
@@ -535,11 +569,14 @@ def _check_state_finite(state):
     ]
     for m in range(state.n_groups):
         checks.append((f"tau_rate[{m}]", state.tau_rate[m]))
-    for name, arr in checks:
-        if not np.isfinite(arr).all():
-            raise NumericalError(
-                f"non-finite values in {name}", context={"variable": name}
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, arr in checks:
+            if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(
+                arr
+            ).all():
+                raise NumericalError(
+                    f"non-finite values in {name}", context={"variable": name}
+                )
 
 
 def _bernoulli_entropy(rho):
@@ -615,6 +652,8 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
     g0, h0 = hyper.g0, hyper.h0
     tau_prior = g0 * math.log(h0) - math.lgamma(g0)
     f_mean, f_var = state.f_mean, state.f_var
+    f2 = f_mean * f_mean
+    ef2 = f2 + f_var
     counts = []
     for m in range(M):
         d_m = state.dims[m]
@@ -625,7 +664,7 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         blocks = (state.rho, state.w_mean, state.w_var)
         rho, w_mean, w_var = (a[m].copy() for a in blocks)
         sums = _loading_sums(rho, w_mean, w_var, rho * w_mean)
-        sq = _expected_sq_residual(norms[m], f_mean, f_var, *sums)
+        sq = _expected_sq_residual(norms[m], f2, ef2, *sums)
         # the likelihood with q(tau) against its prior
         per_sample = np.log(tau_rate) + (h0 + 0.5 * sq) / tau_rate
         const = tau_shape - 0.5 * d_m * LOG_2PI + tau_prior + math.lgamma(tau_shape)
@@ -642,7 +681,6 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
 
     # factor scores against the standard normal prior
     if f_mean.size:
-        ef2 = f_mean**2 + f_var
         total += float(0.5 * np.sum(np.log(f_var) - ef2 + 1.0))
 
     # q(alpha) against its gamma prior; exp(psi) / rate is

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import digamma
+from .approx import _group_sums, digamma
 from .errors import DataError, UsageError
 
 __all__ = [
@@ -99,8 +99,8 @@ class Hyperparameters:
     h0: float = 0.1
 
     def validate(self):
-        if int(self.K) < 1:
-            raise UsageError("truncation level K must be at least 1")
+        if not (_is_whole(self.K) and self.K >= 1):
+            raise UsageError("truncation level K must be an integer of at least 1")
         for name in ("kappa0", "c0", "d0", "e0", "f0", "g0", "h0"):
             value = getattr(self, name)
             # NaN fails the comparison; infinity fails isfinite
@@ -516,7 +516,7 @@ def init_state(
     """
     hyper.validate()
     data.validate()
-    if int(seed) < 0:
+    if not (_is_whole(seed) and seed >= 0):
         raise UsageError("seed must be a non-negative integer")
     if start is None:
         start = spectral_start(data, hyper)
@@ -545,12 +545,12 @@ def init_state(
     rho, w_mean, w_var = (GroupBlocks(a, dims) for a in (rho, w_mean, w_var))
 
     tau_rate = []
+    f2 = f_mean * f_mean
+    ef2 = f2 + f_var
     for x, x_norms, rm, wm, vm in zip(data.groups, start.row_norms, rho, w_mean, w_var):
         coef = rm * wm
         norms = _sq_norms(x_norms, f_mean, *_loading_products(x, coef))
-        sq = _expected_sq_residual(
-            norms, f_mean, f_var, *_loading_sums(rm, wm, vm, coef)
-        )
+        sq = _expected_sq_residual(norms, f2, ef2, *_loading_sums(rm, wm, vm, coef))
         tau_rate.append(hyper.h0 + 0.5 * sq)
 
     return VariationalState(
@@ -717,24 +717,42 @@ def _sq_norms(x_norms, f_mean, xc, cc):
     return np.maximum(r, 0.0, out=r)
 
 
-def _loading_sums(rho, w_mean, w_var, coef):
-    """sum_d rho E[w^2] and sum_d (rho mu_w)^2 of every factor of one group.
+def _loading_sums(rho, w_mean, w_var, coef, widths=None):
+    """sum_d rho E[w^2] and sum_d (rho mu_w)^2 of every factor, per group.
 
-    coef is the group's expected loadings rho * mu_w. The first sums are
-    the loadings' share of the factor scores' precision (the sweep's score
-    block) and both enter _expected_sq_residual.
+    coef is the expected loadings rho * mu_w. The first sums are the
+    loadings' share of the factor scores' precision (the sweep's score
+    block) and both enter _expected_sq_residual. Without widths the rows
+    are one group's and each sum is one vector over the factors. With
+    widths the groups lie side by side along the rows, widths[m] columns
+    for group m, and each sum is an M x K+ array, row m group m's. The
+    summands are taken over runs of whole groups (approx._group_sums), and
+    each sum is np.sum of its factor's row in its group alone.
     """
-    second = (rho * (w_mean * w_mean + w_var)).sum(axis=1)
-    return second, (coef * coef).sum(axis=1)
+
+    def terms(cols):
+        w = w_mean[:, cols]
+        both = np.empty((2,) + w.shape)
+        np.multiply(w, w, out=both[0])
+        both[0] += w_var[:, cols]
+        both[0] *= rho[:, cols]
+        np.multiply(coef[:, cols], coef[:, cols], out=both[1])
+        return both
+
+    groups = [rho.shape[1]] if widths is None else widths
+    sums = _group_sums(terms, rho.shape[0], groups)
+    if widths is None:
+        return sums[..., 0]
+    return np.ascontiguousarray(sums.transpose(0, 2, 1))
 
 
-def _expected_sq_residual(norms, f_mean, f_var, second, square):
+def _expected_sq_residual(norms, f2, ef2, second, square):
     """E[||x_n - G f_n||^2] of one group, for every sample n, as a vector.
 
     norms are the residual's squared rows at the expected loadings and
-    scores (_sq_norms), second and square the group's _loading_sums. The
-    expectation adds to the norms the posterior-variance corrections
-    sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2).
+    scores (_sq_norms), second and square the group's _loading_sums, and
+    f2 and ef2 the scores' mu_f^2 and E[f^2] = mu_f^2 + var_f, which every
+    group shares. The expectation adds to the norms the posterior-variance
+    corrections sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2).
     """
-    ef2 = f_mean * f_mean + f_var
-    return norms + ef2 @ second - (f_mean * f_mean) @ square
+    return norms + ef2 @ second - f2 @ square

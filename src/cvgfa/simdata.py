@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .model import GroupedDataset
+from .model import GroupedDataset, _is_whole
 
 __all__ = [
     "SPARSE",
@@ -114,7 +114,7 @@ def generate(pattern: SparsityPattern, n: int, d_per_group, seed: int):
         )
     if any(d < 1 for d in dims):
         raise UsageError("every group needs at least one column")
-    if int(seed) < 0:
+    if not (_is_whole(seed) and seed >= 0):
         raise UsageError("seed must be a non-negative integer")
 
     rng = np.random.default_rng(int(seed))

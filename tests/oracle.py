@@ -12,8 +12,11 @@ E[log eta] update_eta gives for the alpha it replaces, one group at a time,
 where the package takes every group in one step (model._lambda_rate and
 model._eta_log_mean).
 
-More oracles pin code the package runs in another form: crt_mean_exact,
-the closed-form table count that crt_mean_approx telescopes to;
+More oracles pin code the package runs in another form: digamma_float
+and digamma_trigamma_float, the recurrence and asymptotic series of one
+float at a time, which approx's whole-array kernel repeats bit for bit;
+crt_mean_exact, the closed-form table count that crt_mean_approx
+telescopes to;
 predict_factors, held-out prediction for one sample conditioned from
 scratch, which engine.condition_scores and engine.predict_factors split
 into a once-per-command and a per-row step; and rho_row_priors and
@@ -46,6 +49,7 @@ import math
 import numpy as np
 
 from cvgfa.approx import (
+    _SERIES_START,
     bernoulli_sum_moments,
     crt_mean_approx,
     digamma,
@@ -70,6 +74,74 @@ from cvgfa.model import (
     _lambda_rate,
     _loading_sums,
 )
+
+
+def _digamma_tail(inv2):
+    """B_2n/(2n) series of digamma in 1/x^2, innermost last."""
+    return 1.0 / 12.0 - inv2 * (
+        1.0 / 120.0
+        - inv2
+        * (
+            1.0 / 252.0
+            - inv2
+            * (
+                1.0 / 240.0
+                - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))
+            )
+        )
+    )
+
+
+def _trigamma_tail(inv2):
+    """B_2n series of trigamma in 1/x^2, innermost last."""
+    return 1.0 / 6.0 - inv2 * (
+        1.0 / 30.0
+        - inv2
+        * (
+            1.0 / 42.0
+            - inv2
+            * (
+                1.0 / 30.0
+                - inv2 * (5.0 / 66.0 - inv2 * (691.0 / 2730.0 - inv2 * (7.0 / 6.0)))
+            )
+        )
+    )
+
+
+def digamma_float(y):
+    """digamma of one float: psi(x) = psi(x + 1) - 1/x until the argument
+    reaches 6, then psi(x) ~ log x - 1/(2x) - sum_n B_2n / (2n x^2n). The
+    log is numpy's, as approx's kernel takes it."""
+    if not y > 0:
+        raise ValueError("digamma requires x > 0")
+    acc = 0.0
+    while y < _SERIES_START:
+        acc -= 1.0 / y
+        y += 1.0
+    inv = 1.0 / y
+    inv2 = inv * inv
+    return float(acc + (np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)))
+
+
+def digamma_trigamma_float(y):
+    """digamma and trigamma of one float from one recurrence: the digamma
+    is digamma_float's, since both step y alike, and the trigamma keeps its
+    own sum: psi'(x) = psi'(x + 1) + 1/x^2 up to 6, then
+    psi'(x) ~ 1/x + 1/(2x^2) + sum_n B_2n / x^(2n+1)."""
+    if not y > 0:
+        raise ValueError("digamma and trigamma require x > 0")
+    acc = 0.0
+    acc2 = 0.0
+    while y < _SERIES_START:
+        acc -= 1.0 / y
+        y2 = y * y
+        # 1 / y^2 is inf where y * y underflows to 0
+        acc2 += 1.0 / y2 if y2 > 0.0 else math.inf
+        y += 1.0
+    inv = 1.0 / y
+    inv2 = inv * inv
+    psi = float(acc + (np.log(y) - 0.5 * inv - inv2 * _digamma_tail(inv2)))
+    return psi, acc2 + (inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2))
 
 
 def rho_row_priors(rho, count_mean, count_var, g_ab, g_abbar, widths):
@@ -419,7 +491,8 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         log_tau, e_log_tau, tb = _gamma_moments(tau_shape, tau_rate, psi_tau[m])
         rho, w_mean, w_var = state.rho[m], state.w_mean[m], state.w_var[m]
         sums = _loading_sums(rho, w_mean, w_var, rho * w_mean)
-        sq = _expected_sq_residual(norms[m], f_mean, f_var, *sums)
+        f2 = f_mean * f_mean
+        sq = _expected_sq_residual(norms[m], f2, f2 + f_var, *sums)
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
 
         # loadings against their elementwise gamma-precision prior

@@ -17,7 +17,6 @@ from cvgfa.approx import (
     _SERIES_START,
     P_PLUS_FLOOR,
     BernoulliSumMoments,
-    _complement_moments,
     bernoulli_sum_moments,
     crt_mean_approx,
     digamma,
@@ -25,15 +24,21 @@ from cvgfa.approx import (
     geo_expect_beta,
     geo_expect_gamma,
 )
-from oracle import crt_mean_exact
+from oracle import crt_mean_exact, digamma_float, digamma_trigamma_float
 
 EULER_GAMMA = 0.5772156649015329
 
 
 def trigamma(xs):
-    """psi' of each element of xs, from approx._digamma_trigamma: the one
-    trigamma route, which crt_mean_approx takes."""
-    return np.array([approx._digamma_trigamma(x)[1] for x in np.ravel(xs).tolist()])
+    """psi' of each element of xs, from approx._psi: the one trigamma route,
+    which crt_mean_approx takes."""
+    return approx._psi(np.ravel(xs), trigamma=True)[1]
+
+
+def complement_moments(probs, widths=None):
+    """Moments of the counts of zeros, sums of Bernoulli(1 - xi) over probs
+    xi, as engine.sweep takes them with those of the counts of ones."""
+    return approx._count_moments(probs, widths)[1]
 
 
 def enumerate_count_pmf(probs):
@@ -193,8 +198,7 @@ class TestScalarRoute:
     def test_one_recurrence_gives_the_digamma_kernel(self):
         # crt_mean_approx takes psi and psi' of one argument together
         grid = scalar_grid()
-        pairs = np.array([approx._digamma_trigamma(x) for x in grid.tolist()])
-        assert same_bits(pairs[:, 0], digamma(grid))
+        assert same_bits(approx._psi(grid, trigamma=True)[0], digamma(grid))
 
     def test_lgamma_array_route_matches_math_lgamma(self):
         # engine maps math.lgamma over the arrays of its objective
@@ -354,7 +358,7 @@ class TestComplementMoments:
         rng = np.random.default_rng(9)
         for _ in range(100):
             probs = rng.uniform(0, 1, int(rng.integers(0, 13)))
-            got = _complement_moments(bernoulli_sum_moments(probs), probs)
+            got = complement_moments(probs)
             want = bernoulli_sum_moments(1.0 - probs)
             assert_allclose(self.fields(got), self.fields(want), rtol=1e-12, atol=1e-12)
 
@@ -364,27 +368,27 @@ class TestComplementMoments:
             probs = rng.uniform(0, 1, int(rng.integers(1, 11)))
             pmf = enumerate_count_pmf(1.0 - probs)
             p_plus = float(1.0 - pmf[0])
-            m = _complement_moments(bernoulli_sum_moments(probs), probs)
+            m = complement_moments(probs)
             assert_allclose(m.p_plus, p_plus, atol=1e-12)
             assert_allclose(m.mean, float(pmf @ np.arange(probs.size + 1)), atol=1e-10)
 
     def test_a_zero_probability_makes_the_complement_sure(self):
         probs = np.array([0.3, 0.0, 0.9999999])
-        m = _complement_moments(bernoulli_sum_moments(probs), probs)
+        m = complement_moments(probs)
         # taken without log(0): a RuntimeWarning fails the test
         assert m.p_plus == 1.0
         assert m.mean_plus == m.mean and m.var_plus == m.variance
 
     def test_certain_ones_leave_no_complement(self):
         probs = np.ones(4)
-        m = _complement_moments(bernoulli_sum_moments(probs), probs)
+        m = complement_moments(probs)
         assert self.fields(m) == [0.0] * 5
-        m = _complement_moments(bernoulli_sum_moments([]), [])
+        m = complement_moments([])
         assert self.fields(m) == [0.0] * 5
 
     def test_near_certain_ones_no_cancellation(self):
         probs = np.array([1.0 - 2.0**-50, 1.0 - 2.0**-50])
-        m = _complement_moments(bernoulli_sum_moments(probs), probs)
+        m = complement_moments(probs)
         assert_allclose(m.p_plus, 2.0 * 2.0**-50, rtol=1e-6)
 
 
@@ -410,11 +414,11 @@ class TestStackedGroups:
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error", RuntimeWarning)
             nhat = bernoulli_sum_moments(probs, widths)
-            ntil = _complement_moments(nhat, probs, widths)
+            ntil = complement_moments(probs, widths)
             tables = [crt_mean_approx(a_geo, nhat), crt_mean_approx(a_geo, ntil)]
         for m, xi in enumerate(groups):
             one = bernoulli_sum_moments(xi)
-            other = _complement_moments(one, xi)
+            other = complement_moments(xi)
             # each group's sums are numpy's pairwise sums of its row alone
             assert same_bits(one.mean, np.sum(xi))
             assert same_bits(one.variance, np.sum(xi * (1.0 - xi)))
@@ -459,10 +463,10 @@ class TestBlocksOfRows:
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error", RuntimeWarning)
             nhat = bernoulli_sum_moments(block)
-            ntil = _complement_moments(nhat, block)
+            ntil = complement_moments(block)
         for i, xi in enumerate(block):
             one = bernoulli_sum_moments(xi)
-            for got, want in ((nhat, one), (ntil, _complement_moments(one, xi))):
+            for got, want in ((nhat, one), (ntil, complement_moments(xi))):
                 assert same_bits([f[i] for f in self.fields(got)], self.fields(want))
         assert nhat.mean.shape == (len(block),)
 
@@ -471,14 +475,14 @@ class TestBlocksOfRows:
         widths = [13, 40, 7, 25, 18, 30, 11, 22, 16]
         block = self.block(seed, widths)
         nhat = bernoulli_sum_moments(block, widths)
-        ntil = _complement_moments(nhat, block, widths)
+        ntil = complement_moments(block, widths)
         assert nhat.mean.shape == (len(block), len(widths))
         ends = np.cumsum(widths)
         for i, row in enumerate(block):
             for m, end in enumerate(ends):
                 xi = row[end - widths[m] : end]
                 one = bernoulli_sum_moments(xi)
-                other = _complement_moments(one, xi)
+                other = complement_moments(xi)
                 for got, want in ((nhat, one), (ntil, other)):
                     got_m = [f[i, m] for f in self.fields(got)]
                     assert same_bits(got_m, self.fields(want))
@@ -490,7 +494,7 @@ class TestBlocksOfRows:
         a_geo = rng.uniform(0.05, 3.0, (len(block), len(widths)))
         a_geo[:, 2] = 1e-300  # a floored concentration
         nhat = bernoulli_sum_moments(block, widths)
-        ntil = _complement_moments(nhat, block, widths)
+        ntil = complement_moments(block, widths)
         for count in (nhat, ntil):
             got = crt_mean_approx(a_geo, count)
             assert got.shape == a_geo.shape
@@ -508,8 +512,9 @@ class TestBlocksOfRows:
 
 
 class TestArrayPsiKernel:
-    """approx._psi_array, the whole-array kernel of calls of at least
-    approx._ARRAY_PSI_MIN values, against the float kernels it repeats."""
+    """approx._psi, the one psi kernel, against the per-element recurrence
+    it repeats as whole-array steps (oracle.digamma_float and
+    oracle.digamma_trigamma_float)."""
 
     @staticmethod
     def points():
@@ -524,40 +529,48 @@ class TestArrayPsiKernel:
             ]
         )
 
-    def test_equals_the_float_kernels_bitwise_without_warnings(self):
-        xs = self.points()
+    @staticmethod
+    def assert_pinned(xs):
+        floats = np.ravel(xs).tolist()
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error", RuntimeWarning)
-            psi = approx._psi_array(xs)
-            pair = approx._psi_array(xs, trigamma=True)
-        floats = xs.tolist()
-        assert same_bits(psi, [approx._digamma(x) for x in floats])
-        want = np.array([approx._digamma_trigamma(x) for x in floats])
-        assert same_bits(pair[0], want[:, 0])
-        assert same_bits(pair[1], want[:, 1])
+            psi = approx._psi(xs)
+            pair = approx._psi(xs, trigamma=True)
+        want = np.array([digamma_trigamma_float(x) for x in floats]).reshape(
+            np.shape(xs) + (2,)
+        )
+        psi_want = np.reshape([digamma_float(x) for x in floats], np.shape(xs))
+        assert same_bits(psi, psi_want)
+        assert same_bits(pair[0], want[..., 0])
+        assert same_bits(pair[1], want[..., 1])
 
-    def test_the_switch_picks_the_array_kernel_from_40_values(self, monkeypatch):
-        xs = self.points()[: approx._ARRAY_PSI_MIN]
-        calls = []
-        kernel = approx._psi_array
+    def test_equals_the_float_kernels_bitwise_without_warnings(self):
+        self.assert_pinned(self.points())
 
-        def counted(x, trigamma=False):
-            calls.append(np.size(x))
-            return kernel(x, trigamma)
+    # the least subnormal, a subnormal, one whose square underflows, the
+    # start and its neighbours, and one whose powers of 1/x underflow
+    EDGES = [5e-324, 1e-310, 1e-160, np.nextafter(_SERIES_START, 0.0), 6.0, 1e300]
 
-        monkeypatch.setattr(approx, "_psi_array", counted)
-        digamma(xs[:-1])
-        assert calls == []
-        digamma(xs)
-        assert calls == [xs.size]
-        count = bernoulli_sum_moments(np.full((xs.size, 3), 0.5))
-        crt_mean_approx(xs, count)
-        # psi and psi' of the shifted argument, then psi of a_geo
-        assert calls == [xs.size] * 3
+    @pytest.mark.parametrize("size", ["0-d", 1, 2, 7, 8, 9, 17, 1_055])
+    def test_pins_the_oracle_at_every_size(self, size):
+        # the recurrence's terms are summed down at most six rows, for any
+        # number of values in a call, a 0-d one included
+        rng = np.random.default_rng(37)
+        if size == "0-d":
+            for x in self.EDGES + [0.5, 2.5, 40.0]:
+                self.assert_pinned(np.float64(x))
+            return
+        for draw in range(200 if size < 1_000 else 20):
+            xs = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), size))
+            xs[: size // 2] = rng.uniform(0.0, 2.0 * _SERIES_START, size // 2)
+            xs[rng.integers(size)] = self.EDGES[draw % len(self.EDGES)]
+            self.assert_pinned(xs)
+            if size == 1_055:
+                self.assert_pinned(xs[:1_000].reshape(10, 4, 25))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_domain_errors(self, bad):
-        xs = np.full(approx._ARRAY_PSI_MIN, 2.0)
+        xs = np.full(40, 2.0)
         xs[7] = bad
         with pytest.raises(ValueError):
             digamma(xs)
@@ -592,7 +605,7 @@ class TestGroupRuns:
             monkeypatch.setattr(approx, "_RUN_BUDGET", budget)
             runs.append(len(approx._group_runs(len(block), widths)))
             nhat = bernoulli_sum_moments(block, widths)
-            ntil = _complement_moments(nhat, block, widths)
+            ntil = complement_moments(block, widths)
             results.append(fields(nhat) + fields(ntil))
         # each group its own run, then all groups one run
         assert runs == [len(widths), 1]

@@ -972,6 +972,24 @@ def run_console_script(*args):
     )
 
 
+class TestParser:
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_main_runs_the_current_binding_of_a_command(self, monkeypatch):
+        # the command is looked up by name at each call, not bound into the
+        # parser that every call reuses
+        seen = []
+        def fake_rank(args):
+            seen.append(args.checkpoint)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_rank", fake_rank)
+        assert cli.main(["rank", "a.json", "--groups", "0,1"]) == 0
+        assert cli.main(["rank", "b.json", "--groups", "0,1"]) == 0
+        assert seen == ["a.json", "b.json"]
+
+
 class TestConsoleScript:
     def test_entry_point_exists(self):
         proc = run_console_script("--help")

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 import oracle
 from cvgfa import approx, engine
 from cvgfa.approx import (
-    _complement_moments,
+    _count_moments,
     bernoulli_sum_moments,
     crt_mean_approx,
     digamma,
@@ -809,7 +809,7 @@ def per_column_sweep(state, data, hyper):
             g_abbar = max(g_alpha[m] * g_beta_bar, engine.GEO_FLOOR)
 
             nhat = bernoulli_sum_moments(rho_row)
-            ntil = _complement_moments(nhat, rho_row)
+            ntil = _count_moments(rho_row)[1]
             state.aux_s_mean[m, k] = min(
                 max(crt_mean_approx(g_ab, nhat), 0.0), float(d_m)
             )
@@ -896,8 +896,8 @@ def per_column_sweep(state, data, hyper):
         rho, w, w_var = (a[m][kept] for a in (state.rho, state.w_mean, state.w_var))
         sq = engine._expected_sq_residual(
             engine._sq_norms(engine._row_norms(data.groups[m]), f_kept, xc[m], cc[m]),
-            f_kept,
-            state.f_var[:, kept],
+            f_kept * f_kept,
+            f_kept * f_kept + state.f_var[:, kept],
             *engine._loading_sums(rho, w, w_var, rho * w),
         )
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
@@ -1115,10 +1115,25 @@ class TestBatchedRowTerms:
                 assert got.tobytes() == want.tobytes()
 
 
+def one_value_per_call(kernel):
+    """approx._psi that passes kernel one value per call: the per-element
+    schedule that the whole-array kernel's batching must not change."""
+
+    def each(x, trigamma=False):
+        x = np.asarray(x, dtype=float)
+        values = [kernel(v, trigamma) for v in x.ravel()]
+        if not trigamma:
+            return np.reshape(values, x.shape)
+        pairs = np.reshape(values, x.shape + (2,))
+        return pairs[..., 0], pairs[..., 1]
+
+    return each
+
+
 class TestRunsOfGroups:
     """The collapsed-prior batch and whole fits change no bit with the run
-    budget (approx._RUN_BUDGET) or the array psi kernel's switch
-    (approx._ARRAY_PSI_MIN) at either extreme."""
+    budget (approx._RUN_BUDGET) at either extreme, nor when the psi kernel
+    takes the values of each call one at a time."""
 
     @pytest.mark.parametrize(
         "dims", [[20] * 4, [13, 40, 7, 25]], ids=["equal", "unequal"]
@@ -1141,8 +1156,9 @@ class TestRunsOfGroups:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("budget", [1, 10**9])
-    @pytest.mark.parametrize("least", [1, math.inf])
-    def test_fit_matches_across_budgets_and_kernels(self, monkeypatch, budget, least):
+    @pytest.mark.parametrize("chunk", [1, math.inf])
+    def test_fit_matches_across_budgets_and_kernels(self, monkeypatch, budget, chunk):
+        # chunk 1: every psi call's values one at a time; inf: whole calls
         from cvgfa.simdata import generate, simulation1_pattern
 
         data, _ = generate(simulation1_pattern(), 30, [13, 40, 7, 25], seed=4)
@@ -1150,7 +1166,8 @@ class TestRunsOfGroups:
         opts = FitOptions(max_sweeps=8, seed=1)
         want = engine.fit(data, hyper, opts)
         monkeypatch.setattr(approx, "_RUN_BUDGET", budget)
-        monkeypatch.setattr(approx, "_ARRAY_PSI_MIN", least)
+        if chunk == 1:
+            monkeypatch.setattr(approx, "_psi", one_value_per_call(approx._psi))
         got = engine.fit(data, hyper, opts)
         assert_states_bitwise_equal(got.final_state, want.final_state)
         assert got.trace == want.trace
@@ -1261,11 +1278,11 @@ class TestGeoFloorInSweep:
         monkeypatch.setattr(engine, "crt_mean_approx", spy)
         assert active_factors(state) == set(range(k))
         engine.sweep(state, data, Hyperparameters(K=k))
-        # g_ab, then g_abbar, each with one row per active factor and one
-        # column per group
-        assert len(seen) == 2
-        for a_geo in seen:
-            assert a_geo.shape == (k, len(dims))
+        # one call: g_ab and g_abbar stacked, each with one row per active
+        # factor and one column per group
+        assert len(seen) == 1
+        assert seen[0].shape == (2, k, len(dims))
+        for a_geo in seen[0]:
             assert np.all(a_geo[:, 0] == engine.GEO_FLOOR)
             assert np.all(a_geo[:, 1] > engine.GEO_FLOOR)
         for m in range(len(dims)):
@@ -1297,6 +1314,33 @@ class TestGeoFloorInSweep:
         for m in range(len(dims)):
             assert np.all(np.isfinite(state.rho[m]))
             assert np.all((state.rho[m] >= 0.0) & (state.rho[m] <= 1.0))
+
+
+class TestSweepPsiCalls:
+    def test_a_steady_sweep_takes_two_kernel_calls(self, monkeypatch):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 40, [30] * 4, seed=1)
+        hyper = Hyperparameters(K=10)
+        state = warmed_up(data, hyper, seed=0)
+        held, groups = len(state.factors), data.n_groups
+        assert 0 < held < hyper.K
+        calls = []
+        kernel = approx._psi
+
+        def counted(x, trigamma=False):
+            calls.append((np.size(x), trigamma))
+            return kernel(x, trigamma)
+
+        monkeypatch.setattr(approx, "_psi", counted)
+        engine.sweep(state, data, hyper)
+        # the alpha shapes, E[alpha] and E[alpha] + D_m, and q(beta)'s a, b
+        # and a + b; then both table counts of every (factor, group) row
+        # with a count above P_PLUS_FLOOR, each at its shifted argument and
+        # at a_geo, with psi'
+        assert len(calls) == 2
+        assert calls[0] == (3 * groups + 3 * held, False)
+        assert calls[1][1] and 0 < calls[1][0] <= 2 * (2 * held * groups)
 
 
 class TestSweepInvariants:
@@ -1459,7 +1503,7 @@ class TestSweepMemory:
             tracemalloc.stop()
         # the N x K and K x D temporaries, the batch's two |A| x sum_m D_m
         # prior halves and the temporaries of the stacked row of a factor
-        # (sum_m D_m columns) take 0.97 of one group's bytes here; one
+        # (sum_m D_m columns) take 0.972 of one group's bytes here; one
         # N x D residual or reconstruction alone would take 1
         assert peak < data.groups[0].nbytes
 

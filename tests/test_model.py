@@ -115,6 +115,19 @@ class TestHyperparameters:
             Hyperparameters(K=5, kappa0=0.0).validate()
 
     @pytest.mark.parametrize(
+        "value", [2.7, True, False, math.inf, -math.inf, math.nan, "3"]
+    )
+    def test_rejects_a_truncation_that_is_not_a_whole_number(self, value):
+        # int() would take 2.7 for 2 and True for 1, and raise OverflowError
+        # at inf and ValueError at nan
+        with pytest.raises(UsageError, match="truncation level K"):
+            Hyperparameters(K=value).validate()
+
+    @pytest.mark.parametrize("value", [1, 3.0, np.int64(7)])
+    def test_accepts_a_whole_truncation(self, value):
+        Hyperparameters(K=value).validate()
+
+    @pytest.mark.parametrize(
         "name, value",
         [(name, math.inf) for name in ("kappa0", "c0", "d0", "e0", "f0", "g0", "h0")]
         + [("e0", -math.inf), ("e0", math.nan)],
@@ -259,6 +272,12 @@ class TestInitState:
             init_state(GroupedDataset([], []), Hyperparameters(K=3), seed=0)
         with pytest.raises(UsageError):
             init_state(data, Hyperparameters(K=3), seed=-2)
+
+    @pytest.mark.parametrize("seed", [-0.5, 2.7, True, math.inf, math.nan])
+    def test_rejects_a_seed_that_is_not_a_whole_number(self, seed):
+        # int() would run -0.5 as seed 0, 2.7 as 2 and True as 1
+        with pytest.raises(UsageError, match="seed"):
+            init_state(make_dataset(), Hyperparameters(K=3), seed)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_a_given_start_gives_the_same_state(self, seed):

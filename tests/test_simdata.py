@@ -113,6 +113,12 @@ class TestGenerate:
         with pytest.raises(UsageError):
             generate(pat, 10, [20, 20, 20, 0], seed=0)
 
+    @pytest.mark.parametrize("seed", [-0.5, 2.7, True, math.inf, math.nan])
+    def test_rejects_a_seed_that_is_not_a_whole_number(self, seed):
+        # int() would run -0.5 as seed 0, 2.7 as 2 and True as 1
+        with pytest.raises(UsageError, match="seed"):
+            generate(simulation1_pattern(), 10, [20] * 4, seed=seed)
+
 
 class TestEmpiricalCheck:
     def test_simulation1_summary(self):
