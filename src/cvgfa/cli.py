@@ -16,7 +16,7 @@ import numpy as np
 
 from . import engine, io, metrics
 from .errors import CvgfaError, DataError, NumericalError, UsageError
-from .model import FitOptions, Hyperparameters, _active_rows
+from .model import FitOptions, Hyperparameters, _active_rows, _is_whole
 from .simdata import (
     ABSENT,
     DENSE,
@@ -61,8 +61,8 @@ class RunConfig:
     output_dir: str
 
     def validate(self):
-        if int(self.n_restarts) < 1:
-            raise UsageError("n_restarts must be at least 1")
+        if not (_is_whole(self.n_restarts) and self.n_restarts >= 1):
+            raise UsageError("n_restarts must be an integer of at least 1")
         self.hyper.validate()
         self.fit.validate()
         return self

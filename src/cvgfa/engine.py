@@ -29,13 +29,13 @@ over the rows. It is built one run of consecutive whole groups at a time
 active factors) times its columns stay within approx._RUN_BUDGET, 4,096
 values, and a wider group is a run of its own. So each temporary holds
 at most a few kinds of summand over 4,096 values, or over |A| x D_m for a
-wider group. A steady acceptance-size sweep (5 or 6 factors, 4 groups of
-100 columns) takes its groups as one run. At K = 30 and at the wide size
-(4 groups of 2,000) each group stays its own run. The budget is not
-larger because block-wide temporaries are fresh pages at wide sizes:
-their page faults made such a sweep slower than one row at a time, and
-at the wide K = 30 size whole-block prior halves took 9.5 ms a call
-against 4.9 ms group by group (medians on a shared 2-vCPU x86-64 host). Given
+wider group. An acceptance-size sweep (5 or 6 factors, 4 groups of 100
+columns) takes its groups as one run, and at the wide size (4 groups of
+2,000) each group is its own run. The budget is not larger because
+block-wide temporaries are fresh pages at wide sizes: their page faults
+made such a sweep slower than one row at a time, and with 30 rows at the
+wide size whole-block prior halves took 9.5 ms a call against 4.9 ms
+group by group (medians on a shared 2-vCPU x86-64 host). Given
 the factor's q(beta) parameters, the rows of one factor in different
 groups read disjoint state, so each factor takes one step for all of
 them: its rows side by side, whatever the group widths, with the
@@ -46,7 +46,9 @@ the expected loadings, and every other reader of the residual takes its
 per-sample squared norms, which sweep() returns (see model._sq_norms). A
 factor that falls below model.ACTIVE_MASS leaves the state (it is at its
 prior, whose expected loadings are zeros), so these products, like the
-objective's per-entry terms, run over the rows the state holds.
+objective's per-entry terms, run over the rows the state holds, and a fit
+starts from the warm start's signal rows only (model.init_state): its
+cost follows the factors the data support, not the truncation K.
 """
 
 import math
@@ -56,6 +58,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .approx import (
+    BernoulliSumMoments,
     _count_moments,
     _group_runs,
     crt_mean_approx,
@@ -72,7 +75,9 @@ from .model import (
     VariationalState,
     _eta_log_mean,
     _active_rows,
+    _beta_prior,
     _expected_sq_residual,
+    _is_whole,
     _keep_rows,
     _lambda_rate,
     _loading_products,
@@ -217,6 +222,33 @@ def _prior_halves(block, nhat, g_ab, g_abbar, widths):
     return on, off
 
 
+def _no_inclusion_counts(counts, n, widths):
+    """counts, the moments of the held rows' counts of ones and of zeros
+    (2 x rows x groups fields), followed by those of n rows with no
+    inclusion: a count of ones certain to be 0 and of zeros certain to be
+    D_m. They are the moments approx._count_moments gives for a row whose
+    every probability is 0, bit for bit, taken without a pass."""
+    zero = np.zeros((n, len(widths)))
+    full = zero + widths
+    certain = (
+        np.stack([zero, full]),  # mean
+        np.stack([zero, zero]),  # variance
+        np.stack([-zero, zero + 1.0]),  # p_plus: -expm1(0) is -0.0
+        np.stack([zero, full]),  # mean_plus
+        np.stack([zero, zero]),  # var_plus
+    )
+    fields = (
+        counts.mean,
+        counts.variance,
+        counts.p_plus,
+        counts.mean_plus,
+        counts.var_plus,
+    )
+    return BernoulliSumMoments(
+        *(np.concatenate([f, c], axis=1) for f, c in zip(fields, certain))
+    )
+
+
 def _spread(values, first, end, widths):
     """Columns first to end - 1 of values (rows x groups), each repeated
     over its group's widths[m - first] columns; one group's column is
@@ -318,7 +350,8 @@ def sweep(state, data, hyper, *, _data_norms=None):
     """One full coordinate-ascent pass, mutating state in place.
 
     Order per iteration, in two blocks and a tail. The loading block: for
-    every held factor, (a_k, b_k), then every group's count moments and
+    every held factor (and every slot whose q(beta) is still at the prior,
+    below), (a_k, b_k), then every group's count moments and
     (E[s], E[t]); then, one held factor after another, every group's row of
     rho, then their w. The score block: each held factor's scores
     (_score_block). Then every group's alpha, then each group's noise
@@ -342,18 +375,35 @@ def sweep(state, data, hyper, *, _data_norms=None):
     position; the ids in state.factors index q(beta) and the table counts
     only, which keep all K factors.
 
+    A slot the state does not hold whose q(beta) is still at the prior
+    (model._beta_prior) has not yet read a table count: the slots
+    model.init_state leaves out, through the first two passes, and a
+    factor pruned in the first. The batch updates it as a row with no
+    inclusion: (a, b) from update_beta_params, E[s] = 0 (a count of ones
+    certain to be 0) and E[t] = g (psi(g + D_m) - psi(g)), the exact mean
+    table count of D_m certain customers at g the floored geometric mean of
+    alpha (1 - beta), clamped to [0, D_m]. Two passes give it table counts
+    taken at a q(alpha) that the data have moved and a q(beta) that has
+    read them; from then on it keeps them, as a pruned factor does. A slot
+    updated in every pass instead makes q(alpha) and those table counts
+    pull on each other slowly: on a small draw (sim1, N = 30, 4 x 12,
+    K = 8) the stopping rule then took 190 sweeps against 53, and q(alpha)
+    still moved.
+
     The collapsed-prior part of the loading block is one batch over the
-    held factors A, taken before the factor loop: q(beta) of every factor
-    in A (update_beta_params), the concentrations g_ab and g_abbar stacked
-    as one 2 x |A| x M array, the moments of every (factor, group) row's
-    count of ones and of its count of zeros over the |A| x sum_m D_m block
-    rho.stacked (approx._count_moments, one pass over the rows for both),
-    the table counts E[s] and E[t] of every row from one crt_mean_approx
-    call, and the two prior halves of every column's inclusion logit as
-    two |A| x sum_m D_m arrays (_prior_halves, over a copy of
-    rho.stacked). The moments and the halves take their elementwise steps
-    over one run of whole groups at a time (approx._group_runs), at most
-    approx._RUN_BUDGET (4,096) values or one group. Every digamma and
+    held factors A and those slots U, taken before the factor loop:
+    q(beta) of every slot in A and U (update_beta_params), the
+    concentrations g_ab and g_abbar stacked as one 2 x (|A| + |U|) x M
+    array, the moments of every held (factor, group) row's count of ones
+    and of its count of zeros over the |A| x sum_m D_m block rho.stacked
+    (approx._count_moments, one pass over the rows for both) and the
+    certain counts of U (_no_inclusion_counts), the table counts E[s] and
+    E[t] of every row from one crt_mean_approx call, and the two prior
+    halves of every held column's inclusion logit as two |A| x sum_m D_m
+    arrays (_prior_halves, over a copy of rho.stacked). The moments and
+    the halves take their elementwise steps over one run of whole groups
+    at a time (approx._group_runs), at most approx._RUN_BUDGET (4,096)
+    values or one group. Every digamma and
     trigamma of the pass comes from two calls of approx's one kernel: one
     as the pass begins, on the alpha shapes (the geometric means of
     alpha), E[alpha] and E[alpha] + D_m (the E[log eta] that update_alpha
@@ -363,9 +413,9 @@ def sweep(state, data, hyper, *, _data_norms=None):
     acceptance size, where the seven calls that took them before, of 4 to
     24 values each, took 169 us of a steady sweep (5 held factors, 4 x 100)
     against 102 us for the two, and the two count passes 70 us against 43
-    us for the one (medians on a shared 2-vCPU x86-64 host). Factor k's
-    batch values read
-    only its own rows as the pass began, q(beta_k) and alpha, which no
+    us for the one (medians on a shared 2-vCPU x86-64 host); the slots U
+    ride in the same two calls. Factor k's batch values read only its own
+    rows as the pass began, q(beta_k) and alpha, which no
     other factor's step moves (only factor k's step writes its row of rho),
     so each equals the value a step of k alone would compute after the
     factors before it, bit for bit: every sum runs over one row (or the
@@ -429,18 +479,25 @@ def sweep(state, data, hyper, *, _data_norms=None):
     # returned by a sweep holds one) leaves the state unswept
     _keep_rows(state, _active_rows(state.rho.stacked, dims))
     ids = state.factors
+    # the slots not held whose q(beta) is still at the prior, after the
+    # held factors: the batch updates them as rows with no inclusion
+    prior_a, prior_b = _beta_prior(hyper)
+    fresh = state.beta_a == prior_a
+    fresh &= state.beta_b == prior_b
+    fresh[ids] = False
+    slots = np.concatenate([ids, np.flatnonzero(fresh)]) if fresh.any() else ids
     rho_all = state.rho.stacked
     w_all = state.w_mean.stacked
     w_var_all = state.w_var.stacked
     f_mean = state.f_mean
 
     # the batch: every held factor's q(beta), count moments, table counts
-    # and the prior halves of its inclusion logits, taken before the
-    # loadings and products below so that its temporaries are gone before
-    # those exist
-    beta_a, beta_b = update_beta_params(state, hyper, ids)
-    state.beta_a[ids] = beta_a
-    state.beta_b[ids] = beta_b
+    # and the prior halves of its inclusion logits, and the q(beta) and
+    # table counts of the fresh slots, taken before the loadings and
+    # products below so that its temporaries are gone before those exist
+    beta_a, beta_b = update_beta_params(state, hyper, slots)
+    state.beta_a[slots] = beta_a
+    state.beta_b[slots] = beta_b
     # every digamma of the pass but the table counts' in one call: of the
     # alpha shapes, of E[alpha] and E[alpha] + D_m (E[log eta], which
     # update_alpha reads at the alpha the pass began with) and of q(beta)'s
@@ -454,7 +511,7 @@ def sweep(state, data, hyper, *, _data_norms=None):
         )
     )
     psi_alpha, psi_mean, psi_mean_d = psi[: 3 * n_groups].reshape(3, n_groups)
-    psi_beta = psi[3 * n_groups :].reshape(3, len(ids))
+    psi_beta = psi[3 * n_groups :].reshape(3, len(slots))
     eta_log_mean = psi_mean - psi_mean_d
     # the geometric means of alpha (geo_expect_gamma's expression) and of
     # beta and 1 - beta (geo_expect_beta's), then g_ab and g_abbar stacked
@@ -465,12 +522,16 @@ def sweep(state, data, hyper, *, _data_norms=None):
     # stacked as geo is, and both table counts from one call
     block = rho_all.copy()
     counts = _count_moments(block, widths)
+    ones = counts[0]
+    held = len(ids)
+    if len(slots) > held:
+        counts = _no_inclusion_counts(counts, len(slots) - held, widths)
     tables = crt_mean_approx(geo, counts)
     np.maximum(tables, 0.0, out=tables)
     np.minimum(tables, widths, out=tables)
-    state.aux_s_mean[:, ids], state.aux_t_mean[:, ids] = tables.transpose(0, 2, 1)
-    prior_on, prior_off = _prior_halves(block, counts[0], *geo, widths)
-    del block, counts, tables, geo
+    state.aux_s_mean[:, slots], state.aux_t_mean[:, slots] = tables.transpose(0, 2, 1)
+    prior_on, prior_off = _prior_halves(block, ones, *geo[:, :held], widths)
+    del block, counts, ones, tables, geo
 
     loads = rho_all * w_all
     f2 = f_mean * f_mean + state.f_var
@@ -922,11 +983,14 @@ def run_restarts(data, hyper, opts, n_restarts, workers=1):
     than failing the batch. Results are returned in seed order regardless
     of worker count.
     """
-    if int(n_restarts) < 1:
-        raise UsageError("n_restarts must be at least 1")
+    if not (_is_whole(n_restarts) and n_restarts >= 1):
+        raise UsageError("n_restarts must be an integer of at least 1")
+    if not (_is_whole(workers) and workers >= 1):
+        raise UsageError("workers must be an integer of at least 1")
+    opts.validate()
     seeds = [int(opts.seed) + r for r in range(int(n_restarts))]
     start = spectral_start(data, hyper)
-    if int(workers) <= 1:
+    if workers == 1:
         return [_one_restart(data, hyper, opts, s, start) for s in seeds]
     with ProcessPoolExecutor(max_workers=int(workers)) as pool:
         futures = [

@@ -4,9 +4,11 @@ A dataset is M matrices sharing N sample rows. Factor k loads on group m
 through a spike-and-slab column gated by binary inclusions z, whose
 group-level probabilities are marginalized out; everything that remains
 lives in VariationalState. Of the K factors of the truncation, the state
-holds the rows of the active ones only (VariationalState.factors): a
-factor the sweep prunes is at its prior and leaves the state
-(_keep_rows), keeping only its q(beta) and table counts.
+holds the rows of the active ones only (VariationalState.factors): the
+warm start holds its signal components, and a factor the sweep prunes is
+at its prior and leaves the state (_keep_rows), keeping only its q(beta)
+and table counts. The slots the warm start leaves out get theirs from
+the first two sweeps, as rows with no inclusion.
 """
 
 import math
@@ -256,10 +258,11 @@ class VariationalState:
       alpha_shape, alpha_rate   M    q(alpha) parameters
       aux_s_mean, aux_t_mean    M x K  expected table counts
     q(beta) and the table counts keep all K factors: the prior reads the
-    truncation K (a0 = kappa0 / K), and a pruned factor's frozen values
-    still feed q(alpha). Row i of rho and column i of f_mean belong to
-    factor factors[i], entry factors[i] of beta_a and column factors[i] of
-    aux_s_mean.
+    truncation K (a0 = kappa0 / K), and q(alpha) reads the table counts of
+    every slot: a pruned factor's kept values, and those the first two
+    sweeps give the slots the warm start leaves out (engine.sweep). Row i
+    of rho and column i of f_mean belong to factor factors[i], entry
+    factors[i] of beta_a and column factors[i] of aux_s_mean.
     Nothing derived is stored: the q(lambda) and q(tau) shapes are
     Hyperparameters.lambda_shape and .tau_shape(D_m), the q(lambda) rates
     follow from q(w) (_lambda_rate) and E[log eta] from q(alpha)
@@ -496,23 +499,34 @@ def spectral_start(data: GroupedDataset, hyper: Hyperparameters) -> SpectralStar
     )
 
 
+def _beta_prior(hyper):
+    """q(beta) at the prior, (kappa0 / K, kappa0 (1 - 1/K)) with b floored
+    at BETA_B_FLOOR: what engine.update_beta_params gives from table counts
+    of 0, bit for bit."""
+    K = int(hyper.K)
+    return hyper.kappa0 / K, max(hyper.kappa0 * (1.0 - 1.0 / K), BETA_B_FLOOR)
+
+
 def init_state(
     data: GroupedDataset, hyper: Hyperparameters, seed, start=None
 ) -> VariationalState:
     """The spectral warm start of one restart: a state, before any sweep.
 
     Lays out the seed-free components of spectral_start (start, taken here
-    when None) and the seed. Entries of the rotated signal loadings whose
-    magnitude reaches 0.5 become confident inclusions (rho 0.9, the rest
-    0.02). The rows of components below the signal cut get no inclusion,
-    but rho 0.02 gives each a mass of 0.02 D_m, at least ACTIVE_MASS: the
-    state holds all K factors, every one active, and the first sweeps prune
-    those the data do not support. Loading and noise precision posteriors
-    start at their one-step updates given those loadings, and the factor
-    scores get a small seed-dependent jitter. A start given here must be
-    spectral_start(data, hyper) of the same data and K; the result is then
-    the same, bit for bit. Runs no sweep: engine.fit sweeps this state.
-    Deterministic given (data, seed).
+    when None) and the seed. The state holds the r_sig signal components
+    only (factors arange(r_sig)); every other slot of the K is at the
+    prior, as a factor the sweep prunes is, with q(beta) at the prior
+    (_beta_prior) and table counts of 0, which the first two sweeps update
+    as those of a row with no inclusion (engine.sweep). Entries
+    of the rotated signal loadings whose magnitude reaches 0.5 become
+    confident inclusions (rho 0.9, the rest 0.02), so every held row has a
+    mass of at least 0.02 D_m, above ACTIVE_MASS: every factor it holds is
+    active. Loading and noise precision posteriors start at their one-step
+    updates given those loadings, and the factor scores get a small
+    seed-dependent jitter, the held columns of one N x K draw. A start
+    given here must be spectral_start(data, hyper) of the same data and K;
+    the result is then the same, bit for bit. Runs no sweep: engine.fit
+    sweeps this state. Deterministic given (data, seed).
     """
     hyper.validate()
     data.validate()
@@ -527,18 +541,18 @@ def init_state(
     k_use = min(K, N, sum(data.dims))
     if scores.shape != (N, k_use) or signal.shape[1] != sum(data.dims):
         raise UsageError("the spectral start was taken on other data or another K")
+    r_sig = signal.shape[0]
+    prior_a, prior_b = _beta_prior(hyper)
     rng = np.random.default_rng(int(seed))
 
-    f_mean = _INIT_F_JITTER * rng.standard_normal((N, K))
-    f_mean[:, :k_use] += scores
-    f_var = np.full((N, K), _INIT_F_VAR)
+    f_mean = rng.standard_normal((N, K))[:, :r_sig] * _INIT_F_JITTER
+    f_mean += scores[:, :r_sig]
+    f_var = np.full((N, r_sig), _INIT_F_VAR)
 
-    # every K x sum(D_m) array is built in the stacked layout, in place
+    # every r_sig x sum(D_m) array is built in the stacked layout, in place
     dims = data.dims
-    w_mean = np.zeros((K, sum(dims)))
-    w_mean[: signal.shape[0]] = signal
-    keep = np.abs(w_mean) >= _INIT_LOADING_CUT
-    w_mean[~keep] = 0.0
+    keep = np.abs(signal) >= _INIT_LOADING_CUT
+    w_mean = np.where(keep, signal, 0.0)
     rho = np.where(keep, _INIT_RHO_IN, _INIT_RHO_OUT)
     del keep
     w_var = np.full(w_mean.shape, _INIT_W_VAR)
@@ -559,13 +573,14 @@ def init_state(
         w_var=w_var,
         f_mean=f_mean,
         f_var=f_var,
-        beta_a=np.full(K, hyper.kappa0 / K),
-        beta_b=np.full(K, max(hyper.kappa0 * (K - 1) / K, BETA_B_FLOOR)),
+        beta_a=np.full(K, prior_a),
+        beta_b=np.full(K, prior_b),
         tau_rate=tau_rate,
         alpha_shape=np.full(M, hyper.c0),
         alpha_rate=np.full(M, hyper.d0),
         aux_s_mean=np.zeros((M, K)),
         aux_t_mean=np.zeros((M, K)),
+        factors=np.arange(r_sig),
     )
 
 
@@ -632,7 +647,8 @@ def _keep_rows(state, keep):
     """Drop from state the held factors whose entry of the boolean mask keep
     (one per held row) is False: their rows of rho, w_mean and w_var, their
     columns of f_mean and f_var, and their ids. Their q(beta) and table
-    counts stay, at all K factors."""
+    counts stay, at all K factors, and the sweep keeps them from then on
+    unless q(beta) is still at the prior (engine.sweep)."""
     if keep.all():
         return
     dims = state.dims

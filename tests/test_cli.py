@@ -19,7 +19,8 @@ import pytest
 
 import oracle
 from cvgfa import cli, engine, io, metrics
-from cvgfa.model import Hyperparameters, VariationalState, _keep_rows
+from cvgfa.errors import UsageError
+from cvgfa.model import FitOptions, Hyperparameters, VariationalState, _keep_rows
 
 
 def run_cli(*args):
@@ -346,6 +347,19 @@ class TestFit:
         assert run_cli("fit", "--config", cfg, "--max-sweeps", 2, "--out", out) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_restarts", [2.7, True, math.inf, math.nan, 0])
+    def test_run_config_rejects_a_restart_count_that_is_not_whole(self, n_restarts):
+        # through the library, where no JSON type check runs first
+        run = cli.RunConfig(
+            hyper=Hyperparameters(K=3),
+            fit=FitOptions(),
+            n_restarts=n_restarts,
+            dataset_path="data",
+            output_dir="out",
+        )
+        with pytest.raises(UsageError, match="n_restarts must be an integer"):
+            run.validate()
 
     def test_missing_dataset_everywhere(self):
         assert run_cli("fit", "--restarts", 1) == 2

@@ -31,6 +31,7 @@ from cvgfa.model import (
     GroupedDataset,
     Hyperparameters,
     VariationalState,
+    _beta_prior,
     _eta_log_mean,
     _keep_rows,
     _lambda_rate,
@@ -649,6 +650,19 @@ class TestMicroInstanceOracle:
         assert_allclose(state.tau_rate[0], want["tau_rate"], atol=1e-10)
 
 
+def fresh_slots(state, hyper):
+    """The inactive factors of a state holding all K whose q(beta) is still
+    at the prior (model._beta_prior), which engine.sweep updates as rows
+    with no inclusion."""
+    prior = _beta_prior(hyper)
+    active = active_factors(state)
+    return [
+        k
+        for k in range(int(hyper.K))
+        if k not in active and (state.beta_a[k], state.beta_b[k]) == prior
+    ]
+
+
 def reference_sweep(state, data, hyper):
     """Same schedule as engine.sweep, one oracle op at a time.
 
@@ -659,10 +673,14 @@ def reference_sweep(state, data, hyper):
     are its loadings updated, each reading the lambda rate the printed
     update derives from the loading it replaces (oracle.update_w). The
     score block follows, one factor's scores after another, each reading
-    the scores the earlier ones left.
+    the scores the earlier ones left. A factor inactive as the pass begins
+    is at the prior (oracle.prior_reset); one whose q(beta) is still at the
+    prior is a row with no inclusion, whose q(beta) and table counts are
+    updated as any row's (fresh_slots).
     """
+    oracle.prior_reset(state, hyper)
     active = sorted(active_factors(state))
-    for k in active:
+    for k in sorted(active + fresh_slots(state, hyper)):
         a_k, b_k = engine.update_beta_params(state, hyper, k)
         state.beta_a[k] = a_k
         state.beta_b[k] = b_k
@@ -670,6 +688,8 @@ def reference_sweep(state, data, hyper):
             e_s, e_t = oracle.update_aux_s_t(state, m, k)
             state.aux_s_mean[m, k] = e_s
             state.aux_t_mean[m, k] = e_t
+            if k not in active:
+                continue
             residual = oracle.residual(state, data)
             rho_new = [
                 oracle.update_z(state, residual, hyper, m, k, d)
@@ -762,8 +782,11 @@ def per_column_sweep(state, data, hyper):
     the products X_m C_m^T and C_m C_m^T of the final loadings; the
     leave-one-factor-out part of each moment, a length-K dot product per
     sample, is taken as in engine.sweep. The complementary count's moments
-    derive from the row's, as in engine.sweep. log and exp are numpy's, as
-    in engine.sweep: math's differ from numpy's vector loops in the last
+    derive from the row's, as in engine.sweep. A factor inactive as the
+    pass begins is at the prior (oracle.prior_reset), its rho all 0; one
+    whose q(beta) is still at the prior (fresh_slots) has its q(beta) and
+    table counts updated as any row's, and nothing else. log and exp are
+    numpy's, as in engine.sweep: math's differ from numpy's vector loops in the last
     bit on some CPUs. Kept here only as the oracle that the vectorised
     sweep must match bit for bit.
     """
@@ -778,7 +801,9 @@ def per_column_sweep(state, data, hyper):
 
     # the inactive factors are at the prior: every product below runs over
     # the active rows (columns of F) only
+    oracle.prior_reset(state, hyper)
     active = sorted(active_factors(state))
+    fresh = fresh_slots(state, hyper)
     loads = [state.rho[m][active] * state.w_mean[m][active] for m in range(M)]
     f_act = F[:, active]
     f2 = f_act * f_act + state.f_var[:, active]
@@ -788,7 +813,7 @@ def per_column_sweep(state, data, hyper):
     ft_tf = [tf[m].T @ f_act for m in range(M)]
 
     K = int(hyper.K)
-    for i, k in enumerate(active):
+    for k in sorted(active + fresh):
         # q(beta_k), each table-count sum np.sum of factor k's column alone
         a_k = hyper.kappa0 / K + float(np.sum(state.aux_s_mean[:, k]))
         b_k = hyper.kappa0 * (1.0 - 1.0 / K) + float(np.sum(state.aux_t_mean[:, k]))
@@ -816,7 +841,10 @@ def per_column_sweep(state, data, hyper):
             state.aux_t_mean[m, k] = min(
                 max(crt_mean_approx(g_abbar, ntil), 0.0), float(d_m)
             )
+            if k in fresh:
+                continue
 
+            i = active.index(k)
             sff = float(sff_all[m][i])
             g = ft_tf[m][i].copy()
             g[i] = 0.0
@@ -950,12 +978,18 @@ class TestSweepMatchesPerColumnLoop:
         data, _ = generate(pattern, n, dims, seed=2)
         hyper = Hyperparameters(K=k)
         # relax_cap 0 starts from the bare spectral warm start, before any
-        # pruning
+        # pruning: it holds the signal rows only
         cap = FitOptions.max_sweeps if relax_cap is None else relax_cap
         fast = warmed_up(data, hyper, seed=0, max_sweeps=cap)
+        held = len(fast.factors)
         if gap is not None:
             for r in fast.rho:
                 r[gap] = 0.0
+        if relax_cap == 0:
+            # held factor 1 keeps a little mass on unsupported loadings of
+            # large variance, so the first loading block prunes it
+            for r, w, v in zip(fast.rho, fast.w_mean, fast.w_var):
+                r[1], w[1], v[1] = 0.003, 0.0, 50.0
         # the oracle runs on all K rows, the factors fast does not hold at
         # the prior; fast's rows must be the oracle's rows at fast.factors
         # and every other oracle row the prior, bit for bit
@@ -969,8 +1003,11 @@ class TestSweepMatchesPerColumnLoop:
             active.append(sorted(active_factors(fast)))
         sizes = [len(a) for a in active]
         assert sizes[-1] < hyper.K
-        if relax_cap is not None:
-            assert sizes[0] == hyper.K - (gap is not None) and sizes[-1] < sizes[0]
+        if relax_cap == 0:
+            start = spectral_start(data, hyper)
+            assert held == start.loadings.shape[0]
+            assert sizes[0] == held - (gap is not None) and 1 in active[0]
+            assert all(1 not in a for a in active[1:]) and sizes[-1] < sizes[0]
         if gap is not None:
             assert all(gap not in a and a[-1] > gap for a in active)
 
@@ -1316,6 +1353,19 @@ class TestGeoFloorInSweep:
             assert np.all((state.rho[m] >= 0.0) & (state.rho[m] <= 1.0))
 
 
+class TestNoInclusionCounts:
+    @pytest.mark.parametrize("widths", [[30], [13, 40, 7, 25]])
+    def test_match_a_pass_over_zero_rows_bitwise(self, widths):
+        widths = np.array(widths)
+        block = np.random.default_rng(5).uniform(0.0, 1.0, (3, widths.sum()))
+        block[1] = 0.0
+        counts = _count_moments(block, widths)
+        got = engine._no_inclusion_counts(counts, 2, widths)
+        want = _count_moments(np.vstack([block, np.zeros((2, widths.sum()))]), widths)
+        for name in ("mean", "variance", "p_plus", "mean_plus", "var_plus"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 class TestSweepPsiCalls:
     def test_a_steady_sweep_takes_two_kernel_calls(self, monkeypatch):
         from cvgfa.simdata import generate, simulation1_pattern
@@ -1341,6 +1391,54 @@ class TestSweepPsiCalls:
         assert len(calls) == 2
         assert calls[0] == (3 * groups + 3 * held, False)
         assert calls[1][1] and 0 < calls[1][0] <= 2 * (2 * held * groups)
+
+    def test_the_first_sweep_takes_the_unheld_slots_in_the_same_calls(
+        self, monkeypatch
+    ):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 40, [30] * 4, seed=1)
+        hyper = Hyperparameters(K=10)
+        state = init_state(data, hyper, seed=0)
+        held, groups = len(state.factors), data.n_groups
+        assert 0 < held < hyper.K
+        calls = []
+        kernel = approx._psi
+
+        def counted(x, trigamma=False):
+            calls.append((np.size(x), trigamma))
+            return kernel(x, trigamma)
+
+        monkeypatch.setattr(approx, "_psi", counted)
+        engine.sweep(state, data, hyper)
+        # q(beta) of all K slots; each unheld slot's count of zeros, D_m
+        # certain, in every group, and its count of ones, certain to be 0,
+        # below P_PLUS_FLOOR
+        unheld = (hyper.K - held) * groups
+        assert len(calls) == 2
+        assert calls[0] == (3 * groups + 3 * hyper.K, False)
+        assert calls[1][1]
+        assert 2 * unheld < calls[1][0] <= 2 * (2 * held * groups + unheld)
+
+
+def assert_updated_as_rows_with_no_inclusion(before, after, hyper, slots):
+    """Each of slots is updated by a sweep from before to after as a row
+    with no inclusion: (a, b) as update_beta_params gives them from its
+    table counts before, bit for bit; in every group E[s] exactly 0 and
+    E[t] the exact mean table count of D_m certain customers
+    (oracle.crt_mean_exact, which crt_mean_approx telescopes to for a
+    certain count) at the concentration g = alpha (1 - beta)'s geometric
+    mean at the pass's q(alpha) and q(beta), floored at GEO_FLOOR."""
+    g_alpha = geo_expect_gamma(before.alpha_shape, before.alpha_rate)
+    for k in slots:
+        a, b = engine.update_beta_params(before, hyper, k)
+        assert (after.beta_a[k], after.beta_b[k]) == (a, b), k
+        g_beta_bar = geo_expect_beta(a, b)[1]
+        for m, d_m in enumerate(before.dims):
+            assert after.aux_s_mean[m, k] == 0.0, (m, k)
+            g = max(float(g_alpha[m] * g_beta_bar), engine.GEO_FLOOR)
+            want = min(oracle.crt_mean_exact(g, d_m), d_m)
+            assert after.aux_t_mean[m, k] == pytest.approx(want, rel=1e-12), (m, k)
 
 
 class TestSweepInvariants:
@@ -1443,6 +1541,34 @@ class TestSweepInvariants:
             assert new[..., [1, 2]].tobytes() == old[..., [1, 2]].tobytes(), name
         assert list(state.factors) == [0, 3]
 
+    def test_the_slots_the_warm_start_leaves_out_read_two_passes(self):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=3)
+        hyper = Hyperparameters(K=12)
+        state = init_state(data, hyper, seed=0)
+        unheld = [k for k in range(hyper.K) if k not in state.factors]
+        assert unheld
+        names = ("beta_a", "beta_b", "aux_s_mean", "aux_t_mean")
+        for n_pass in range(4):
+            before = state.copy()
+            engine.sweep(state, data, hyper)
+            assert set(unheld).isdisjoint(state.factors.tolist())
+            if n_pass < 2:
+                # rows with no inclusion; the first pass's q(beta) reads
+                # table counts of 0, so it stays at the prior
+                assert_updated_as_rows_with_no_inclusion(before, state, hyper, unheld)
+                at_prior = [
+                    (state.beta_a[k], state.beta_b[k]) == _beta_prior(hyper)
+                    for k in unheld
+                ]
+                assert all(at_prior) == (n_pass == 0)
+            else:
+                # then they keep their values, as a pruned factor does
+                for name in names:
+                    old, new = getattr(before, name), getattr(state, name)
+                    assert new[..., unheld].tobytes() == old[..., unheld].tobytes()
+
     def test_every_fitted_inactive_factor_is_at_the_prior(self):
         from cvgfa.simdata import generate, simulation1_pattern
 
@@ -1462,7 +1588,8 @@ class TestSweepInvariants:
         data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=3)
         hyper = Hyperparameters(K=12)
         state = init_state(data, hyper, seed=0)
-        assert list(state.factors) == list(range(hyper.K))
+        r_sig = spectral_start(data, hyper).loadings.shape[0]
+        assert list(state.factors) == list(range(r_sig))
         held = [list(state.factors)]
         for _ in range(20):
             engine.sweep(state, data, hyper)
@@ -2193,3 +2320,25 @@ class TestRunRestarts:
         data = make_dataset()
         with pytest.raises(UsageError):
             engine.run_restarts(data, Hyperparameters(K=2), FitOptions(), 0)
+
+    # int() would run 2.7 as 2 restarts, True as 1 and 1.5 workers serially,
+    # and raise OverflowError or ValueError on inf or NaN
+    @pytest.mark.parametrize("n_restarts", [2.7, True, math.inf, math.nan, -1])
+    def test_rejects_a_restart_count_that_is_not_whole(self, n_restarts):
+        with pytest.raises(UsageError, match="n_restarts must be an integer"):
+            engine.run_restarts(
+                make_dataset(), Hyperparameters(K=2), FitOptions(), n_restarts
+            )
+
+    @pytest.mark.parametrize("workers", [1.5, True, math.inf, math.nan, 0])
+    def test_rejects_a_worker_count_that_is_not_whole(self, workers):
+        with pytest.raises(UsageError, match="workers must be an integer"):
+            engine.run_restarts(
+                make_dataset(), Hyperparameters(K=2), FitOptions(), 2, workers=workers
+            )
+
+    def test_whole_floats_are_counts(self):
+        data, hyper = make_dataset(), Hyperparameters(K=2)
+        opts = FitOptions(max_sweeps=2)
+        results = engine.run_restarts(data, hyper, opts, 2.0, workers=1.0)
+        assert [r["seed"] for r in results] == [0, 1]

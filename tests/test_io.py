@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from cvgfa import cli, engine, io, simdata
 from cvgfa.errors import DataError
 from cvgfa.model import (
@@ -670,12 +671,13 @@ class TestCheckpointEncoding:
 
     @pytest.mark.parametrize("at_prior", [False, True], ids=["none-at-prior", "all-at-prior"])
     def test_all_or_no_factors_stored(self, tmp_path, at_prior):
-        """The spectral warm start of fitted_state()'s data holds all five
-        factors, and stores their rows; with every factor dropped, it
-        stores none, and rank reads it."""
+        """The spectral warm start of fitted_state()'s data, made to hold
+        all five factors (the slots it leaves at the prior at the prior),
+        stores their rows; with every factor dropped, it stores none, and
+        rank reads it."""
         data, _ = simdata.generate(simdata.simulation1_pattern(), 12, [8] * 4, seed=2)
         hyper = Hyperparameters(K=5)
-        state = init_state(data, hyper, seed=0)
+        state = oracle.full_state(init_state(data, hyper, seed=0), hyper)
         if at_prior:
             _keep_rows(state, np.zeros(5, dtype=bool))
         stored = [] if at_prior else [0, 1, 2, 3, 4]

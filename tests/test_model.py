@@ -33,6 +33,13 @@ def make_dataset(seed=0, n=6, dims=(4, 3)):
     return GroupedDataset(groups, [f"g{i}" for i in range(len(dims))])
 
 
+def holding_all(data, hyper, seed):
+    """init_state's warm start holding all K factors, the ones it leaves at
+    the prior at the prior (oracle.full_state): a state for the tests of
+    rows that need every factor held."""
+    return oracle.full_state(init_state(data, hyper, seed), hyper)
+
+
 def warmed_up(data, hyper, seed, max_sweeps=FitOptions.max_sweeps):
     """The state engine.fit returns at the default stopping rule, at most
     max_sweeps sweeps from init_state's warm start (0: the warm start)."""
@@ -243,10 +250,47 @@ class TestInitState:
 
         monkeypatch.setattr(engine, "sweep", no_sweep)
         data = make_dataset(seed=3, n=30, dims=(8, 6))
-        state = init_state(data, Hyperparameters(K=4), seed=1)
-        # every factor still held, none pruned, q(beta) at its prior
-        assert list(state.factors) == [0, 1, 2, 3]
+        hyper = Hyperparameters(K=4)
+        state = init_state(data, hyper, seed=1)
+        # every signal row still held, none pruned, q(beta) at its prior
+        r_sig = model.spectral_start(data, hyper).loadings.shape[0]
+        assert list(state.factors) == list(range(r_sig))
         assert np.all(state.beta_a == 1.0 / 4) and not state.aux_s_mean.any()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize(
+        "n, dims, k", [(40, [13, 40, 7, 25], 12), (8, [4, 3, 5, 6], 5)]
+    )
+    def test_holds_exactly_the_signal_rows(self, seed, n, dims, k):
+        from cvgfa.simdata import generate, simulation1_pattern
+
+        data, _ = generate(simulation1_pattern(), n, dims, seed=seed)
+        hyper = Hyperparameters(K=k)
+        start = model.spectral_start(data, hyper)
+        r_sig = start.loadings.shape[0]
+        state = init_state(data, hyper, seed, start=start)
+        state.validate()
+        # the signal components' rows, in their order, and no other
+        assert state.factors.dtype.kind == "i"
+        assert list(state.factors) == list(range(r_sig))
+        assert state.rho.stacked.shape == (r_sig, sum(dims))
+        assert state.f_mean.shape == state.f_var.shape == (n, r_sig)
+        keep = np.abs(start.loadings) >= model._INIT_LOADING_CUT
+        assert np.array_equal(state.w_mean.stacked, np.where(keep, start.loadings, 0.0))
+        # the held columns of one N x K draw, so the jitter of a held
+        # factor does not depend on K
+        draw = np.random.default_rng(seed).standard_normal((n, k))
+        want = model._INIT_F_JITTER * draw[:, :r_sig] + start.scores[:, :r_sig]
+        assert state.f_mean.tobytes(order="F") == np.asfortranarray(want).tobytes(
+            order="F"
+        )
+        # every held row is active; q(beta) of all K slots is at the prior,
+        # as the sweep tells the slots it has yet to update, and no table
+        # count has been taken
+        assert active_factors(state) == set(range(r_sig))
+        prior_a, prior_b = model._beta_prior(hyper)
+        assert np.all(state.beta_a == prior_a) and np.all(state.beta_b == prior_b)
+        assert state.beta_a.shape == (k,) and not state.aux_t_mean.any()
 
     def test_k_equal_one(self):
         data = make_dataset(dims=(3,))
@@ -493,7 +537,7 @@ class TestActiveFactors:
 
     def _state_with_rho(self, rho_rows):
         data = make_dataset(dims=(len(rho_rows[0]),))
-        state = init_state(data, Hyperparameters(K=len(rho_rows)), seed=0)
+        state = holding_all(data, Hyperparameters(K=len(rho_rows)), seed=0)
         state.rho[0][...] = rho_rows
         return state
 
@@ -517,7 +561,7 @@ class TestActiveFactors:
 
     def test_max_over_groups(self):
         data = make_dataset(dims=(4, 4))
-        state = init_state(data, Hyperparameters(K=2), seed=0)
+        state = holding_all(data, Hyperparameters(K=2), seed=0)
         state.rho[0][...] = 0.0
         state.rho[1][...] = 0.0
         # factor 0: 0.006 in each group, 0.012 in all, below in every group
@@ -529,8 +573,10 @@ class TestActiveFactors:
         assert active_factors(state) == {1}
 
     def test_warm_start_floor_reaches_the_active_mass(self):
-        # init_state gives every factor inclusion 0.02 in each column at
-        # least, so a group of one column already holds it active
+        # init_state gives each entry of a signal row below the loading cut
+        # inclusion 0.02 (its confident entries 0.9), so every held row has
+        # at least 0.02 in each column, and a group of one column already
+        # holds it active; the slots it does not hold are at the prior
         assert model._INIT_RHO_OUT >= ACTIVE_MASS
 
 
@@ -541,7 +587,7 @@ class TestStackedLayout:
     def state(seed=0):
         # unequal widths, four of five factors held
         data = make_dataset(seed=seed, n=8, dims=(5, 2, 7))
-        state = init_state(data, Hyperparameters(K=5), seed=seed)
+        state = holding_all(data, Hyperparameters(K=5), seed=seed)
         model._keep_rows(state, np.arange(5) != 2)
         return state
 
@@ -620,7 +666,7 @@ class TestHeldFactors:
     @staticmethod
     def state():
         data = make_dataset(seed=4, n=8, dims=(5, 2, 7))
-        state = init_state(data, Hyperparameters(K=5), seed=4)
+        state = holding_all(data, Hyperparameters(K=5), seed=4)
         model._keep_rows(state, np.isin(np.arange(5), [0, 2, 3]))
         return state
 
