@@ -31,7 +31,11 @@ from one pass over the rows (_count_moments), and their table counts from
 one crt_mean_approx call on 2 x active factors x groups arrays. Each
 count's sums are numpy's pairwise sums over its own row (and group),
 which are part of the result: they equal np.sum of that row taken alone,
-so batching the rows changes no bit.
+so batching the rows changes no bit. A count's moments are its mean E,
+its variance V and the probability p+ that it is positive; crt_mean_approx
+divides E and V by p+ where it reads them, into E+ = E / p+, the mean over
+the positive counts, and V+ = V / p+, which is not the variance over them
+(that is V+ - (1 - p+) E+^2).
 The summands are taken over runs of consecutive whole groups
 (_group_runs): as many groups as fit in a block of _RUN_BUDGET (4,096)
 values, rows times columns, and a wider group alone.
@@ -53,7 +57,8 @@ __all__ = [
     "crt_mean_approx",
 ]
 
-# Below this mass the conditional moments of a Bernoulli sum are treated as 0.
+# Below this mass p+ a Bernoulli sum is treated as 0: crt_mean_approx takes no
+# E+ = E / p+ or V+ = V / p+ there, and gives no tables.
 P_PLUS_FLOOR = 1e-12
 
 # Arguments are pushed above this point before the asymptotic series is used.
@@ -82,25 +87,24 @@ _RUN_BUDGET = 4096
 
 @dataclass(frozen=True)
 class BernoulliSumMoments:
-    """Moments of l = sum of independent Bernoulli(xi_i) variables.
+    """Moments of l = sum of independent Bernoulli(xi_i) variables: its
+    mean E, its variance V and the probability p_plus that l > 0.
 
-    mean_plus and var_plus are the moments of l conditional on l > 0; both
-    are defined as 0 when p_plus < P_PLUS_FLOOR. The fields share one
-    shape: 0-d for one row of probabilities, or one entry per row of a
-    block and, given group widths, per group, the group last (see
+    crt_mean_approx derives E+ = E / p_plus, the mean of l conditional on
+    l > 0, and V+ = V / p_plus from them. The fields share one shape: 0-d
+    for one row of probabilities, or one entry per row of a block and,
+    given group widths, per group, the group last (see
     bernoulli_sum_moments).
     """
 
     mean: np.ndarray
     variance: np.ndarray
     p_plus: np.ndarray
-    mean_plus: np.ndarray
-    var_plus: np.ndarray
 
     def __getitem__(self, i):
         """The moments of entry i along the fields' first axis, such as the
         count of ones (0) or of zeros (1) of _count_moments; views."""
-        fields = (self.mean, self.variance, self.p_plus, self.mean_plus, self.var_plus)
+        fields = (self.mean, self.variance, self.p_plus)
         return BernoulliSumMoments(*(f[i, ...] for f in fields))
 
 
@@ -316,7 +320,7 @@ def _count_moments(probs, widths=None) -> BernoulliSumMoments:
     np.subtract(groups, sums[0], out=means[1:])
     variances = np.repeat(sums[None, 3], 2, axis=0)
     # sums[1:3] are the logs of the masses of no one and of no zero
-    return _with_conditional(means, variances, -np.expm1(sums[1:3]))
+    return BernoulliSumMoments(means, variances, -np.expm1(sums[1:3]))
 
 
 def bernoulli_sum_moments(probs, widths=None) -> BernoulliSumMoments:
@@ -336,8 +340,8 @@ def bernoulli_sum_moments(probs, widths=None) -> BernoulliSumMoments:
     Returns
     -------
     BernoulliSumMoments
-        Unconditional mean/variance, the probability p_plus that the sum is
-        positive, and the conditional moments given a positive sum.
+        The mean and variance, and the probability p_plus that the sum is
+        positive.
 
     Notes
     -----
@@ -347,18 +351,6 @@ def bernoulli_sum_moments(probs, widths=None) -> BernoulliSumMoments:
     those of the counts of zeros.
     """
     return _count_moments(probs, widths)[0]
-
-
-def _with_conditional(mean, variance, p_plus):
-    """BernoulliSumMoments, adding the moments conditional on a positive sum.
-
-    The arguments share one shape. The conditional moments are divided out
-    only where p_plus reaches P_PLUS_FLOOR.
-    """
-    ok = p_plus >= P_PLUS_FLOOR
-    mean_plus = np.divide(mean, p_plus, out=np.zeros(ok.shape), where=ok)
-    var_plus = np.divide(variance, p_plus, out=np.zeros(ok.shape), where=ok)
-    return BernoulliSumMoments(mean, variance, p_plus, mean_plus, var_plus)
 
 
 def expect_log_shifted_count(shift_geo, count_mean, count_var):
@@ -388,26 +380,28 @@ def crt_mean_approx(a_geo, count: BernoulliSumMoments):
     """Approximate mean table count when the customer count is random.
 
     Evaluates a_geo * p_plus * (psi(a_geo + E+) - psi(a_geo)
-    + V+ * psi'(a_geo + E+) / 2) with the conditional count moments, and 0
-    where p_plus < P_PLUS_FLOOR. For a deterministic count this telescopes
-    to the exact CRT mean. a_geo and the count's fields broadcast to the
+    + V+ * psi'(a_geo + E+) / 2) with E+ = E / p_plus, the count's mean over
+    its positive values, and V+ = V / p_plus (not the variance over them,
+    which is V+ - (1 - p_plus) E+^2), and gives 0 where
+    p_plus < P_PLUS_FLOOR. For a deterministic count this telescopes to
+    the exact CRT mean. a_geo and the count's fields broadcast to the
     result's shape: one entry per count, such as bernoulli_sum_moments
     gives for a block of rows with widths, or 0-d for one count.
     """
-    a_geo, p_plus, mean_plus, var_plus = np.broadcast_arrays(
-        a_geo, count.p_plus, count.mean_plus, count.var_plus
+    a_geo, mean, variance, p_plus = np.broadcast_arrays(
+        a_geo, count.mean, count.variance, count.p_plus
     )
     if not np.all(a_geo > 0):
         raise ValueError("a_geo must be positive")
     # where p_plus is below the floor the digamma terms are not taken: at a
     # floored a_geo, V+ = 0 times an infinite trigamma would be NaN
     ok = p_plus >= P_PLUS_FLOOR
-    a = a_geo[ok]
+    a, p = a_geo[ok], p_plus[ok]
     n = a.size
     # psi of the shifted argument and of a_geo, with psi' (of the shifted
     # one only read), from one kernel call
-    psi, tri = _psi(np.concatenate([a + mean_plus[ok], a]), trigamma=True)
-    bracket = psi[:n] - psi[n:] + 0.5 * var_plus[ok] * tri[:n]
+    psi, tri = _psi(np.concatenate([a + mean[ok] / p, a]), trigamma=True)
+    bracket = psi[:n] - psi[n:] + 0.5 * (variance[ok] / p) * tri[:n]
     tables = np.zeros(ok.shape)
-    tables[ok] = a * p_plus[ok] * bracket
+    tables[ok] = a * p * bracket
     return tables

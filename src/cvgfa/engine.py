@@ -229,21 +229,12 @@ def _no_inclusion_counts(counts, n, widths):
     D_m. They are the moments approx._count_moments gives for a row whose
     every probability is 0, bit for bit, taken without a pass."""
     zero = np.zeros((n, len(widths)))
-    full = zero + widths
     certain = (
-        np.stack([zero, full]),  # mean
+        np.stack([zero, zero + widths]),  # mean
         np.stack([zero, zero]),  # variance
         np.stack([-zero, zero + 1.0]),  # p_plus: -expm1(0) is -0.0
-        np.stack([zero, full]),  # mean_plus
-        np.stack([zero, zero]),  # var_plus
     )
-    fields = (
-        counts.mean,
-        counts.variance,
-        counts.p_plus,
-        counts.mean_plus,
-        counts.var_plus,
-    )
+    fields = (counts.mean, counts.variance, counts.p_plus)
     return BernoulliSumMoments(
         *(np.concatenate([f, c], axis=1) for f, c in zip(fields, certain))
     )
@@ -762,8 +753,7 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
     g_alphas = np.exp(psi_alpha) / rate
 
     if K:
-        a0 = hyper.kappa0 / K
-        b0 = max(hyper.kappa0 * (K - 1) / K, BETA_B_FLOOR)
+        a0, b0 = _beta_prior(hyper)
         a = state.beta_a
         b = state.beta_b
         ab = a + b

@@ -480,13 +480,8 @@ def spectral_start(data: GroupedDataset, hyper: Hyperparameters) -> SpectralStar
     """
     hyper.validate()
     data.validate()
-    sv, scores, loads = _principal_components(data.groups, int(hyper.K))
-    k_use = scores.shape[1]
-    edge = _INIT_EDGE_MULT * float(np.median(sv))
-    r_sig = max(1, min(k_use, int((sv > edge).sum())))
-
-    signal = loads[:r_sig]
-    del loads
+    _, scores, signal = _principal_components(data.groups, int(hyper.K))
+    r_sig = signal.shape[0]
     rot = _varimax(signal.T)
     signal = rot.T @ signal
     scores[:, :r_sig] = scores[:, :r_sig] @ rot
@@ -585,15 +580,19 @@ def init_state(
 
 
 def _principal_components(groups, k):
-    """Singular values, scores and loadings of the column-stacked data.
+    """Singular values, scores and signal loadings of the column-stacked
+    data.
 
     The stacked N x sum(D_m) matrix is never formed: its left singular
     vectors u and squared singular values are the eigenpairs of the N x N
     Gram matrix sum_m X_m X_m^T. Returns all min(N, sum D_m) singular values
     in descending order, the scores sqrt(N) u of the leading k_use =
-    min(k, that count) components (N x k_use), and their loadings
-    u^T X_m / sqrt(N), one block of columns per group (k_use x sum D_m),
-    which equal the SVD's s v^T / sqrt(N). Signs are eigh's: a component and
+    min(k, that count) components (N x k_use), and the loadings
+    u^T X_m / sqrt(N) of the signal ones among them, one block of columns
+    per group (r_sig x sum D_m), which equal the SVD's s v^T / sqrt(N).
+    The signal components are the leading r_sig, those whose singular value
+    clears _INIT_EDGE_MULT times the median, at least one and at most
+    k_use; the others get no loadings. Signs are eigh's: a component and
     its negation are the same component.
     """
     n = groups[0].shape[0]
@@ -607,12 +606,14 @@ def _principal_components(groups, k):
     sv = np.sqrt(np.maximum(evals[::-1][:n_sv], 0.0))
     u = np.ascontiguousarray(evecs[:, ::-1][:, : min(k, n_sv)])
     del evecs
+    edge = _INIT_EDGE_MULT * float(np.median(sv))
+    r_sig = max(1, min(u.shape[1], int((sv > edge).sum())))
     root_n = np.sqrt(n)
-    loads = np.empty((u.shape[1], sum(x.shape[1] for x in groups)))
+    loads = np.empty((r_sig, sum(x.shape[1] for x in groups)))
     end = 0
     for x in groups:
         end += x.shape[1]
-        np.matmul(u.T, x, out=loads[:, end - x.shape[1] : end])
+        np.matmul(u.T[:r_sig], x, out=loads[:, end - x.shape[1] : end])
     loads /= root_n
     return sv, root_n * u, loads
 

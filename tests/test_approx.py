@@ -53,6 +53,11 @@ def enumerate_count_pmf(probs):
     return pmf
 
 
+def fields(m):
+    """The three fields of Bernoulli-sum moments, in order."""
+    return [m.mean, m.variance, m.p_plus]
+
+
 class TestDigammaTrigamma:
     def test_known_values(self):
         assert_allclose(digamma(1.0), -EULER_GAMMA, atol=1e-10)
@@ -276,28 +281,10 @@ class TestScalarRoute:
 
 class TestBernoulliSumMoments:
     def test_trivial_cases(self):
-        m = bernoulli_sum_moments([])
-        assert (m.mean, m.variance, m.p_plus, m.mean_plus, m.var_plus) == (
-            0.0,
-            0.0,
-            0.0,
-            0.0,
-            0.0,
-        )
-        m = bernoulli_sum_moments([1.0])
-        assert (m.mean, m.variance, m.p_plus, m.mean_plus, m.var_plus) == (
-            1.0,
-            0.0,
-            1.0,
-            1.0,
-            0.0,
-        )
+        assert fields(bernoulli_sum_moments([])) == [0.0, 0.0, 0.0]
+        assert fields(bernoulli_sum_moments([1.0])) == [1.0, 0.0, 1.0]
         m = bernoulli_sum_moments([0.5, 0.5])
-        assert_allclose(
-            [m.mean, m.variance, m.p_plus, m.mean_plus, m.var_plus],
-            [1.0, 0.5, 0.75, 4.0 / 3.0, 2.0 / 3.0],
-            atol=1e-12,
-        )
+        assert_allclose(fields(m), [1.0, 0.5, 0.75], atol=1e-12)
 
     def test_against_enumeration(self):
         rng = np.random.default_rng(5)
@@ -313,8 +300,15 @@ class TestBernoulliSumMoments:
             assert_allclose(m.mean, mean, atol=1e-10)
             assert_allclose(m.variance, var, atol=1e-10)
             assert_allclose(m.p_plus, p_plus, atol=1e-10)
-            assert_allclose(m.mean_plus, mean / p_plus, atol=1e-10)
-            assert_allclose(m.var_plus, var / p_plus, atol=1e-10)
+            # crt_mean_approx reads E+ = E / p+ and V+ = V / p+ of them
+            e_plus, v_plus = mean / p_plus, var / p_plus
+            a = 0.3
+            want = a * p_plus * (
+                special.digamma(a + e_plus)
+                - special.digamma(a)
+                + 0.5 * v_plus * special.polygamma(1, a + e_plus)
+            )
+            assert_allclose(crt_mean_approx(a, m), want, rtol=1e-10)
 
     def test_invariants(self):
         rng = np.random.default_rng(6)
@@ -323,9 +317,6 @@ class TestBernoulliSumMoments:
             m = bernoulli_sum_moments(probs)
             assert m.variance <= m.mean + 1e-12
             assert 0.0 <= m.p_plus <= 1.0
-            if m.p_plus > 0:
-                assert abs(m.mean_plus * m.p_plus - m.mean) <= 1e-12
-                assert abs(m.var_plus * m.p_plus - m.variance) <= 1e-12
 
     def test_sure_success_is_exact(self):
         m = bernoulli_sum_moments([0.3, 1.0, 0.9999999])
@@ -338,7 +329,8 @@ class TestBernoulliSumMoments:
     def test_all_zero_probs(self):
         m = bernoulli_sum_moments(np.zeros(5))
         assert m.p_plus == 0.0
-        assert m.mean_plus == 0.0 and m.var_plus == 0.0
+        # no E+ or V+ is taken, not even at a floored concentration
+        assert crt_mean_approx(np.array([0.7, 1e-300]), m).tolist() == [0.0, 0.0]
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -350,17 +342,13 @@ class TestBernoulliSumMoments:
 class TestComplementMoments:
     """Moments of the count of zeros, derived from the count of ones."""
 
-    @staticmethod
-    def fields(m):
-        return [m.mean, m.variance, m.p_plus, m.mean_plus, m.var_plus]
-
     def test_match_the_complementary_sum(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             probs = rng.uniform(0, 1, int(rng.integers(0, 13)))
             got = complement_moments(probs)
             want = bernoulli_sum_moments(1.0 - probs)
-            assert_allclose(self.fields(got), self.fields(want), rtol=1e-12, atol=1e-12)
+            assert_allclose(fields(got), fields(want), rtol=1e-12, atol=1e-12)
 
     def test_against_enumeration(self):
         rng = np.random.default_rng(10)
@@ -377,14 +365,13 @@ class TestComplementMoments:
         m = complement_moments(probs)
         # taken without log(0): a RuntimeWarning fails the test
         assert m.p_plus == 1.0
-        assert m.mean_plus == m.mean and m.var_plus == m.variance
 
     def test_certain_ones_leave_no_complement(self):
         probs = np.ones(4)
         m = complement_moments(probs)
-        assert self.fields(m) == [0.0] * 5
+        assert fields(m) == [0.0] * 3
         m = complement_moments([])
-        assert self.fields(m) == [0.0] * 5
+        assert fields(m) == [0.0] * 3
 
     def test_near_certain_ones_no_cancellation(self):
         probs = np.array([1.0 - 2.0**-50, 1.0 - 2.0**-50])
@@ -394,10 +381,6 @@ class TestComplementMoments:
 
 class TestStackedGroups:
     """Moments and table counts of groups side by side, against each alone."""
-
-    @staticmethod
-    def fields(m):
-        return [m.mean, m.variance, m.p_plus, m.mean_plus, m.var_plus]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_match_each_group_alone_bitwise(self, seed):
@@ -423,7 +406,7 @@ class TestStackedGroups:
             assert same_bits(one.mean, np.sum(xi))
             assert same_bits(one.variance, np.sum(xi * (1.0 - xi)))
             for got, want in ((nhat, one), (ntil, other)):
-                assert same_bits([f[m] for f in self.fields(got)], self.fields(want))
+                assert same_bits([f[m] for f in fields(got)], fields(want))
             for got, want in zip(tables, (one, other)):
                 assert same_bits(got[m], crt_mean_approx(float(a_geo[m]), want))
         assert nhat.p_plus[1] == 1.0 and ntil.p_plus[2] == 1.0
@@ -441,10 +424,6 @@ class TestBlocksOfRows:
     """Moments and table counts of a block of rows, one count per row (and
     group), against each row taken alone: the sweep's batch of every active
     factor's rows."""
-
-    @staticmethod
-    def fields(m):
-        return [m.mean, m.variance, m.p_plus, m.mean_plus, m.var_plus]
 
     @staticmethod
     def block(seed, widths, rows=7):
@@ -467,7 +446,7 @@ class TestBlocksOfRows:
         for i, xi in enumerate(block):
             one = bernoulli_sum_moments(xi)
             for got, want in ((nhat, one), (ntil, complement_moments(xi))):
-                assert same_bits([f[i] for f in self.fields(got)], self.fields(want))
+                assert same_bits([f[i] for f in fields(got)], fields(want))
         assert nhat.mean.shape == (len(block),)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -484,8 +463,8 @@ class TestBlocksOfRows:
                 one = bernoulli_sum_moments(xi)
                 other = complement_moments(xi)
                 for got, want in ((nhat, one), (ntil, other)):
-                    got_m = [f[i, m] for f in self.fields(got)]
-                    assert same_bits(got_m, self.fields(want))
+                    got_m = [f[i, m] for f in fields(got)]
+                    assert same_bits(got_m, fields(want))
 
     def test_crt_on_a_2d_array_matches_the_scalar_kernel_bitwise(self):
         widths = [13, 40, 7, 25]
@@ -500,7 +479,7 @@ class TestBlocksOfRows:
             assert got.shape == a_geo.shape
             for i in range(len(block)):
                 for m in range(len(widths)):
-                    one = BernoulliSumMoments(*(f[i, m] for f in self.fields(count)))
+                    one = BernoulliSumMoments(*(f[i, m] for f in fields(count)))
                     want = crt_mean_approx(float(a_geo[i, m]), one)
                     assert same_bits(got[i, m], want)
         # the all-zero row and the row of 1e-14 have no mass above the floor,
@@ -599,7 +578,6 @@ class TestGroupRuns:
     def test_moments_match_across_budgets_bitwise(self, monkeypatch, kind, seed):
         widths = self.WIDTHS[kind]
         block = TestBlocksOfRows.block(seed, widths)
-        fields = TestBlocksOfRows.fields
         results, runs = [], []
         for budget in (1, 10**9):
             monkeypatch.setattr(approx, "_RUN_BUDGET", budget)
@@ -698,7 +676,7 @@ class TestCrtMean:
                 )
 
     def test_approx_p_plus_zero(self):
-        m = BernoulliSumMoments(0.0, 0.0, 0.0, 0.0, 0.0)
+        m = BernoulliSumMoments(0.0, 0.0, 0.0)
         assert crt_mean_approx(0.7, m) == 0.0
 
     def test_one_count_gives_a_0d_result_and_broadcasts(self):

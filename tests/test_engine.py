@@ -1362,7 +1362,7 @@ class TestNoInclusionCounts:
         counts = _count_moments(block, widths)
         got = engine._no_inclusion_counts(counts, 2, widths)
         want = _count_moments(np.vstack([block, np.zeros((2, widths.sum()))]), widths)
-        for name in ("mean", "variance", "p_plus", "mean_plus", "var_plus"):
+        for name in ("mean", "variance", "p_plus"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
@@ -1754,12 +1754,15 @@ def elbo_case(name):
 
     if name.startswith("random"):
         seed = int(name[-1])
+        # K = 3 is a K where kappa0 (K - 1) / K and kappa0 (1 - 1/K) differ
+        # in the last bit: q(beta)'s prior (model._beta_prior) is the latter
+        k = 3 if name.startswith("random-k3") else 4
         dims = (4, 9, 3)
         data = make_dataset(seed=seed, n=7, dims=dims)
-        state = random_state(np.random.default_rng(seed), 7, dims, 4)
-        hyper = Hyperparameters(K=4)
+        state = random_state(np.random.default_rng(seed), 7, dims, k)
+        hyper = Hyperparameters(K=k)
         if name.startswith("random-priors"):
-            hyper = Hyperparameters(K=4, e0=0.3, f0=0.7, g0=2.0, h0=0.4)
+            hyper = Hyperparameters(K=k, e0=0.3, f0=0.7, g0=2.0, h0=0.4)
         return state, data, hyper
     if name == "init":
         data, _ = generate(simulation1_pattern(), 40, [25] * 4, seed=1)
@@ -1781,6 +1784,7 @@ ELBO_CASES = [
     "random-1",
     "random-2",
     "random-priors-3",
+    "random-k3-4",
     "init",
     "fitted",
     "fitted-kept",
