@@ -76,7 +76,8 @@ from .model import (
     _eta_log_mean,
     _active_rows,
     _beta_prior,
-    _expected_sq_residual,
+    _expected_sq_residuals,
+    _group_mass,
     _is_whole,
     _keep_rows,
     _lambda_rate,
@@ -184,6 +185,15 @@ def update_alpha(state, hyper, eta_log_mean=None):
     totals = np.add.reduce(state.aux_s_mean, axis=-1)
     totals += np.add.reduce(state.aux_t_mean, axis=-1)
     return hyper.c0 + totals, hyper.d0 - state.n_factors * eta_log_mean
+
+
+def _concentrations(e_log_beta, g_alpha):
+    """g_ab and g_abbar of every factor in every group, one 2 x K x M array:
+    exp(e_log_beta), E[log beta] and E[log(1 - beta)] stacked (2 x K), times
+    the geometric means of alpha (g_alpha, one per group), floored at
+    GEO_FLOOR."""
+    geo = np.exp(e_log_beta)[:, :, None] * g_alpha
+    return np.maximum(geo, GEO_FLOOR, out=geo)
 
 
 def _prior_halves(block, nhat, g_ab, g_abbar, widths):
@@ -384,9 +394,9 @@ def sweep(state, data, hyper, *, _data_norms=None):
     The collapsed-prior part of the loading block is one batch over the
     held factors A and those slots U, taken before the factor loop:
     q(beta) of every slot in A and U (update_beta_params), the
-    concentrations g_ab and g_abbar stacked as one 2 x (|A| + |U|) x M
-    array, the moments of every held (factor, group) row's count of ones
-    and of its count of zeros over the |A| x sum_m D_m block rho.stacked
+    concentrations g_ab and g_abbar as one 2 x (|A| + |U|) x M array
+    (_concentrations), the moments of every held (factor, group) row's
+    count of ones and of zeros over the |A| x sum_m D_m block rho.stacked
     (approx._count_moments, one pass over the rows for both) and the
     certain counts of U (_no_inclusion_counts), the table counts E[s] and
     E[t] of every row from one crt_mean_approx call, and the two prior
@@ -504,11 +514,10 @@ def sweep(state, data, hyper, *, _data_norms=None):
     psi_alpha, psi_mean, psi_mean_d = psi[: 3 * n_groups].reshape(3, n_groups)
     psi_beta = psi[3 * n_groups :].reshape(3, len(slots))
     eta_log_mean = psi_mean - psi_mean_d
-    # the geometric means of alpha (geo_expect_gamma's expression) and of
-    # beta and 1 - beta (geo_expect_beta's), then g_ab and g_abbar stacked
+    # the geometric mean of alpha (geo_expect_gamma's expression), then
+    # g_ab and g_abbar stacked
     g_alpha = np.exp(psi_alpha) / state.alpha_rate
-    geo = np.exp(psi_beta[:2] - psi_beta[2])[:, :, None] * g_alpha
-    np.maximum(geo, GEO_FLOOR, out=geo)
+    geo = _concentrations(psi_beta[:2] - psi_beta[2], g_alpha)
     # the moments of every row's count of ones and of zeros from one pass,
     # stacked as geo is, and both table counts from one call
     block = rho_all.copy()
@@ -594,11 +603,9 @@ def sweep(state, data, hyper, *, _data_norms=None):
     # group m's alpha reads only its own eta, at the alpha it replaces
     shape, rate = update_alpha(state, hyper, eta_log_mean)
     state.alpha_shape[:], state.alpha_rate[:] = shape, rate
-    f2 = f_mean * f_mean
-    ef2 = f2 + state.f_var
-    for m in range(state.n_groups):
-        sq = _expected_sq_residual(norms[m], f2, ef2, second[m], square[m])
-        state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
+    sq = _expected_sq_residuals(norms, f_mean, state.f_var, second, square)
+    for tau_rate, sq_m in zip(state.tau_rate, sq):
+        tau_rate[:] = hyper.h0 + 0.5 * sq_m
 
     _check_state_finite(state)
     return norms
@@ -688,51 +695,46 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
 
     The per-entry terms (the likelihood's loading sums, the loadings
     against their prior, the inclusion entropy, the scores against theirs)
-    are summed over the rows the state holds (state.factors). Every other
-    factor is at the prior, and each of its entries adds the same loading
-    term (_prior_loading_term), so those K - len(factors) factors add it
-    times their count times sum_m D_m; their entropy and score terms are 0,
-    their expected loadings zeros. Their q(beta) terms and collapsed counts
-    (none included, D_m excluded) are taken with every other factor's.
+    are summed over the rows the state holds (state.factors), read from
+    the stacked arrays as the sweep reads them; only the likelihood loops
+    over the groups. Every other factor is at the prior, and each of its
+    entries adds the same loading term (_prior_loading_term), so those
+    K - len(factors) factors add it times their count times sum_m D_m;
+    their entropy and score terms are 0, their expected loadings zeros.
+    Their q(beta) terms and collapsed counts (none included, D_m excluded)
+    are taken with every other factor's, the collapsed term in one
+    expression over 2 x K x M concentrations (_concentrations) and counts.
     """
     total = 0.0
-    M = state.n_groups
     K = state.n_factors
+    dims = state.dims
+    widths = np.array(dims)
 
     if norms is None:
         norms = _state_sq_norms(state, data)
     g0, h0 = hyper.g0, hyper.h0
     tau_prior = g0 * math.log(h0) - math.lgamma(g0)
     f_mean, f_var = state.f_mean, state.f_var
-    f2 = f_mean * f_mean
-    ef2 = f2 + f_var
-    counts = []
-    for m in range(M):
-        d_m = state.dims[m]
+    rho, w_mean, w_var = (a.stacked for a in (state.rho, state.w_mean, state.w_var))
+    sums = _loading_sums(rho, w_mean, w_var, rho * w_mean, dims)
+    sq = _expected_sq_residuals(norms, f_mean, f_var, *sums)
+    # the likelihood with q(tau) against its prior
+    for d_m, tau_rate, sq_m in zip(dims, state.tau_rate, sq):
         tau_shape = hyper.tau_shape(d_m)
-        tau_rate = state.tau_rate[m]
-        # contiguous copies of the group's rows: numpy's elementwise steps
-        # on a column block of a stacked array take about twice as long
-        blocks = (state.rho, state.w_mean, state.w_var)
-        rho, w_mean, w_var = (a[m].copy() for a in blocks)
-        sums = _loading_sums(rho, w_mean, w_var, rho * w_mean)
-        sq = _expected_sq_residual(norms[m], f2, ef2, *sums)
-        # the likelihood with q(tau) against its prior
-        per_sample = np.log(tau_rate) + (h0 + 0.5 * sq) / tau_rate
+        per_sample = np.log(tau_rate) + (h0 + 0.5 * sq_m) / tau_rate
         const = tau_shape - 0.5 * d_m * LOG_2PI + tau_prior + math.lgamma(tau_shape)
         total += float(-tau_shape * np.sum(per_sample)) + tau_rate.size * const
 
-        # loadings against their elementwise gamma-precision prior
-        total += _loading_terms(w_mean, w_var, hyper)
-        total += _bernoulli_entropy(rho)
-        counts.append((rho.sum(axis=1), (1.0 - rho).sum(axis=1)))
+    # loadings against their elementwise gamma-precision prior
+    total += _loading_terms(w_mean, w_var, hyper)
+    total += _bernoulli_entropy(rho)
     n_prior = K - state.factors.size
     if n_prior:
-        prior_entries = n_prior * sum(state.dims)
-        total += prior_entries * _prior_loading_term(hyper)
+        total += n_prior * sum(dims) * _prior_loading_term(hyper)
 
     # factor scores against the standard normal prior
     if f_mean.size:
+        ef2 = f_mean * f_mean + f_var
         total += float(0.5 * np.sum(np.log(f_var) - ef2 + 1.0))
 
     # q(alpha) against its gamma prior; exp(psi) / rate is
@@ -750,43 +752,32 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
             - (d0 - rate) * (shape / rate)
         )
     )
-    g_alphas = np.exp(psi_alpha) / rate
+    g_alpha = np.exp(psi_alpha) / rate
 
     if K:
         a0, b0 = _beta_prior(hyper)
         a = state.beta_a
         b = state.beta_b
         ab = a + b
-        psi_a, psi_b, psi_ab = digamma(np.stack([a, b, ab]))
-        e_log_beta = psi_a - psi_ab
-        e_log_bbar = psi_b - psi_ab
+        psi = digamma(np.stack([a, b, ab]))
+        e_log = psi[:2] - psi[2]
         log_b_q = _lgamma(a) + _lgamma(b) - _lgamma(ab)
         log_b_0 = math.lgamma(a0) + math.lgamma(b0) - math.lgamma(a0 + b0)
         total += float(
-            np.sum(
-                log_b_q - log_b_0 + (a0 - a) * e_log_beta + (b0 - b) * e_log_bbar
-            )
+            np.sum(log_b_q - log_b_0 + (a0 - a) * e_log[0] + (b0 - b) * e_log[1])
         )
 
-        # collapsed prior on Z at plug-in concentrations and expected counts;
-        # the geometric means of beta and 1 - beta are exp(E[log]), which is
-        # what geo_expect_beta computes
-        g_beta = np.exp(e_log_beta)
-        g_beta_bar = np.exp(e_log_bbar)
-        for m in range(M):
-            d_m = state.dims[m]
-            g_alpha = g_alphas[m]
-            g_ab = np.maximum(g_alpha * g_beta, GEO_FLOOR)
-            g_abbar = np.maximum(g_alpha * g_beta_bar, GEO_FLOOR)
-            # a factor at the prior includes no column of any group
-            nhat = np.zeros(K)
-            ntil = np.full(K, float(d_m))
-            nhat[state.factors], ntil[state.factors] = counts[m]
-            total += float(
-                K * (math.lgamma(g_alpha) - math.lgamma(g_alpha + d_m))
-                + np.sum(_lgamma(g_ab + nhat) - _lgamma(g_ab))
-                + np.sum(_lgamma(g_abbar + ntil) - _lgamma(g_abbar))
-            )
+        # collapsed prior on Z at plug-in concentrations and expected counts
+        # of ones and of zeros, 2 x K x M; a factor at the prior includes no
+        # column of any group
+        geo = _concentrations(e_log, g_alpha)
+        ones = np.zeros((K, len(dims)))
+        ones[state.factors] = _group_mass(rho, dims)
+        counts = np.stack([ones, widths - ones])
+        total += float(
+            K * np.sum(_lgamma(g_alpha) - _lgamma(g_alpha + widths))
+            + np.sum(_lgamma(geo + counts) - _lgamma(geo))
+        )
     return total
 
 

@@ -431,8 +431,7 @@ def read_checkpoint(path):
     hyper = Hyperparameters(**{f: hp[f] for f in HYPER_FIELDS})
     try:
         hyper.validate()
-    except (UsageError, TypeError, ValueError, OverflowError) as err:
-        # OverflowError: int() of an infinite K
+    except UsageError as err:
         raise DataError(f"{path}: bad hyperparameters: {err}") from None
     block = obj.get("state")
     if not isinstance(block, dict):

@@ -13,6 +13,7 @@ the first two sweeps, as rows with no inclusion.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +105,7 @@ class Hyperparameters:
         if not (_is_whole(self.K) and self.K >= 1):
             raise UsageError("truncation level K must be an integer of at least 1")
         for name in ("kappa0", "c0", "d0", "e0", "f0", "g0", "h0"):
-            value = getattr(self, name)
-            # NaN fails the comparison; infinity fails isfinite
-            if not (value > 0 and math.isfinite(value)):
+            if not _is_positive_real(getattr(self, name)):
                 raise UsageError(f"hyperparameter {name} must be positive and finite")
         return self
 
@@ -132,11 +131,21 @@ class FitOptions:
     def validate(self):
         if not (_is_whole(self.max_sweeps) and self.max_sweeps >= 1):
             raise UsageError("max_sweeps must be an integer of at least 1")
-        if not 0 < self.rel_tolerance < math.inf:
+        if not _is_positive_real(self.rel_tolerance):
             raise UsageError("rel_tolerance must be positive and finite")
         if not (_is_whole(self.seed) and self.seed >= 0):
             raise UsageError("seed must be a non-negative integer")
         return self
+
+
+def _is_positive_real(value):
+    """Whether value is a positive real number a float holds: not a bool,
+    NaN, infinity or an integer beyond the largest float (not converted)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and 0 < value <= sys.float_info.max
+    )
 
 
 def _is_whole(value):
@@ -551,16 +560,15 @@ def init_state(
     rho = np.where(keep, _INIT_RHO_IN, _INIT_RHO_OUT)
     del keep
     w_var = np.full(w_mean.shape, _INIT_W_VAR)
+    coef = rho * w_mean
+    norms = [
+        _sq_norms(x_norms, f_mean, *_loading_products(x, c))
+        for x, x_norms, c in zip(data.groups, start.row_norms, GroupBlocks(coef, dims))
+    ]
+    sums = _loading_sums(rho, w_mean, w_var, coef, dims)
+    sq = _expected_sq_residuals(norms, f_mean, f_var, *sums)
+    tau_rate = [hyper.h0 + 0.5 * s for s in sq]
     rho, w_mean, w_var = (GroupBlocks(a, dims) for a in (rho, w_mean, w_var))
-
-    tau_rate = []
-    f2 = f_mean * f_mean
-    ef2 = f2 + f_var
-    for x, x_norms, rm, wm, vm in zip(data.groups, start.row_norms, rho, w_mean, w_var):
-        coef = rm * wm
-        norms = _sq_norms(x_norms, f_mean, *_loading_products(x, coef))
-        sq = _expected_sq_residual(norms, f2, ef2, *_loading_sums(rm, wm, vm, coef))
-        tau_rate.append(hyper.h0 + 0.5 * sq)
 
     return VariationalState(
         rho=rho,
@@ -630,18 +638,18 @@ def active_factors(state: VariationalState):
     return {int(k) for k in state.factors[active]}
 
 
+def _group_mass(rows, dims):
+    """sum_d rho[k, d] of each row of rows (of rho.stacked, dims the group
+    widths) in each group, rows x M: each np.sum of that row's group alone
+    (approx._group_sums), whichever rows are taken."""
+    return _group_sums(lambda cols: rows[:, cols], rows.shape[0], dims)
+
+
 def _active_rows(rows, dims):
-    """active_factors' rule for each row of rows, rows of rho.stacked (the
-    groups' columns side by side, dims their widths): a boolean per row.
-    Each group's mass is the pairwise sum of the row's columns of the
-    group, whichever rows are taken, so the rule gives every factor the
-    same answer from the whole array and from a block of its rows."""
-    mass = np.zeros(rows.shape[0])
-    end = 0
-    for d_m in dims:
-        end += d_m
-        mass = np.maximum(mass, rows[:, end - d_m : end].sum(axis=1))
-    return mass >= ACTIVE_MASS
+    """active_factors' rule for each row of rows (of rho.stacked): whether
+    its best _group_mass reaches ACTIVE_MASS, the same answer from the whole
+    array and from a block of its rows."""
+    return _group_mass(rows, dims).max(axis=1) >= ACTIVE_MASS
 
 
 def _keep_rows(state, keep):
@@ -673,7 +681,9 @@ def _prior_w_var(hyper):
 
 # The helpers below are shared with engine: the derived lambda rates and
 # E[log eta], the data's row norms, the data and loading products, the
-# residual's per-sample squared norms and the q(tau) update. They are
+# residual's per-sample squared norms, and the loading sums and expected
+# squared residuals over the stacked layout, which the sweep's q(tau)
+# update, init_state and the objective all read. They are
 # steps of their callers, not entry points, hence private names;
 # bench/tracer.py times public functions only, so their time stays with
 # the caller. The sweeps' training MSE (the stopping rule and trace.csv's
@@ -734,17 +744,16 @@ def _sq_norms(x_norms, f_mean, xc, cc):
     return np.maximum(r, 0.0, out=r)
 
 
-def _loading_sums(rho, w_mean, w_var, coef, widths=None):
+def _loading_sums(rho, w_mean, w_var, coef, widths):
     """sum_d rho E[w^2] and sum_d (rho mu_w)^2 of every factor, per group.
 
-    coef is the expected loadings rho * mu_w. The first sums are the
-    loadings' share of the factor scores' precision (the sweep's score
-    block) and both enter _expected_sq_residual. Without widths the rows
-    are one group's and each sum is one vector over the factors. With
-    widths the groups lie side by side along the rows, widths[m] columns
-    for group m, and each sum is an M x K+ array, row m group m's. The
-    summands are taken over runs of whole groups (approx._group_sums), and
-    each sum is np.sum of its factor's row in its group alone.
+    The arrays are stacked rows (rho.stacked and its kin), the groups side
+    by side along the rows, widths[m] columns for group m, and coef is the
+    expected loadings rho * mu_w. The first sums are the loadings' share of
+    the factor scores' precision (the sweep's score block) and both enter
+    _expected_sq_residuals. Each sum is an M x K+ array, row m group m's.
+    The summands are taken over runs of whole groups (approx._group_sums),
+    and each sum is np.sum of its factor's row in its group alone.
     """
 
     def terms(cols):
@@ -756,20 +765,19 @@ def _loading_sums(rho, w_mean, w_var, coef, widths=None):
         np.multiply(coef[:, cols], coef[:, cols], out=both[1])
         return both
 
-    groups = [rho.shape[1]] if widths is None else widths
-    sums = _group_sums(terms, rho.shape[0], groups)
-    if widths is None:
-        return sums[..., 0]
+    sums = _group_sums(terms, rho.shape[0], widths)
     return np.ascontiguousarray(sums.transpose(0, 2, 1))
 
 
-def _expected_sq_residual(norms, f2, ef2, second, square):
-    """E[||x_n - G f_n||^2] of one group, for every sample n, as a vector.
+def _expected_sq_residuals(norms, f_mean, f_var, second, square):
+    """E[||x_n - G_m f_n||^2] of every group m and sample n, one vector each.
 
-    norms are the residual's squared rows at the expected loadings and
-    scores (_sq_norms), second and square the group's _loading_sums, and
-    f2 and ef2 the scores' mu_f^2 and E[f^2] = mu_f^2 + var_f, which every
-    group shares. The expectation adds to the norms the posterior-variance
-    corrections sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2).
+    norms are the groups' residual squared rows at the expected loadings
+    and scores (_sq_norms), second and square the M x K+ _loading_sums, and
+    f_mean and f_var the scores, which every group shares. The expectation
+    adds to the norms the posterior-variance corrections
+    sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2).
     """
-    return norms + ef2 @ second - f2 @ square
+    f2 = f_mean * f_mean
+    ef2 = f2 + f_var
+    return [r + ef2 @ s - f2 @ q for r, s, q in zip(norms, second, square)]

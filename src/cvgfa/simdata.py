@@ -105,15 +105,16 @@ def generate(pattern: SparsityPattern, n: int, d_per_group, seed: int):
     mask, then that group's noise, so outputs are reproducible by seed.
     """
     pattern.validate()
-    if int(n) < 1:
-        raise UsageError("sample count must be at least 1")
-    dims = [int(d) for d in d_per_group]
+    if not (_is_whole(n) and n >= 1):
+        raise UsageError("sample count must be an integer of at least 1")
+    dims = list(d_per_group)
     if len(dims) != pattern.n_groups:
         raise UsageError(
             f"d_per_group has {len(dims)} entries for {pattern.n_groups} groups"
         )
-    if any(d < 1 for d in dims):
-        raise UsageError("every group needs at least one column")
+    if not all(_is_whole(d) and d >= 1 for d in dims):
+        raise UsageError("every group width must be an integer of at least 1")
+    dims = [int(d) for d in dims]
     if not (_is_whole(seed) and seed >= 0):
         raise UsageError("seed must be a non-negative integer")
 

@@ -70,7 +70,7 @@ from cvgfa.model import (
     BETA_B_FLOOR,
     GROUP_BLOCK_FIELDS,
     GroupBlocks,
-    _expected_sq_residual,
+    _expected_sq_residuals,
     _lambda_rate,
     _loading_sums,
 )
@@ -490,9 +490,8 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         tau_rate = state.tau_rate[m]
         log_tau, e_log_tau, tb = _gamma_moments(tau_shape, tau_rate, psi_tau[m])
         rho, w_mean, w_var = state.rho[m], state.w_mean[m], state.w_var[m]
-        sums = _loading_sums(rho, w_mean, w_var, rho * w_mean)
-        f2 = f_mean * f_mean
-        sq = _expected_sq_residual(norms[m], f2, f2 + f_var, *sums)
+        sums = _loading_sums(rho, w_mean, w_var, rho * w_mean, [d_m])
+        (sq,) = _expected_sq_residuals([norms[m]], f_mean, f_var, *sums)
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
 
         # loadings against their elementwise gamma-precision prior

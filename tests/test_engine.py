@@ -922,11 +922,11 @@ def per_column_sweep(state, data, hyper):
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
         rho, w, w_var = (a[m][kept] for a in (state.rho, state.w_mean, state.w_var))
-        sq = engine._expected_sq_residual(
-            engine._sq_norms(engine._row_norms(data.groups[m]), f_kept, xc[m], cc[m]),
-            f_kept * f_kept,
-            f_kept * f_kept + state.f_var[:, kept],
-            *engine._loading_sums(rho, w, w_var, rho * w),
+        (sq,) = engine._expected_sq_residuals(
+            [engine._sq_norms(engine._row_norms(data.groups[m]), f_kept, xc[m], cc[m])],
+            f_kept,
+            state.f_var[:, kept],
+            *engine._loading_sums(rho, w, w_var, rho * w, [rho.shape[1]]),
         )
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
     return state
@@ -1209,6 +1209,29 @@ class TestRunsOfGroups:
         assert_states_bitwise_equal(got.final_state, want.final_state)
         assert got.trace == want.trace
 
+    @pytest.mark.parametrize("case", ["random-1", "init", "fitted"])
+    def test_objective_warm_start_and_active_rule_match_across_budgets(
+        self, monkeypatch, case
+    ):
+        # they sum over the stacked rows one run of groups at a time, as the
+        # sweep does; random-1 has unequal widths (4, 9, 3)
+        state, data, hyper = elbo_case(case)
+        rows, dims = state.rho.stacked, state.dims
+        results = []
+        for budget in (1, 10**9):
+            monkeypatch.setattr(approx, "_RUN_BUDGET", budget)
+            results.append(
+                (
+                    engine.surrogate_elbo(state, data, hyper),
+                    engine._group_mass(rows, dims).tobytes(),
+                    engine._active_rows(rows, dims).tobytes(),
+                    init_state(data, hyper, seed=2),
+                )
+            )
+        (*got, got_init), (*want, want_init) = results
+        assert got == want
+        assert_states_bitwise_equal(got_init, want_init)
+
 
 class TestLeaveOneFactorOutProducts:
     """The sweep's data-side products against their explicit-residual forms:
@@ -1254,7 +1277,7 @@ class TestLeaveOneFactorOutProducts:
                 self.assert_close(got, want)
         products = [engine._loading_products(x, c) for x, c in zip(data.groups, loads)]
         second = [
-            engine._loading_sums(r, w, v, c)[0]
+            engine._loading_sums(r, w, v, c, [r.shape[1]])[0, 0]
             for r, w, v, c in zip(state.rho, state.w_mean, state.w_var, loads)
         ]
         for j in range(k):
@@ -1657,7 +1680,7 @@ class TestScoreBlock:
             for x, r, w in zip(data.groups, state.rho, state.w_mean)
         ]
         second = [
-            engine._loading_sums(r, w, v, r * w)[0]
+            engine._loading_sums(r, w, v, r * w, [r.shape[1]])[0, 0]
             for r, w, v in zip(state.rho, state.w_mean, state.w_var)
         ]
         # _score_block's arguments after the state, but for the factors

@@ -605,6 +605,9 @@ class TestCheckpointEncoding:
             pytest.param({"h0": "x"}, "bad hyperparameters", id="string-h0"),
             pytest.param({"K": 5.0}, "K=5.0", id="float-K"),
             pytest.param({"K": None}, "bad hyperparameters", id="null-K"),
+            pytest.param({"kappa0": True}, "kappa0", id="bool-kappa0"),
+            pytest.param({"c0": "0.1"}, "c0", id="string-c0"),
+            pytest.param({"d0": 10**400}, "d0", id="huge-integer-d0"),
         ],
     )
     def test_bad_hyperparameters_rejected(self, tmp_path, checkpoint_text, changes, message):

@@ -143,6 +143,18 @@ class TestHyperparameters:
         with pytest.raises(UsageError, match=f"{name} must be positive and finite"):
             Hyperparameters(K=5, **{name: value}).validate()
 
+    @pytest.mark.parametrize("name", ["kappa0", "c0", "h0"])
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1], 10**400])
+    def test_rejects_a_value_that_is_not_a_real_number(self, name, value):
+        # a bool compares as 0 or 1, a string or None does not compare
+        # with a number, and 10**400 overflows a float
+        with pytest.raises(UsageError, match=f"{name} must be positive and finite"):
+            Hyperparameters(K=5, **{name: value}).validate()
+
+    @pytest.mark.parametrize("value", [1, np.float64(0.5), np.int64(2)])
+    def test_accepts_integers_and_numpy_scalars(self, value):
+        Hyperparameters(K=5, kappa0=value, c0=value).validate()
+
 
 class TestFitOptions:
     def test_defaults_valid(self):
@@ -175,6 +187,13 @@ class TestFitOptions:
         # at inf the rule would hold at once, whatever the MSE does
         message = "rel_tolerance must be positive and finite"
         with pytest.raises(UsageError, match=message):
+            FitOptions(rel_tolerance=tol).validate()
+
+    @pytest.mark.parametrize("tol", [True, "5e-7", None, 10**400])
+    def test_rejects_a_tolerance_that_is_not_a_real_number(self, tol):
+        # a bool compares as 1, a string or None does not compare with a
+        # number, and 10**400 overflows the stopping rule's float product
+        with pytest.raises(UsageError, match="rel_tolerance"):
             FitOptions(rel_tolerance=tol).validate()
 
 

@@ -119,6 +119,25 @@ class TestGenerate:
         with pytest.raises(UsageError, match="seed"):
             generate(simulation1_pattern(), 10, [20] * 4, seed=seed)
 
+    @pytest.mark.parametrize("n", [2.7, True, math.inf, math.nan, "10"])
+    def test_rejects_a_sample_count_that_is_not_a_whole_number(self, n):
+        # int() would draw 2 samples for 2.7 and 1 for True, and raise
+        # OverflowError at inf and ValueError at NaN
+        with pytest.raises(UsageError, match="sample count"):
+            generate(simulation1_pattern(), n, [20] * 4, seed=0)
+
+    @pytest.mark.parametrize("width", [3.5, True, math.inf, math.nan, "20"])
+    def test_rejects_a_width_that_is_not_a_whole_number(self, width):
+        with pytest.raises(UsageError, match="group width"):
+            generate(simulation1_pattern(), 10, [20, width, 20, 20], seed=0)
+
+    def test_accepts_whole_floats_and_numpy_integers(self):
+        data, _ = generate(simulation1_pattern(), 6.0, np.array([3, 4, 5, 6]), seed=0)
+        assert data.n_samples == 6 and data.dims == [3, 4, 5, 6]
+        want, _ = generate(simulation1_pattern(), 6, [3, 4, 5, 6], seed=0)
+        for a, b in zip(data.groups, want.groups):
+            assert np.array_equal(a, b)
+
 
 class TestEmpiricalCheck:
     def test_simulation1_summary(self):
