@@ -1,7 +1,7 @@
 """Special functions and moment approximations used by the inference engine.
 
-Dependency-free digamma (and trigamma, for crt_mean_approx), geometric
-expectations of gamma and beta variables, exact moments of sums of
+Dependency-free digamma (and trigamma, for crt_mean_approx), the
+geometric expectation of a gamma variable, exact moments of sums of
 independent Bernoullis, and the second-order approximations for expected
 shifted logs and Chinese restaurant table counts. Everything here is a
 pure function.
@@ -51,8 +51,6 @@ __all__ = [
     "P_PLUS_FLOOR",
     "digamma",
     "geo_expect_gamma",
-    "geo_expect_beta",
-    "bernoulli_sum_moments",
     "expect_log_shifted_count",
     "crt_mean_approx",
 ]
@@ -93,8 +91,7 @@ class BernoulliSumMoments:
     crt_mean_approx derives E+ = E / p_plus, the mean of l conditional on
     l > 0, and V+ = V / p_plus from them. The fields share one shape: 0-d
     for one row of probabilities, or one entry per row of a block and,
-    given group widths, per group, the group last (see
-    bernoulli_sum_moments).
+    given group widths, per group, the group last (see _count_moments).
     """
 
     mean: np.ndarray
@@ -217,24 +214,6 @@ def geo_expect_gamma(shape, rate):
     return np.exp(digamma(shape_arr)) / rate_arr
 
 
-def geo_expect_beta(a, b):
-    """Geometric expectations exp(E[log y]) and exp(E[log(1 - y)]) of
-    y ~ Beta(a, b), a pair of arrays of the broadcast shape.
-
-    They equal exp(psi(a) - psi(a + b)), strictly below a / (a + b), and
-    exp(psi(b) - psi(a + b)), the first of geo_expect_beta(b, a) bit for bit
-    (a + b and b + a are one float). One digamma call on [a, b, a + b]
-    takes all three, psi(a + b) once.
-    """
-    a_arr, b_arr = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    )
-    if not (np.all(a_arr > 0) and np.all(b_arr > 0)):
-        raise ValueError("beta parameters must be positive")
-    psi_a, psi_b, psi_ab = digamma(np.stack([a_arr, b_arr, a_arr + b_arr]))
-    return np.exp(psi_a - psi_ab), np.exp(psi_b - psi_ab)
-
-
 def _group_runs(rows, widths):
     """Runs of consecutive whole groups, as (first group, end group, first
     column, end column) each, in order.
@@ -300,10 +279,14 @@ def _count_moments(probs, widths=None) -> BernoulliSumMoments:
     Bernoulli(1 - xi): entries 0 and 1 of the result, whose fields stack
     them on a leading axis of two (see BernoulliSumMoments.__getitem__).
 
-    probs and widths are as bernoulli_sum_moments takes them. A group of
-    width D has a count of zeros of mean D - mean and the same variance,
-    positive with probability 1 - prod(xi) = -expm1(sum(log xi)): exactly
-    1 where some xi is 0, whose log is -inf. One pass over the
+    probs, each in [0, 1], is one row or a block of rows (2-D), one count
+    per row; widths, if given, are those of groups side by side along the
+    rows, and each group gets its own moments, along a last axis of the
+    fields. A count of ones is positive with probability
+    -expm1(sum(log1p(-xi))), free of cancellation and exactly 1 where some
+    xi is 1. A group of width D has a count of zeros of mean D - mean and
+    the same variance, positive with probability -expm1(sum(log xi)),
+    exactly 1 where some xi is 0. One pass over the
     probabilities (_group_sums) takes the summands of both counts.
     """
     xi = np.atleast_1d(np.asarray(probs, dtype=float))
@@ -321,36 +304,6 @@ def _count_moments(probs, widths=None) -> BernoulliSumMoments:
     variances = np.repeat(sums[None, 3], 2, axis=0)
     # sums[1:3] are the logs of the masses of no one and of no zero
     return BernoulliSumMoments(means, variances, -np.expm1(sums[1:3]))
-
-
-def bernoulli_sum_moments(probs, widths=None) -> BernoulliSumMoments:
-    """Exact moments of sums of independent Bernoulli variables.
-
-    Parameters
-    ----------
-    probs : array_like
-        Success probabilities, each in [0, 1]: one row, whose sum is the
-        count, or a block of rows (2-D) with one count per row.
-    widths : sequence of int, optional
-        Group widths of stacked rows: the groups' probabilities lie side by
-        side along the last axis, widths[m] of them for group m, summing to
-        its length. Each group's sum gets its own moments, along a last
-        axis of the fields. Omitted, each row is one group.
-
-    Returns
-    -------
-    BernoulliSumMoments
-        The mean and variance, and the probability p_plus that the sum is
-        positive.
-
-    Notes
-    -----
-    p_plus is computed as -expm1(sum(log1p(-xi))) to avoid cancellation;
-    any xi equal to 1 makes that sum -inf, so p_plus = 1 exactly. The
-    moments are the first of _count_moments, which engine.sweep takes with
-    those of the counts of zeros.
-    """
-    return _count_moments(probs, widths)[0]
 
 
 def expect_log_shifted_count(shift_geo, count_mean, count_var):
@@ -385,8 +338,8 @@ def crt_mean_approx(a_geo, count: BernoulliSumMoments):
     which is V+ - (1 - p_plus) E+^2), and gives 0 where
     p_plus < P_PLUS_FLOOR. For a deterministic count this telescopes to
     the exact CRT mean. a_geo and the count's fields broadcast to the
-    result's shape: one entry per count, such as bernoulli_sum_moments
-    gives for a block of rows with widths, or 0-d for one count.
+    result's shape: one entry per count, such as _count_moments gives for
+    a block of rows with widths, or 0-d for one count.
     """
     a_geo, mean, variance, p_plus = np.broadcast_arrays(
         a_geo, count.mean, count.variance, count.p_plus

@@ -34,9 +34,8 @@ columns) takes its groups as one run, and at the wide size (4 groups of
 2,000) each group is its own run. The budget is not larger because
 block-wide temporaries are fresh pages at wide sizes: their page faults
 made such a sweep slower than one row at a time, and with 30 rows at the
-wide size whole-block prior halves took 9.5 ms a call against 4.9 ms
-group by group (medians on a shared 2-vCPU x86-64 host). Given
-the factor's q(beta) parameters, the rows of one factor in different
+wide size they made whole-block prior halves slower than group by group.
+Given the factor's q(beta) parameters, the rows of one factor in different
 groups read disjoint state, so each factor takes one step for all of
 them: its rows side by side, whatever the group widths, with the
 per-group quantities (count moments, concentrations, factor-score sums)
@@ -73,7 +72,6 @@ from .model import (
     GroupedDataset,
     Hyperparameters,
     VariationalState,
-    _eta_log_mean,
     _active_rows,
     _beta_prior,
     _expected_sq_residuals,
@@ -170,7 +168,7 @@ def update_beta_params(state, hyper, k):
     return a, np.maximum(b, BETA_B_FLOOR)
 
 
-def update_alpha(state, hyper, eta_log_mean=None):
+def update_alpha(state, hyper, eta_log_mean):
     """q(alpha_m) gamma (shapes, rates) of every group. Group m's collapsed
     prior has one normaliser Gamma(alpha_m) / Gamma(alpha_m + D_m) per
     factor, K in all, each augmented by its own eta_mk ~ Beta(alpha_m, D_m).
@@ -178,10 +176,7 @@ def update_alpha(state, hyper, eta_log_mean=None):
     sums of the C-ordered M x K counts, each np.sum of its row, and the rate
     d0 - sum_k E[log eta_mk] = d0 - K E[log eta_m], as q(eta_mk) does not
     depend on k; E[log eta_m] is at the current q(alpha_m): eta_log_mean,
-    which sweep takes with the other digammas of its pass, or
-    model._eta_log_mean(state) when it is omitted."""
-    if eta_log_mean is None:
-        eta_log_mean = _eta_log_mean(state)
+    which sweep takes with the other digammas of its pass."""
     totals = np.add.reduce(state.aux_s_mean, axis=-1)
     totals += np.add.reduce(state.aux_t_mean, axis=-1)
     return hyper.c0 + totals, hyper.d0 - state.n_factors * eta_log_mean
@@ -404,22 +399,19 @@ def sweep(state, data, hyper, *, _data_norms=None):
     arrays (_prior_halves, over a copy of rho.stacked). The moments and
     the halves take their elementwise steps over one run of whole groups
     at a time (approx._group_runs), at most approx._RUN_BUDGET (4,096)
-    values or one group. Every digamma and
-    trigamma of the pass comes from two calls of approx's one kernel: one
-    as the pass begins, on the alpha shapes (the geometric means of
-    alpha), E[alpha] and E[alpha] + D_m (the E[log eta] that update_alpha
-    reads at the alpha it replaces, which is the alpha the pass began
-    with) and q(beta)'s a, b and a + b; and crt_mean_approx's, on both
-    table counts. Each call's fixed cost is most of its time at the
-    acceptance size, where the seven calls that took them before, of 4 to
-    24 values each, took 169 us of a steady sweep (5 held factors, 4 x 100)
-    against 102 us for the two, and the two count passes 70 us against 43
-    us for the one (medians on a shared 2-vCPU x86-64 host); the slots U
-    ride in the same two calls. Factor k's batch values read only its own
-    rows as the pass began, q(beta_k) and alpha, which no
-    other factor's step moves (only factor k's step writes its row of rho),
-    so each equals the value a step of k alone would compute after the
-    factors before it, bit for bit: every sum runs over one row (or the
+    values or one group. Every digamma and trigamma of the pass comes from
+    two calls of approx's one kernel: one as the pass begins, on the alpha
+    shapes (the geometric means of alpha), E[alpha] and E[alpha] + D_m (the
+    E[log eta] that update_alpha reads at the alpha it replaces, which is
+    the alpha the pass began with) and q(beta)'s a, b and a + b; and
+    crt_mean_approx's, on both table counts. Each call's fixed cost is most
+    of its time at the acceptance size, so the two calls take less of a
+    sweep than the seven calls of 4 to 24 values each that took them
+    before, and one count pass less than two; the slots U ride in the same
+    two calls. Factor k's batch values read only its own rows as the pass
+    began, q(beta_k) and alpha, which no other factor's step moves (only
+    factor k's step writes its row of rho), so each equals the value a
+    step of k alone would compute after the factors before it, bit for bit: every sum runs over one row (or the
     groups of one factor) in numpy's pairwise order, as np.sum of it alone
     would, and every elementwise step is the one a row alone would take.
 
@@ -444,7 +436,8 @@ def sweep(state, data, hyper, *, _data_norms=None):
     so they are whole-row expressions too, built in place over rows that
     are spent. The lambda rates a w_var update reads are derived from the
     loadings it replaces (model._lambda_rate), and update_alpha reads
-    E[log eta] at the alpha it replaces (model._eta_log_mean).
+    E[log eta] at the alpha it replaces, from the pass's first digamma
+    call.
 
     No N x D residual R = X_m - F C_m is formed, and the factor loop reads
     no data. F and the noise precisions stay fixed through the loading

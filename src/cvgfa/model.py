@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import _group_sums, digamma
+from .approx import _group_sums
 from .errors import DataError, UsageError
 
 __all__ = [
@@ -274,8 +274,8 @@ class VariationalState:
     factors[i] of beta_a and column factors[i] of aux_s_mean.
     Nothing derived is stored: the q(lambda) and q(tau) shapes are
     Hyperparameters.lambda_shape and .tau_shape(D_m), the q(lambda) rates
-    follow from q(w) (_lambda_rate) and E[log eta] from q(alpha)
-    (_eta_log_mean).
+    follow from q(w) (_lambda_rate) and E[log eta] from q(alpha), which
+    engine.sweep takes with its other digammas.
     """
 
     rho: GroupBlocks
@@ -702,14 +702,6 @@ def _lambda_rate(w_mean, w_var, f0):
     rate *= 0.5
     rate += f0
     return rate
-
-
-def _eta_log_mean(state):
-    """E[log eta_m] = psi(E[alpha_m]) - psi(E[alpha_m] + D_m) of every group,
-    from one digamma call on both arguments."""
-    alpha_mean = state.alpha_shape / state.alpha_rate
-    psi, psi_d = digamma(np.stack([alpha_mean, alpha_mean + np.array(state.dims)]))
-    return psi - psi_d
 
 
 def _row_norms(x):

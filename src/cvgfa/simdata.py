@@ -17,7 +17,6 @@ __all__ = [
     "simulation1_pattern",
     "simulation2_pattern",
     "generate",
-    "empirical_check",
 ]
 
 SPARSE = "sparse"
@@ -157,31 +156,3 @@ def generate(pattern: SparsityPattern, n: int, d_per_group, seed: int):
     )
     return data, truth
 
-
-def empirical_check(truth: SimulationTruth) -> dict:
-    """Summary statistics of a generated truth, for generator validation."""
-    cells = []
-    pattern = truth.pattern
-    for m, g in enumerate(truth.loadings):
-        d_m = g.shape[1]
-        for j in range(g.shape[0]):
-            kind = pattern.entries[m][j]
-            row = g[j]
-            nonzero = row[row != 0.0]
-            cells.append(
-                {
-                    "group": m,
-                    "factor": j,
-                    "kind": kind,
-                    "zero_fraction": float((row == 0.0).mean()),
-                    "nonzero_count": int(nonzero.size),
-                    "nonzero_variance": float(np.var(nonzero)) if nonzero.size else 0.0,
-                    "columns": d_m,
-                }
-            )
-    return {
-        "cells": cells,
-        "factor_variance": float(np.var(truth.factors)),
-        "n_samples": int(truth.factors.shape[0]),
-        "n_factors": int(truth.factors.shape[1]),
-    }

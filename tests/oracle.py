@@ -9,13 +9,16 @@ and the constant q(lambda) and q(tau) shapes from the hyperparameters. The
 state stores neither the q(lambda) rates nor E[log eta]: update_w reads the
 rate update_lambda gives for the loading it replaces, and update_alpha the
 E[log eta] update_eta gives for the alpha it replaces, one group at a time,
-where the package takes every group in one step (model._lambda_rate and
-model._eta_log_mean).
+where the package takes every group in one step (model._lambda_rate, and
+the first digamma call of engine.sweep).
 
 More oracles pin code the package runs in another form: digamma_float
 and digamma_trigamma_float, the recurrence and asymptotic series of one
-float at a time, which approx's whole-array kernel repeats bit for bit;
-crt_mean_exact, the closed-form table count that crt_mean_approx
+float at a time, which approx's whole-array kernel repeats bit for bit,
+with digamma mapping the first over an array; geo_gamma and geo_beta, the
+geometric means of alpha and beta from it, and count_moments, the
+Bernoulli-sum moments of one row from its sums, which engine.sweep takes
+in batches; crt_mean_exact, the closed-form table count that crt_mean_approx
 telescopes to;
 predict_factors, held-out prediction for one sample conditioned from
 scratch, which engine.condition_scores and engine.predict_factors split
@@ -44,19 +47,12 @@ closed forms these cancel to, and the factors it does not hold as one
 closed-form prior term.
 """
 
+import collections
 import math
 
 import numpy as np
 
-from cvgfa.approx import (
-    _SERIES_START,
-    bernoulli_sum_moments,
-    crt_mean_approx,
-    digamma,
-    expect_log_shifted_count,
-    geo_expect_beta,
-    geo_expect_gamma,
-)
+from cvgfa.approx import _SERIES_START, crt_mean_approx, expect_log_shifted_count
 from cvgfa.engine import (
     GEO_FLOOR,
     LOG_2PI,
@@ -144,13 +140,45 @@ def digamma_trigamma_float(y):
     return psi, acc2 + (inv + 0.5 * inv2 + inv * inv2 * _trigamma_tail(inv2))
 
 
+def digamma(x):
+    """digamma_float of every element of x, an array of x's shape."""
+    x = np.asarray(x, dtype=float)
+    return np.reshape([digamma_float(v) for v in x.ravel().tolist()], x.shape)
+
+
+def geo_gamma(shape, rate):
+    """exp(E[log y]) of y ~ Gamma(shape, rate): exp(psi(shape)) / rate."""
+    return np.exp(digamma(shape)) / rate
+
+
+def geo_beta(a, b):
+    """exp(E[log y]) and exp(E[log(1 - y)]) of y ~ Beta(a, b):
+    exp(psi(a) - psi(a + b)) and exp(psi(b) - psi(a + b))."""
+    psi_ab = digamma(np.add(a, b))
+    return np.exp(digamma(a) - psi_ab), np.exp(digamma(b) - psi_ab)
+
+
+CountMoments = collections.namedtuple("CountMoments", "mean variance p_plus")
+
+
+def count_moments(row):
+    """Moments of the sum of Bernoulli(xi) over one row of probabilities
+    xi: its mean sum(xi), its variance sum(xi (1 - xi)) and the probability
+    that it is positive, 1 - prod(1 - xi), as -expm1(sum(log1p(-xi))). Each
+    sum is np.sum of the row."""
+    row = np.asarray(row, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_none = np.sum(np.log1p(-row))
+    return CountMoments(np.sum(row), np.sum(row * (1.0 - row)), -np.expm1(log_none))
+
+
 def rho_row_priors(rho, count_mean, count_var, g_ab, g_abbar, widths):
     """The two collapsed-prior halves of one stacked row's inclusion logits.
 
     rho holds the old probabilities of factor k's rows of every group,
     side by side, widths[m] columns for group m (an integer array).
     count_mean and count_var (each group's count moments, as
-    bernoulli_sum_moments gives them with widths), g_ab and g_abbar hold
+    approx._count_moments gives them with widths), g_ab and g_abbar hold
     one entry per group. Every column d reads its group's pre-update count
     moments minus its own term: E = count_mean - rho[d],
     V = count_var - rho[d](1 - rho[d]), with D_m - 1 - E for the
@@ -206,13 +234,13 @@ def update_sufficient_stats(state, m, k, exclude_d=None, complement=False):
         mask = np.ones(row.shape[0], dtype=bool)
         mask[exclude_d] = False
         row = row[mask]
-    return bernoulli_sum_moments(1.0 - row if complement else row)
+    return count_moments(1.0 - row if complement else row)
 
 
 def _geo_concentrations(state, m, k):
     """Clamped geometric means of alpha beta_k and alpha (1 - beta_k)."""
-    g_alpha = geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m])
-    g_beta, g_beta_bar = geo_expect_beta(state.beta_a[k], state.beta_b[k])
+    g_alpha = geo_gamma(state.alpha_shape[m], state.alpha_rate[m])
+    g_beta, g_beta_bar = geo_beta(state.beta_a[k], state.beta_b[k])
     g_ab = g_alpha * g_beta
     g_abbar = g_alpha * g_beta_bar
     return max(g_ab, GEO_FLOOR), max(g_abbar, GEO_FLOOR)
@@ -534,7 +562,7 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         # collapsed prior on Z at plug-in concentrations and expected counts
         g_beta = np.exp(e_log_beta)
         g_beta_bar = np.exp(e_log_bbar)
-        g_alphas = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
+        g_alphas = geo_gamma(state.alpha_shape, state.alpha_rate)
         for m in range(M):
             d_m = state.dims[m]
             g_alpha = g_alphas[m]

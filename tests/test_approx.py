@@ -17,11 +17,9 @@ from cvgfa.approx import (
     _SERIES_START,
     P_PLUS_FLOOR,
     BernoulliSumMoments,
-    bernoulli_sum_moments,
     crt_mean_approx,
     digamma,
     expect_log_shifted_count,
-    geo_expect_beta,
     geo_expect_gamma,
 )
 from oracle import crt_mean_exact, digamma_float, digamma_trigamma_float
@@ -35,10 +33,27 @@ def trigamma(xs):
     return approx._psi(np.ravel(xs), trigamma=True)[1]
 
 
+def ones_moments(probs, widths=None):
+    """Moments of the counts of ones, sums of Bernoulli(xi) over probs xi,
+    as engine.sweep takes them with those of the counts of zeros."""
+    return approx._count_moments(probs, widths)[0]
+
+
 def complement_moments(probs, widths=None):
     """Moments of the counts of zeros, sums of Bernoulli(1 - xi) over probs
     xi, as engine.sweep takes them with those of the counts of ones."""
     return approx._count_moments(probs, widths)[1]
+
+
+def geo_beta(a, b):
+    """exp(E[log beta]) and exp(E[log(1 - beta)]) of Beta(a, b) as
+    engine.sweep takes them, stacked on a leading axis of two: the digamma
+    of a, b and a + b from one call, then engine._concentrations at a
+    geometric mean of alpha of 1."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    psi_a, psi_b, psi_ab = digamma(np.stack([a.ravel(), b.ravel(), (a + b).ravel()]))
+    geo = engine._concentrations(np.stack([psi_a - psi_ab, psi_b - psi_ab]), np.ones(1))
+    return geo.reshape((2,) + a.shape)
 
 
 def enumerate_count_pmf(probs):
@@ -109,13 +124,13 @@ class TestGeometricExpectations:
 
     def test_beta_examples(self):
         # the pair: the geometric means of beta and of 1 - beta
-        assert_allclose(geo_expect_beta(1, 1), [math.exp(-1.0)] * 2, atol=1e-9)
-        assert_allclose(geo_expect_beta(2, 2), [math.exp(-5.0 / 6.0)] * 2, atol=1e-9)
+        assert_allclose(geo_beta(1, 1), [math.exp(-1.0)] * 2, atol=1e-9)
+        assert_allclose(geo_beta(2, 2), [math.exp(-5.0 / 6.0)] * 2, atol=1e-9)
         # psi(1) - psi(1/2) = 2 ln 2
-        assert_allclose(geo_expect_beta(0.5, 0.5), [0.25] * 2, atol=1e-9)
+        assert_allclose(geo_beta(0.5, 0.5), [0.25] * 2, atol=1e-9)
         # Beta(2, 1): psi(2) - psi(3) = -1/2 and psi(1) - psi(3) = -3/2
         assert_allclose(
-            geo_expect_beta(2, 1), [math.exp(-0.5), math.exp(-1.5)], atol=1e-9
+            geo_beta(2, 1), [math.exp(-0.5), math.exp(-1.5)], atol=1e-9
         )
 
     def test_against_scipy(self):
@@ -127,7 +142,7 @@ class TestGeometricExpectations:
             np.exp(special.digamma(a)) / b,
             rtol=1e-12,
         )
-        g_beta, g_beta_bar = geo_expect_beta(a, b)
+        g_beta, g_beta_bar = geo_beta(a, b)
         assert_allclose(
             g_beta, np.exp(special.digamma(a) - special.digamma(a + b)), rtol=1e-12
         )
@@ -141,7 +156,7 @@ class TestGeometricExpectations:
             a = float(np.exp(rng.uniform(-2, 4)))
             b = float(np.exp(rng.uniform(-2, 4)))
             assert geo_expect_gamma(a, b) < a / b
-            g_beta, g_beta_bar = geo_expect_beta(a, b)
+            g_beta, g_beta_bar = geo_beta(a, b)
             assert g_beta < a / (a + b)
             assert g_beta_bar < b / (a + b)
 
@@ -151,9 +166,9 @@ class TestGeometricExpectations:
         with pytest.raises(ValueError):
             geo_expect_gamma(1.0, -1.0)
         with pytest.raises(ValueError):
-            geo_expect_beta(-0.5, 1.0)
+            geo_beta(-0.5, 1.0)
         with pytest.raises(ValueError):
-            geo_expect_beta(1.0, 0.0)
+            geo_beta(1.0, 0.0)
 
 
 def scalar_grid(n_random=100_000):
@@ -182,23 +197,37 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
 class TestScalarRoute:
-    """Scalar inputs take the array route and give 0-d results, whose bits
-    are the array route's element for element."""
+    """One kernel call on an array is the recurrence of one float at a time
+    element for element, and scalar inputs take the array route and give
+    0-d results, whose bits are the array call's element for element."""
+
+    def test_array_call_pins_the_oracle(self):
+        # one kernel call on the whole grid, element for element the
+        # recurrence of one float at a time
+        grid = scalar_grid()
+        assert same_bits(approx._psi(grid), [digamma_float(x) for x in grid.tolist()])
+
+    def test_log_and_exp_of_each_value_match_the_array(self):
+        # what the oracle's one-float forms rely on: numpy's log and exp of
+        # a value alone equal those of the whole array it lies in
+        grid = scalar_grid()
+        logs = np.log(grid)
+        assert same_bits([np.log(x) for x in grid.tolist()], logs)
+        assert same_bits([np.exp(x) for x in logs.tolist()], np.exp(logs))
 
     @pytest.mark.parametrize("fn", [digamma])
     def test_float_matches_array_route(self, fn):
+        # a few hundred 0-d calls: the 17 fixed points, then every 1,000th
         grid = scalar_grid()
         whole = fn(grid)
-        assert same_bits([fn(x) for x in grid.tolist()], whole)
-        for i in range(0, grid.size, 500):
+        for i in np.r_[:17, 17 : grid.size : 1_000]:
             x = grid[i]
-            got = fn(np.float64(x))
-            assert np.shape(got) == ()
-            assert same_bits(got, whole[i]), x
-            assert same_bits(got, fn(np.array([x]))[0]), x
+            for arg in (float(x), np.float64(x), np.array(x)):
+                got = fn(arg)
+                assert np.shape(got) == ()
+                assert same_bits(got, whole[i]), x
+            assert same_bits(fn(np.array([x])), whole[i : i + 1]), x
 
     def test_one_recurrence_gives_the_digamma_kernel(self):
         # crt_mean_approx takes psi and psi' of one argument together
@@ -231,34 +260,20 @@ class TestScalarRoute:
                 assert np.shape(got) == ()
                 assert same_bits(got, whole[i]), x
 
-    @pytest.mark.parametrize("fn", [geo_expect_gamma, geo_expect_beta])
+    @pytest.mark.parametrize("fn", [geo_expect_gamma])
     def test_geo_expectations_match_array_route(self, fn):
-        if fn is geo_expect_beta:
-            # each half of the pair, the second the first of the swapped call
-            self.check_geo_route(lambda a, b: geo_expect_beta(a, b)[0])
-            self.check_geo_route(lambda a, b: geo_expect_beta(a, b)[1])
-            first = scalar_grid(n_random=1_000)
-            first = first[(first > 1e-6) & (first < 1e6)]
-            second = first[::-1].copy()
-            assert same_bits(
-                geo_expect_beta(first, second)[1], geo_expect_beta(second, first)[0]
-            )
-        else:
-            self.check_geo_route(fn)
-
-    @staticmethod
-    def check_geo_route(fn):
         grid = scalar_grid(n_random=25_000)
         # keep both parameters where the results are finite and nonzero
         first = grid[(grid > 1e-6) & (grid < 1e6)]
         second = first[::-1].copy()
         whole = fn(first, second)
-        got = [fn(x, y) for x, y in zip(first.tolist(), second.tolist())]
-        assert same_bits(got, whole)
-        for x, y in zip(first[::200], second[::200]):
-            got = fn(np.float64(x), np.float64(y))
+        pairs = zip(first.tolist(), second.tolist())
+        want = [np.exp(digamma_float(x)) / y for x, y in pairs]
+        assert same_bits(whole, want)
+        for i in range(0, first.size, 200):
+            got = fn(np.float64(first[i]), np.float64(second[i]))
             assert np.shape(got) == ()
-            assert same_bits(got, fn(np.array([x]), np.array([y]))[0]), (x, y)
+            assert same_bits(got, whole[i]), (first[i], second[i])
         got = fn(2, 3)
         assert np.shape(got) == ()
         assert same_bits(got, fn(np.array([2.0]), np.array([3.0]))[0])
@@ -272,18 +287,17 @@ class TestScalarRoute:
                 fn(bad)
             with pytest.raises(ValueError):
                 fn(np.float64(bad))
-        for fn in (geo_expect_gamma, geo_expect_beta):
-            with pytest.raises(ValueError):
-                fn(bad, 1.0)
-            with pytest.raises(ValueError):
-                fn(1.0, bad)
+        with pytest.raises(ValueError):
+            geo_expect_gamma(bad, 1.0)
+        with pytest.raises(ValueError):
+            geo_expect_gamma(1.0, bad)
 
 
 class TestBernoulliSumMoments:
     def test_trivial_cases(self):
-        assert fields(bernoulli_sum_moments([])) == [0.0, 0.0, 0.0]
-        assert fields(bernoulli_sum_moments([1.0])) == [1.0, 0.0, 1.0]
-        m = bernoulli_sum_moments([0.5, 0.5])
+        assert fields(ones_moments([])) == [0.0, 0.0, 0.0]
+        assert fields(ones_moments([1.0])) == [1.0, 0.0, 1.0]
+        m = ones_moments([0.5, 0.5])
         assert_allclose(fields(m), [1.0, 0.5, 0.75], atol=1e-12)
 
     def test_against_enumeration(self):
@@ -296,7 +310,7 @@ class TestBernoulliSumMoments:
             mean = float(pmf @ ls)
             var = float(pmf @ ls**2 - mean**2)
             p_plus = float(1.0 - pmf[0])
-            m = bernoulli_sum_moments(probs)
+            m = ones_moments(probs)
             assert_allclose(m.mean, mean, atol=1e-10)
             assert_allclose(m.variance, var, atol=1e-10)
             assert_allclose(m.p_plus, p_plus, atol=1e-10)
@@ -314,29 +328,29 @@ class TestBernoulliSumMoments:
         rng = np.random.default_rng(6)
         for _ in range(100):
             probs = rng.uniform(0, 1, int(rng.integers(0, 13)))
-            m = bernoulli_sum_moments(probs)
+            m = ones_moments(probs)
             assert m.variance <= m.mean + 1e-12
             assert 0.0 <= m.p_plus <= 1.0
 
     def test_sure_success_is_exact(self):
-        m = bernoulli_sum_moments([0.3, 1.0, 0.9999999])
+        m = ones_moments([0.3, 1.0, 0.9999999])
         assert m.p_plus == 1.0
 
     def test_tiny_probabilities_no_cancellation(self):
-        m = bernoulli_sum_moments([1e-15, 1e-15])
+        m = ones_moments([1e-15, 1e-15])
         assert_allclose(m.p_plus, 2e-15, rtol=1e-6)
 
     def test_all_zero_probs(self):
-        m = bernoulli_sum_moments(np.zeros(5))
+        m = ones_moments(np.zeros(5))
         assert m.p_plus == 0.0
         # no E+ or V+ is taken, not even at a floored concentration
         assert crt_mean_approx(np.array([0.7, 1e-300]), m).tolist() == [0.0, 0.0]
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            bernoulli_sum_moments([0.2, 1.2])
+            ones_moments([0.2, 1.2])
         with pytest.raises(ValueError):
-            bernoulli_sum_moments([-0.1])
+            ones_moments([-0.1])
 
 
 class TestComplementMoments:
@@ -347,7 +361,7 @@ class TestComplementMoments:
         for _ in range(100):
             probs = rng.uniform(0, 1, int(rng.integers(0, 13)))
             got = complement_moments(probs)
-            want = bernoulli_sum_moments(1.0 - probs)
+            want = ones_moments(1.0 - probs)
             assert_allclose(fields(got), fields(want), rtol=1e-12, atol=1e-12)
 
     def test_against_enumeration(self):
@@ -396,11 +410,11 @@ class TestStackedGroups:
         a_geo[4] = 1e-300
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error", RuntimeWarning)
-            nhat = bernoulli_sum_moments(probs, widths)
+            nhat = ones_moments(probs, widths)
             ntil = complement_moments(probs, widths)
             tables = [crt_mean_approx(a_geo, nhat), crt_mean_approx(a_geo, ntil)]
         for m, xi in enumerate(groups):
-            one = bernoulli_sum_moments(xi)
+            one = ones_moments(xi)
             other = complement_moments(xi)
             # each group's sums are numpy's pairwise sums of its row alone
             assert same_bits(one.mean, np.sum(xi))
@@ -414,8 +428,8 @@ class TestStackedGroups:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            bernoulli_sum_moments([0.2, 0.5, 1.2], [2, 1])
-        m = bernoulli_sum_moments([0.5, 0.5], [1, 1])
+            ones_moments([0.2, 0.5, 1.2], [2, 1])
+        m = ones_moments([0.5, 0.5], [1, 1])
         with pytest.raises(ValueError):
             crt_mean_approx(np.array([0.5, 0.0]), m)
 
@@ -441,10 +455,10 @@ class TestBlocksOfRows:
         block = self.block(seed, [30])
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error", RuntimeWarning)
-            nhat = bernoulli_sum_moments(block)
+            nhat = ones_moments(block)
             ntil = complement_moments(block)
         for i, xi in enumerate(block):
-            one = bernoulli_sum_moments(xi)
+            one = ones_moments(xi)
             for got, want in ((nhat, one), (ntil, complement_moments(xi))):
                 assert same_bits([f[i] for f in fields(got)], fields(want))
         assert nhat.mean.shape == (len(block),)
@@ -453,14 +467,14 @@ class TestBlocksOfRows:
     def test_grouped_rows_match_each_group_alone_bitwise(self, seed):
         widths = [13, 40, 7, 25, 18, 30, 11, 22, 16]
         block = self.block(seed, widths)
-        nhat = bernoulli_sum_moments(block, widths)
+        nhat = ones_moments(block, widths)
         ntil = complement_moments(block, widths)
         assert nhat.mean.shape == (len(block), len(widths))
         ends = np.cumsum(widths)
         for i, row in enumerate(block):
             for m, end in enumerate(ends):
                 xi = row[end - widths[m] : end]
-                one = bernoulli_sum_moments(xi)
+                one = ones_moments(xi)
                 other = complement_moments(xi)
                 for got, want in ((nhat, one), (ntil, other)):
                     got_m = [f[i, m] for f in fields(got)]
@@ -472,7 +486,7 @@ class TestBlocksOfRows:
         rng = np.random.default_rng(3)
         a_geo = rng.uniform(0.05, 3.0, (len(block), len(widths)))
         a_geo[:, 2] = 1e-300  # a floored concentration
-        nhat = bernoulli_sum_moments(block, widths)
+        nhat = ones_moments(block, widths)
         ntil = complement_moments(block, widths)
         for count in (nhat, ntil):
             got = crt_mean_approx(a_geo, count)
@@ -582,7 +596,7 @@ class TestGroupRuns:
         for budget in (1, 10**9):
             monkeypatch.setattr(approx, "_RUN_BUDGET", budget)
             runs.append(len(approx._group_runs(len(block), widths)))
-            nhat = bernoulli_sum_moments(block, widths)
+            nhat = ones_moments(block, widths)
             ntil = complement_moments(block, widths)
             results.append(fields(nhat) + fields(ntil))
         # each group its own run, then all groups one run
@@ -608,7 +622,7 @@ class TestExpectLogShiftedCount:
             L = int(rng.integers(1, 13))
             probs = rng.uniform(0, 1, L)
             c = float(np.exp(rng.uniform(np.log(1.0), np.log(10.0))))
-            m = bernoulli_sum_moments(probs)
+            m = ones_moments(probs)
             if c + m.mean < 2:
                 continue
             pmf = enumerate_count_pmf(probs)
@@ -670,7 +684,7 @@ class TestCrtMean:
         # telescoping identity: zero-variance counts reduce to the closed form
         for a in (0.25, 0.5, 1.0, 2.0, 5.0):
             for l in range(1, 51):
-                m = bernoulli_sum_moments(np.ones(l))
+                m = ones_moments(np.ones(l))
                 assert_allclose(
                     crt_mean_approx(a, m), crt_mean_exact(a, l), atol=1e-10
                 )
@@ -680,7 +694,7 @@ class TestCrtMean:
         assert crt_mean_approx(0.7, m) == 0.0
 
     def test_one_count_gives_a_0d_result_and_broadcasts(self):
-        m = bernoulli_sum_moments([0.5, 0.5])
+        m = ones_moments([0.5, 0.5])
         one = crt_mean_approx(0.5, m)
         assert isinstance(one, np.ndarray) and one.shape == ()
         # one count against several concentrations: one entry each
@@ -691,7 +705,7 @@ class TestCrtMean:
     def test_frozen_dispersed_value(self):
         # oracle value computed with scipy digamma/trigamma at
         # G = 0.5, p+ = 0.75, E+ = 4/3, V+ = 2/3
-        m = bernoulli_sum_moments([0.5, 0.5])
+        m = ones_moments([0.5, 0.5])
         assert_allclose(crt_mean_approx(0.5, m), 0.942280794007, atol=1e-9)
 
     def test_approx_against_enumeration(self):
@@ -702,7 +716,7 @@ class TestCrtMean:
             L = int(rng.integers(1, 13))
             probs = rng.uniform(0, 1, L)
             a = float(np.exp(rng.uniform(np.log(0.02), np.log(0.2))))
-            m = bernoulli_sum_moments(probs)
+            m = ones_moments(probs)
             if m.mean < 2:
                 continue
             pmf = enumerate_count_pmf(probs)
@@ -714,7 +728,7 @@ class TestCrtMean:
         assert checked >= 100
 
     def test_domain_errors(self):
-        m = bernoulli_sum_moments([0.5])
+        m = ones_moments([0.5])
         with pytest.raises(ValueError):
             crt_mean_approx(0.0, m)
         with pytest.raises(ValueError):

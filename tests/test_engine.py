@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +19,9 @@ import oracle
 from cvgfa import approx, engine
 from cvgfa.approx import (
     _count_moments,
-    bernoulli_sum_moments,
     crt_mean_approx,
     digamma,
     expect_log_shifted_count,
-    geo_expect_beta,
-    geo_expect_gamma,
 )
 from cvgfa.errors import DataError, NumericalError, UsageError
 from cvgfa.model import (
@@ -32,7 +30,6 @@ from cvgfa.model import (
     Hyperparameters,
     VariationalState,
     _beta_prior,
-    _eta_log_mean,
     _keep_rows,
     _lambda_rate,
     active_factors,
@@ -107,6 +104,23 @@ def make_state(
             np.zeros((m, k)) if aux_t is None else np.array(aux_t, dtype=float)
         ),
     )
+
+
+def sweep_eta_log_mean(state, hyper=PRIOR):
+    """E[log eta] of every group as update_alpha reads it in a sweep of a
+    copy of state (on data that E[log eta] does not read): the sweep's own,
+    from its first digamma call, at the q(alpha) of state."""
+    data = make_dataset(n=state.n_samples, dims=state.dims)
+    seen = []
+    update_alpha = engine.update_alpha
+
+    def spy(state, hyper, eta_log_mean):
+        seen.append(eta_log_mean)
+        return update_alpha(state, hyper, eta_log_mean)
+
+    with mock.patch.object(engine, "update_alpha", spy):
+        engine.sweep(state.copy(), data, hyper)
+    return seen[0]
 
 
 def assert_holds_the_active_factors(state):
@@ -333,7 +347,7 @@ class TestUpdateAuxST:
 
     def test_deterministic_count_telescopes(self):
         # engineer G[alpha beta] = 1 so E_s = psi(4) - psi(1) = 11/6
-        g_beta = geo_expect_beta(0.7, 0.9)[0]
+        g_beta = oracle.geo_beta(0.7, 0.9)[0]
         state = make_state(
             [np.ones((1, 3))],
             beta=(0.7, 0.9),
@@ -414,7 +428,8 @@ class TestUpdateAlpha:
             aux_t=[[3.0, 1.0]],
         )
         hyper = Hyperparameters(K=2)
-        shape, rate = engine.update_alpha(state, hyper)
+        eta = sweep_eta_log_mean(state, hyper)
+        shape, rate = engine.update_alpha(state, hyper, eta)
         assert shape.shape == rate.shape == (1,)
         assert shape[0] == pytest.approx(7.1, abs=1e-12)
         # d0 - K E[log eta] at K = 2, E[alpha] = 1 and D = 3, where
@@ -444,27 +459,27 @@ class TestUpdateAlpha:
         # E[log eta] = psi(1e9) - psi(1e9 + 3), about -3e-9
         state = make_state([np.full((2, 3), 0.5)], alpha=(1e9, 1.0))
         hyper = Hyperparameters(K=2)
-        shape, rate = engine.update_alpha(state, hyper)
+        eta = sweep_eta_log_mean(state, hyper)
+        shape, rate = engine.update_alpha(state, hyper, eta)
         assert (shape[0], rate[0]) == (pytest.approx(0.1), pytest.approx(0.1))
 
 
 class TestUpdateEta:
-    """E[log eta] as update_alpha reads it, derived from q(alpha)
-    (model._eta_log_mean)."""
+    """E[log eta] as update_alpha reads it, derived from q(alpha) by the
+    sweep (sweep_eta_log_mean)."""
 
     def test_harmonic_sum(self):
-        state = make_state([np.full((1, 3), 0.5)])
-        eta = _eta_log_mean(state)
+        eta = sweep_eta_log_mean(make_state([np.full((1, 3), 0.5)]))
         assert eta.shape == (1,)
         assert eta[0] == pytest.approx(-(1.0 + 0.5 + 1.0 / 3.0), abs=1e-9)
 
     def test_empty_group_degenerates_to_zero(self):
-        state = make_state([np.zeros((1, 0))])
-        assert _eta_log_mean(state)[0] == 0.0
+        state = make_state([np.full((1, 3), 0.5), np.zeros((1, 0))])
+        assert sweep_eta_log_mean(state)[1] == 0.0
 
     def test_large_concentration_limit(self):
         state = make_state([np.full((1, 3), 0.5)], alpha=(1e8, 1.0))
-        val = _eta_log_mean(state)[0]
+        val = sweep_eta_log_mean(state)[0]
         assert -1e-6 < val < 0.0
 
 
@@ -493,9 +508,9 @@ class TestLambdaRate:
 
 
 class TestConcentrationsMatchPerGroupOracle:
-    """update_alpha and the E[log eta] it reads take every group in one
-    step; each entry must equal the per-group transcription in oracle.py
-    bit for bit."""
+    """update_alpha and the E[log eta] the sweep passes it take every group
+    in one step; each entry must equal the per-group transcription in
+    oracle.py bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bitwise(self, seed):
@@ -506,7 +521,8 @@ class TestConcentrationsMatchPerGroupOracle:
             counts *= np.array(dims, dtype=float)[:, None]
         state.alpha_shape[2] = 1e-3
         hyper = Hyperparameters(K=12)
-        shape, rate = engine.update_alpha(state, hyper)
+        eta = sweep_eta_log_mean(state, hyper)
+        shape, rate = engine.update_alpha(state, hyper, eta)
         want = [oracle.update_alpha(state, hyper, m) for m in range(len(dims))]
         assert shape.tobytes() == np.array([w[0] for w in want]).tobytes()
         assert rate.tobytes() == np.array([w[1] for w in want]).tobytes()
@@ -515,7 +531,7 @@ class TestConcentrationsMatchPerGroupOracle:
         state.alpha_shape[:] = shape
         state.alpha_rate[:] = rate
         state.alpha_shape[2] = 1e-3
-        eta = _eta_log_mean(state)
+        eta = sweep_eta_log_mean(state, hyper)
         want = [oracle.update_eta(state, m) for m in range(len(dims))]
         assert eta.tobytes() == np.array(want).tobytes()
         assert np.all(eta < 0.0)
@@ -558,13 +574,13 @@ class TestMicroInstanceOracle:
 
         a_k = hyper.kappa0 / 1.0 + 0.4
         b_k = max(hyper.kappa0 * 0.0 + 0.8, 1e-6)
-        g_alpha = geo_expect_gamma(0.7, 0.9)
-        g_beta, g_beta_bar = geo_expect_beta(a_k, b_k)
+        g_alpha = oracle.geo_gamma(0.7, 0.9)
+        g_beta, g_beta_bar = oracle.geo_beta(a_k, b_k)
         g_ab = max(g_alpha * g_beta, 1e-300)
         g_abbar = max(g_alpha * g_beta_bar, 1e-300)
 
-        nhat = bernoulli_sum_moments(np.array(rho))
-        ntil = bernoulli_sum_moments(1.0 - np.array(rho))
+        nhat = oracle.count_moments(rho)
+        ntil = oracle.count_moments(1.0 - np.array(rho))
         aux_s = min(max(crt_mean_approx(g_ab, nhat), 0.0), 2.0)
         aux_t = min(max(crt_mean_approx(g_abbar, ntil), 0.0), 2.0)
 
@@ -575,8 +591,8 @@ class TestMicroInstanceOracle:
         rho_new = [0.0, 0.0]
         for d in range(2):
             other = np.array([rho[1 - d]])
-            nh = bernoulli_sum_moments(other)
-            nt = bernoulli_sum_moments(1.0 - other)
+            nh = oracle.count_moments(other)
+            nt = oracle.count_moments(1.0 - other)
             prior1 = expect_log_shifted_count(g_ab, nh.mean, nh.variance)
             prior0 = expect_log_shifted_count(g_abbar, nt.mean, nt.variance)
             ew2 = w[d] * w[d] + w_var[d]
@@ -645,7 +661,8 @@ class TestMicroInstanceOracle:
         assert_allclose(state.f_var[:, 0], want["f_var"], atol=1e-10)
         assert state.alpha_shape[0] == pytest.approx(want["alpha"][0], abs=1e-10)
         assert state.alpha_rate[0] == pytest.approx(want["alpha"][1], abs=1e-10)
-        assert _eta_log_mean(state)[0] == pytest.approx(want["eta"], abs=1e-10)
+        eta = sweep_eta_log_mean(state, hyper)
+        assert eta[0] == pytest.approx(want["eta"], abs=1e-10)
         assert hyper.tau_shape(2) == pytest.approx(want["tau_shape"], abs=1e-15)
         assert_allclose(state.tau_rate[0], want["tau_rate"], atol=1e-10)
 
@@ -796,7 +813,7 @@ def per_column_sweep(state, data, hyper):
     lam_shape = hyper.lambda_shape
     tau_bar = [hyper.tau_shape(state.dims[m]) / state.tau_rate[m] for m in range(M)]
     g_alpha = [
-        geo_expect_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)
+        oracle.geo_gamma(state.alpha_shape[m], state.alpha_rate[m]) for m in range(M)
     ]
 
     # the inactive factors are at the prior: every product below runs over
@@ -820,7 +837,7 @@ def per_column_sweep(state, data, hyper):
         b_k = max(b_k, engine.BETA_B_FLOOR)
         state.beta_a[k] = a_k
         state.beta_b[k] = b_k
-        g_beta, g_beta_bar = geo_expect_beta(a_k, b_k)
+        g_beta, g_beta_bar = oracle.geo_beta(a_k, b_k)
 
         for m in range(M):
             d_m = state.dims[m]
@@ -833,7 +850,7 @@ def per_column_sweep(state, data, hyper):
             g_ab = max(g_alpha[m] * g_beta, engine.GEO_FLOOR)
             g_abbar = max(g_alpha[m] * g_beta_bar, engine.GEO_FLOOR)
 
-            nhat = bernoulli_sum_moments(rho_row)
+            nhat = _count_moments(rho_row)[0]
             ntil = _count_moments(rho_row)[1]
             state.aux_s_mean[m, k] = min(
                 max(crt_mean_approx(g_ab, nhat), 0.0), float(d_m)
@@ -1080,7 +1097,7 @@ class TestRhoRow:
         ):
             warnings.simplefilter("error", RuntimeWarning)
             widths = np.array([6])
-            nhat = bernoulli_sum_moments(rho, widths)
+            nhat = _count_moments(rho, widths)[0]
             on, off = oracle.rho_row_priors(
                 rho, nhat.mean, nhat.variance, np.ones(1), np.ones(1), widths
             )
@@ -1116,13 +1133,13 @@ class TestBatchedRowTerms:
         widths = np.array(state.dims)
         beta_a, beta_b = engine.update_beta_params(state, hyper, idx)
         # the concentrations as engine.sweep takes them
-        g_alpha = geo_expect_gamma(state.alpha_shape, state.alpha_rate)
+        g_alpha = oracle.geo_gamma(state.alpha_shape, state.alpha_rate)
         g_ab, g_abbar = (
             np.maximum(g[:, None] * g_alpha, engine.GEO_FLOOR)
-            for g in geo_expect_beta(beta_a, beta_b)
+            for g in oracle.geo_beta(beta_a, beta_b)
         )
         block = state.rho.stacked[idx]
-        nhat = bernoulli_sum_moments(block, widths)
+        nhat = _count_moments(block, widths)[0]
         # the first halves are written over the rows they read
         on, off = engine._prior_halves(block.copy(), nhat, g_ab, g_abbar, widths)
         for i in range(len(active)):
@@ -1179,7 +1196,7 @@ class TestRunsOfGroups:
         state = random_state(np.random.default_rng(41), 5, dims, 7)
         block = state.rho.stacked
         widths = np.array(dims)
-        nhat = bernoulli_sum_moments(block, widths)
+        nhat = _count_moments(block, widths)[0]
         rng = np.random.default_rng(42)
         g_ab, g_abbar = rng.uniform(0.05, 3.0, (2, len(block), len(dims)))
         g_ab[:, 1] = engine.GEO_FLOOR
@@ -1327,7 +1344,7 @@ class TestGeoFloorInSweep:
         # geometric mean of alpha_0 and both concentrations underflow to 0
         state.alpha_shape[0] = 1e-3
         state.alpha_rate[0] = 1.0
-        assert geo_expect_gamma(state.alpha_shape[0], state.alpha_rate[0]) == 0.0
+        assert oracle.geo_gamma(state.alpha_shape[0], state.alpha_rate[0]) == 0.0
 
         seen = []
 
@@ -1452,11 +1469,11 @@ def assert_updated_as_rows_with_no_inclusion(before, after, hyper, slots):
     (oracle.crt_mean_exact, which crt_mean_approx telescopes to for a
     certain count) at the concentration g = alpha (1 - beta)'s geometric
     mean at the pass's q(alpha) and q(beta), floored at GEO_FLOOR."""
-    g_alpha = geo_expect_gamma(before.alpha_shape, before.alpha_rate)
+    g_alpha = oracle.geo_gamma(before.alpha_shape, before.alpha_rate)
     for k in slots:
         a, b = engine.update_beta_params(before, hyper, k)
         assert (after.beta_a[k], after.beta_b[k]) == (a, b), k
-        g_beta_bar = geo_expect_beta(a, b)[1]
+        g_beta_bar = oracle.geo_beta(a, b)[1]
         for m, d_m in enumerate(before.dims):
             assert after.aux_s_mean[m, k] == 0.0, (m, k)
             g = max(float(g_alpha[m] * g_beta_bar), engine.GEO_FLOOR)
@@ -1486,8 +1503,8 @@ class TestSweepInvariants:
         engine.sweep(state, data, hyper)
         for m in range(2):
             for rho_row in state.rho[m]:
-                nhat = bernoulli_sum_moments(rho_row)
-                ntil = bernoulli_sum_moments(1.0 - rho_row)
+                nhat = oracle.count_moments(rho_row)
+                ntil = oracle.count_moments(1.0 - rho_row)
                 total = nhat.mean + ntil.mean
                 assert total == pytest.approx(state.dims[m], abs=1e-9)
                 # a count and its complement share one Bernoulli variance

@@ -41,3 +41,28 @@ def test_model_imports_nothing_from_engine():
         for name in names:
             where = f"model.py:{node.lineno}"
             assert "engine" not in name.split("."), f"{where} imports {name}"
+
+
+@pytest.mark.parametrize("module", ["approx", "simdata"])
+def test_every_public_function_is_used_by_another_module(module):
+    # a public function that only tests call is code that no command runs
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    public = {
+        node.name
+        for node in trees[module].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    used = set()
+    for name, tree in trees.items():
+        if name == module:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == module:
+                used.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == module
+            ):
+                used.add(node.attr)
+    assert sorted(public - used) == []

@@ -225,7 +225,7 @@ class TestInitState:
         lambda_rate = model._lambda_rate(state.w_mean[0], state.w_var[0], hyper.f0)
         assert np.all(lambda_rate >= hyper.f0)
         assert np.all(state.tau_rate[0] > 0)
-        assert np.all(model._eta_log_mean(state) <= 0)
+        assert all(oracle.update_eta(state, m) <= 0 for m in range(state.n_groups))
 
     def test_recovers_planted_factor(self):
         rng = np.random.default_rng(11)

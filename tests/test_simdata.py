@@ -12,7 +12,6 @@ from cvgfa.simdata import (
     SPARSE,
     SPARSE_ZERO_FRACTION,
     SparsityPattern,
-    empirical_check,
     generate,
     simulation1_pattern,
     simulation2_pattern,
@@ -139,31 +138,37 @@ class TestGenerate:
             assert np.array_equal(a, b)
 
 
+def cells(truth, kind):
+    """The loading rows of every (group, factor) cell of one kind."""
+    return [
+        g[j]
+        for m, g in enumerate(truth.loadings)
+        for j in range(g.shape[0])
+        if truth.pattern.entries[m][j] == kind
+    ]
+
+
 class TestEmpiricalCheck:
     def test_simulation1_summary(self):
         _, truth = generate(simulation1_pattern(), 100, [100] * 4, seed=0)
-        report = empirical_check(truth)
-        assert report["n_samples"] == 100
-        assert report["n_factors"] == 6
+        assert truth.factors.shape == (100, 6)
         # factors ~ N(0,1): loose variance window
-        assert 0.7 < report["factor_variance"] < 1.3
+        assert 0.7 < np.var(truth.factors) < 1.3
         sparse_vars = []
-        for cell in report["cells"]:
-            if cell["kind"] == SPARSE:
-                assert cell["zero_fraction"] == 0.9
-                assert cell["nonzero_count"] == 10
-                sparse_vars.append(cell["nonzero_variance"])
-            elif cell["kind"] == ABSENT:
-                assert cell["nonzero_count"] == 0
+        for row in cells(truth, SPARSE):
+            nonzero = row[row != 0.0]
+            assert (row == 0.0).mean() == 0.9
+            assert nonzero.size == 10
+            sparse_vars.append(np.var(nonzero))
+        for row in cells(truth, ABSENT):
+            assert np.count_nonzero(row) == 0
         # only 10 nonzeros per sparse cell, so bound the mean, not each cell
         assert 2.5 < np.mean(sparse_vars) < 5.5
 
     def test_dense_cells_have_full_support(self):
         _, truth = generate(simulation2_pattern(), 50, [100] * 4, seed=2)
-        report = empirical_check(truth)
-        dense = [c for c in report["cells"] if c["kind"] == DENSE]
+        dense = cells(truth, DENSE)
         assert len(dense) == 4
-        for cell in dense:
-            assert cell["zero_fraction"] == 0.0
-            assert cell["nonzero_count"] == 100
-            assert 2.5 < cell["nonzero_variance"] < 5.5
+        for row in dense:
+            assert np.count_nonzero(row) == row.size == 100
+            assert 2.5 < np.var(row) < 5.5
