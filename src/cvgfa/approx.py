@@ -114,9 +114,11 @@ def _psi(x, trigamma=False):
     and psi'(y) ~ 1/y + 1/(2y^2) + sum_n B_2n/y^(2n+1) take over. A
     positive y needs at most six steps, and the least element the most, as
     y + 1 keeps it the least. Row j + 1 of the recurrence block is row j
-    plus 1, so row j holds every element after j steps. An element takes
-    the step of row j where that row is below the start (low), and its
-    series reads its first row at the start or above; low / y is 1/y or 0.
+    plus 1 (one np.add.accumulate down y and rows of ones, which adds them
+    one after another), so row j holds every element after j steps. An
+    element takes the step of row j where that row is below the start
+    (low), and its series reads its first row at the start or above;
+    low / y is 1/y or 0.
     Each element's terms are summed down the block, in the order of its
     steps: a reduction over the (at most six) rows adds them one after
     another. The two series' polynomials are one Horner pass over a block
@@ -141,8 +143,8 @@ def _psi(x, trigamma=False):
         if steps:
             rows = np.empty((steps + 1, y.size))
             rows[0] = y
-            for j in range(steps):
-                np.add(rows[j], 1.0, out=rows[j + 1])
+            rows[1:] = 1.0
+            np.add.accumulate(rows, axis=0, out=rows)
             low = rows < _SERIES_START
             # each element's first row at the start or above, the least
             # such as the rows increase

@@ -178,13 +178,23 @@ def _build_run_config(args):
     return run, data, defaulted_k
 
 
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (os.sched_getaffinity), else os.cpu_count(), which counts every
+    CPU of the host, also those a container or taskset keeps it off."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_fit(args) -> int:
     run, data, defaulted_k = _build_run_config(args)
     workers = 1 if args.threads is None else int(args.threads)
     if workers < 1:
         raise UsageError("--threads must be at least 1")
-    # more processes than restarts or cores would only wait on each other
-    workers = min(workers, run.n_restarts, os.cpu_count() or 1)
+    # more processes than restarts or usable cores would only wait on each
+    # other
+    workers = min(workers, run.n_restarts, _usable_cpus())
 
     results = engine.run_restarts(
         data, run.hyper, run.fit, run.n_restarts, workers=workers

@@ -42,7 +42,13 @@ per-group quantities (count moments, concentrations, factor-score sums)
 taken per group. No N x D residual is formed: the products that leave
 one factor out come from products of the data taken once per sweep and
 the expected loadings, and every other reader of the residual takes its
-per-sample squared norms, which sweep() returns (see model._sq_norms). A
+per-sample squared norms, which sweep() returns (see model._sq_norms).
+The steps that take every group, the noise means, the factor-score sums,
+the leave-one-out weights, X_m C_m^T and C_m C_m^T, the squared norms,
+the expected squared residuals and the noise rates, are each one stacked
+numpy call over arrays with a leading axis of the M groups, whose slice m
+is bit for bit the call on group m alone; only the products with one
+group's data or loadings, whose widths differ, loop over the groups. A
 factor that falls below model.ACTIVE_MASS leaves the state (it is at its
 prior, whose expected loadings are zeros), so these products, like the
 objective's per-entry terms, run over the rows the state holds, and a fit
@@ -72,10 +78,9 @@ from .model import (
     GroupedDataset,
     Hyperparameters,
     VariationalState,
-    _active_rows,
     _beta_prior,
     _expected_sq_residuals,
-    _group_mass,
+    _is_active,
     _is_whole,
     _keep_rows,
     _lambda_rate,
@@ -142,11 +147,11 @@ class FitReport:
 
 
 def _state_sq_norms(state, data):
-    """_sq_norms of every group at the state's expected loadings and scores."""
-    return [
-        _sq_norms(_row_norms(x), state.f_mean, *_loading_products(x, r * w))
-        for x, r, w in zip(data.groups, state.rho, state.w_mean)
-    ]
+    """_sq_norms of every group at the state's expected loadings and scores,
+    M x N."""
+    x_norms = np.array([_row_norms(x) for x in data.groups])
+    coef = state.rho.stacked * state.w_mean.stacked
+    return _sq_norms(x_norms, state.f_mean, *_loading_products(data.groups, coef))
 
 
 def update_beta_params(state, hyper, k):
@@ -254,19 +259,44 @@ def _spread(values, first, end, widths):
     return np.repeat(values[:, first:end], widths, axis=1)
 
 
-def _loo_weights(ft_tf):
-    """The weights that leave each active factor out of dotx.
+def _score_sums(tau_bar, f_mean, f_var):
+    """sff of every group, sum_n tau_bar_m (f_n^2 + f_var_n) of each held
+    factor, M x |A|: one batched vector-matrix product whose row m is
+    tau_bar_m @ (F * F + f_var) alone, bit for bit, where a 2-D matmul
+    tau_bar @ (F * F + f_var) adds in another order."""
+    f2 = f_mean * f_mean + f_var
+    return np.matmul(tau_bar[:, None, :], f2)[:, 0]
 
-    ft_tf[m] is F_A^T (tau_bar_m F_A), |A| x |A| over the active factors A;
-    returns them as one |A| x M x |A| array with row i's own entry i
-    zeroed. Then, with C_m the active rows of the expected loadings (the
-    other rows are zero) and tf = tau_bar_m f_i, X_m^T tf minus every
-    factor but i's share, R_m^T tf + C_m[i] (tf . f_i) with
-    R_m = X_m - F_A C_m, is X_m^T tf - C_m^T weights[i, m].
+
+def _weighted_products(tau_bar, f_mean, groups, spans):
+    """(tau_bar_m F)^T X_m of every group and the leave-one-out weights.
+
+    The rows (tau_bar_m F)^T of every group are one M x |A| x N product,
+    each slice laid out as the transpose of the Fortran-ordered
+    tau_bar_m F, so that its product with X_m, written into group m's
+    columns (spans[m]) of one |A| x sum_m D_m array, is that group's own
+    product; the weights are _loo_weights of the same rows.
     """
-    weights = np.stack(ft_tf, axis=1)
-    diag = np.arange(weights.shape[0])
-    weights[diag, :, diag] = 0.0
+    tf = tau_bar[:, None, :] * f_mean.T
+    xt_tf = np.empty((f_mean.shape[1], sum(x.shape[1] for x in groups)))
+    for m, (x, cols) in enumerate(zip(groups, spans)):
+        np.matmul(tf[m], x, out=xt_tf[:, cols])
+    return xt_tf, _loo_weights(tf, f_mean)
+
+
+def _loo_weights(tf, f_mean):
+    """The weights that leave each held factor out of dotx.
+
+    tf is M x |A| x N over the held factors A, slice m (tau_bar_m F_A)^T;
+    returns (tau_bar_m F_A)^T F_A of every group m from one batched matmul,
+    M x |A| x |A|, with row i's own entry i zeroed. Then, with C_m the
+    held rows of the expected loadings and tf_i = tau_bar_m f_i, X_m^T tf_i
+    minus every factor but i's share, R_m^T tf_i + C_m[i] (tf_i . f_i) with
+    R_m = X_m - F_A C_m, is X_m^T tf_i - C_m^T weights[m, i].
+    """
+    weights = np.matmul(tf, f_mean)
+    diag = np.arange(weights.shape[1])
+    weights[:, diag, diag] = 0.0
     return weights
 
 
@@ -296,17 +326,17 @@ def _inclusion_probs(logit, widths, k):
     return new
 
 
-def _score_block(state, tau_bar, products, second, update):
+def _score_block(state, tau_bar, xc, cc, second, update):
     """Update the scores of held factors, one column after another.
 
-    products[m] holds group m's _loading_products (X_m C_m^T, C_m C_m^T)
-    and second[m] its sums sum_d rho E[w^2] (model._loading_sums), taken
-    over the held rows (C_m = rho[m] * w_mean[m]) at the state's loadings,
-    which the block does not move. tau_bar[m] holds E[tau] of group m's
-    samples. The held rows update, each a row index, are updated in that
-    order (the sweep updates every held row), in place. Column i's moment
-    is sum_m tau_bar_m (R_m c_i + f_i (c_i . c_i)), taken as
-    sum_m tau_bar_m (X_m C_m^T[:, i] - F h_m) with h_m column i of
+    xc and cc are the stacked _loading_products (X_m C_m^T, M x N x K+, and
+    C_m C_m^T, M x K+ x K+) and second the M x K+ sums sum_d rho E[w^2]
+    (model._loading_sums), taken over the held rows (C_m = rho[m] * w_mean[m])
+    at the state's loadings, which the block does not move. tau_bar (M x N)
+    holds E[tau] of every group's samples. The held rows update, each a row
+    index, are updated in that order (the sweep updates every held row), in
+    place. Column i's moment is sum_m tau_bar_m (R_m c_i + f_i (c_i . c_i)),
+    taken as sum_m tau_bar_m (X_m C_m^T[:, i] - F h_m) with h_m column i of
     C_m C_m^T, entry i zeroed, and F the scores as the earlier columns of
     the block have left them. Its precision, 1 + sum_m tau_bar_m second[m],
     reads no score, so every column's is taken at once, and so are the
@@ -317,29 +347,31 @@ def _score_block(state, tau_bar, products, second, update):
     """
     update = [int(i) for i in update]
     f_mean = state.f_mean
-    tau = np.column_stack(tau_bar)
     # the moments' data parts from 0 and the precisions from 1, each adding
-    # group m's tau_bar_m-weighted N x K+ terms in group order: a reduction
-    # over the leading axis of a block of more than one column adds its
-    # rows one after another
-    terms = np.empty((len(products) + 1, 2) + f_mean.shape)
-    terms[0] = np.array([0.0, 1.0])[:, None, None]
-    weight = tau.T[:, :, None]
-    np.multiply(weight, np.stack([xc for xc, _ in products]), out=terms[1:, 0])
-    np.multiply(weight, np.asarray(second)[:, None, :], out=terms[1:, 1])
+    # group m's tau_bar_m-weighted terms in group order: a reduction over
+    # the leading axis of a block of more than one column adds its rows one
+    # after another. The terms are K+ x N per group, so that every product
+    # runs along the samples
+    n, k = f_mean.shape
+    terms = np.empty((len(xc) + 1, 2, k, n))
+    terms[0, 0] = 0.0
+    terms[0, 1] = 1.0
+    weight = tau_bar[:, None, :]
+    np.multiply(weight, xc.transpose(0, 2, 1), out=terms[1:, 0])
+    np.multiply(weight, second[:, :, None], out=terms[1:, 1])
     txc, precision = np.add.reduce(terms, axis=0)
     del terms
     # h[i] is M x K+: row m is column i of C_m C_m^T with entry i zeroed
-    h = np.stack([cc.T for _, cc in products], axis=1)
-    diag = np.arange(h.shape[0])
+    h = cc.transpose(2, 0, 1).copy()
+    diag = np.arange(k)
     h[diag, :, diag] = 0.0
     # th[i] = tau @ h[i] of every column at once, one matmul per column
-    th = tau @ h
+    th = np.ascontiguousarray(tau_bar.T) @ h
     f_var = 1.0 / precision
     for i in update:
-        moment = txc[:, i] - np.einsum("nj,nj->n", f_mean, th[i])
-        f_mean[:, i] = f_var[:, i] * moment
-    state.f_var[:, update] = f_var[:, update]
+        moment = txc[i] - np.einsum("nj,nj->n", f_mean, th[i])
+        f_mean[:, i] = f_var[i] * moment
+    state.f_var[:, update] = f_var[update].T
 
 
 def sweep(state, data, hyper, *, _data_norms=None):
@@ -357,7 +389,8 @@ def sweep(state, data, hyper, *, _data_norms=None):
 
     The pass runs over the factors the state holds (state.factors), and it
     holds only active ones: a held factor below model.ACTIVE_MASS as the
-    pass begins leaves the state first (model._keep_rows), and so does
+    pass begins leaves the state first (model._keep_rows; the masses are
+    the means of the count moments the batch takes), and so does
     every factor the loading block, the only block that moves rho, leaves
     below it. A factor that leaves is at its prior: rho 0, q(w) mean 0 and
     variance f0 / e0 (the fixed point of the w_var update and its derived
@@ -441,26 +474,37 @@ def sweep(state, data, hyper, *, _data_norms=None):
 
     No N x D residual R = X_m - F C_m is formed, and the factor loop reads
     no data. F and the noise precisions stay fixed through the loading
-    block, so what it needs of them is taken before it, for all held
-    factors at once: each group's sff, and one (tau_bar_m F)^T F and one
-    (tau_bar_m F)^T X_m product per group. The first, with each factor's
-    own entry zeroed, gives the |A| x M x |A| leave-one-out weights
-    (_loo_weights); in the loop, dotx of group m is the second's row minus
-    one product of those weights with the |A| x D_m expected loadings
+    block, so what it needs of them is taken before it, for all held factors
+    and groups at once: the noise means tau_bar (one M x N division), every
+    group's sff (one batched vector-matrix product, _score_sums), the rows
+    of (tau_bar_m F)^T of every group (one M x |A| x N product), and from
+    them (tau_bar_m F)^T F of every group (one batched matmul), which with
+    each factor's own entry zeroed gives the M x |A| x |A| leave-one-out
+    weights (_loo_weights), and (tau_bar_m F)^T X_m, one product per group
+    written into its columns of one |A| x sum_m D_m array (both
+    _weighted_products). In the loop, dotx of group m is that array's row
+    minus one product of the weights with the |A| x D_m expected loadings
     C_m = rho[m] * w_mean[m], group m's columns of one |A| x sum_m D_m
     product (row i rewritten after factor i's update). After the loading
-    block and the pruning C_m is final for the pass, over the rows K+ left:
-    one X_m C_m^T and one C_m C_m^T per group (model._loading_products)
-    serve the score block and then the residual's per-sample squared norms
-    (model._sq_norms), which the noise precisions read and which are
-    returned, one vector per group, for the caller's training error and
-    objective. The loading sums of every group (model._loading_sums) are
-    taken once, over the runs of whole groups, for both the score block's
-    precision and the noise precisions, which take the scores' squares
-    once for all groups. So per pass and group the data is read by
-    (tau_bar_m F)^T X_m and X_m C_m^T only; its row norms
-    (model._row_norms) are taken once per fit by the caller and passed as
-    _data_norms, or here when it is omitted.
+    block one pass over the runs of whole groups takes every group's loading
+    sums and the rows' group masses (model._loading_sums), and the masses
+    decide the pruning; C_m is then final for the pass, over the rows K+
+    left: X_m C_m^T and C_m C_m^T of every group, stacked
+    (model._loading_products), serve the score block and then the residual's
+    per-sample squared norms (model._sq_norms, one M x N array), which the
+    noise precisions read and which are returned for the caller's training
+    error and objective. The expected squared residuals and the noise rates
+    are one expression each over the M x N stack (_noise_rates). So per pass
+    and group the data is read by (tau_bar_m F)^T X_m and X_m C_m^T only;
+    its row norms (model._row_norms) are taken once per fit by the caller
+    and passed as _data_norms (M x N), or here when it is omitted.
+
+    Each of these stacked steps gives every group the bits of that group's
+    own call: a batched matmul runs one BLAS call per group on the group's
+    slices, laid out as the per-group operands were, where a single 2-D
+    product over the groups (tau_bar @ F^2, F^2 @ second.T) adds in another
+    order and moves the last bits. Only the products with X_m and C_m,
+    whose widths differ from group to group, take one call per group.
     """
     lam_shape = hyper.lambda_shape
     dims = state.dims
@@ -468,10 +512,19 @@ def sweep(state, data, hyper, *, _data_norms=None):
     # each group's columns in a stacked row, the groups side by side
     ends = np.cumsum(dims).tolist()
     spans = [slice(end - d_m, end) for end, d_m in zip(ends, dims)]
-    tau_bar = [hyper.tau_shape(d_m) / state.tau_rate[m] for m, d_m in enumerate(dims)]
-    # a held factor that is inactive as the pass begins (only a state not
-    # returned by a sweep holds one) leaves the state unswept
-    _keep_rows(state, _active_rows(state.rho.stacked, dims))
+    tau_bar = hyper.tau_shape(widths)[:, None] / np.array(state.tau_rate)
+    # the moments of every held row's count of ones and of zeros from one
+    # pass; the count of ones' means are the rows' group masses, bit for bit
+    # model._group_mass, so they give the activity rule (model._active_rows)
+    # too: a held factor that is inactive as the pass begins (only a state
+    # not returned by a sweep holds one) leaves the state unswept
+    block = state.rho.stacked.copy()
+    counts = _count_moments(block, widths)
+    active = _is_active(counts.mean[0])
+    if not active.all():
+        _keep_rows(state, active)
+        block = block[active]
+        counts = _count_moments(block, widths)
     ids = state.factors
     # the slots not held whose q(beta) is still at the prior, after the
     # held factors: the batch updates them as rows with no inclusion
@@ -485,10 +538,10 @@ def sweep(state, data, hyper, *, _data_norms=None):
     w_var_all = state.w_var.stacked
     f_mean = state.f_mean
 
-    # the batch: every held factor's q(beta), count moments, table counts
-    # and the prior halves of its inclusion logits, and the q(beta) and
-    # table counts of the fresh slots, taken before the loadings and
-    # products below so that its temporaries are gone before those exist
+    # the batch: every held factor's q(beta), table counts and the prior
+    # halves of its inclusion logits, and the q(beta) and table counts of
+    # the fresh slots, taken before the loadings and products below so that
+    # its temporaries are gone before those exist
     beta_a, beta_b = update_beta_params(state, hyper, slots)
     state.beta_a[slots] = beta_a
     state.beta_b[slots] = beta_b
@@ -511,10 +564,8 @@ def sweep(state, data, hyper, *, _data_norms=None):
     # g_ab and g_abbar stacked
     g_alpha = np.exp(psi_alpha) / state.alpha_rate
     geo = _concentrations(psi_beta[:2] - psi_beta[2], g_alpha)
-    # the moments of every row's count of ones and of zeros from one pass,
-    # stacked as geo is, and both table counts from one call
-    block = rho_all.copy()
-    counts = _count_moments(block, widths)
+    # the count moments stacked as geo is, and both table counts from one
+    # call
     ones = counts[0]
     held = len(ids)
     if len(slots) > held:
@@ -526,21 +577,25 @@ def sweep(state, data, hyper, *, _data_norms=None):
     prior_on, prior_off = _prior_halves(block, ones, *geo[:, :held], widths)
     del block, counts, ones, tables, geo
 
+    # what the loading block reads of the scores and the noise, for every
+    # held factor and group at once
     loads = rho_all * w_all
-    f2 = f_mean * f_mean + state.f_var
-    sff_all = np.array([tb @ f2 for tb in tau_bar])
-    tf = [tb[:, None] * f_mean for tb in tau_bar]
-    xt_tf = [t.T @ x for t, x in zip(tf, data.groups)]
-    loo = _loo_weights([t.T @ f_mean for t in tf])
-    del f2, tf
+    sff_all = _score_sums(tau_bar, f_mean, state.f_var)
+    xt_tf, loo = _weighted_products(tau_bar, f_mean, data.groups, spans)
     dotx = np.empty(loads.shape[1])
+    # each group's C_m^T and columns of dotx, views that see every row the
+    # loop writes
+    parts = [(loads[:, cols].T, dotx[cols]) for cols in spans]
 
     for i, k in enumerate(ids.tolist()):
         sff = np.repeat(sff_all[:, i], widths)
         # sum_n tau f x~(no k): constant through the row update since only
-        # factor k's own parameters change inside it
-        for m, cols in enumerate(spans):
-            np.subtract(xt_tf[m][i], loads[:, cols].T @ loo[i, m], out=dotx[cols])
+        # factor k's own parameters change inside it. Group m's columns are
+        # xt_tf[i] minus one product of C_m^T with the weights, the products
+        # written into dotx first
+        for (c_t, out), weights in zip(parts, loo[:, i]):
+            np.matmul(c_t, weights, out=out)
+        np.subtract(xt_tf[i], dotx, out=dotx)
         # the likelihood term 0.5 (E[w^2] sff - 2 w dotx), built in place:
         # row-sized arrays are few and dropped as soon as they are spent,
         # which keeps the sweep's peak memory below one group's data
@@ -571,37 +626,46 @@ def sweep(state, data, hyper, *, _data_norms=None):
         rho_all[i] = rho
         np.multiply(rho, w, out=loads[i])
         del rho
-    del prior_on, prior_off, xt_tf, loo
+    del prior_on, prior_off, xt_tf, loo, parts
 
-    # the loading block alone moves rho: the factors it leaves inactive
+    # every group's loading sums at the final loadings of the pass, for the
+    # score block and the noise precisions, and the group masses: the
+    # loading block alone moves rho, and the factors it leaves inactive
     # leave the state
-    still = _active_rows(rho_all, dims)
-    _keep_rows(state, still)
-    loads = loads[still]
-
-    # each group's products and loading sums at the final loadings of the
-    # pass, for the score block and the noise precisions
-    products = [
-        _loading_products(x, loads[:, cols]) for x, cols in zip(data.groups, spans)
-    ]
-    rows = (a.stacked for a in (state.rho, state.w_mean, state.w_var))
-    second, square = _loading_sums(*rows, loads, widths)
-    _score_block(state, tau_bar, products, second, range(len(state.factors)))
+    sums = _loading_sums(rho_all, w_all, w_var_all, loads, widths)
+    still = _is_active(sums[2].T)
+    if not still.all():
+        _keep_rows(state, still)
+        loads = loads[still]
+        # compress keeps the sums C-ordered, the layout whose batched
+        # products below give each group's bits
+        sums = sums.compress(still, axis=2)
+    second, square = sums[:2]
+    xc, cc = _loading_products(data.groups, loads)
+    _score_block(state, tau_bar, xc, cc, second, range(len(state.factors)))
     if _data_norms is None:
         _data_norms = [_row_norms(x) for x in data.groups]
     f_mean = state.f_mean
-    norms = [
-        _sq_norms(xx, f_mean, xc, cc) for xx, (xc, cc) in zip(_data_norms, products)
-    ]
+    norms = _sq_norms(np.asarray(_data_norms), f_mean, xc, cc)
     # group m's alpha reads only its own eta, at the alpha it replaces
     shape, rate = update_alpha(state, hyper, eta_log_mean)
     state.alpha_shape[:], state.alpha_rate[:] = shape, rate
-    sq = _expected_sq_residuals(norms, f_mean, state.f_var, second, square)
-    for tau_rate, sq_m in zip(state.tau_rate, sq):
-        tau_rate[:] = hyper.h0 + 0.5 * sq_m
+    rates = _noise_rates(hyper.h0, norms, f_mean, state.f_var, second, square)
+    for tau_rate, new in zip(state.tau_rate, rates):
+        tau_rate[:] = new
 
     _check_state_finite(state)
     return norms
+
+
+def _noise_rates(h0, norms, f_mean, f_var, second, square):
+    """The q(tau) rates h0 + E[||x_n - G_m f_n||^2] / 2 of every group and
+    sample, one expression over the M x N stack of
+    model._expected_sq_residuals (whose arguments follow h0)."""
+    rates = _expected_sq_residuals(norms, f_mean, f_var, second, square)
+    rates *= 0.5
+    rates += h0
+    return rates
 
 
 def _check_state_finite(state):
@@ -709,8 +773,8 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
     tau_prior = g0 * math.log(h0) - math.lgamma(g0)
     f_mean, f_var = state.f_mean, state.f_var
     rho, w_mean, w_var = (a.stacked for a in (state.rho, state.w_mean, state.w_var))
-    sums = _loading_sums(rho, w_mean, w_var, rho * w_mean, dims)
-    sq = _expected_sq_residuals(norms, f_mean, f_var, *sums)
+    second, square, mass = _loading_sums(rho, w_mean, w_var, rho * w_mean, dims)
+    sq = _expected_sq_residuals(norms, f_mean, f_var, second, square)
     # the likelihood with q(tau) against its prior
     for d_m, tau_rate, sq_m in zip(dims, state.tau_rate, sq):
         tau_shape = hyper.tau_shape(d_m)
@@ -765,7 +829,7 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         # column of any group
         geo = _concentrations(e_log, g_alpha)
         ones = np.zeros((K, len(dims)))
-        ones[state.factors] = _group_mass(rho, dims)
+        ones[state.factors] = mass.T
         counts = np.stack([ones, widths - ones])
         total += float(
             K * np.sum(_lgamma(g_alpha) - _lgamma(g_alpha + widths))

@@ -455,18 +455,19 @@ class SpectralStart:
     scores (N x k_use) are the leading principal-component scores, the
     signal components rotated and ordered as their loadings; loadings
     (r_sig x sum D_m) are the rotated loadings of the r_sig signal
-    components, the groups' columns side by side; row_norms holds every
-    group's _row_norms. The components past the signal cut get no loadings,
-    so no K x sum D_m array is kept. The arrays are read-only, also after
-    pickling, which rebuilds the object through its constructor.
+    components, the groups' columns side by side; row_norms (M x N) holds
+    every group's _row_norms, row m group m's. The components past the
+    signal cut get no loadings, so no K x sum D_m array is kept. The arrays
+    are read-only, also after pickling, which rebuilds the object through
+    its constructor.
     """
 
     scores: np.ndarray
     loadings: np.ndarray
-    row_norms: tuple
+    row_norms: np.ndarray
 
     def __post_init__(self):
-        for a in (self.scores, self.loadings, *self.row_norms):
+        for a in (self.scores, self.loadings, self.row_norms):
             a.setflags(write=False)
 
     def __reduce__(self):
@@ -499,7 +500,7 @@ def spectral_start(data: GroupedDataset, hyper: Hyperparameters) -> SpectralStar
     return SpectralStart(
         scores=scores,
         loadings=signal[order],
-        row_norms=tuple(_row_norms(x) for x in data.groups),
+        row_norms=np.stack([_row_norms(x) for x in data.groups]),
     )
 
 
@@ -561,12 +562,9 @@ def init_state(
     del keep
     w_var = np.full(w_mean.shape, _INIT_W_VAR)
     coef = rho * w_mean
-    norms = [
-        _sq_norms(x_norms, f_mean, *_loading_products(x, c))
-        for x, x_norms, c in zip(data.groups, start.row_norms, GroupBlocks(coef, dims))
-    ]
-    sums = _loading_sums(rho, w_mean, w_var, coef, dims)
-    sq = _expected_sq_residuals(norms, f_mean, f_var, *sums)
+    norms = _sq_norms(start.row_norms, f_mean, *_loading_products(data.groups, coef))
+    second, square, _ = _loading_sums(rho, w_mean, w_var, coef, dims)
+    sq = _expected_sq_residuals(norms, f_mean, f_var, second, square)
     tau_rate = [hyper.h0 + 0.5 * s for s in sq]
     rho, w_mean, w_var = (GroupBlocks(a, dims) for a in (rho, w_mean, w_var))
 
@@ -649,7 +647,14 @@ def _active_rows(rows, dims):
     """active_factors' rule for each row of rows (of rho.stacked): whether
     its best _group_mass reaches ACTIVE_MASS, the same answer from the whole
     array and from a block of its rows."""
-    return _group_mass(rows, dims).max(axis=1) >= ACTIVE_MASS
+    return _is_active(_group_mass(rows, dims))
+
+
+def _is_active(mass):
+    """active_factors' rule on group masses (rows x M, as _group_mass gives
+    them, or the same sums taken in another pass): whether each row's best
+    reaches ACTIVE_MASS."""
+    return mass.max(axis=1) >= ACTIVE_MASS
 
 
 def _keep_rows(state, keep):
@@ -679,10 +684,10 @@ def _prior_w_var(hyper):
     return hyper.f0 / hyper.e0
 
 
-# The helpers below are shared with engine: the derived lambda rates and
-# E[log eta], the data's row norms, the data and loading products, the
-# residual's per-sample squared norms, and the loading sums and expected
-# squared residuals over the stacked layout, which the sweep's q(tau)
+# The helpers below are shared with engine: the derived lambda rates, the
+# data's row norms, and, stacked over the groups on a leading axis, the
+# data and loading products, the residual's per-sample squared norms, the
+# loading sums and the expected squared residuals, which the sweep's q(tau)
 # update, init_state and the objective all read. They are
 # steps of their callers, not entry points, hence private names;
 # bench/tracer.py times public functions only, so their time stays with
@@ -711,65 +716,95 @@ def _row_norms(x):
     return np.einsum("nd,nd->n", x, x)
 
 
-def _loading_products(x, c):
-    """X C^T (N x K) and C C^T (K x K) of one group's data and expected
-    loadings C = rho * mu_w: what _sq_norms and the sweep's score block read
-    of the data and the loadings."""
-    return x @ c.T, c @ c.T
+def _loading_products(groups, coef):
+    """X_m C_m^T and C_m C_m^T of every group m, stacked as M x N x K+ and
+    M x K+ x K+ arrays: what _sq_norms and the sweep's score block read of
+    the data and the loadings. coef holds the expected loadings rho * mu_w
+    of every group (K+ x sum D_m, the groups' columns side by side, as
+    rho.stacked), and groups the data, whose widths mark the groups'
+    columns. Each product is one matmul of the group's arrays, written into
+    its slice of the stack: the same call, and so the same bits, as the
+    product of that group alone."""
+    n = groups[0].shape[0] if groups else 0
+    k = coef.shape[0]
+    xc = np.empty((len(groups), n, k))
+    cc = np.empty((len(groups), k, k))
+    end = 0
+    for m, x in enumerate(groups):
+        c = coef[:, end : end + x.shape[1]]
+        end += x.shape[1]
+        np.matmul(x, c.T, out=xc[m])
+        np.matmul(c, c.T, out=cc[m])
+    return xc, cc
 
 
 def _sq_norms(x_norms, f_mean, xc, cc):
-    """||x_n - C^T f_n||^2 of one group for every sample n, C = rho * mu_w.
+    """||x_n - C_m^T f_n||^2 of every group m and sample n, C_m = rho * mu_w
+    of group m, as one M x N array.
 
-    x_norms are the group's ||x_n||^2 (_row_norms), and xc = X C^T and
-    cc = C C^T its _loading_products. Expands to
+    x_norms are the groups' ||x_n||^2 (_row_norms, M x N), and xc = X_m C_m^T
+    and cc = C_m C_m^T the stacked _loading_products. Expands to
     ||x_n||^2 - 2 f_n^T (X C^T)_n + f_n^T (C C^T) f_n, which reads the data
-    only through its row norms and xc, and forms no N x D temporary. The
-    terms cancel as the residual shrinks next to the data; on N = 100, 400
-    columns, K = 6 and loadings of sd 2, the MSE's relative error is about
-    1e-15 at noise sd 1, 2e-7 at 1e-4 and 1e-3 at 1e-6 (9.4e-4 to 3.2e-3
-    over the draws tried). Rounding can take a near-zero norm below 0; it is
-    clamped there.
+    only through its row norms and xc, and forms no N x D temporary: one
+    batched matmul f_mean @ cc, one subtraction and one einsum over the
+    stack, whose every (m, n) entry equals the single group's value bit for
+    bit (one group's arrays, without the leading axis, give its N vector).
+    The terms cancel as the residual shrinks next to the data; on N = 100,
+    400 columns, K = 6 and loadings of sd 2, the MSE's relative error is
+    about 1e-15 at noise sd 1, 2e-7 at 1e-4 and 1e-3 at 1e-6 (9.4e-4 to
+    3.2e-3 over the draws tried). Rounding can take a near-zero norm below
+    0; it is clamped there.
     """
-    cross = f_mean @ cc - 2.0 * xc
-    r = x_norms + np.einsum("nk,nk->n", f_mean, cross)
+    cross = f_mean @ cc
+    cross -= 2.0 * xc
+    r = x_norms + np.einsum("nk,...nk->...n", f_mean, cross)
     return np.maximum(r, 0.0, out=r)
 
 
 def _loading_sums(rho, w_mean, w_var, coef, widths):
-    """sum_d rho E[w^2] and sum_d (rho mu_w)^2 of every factor, per group.
+    """sum_d rho E[w^2], sum_d (rho mu_w)^2 and sum_d rho of every factor,
+    per group, stacked on a leading axis of three.
 
     The arrays are stacked rows (rho.stacked and its kin), the groups side
     by side along the rows, widths[m] columns for group m, and coef is the
     expected loadings rho * mu_w. The first sums are the loadings' share of
-    the factor scores' precision (the sweep's score block) and both enter
-    _expected_sq_residuals. Each sum is an M x K+ array, row m group m's.
-    The summands are taken over runs of whole groups (approx._group_sums),
-    and each sum is np.sum of its factor's row in its group alone.
+    the factor scores' precision (the sweep's score block) and the first
+    two enter _expected_sq_residuals; the third are the group masses, bit
+    for bit _group_mass, which the activity rule (_is_active) and the
+    objective's collapsed term read. Each sum is an M x K+ array, row m
+    group m's. The summands are taken over runs of whole groups
+    (approx._group_sums), and each sum is np.sum of its factor's row in its
+    group alone.
     """
 
     def terms(cols):
         w = w_mean[:, cols]
-        both = np.empty((2,) + w.shape)
-        np.multiply(w, w, out=both[0])
-        both[0] += w_var[:, cols]
-        both[0] *= rho[:, cols]
-        np.multiply(coef[:, cols], coef[:, cols], out=both[1])
-        return both
+        kinds = np.empty((3,) + w.shape)
+        np.multiply(w, w, out=kinds[0])
+        kinds[0] += w_var[:, cols]
+        kinds[0] *= rho[:, cols]
+        np.multiply(coef[:, cols], coef[:, cols], out=kinds[1])
+        kinds[2] = rho[:, cols]
+        return kinds
 
     sums = _group_sums(terms, rho.shape[0], widths)
     return np.ascontiguousarray(sums.transpose(0, 2, 1))
 
 
 def _expected_sq_residuals(norms, f_mean, f_var, second, square):
-    """E[||x_n - G_m f_n||^2] of every group m and sample n, one vector each.
+    """E[||x_n - G_m f_n||^2] of every group m and sample n, one M x N array.
 
     norms are the groups' residual squared rows at the expected loadings
-    and scores (_sq_norms), second and square the M x K+ _loading_sums, and
-    f_mean and f_var the scores, which every group shares. The expectation
-    adds to the norms the posterior-variance corrections
-    sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2).
+    and scores (_sq_norms, M x N), second and square the M x K+
+    _loading_sums, and f_mean and f_var the scores, which every group
+    shares. The expectation adds to the norms the posterior-variance
+    corrections sum_k (rho E[w^2] E[f^2] - (rho mu_w mu_f)^2), each group's
+    from one batched matrix-vector product over the stack, E[f^2] times
+    second[m], which gives the bits of the product of that group alone.
     """
     f2 = f_mean * f_mean
     ef2 = f2 + f_var
-    return [r + ef2 @ s - f2 @ q for r, s, q in zip(norms, second, square)]
+    sq = np.matmul(ef2, second[:, :, None])[..., 0]
+    sq += norms
+    sq -= np.matmul(f2, square[:, :, None])[..., 0]
+    return sq

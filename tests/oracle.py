@@ -42,9 +42,11 @@ al., AISTATS 2012) gives it: each gamma factor q(lambda), q(tau) and
 q(alpha) against its prior through one general prior/entropy gap, and the
 likelihood and loading terms through E[log lambda], E[lambda], E[log tau]
 and E[tau], psi of their shapes included, every entry of all K factors
-summed. engine.surrogate_elbo takes the q(lambda) and q(tau) parts in the
-closed forms these cancel to, and the factors it does not hold as one
-closed-form prior term.
+summed. Its likelihood reads E[||x_n - G_m f_n||^2] from the explicit
+residual (expected_sq_residual), not from the expanded squared norms and
+stacked sums of model that the package reads. engine.surrogate_elbo takes
+the q(lambda) and q(tau) parts in the closed forms these cancel to, and
+the factors it does not hold as one closed-form prior term.
 """
 
 import collections
@@ -53,22 +55,14 @@ import math
 import numpy as np
 
 from cvgfa.approx import _SERIES_START, crt_mean_approx, expect_log_shifted_count
-from cvgfa.engine import (
-    GEO_FLOOR,
-    LOG_2PI,
-    _bernoulli_entropy,
-    _lgamma,
-    _state_sq_norms,
-)
+from cvgfa.engine import GEO_FLOOR, LOG_2PI, _bernoulli_entropy, _lgamma
 from cvgfa.errors import DataError, NumericalError, UsageError
 from cvgfa.model import (
     ACTIVE_MASS,
     BETA_B_FLOOR,
     GROUP_BLOCK_FIELDS,
     GroupBlocks,
-    _expected_sq_residuals,
     _lambda_rate,
-    _loading_sums,
 )
 
 
@@ -219,6 +213,21 @@ def residual(state, data):
         x - state.f_mean @ (r * w)
         for x, r, w in zip(data.groups, state.rho, state.w_mean)
     ]
+
+
+def expected_sq_residual(state, data, m):
+    """E[||x_n - G_m f_n||^2] of every sample n of group m, from the explicit
+    residual: its squared row plus, for every factor k and column d, the
+    variance the posterior adds, E[g_kd^2] E[f_nk^2] - (E[g_kd] E[f_nk])^2
+    with E[g_kd^2] = rho (mu_w^2 + var_w) and E[g_kd] = rho mu_w, summed
+    over the columns of the group first."""
+    r = residual(state, data)[m]
+    rho, w, w_var = state.rho[m], state.w_mean[m], state.w_var[m]
+    ef_sq = state.f_mean**2 + state.f_var
+    f_sq = state.f_mean**2
+    second = np.sum(rho * (w**2 + w_var), axis=1)
+    square = np.sum((rho * w) ** 2, axis=1)
+    return np.sum(r * r, axis=1) + ef_sq @ second - f_sq @ square
 
 
 def update_sufficient_stats(state, m, k, exclude_d=None, complement=False):
@@ -492,9 +501,10 @@ def _loading_terms(w_mean, w_var, hyper, psi_lam, lgamma_lam):
     )
 
 
-def surrogate_elbo(state, data, hyper, norms=None) -> float:
+def surrogate_elbo(state, data, hyper) -> float:
     """The variational objective term by term: the likelihood through
-    E[log tau] and E[tau], the loadings through E[log lambda] and
+    E[log tau], E[tau] and the expected squared residual of the explicit
+    residual (expected_sq_residual), the loadings through E[log lambda] and
     E[lambda], every gamma factor against its prior through
     _gamma_prior_gap, the inclusion entropy, the scores, q(beta) and the
     collapsed prior on Z at plug-in concentrations. state must hold all K
@@ -504,8 +514,6 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
     K = state.n_factors
     assert list(state.factors) == list(range(K)), "the oracle reads all K rows"
 
-    if norms is None:
-        norms = _state_sq_norms(state, data)
     # the q(tau) and q(lambda) shapes' special functions, for every group at once
     tau_shapes = hyper.tau_shape(np.array(state.dims))
     psi_tau, lgamma_tau = digamma(tau_shapes), _lgamma(tau_shapes)
@@ -518,8 +526,7 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
         tau_rate = state.tau_rate[m]
         log_tau, e_log_tau, tb = _gamma_moments(tau_shape, tau_rate, psi_tau[m])
         rho, w_mean, w_var = state.rho[m], state.w_mean[m], state.w_var[m]
-        sums = _loading_sums(rho, w_mean, w_var, rho * w_mean, [d_m])
-        (sq,) = _expected_sq_residuals([norms[m]], f_mean, f_var, *sums)
+        sq = expected_sq_residual(state, data, m)
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
 
         # loadings against their elementwise gamma-precision prior

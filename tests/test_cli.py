@@ -443,6 +443,8 @@ class TestFit:
             ]
 
         monkeypatch.setattr(cli.engine, "run_restarts", fake_run_restarts)
+        # a platform without an affinity set: the count of the host's CPUs
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         # every restart "fails", so the command stops with exit code 4
         assert run_cli(
@@ -450,6 +452,19 @@ class TestFit:
             "--threads", threads, "--out", tmp_path / "out",
         ) == 4
         assert seen == [want]
+
+    def test_threads_clamped_to_the_cpus_the_process_may_use(
+        self, monkeypatch, tmp_path, sim1_dataset
+    ):
+        # the host has more CPUs than the process is allowed to run on
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        out = tmp_path / "out"
+        assert run_cli(
+            "fit", sim1_dataset, "--k", 3, "--restarts", 2, "--max-sweeps", 3,
+            "--threads", 2, "--out", out,
+        ) == 0
+        assert json.loads((out / "aggregate.json").read_text())["workers"] == 1
 
 
 class TestEval:

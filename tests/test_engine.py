@@ -16,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracle
-from cvgfa import approx, engine
+from cvgfa import approx, engine, model
 from cvgfa.approx import (
     _count_moments,
     crt_mean_approx,
@@ -943,7 +943,7 @@ def per_column_sweep(state, data, hyper):
             [engine._sq_norms(engine._row_norms(data.groups[m]), f_kept, xc[m], cc[m])],
             f_kept,
             state.f_var[:, kept],
-            *engine._loading_sums(rho, w, w_var, rho * w, [rho.shape[1]]),
+            *engine._loading_sums(rho, w, w_var, rho * w, [rho.shape[1]])[:2],
         )
         state.tau_rate[m][:] = hyper.h0 + 0.5 * sq
     return state
@@ -1042,6 +1042,14 @@ class TestSweepMatchesPerColumnLoop:
         with pytest.raises(NumericalError) as info:
             engine.sweep(state, data, Hyperparameters(K=k))
         assert info.value.context == {"group": 1, "factor": 0, "column": 2}
+
+    def test_opposite_infinite_logits_in_one_row_raise_with_context(self):
+        # a +inf and a -inf logit: the error, with no warning before it
+        logit = np.zeros(7)
+        logit[[5, 6]] = math.inf, -math.inf
+        with pytest.raises(NumericalError) as info:
+            engine._inclusion_probs(logit, np.array([4, 3]), 2)
+        assert info.value.context == {"group": 1, "factor": 2, "column": 1}
 
     @pytest.mark.parametrize("columns", [(1, 2), (2, 0), (0, 1, 2)])
     def test_lowest_non_finite_column_is_named(self, columns):
@@ -1160,11 +1168,11 @@ class TestBatchedRowTerms:
         tf = [tb[:, None] * F for tb in tau_bar]
         xt_tf = [t.T @ x for t, x in zip(tf, data.groups)]
         ft_tf = [t.T @ F for t in tf]
-        weights = engine._loo_weights(ft_tf)
-        assert weights.shape == (len(active), len(self.DIMS), len(active))
+        weights = engine._loo_weights(np.array([t.T for t in tf]), F)
+        assert weights.shape == (len(self.DIMS), len(active), len(active))
         for i in range(len(active)):
             for m in range(len(self.DIMS)):
-                got = xt_tf[m][i] - loads[m].T @ weights[i, m]
+                got = xt_tf[m][i] - loads[m].T @ weights[m, i]
                 want = oracle.loo_dotx(xt_tf[m][i], loads[m], ft_tf[m][i], i)
                 assert got.tobytes() == want.tobytes()
 
@@ -1240,8 +1248,8 @@ class TestRunsOfGroups:
             results.append(
                 (
                     engine.surrogate_elbo(state, data, hyper),
-                    engine._group_mass(rows, dims).tobytes(),
-                    engine._active_rows(rows, dims).tobytes(),
+                    model._group_mass(rows, dims).tobytes(),
+                    model._active_rows(rows, dims).tobytes(),
                     init_state(data, hyper, seed=2),
                 )
             )
@@ -1292,11 +1300,13 @@ class TestLeaveOneFactorOutProducts:
                 want += loads[m][j] * float(tf[:, j] @ F[:, j])
                 got = oracle.loo_dotx(xt_tf[j], loads[m], ft_tf[j], j)
                 self.assert_close(got, want)
-        products = [engine._loading_products(x, c) for x, c in zip(data.groups, loads)]
-        second = [
-            engine._loading_sums(r, w, v, c, [r.shape[1]])[0, 0]
-            for r, w, v, c in zip(state.rho, state.w_mean, state.w_var, loads)
-        ]
+        xc, cc = engine._loading_products(data.groups, np.hstack(loads))
+        second = np.array(
+            [
+                engine._loading_sums(r, w, v, c, [r.shape[1]])[0, 0]
+                for r, w, v, c in zip(state.rho, state.w_mean, state.w_var, loads)
+            ]
+        )
         for j in range(k):
             want = sum(
                 tb * (R @ c[j] + F[:, j] * float(c[j] @ c[j]))
@@ -1304,7 +1314,7 @@ class TestLeaveOneFactorOutProducts:
             )
             # the block's new score is its moment times the new variance
             moved = state.copy()
-            engine._score_block(moved, tau_bar, products, second, [j])
+            engine._score_block(moved, np.array(tau_bar), xc, cc, second, [j])
             self.assert_close(moved.f_mean[:, j] / moved.f_var[:, j], want)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1323,13 +1333,159 @@ class TestLeaveOneFactorOutProducts:
             for m in range(data.n_groups):
                 x = data.groups[m]
                 c = state.rho[m] * state.w_mean[m]
+                # the one group alone
                 built = engine._sq_norms(
-                    engine._row_norms(x),
+                    engine._row_norms(x)[None],
                     state.f_mean,
-                    *engine._loading_products(x, c),
+                    *engine._loading_products([x], c),
                 )
                 assert norms[m].tobytes() == built.tobytes()
                 assert_allclose(norms[m], (residual[m] ** 2).sum(axis=1), rtol=1e-12)
+
+
+
+class TestStackedFormsMatchPerGroup:
+    """The sweep's stacked steps against their per-group forms, bit for bit.
+
+    Each step takes every group in one numpy call where it took one call
+    per group. It keeps the fit's bits only if every group's slice of the
+    stacked result equals that group's own call: a numpy whose batched
+    matmul or einsum adds in another order than the 2-D call fails here.
+    Each test calls the helper that engine.sweep calls for its step. The
+    groups have unequal widths and the scores are in Fortran order, as the
+    state holds them."""
+
+    SEEDS = range(20)
+
+    @staticmethod
+    def inputs(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([7, 30, 100]))
+        k = int(rng.integers(1, 8))
+        dims = [int(d) for d in rng.integers(1, 60, size=int(rng.integers(2, 6)))]
+        groups = [rng.standard_normal((n, d)) for d in dims]
+        f_mean = np.asfortranarray(rng.standard_normal((n, k)))
+        f_var = np.asfortranarray(rng.uniform(0.01, 1.0, (n, k)))
+        tau_bar = rng.uniform(0.5, 5.0, (len(dims), n))
+        coef = rng.standard_normal((k, sum(dims)))
+        spans = np.cumsum([0] + dims)
+        per_group = [coef[:, a:b] for a, b in zip(spans[:-1], spans[1:])]
+        return groups, f_mean, f_var, tau_bar, coef, per_group
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_score_sums(self, seed):
+        # sum_n tau_bar F^2 of every group: one batched vector-matrix product
+        _, f_mean, f_var, tau_bar, _, _ = self.inputs(seed)
+        got = engine._score_sums(tau_bar, f_mean, f_var)
+        f2 = f_mean * f_mean + f_var
+        assert got.shape == tau_bar.shape[:1] + f_mean.shape[1:]
+        for m, tb in enumerate(tau_bar):
+            assert np.array_equal(got[m], tb @ f2)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_loo_weights_and_data_products(self, seed):
+        groups, f_mean, _, tau_bar, coef, _ = self.inputs(seed)
+        ends = np.cumsum([x.shape[1] for x in groups])
+        spans = [slice(end - x.shape[1], end) for x, end in zip(groups, ends)]
+        xt_tf, weights = engine._weighted_products(tau_bar, f_mean, groups, spans)
+        assert xt_tf.shape == coef.shape
+        assert weights.shape == (len(groups),) + 2 * f_mean.shape[1:]
+        for m, (x, cols) in enumerate(zip(groups, spans)):
+            t = tau_bar[m][:, None] * f_mean
+            want = t.T @ f_mean
+            np.fill_diagonal(want, 0.0)
+            assert np.array_equal(weights[m], want)
+            assert np.array_equal(xt_tf[:, cols], t.T @ x)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_residual_norms(self, seed):
+        groups, f_mean, _, _, coef, per_group = self.inputs(seed)
+        x_norms = np.array([model._row_norms(x) for x in groups])
+        xc, cc = model._loading_products(groups, coef)
+        got = model._sq_norms(x_norms, f_mean, xc, cc)
+        for m, (x, c) in enumerate(zip(groups, per_group)):
+            assert np.array_equal(xc[m], x @ c.T)
+            assert np.array_equal(cc[m], c @ c.T)
+            cross = f_mean @ (c @ c.T) - 2.0 * (x @ c.T)
+            want = x_norms[m] + np.einsum("nk,nk->n", f_mean, cross)
+            assert np.array_equal(got[m], np.maximum(want, 0.0))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_expected_residuals_and_noise_rates(self, seed):
+        groups, f_mean, f_var, _, _, _ = self.inputs(seed)
+        rng = np.random.default_rng(100 + seed)
+        norms = rng.uniform(0.0, 50.0, (len(groups), f_mean.shape[0]))
+        second, square = rng.uniform(0.0, 3.0, (2, len(groups), f_mean.shape[1]))
+        got = model._expected_sq_residuals(norms, f_mean, f_var, second, square)
+        # the sweep's q(tau) rates: h0 + E[||x_n - G_m f_n||^2] / 2
+        h0 = 0.1
+        rates = engine._noise_rates(h0, norms, f_mean, f_var, second, square)
+        f2 = f_mean * f_mean
+        ef2 = f2 + f_var
+        for m in range(len(groups)):
+            want = norms[m] + ef2 @ second[m] - f2 @ square[m]
+            assert np.array_equal(got[m], want)
+            assert np.array_equal(rates[m], h0 + 0.5 * want)
+
+
+class TestCheckStateFinite:
+    """engine._check_state_finite, the last step of every sweep."""
+
+    FIELDS = [
+        "f_mean",
+        "f_var",
+        "beta_a",
+        "beta_b",
+        "alpha_shape",
+        "alpha_rate",
+        "w_mean",
+        "w_var",
+        "tau_rate[0]",
+        "tau_rate[1]",
+    ]
+
+    @staticmethod
+    def state():
+        return random_state(np.random.default_rng(4), 6, (4, 3), 3)
+
+    @staticmethod
+    def field(state, name):
+        if name.startswith("tau_rate"):
+            return state.tau_rate[int(name[-2])]
+        value = getattr(state, name)
+        return value.stacked if name in ("w_mean", "w_var") else value
+
+    def test_a_finite_state_passes(self):
+        engine._check_state_finite(self.state())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_names_the_non_finite_field(self, name, bad):
+        state = self.state()
+        self.field(state, name).flat[-1] = bad
+        with pytest.raises(NumericalError, match="non-finite values in") as err:
+            engine._check_state_finite(state)
+        assert str(err.value) == f"non-finite values in {name}"
+        assert err.value.context == {"variable": name}
+
+    @pytest.mark.parametrize("first", range(len(FIELDS) - 1))
+    def test_names_the_first_in_its_order(self, first):
+        # every field from first on is non-finite
+        state = self.state()
+        for name in self.FIELDS[first:]:
+            self.field(state, name).flat[0] = np.nan
+        with pytest.raises(NumericalError) as err:
+            engine._check_state_finite(state)
+        assert err.value.context == {"variable": self.FIELDS[first]}
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_finite_entries_whose_sum_overflows_pass(self, name):
+        state = self.state()
+        values = self.field(state, name)
+        values.flat[:2] = 1e308
+        with np.errstate(over="ignore"):
+            assert np.isinf(values.sum())
+        engine._check_state_finite(state)
 
 
 class TestGeoFloorInSweep:
@@ -1691,17 +1847,20 @@ class TestScoreBlock:
         if pruned is not None:
             for r in state.rho:
                 r[pruned] = 0.0
-        tau_bar = [hyper.tau_shape(d) / t for d, t in zip(dims, state.tau_rate)]
-        products = [
-            engine._loading_products(x, r * w)
-            for x, r, w in zip(data.groups, state.rho, state.w_mean)
-        ]
-        second = [
-            engine._loading_sums(r, w, v, r * w, [r.shape[1]])[0, 0]
-            for r, w, v in zip(state.rho, state.w_mean, state.w_var)
-        ]
+        tau_bar = np.array(
+            [hyper.tau_shape(d) / t for d, t in zip(dims, state.tau_rate)]
+        )
+        products = engine._loading_products(
+            data.groups, state.rho.stacked * state.w_mean.stacked
+        )
+        second = np.array(
+            [
+                engine._loading_sums(r, w, v, r * w, [r.shape[1]])[0, 0]
+                for r, w, v in zip(state.rho, state.w_mean, state.w_var)
+            ]
+        )
         # _score_block's arguments after the state, but for the factors
-        return data, hyper, state, (tau_bar, products, second)
+        return data, hyper, state, (tau_bar, *products, second)
 
     @pytest.mark.parametrize("pruned", [None, 2])
     @pytest.mark.parametrize("seed", range(10))
@@ -1868,8 +2027,10 @@ class TestSurrogateElbo:
         hyper = Hyperparameters(K=3)
         norms = [
             engine._sq_norms(
-                engine._row_norms(x), state.f_mean, *engine._loading_products(x, r * w)
-            )
+                engine._row_norms(x)[None],
+                state.f_mean,
+                *engine._loading_products([x], r * w),
+            )[0]
             for x, r, w in zip(data.groups, state.rho, state.w_mean)
         ]
         assert engine.surrogate_elbo(

@@ -494,9 +494,10 @@ class TestSqNorms:
 
     @staticmethod
     def sq_norms(x, f, rho, w):
+        # one group: its row norms and products with a leading axis of one
         return model._sq_norms(
-            model._row_norms(x), f, *model._loading_products(x, rho * w)
-        )
+            model._row_norms(x)[None], f, *model._loading_products([x], rho * w)
+        )[0]
 
     @staticmethod
     def check(got, want, rtol_rows, rtol_mse):
@@ -510,10 +511,15 @@ class TestSqNorms:
 
         data, _ = generate(simulation1_pattern(), 100, [100] * 4, seed=0)
         state = init_state(data, Hyperparameters(K=30), seed=0)
-        got = [
-            self.sq_norms(x, state.f_mean, r, w)
-            for x, r, w in zip(data.groups, state.rho, state.w_mean)
-        ]
+        # every group at once, as the sweep takes them
+        got = model._sq_norms(
+            np.array([model._row_norms(x) for x in data.groups]),
+            state.f_mean,
+            *model._loading_products(
+                data.groups, state.rho.stacked * state.w_mean.stacked
+            ),
+        )
+        assert got.shape == (4, 100)
         self.check(got, self.explicit(state, data), 4e-13, 2e-14)
 
     # The identity subtracts terms of the size of ||x_n||^2, so its relative
