@@ -15,8 +15,12 @@
 # factors (K+) as best.json. Each best checkpoint must store
 # the rows of exactly those K+ factors. `cvgfa rank` reads the best
 # checkpoint, and also tests/data/checkpoint_v5.json, which stores the rows
-# of one factor of five. A last fit with --max-sweeps 2 must stop every
-# restart at its cap, with the fit's one objective on its last trace row.
+# of one factor of five. Both of these checkpoints must come back byte for
+# byte from a read and a rewrite: the reader joins each group's arrays
+# into the state's, and the writer cuts them apart again, and the
+# fixture's groups are all 8 wide. A last fit with --max-sweeps 2 must
+# stop every restart at its cap, with the fit's one objective on its last
+# trace row.
 # Exits non-zero if any step fails, and removes its work directory either
 # way.
 set -eo pipefail
@@ -71,6 +75,17 @@ python -m cvgfa.cli rank "$out/a/$(best "$out/a")" --groups 1,1 --out "$out/rank
 test "$(wc -l < "$out/rank/scores.csv")" -eq 41
 python -m cvgfa.cli rank tests/data/checkpoint_v5.json --groups 0,1 --out "$out/rank_v5"
 test "$(wc -l < "$out/rank_v5/scores.csv")" -eq 9
+# read_checkpoint then write_checkpoint gives the same bytes, at unequal
+# widths and on the fixture
+rewrite() {
+  python -c 'import sys
+from cvgfa import io
+state, hyper, info = io.read_checkpoint(sys.argv[1])
+io.write_checkpoint(sys.argv[2], state, hyper, info["fit"], info["group_names"])' "$1" "$2"
+  cmp "$1" "$2"
+}
+rewrite "$out/a/$(best "$out/a")" "$out/rewritten.json"
+rewrite tests/data/checkpoint_v5.json "$out/rewritten_v5.json"
 # --max-sweeps caps the sweeps: 2 are too few for the stopping rule, so
 # every restart reads converged: false and has 2 trace rows, of which only
 # the last carries an objective, the one aggregate.json records

@@ -328,7 +328,7 @@ def cmd_eval(args) -> int:
     if pattern.n_groups != len(names):
         raise DataError("truth pattern does not match the dataset groups")
 
-    active = _active_rows(state.rho.stacked, state.dims)
+    active = _active_rows(state.rho, state.dims)
 
     per_group = []
     if args.mode == "sim1":

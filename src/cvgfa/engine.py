@@ -149,9 +149,9 @@ class FitReport:
 def _state_sq_norms(state, data):
     """_sq_norms of every group at the state's expected loadings and scores,
     M x N."""
-    x_norms = np.array([_row_norms(x) for x in data.groups])
-    coef = state.rho.stacked * state.w_mean.stacked
-    return _sq_norms(x_norms, state.f_mean, *_loading_products(data.groups, coef))
+    coef = state.rho * state.w_mean
+    products = _loading_products(data.groups, coef)
+    return _sq_norms(_row_norms(data.groups), state.f_mean, *products)
 
 
 def update_beta_params(state, hyper, k):
@@ -199,7 +199,7 @@ def _concentrations(e_log_beta, g_alpha):
 def _prior_halves(block, nhat, g_ab, g_abbar, widths):
     """The collapsed-prior halves of the inclusion logits of a block of rows.
 
-    block holds the rows (one per active factor) of rho.stacked as the
+    block holds the rows (one per active factor) of the state's rho as the
     sweep begins, nhat their count moments and g_ab, g_abbar the rows'
     concentrations (rows x groups), widths each group's column count.
     Column d of group m reads its row's count moments minus its own term:
@@ -331,12 +331,13 @@ def _score_block(state, tau_bar, xc, cc, second, update):
 
     xc and cc are the stacked _loading_products (X_m C_m^T, M x N x K+, and
     C_m C_m^T, M x K+ x K+) and second the M x K+ sums sum_d rho E[w^2]
-    (model._loading_sums), taken over the held rows (C_m = rho[m] * w_mean[m])
-    at the state's loadings, which the block does not move. tau_bar (M x N)
-    holds E[tau] of every group's samples. The held rows update, each a row
-    index, are updated in that order (the sweep updates every held row), in
-    place. Column i's moment is sum_m tau_bar_m (R_m c_i + f_i (c_i . c_i)),
-    taken as sum_m tau_bar_m (X_m C_m^T[:, i] - F h_m) with h_m column i of
+    (model._loading_sums), taken over the held rows (C_m is group m's
+    columns of rho * w_mean) at the state's loadings, which the block does
+    not move. tau_bar (M x N) holds E[tau] of every group's samples. The
+    held rows update, each a row index, are updated in that order (the
+    sweep updates every held row), in place. Column i's moment is
+    sum_m tau_bar_m (R_m c_i + f_i (c_i . c_i)), taken as
+    sum_m tau_bar_m (X_m C_m^T[:, i] - F h_m) with h_m column i of
     C_m C_m^T, entry i zeroed, and F the scores as the earlier columns of
     the block have left them. Its precision, 1 + sum_m tau_bar_m second[m],
     reads no score, so every column's is taken at once, and so are the
@@ -424,12 +425,12 @@ def sweep(state, data, hyper, *, _data_norms=None):
     q(beta) of every slot in A and U (update_beta_params), the
     concentrations g_ab and g_abbar as one 2 x (|A| + |U|) x M array
     (_concentrations), the moments of every held (factor, group) row's
-    count of ones and of zeros over the |A| x sum_m D_m block rho.stacked
+    count of ones and of zeros over the |A| x sum_m D_m block of rho
     (approx._count_moments, one pass over the rows for both) and the
     certain counts of U (_no_inclusion_counts), the table counts E[s] and
     E[t] of every row from one crt_mean_approx call, and the two prior
     halves of every held column's inclusion logit as two |A| x sum_m D_m
-    arrays (_prior_halves, over a copy of rho.stacked). The moments and
+    arrays (_prior_halves, over a copy of rho). The moments and
     the halves take their elementwise steps over one run of whole groups
     at a time (approx._group_runs), at most approx._RUN_BUDGET (4,096)
     values or one group. Every digamma and trigamma of the pass comes from
@@ -449,9 +450,9 @@ def sweep(state, data, hyper, *, _data_norms=None):
     would, and every elementwise step is the one a row alone would take.
 
     A factor's step in the loop moves all its rows at once: they lie side
-    by side in one row of the state's stacked arrays (model.GroupBlocks),
-    of sum_m D_m columns, which the step reads and writes back as one row
-    each, and the group widths mark the boundaries. Given (a_k, b_k) the
+    by side in one row of the state's rho, w_mean and w_var, of sum_m D_m
+    columns, which the step reads and writes back as one row each, and the
+    group widths mark the boundaries (state.spans). Given (a_k, b_k) the
     rows read disjoint state, so this regroups the same update. The
     per-group scalars (the concentrations, sff, the count moments) are
     broadcast over their group's columns, and dotx stays a per-group
@@ -484,8 +485,8 @@ def sweep(state, data, hyper, *, _data_norms=None):
     written into its columns of one |A| x sum_m D_m array (both
     _weighted_products). In the loop, dotx of group m is that array's row
     minus one product of the weights with the |A| x D_m expected loadings
-    C_m = rho[m] * w_mean[m], group m's columns of one |A| x sum_m D_m
-    product (row i rewritten after factor i's update). After the loading
+    C_m, group m's columns (state.spans[m]) of one |A| x sum_m D_m product
+    rho * w_mean (row i rewritten after factor i's update). After the loading
     block one pass over the runs of whole groups takes every group's loading
     sums and the rows' group masses (model._loading_sums), and the masses
     decide the pruning; C_m is then final for the pass, over the rows K+
@@ -507,18 +508,15 @@ def sweep(state, data, hyper, *, _data_norms=None):
     whose widths differ from group to group, take one call per group.
     """
     lam_shape = hyper.lambda_shape
-    dims = state.dims
-    widths = np.array(dims)
-    # each group's columns in a stacked row, the groups side by side
-    ends = np.cumsum(dims).tolist()
-    spans = [slice(end - d_m, end) for end, d_m in zip(ends, dims)]
-    tau_bar = hyper.tau_shape(widths)[:, None] / np.array(state.tau_rate)
+    widths = np.array(state.dims)
+    spans = state.spans
+    tau_bar = hyper.tau_shape(widths)[:, None] / state.tau_rate
     # the moments of every held row's count of ones and of zeros from one
     # pass; the count of ones' means are the rows' group masses, bit for bit
     # model._group_mass, so they give the activity rule (model._active_rows)
     # too: a held factor that is inactive as the pass begins (only a state
     # not returned by a sweep holds one) leaves the state unswept
-    block = state.rho.stacked.copy()
+    block = state.rho.copy()
     counts = _count_moments(block, widths)
     active = _is_active(counts.mean[0])
     if not active.all():
@@ -533,9 +531,9 @@ def sweep(state, data, hyper, *, _data_norms=None):
     fresh &= state.beta_b == prior_b
     fresh[ids] = False
     slots = np.concatenate([ids, np.flatnonzero(fresh)]) if fresh.any() else ids
-    rho_all = state.rho.stacked
-    w_all = state.w_mean.stacked
-    w_var_all = state.w_var.stacked
+    rho_all = state.rho
+    w_all = state.w_mean
+    w_var_all = state.w_var
     f_mean = state.f_mean
 
     # the batch: every held factor's q(beta), table counts and the prior
@@ -549,7 +547,7 @@ def sweep(state, data, hyper, *, _data_norms=None):
     # alpha shapes, of E[alpha] and E[alpha] + D_m (E[log eta], which
     # update_alpha reads at the alpha the pass began with) and of q(beta)'s
     # a, b and a + b
-    n_groups = len(dims)
+    n_groups = len(spans)
     alpha_mean = state.alpha_shape / state.alpha_rate
     psi = digamma(
         np.concatenate(
@@ -644,15 +642,13 @@ def sweep(state, data, hyper, *, _data_norms=None):
     xc, cc = _loading_products(data.groups, loads)
     _score_block(state, tau_bar, xc, cc, second, range(len(state.factors)))
     if _data_norms is None:
-        _data_norms = [_row_norms(x) for x in data.groups]
+        _data_norms = _row_norms(data.groups)
     f_mean = state.f_mean
-    norms = _sq_norms(np.asarray(_data_norms), f_mean, xc, cc)
+    norms = _sq_norms(_data_norms, f_mean, xc, cc)
     # group m's alpha reads only its own eta, at the alpha it replaces
     shape, rate = update_alpha(state, hyper, eta_log_mean)
     state.alpha_shape[:], state.alpha_rate[:] = shape, rate
-    rates = _noise_rates(hyper.h0, norms, f_mean, state.f_var, second, square)
-    for tau_rate, new in zip(state.tau_rate, rates):
-        tau_rate[:] = new
+    state.tau_rate = _noise_rates(hyper.h0, norms, f_mean, state.f_var, second, square)
 
     _check_state_finite(state)
     return norms
@@ -680,11 +676,10 @@ def _check_state_finite(state):
         ("beta_b", state.beta_b),
         ("alpha_shape", state.alpha_shape),
         ("alpha_rate", state.alpha_rate),
-        ("w_mean", state.w_mean.stacked),
-        ("w_var", state.w_var.stacked),
+        ("w_mean", state.w_mean),
+        ("w_var", state.w_var),
+        ("tau_rate", state.tau_rate),
     ]
-    for m in range(state.n_groups):
-        checks.append((f"tau_rate[{m}]", state.tau_rate[m]))
     with np.errstate(over="ignore", invalid="ignore"):
         for name, arr in checks:
             if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(
@@ -753,7 +748,7 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
     The per-entry terms (the likelihood's loading sums, the loadings
     against their prior, the inclusion entropy, the scores against theirs)
     are summed over the rows the state holds (state.factors), read from
-    the stacked arrays as the sweep reads them; only the likelihood loops
+    the state's arrays as the sweep reads them; only the likelihood loops
     over the groups. Every other factor is at the prior, and each of its
     entries adds the same loading term (_prior_loading_term), so those
     K - len(factors) factors add it times their count times sum_m D_m;
@@ -772,7 +767,7 @@ def surrogate_elbo(state, data, hyper, norms=None) -> float:
     g0, h0 = hyper.g0, hyper.h0
     tau_prior = g0 * math.log(h0) - math.lgamma(g0)
     f_mean, f_var = state.f_mean, state.f_var
-    rho, w_mean, w_var = (a.stacked for a in (state.rho, state.w_mean, state.w_var))
+    rho, w_mean, w_var = state.rho, state.w_mean, state.w_var
     second, square, mass = _loading_sums(rho, w_mean, w_var, rho * w_mean, dims)
     sq = _expected_sq_residuals(norms, f_mean, f_var, second, square)
     # the likelihood with q(tau) against its prior
@@ -906,7 +901,8 @@ def fit(
 def expected_loadings(state, m):
     """Posterior mean loading matrix E[G] = rho * mu_w for group m, one row
     per held factor (state.factors); every other factor's row is zero."""
-    return state.rho[m] * state.w_mean[m]
+    cols = state.spans[m]
+    return state.rho[:, cols] * state.w_mean[:, cols]
 
 
 @dataclass(frozen=True)
@@ -951,9 +947,9 @@ def condition_scores(state, hyper, groups):
     for m in groups:
         tau_bar = float(np.mean(hyper.tau_shape(state.dims[m]) / state.tau_rate[m]))
         g = expected_loadings(state, m)
-        g_var = (
-            state.rho[m] * (state.w_mean[m] ** 2 + state.w_var[m]) - g * g
-        ).sum(axis=1)
+        cols = state.spans[m]
+        rho, w, w_var = state.rho[:, cols], state.w_mean[:, cols], state.w_var[:, cols]
+        g_var = (rho * (w**2 + w_var) - g * g).sum(axis=1)
         precision += tau_bar * (g @ g.T + np.diag(g_var))
         g.setflags(write=False)
         tau_bars.append(tau_bar)

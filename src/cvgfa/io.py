@@ -27,10 +27,13 @@ holds (VariationalState.factors; on a fitted state, the active factors
 K+). The state block lists those factors, ascending, as "stored_factors",
 a JSON list of integers; each group's rho, w_mean and w_var array has one
 row per stored factor (K+ x D_m), and f_mean and f_var one column per
-stored factor (N x K+). Every other array keeps its K factors: q(beta)
-and the table counts of a factor at the prior are not prior values. The
-reader builds the state from the stored rows and the list, which
-VariationalState.validate checks, so a state reads back bit for bit. On a
+stored factor (N x K+). tau_rate is one array per group (N). Every other
+array keeps its K factors: q(beta) and the table counts of a factor at
+the prior are not prior values. The writer cuts the state's K+ x sum D_m
+arrays into the groups' columns (VariationalState.spans) and its M x N
+tau_rate into rows; the reader joins them back, and builds the state
+from them and the list, which VariationalState.validate checks, so a
+state reads back bit for bit. On a
 wide fit (K = 30, K+ = 6) this is a fifth of version 4's bytes. The
 reader takes version 5 only: a checkpoint of versions 1 to 4 is
 rejected, and its fit has to be run again.
@@ -62,13 +65,7 @@ import warnings
 import numpy as np
 
 from .errors import DataError, UsageError
-from .model import (
-    GROUP_BLOCK_FIELDS,
-    GroupBlocks,
-    GroupedDataset,
-    Hyperparameters,
-    VariationalState,
-)
+from .model import GroupedDataset, Hyperparameters, VariationalState
 from .simdata import SparsityPattern
 
 DATASET_FORMAT = "cvgfa-dataset"
@@ -306,9 +303,10 @@ def _read_shaped(path, fname, shape):
 
 
 # Every VariationalState array field, in the order the checkpoint stores
-# them (sorted by name); True marks the per-group lists of arrays. The
-# state's factors are stored as STORED_FACTORS, in its sorted place
-# between rho and tau_rate.
+# them (sorted by name); True marks the fields stored as one array per
+# group: group m's columns of rho, w_mean and w_var, and row m of
+# tau_rate. The state's factors are stored as STORED_FACTORS, in its
+# sorted place between rho and tau_rate.
 STATE_FIELDS = (
     ("alpha_rate", False),
     ("alpha_shape", False),
@@ -355,20 +353,38 @@ def _decode_view(obj) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
+def _join_groups(name, arrays, dims):
+    """One state array from a field's per-group arrays: tau_rate's N vectors
+    as the rows of one M x N array, and every other field's K+ x D_m blocks
+    side by side, whose widths must be dims, the rho blocks' (None for rho
+    itself). Raises ValueError when they do not fit together."""
+    shapes = [a.shape for a in arrays]
+    if name == "tau_rate":
+        want = "N vectors of one length"
+        fits = all(len(s) == 1 for s in shapes) and len(set(shapes)) == 1
+    else:
+        want = "K+ x D_m blocks of one row count, as wide as rho's"
+        fits = all(len(s) == 2 for s in shapes) and len({s[0] for s in shapes}) == 1
+        fits = fits and dims in (None, [s[1] for s in shapes])
+    if not fits:
+        raise ValueError(f"{name} holds arrays of shapes {shapes}, want {want}")
+    return np.stack(arrays) if name == "tau_rate" else np.concatenate(arrays, axis=1)
+
+
 def _state_from_json(obj) -> VariationalState:
-    """The state from its JSON object. The stacked fields' blocks are read
-    as read-only views: GroupBlocks.from_groups copies them into the stacked
-    layout, one field at a time."""
+    """The state from its JSON object. A per-group field's arrays are read
+    as read-only views and joined into one new array (_join_groups), one
+    field at a time."""
     fields = {}
     try:
         for name, per_group in STATE_FIELDS:
             if not per_group:
                 fields[name] = _decode_array(obj[name])
-            elif name in GROUP_BLOCK_FIELDS:
-                blocks = [_decode_view(a) for a in obj[name]]
-                fields[name] = GroupBlocks.from_groups(blocks, name)
-            else:
-                fields[name] = [_decode_array(a) for a in obj[name]]
+                continue
+            arrays = [_decode_view(a) for a in obj[name]]
+            fields[name] = _join_groups(name, arrays, fields.get("dims"))
+            if name == "rho":
+                fields["dims"] = [a.shape[1] for a in arrays]
         stored = obj[STORED_FACTORS]
         if not (isinstance(stored, list) and all(type(k) is int for k in stored)):
             raise ValueError(f"{STORED_FACTORS} is not a list of integers")
@@ -406,10 +422,12 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
         if name == "tau_rate":
             fields[STORED_FACTORS] = state.factors.tolist()
         value = getattr(state, name)
-        if per_group:
-            fields[name] = [_encode_array(a) for a in value]
-        else:
+        if not per_group:
             fields[name] = _encode_array(value)
+        elif name == "tau_rate":
+            fields[name] = [_encode_array(row) for row in value]
+        else:
+            fields[name] = [_encode_array(value[:, cols]) for cols in state.spans]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # the state goes last, so the metadata opens the file
         fh.write(header[:-1] + ',"state":')

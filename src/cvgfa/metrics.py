@@ -138,8 +138,9 @@ def ranking_score(state, group_a: int, group_b: int) -> np.ndarray:
 
     score_d = sum_k |E[g_a]_kd * E[g_b]_kd| with E[g] = rho * mu_w.
     """
-    ga = np.asarray(state.rho[group_a]) * np.asarray(state.w_mean[group_a])
-    gb = np.asarray(state.rho[group_b]) * np.asarray(state.w_mean[group_b])
+    a, b = state.spans[group_a], state.spans[group_b]
+    ga = state.rho[:, a] * state.w_mean[:, a]
+    gb = state.rho[:, b] * state.w_mean[:, b]
     if ga.shape[1] != gb.shape[1]:
         raise UsageError("groups must have the same column count to rank")
     return np.abs(ga * gb).sum(axis=0)
@@ -185,8 +186,8 @@ def train_mse(data, state) -> float:
         raise UsageError("dataset has no cells")
     f = np.asarray(state.f_mean)
     sq = 0.0
-    for x, rho, w in zip(groups, state.rho, state.w_mean):
-        r = f @ (np.asarray(rho) * np.asarray(w))
+    for x, cols in zip(groups, state.spans):
+        r = f @ (state.rho[:, cols] * state.w_mean[:, cols])
         np.subtract(x, r, out=r)
         np.multiply(r, r, out=r)
         sq += float(r.sum())

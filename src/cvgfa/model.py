@@ -27,7 +27,6 @@ __all__ = [
     "GroupedDataset",
     "Hyperparameters",
     "FitOptions",
-    "GroupBlocks",
     "VariationalState",
     "SpectralStart",
     "spectral_start",
@@ -162,86 +161,6 @@ def _is_whole(value):
     )
 
 
-class GroupBlocks:
-    """One K+ x sum(D_m) array, the groups' columns side by side in order.
-
-    blocks[m] is group m's K+ x D_m block, a view of the one array, so
-    writes through it reach the whole; blocks.stacked is the whole, whose
-    row i holds held factor i of every group. A group cannot be rebound (no
-    item assignment): a new array put in its place would leave the whole
-    behind. copy() and pickling rebuild the views over one new array; pickle
-    keeps no views, so a state that crosses a process pool would otherwise
-    come back as unrelated arrays.
-
-    The factor scores are laid out the other way round: VariationalState
-    holds f_mean and f_var (N x K+) in Fortran order, each factor's column
-    contiguous, as a column gather such as f_mean[:, rows] returns them. The
-    sweep and the objective multiply these arrays with BLAS and einsum,
-    which add in an order that follows the layout, so the layout is part of
-    every fitted value: in C order the first sweep's scores differ in the
-    last bit.
-    """
-
-    __slots__ = ("_stacked", "_views")
-
-    def __init__(self, stacked, dims):
-        self._stacked = stacked
-        ends = np.cumsum(dims, dtype=int).tolist()
-        self._views = tuple(
-            stacked[:, end - int(d) : end] for end, d in zip(ends, dims)
-        )
-
-    @classmethod
-    def from_groups(cls, arrays, name):
-        """Copies per-group K+ x D_m arrays into one stacked array.
-
-        Raises DataError, naming the field name, when the arrays are not
-        matrices with one common row count.
-        """
-        arrays = [np.asarray(a, dtype=float) for a in arrays]
-        if any(a.ndim != 2 for a in arrays):
-            raise DataError(f"every {name}[m] must be a K x D_m matrix")
-        k = arrays[0].shape[0] if arrays else 0
-        for m, a in enumerate(arrays):
-            if a.shape[0] != k:
-                raise DataError(
-                    f"{name}[{m}] has shape {a.shape}, want {k} rows as {name}[0]"
-                )
-        dims = [a.shape[1] for a in arrays]
-        stacked = np.empty((k, sum(dims)))
-        blocks = cls(stacked, dims)
-        for view, a in zip(blocks, arrays):
-            view[...] = a
-        return blocks
-
-    @property
-    def stacked(self):
-        return self._stacked
-
-    @property
-    def dims(self):
-        return [v.shape[1] for v in self._views]
-
-    def copy(self):
-        return GroupBlocks(self._stacked.copy(), self.dims)
-
-    def __reduce__(self):
-        return GroupBlocks, (self._stacked, self.dims)
-
-    def __getitem__(self, m):
-        return self._views[m]
-
-    def __len__(self):
-        return len(self._views)
-
-    def __iter__(self):
-        return iter(self._views)
-
-
-# the VariationalState fields held as GroupBlocks
-GROUP_BLOCK_FIELDS = ("rho", "w_mean", "w_var")
-
-
 @dataclass
 class VariationalState:
     """The free variational parameters of the mean-field posterior.
@@ -251,21 +170,25 @@ class VariationalState:
     factor, arange(K), when not given). A factor the sweep prunes leaves
     the state: it is at the prior, whose expected loadings are zeros, and
     nothing but its q(beta) and table counts is kept of it.
-    Group-indexed fields hold one array per group m:
-      rho[m]          K+ x D_m  inclusion probabilities q(z = 1)
-      w_mean[m]       K+ x D_m  loading means
-      w_var[m]        K+ x D_m  loading variances
-      tau_rate[m]     N         q(tau) gamma rates, one per sample
-    rho, w_mean and w_var are GroupBlocks: each keeps all its groups in one
-    K+ x sum(D_m) array (.stacked), and [m] is group m's view of it. Given
-    per-group arrays instead, the constructor copies them into that layout.
-    tau_rate is a list.
-    Shared arrays:
-      f_mean, f_var   N x K+    factor score means / variances, in Fortran
-                                order (see GroupBlocks)
+    Arrays over every group's columns, the groups side by side in order,
+    dims[m] columns for group m (spans[m] are its columns):
+      rho             K+ x sum(D_m)  inclusion probabilities q(z = 1)
+      w_mean          K+ x sum(D_m)  loading means
+      w_var           K+ x sum(D_m)  loading variances
+    They are C-ordered, so row i, held factor i of every group, is one
+    contiguous row that a factor's step reads and writes back whole.
+    Other arrays:
+      tau_rate        M x N     q(tau) gamma rates, row m group m's samples
+      f_mean, f_var   N x K+    factor score means / variances
       beta_a, beta_b  K         q(beta) parameters
       alpha_shape, alpha_rate   M    q(alpha) parameters
       aux_s_mean, aux_t_mean    M x K  expected table counts
+    The scores are held in Fortran order, each factor's column contiguous,
+    as a column gather such as f_mean[:, rows] returns them. The sweep and
+    the objective multiply these arrays with BLAS and einsum, which add in
+    an order that follows the layout, so the layout is part of every
+    fitted value: in C order the first sweep's scores differ in the last
+    bit.
     q(beta) and the table counts keep all K factors: the prior reads the
     truncation K (a0 = kappa0 / K), and q(alpha) reads the table counts of
     every slot: a pruned factor's kept values, and those the first two
@@ -278,14 +201,15 @@ class VariationalState:
     engine.sweep takes with its other digammas.
     """
 
-    rho: GroupBlocks
-    w_mean: GroupBlocks
-    w_var: GroupBlocks
+    rho: np.ndarray
+    w_mean: np.ndarray
+    w_var: np.ndarray
+    dims: list
     f_mean: np.ndarray
     f_var: np.ndarray
     beta_a: np.ndarray
     beta_b: np.ndarray
-    tau_rate: list
+    tau_rate: np.ndarray
     alpha_shape: np.ndarray
     alpha_rate: np.ndarray
     aux_s_mean: np.ndarray
@@ -293,18 +217,14 @@ class VariationalState:
     factors: np.ndarray = None
 
     def __post_init__(self):
-        for name in GROUP_BLOCK_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, GroupBlocks):
-                setattr(self, name, GroupBlocks.from_groups(value, name))
         self.f_mean = np.asfortranarray(self.f_mean)
         self.f_var = np.asfortranarray(self.f_var)
         if self.factors is None:
-            self.factors = np.arange(self.rho.stacked.shape[0])
+            self.factors = np.arange(self.rho.shape[0])
 
     @property
     def n_groups(self) -> int:
-        return len(self.rho)
+        return len(self.dims)
 
     @property
     def n_factors(self) -> int:
@@ -316,19 +236,21 @@ class VariationalState:
         return int(self.f_mean.shape[0])
 
     @property
-    def dims(self):
-        return [int(r.shape[1]) for r in self.rho]
+    def spans(self):
+        """Each group's columns of rho, w_mean and w_var, one slice each."""
+        return _spans(self.dims)
 
     def copy(self):
         return VariationalState(
             rho=self.rho.copy(),
             w_mean=self.w_mean.copy(),
             w_var=self.w_var.copy(),
+            dims=list(self.dims),
             f_mean=self.f_mean.copy(order="F"),
             f_var=self.f_var.copy(order="F"),
             beta_a=self.beta_a.copy(),
             beta_b=self.beta_b.copy(),
-            tau_rate=[a.copy() for a in self.tau_rate],
+            tau_rate=self.tau_rate.copy(),
             alpha_shape=self.alpha_shape.copy(),
             alpha_rate=self.alpha_rate.copy(),
             aux_s_mean=self.aux_s_mean.copy(),
@@ -337,8 +259,15 @@ class VariationalState:
         )
 
     def validate(self):
-        # n_factors, n_samples and dims read these shapes; every other array
-        # is checked against an exact shape below
+        dims = self.dims
+        if not (
+            isinstance(dims, list)
+            and dims
+            and all(isinstance(d, numbers.Integral) and d >= 1 for d in dims)
+        ):
+            raise DataError("dims must be a non-empty list of positive group widths")
+        # n_factors and n_samples read these shapes; every array is checked
+        # against an exact shape below
         if self.beta_a.ndim != 1 or self.f_mean.ndim != 2:
             raise DataError("beta_a must be a vector and f_mean a matrix")
         M = self.n_groups
@@ -356,58 +285,55 @@ class VariationalState:
         ):
             raise DataError(f"factors must ascend strictly within [0, {K})")
         held = factors.shape[0]
-        for name in GROUP_BLOCK_FIELDS:
-            rows = getattr(self, name).stacked.shape[0]
-            if rows != held:
-                raise DataError(
-                    f"{name} has {rows} rows, want one per held factor ({held})"
-                )
-        group_lists = {
-            "w_mean": self.w_mean,
-            "w_var": self.w_var,
-            "tau_rate": self.tau_rate,
+        rows = ((held, sum(dims)), "K+ rows, one per held factor, by sum(D_m)")
+        scores = ((N, held), "N x K+, one column per held factor")
+        shapes = {
+            "rho": rows,
+            "w_mean": rows,
+            "w_var": rows,
+            "f_mean": scores,
+            "f_var": scores,
+            "tau_rate": ((M, N), "M x N"),
+            "beta_a": ((K,), "length K"),
+            "beta_b": ((K,), "length K"),
+            "alpha_shape": ((M,), "length M"),
+            "alpha_rate": ((M,), "length M"),
+            "aux_s_mean": ((M, K), "M x K"),
+            "aux_t_mean": ((M, K), "M x K"),
         }
-        for name, lst in group_lists.items():
-            if len(lst) != M:
-                raise DataError(f"{name} must have one array per group")
-        for m in range(M):
-            d_m = self.rho[m].shape[1]
-            for name in GROUP_BLOCK_FIELDS:
-                arr = getattr(self, name)[m]
-                if arr.shape != (held, d_m):
-                    raise DataError(
-                        f"{name}[{m}] has shape {arr.shape}, want {(held, d_m)}"
-                    )
-                if not np.all(np.isfinite(arr)):
-                    raise DataError(f"{name}[{m}] contains non-finite entries")
-            if self.tau_rate[m].shape != (N,):
+        # every float field must be finite: the comparisons below pass inf
+        # and NaN
+        for name, (shape, what) in shapes.items():
+            arr = getattr(self, name)
+            if not isinstance(arr, np.ndarray) or arr.shape != shape:
                 raise DataError(
-                    f"tau_rate[{m}] has shape {self.tau_rate[m].shape}, want {(N,)}"
+                    f"{name} has shape {np.shape(arr)}, want {shape}: {what}"
                 )
-            if np.any(self.rho[m] < 0) or np.any(self.rho[m] > 1):
-                raise DataError(f"rho[{m}] outside [0, 1]")
-            for name in ("w_var", "tau_rate"):
-                if not np.all(getattr(self, name)[m] > 0):
-                    raise DataError(f"{name}[{m}] must be strictly positive")
-            if np.any(self.aux_s_mean[m] < 0) or np.any(self.aux_s_mean[m] > d_m):
-                raise DataError(f"aux_s_mean[{m}] outside [0, D_m]")
-            if np.any(self.aux_t_mean[m] < 0) or np.any(self.aux_t_mean[m] > d_m):
-                raise DataError(f"aux_t_mean[{m}] outside [0, D_m]")
-        if self.f_mean.shape != (N, held) or self.f_var.shape != (N, held):
-            raise DataError("f_mean/f_var must be N x K+, one column per held factor")
-        if not np.all(np.isfinite(self.f_mean)) or not np.all(self.f_var > 0):
-            raise DataError("factor scores must be finite with positive variance")
-        for name in ("beta_a", "beta_b"):
+            if not np.isfinite(arr).all():
+                raise DataError(f"{name} contains non-finite entries")
+        if np.any(self.rho < 0) or np.any(self.rho > 1):
+            raise DataError("rho outside [0, 1]")
+        positive = "w_var f_var tau_rate beta_a beta_b alpha_shape alpha_rate"
+        for name in positive.split():
+            if not np.all(getattr(self, name) > 0):
+                raise DataError(f"{name} must be strictly positive")
+        widths = np.array(dims)[:, None]
+        for name in ("aux_s_mean", "aux_t_mean"):
             arr = getattr(self, name)
-            if arr.shape != (K,) or not np.all(arr > 0):
-                raise DataError(f"{name} must be a positive length-K vector")
-        for name in ("alpha_shape", "alpha_rate"):
-            arr = getattr(self, name)
-            if arr.shape != (M,) or not np.all(arr > 0):
-                raise DataError(f"{name} must be a positive length-M vector")
-        if self.aux_s_mean.shape != (M, K) or self.aux_t_mean.shape != (M, K):
-            raise DataError("aux means must be M x K")
+            if np.any(arr < 0) or np.any(arr > widths):
+                raise DataError(f"{name} outside [0, D_m]")
         return self
+
+
+def _spans(widths):
+    """The slices of consecutive runs of columns of the given widths, in
+    order: each group's columns of an array that holds the groups side by
+    side."""
+    spans, end = [], 0
+    for d in widths:
+        spans.append(slice(end, end + d))
+        end += d
+    return spans
 
 
 # Warm-start construction constants. Singular values above _INIT_EDGE_MULT
@@ -455,8 +381,8 @@ class SpectralStart:
     scores (N x k_use) are the leading principal-component scores, the
     signal components rotated and ordered as their loadings; loadings
     (r_sig x sum D_m) are the rotated loadings of the r_sig signal
-    components, the groups' columns side by side; row_norms (M x N) holds
-    every group's _row_norms, row m group m's. The components past the
+    components, the groups' columns side by side; row_norms (M x N) are
+    the groups' _row_norms, row m group m's. The components past the
     signal cut get no loadings, so no K x sum D_m array is kept. The arrays
     are read-only, also after pickling, which rebuilds the object through
     its constructor.
@@ -500,7 +426,7 @@ def spectral_start(data: GroupedDataset, hyper: Hyperparameters) -> SpectralStar
     return SpectralStart(
         scores=scores,
         loadings=signal[order],
-        row_norms=np.stack([_row_norms(x) for x in data.groups]),
+        row_norms=_row_norms(data.groups),
     )
 
 
@@ -554,7 +480,7 @@ def init_state(
     f_mean += scores[:, :r_sig]
     f_var = np.full((N, r_sig), _INIT_F_VAR)
 
-    # every r_sig x sum(D_m) array is built in the stacked layout, in place
+    # every r_sig x sum(D_m) array is built in the state's layout, in place
     dims = data.dims
     keep = np.abs(signal) >= _INIT_LOADING_CUT
     w_mean = np.where(keep, signal, 0.0)
@@ -565,13 +491,13 @@ def init_state(
     norms = _sq_norms(start.row_norms, f_mean, *_loading_products(data.groups, coef))
     second, square, _ = _loading_sums(rho, w_mean, w_var, coef, dims)
     sq = _expected_sq_residuals(norms, f_mean, f_var, second, square)
-    tau_rate = [hyper.h0 + 0.5 * s for s in sq]
-    rho, w_mean, w_var = (GroupBlocks(a, dims) for a in (rho, w_mean, w_var))
+    tau_rate = hyper.h0 + 0.5 * sq
 
     return VariationalState(
         rho=rho,
         w_mean=w_mean,
         w_var=w_var,
+        dims=dims,
         f_mean=f_mean,
         f_var=f_var,
         beta_a=np.full(K, prior_a),
@@ -615,11 +541,10 @@ def _principal_components(groups, k):
     edge = _INIT_EDGE_MULT * float(np.median(sv))
     r_sig = max(1, min(u.shape[1], int((sv > edge).sum())))
     root_n = np.sqrt(n)
-    loads = np.empty((r_sig, sum(x.shape[1] for x in groups)))
-    end = 0
-    for x in groups:
-        end += x.shape[1]
-        np.matmul(u.T[:r_sig], x, out=loads[:, end - x.shape[1] : end])
+    widths = [x.shape[1] for x in groups]
+    loads = np.empty((r_sig, sum(widths)))
+    for x, cols in zip(groups, _spans(widths)):
+        np.matmul(u.T[:r_sig], x, out=loads[:, cols])
     loads /= root_n
     return sv, root_n * u, loads
 
@@ -627,24 +552,24 @@ def _principal_components(groups, k):
 def active_factors(state: VariationalState):
     """Factors whose expected loading mass reaches ACTIVE_MASS in some group.
 
-    Mass of factor k in group m is sum_d rho[m][k, d]; a factor counts as
-    active when its best group mass is at least ACTIVE_MASS. Returns the
-    ids (state.factors) of the active held rows; after a sweep, every held
-    factor.
+    Mass of factor k in group m is the sum of its row of rho over group
+    m's columns (state.spans[m]); a factor counts as active when its best
+    group mass is at least ACTIVE_MASS. Returns the ids (state.factors) of
+    the active held rows; after a sweep, every held factor.
     """
-    active = _active_rows(state.rho.stacked, state.dims)
+    active = _active_rows(state.rho, state.dims)
     return {int(k) for k in state.factors[active]}
 
 
 def _group_mass(rows, dims):
-    """sum_d rho[k, d] of each row of rows (of rho.stacked, dims the group
-    widths) in each group, rows x M: each np.sum of that row's group alone
+    """sum_d rho[k, d] of each row of rows (of the state's rho, dims the
+    group widths) in each group, rows x M: each np.sum of that row's group alone
     (approx._group_sums), whichever rows are taken."""
     return _group_sums(lambda cols: rows[:, cols], rows.shape[0], dims)
 
 
 def _active_rows(rows, dims):
-    """active_factors' rule for each row of rows (of rho.stacked): whether
+    """active_factors' rule for each row of rows (of the state's rho): whether
     its best _group_mass reaches ACTIVE_MASS, the same answer from the whole
     array and from a block of its rows."""
     return _is_active(_group_mass(rows, dims))
@@ -665,10 +590,10 @@ def _keep_rows(state, keep):
     unless q(beta) is still at the prior (engine.sweep)."""
     if keep.all():
         return
-    dims = state.dims
-    for name in GROUP_BLOCK_FIELDS:
-        setattr(state, name, GroupBlocks(getattr(state, name).stacked[keep], dims))
-    # a column gather is in Fortran order, the scores' layout
+    # a row gather is C-ordered, a column gather in Fortran order
+    state.rho = state.rho[keep]
+    state.w_mean = state.w_mean[keep]
+    state.w_var = state.w_var[keep]
     state.f_mean = state.f_mean[:, keep]
     state.f_var = state.f_var[:, keep]
     state.factors = state.factors[keep]
@@ -709,19 +634,20 @@ def _lambda_rate(w_mean, w_var, f0):
     return rate
 
 
-def _row_norms(x):
-    """||x_n||^2 of every sample n of one group: what _sq_norms reads of the
-    data alone. The data never change during a fit, so spectral_start takes
-    them once (SpectralStart.row_norms), for init_state and every sweep."""
-    return np.einsum("nd,nd->n", x, x)
+def _row_norms(groups):
+    """||x_n||^2 of every group m and sample n, M x N, each row one einsum
+    of its group: what _sq_norms reads of the data alone. The data never
+    change during a fit, so spectral_start takes them once
+    (SpectralStart.row_norms), for init_state and every sweep."""
+    return np.array([np.einsum("nd,nd->n", x, x) for x in groups])
 
 
 def _loading_products(groups, coef):
     """X_m C_m^T and C_m C_m^T of every group m, stacked as M x N x K+ and
     M x K+ x K+ arrays: what _sq_norms and the sweep's score block read of
     the data and the loadings. coef holds the expected loadings rho * mu_w
-    of every group (K+ x sum D_m, the groups' columns side by side, as
-    rho.stacked), and groups the data, whose widths mark the groups'
+    of every group (K+ x sum D_m, the groups' columns side by side, as the
+    state's rho), and groups the data, whose widths mark the groups'
     columns. Each product is one matmul of the group's arrays, written into
     its slice of the stack: the same call, and so the same bits, as the
     product of that group alone."""
@@ -729,10 +655,9 @@ def _loading_products(groups, coef):
     k = coef.shape[0]
     xc = np.empty((len(groups), n, k))
     cc = np.empty((len(groups), k, k))
-    end = 0
-    for m, x in enumerate(groups):
-        c = coef[:, end : end + x.shape[1]]
-        end += x.shape[1]
+    spans = _spans([x.shape[1] for x in groups])
+    for m, (x, cols) in enumerate(zip(groups, spans)):
+        c = coef[:, cols]
         np.matmul(x, c.T, out=xc[m])
         np.matmul(c, c.T, out=cc[m])
     return xc, cc
@@ -765,8 +690,8 @@ def _loading_sums(rho, w_mean, w_var, coef, widths):
     """sum_d rho E[w^2], sum_d (rho mu_w)^2 and sum_d rho of every factor,
     per group, stacked on a leading axis of three.
 
-    The arrays are stacked rows (rho.stacked and its kin), the groups side
-    by side along the rows, widths[m] columns for group m, and coef is the
+    The arrays are the state's rows (rho and its kin), the groups side by
+    side along the rows, widths[m] columns for group m, and coef is the
     expected loadings rho * mu_w. The first sums are the loadings' share of
     the factor scores' precision (the sweep's score block) and the first
     two enter _expected_sq_residuals; the third are the group masses, bit

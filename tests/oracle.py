@@ -57,13 +57,7 @@ import numpy as np
 from cvgfa.approx import _SERIES_START, crt_mean_approx, expect_log_shifted_count
 from cvgfa.engine import GEO_FLOOR, LOG_2PI, _bernoulli_entropy, _lgamma
 from cvgfa.errors import DataError, NumericalError, UsageError
-from cvgfa.model import (
-    ACTIVE_MASS,
-    BETA_B_FLOOR,
-    GROUP_BLOCK_FIELDS,
-    GroupBlocks,
-    _lambda_rate,
-)
+from cvgfa.model import ACTIVE_MASS, BETA_B_FLOOR, _lambda_rate
 
 
 def _digamma_tail(inv2):
@@ -206,12 +200,19 @@ def loo_dotx(xt_tf, loads, g, k):
     return xt_tf - loads.T @ g
 
 
+def group_loadings(state, m):
+    """Group m's K x D_m columns of rho, w_mean and w_var (state.spans[m]),
+    views that read and write the state's arrays."""
+    cols = state.spans[m]
+    return state.rho[:, cols], state.w_mean[:, cols], state.w_var[:, cols]
+
+
 def residual(state, data):
     """X_m - E[F] (rho_m * mu_w,m) of every group: the data minus the full
     expected reconstruction, valid until the state next changes."""
     return [
-        x - state.f_mean @ (r * w)
-        for x, r, w in zip(data.groups, state.rho, state.w_mean)
+        x - state.f_mean @ (state.rho[:, cols] * state.w_mean[:, cols])
+        for x, cols in zip(data.groups, state.spans)
     ]
 
 
@@ -222,7 +223,7 @@ def expected_sq_residual(state, data, m):
     with E[g_kd^2] = rho (mu_w^2 + var_w) and E[g_kd] = rho mu_w, summed
     over the columns of the group first."""
     r = residual(state, data)[m]
-    rho, w, w_var = state.rho[m], state.w_mean[m], state.w_var[m]
+    rho, w, w_var = group_loadings(state, m)
     ef_sq = state.f_mean**2 + state.f_var
     f_sq = state.f_mean**2
     second = np.sum(rho * (w**2 + w_var), axis=1)
@@ -236,7 +237,7 @@ def update_sufficient_stats(state, m, k, exclude_d=None, complement=False):
     complement=True gives the count of zeros (probabilities 1 - rho);
     exclude_d leaves column d out of the sum.
     """
-    row = state.rho[m][k]
+    row = group_loadings(state, m)[0][k]
     if exclude_d is not None:
         if not 0 <= exclude_d < row.shape[0]:
             raise IndexError(f"column {exclude_d} out of range")
@@ -276,11 +277,12 @@ def update_z(state, residual, hyper, m, k, d) -> float:
     prior0 = expect_log_shifted_count(g_abbar, ntil.mean, ntil.variance)
 
     tau_bar = hyper.tau_shape(state.dims[m]) / state.tau_rate[m]
-    ew = state.w_mean[m][k, d]
-    ew2 = ew * ew + state.w_var[m][k, d]
+    rho, w, w_var = group_loadings(state, m)
+    ew = w[k, d]
+    ew2 = ew * ew + w_var[k, d]
     ef = state.f_mean[:, k]
     ef2 = ef * ef + state.f_var[:, k]
-    xk = residual[m][:, d] + ef * (state.rho[m][k, d] * ew)
+    xk = residual[m][:, d] + ef * (rho[k, d] * ew)
     lik = -0.5 * (ew2 * float(tau_bar @ ef2) - 2.0 * ew * float(tau_bar @ (ef * xk)))
     logit = prior1 + lik - prior0
     if not math.isfinite(logit):
@@ -296,10 +298,11 @@ def update_w(state, residual, hyper, m, k, d):
     tau_bar = hyper.tau_shape(state.dims[m]) / state.tau_rate[m]
     ef = state.f_mean[:, k]
     ef2 = ef * ef + state.f_var[:, k]
-    rho = state.rho[m][k, d]
+    rho, w, _ = group_loadings(state, m)
+    rho = rho[k, d]
     lam_mean = hyper.lambda_shape / update_lambda(state, hyper, m, k, d)
     variance = 1.0 / (lam_mean + rho * float(tau_bar @ ef2))
-    xk = residual[m][:, d] + ef * (rho * state.w_mean[m][k, d])
+    xk = residual[m][:, d] + ef * (rho * w[k, d])
     mean = variance * rho * float(tau_bar @ (ef * xk))
     return mean, variance
 
@@ -310,9 +313,10 @@ def update_f(state, residual, hyper, n, k):
     moment = 0.0
     for m in range(state.n_groups):
         tau_n = hyper.tau_shape(state.dims[m]) / state.tau_rate[m][n]
-        rho_row = state.rho[m][k]
-        w_row = state.w_mean[m][k]
-        ew2_row = w_row * w_row + state.w_var[m][k]
+        rho, w, w_var = group_loadings(state, m)
+        rho_row = rho[k]
+        w_row = w[k]
+        ew2_row = w_row * w_row + w_var[k]
         precision += tau_n * float(rho_row @ ew2_row)
         coef = rho_row * w_row
         xk = residual[m][n] + state.f_mean[n, k] * coef
@@ -353,8 +357,9 @@ def update_eta(state, m):
 def update_lambda(state, hyper, m, k, d):
     """q(lambda_kd) gamma rate at the current q(w_kd); its shape is
     hyper.lambda_shape."""
-    ew = state.w_mean[m][k, d]
-    ew2 = ew * ew + state.w_var[m][k, d]
+    _, w, w_var = group_loadings(state, m)
+    ew = w[k, d]
+    ew2 = ew * ew + w_var[k, d]
     return hyper.f0 + 0.5 * ew2
 
 
@@ -362,10 +367,9 @@ def update_tau(state, residual, hyper, m, n):
     """q(tau_n) gamma rate for one sample of group m; its shape is
     hyper.tau_shape(D_m)."""
     resid = residual[m][n]
-    rho = state.rho[m]
-    w = state.w_mean[m]
+    rho, w, w_var = group_loadings(state, m)
     coef = rho * w
-    svec = (rho * (w * w + state.w_var[m])).sum(axis=1)
+    svec = (rho * (w * w + w_var)).sum(axis=1)
     tvec = (coef * coef).sum(axis=1)
     ef = state.f_mean[n]
     ef2 = ef * ef + state.f_var[n]
@@ -377,14 +381,15 @@ def prior_reset(state, hyper):
     """Every factor below model.ACTIVE_MASS in every group, one coordinate
     at a time, to the prior: rho 0, q(w) mean 0 and variance f0 / e0,
     q(f) mean 0 and variance 1. q(beta) and the table counts stay."""
+    blocks = [group_loadings(state, m) for m in range(state.n_groups)]
     for k in range(state.n_factors):
-        if any(np.sum(r[k]) >= ACTIVE_MASS for r in state.rho):
+        if any(np.sum(rho[k]) >= ACTIVE_MASS for rho, _, _ in blocks):
             continue
-        for m in range(state.n_groups):
-            for d in range(state.dims[m]):
-                state.rho[m][k, d] = 0.0
-                state.w_mean[m][k, d] = 0.0
-                state.w_var[m][k, d] = hyper.f0 / hyper.e0
+        for rho, w, w_var in blocks:
+            for d in range(rho.shape[1]):
+                rho[k, d] = 0.0
+                w[k, d] = 0.0
+                w_var[k, d] = hyper.f0 / hyper.e0
         for n in range(state.n_samples):
             state.f_mean[n, k] = 0.0
             state.f_var[n, k] = 1.0
@@ -398,11 +403,11 @@ def full_state(state, hyper):
     full = state.copy()
     K, ids = state.n_factors, state.factors
     prior = {"rho": 0.0, "w_mean": 0.0, "w_var": hyper.f0 / hyper.e0}
-    for name in GROUP_BLOCK_FIELDS:
+    for name, value in prior.items():
         held = getattr(state, name)
-        stacked = np.full((K, held.stacked.shape[1]), prior[name])
-        stacked[ids] = held.stacked
-        setattr(full, name, GroupBlocks(stacked, held.dims))
+        rows = np.full((K, held.shape[1]), value)
+        rows[ids] = held
+        setattr(full, name, rows)
     for name, value in (("f_mean", 0.0), ("f_var", 1.0)):
         held = getattr(state, name)
         scores = np.full((held.shape[0], K), value, order="F")
@@ -439,7 +444,7 @@ def predict_factors(state, hyper, observed):
     """
     if not observed:
         raise UsageError("at least one observed group is required")
-    K = state.rho.stacked.shape[0]
+    K = state.rho.shape[0]
     precision = np.eye(K)
     rhs = np.zeros(K)
     for m in sorted(observed):
@@ -449,10 +454,9 @@ def predict_factors(state, hyper, observed):
                 f"observed group {m} has {x.shape[0]} values, expected {state.dims[m]}"
             )
         tau_avg = float(np.mean(hyper.tau_shape(state.dims[m]) / state.tau_rate[m]))
-        g = state.rho[m] * state.w_mean[m]
-        g_var = (
-            state.rho[m] * (state.w_mean[m] ** 2 + state.w_var[m]) - g * g
-        ).sum(axis=1)
+        rho, w_mean, w_var = group_loadings(state, m)
+        g = rho * w_mean
+        g_var = (rho * (w_mean**2 + w_var) - g * g).sum(axis=1)
         precision += tau_avg * (g @ g.T + np.diag(g_var))
         rhs += tau_avg * (g @ x)
     covariance = np.linalg.inv(precision)
@@ -525,7 +529,7 @@ def surrogate_elbo(state, data, hyper) -> float:
         tau_shape = tau_shapes[m]
         tau_rate = state.tau_rate[m]
         log_tau, e_log_tau, tb = _gamma_moments(tau_shape, tau_rate, psi_tau[m])
-        rho, w_mean, w_var = state.rho[m], state.w_mean[m], state.w_var[m]
+        rho, w_mean, w_var = group_loadings(state, m)
         sq = expected_sq_residual(state, data, m)
         total += float(0.5 * d_m * np.sum(e_log_tau - LOG_2PI) - 0.5 * (tb @ sq))
 

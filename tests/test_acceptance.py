@@ -18,7 +18,6 @@ from cvgfa import cli, engine, io, metrics, simdata
 from cvgfa.approx import _count_moments, crt_mean_approx, expect_log_shifted_count
 from cvgfa.model import (
     FitOptions,
-    GroupBlocks,
     GroupedDataset,
     Hyperparameters,
     _active_rows,
@@ -71,7 +70,7 @@ def _ssi_vs_truth(state, truth, data):
     The rows of expected_loadings are positions in state.factors, not
     factor ids, so the active ones are picked by position, as cvgfa eval
     picks them."""
-    active = _active_rows(state.rho.stacked, state.dims)
+    active = _active_rows(state.rho, state.dims)
     scores = []
     for m in range(data.n_groups):
         recovered = engine.expected_loadings(state, m)[active]
@@ -250,16 +249,11 @@ def test_criterion_07_noise_precision_recovered(sim1_runs, sim2_runs):
 
 
 def _state_bytes(state):
-    """Every array of a variational state as bytes, field by field."""
-    out = []
-    for field in dataclasses.fields(state):
-        value = getattr(state, field.name)
-        if isinstance(value, GroupBlocks):
-            value = [value.stacked]
-        elif not isinstance(value, list):
-            value = [value]
-        out.append([np.asarray(v).tobytes() for v in value])
-    return out
+    """Every field of a variational state as bytes, field by field."""
+    return [
+        np.asarray(getattr(state, field.name)).tobytes()
+        for field in dataclasses.fields(state)
+    ]
 
 
 def test_criterion_08_objective_never_falls(sim1_runs, sim2_runs):
@@ -380,10 +374,10 @@ def test_criterion_11_determinism_and_persistence(tmp_path):
     arrays_exact = (
         np.array_equal(back.f_mean, state.f_mean)
         and np.array_equal(back.f_var, state.f_var)
+        and back.dims == state.dims
         and all(
-            np.array_equal(getattr(back, name)[m], getattr(state, name)[m])
+            np.array_equal(getattr(back, name), getattr(state, name))
             for name in ("rho", "w_mean", "w_var", "tau_rate")
-            for m in range(state.n_groups)
         )
         and np.array_equal(back.beta_a, state.beta_a)
         and np.array_equal(back.beta_b, state.beta_b)

@@ -718,14 +718,15 @@ def planted_checkpoint(path):
         rho.append(r)
         w_mean.append(w)
     state = VariationalState(
-        rho=rho,
-        w_mean=w_mean,
-        w_var=[np.ones((k, d)) for d in dims],
+        rho=np.hstack(rho),
+        w_mean=np.hstack(w_mean),
+        w_var=np.ones((k, sum(dims))),
+        dims=dims,
         f_mean=np.zeros((4, k)),
         f_var=np.ones((4, k)),
         beta_a=np.ones(k),
         beta_b=np.ones(k),
-        tau_rate=[np.ones(4) for _ in dims],
+        tau_rate=np.ones((len(dims), 4)),
         alpha_shape=np.ones(2),
         alpha_rate=np.ones(2),
         aux_s_mean=np.zeros((2, k)),

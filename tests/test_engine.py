@@ -62,7 +62,9 @@ def make_state(
     aux_t=None,
     n=2,
 ):
-    """Hand-built state; anything unspecified sits at a bland default.
+    """Hand-built state from per-group K x D_m blocks of rho, w_mean and
+    w_var and per-group N vectors of tau_rate, joined into the state's
+    arrays; anything unspecified sits at a bland default.
 
     The default loadings (mean 0, variance 1) and noise rates make
     E[lambda] = E[tau] = 1 under PRIOR, the hyperparameters the
@@ -75,25 +77,26 @@ def make_state(
 
     def per_group(given, default):
         if given is None:
-            return [default(r.shape) for r in rho]
-        return [np.array(g, dtype=float) for g in given]
+            return np.concatenate([default(r.shape) for r in rho], axis=1)
+        return np.concatenate([np.array(g, dtype=float) for g in given], axis=1)
 
     f_mean = (
         np.zeros((n, k)) if f_mean is None else np.array(f_mean, dtype=float)
     )
     n = f_mean.shape[0]
     return VariationalState(
-        rho=rho,
+        rho=np.concatenate(rho, axis=1),
         w_mean=per_group(w_mean, np.zeros),
         w_var=per_group(w_var, np.ones),
+        dims=[r.shape[1] for r in rho],
         f_mean=f_mean,
         f_var=np.ones((n, k)) if f_var is None else np.array(f_var, dtype=float),
         beta_a=np.full(k, float(beta[0])),
         beta_b=np.full(k, float(beta[1])),
         tau_rate=(
-            [np.full(n, PRIOR.tau_shape(r.shape[1])) for r in rho]
+            np.array([np.full(n, PRIOR.tau_shape(r.shape[1])) for r in rho])
             if tau_rate is None
-            else [np.array(t, dtype=float) for t in tau_rate]
+            else np.array(tau_rate, dtype=float)
         ),
         alpha_shape=np.full(m, float(alpha[0])),
         alpha_rate=np.full(m, float(alpha[1])),
@@ -128,7 +131,7 @@ def assert_holds_the_active_factors(state):
     each, in ascending order: what every sweep leaves."""
     held = sorted(active_factors(state))
     assert list(state.factors) == held
-    assert state.rho.stacked.shape[0] == state.f_mean.shape[1] == len(held)
+    assert state.rho.shape[0] == state.f_mean.shape[1] == len(held)
 
 
 def holding(state, hyper, factors):
@@ -141,15 +144,20 @@ def holding(state, hyper, factors):
 
 def random_state(rng, n, dims, k):
     m = len(dims)
+
+    def blocks(draw):
+        return np.concatenate([draw(d) for d in dims], axis=1)
+
     return VariationalState(
-        rho=[rng.uniform(0.05, 0.95, size=(k, d)) for d in dims],
-        w_mean=[rng.normal(0.0, 0.7, size=(k, d)) for d in dims],
-        w_var=[rng.uniform(0.1, 0.9, size=(k, d)) for d in dims],
+        rho=blocks(lambda d: rng.uniform(0.05, 0.95, size=(k, d))),
+        w_mean=blocks(lambda d: rng.normal(0.0, 0.7, size=(k, d))),
+        w_var=blocks(lambda d: rng.uniform(0.1, 0.9, size=(k, d))),
+        dims=list(dims),
         f_mean=rng.standard_normal((n, k)),
         f_var=rng.uniform(0.2, 1.5, size=(n, k)),
         beta_a=rng.uniform(0.2, 2.0, size=k),
         beta_b=rng.uniform(0.2, 2.0, size=k),
-        tau_rate=[rng.uniform(0.5, 3.0, size=n) for _ in dims],
+        tau_rate=np.array([rng.uniform(0.5, 3.0, size=n) for _ in dims]),
         alpha_shape=rng.uniform(0.5, 2.0, size=m),
         alpha_rate=rng.uniform(0.5, 2.0, size=m),
         aux_s_mean=rng.uniform(0.0, 1.0, size=(m, k)),
@@ -492,19 +500,21 @@ class TestLambdaRate:
         dims = [13, 40, 7, 25]
         state = random_state(np.random.default_rng(seed), 6, dims, 5)
         hyper = Hyperparameters(K=5, f0=0.37)
-        for m, (w, v) in enumerate(zip(state.w_mean, state.w_var)):
+        for m in range(len(dims)):
+            _, w, v = oracle.group_loadings(state, m)
             rates = _lambda_rate(w, v, hyper.f0)
             want = [
                 [oracle.update_lambda(state, hyper, m, k, d) for d in range(dims[m])]
                 for k in range(5)
             ]
             assert rates.tobytes() == np.array(want).tobytes()
-        # the stacked rows, as the sweep reads one factor's, give the same
-        stacked = _lambda_rate(state.w_mean.stacked[2], state.w_var.stacked[2], 0.37)
+        # a factor's whole row, as the sweep reads it, gives the same
+        row = _lambda_rate(state.w_mean[2], state.w_var[2], 0.37)
         per_group = [
-            _lambda_rate(w[2], v[2], 0.37) for w, v in zip(state.w_mean, state.w_var)
+            _lambda_rate(state.w_mean[2, cols], state.w_var[2, cols], 0.37)
+            for cols in state.spans
         ]
-        assert stacked.tobytes() == np.concatenate(per_group).tobytes()
+        assert row.tobytes() == np.concatenate(per_group).tobytes()
 
 
 class TestConcentrationsMatchPerGroupOracle:
@@ -651,11 +661,11 @@ class TestMicroInstanceOracle:
         assert state.beta_b[0] == pytest.approx(want["beta"][1], abs=1e-10)
         assert state.aux_s_mean[0, 0] == pytest.approx(want["aux"][0], abs=1e-10)
         assert state.aux_t_mean[0, 0] == pytest.approx(want["aux"][1], abs=1e-10)
-        assert_allclose(state.rho[0][0], want["rho"], atol=1e-10)
-        assert_allclose(state.w_mean[0][0], want["w"], atol=1e-10)
-        assert_allclose(state.w_var[0][0], want["w_var"], atol=1e-10)
+        assert_allclose(state.rho[0], want["rho"], atol=1e-10)
+        assert_allclose(state.w_mean[0], want["w"], atol=1e-10)
+        assert_allclose(state.w_var[0], want["w_var"], atol=1e-10)
         assert hyper.lambda_shape == pytest.approx(0.6, abs=1e-15)
-        lam_rate = _lambda_rate(state.w_mean[0], state.w_var[0], hyper.f0)
+        lam_rate = _lambda_rate(state.w_mean, state.w_var, hyper.f0)
         assert_allclose(lam_rate[0], want["lam_rate"], atol=1e-10)
         assert_allclose(state.f_mean[:, 0], want["f"], atol=1e-10)
         assert_allclose(state.f_var[:, 0], want["f_var"], atol=1e-10)
@@ -712,12 +722,13 @@ def reference_sweep(state, data, hyper):
                 oracle.update_z(state, residual, hyper, m, k, d)
                 for d in range(state.dims[m])
             ]
-            state.rho[m][k] = rho_new
+            rho, w, w_var = oracle.group_loadings(state, m)
+            rho[k] = rho_new
             for d in range(state.dims[m]):
                 residual = oracle.residual(state, data)
                 mean, var = oracle.update_w(state, residual, hyper, m, k, d)
-                state.w_mean[m][k, d] = mean
-                state.w_var[m][k, d] = var
+                w[k, d] = mean
+                w_var[k, d] = var
     oracle.prior_reset(state, hyper)
     for k in sorted(active_factors(state)):
         residual = oracle.residual(state, data)
@@ -758,8 +769,7 @@ class TestSweepRoutesAgree:
         hyper = Hyperparameters(K=k)
         fast = random_state(np.random.default_rng(100 + seed), n, dims, k)
         if pruned is not None:
-            for r in fast.rho:
-                r[pruned] = 0.0
+            fast.rho[pruned] = 0.0
             assert pruned not in active_factors(fast)
         slow = fast.copy()
 
@@ -769,13 +779,11 @@ class TestSweepRoutesAgree:
         assert_holds_the_active_factors(fast)
         fast = oracle.full_state(fast, hyper)
 
-        for m in range(2):
-            assert_allclose(fast.rho[m], slow.rho[m], rtol=1e-9, atol=1e-9)
-            assert_allclose(fast.w_mean[m], slow.w_mean[m], rtol=1e-9, atol=1e-9)
-            assert_allclose(fast.w_var[m], slow.w_var[m], rtol=1e-9, atol=1e-9)
-            assert_allclose(
-                fast.tau_rate[m], slow.tau_rate[m], rtol=1e-9, atol=1e-9
-            )
+        assert fast.dims == slow.dims
+        assert_allclose(fast.rho, slow.rho, rtol=1e-9, atol=1e-9)
+        assert_allclose(fast.w_mean, slow.w_mean, rtol=1e-9, atol=1e-9)
+        assert_allclose(fast.w_var, slow.w_var, rtol=1e-9, atol=1e-9)
+        assert_allclose(fast.tau_rate, slow.tau_rate, rtol=1e-9, atol=1e-9)
         assert_allclose(fast.f_mean, slow.f_mean, rtol=1e-9, atol=1e-9)
         assert_allclose(fast.f_var, slow.f_var, rtol=1e-9, atol=1e-9)
         assert_allclose(fast.beta_a, slow.beta_a, rtol=1e-9, atol=1e-9)
@@ -821,7 +829,9 @@ def per_column_sweep(state, data, hyper):
     oracle.prior_reset(state, hyper)
     active = sorted(active_factors(state))
     fresh = fresh_slots(state, hyper)
-    loads = [state.rho[m][active] * state.w_mean[m][active] for m in range(M)]
+    # each group's columns of rho, w_mean and w_var, views of the state's
+    blocks = [oracle.group_loadings(state, m) for m in range(M)]
+    loads = [rho[active] * w[active] for rho, w, _ in blocks]
     f_act = F[:, active]
     f2 = f_act * f_act + state.f_var[:, active]
     sff_all = [tau_bar[m] @ f2 for m in range(M)]
@@ -841,9 +851,7 @@ def per_column_sweep(state, data, hyper):
 
         for m in range(M):
             d_m = state.dims[m]
-            rho_row = state.rho[m][k]
-            w_row = state.w_mean[m][k]
-            wvar_row = state.w_var[m][k]
+            rho_row, w_row, wvar_row = (a[k] for a in blocks[m])
             # the rates the printed q(lambda) update left after the last
             # q(w) update of this row
             lam_rate_row = hyper.f0 + 0.5 * (w_row * w_row + wvar_row)
@@ -912,10 +920,8 @@ def per_column_sweep(state, data, hyper):
     tau = np.column_stack(tau_bar)
     # sum_d rho E[w^2] of every (group, kept factor) row
     second = [
-        (state.rho[m][kept] * (state.w_mean[m][kept] ** 2 + state.w_var[m][kept])).sum(
-            axis=1
-        )
-        for m in range(M)
+        (rho[kept] * (w[kept] ** 2 + w_var[kept])).sum(axis=1)
+        for rho, w, w_var in blocks
     ]
     f_kept = F[:, kept]
     for i in range(len(kept)):
@@ -938,9 +944,9 @@ def per_column_sweep(state, data, hyper):
         shape, rate = oracle.update_alpha(state, hyper, m)
         state.alpha_shape[m] = shape
         state.alpha_rate[m] = rate
-        rho, w, w_var = (a[m][kept] for a in (state.rho, state.w_mean, state.w_var))
+        rho, w, w_var = (a[kept] for a in blocks[m])
         (sq,) = engine._expected_sq_residuals(
-            [engine._sq_norms(engine._row_norms(data.groups[m]), f_kept, xc[m], cc[m])],
+            engine._sq_norms(engine._row_norms([data.groups[m]]), f_kept, xc[m], cc[m]),
             f_kept,
             state.f_var[:, kept],
             *engine._loading_sums(rho, w, w_var, rho * w, [rho.shape[1]])[:2],
@@ -949,17 +955,16 @@ def per_column_sweep(state, data, hyper):
     return state
 
 
-STATE_ARRAYS = ("f_mean", "f_var", "beta_a", "beta_b", "alpha_shape",
-                "alpha_rate", "aux_s_mean", "aux_t_mean", "factors")
-STATE_LISTS = ("rho", "w_mean", "w_var", "tau_rate")
+STATE_ARRAYS = ("rho", "w_mean", "w_var", "tau_rate", "f_mean", "f_var",
+                "beta_a", "beta_b", "alpha_shape", "alpha_rate", "aux_s_mean",
+                "aux_t_mean", "factors")
 
 
 def assert_states_bitwise_equal(a, b):
+    assert a.dims == b.dims
     for name in STATE_ARRAYS:
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    for name in STATE_LISTS:
-        for m, (x, y) in enumerate(zip(getattr(a, name), getattr(b, name))):
-            assert x.tobytes() == y.tobytes(), f"{name}[{m}]"
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 # nine groups: from eight terms on, numpy's pairwise sum over a factor's
@@ -1000,13 +1005,11 @@ class TestSweepMatchesPerColumnLoop:
         fast = warmed_up(data, hyper, seed=0, max_sweeps=cap)
         held = len(fast.factors)
         if gap is not None:
-            for r in fast.rho:
-                r[gap] = 0.0
+            fast.rho[gap] = 0.0
         if relax_cap == 0:
             # held factor 1 keeps a little mass on unsupported loadings of
             # large variance, so the first loading block prunes it
-            for r, w, v in zip(fast.rho, fast.w_mean, fast.w_var):
-                r[1], w[1], v[1] = 0.003, 0.0, 50.0
+            fast.rho[1], fast.w_mean[1], fast.w_var[1] = 0.003, 0.0, 50.0
         # the oracle runs on all K rows, the factors fast does not hold at
         # the prior; fast's rows must be the oracle's rows at fast.factors
         # and every other oracle row the prior, bit for bit
@@ -1037,8 +1040,9 @@ class TestSweepMatchesPerColumnLoop:
         )
         state = random_state(np.random.default_rng(32), n, dims, k)
         # w_var enters only column (1, 0, 2)'s likelihood term: NaN gives a
-        # NaN logit, +inf a -inf logit and -inf a +inf logit
-        state.w_var[1][0, 2] = bad
+        # NaN logit, +inf a -inf logit and -inf a +inf logit. Group 1's
+        # columns start at 4
+        state.w_var[0, 4 + 2] = bad
         with pytest.raises(NumericalError) as info:
             engine.sweep(state, data, Hyperparameters(K=k))
         assert info.value.context == {"group": 1, "factor": 0, "column": 2}
@@ -1060,7 +1064,7 @@ class TestSweepMatchesPerColumnLoop:
         )
         state = random_state(np.random.default_rng(32), n, dims, k)
         for d, bad in zip(columns, [math.inf, math.nan, -math.inf]):
-            state.w_var[1][0, d] = bad
+            state.w_var[0, 4 + d] = bad
         want = {"group": 1, "factor": 0, "column": min(columns)}
         slow = state.copy()
         with pytest.raises(NumericalError) as info:
@@ -1081,9 +1085,9 @@ class TestSweepMatchesPerColumnLoop:
             [rng.standard_normal((n, d)) for d in dims], ["g0", "g1"]
         )
         state = random_state(np.random.default_rng(32), n, dims, k)
-        state.w_var[0][0, 3] = math.nan
-        state.w_var[0][0, 2] = math.inf
-        state.w_var[1][0, 0] = math.nan
+        state.w_var[0, 3] = math.nan
+        state.w_var[0, 2] = math.inf
+        state.w_var[0, 4 + 0] = math.nan
         want = {"group": 0, "factor": 0, "column": 2}
         slow = state.copy()
         with pytest.raises(NumericalError) as info:
@@ -1128,8 +1132,7 @@ class TestBatchedRowTerms:
             [f"g{m}" for m in range(len(self.DIMS))],
         )
         state = random_state(rng, n, self.DIMS, k)
-        for r in state.rho:
-            r[list(self.INACTIVE)] = 0.0
+        state.rho[list(self.INACTIVE)] = 0.0
         active = sorted(active_factors(state))
         assert active == [j for j in range(k) if j not in self.INACTIVE]
         return data, state, active
@@ -1146,7 +1149,7 @@ class TestBatchedRowTerms:
             np.maximum(g[:, None] * g_alpha, engine.GEO_FLOOR)
             for g in oracle.geo_beta(beta_a, beta_b)
         )
-        block = state.rho.stacked[idx]
+        block = state.rho[idx]
         nhat = _count_moments(block, widths)[0]
         # the first halves are written over the rows they read
         on, off = engine._prior_halves(block.copy(), nhat, g_ab, g_abbar, widths)
@@ -1163,7 +1166,7 @@ class TestBatchedRowTerms:
         tau_bar = [PRIOR.tau_shape(d) / t for d, t in zip(state.dims, state.tau_rate)]
         # the active rows of the expected loadings and columns of F, as
         # engine.sweep takes them: the inactive factors are at the prior
-        loads = [(r * w)[idx] for r, w in zip(state.rho, state.w_mean)]
+        loads = [engine.expected_loadings(state, m)[idx] for m in range(len(self.DIMS))]
         F = state.f_mean[:, idx]
         tf = [tb[:, None] * F for tb in tau_bar]
         xt_tf = [t.T @ x for t, x in zip(tf, data.groups)]
@@ -1202,7 +1205,7 @@ class TestRunsOfGroups:
     )
     def test_prior_halves_match_across_budgets(self, monkeypatch, dims):
         state = random_state(np.random.default_rng(41), 5, dims, 7)
-        block = state.rho.stacked
+        block = state.rho
         widths = np.array(dims)
         nhat = _count_moments(block, widths)[0]
         rng = np.random.default_rng(42)
@@ -1238,10 +1241,10 @@ class TestRunsOfGroups:
     def test_objective_warm_start_and_active_rule_match_across_budgets(
         self, monkeypatch, case
     ):
-        # they sum over the stacked rows one run of groups at a time, as the
+        # they sum over the state's rows one run of groups at a time, as the
         # sweep does; random-1 has unequal widths (4, 9, 3)
         state, data, hyper = elbo_case(case)
-        rows, dims = state.rho.stacked, state.dims
+        rows, dims = state.rho, state.dims
         results = []
         for budget in (1, 10**9):
             monkeypatch.setattr(approx, "_RUN_BUDGET", budget)
@@ -1283,12 +1286,12 @@ class TestLeaveOneFactorOutProducts:
         )
         state = random_state(rng, n, dims, k)
         if zero_factor is not None:
-            for w in state.w_mean:
-                w[zero_factor] = 0.0
+            state.w_mean[zero_factor] = 0.0
         residual = oracle.residual(state, data)
         F = state.f_mean
         tau_bar = [PRIOR.tau_shape(d) / t for d, t in zip(dims, state.tau_rate)]
-        loads = [r * w for r, w in zip(state.rho, state.w_mean)]
+        blocks = [oracle.group_loadings(state, m) for m in range(len(dims))]
+        loads = [r * w for r, w, _ in blocks]
         for m in range(len(dims)):
             tf = tau_bar[m][:, None] * F
             # X^T (tau_bar f_j) and F^T (tau_bar f_j) for every j at once, as
@@ -1304,7 +1307,7 @@ class TestLeaveOneFactorOutProducts:
         second = np.array(
             [
                 engine._loading_sums(r, w, v, c, [r.shape[1]])[0, 0]
-                for r, w, v, c in zip(state.rho, state.w_mean, state.w_var, loads)
+                for (r, w, v), c in zip(blocks, loads)
             ]
         )
         for j in range(k):
@@ -1332,10 +1335,10 @@ class TestLeaveOneFactorOutProducts:
             assert len(state.factors) < hyper.K
             for m in range(data.n_groups):
                 x = data.groups[m]
-                c = state.rho[m] * state.w_mean[m]
+                c = engine.expected_loadings(state, m)
                 # the one group alone
                 built = engine._sq_norms(
-                    engine._row_norms(x)[None],
+                    engine._row_norms([x]),
                     state.f_mean,
                     *engine._loading_products([x], c),
                 )
@@ -1400,7 +1403,7 @@ class TestStackedFormsMatchPerGroup:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_residual_norms(self, seed):
         groups, f_mean, _, _, coef, per_group = self.inputs(seed)
-        x_norms = np.array([model._row_norms(x) for x in groups])
+        x_norms = model._row_norms(groups)
         xc, cc = model._loading_products(groups, coef)
         got = model._sq_norms(x_norms, f_mean, xc, cc)
         for m, (x, c) in enumerate(zip(groups, per_group)):
@@ -1429,7 +1432,8 @@ class TestStackedFormsMatchPerGroup:
 
 
 class TestCheckStateFinite:
-    """engine._check_state_finite, the last step of every sweep."""
+    """engine._check_state_finite, the last step of every sweep. tau_rate[m]
+    is row m of tau_rate, which the error names as one array."""
 
     FIELDS = [
         "f_mean",
@@ -1452,8 +1456,12 @@ class TestCheckStateFinite:
     def field(state, name):
         if name.startswith("tau_rate"):
             return state.tau_rate[int(name[-2])]
-        value = getattr(state, name)
-        return value.stacked if name in ("w_mean", "w_var") else value
+        return getattr(state, name)
+
+    @staticmethod
+    def variable(name):
+        """The state array that the error names."""
+        return name.split("[")[0]
 
     def test_a_finite_state_passes(self):
         engine._check_state_finite(self.state())
@@ -1465,8 +1473,8 @@ class TestCheckStateFinite:
         self.field(state, name).flat[-1] = bad
         with pytest.raises(NumericalError, match="non-finite values in") as err:
             engine._check_state_finite(state)
-        assert str(err.value) == f"non-finite values in {name}"
-        assert err.value.context == {"variable": name}
+        assert str(err.value) == f"non-finite values in {self.variable(name)}"
+        assert err.value.context == {"variable": self.variable(name)}
 
     @pytest.mark.parametrize("first", range(len(FIELDS) - 1))
     def test_names_the_first_in_its_order(self, first):
@@ -1476,7 +1484,7 @@ class TestCheckStateFinite:
             self.field(state, name).flat[0] = np.nan
         with pytest.raises(NumericalError) as err:
             engine._check_state_finite(state)
-        assert err.value.context == {"variable": self.FIELDS[first]}
+        assert err.value.context == {"variable": self.variable(self.FIELDS[first])}
 
     @pytest.mark.parametrize("name", FIELDS)
     def test_finite_entries_whose_sum_overflows_pass(self, name):
@@ -1518,9 +1526,8 @@ class TestGeoFloorInSweep:
         for a_geo in seen[0]:
             assert np.all(a_geo[:, 0] == engine.GEO_FLOOR)
             assert np.all(a_geo[:, 1] > engine.GEO_FLOOR)
-        for m in range(len(dims)):
-            assert np.all(np.isfinite(state.rho[m]))
-            assert np.all((state.rho[m] >= 0.0) & (state.rho[m] <= 1.0))
+        assert np.all(np.isfinite(state.rho))
+        assert np.all((state.rho >= 0.0) & (state.rho <= 1.0))
 
     # g_ab of group 0 is floored at GEO_FLOOR. With the first row, column 0
     # of factor 0 sees a leave-one-out count of mean and variance 0: its
@@ -1538,15 +1545,15 @@ class TestGeoFloorInSweep:
         )
         state = random_state(np.random.default_rng(42), n, dims, k)
         state.alpha_shape[0] = 1e-3
-        state.rho[0][0] = row
+        # factor 0's row in group 0, the first five columns
+        state.rho[0, :5] = row
         with warnings.catch_warnings(), np.errstate(
             over="warn", invalid="warn", divide="warn"
         ):
             warnings.simplefilter("error", RuntimeWarning)
             engine.sweep(state, data, Hyperparameters(K=k))
-        for m in range(len(dims)):
-            assert np.all(np.isfinite(state.rho[m]))
-            assert np.all((state.rho[m] >= 0.0) & (state.rho[m] <= 1.0))
+        assert np.all(np.isfinite(state.rho))
+        assert np.all((state.rho >= 0.0) & (state.rho <= 1.0))
 
 
 class TestNoInclusionCounts:
@@ -1645,11 +1652,10 @@ class TestSweepInvariants:
         for _ in range(3):
             engine.sweep(state, data, hyper)
             state.validate()
-            for m in range(2):
-                assert np.all(state.rho[m] >= 0.0)
-                assert np.all(state.rho[m] <= 1.0)
-                assert np.all(state.w_var[m] > 0.0)
-                assert np.all(state.tau_rate[m] > 0.0)
+            assert np.all(state.rho >= 0.0)
+            assert np.all(state.rho <= 1.0)
+            assert np.all(state.w_var > 0.0)
+            assert np.all(state.tau_rate > 0.0)
             assert np.all(state.f_var > 0.0)
 
     def test_count_complementarity(self):
@@ -1658,7 +1664,7 @@ class TestSweepInvariants:
         state = init_state(data, hyper, seed=1)
         engine.sweep(state, data, hyper)
         for m in range(2):
-            for rho_row in state.rho[m]:
+            for rho_row in oracle.group_loadings(state, m)[0]:
                 nhat = oracle.count_moments(rho_row)
                 ntil = oracle.count_moments(1.0 - rho_row)
                 total = nhat.mean + ntil.mean
@@ -1675,8 +1681,7 @@ class TestSweepInvariants:
         for _ in range(10):
             engine.sweep(state, data, hyper)
         # every loading the state still holds is near zero
-        for m in range(2):
-            assert np.all(np.abs(state.w_mean[m]) < 1e-6)
+        assert np.all(np.abs(state.w_mean) < 1e-6)
 
     def test_factors_outside_the_active_set_keep_their_collapsed_state(self):
         n, dims, k = 6, [5, 4], 4
@@ -1685,8 +1690,7 @@ class TestSweepInvariants:
             [rng.standard_normal((n, d)) for d in dims], ["g0", "g1"]
         )
         state = random_state(np.random.default_rng(52), n, dims, k)
-        for r in state.rho:
-            r[1] = 0.0
+        state.rho[1] = 0.0
         assert active_factors(state) == {0, 2, 3}
         before = state.copy()
         engine.sweep(state, data, Hyperparameters(K=k))
@@ -1708,20 +1712,17 @@ class TestSweepInvariants:
         # scores away from the prior; factor 2 is active with little mass,
         # unsupported loadings and a large loading variance, so the loading
         # block prunes it
-        for r in state.rho:
-            r[1] = 0.0
-            r[2] = 0.003
-        for w in state.w_mean:
-            w[2] = 0.0
-        for v in state.w_var:
-            v[2] = 50.0
+        state.rho[1] = 0.0
+        state.rho[2] = 0.003
+        state.w_mean[2] = 0.0
+        state.w_var[2] = 50.0
         assert active_factors(state) == {0, 2, 3}
         before = state.copy()
         engine.sweep(state, data, hyper)
         # both leave the state: its rows are those of factors 0 and 3
         assert active_factors(state) == {0, 3}
         assert_holds_the_active_factors(state)
-        assert [r.shape for r in state.rho] == [(2, 5), (2, 4)]
+        assert state.rho.shape == (2, 9) and state.dims == [5, 4]
         for name in ("beta_a", "beta_b", "aux_s_mean", "aux_t_mean"):
             old, new = getattr(before, name), getattr(state, name)
             # frozen as it was for the factor inactive from the start, and
@@ -1845,18 +1846,16 @@ class TestScoreBlock:
         hyper = Hyperparameters(K=k)
         state = random_state(rng, n, dims, k)
         if pruned is not None:
-            for r in state.rho:
-                r[pruned] = 0.0
+            state.rho[pruned] = 0.0
         tau_bar = np.array(
             [hyper.tau_shape(d) / t for d, t in zip(dims, state.tau_rate)]
         )
-        products = engine._loading_products(
-            data.groups, state.rho.stacked * state.w_mean.stacked
-        )
+        products = engine._loading_products(data.groups, state.rho * state.w_mean)
+        blocks = [oracle.group_loadings(state, m) for m in range(len(dims))]
         second = np.array(
             [
                 engine._loading_sums(r, w, v, r * w, [r.shape[1]])[0, 0]
-                for r, w, v in zip(state.rho, state.w_mean, state.w_var)
+                for r, w, v in blocks
             ]
         )
         # _score_block's arguments after the state, but for the factors
@@ -1993,14 +1992,15 @@ ELBO_CASES = [
 class TestSurrogateElbo:
     def test_empty_state_is_zero(self):
         state = VariationalState(
-            rho=[],
-            w_mean=[],
-            w_var=[],
+            rho=np.zeros((0, 0)),
+            w_mean=np.zeros((0, 0)),
+            w_var=np.zeros((0, 0)),
+            dims=[],
             f_mean=np.zeros((0, 0)),
             f_var=np.zeros((0, 0)),
             beta_a=np.zeros(0),
             beta_b=np.zeros(0),
-            tau_rate=[],
+            tau_rate=np.zeros((0, 0)),
             alpha_shape=np.zeros(0),
             alpha_rate=np.zeros(0),
             aux_s_mean=np.zeros((0, 0)),
@@ -2027,11 +2027,11 @@ class TestSurrogateElbo:
         hyper = Hyperparameters(K=3)
         norms = [
             engine._sq_norms(
-                engine._row_norms(x)[None],
+                engine._row_norms([x]),
                 state.f_mean,
-                *engine._loading_products([x], r * w),
+                *engine._loading_products([x], engine.expected_loadings(state, m)),
             )[0]
-            for x, r, w in zip(data.groups, state.rho, state.w_mean)
+            for m, x in enumerate(data.groups)
         ]
         assert engine.surrogate_elbo(
             state, data, hyper, norms=norms
@@ -2147,9 +2147,8 @@ class TestFit:
         b = engine.fit(data, hyper, opts)
         assert a.trace == b.trace
         assert a.converged == b.converged
-        for m in range(2):
-            assert np.array_equal(a.final_state.rho[m], b.final_state.rho[m])
-            assert np.array_equal(a.final_state.w_mean[m], b.final_state.w_mean[m])
+        assert np.array_equal(a.final_state.rho, b.final_state.rho)
+        assert np.array_equal(a.final_state.w_mean, b.final_state.w_mean)
         assert np.array_equal(a.final_state.f_mean, b.final_state.f_mean)
 
     @pytest.mark.parametrize("fail_at", [1, 2])
@@ -2361,8 +2360,8 @@ class TestPredictFactors:
             posterior.covariance[0, 0] = 1.0
         with pytest.raises(ValueError):
             posterior.loadings[0][0, 0] = 1.0
-        # the loadings are copies: the state's blocks stay writable
-        state.rho[0][0, 0] = 0.5
+        # the loadings are copies: the state's arrays stay writable
+        state.rho[0, 0] = 0.5
 
 
 class TestConditionedMatchesOracle:
@@ -2375,8 +2374,7 @@ class TestConditionedMatchesOracle:
     def state_with_pruned_factor(seed):
         rng = np.random.default_rng(seed)
         state = random_state(rng, 9, [13, 40, 7, 25], 5)
-        for r in state.rho:
-            r[3] = 0.0  # factor 3 is pruned in every group
+        state.rho[3] = 0.0  # factor 3 is pruned in every group
         assert active_factors(state) == {0, 1, 2, 4}
         # and leaves the state, as a sweep would drop it
         _keep_rows(state, np.array([True, True, True, False, True]))

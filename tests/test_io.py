@@ -25,7 +25,7 @@ from cvgfa.model import (
     init_state,
 )
 from test_engine import holding
-from test_model import BLOCK_FIELDS, assert_stacked_layout
+from test_model import assert_stacked_layout
 
 
 def random_matrix(seed, shape):
@@ -314,19 +314,13 @@ def encode(array):
 
 
 def state_arrays(state):
-    """Every state array by name, per-group lists flattened in order."""
-    out = {}
-    for f in dataclasses.fields(VariationalState):
-        value = getattr(state, f.name)
-        if isinstance(value, np.ndarray):
-            out[f.name] = value
-        else:
-            for m, a in enumerate(value):
-                out[f"{f.name}[{m}]"] = a
-    return out
+    """Every state array by name: every field but the group widths."""
+    names = [f.name for f in dataclasses.fields(VariationalState) if f.name != "dims"]
+    return {name: getattr(state, name) for name in names}
 
 
 def assert_states_bitwise_equal(a, b):
+    assert a.dims == b.dims
     arrays_a, arrays_b = state_arrays(a), state_arrays(b)
     assert arrays_a.keys() == arrays_b.keys()
     for name, arr in arrays_a.items():
@@ -343,8 +337,9 @@ def edge_state():
     made to hold factor 1 too, whose first score mean is -0.0."""
     state, hyper = at_prior_but(1, "f_mean", -0.0)
     n = len(LOADING_EDGE_VALUES)
-    state.w_mean[0][0, :n] = LOADING_EDGE_VALUES
-    state.w_mean[1][0, :n] = [-v for v in LOADING_EDGE_VALUES]
+    # group 0's first n columns and group 1's (it starts at column 8)
+    state.w_mean[0, :n] = LOADING_EDGE_VALUES
+    state.w_mean[0, 8 : 8 + n] = [-v for v in LOADING_EDGE_VALUES]
     state.f_mean[: len(EDGE_VALUES), 0] = EDGE_VALUES
     state.validate()
     return state, hyper
@@ -354,18 +349,22 @@ class TestCheckpoint:
     def test_state_fields_cover_the_state(self):
         report, _, _ = fitted_state()
         names = [name for name, _ in io.STATE_FIELDS]
-        # the factors are stored under their own key, as a list of integers
+        # the factors are stored under their own key, as a list of integers,
+        # and the group widths are those of the rho arrays
         assert names == sorted(names)
-        assert sorted(names + ["factors"]) == sorted(
+        assert sorted(names + ["dims", "factors"]) == sorted(
             f.name for f in dataclasses.fields(VariationalState)
         )
         state = report.final_state
         for name, per_group in io.STATE_FIELDS:
-            # per-group fields are a list (tau_rate) or GroupBlocks, never one array
+            # every field is one array; a per-group field holds the groups'
+            # column blocks side by side, or tau_rate's rows
             value = getattr(state, name)
-            assert isinstance(value, np.ndarray) != per_group
-            if per_group:
-                assert len(value) == state.n_groups
+            assert isinstance(value, np.ndarray), name
+            if per_group and name != "tau_rate":
+                assert value.shape[1] == sum(state.dims) == 32, name
+            elif per_group:
+                assert value.shape == (state.n_groups, state.n_samples)
 
     def test_edge_values_round_trip_bitwise(self, tmp_path):
         state, hyper = edge_state()
@@ -373,7 +372,7 @@ class TestCheckpoint:
         io.write_checkpoint(path, state, hyper)
         back, _, _ = io.read_checkpoint(path)
         assert_states_bitwise_equal(back, state)
-        assert np.signbit(back.w_mean[0][0, 0]) and not np.signbit(back.w_mean[1][0, 0])
+        assert np.signbit(back.w_mean[0, 0]) and not np.signbit(back.w_mean[0, 8])
         assert np.signbit(back.f_mean[0, 1]) and np.signbit(back.f_mean[0, 0])
 
     def test_bitwise_round_trip(self, tmp_path):
@@ -399,11 +398,11 @@ class TestCheckpoint:
         assert np.array_equal(back.alpha_rate, state.alpha_rate)
         assert np.array_equal(back.aux_s_mean, state.aux_s_mean)
         assert np.array_equal(back.aux_t_mean, state.aux_t_mean)
-        for m in range(state.n_groups):
-            assert np.array_equal(back.rho[m], state.rho[m])
-            assert np.array_equal(back.w_mean[m], state.w_mean[m])
-            assert np.array_equal(back.w_var[m], state.w_var[m])
-            assert np.array_equal(back.tau_rate[m], state.tau_rate[m])
+        assert back.dims == state.dims
+        assert np.array_equal(back.rho, state.rho)
+        assert np.array_equal(back.w_mean, state.w_mean)
+        assert np.array_equal(back.w_var, state.w_var)
+        assert np.array_equal(back.tau_rate, state.tau_rate)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         report, data, hyper = fitted_state()
@@ -454,7 +453,8 @@ DATA = Path(__file__).parent / "data"
 def at_prior_but(k, name, value):
     """fitted_state()'s final state, which holds factor 0 of five, made to
     hold factor k too, at the prior (test_engine.holding) but for one entry of
-    its field name (a score field or a stacked one), set to value."""
+    its field name (a score field or one of rho, w_mean and w_var), set to
+    value."""
     report, _, hyper = fitted_state()
     assert list(report.final_state.factors) == [0]
     state = holding(report.final_state, hyper, [0, k])
@@ -462,7 +462,7 @@ def at_prior_but(k, name, value):
     if name.startswith("f_"):
         field[0, 1] = value
     else:
-        field.stacked[1, 0] = value
+        field[1, 0] = value
     return state, hyper
 
 
@@ -511,6 +511,10 @@ def set_value(value):
     return corrupt
 
 
+# the state fields a checkpoint stores as one array per group
+PER_GROUP = [name for name, per_group in io.STATE_FIELDS if per_group]
+
+
 class TestCheckpointEncoding:
     def test_layout_and_decoded_arrays(self, tmp_path, checkpoint_text):
         obj = json.loads(checkpoint_text)
@@ -533,19 +537,18 @@ class TestCheckpointEncoding:
         path.write_text(checkpoint_text)
         state, _, _ = io.read_checkpoint(path)
         # the state holds the stored factor's rows only
-        assert state.n_factors == 5 and state.rho.stacked.shape == (1, 32)
-        assert state.factors.tolist() == [0]
+        assert state.n_factors == 5 and state.rho.shape == (1, 32)
+        assert state.factors.tolist() == [0] and state.dims == [8] * 4
         for name, arr in state_arrays(state).items():
             if name == "factors":
                 assert arr.dtype.kind == "i", name
                 continue
             assert arr.dtype == np.float64, name
             assert arr.flags.writeable, name
-            # the group blocks of the stacked arrays are column slices, and
-            # the score arrays are in Fortran order
+            # the score arrays are in Fortran order, every other one in C order
             if name in ("f_mean", "f_var"):
                 assert arr.flags.f_contiguous, name
-            elif name.split("[")[0] not in BLOCK_FIELDS:
+            else:
                 assert arr.flags.c_contiguous, name
         assert_stacked_layout(state)
 
@@ -576,6 +579,67 @@ class TestCheckpointEncoding:
         corrupt(obj["state"][field][0])
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=message):
+            io.read_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", [name for name, _ in io.STATE_FIELDS])
+    def test_non_finite_value_rejected(self, tmp_path, checkpoint_text, name, bad):
+        # every stored state array is float: an inf passes the range and
+        # positivity checks, and a NaN every comparison, so each needs the
+        # finite check; a per-group field gets it in its last group
+        obj = json.loads(checkpoint_text)
+        entry = obj["state"][name]
+        if isinstance(entry, list):
+            entry = entry[-1]
+        a = decode(entry)
+        a.flat[-1] = bad
+        entry.update(encode(a))
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=f"{name} contains non-finite entries"):
+            io.read_checkpoint(path)
+        out = tmp_path / "rank"
+        assert cli.main(["rank", str(path), "--groups", "0,1", "--out", str(out)]) == 3
+        assert not (out / "scores.csv").exists()
+
+    @pytest.mark.parametrize("field", ["w_mean", "w_var"])
+    def test_blocks_cut_unlike_rho_rejected(self, tmp_path, checkpoint_text, field):
+        # the reader joins each field's blocks side by side: the same 32
+        # columns cut 7, 9, 8 and 8 wide would join into a state of the
+        # right shape, but not rho's groups
+        obj = json.loads(checkpoint_text)
+        whole = np.hstack([decode(e) for e in obj["state"][field]])
+        obj["state"][field] = [encode(b) for b in np.split(whole, [7, 16, 24], axis=1)]
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        message = f"{field} holds arrays of shapes .* as wide as rho's"
+        with pytest.raises(DataError, match=message):
+            io.read_checkpoint(path)
+
+    def test_tau_rate_rows_of_unequal_length_rejected(self, tmp_path, checkpoint_text):
+        # 11 and 13 samples: as many values as two rows of 12
+        obj = json.loads(checkpoint_text)
+        rows = obj["state"]["tau_rate"]
+        both = np.concatenate([decode(rows[0]), decode(rows[1])])
+        rows[0], rows[1] = encode(both[:11]), encode(both[11:])
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match="N vectors of one length"):
+            io.read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [["rho"], ["w_var"], ["tau_rate"], PER_GROUP],
+        ids=["rho", "w_var", "tau_rate", "every"],
+    )
+    def test_empty_group_list_rejected(self, tmp_path, checkpoint_text, fields):
+        obj = json.loads(checkpoint_text)
+        for name in fields:
+            obj["state"][name] = []
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        message = rf"{fields[0]} holds arrays of shapes \[\]"
         with pytest.raises(DataError, match=message):
             io.read_checkpoint(path)
 
@@ -633,8 +697,8 @@ class TestCheckpointEncoding:
         assert_stacked_layout(state)
         # the state holds the stored factor only; the others are not held
         assert state.factors.tolist() == [0] and hyper.K == state.n_factors == 5
-        assert state.rho.stacked.shape == (1, 32) and state.f_mean.shape == (12, 1)
-        assert np.all(state.w_var[0][0] != hyper.f0 / hyper.e0)
+        assert state.rho.shape == (1, 32) and state.f_mean.shape == (12, 1)
+        assert np.all(state.w_var[0] != hyper.f0 / hyper.e0)
         # the version 5 layout is pinned byte for byte
         rewritten = tmp_path / "checkpoint.json"
         info = io.read_checkpoint(path)[2]

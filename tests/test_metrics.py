@@ -16,6 +16,17 @@ from cvgfa.metrics import (
     ssi,
     train_mse,
 )
+from cvgfa.model import _spans
+
+
+def stacked_state(rho, w_mean, **fields):
+    """A stand-in state from per-group K x D_m blocks of rho and w_mean,
+    held side by side with their column spans, as VariationalState holds
+    them."""
+    spans = _spans([r.shape[1] for r in rho])
+    return SimpleNamespace(
+        rho=np.hstack(rho), w_mean=np.hstack(w_mean), spans=spans, **fields
+    )
 
 
 def _rotation(k: int, seed: int) -> np.ndarray:
@@ -186,10 +197,7 @@ class TestRankingScore:
     def _state(ga, gb):
         ga = np.asarray(ga, dtype=float)
         gb = np.asarray(gb, dtype=float)
-        return SimpleNamespace(
-            rho=[np.ones_like(ga), np.ones_like(gb)],
-            w_mean=[ga, gb],
-        )
+        return stacked_state([np.ones_like(ga), np.ones_like(gb)], [ga, gb])
 
     def test_hand_value(self):
         # column 0 carries (1, -2) in group a and (3, 0) in group b
@@ -211,9 +219,8 @@ class TestRankingScore:
         assert np.array_equal(ranking_score(st, 0, 1), np.zeros(5))
 
     def test_rejects_mismatched_widths(self):
-        st = SimpleNamespace(
-            rho=[np.ones((2, 3)), np.ones((2, 4))],
-            w_mean=[np.ones((2, 3)), np.ones((2, 4))],
+        st = stacked_state(
+            [np.ones((2, 3)), np.ones((2, 4))], [np.ones((2, 3)), np.ones((2, 4))]
         )
         with pytest.raises(UsageError):
             ranking_score(st, 0, 1)
@@ -259,10 +266,10 @@ class TestAuc:
 class TestTrainMse:
     @staticmethod
     def _zero_state(groups, k=2):
-        return SimpleNamespace(
+        return stacked_state(
+            [np.zeros((k, g.shape[1])) for g in groups],
+            [np.zeros((k, g.shape[1])) for g in groups],
             f_mean=np.zeros((groups[0].shape[0], k)),
-            rho=[np.zeros((k, g.shape[1])) for g in groups],
-            w_mean=[np.zeros((k, g.shape[1])) for g in groups],
         )
 
     def test_perfect_reconstruction(self):
@@ -270,7 +277,7 @@ class TestTrainMse:
         f = rng.standard_normal((6, 2))
         w = rng.standard_normal((2, 5))
         x = f @ w
-        state = SimpleNamespace(f_mean=f, rho=[np.ones((2, 5))], w_mean=[w])
+        state = stacked_state([np.ones((2, 5))], [w], f_mean=f)
         data = SimpleNamespace(groups=[x])
         assert train_mse(data, state) < 1e-28
 
@@ -299,11 +306,10 @@ class TestTrainMse:
     def _random_fit(n, dims, k, seed):
         rng = np.random.default_rng(seed)
         groups = [rng.standard_normal((n, d)) for d in dims]
-        state = SimpleNamespace(
-            f_mean=rng.standard_normal((n, k)),
-            rho=[rng.uniform(0, 1, (k, d)) for d in dims],
-            w_mean=[rng.standard_normal((k, d)) for d in dims],
-        )
+        f_mean = rng.standard_normal((n, k))
+        rho = [rng.uniform(0, 1, (k, d)) for d in dims]
+        w_mean = [rng.standard_normal((k, d)) for d in dims]
+        state = stacked_state(rho, w_mean, f_mean=f_mean)
         return SimpleNamespace(groups=groups), state
 
     @staticmethod
@@ -311,8 +317,8 @@ class TestTrainMse:
         """train_mse with three N x D temporaries per group: the product,
         the residual and its square."""
         sq = 0.0
-        for x, r, w in zip(data.groups, state.rho, state.w_mean):
-            resid = x - state.f_mean @ (r * w)
+        for x, cols in zip(data.groups, state.spans):
+            resid = x - state.f_mean @ (state.rho[:, cols] * state.w_mean[:, cols])
             sq += float((resid * resid).sum())
         return sq / sum(x.size for x in data.groups)
 

@@ -16,7 +16,6 @@ from cvgfa.errors import DataError, UsageError
 from cvgfa.model import (
     ACTIVE_MASS,
     FitOptions,
-    GroupBlocks,
     GroupedDataset,
     Hyperparameters,
     VariationalState,
@@ -51,28 +50,24 @@ def warmed_up(data, hyper, seed, max_sweeps=FitOptions.max_sweeps):
 
 def assert_stacked_layout(state):
     """Each of rho, w_mean and w_var is one C-contiguous K+ x sum(D_m)
-    float64 array, one row per held factor, and its [m] is exactly group
-    m's columns; f_mean and f_var are N x K+ in Fortran order."""
+    float64 array, one row per held factor, whose spans[m] are exactly
+    group m's columns; tau_rate is one C-contiguous M x N array; f_mean and
+    f_var are N x K+ in Fortran order."""
     K, dims = len(state.factors), state.dims
+    assert all(type(d) is int for d in dims)
+    ends = np.cumsum(dims).tolist()
+    assert state.spans == [slice(e - d, e) for e, d in zip(ends, dims)]
     for name in ("f_mean", "f_var"):
         scores = getattr(state, name)
         assert scores.shape == (state.n_samples, K), name
         assert scores.flags.f_contiguous and scores.flags.writeable, name
-    for name in BLOCK_FIELDS:
-        blocks = getattr(state, name)
-        assert isinstance(blocks, GroupBlocks), name
-        whole = blocks.stacked
-        assert whole.shape == (K, sum(dims)) and whole.dtype == np.float64, name
+    shapes = {name: (K, sum(dims)) for name in BLOCK_FIELDS}
+    shapes["tau_rate"] = (len(dims), state.n_samples)
+    for name, shape in shapes.items():
+        whole = getattr(state, name)
+        assert type(whole) is np.ndarray, name
+        assert whole.shape == shape and whole.dtype == np.float64, name
         assert whole.flags.c_contiguous and whole.flags.writeable, name
-        assert len(blocks) == len(dims), name
-        start = whole.__array_interface__["data"][0]
-        for m, d in enumerate(dims):
-            view = blocks[m]
-            assert view.shape == (K, d) and view.strides == whole.strides, name
-            # numpy does not move the data pointer of an empty slice
-            if K:
-                assert view.__array_interface__["data"][0] == start, (name, m)
-            start += d * whole.itemsize
 
 
 class TestGroupedDataset:
@@ -209,9 +204,9 @@ class TestInitState:
         # no sweep has pruned a factor: every one is active and held
         held = sorted(active_factors(state))
         assert list(state.factors) == held
-        assert [r.shape for r in state.rho] == [(len(held), 4), (len(held), 3)]
-        for r in state.rho:
-            assert np.all(r >= 0.0) and np.all(r <= 1.0)
+        assert state.rho.shape == (len(held), 7)
+        assert state.spans == [slice(0, 4), slice(4, 7)]
+        assert np.all(state.rho >= 0.0) and np.all(state.rho <= 1.0)
         assert state.f_mean.shape == (6, len(held))
         assert_stacked_layout(state)
 
@@ -222,7 +217,7 @@ class TestInitState:
         assert hyper.lambda_shape == hyper.e0 + 0.5
         assert hyper.tau_shape(4) == hyper.g0 + 0.5 * 4
         assert hyper.tau_shape(3) == hyper.g0 + 0.5 * 3
-        lambda_rate = model._lambda_rate(state.w_mean[0], state.w_var[0], hyper.f0)
+        lambda_rate = model._lambda_rate(state.w_mean, state.w_var, hyper.f0)
         assert np.all(lambda_rate >= hyper.f0)
         assert np.all(state.tau_rate[0] > 0)
         assert all(oracle.update_eta(state, m) <= 0 for m in range(state.n_groups))
@@ -239,7 +234,7 @@ class TestInitState:
         ]
         data = GroupedDataset(groups, ["a", "b"])
         state = init_state(data, Hyperparameters(K=6), seed=0)
-        recon = [state.f_mean @ (state.rho[m] * state.w_mean[m]) for m in range(2)]
+        recon = [state.f_mean @ engine.expected_loadings(state, m) for m in range(2)]
         sq = sum(float(((g - r) ** 2).sum()) for g, r in zip(groups, recon))
         mse = sq / sum(g.size for g in groups)
         assert mse < 1.3  # near the unit noise floor
@@ -254,7 +249,7 @@ class TestInitState:
         def mse(st):
             sq = 0.0
             for m in range(2):
-                r = data.groups[m] - st.f_mean @ (st.rho[m] * st.w_mean[m])
+                r = data.groups[m] - st.f_mean @ engine.expected_loadings(st, m)
                 sq += float((r * r).sum())
             return sq / sum(g.size for g in data.groups)
 
@@ -292,10 +287,10 @@ class TestInitState:
         # the signal components' rows, in their order, and no other
         assert state.factors.dtype.kind == "i"
         assert list(state.factors) == list(range(r_sig))
-        assert state.rho.stacked.shape == (r_sig, sum(dims))
+        assert state.rho.shape == (r_sig, sum(dims))
         assert state.f_mean.shape == state.f_var.shape == (n, r_sig)
         keep = np.abs(start.loadings) >= model._INIT_LOADING_CUT
-        assert np.array_equal(state.w_mean.stacked, np.where(keep, start.loadings, 0.0))
+        assert np.array_equal(state.w_mean, np.where(keep, start.loadings, 0.0))
         # the held columns of one N x K draw, so the jitter of a held
         # factor does not depend on K
         draw = np.random.default_rng(seed).standard_normal((n, k))
@@ -322,10 +317,10 @@ class TestInitState:
         hyper = Hyperparameters(K=4)
         s1 = init_state(data, hyper, seed=7)
         s2 = init_state(data, hyper, seed=7)
-        assert all(np.array_equal(a, b) for a, b in zip(s1.rho, s2.rho))
-        assert all(np.array_equal(a, b) for a, b in zip(s1.w_mean, s2.w_mean))
+        assert np.array_equal(s1.rho, s2.rho)
+        assert np.array_equal(s1.w_mean, s2.w_mean)
         assert np.array_equal(s1.f_mean, s2.f_mean)
-        assert all(np.array_equal(a, b) for a, b in zip(s1.tau_rate, s2.tau_rate))
+        assert np.array_equal(s1.tau_rate, s2.tau_rate)
 
     def test_rejects_bad_config(self):
         data = make_dataset()
@@ -353,13 +348,7 @@ class TestInitState:
         shared = init_state(data, hyper, seed, start=start)
         for f in dataclasses.fields(VariationalState):
             a, b = getattr(own, f.name), getattr(shared, f.name)
-            if isinstance(a, GroupBlocks):
-                a, b = a.stacked, b.stacked
-            if isinstance(a, list):
-                assert len(a) == len(b), f.name
-                assert all(np.array_equal(x, y) for x, y in zip(a, b)), f.name
-            else:
-                assert np.array_equal(a, b), f.name
+            assert np.array_equal(a, b), f.name
 
     def test_start_is_read_only_and_holds_only_the_signal_rows(self):
         from cvgfa.simdata import generate, simulation1_pattern
@@ -396,11 +385,13 @@ class TestInitState:
         state = init_state(data, Hyperparameters(K=4), seed=1)
         state.factors = np.array([0, 1, 3, 4])
         clone = state.copy()
-        rho, f = state.rho[0][0, 0], state.f_mean[0, 0]
-        clone.rho[0][0, 0] = 0.5 * (rho + 1.0)
+        rho, f = state.rho[0, 0], state.f_mean[0, 0]
+        clone.rho[0, 0] = 0.5 * (rho + 1.0)
         clone.f_mean[0, 0] = f + 99.0
         clone.factors[0] = 2
-        assert state.rho[0][0, 0] == rho
+        clone.dims[0] = 99
+        assert state.rho[0, 0] == rho
+        assert state.dims[0] == 4
         assert state.f_mean[0, 0] == f
         assert list(state.factors) == [0, 1, 3, 4]
 
@@ -451,9 +442,8 @@ class TestPrincipalComponents:
         state = init_state(data, hyper, 0)
         monkeypatch.setattr(model, "_principal_components", svd_components)
         want = init_state(data, hyper, 0)
-        for m in range(data.n_groups):
-            assert np.array_equal(state.rho[m], want.rho[m])
-            assert_allclose(np.abs(state.w_mean[m]), np.abs(want.w_mean[m]), atol=1e-12)
+        assert np.array_equal(state.rho, want.rho)
+        assert_allclose(np.abs(state.w_mean), np.abs(want.w_mean), atol=1e-12)
 
     # N < sum D and N > sum D
     @pytest.mark.parametrize("n, dims", [(30, [10] * 4), (60, [5] * 4)])
@@ -496,7 +486,7 @@ class TestSqNorms:
     def sq_norms(x, f, rho, w):
         # one group: its row norms and products with a leading axis of one
         return model._sq_norms(
-            model._row_norms(x)[None], f, *model._loading_products([x], rho * w)
+            model._row_norms([x]), f, *model._loading_products([x], rho * w)
         )[0]
 
     @staticmethod
@@ -513,11 +503,9 @@ class TestSqNorms:
         state = init_state(data, Hyperparameters(K=30), seed=0)
         # every group at once, as the sweep takes them
         got = model._sq_norms(
-            np.array([model._row_norms(x) for x in data.groups]),
+            model._row_norms(data.groups),
             state.f_mean,
-            *model._loading_products(
-                data.groups, state.rho.stacked * state.w_mean.stacked
-            ),
+            *model._loading_products(data.groups, state.rho * state.w_mean),
         )
         assert got.shape == (4, 100)
         self.check(got, self.explicit(state, data), 4e-13, 2e-14)
@@ -539,7 +527,7 @@ class TestSqNorms:
         w = 2.0 * rng.standard_normal((k, d))
         rho = rng.uniform(0.5, 1.0, (k, d))
         x = f @ (rho * w) + noise * rng.standard_normal((n, d))
-        state = SimpleNamespace(f_mean=f, rho=[rho], w_mean=[w])
+        state = SimpleNamespace(f_mean=f, rho=rho, w_mean=w, spans=[slice(0, d)])
         data = SimpleNamespace(groups=[x])
         got = [self.sq_norms(x, f, rho, w)]
         self.check(got, self.explicit(state, data), rtol_rows, rtol_mse)
@@ -566,7 +554,7 @@ class TestActiveFactors:
     def _state_with_rho(self, rho_rows):
         data = make_dataset(dims=(len(rho_rows[0]),))
         state = holding_all(data, Hyperparameters(K=len(rho_rows)), seed=0)
-        state.rho[0][...] = rho_rows
+        state.rho[...] = rho_rows
         return state
 
     def test_all_zero_rho(self):
@@ -590,14 +578,12 @@ class TestActiveFactors:
     def test_max_over_groups(self):
         data = make_dataset(dims=(4, 4))
         state = holding_all(data, Hyperparameters(K=2), seed=0)
-        state.rho[0][...] = 0.0
-        state.rho[1][...] = 0.0
-        # factor 0: 0.006 in each group, 0.012 in all, below in every group
-        state.rho[0][0, 0] = 0.006
-        state.rho[1][0, 0] = 0.006
+        state.rho[...] = 0.0
+        # factor 0: 0.006 in each group, 0.012 in all, below in every group;
+        # group 1's columns start at 4
+        state.rho[0, [0, 4]] = 0.006
         # factor 1: below in group 0, above in group 1
-        state.rho[0][1, 0] = 0.005
-        state.rho[1][1, 0] = 0.8
+        state.rho[1, [0, 4]] = [0.005, 0.8]
         assert active_factors(state) == {1}
 
     def test_warm_start_floor_reaches_the_active_mass(self):
@@ -609,7 +595,8 @@ class TestActiveFactors:
 
 
 class TestStackedLayout:
-    """rho, w_mean and w_var keep all their groups in one array."""
+    """rho, w_mean and w_var keep all their groups in one array, and
+    tau_rate all its groups in one M x N array."""
 
     @staticmethod
     def state(seed=0):
@@ -621,43 +608,12 @@ class TestStackedLayout:
 
     def test_init_state_and_its_sweeps_keep_the_layout(self):
         data = make_dataset(n=8, dims=(5, 2, 7))
-        assert_stacked_layout(init_state(data, Hyperparameters(K=4), seed=0))
-
-    def test_group_arrays_are_copied_into_the_layout(self):
-        state = self.state()
-        fields = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
-        groups = {name: [a.copy() for a in fields[name]] for name in BLOCK_FIELDS}
-        built = VariationalState(**{**fields, **groups})
-        assert_stacked_layout(built)
-        for name in BLOCK_FIELDS:
-            assert getattr(built, name).stacked.tobytes() == (
-                getattr(state, name).stacked.tobytes()
-            )
-        # the state owns its arrays: the given ones no longer reach it
-        groups["rho"][1][0, 0] = 0.125
-        assert built.rho[1][0, 0] == state.rho[1][0, 0] != 0.125
-
-    def test_group_writes_reach_the_stacked_row_and_back(self):
-        state = self.state()
-        d0, d1 = state.dims[:2]
-        state.rho[1][2, 0] = 0.25
-        assert state.rho.stacked[2, d0] == 0.25
-        state.w_mean.stacked[3, d0 + d1] = -7.0
-        assert state.w_mean[2][3, 0] == -7.0
-        # one write of a stacked row reaches that factor's row in every group
-        state.w_var.stacked[0] = 2.0
-        assert all(np.all(x[0] == 2.0) for x in state.w_var)
-        state.w_var[0][...] = 0.5
-        assert np.all(state.w_var.stacked[:, :d0] == 0.5)
-
-    def test_groups_cannot_be_rebound(self):
-        state = self.state()
-        for name in BLOCK_FIELDS:
-            blocks = getattr(state, name)
-            with pytest.raises(TypeError):
-                blocks[0] = np.zeros_like(blocks[0])
-            with pytest.raises(AttributeError):
-                blocks.stacked = np.zeros_like(blocks.stacked)
+        hyper = Hyperparameters(K=4)
+        state = init_state(data, hyper, seed=0)
+        assert_stacked_layout(state)
+        for _ in range(2):
+            engine.sweep(state, data, hyper)
+            assert_stacked_layout(state)
 
     @pytest.mark.parametrize("how", ["copy", "pickle"])
     def test_copy_and_pickle_keep_the_layout(self, how):
@@ -665,26 +621,11 @@ class TestStackedLayout:
         other = state.copy() if how == "copy" else pickle.loads(pickle.dumps(state))
         assert_stacked_layout(other)
         assert other.factors.tolist() == [0, 1, 3, 4]
-        assert not np.shares_memory(other.factors, state.factors)
-        for name in BLOCK_FIELDS:
+        assert other.dims == state.dims == [5, 2, 7]
+        for name in BLOCK_FIELDS + ("tau_rate", "f_mean", "factors"):
             a, b = getattr(state, name), getattr(other, name)
-            assert a.stacked.tobytes() == b.stacked.tobytes(), name
-            assert not np.shares_memory(a.stacked, b.stacked), name
-        other.rho[2][1, 1] = 0.75
-        assert other.rho.stacked[1, sum(other.dims[:2]) + 1] == 0.75
-        assert state.rho[2][1, 1] != 0.75
-
-    @pytest.mark.parametrize(
-        "arrays, message",
-        [
-            ([np.zeros((3, 2)), np.zeros(4)], "K x D_m matrix"),
-            ([np.zeros((3, 2)), np.zeros((2, 3))], r"rho\[1\] has shape \(2, 3\)"),
-        ],
-    )
-    def test_unstackable_groups_rejected(self, arrays, message):
-        with pytest.raises(DataError, match=message):
-            GroupBlocks.from_groups(arrays, "rho")
-
+            assert a.tobytes() == b.tobytes(), name
+            assert not np.shares_memory(a, b), name
 
 
 class TestHeldFactors:
