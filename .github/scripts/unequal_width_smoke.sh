@@ -14,13 +14,13 @@
 # best checkpoint records, as best.json does, and to count the same active
 # factors (K+) as best.json. Each best checkpoint must store
 # the rows of exactly those K+ factors. `cvgfa rank` reads the best
-# checkpoint, and also tests/data/checkpoint_v5.json, which stores the rows
+# checkpoint, and also tests/data/checkpoint_v6.json, which stores the rows
 # of one factor of five. Both of these checkpoints must come back byte for
-# byte from a read and a rewrite: the reader joins each group's arrays
-# into the state's, and the writer cuts them apart again, and the
-# fixture's groups are all 8 wide. A last fit with --max-sweeps 2 must
-# stop every restart at its cap, with the fit's one objective on its last
-# trace row.
+# byte from a read and a rewrite, at unequal widths and on the fixture,
+# whose groups are all 8 wide. A last fit with --max-sweeps 2 must stop
+# every restart at its cap, with the fit's one objective on its last trace
+# row. Every checkpoint the script writes must parse with
+# `python -m json.tool`: a checkpoint is plain JSON.
 # Exits non-zero if any step fails, and removes its work directory either
 # way.
 set -eo pipefail
@@ -73,8 +73,8 @@ test "$(k_active "$out/eval.json")" -eq "$(k_active "$out/a/best.json")"
 # itself; the fixture has four groups of 8 columns
 python -m cvgfa.cli rank "$out/a/$(best "$out/a")" --groups 1,1 --out "$out/rank"
 test "$(wc -l < "$out/rank/scores.csv")" -eq 41
-python -m cvgfa.cli rank tests/data/checkpoint_v5.json --groups 0,1 --out "$out/rank_v5"
-test "$(wc -l < "$out/rank_v5/scores.csv")" -eq 9
+python -m cvgfa.cli rank tests/data/checkpoint_v6.json --groups 0,1 --out "$out/rank_v6"
+test "$(wc -l < "$out/rank_v6/scores.csv")" -eq 9
 # read_checkpoint then write_checkpoint gives the same bytes, at unequal
 # widths and on the fixture
 rewrite() {
@@ -85,7 +85,7 @@ io.write_checkpoint(sys.argv[2], state, hyper, info["fit"], info["group_names"])
   cmp "$1" "$2"
 }
 rewrite "$out/a/$(best "$out/a")" "$out/rewritten.json"
-rewrite tests/data/checkpoint_v5.json "$out/rewritten_v5.json"
+rewrite tests/data/checkpoint_v6.json "$out/rewritten_v6.json"
 # --max-sweeps caps the sweeps: 2 are too few for the stopping rule, so
 # every restart reads converged: false and has 2 trace rows, of which only
 # the last carries an objective, the one aggregate.json records
@@ -107,3 +107,8 @@ for row in rows:
     if not ok:
         sys.exit("%s: trace %s, converged %s" % (row["restart_dir"], lines, row["converged"]))' \
   "$out/capped"
+# a checkpoint is plain JSON: every one written above parses (an unmatched
+# pattern stays literal, and json.tool fails on the missing file)
+for ckpt in "$out"/{a,b,pool,capped}/restart_*/checkpoint.json "$out"/rewritten*.json; do
+  python -m json.tool "$ckpt" > /dev/null
+done

@@ -437,11 +437,10 @@ def cmd_rank(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     order = np.argsort(-scores, kind="stable")
+    rows = zip(order.tolist(), scores[order].tolist())
     scores_path = os.path.join(args.out, "scores.csv")
     with open(scores_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("column,score\n")
-        for idx in order:
-            fh.write(f"{int(idx)},{repr(float(scores[idx]))}\n")
+        fh.write("column,score\n" + "".join(f"{i},{s!r}\n" for i, s in rows))
     io.write_json(os.path.join(args.out, "rank.json"), result)
     if "auc" in result:
         print(f"ranked {result['n_columns']} columns; AUC {result['auc']:.4f}")

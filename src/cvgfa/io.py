@@ -9,34 +9,34 @@ instead of corrupting a run.
 Small JSON files (manifests, best.json, command outputs) are indented for
 people to read. A checkpoint holds the whole state, over a million floats
 on a wide fit, as one line of compact JSON. Its metadata (format, version,
-hyperparameters, group names, fit summary) is plain JSON that any JSON
-reader, or `python -m json.tool`, can read. Each state array is one object
-{"shape": [...], "f8": "<base64>"} holding the array's little-endian
-float64 bytes in C order: raw bytes round-trip bitwise by construction,
-encode identically on every run, and cost no decimal formatting or parsing,
-which took most of a wide checkpoint's read and write time. The writer
-encodes the state with the json module, one string per array (1.6 MB in
-all on a wide fit, K+ = 6 of 30). Checkpoints carry their own version,
-CHECKPOINT_VERSION, and store only free parameters (VariationalState):
-the q(lambda) and q(tau) shapes follow from the hyperparameters and the
-group widths, so the reader validates the hyperparameters against the
-state, and the q(lambda) rates and E[log eta] from the state.
+hyperparameters, group names, fit summary) opens the file as plain JSON
+that any JSON reader, or `python -m json.tool`, can read. Checkpoints carry
+their own version, CHECKPOINT_VERSION, and store only free parameters
+(VariationalState): the q(lambda) and q(tau) shapes follow from the
+hyperparameters and the group widths, so the reader validates the
+hyperparameters against the state, and the q(lambda) rates and E[log eta]
+from the state.
 
-Version 5 stores the state as it is held: the rows of the factors it
-holds (VariationalState.factors; on a fitted state, the active factors
-K+). The state block lists those factors, ascending, as "stored_factors",
-a JSON list of integers; each group's rho, w_mean and w_var array has one
-row per stored factor (K+ x D_m), and f_mean and f_var one column per
-stored factor (N x K+). tau_rate is one array per group (N). Every other
-array keeps its K factors: q(beta) and the table counts of a factor at
-the prior are not prior values. The writer cuts the state's K+ x sum D_m
-arrays into the groups' columns (VariationalState.spans) and its M x N
-tau_rate into rows; the reader joins them back, and builds the state
-from them and the list, which VariationalState.validate checks, so a
-state reads back bit for bit. On a
-wide fit (K = 30, K+ = 6) this is a fifth of version 4's bytes. The
-reader takes version 5 only: a checkpoint of versions 1 to 4 is
-rejected, and its fit has to be run again.
+Version 6 stores the state's arrays whole, as VariationalState holds them:
+rho, w_mean and w_var K+ x sum D_m, f_mean and f_var N x K+, tau_rate
+M x N, and q(beta), q(alpha) and the table counts over all K factors. The
+state object opens with "dims", the group widths, and "stored_factors",
+the ids of the factors the state holds (on a fitted state, the K+ active
+ones), ascending; both are JSON lists of integers. Each array is one
+object {"shape": [...], "hex": "<hex>"}: the lowercase hex of its
+little-endian float64 bytes in C order. Raw bytes round-trip bitwise by
+construction, encode identically on every run, and cost no decimal
+formatting or parsing. Hex, not base64: binascii.a2b_hex decodes about
+four times as fast as base64.b64decode (CPython 3.11), so a wide checkpoint
+reads in about three quarters of version 5's time or less, at half again
+the size (2.36 MB against 1.57 MB on a wide fit, K = 30 and K+ = 6; 147 kB
+against 98 kB at the acceptance size). The hex alphabet needs no JSON
+escaping, so the writer puts each array's text into the file as it
+stands. io knows no group layout: the reader builds the state from the
+arrays, "dims" and "stored_factors", and VariationalState.validate checks
+every shape against them, so a state reads back bit for bit. The reader
+takes version 6 only: a checkpoint of versions 1 to 5 is rejected, and
+its fit has to be run again.
 
 The checkpoint's "fit" block is what cvgfa fit recorded about the restart:
 "converged" (bool, whether the stopping rule, not max_sweeps, ended the
@@ -56,7 +56,7 @@ empty. A row's train_mse is the sweep's estimate from squared norms
 the fit block records.
 """
 
-import base64
+import binascii
 import json
 import math
 import os
@@ -71,7 +71,7 @@ from .simdata import SparsityPattern
 DATASET_FORMAT = "cvgfa-dataset"
 CHECKPOINT_FORMAT = "cvgfa-checkpoint"
 FORMAT_VERSION = 1
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 TRACE_HEADER = "sweep,objective,train_mse,k_active"
 
 HYPER_FIELDS = ("K", "kappa0", "c0", "d0", "e0", "f0", "g0", "h0")
@@ -122,10 +122,15 @@ def write_json(path, obj):
 
 def _read_json(path, expected_format, expected_version=FORMAT_VERSION):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        # one read and one decode of the whole file: a text-mode read,
+        # which decodes and translates newlines chunk by chunk, is slower
+        # on a wide checkpoint
+        with open(path, "rb") as fh:
+            obj = json.loads(fh.read().decode("utf-8"))
     except OSError as err:
         raise DataError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path} is not UTF-8 text: {err}") from None
     except json.JSONDecodeError as err:
         raise DataError(f"{path} is not valid JSON: {err}") from None
     if not isinstance(obj, dict) or obj.get("format") != expected_format:
@@ -302,96 +307,68 @@ def _read_shaped(path, fname, shape):
     return matrix
 
 
-# Every VariationalState array field, in the order the checkpoint stores
-# them (sorted by name); True marks the fields stored as one array per
-# group: group m's columns of rho, w_mean and w_var, and row m of
-# tau_rate. The state's factors are stored as STORED_FACTORS, in its
-# sorted place between rho and tau_rate.
+# The VariationalState array fields, in the order a checkpoint stores them
+# (sorted by name), after the state's group widths ("dims") and the ids of
+# the factors it holds (STORED_FACTORS).
 STATE_FIELDS = (
-    ("alpha_rate", False),
-    ("alpha_shape", False),
-    ("aux_s_mean", False),
-    ("aux_t_mean", False),
-    ("beta_a", False),
-    ("beta_b", False),
-    ("f_mean", False),
-    ("f_var", False),
-    ("rho", True),
-    ("tau_rate", True),
-    ("w_mean", True),
-    ("w_var", True),
+    "alpha_rate",
+    "alpha_shape",
+    "aux_s_mean",
+    "aux_t_mean",
+    "beta_a",
+    "beta_b",
+    "f_mean",
+    "f_var",
+    "rho",
+    "tau_rate",
+    "w_mean",
+    "w_var",
 )
 STORED_FACTORS = "stored_factors"
 
 
-def _encode_array(a):
-    """One state array as the JSON object {"shape": [...], "f8": "<base64>"}."""
-    arr = np.asarray(a, dtype="<f8")
-    text = base64.b64encode(arr.tobytes()).decode("ascii")
-    return {"shape": list(arr.shape), "f8": text}
-
-
-def _decode_array(obj) -> np.ndarray:
-    """A writable C-contiguous float64 array from one encoded state array."""
-    return _decode_view(obj).astype(np.float64)
-
-
-def _decode_view(obj) -> np.ndarray:
-    """One encoded state array as a read-only view of its decoded bytes."""
-    if not isinstance(obj, dict) or obj.keys() != {"shape", "f8"}:
-        raise ValueError("an array is not an object with keys shape and f8")
-    shape, text = obj["shape"], obj["f8"]
+def _decode_array(name, obj) -> np.ndarray:
+    """A writable C-contiguous float64 array from the state array name's
+    JSON object {"shape": [...], "hex": "<hex>"}."""
+    if not isinstance(obj, dict) or obj.keys() != {"shape", "hex"}:
+        raise ValueError(f"{name} is not an object with keys shape and hex")
+    shape, text = obj["shape"], obj["hex"]
     if not (
         isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
     ):
-        raise ValueError(f"bad array shape {shape!r}")
+        raise ValueError(f"{name} has a bad array shape {shape!r}")
     if not isinstance(text, str):
-        raise ValueError("array bytes are not a base64 string")
-    raw = base64.b64decode(text, validate=True)
+        raise ValueError(f"{name}'s bytes are not a hex string")
+    try:
+        # a2b_hex rejects whitespace, an odd length and non-ASCII text, all
+        # of which bytes.fromhex would skip or let through
+        raw = binascii.a2b_hex(text)
+    except ValueError as err:
+        raise ValueError(f"{name}'s hex text: {err}") from None
     if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{len(raw)} bytes do not fill an array of shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+        raise ValueError(
+            f"{name}: {len(raw)} bytes do not fill an array of shape {shape}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
-def _join_groups(name, arrays, dims):
-    """One state array from a field's per-group arrays: tau_rate's N vectors
-    as the rows of one M x N array, and every other field's K+ x D_m blocks
-    side by side, whose widths must be dims, the rho blocks' (None for rho
-    itself). Raises ValueError when they do not fit together."""
-    shapes = [a.shape for a in arrays]
-    if name == "tau_rate":
-        want = "N vectors of one length"
-        fits = all(len(s) == 1 for s in shapes) and len(set(shapes)) == 1
-    else:
-        want = "K+ x D_m blocks of one row count, as wide as rho's"
-        fits = all(len(s) == 2 for s in shapes) and len({s[0] for s in shapes}) == 1
-        fits = fits and dims in (None, [s[1] for s in shapes])
-    if not fits:
-        raise ValueError(f"{name} holds arrays of shapes {shapes}, want {want}")
-    return np.stack(arrays) if name == "tau_rate" else np.concatenate(arrays, axis=1)
+def _int_list(obj, name):
+    """obj, which must be a JSON list of integers (no bools or floats)."""
+    if not (isinstance(obj, list) and all(type(k) is int for k in obj)):
+        raise ValueError(f"{name} is not a list of integers")
+    return obj
 
 
 def _state_from_json(obj) -> VariationalState:
-    """The state from its JSON object. A per-group field's arrays are read
-    as read-only views and joined into one new array (_join_groups), one
-    field at a time."""
-    fields = {}
+    """The state from its JSON object; VariationalState.validate checks the
+    arrays' shapes against dims and the stored factors."""
     try:
-        for name, per_group in STATE_FIELDS:
-            if not per_group:
-                fields[name] = _decode_array(obj[name])
-                continue
-            arrays = [_decode_view(a) for a in obj[name]]
-            fields[name] = _join_groups(name, arrays, fields.get("dims"))
-            if name == "rho":
-                fields["dims"] = [a.shape[1] for a in arrays]
-        stored = obj[STORED_FACTORS]
-        if not (isinstance(stored, list) and all(type(k) is int for k in stored)):
-            raise ValueError(f"{STORED_FACTORS} is not a list of integers")
+        fields = {name: _decode_array(name, obj[name]) for name in STATE_FIELDS}
+        fields["dims"] = _int_list(obj["dims"], "dims")
+        stored = _int_list(obj[STORED_FACTORS], STORED_FACTORS)
         fields["factors"] = np.array(stored, dtype=np.intp)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
-        # binascii.Error, raised for bad base64, is a ValueError;
-        # OverflowError, a factor id beyond the integer range
+        # OverflowError: a factor id beyond the integer range
         raise DataError(f"malformed checkpoint state: {err}") from None
     return VariationalState(**fields)
 
@@ -399,10 +376,10 @@ def _state_from_json(obj) -> VariationalState:
 def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_names=None):
     """Compact JSON: the metadata with sorted keys, then the state.
 
-    The state object lists its fields in STATE_FIELDS order, with the
-    state's factors in their sorted place, and its arrays as they stand
-    (see the module docstring). json.dump writes the text piece by piece,
-    so only the arrays' base64 strings are held, not the whole file.
+    The state object lists the group widths and the stored factors, then
+    every array in STATE_FIELDS order, whole, as the state holds it (see
+    the module docstring). Each array's hex text is written into the file
+    as it stands: it needs no JSON escaping.
     """
     hyperparameters = {f: getattr(hyper, f) for f in HYPER_FIELDS}
     hyperparameters["K"] = int(hyper.K)
@@ -417,22 +394,21 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
         sort_keys=True,
         separators=_COMPACT,
     )
-    fields = {}
-    for name, per_group in STATE_FIELDS:
-        if name == "tau_rate":
-            fields[STORED_FACTORS] = state.factors.tolist()
-        value = getattr(state, name)
-        if not per_group:
-            fields[name] = _encode_array(value)
-        elif name == "tau_rate":
-            fields[name] = [_encode_array(row) for row in value]
-        else:
-            fields[name] = [_encode_array(value[:, cols]) for cols in state.spans]
+    lists = json.dumps(
+        {"dims": [int(d) for d in state.dims], STORED_FACTORS: state.factors.tolist()},
+        separators=_COMPACT,
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # the state goes last, so the metadata opens the file
-        fh.write(header[:-1] + ',"state":')
-        json.dump(fields, fh, separators=_COMPACT)
-        fh.write("}\n")
+        fh.write(header[:-1] + ',"state":' + lists[:-1])
+        for name in STATE_FIELDS:
+            arr = np.asarray(getattr(state, name), dtype="<f8")
+            shape = json.dumps(list(arr.shape), separators=_COMPACT)
+            fh.write(f',"{name}":{{"shape":{shape},"hex":"')
+            # tobytes gives C order, whatever the array's own layout
+            fh.write(arr.tobytes().hex())
+            fh.write('"}')
+        fh.write("}}\n")
 
 
 def read_checkpoint(path):
@@ -440,7 +416,7 @@ def read_checkpoint(path):
 
     Reads CHECKPOINT_VERSION only. The hyperparameters must be valid and
     their K must match the state, since the derived gamma shapes depend on
-    them.
+    them. The group names must be null or one distinct string per group.
     """
     obj = _read_json(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     hp = obj.get("hyperparameters")
@@ -461,12 +437,23 @@ def read_checkpoint(path):
             f"{path}: hyperparameter K={hyper.K!r}, but the state has "
             f"{state.n_factors} factors"
         )
+    names = obj.get("group_names")
+    if names is not None and not (
+        isinstance(names, list)
+        and len(names) == state.n_groups
+        and all(isinstance(n, str) for n in names)
+        and len(set(names)) == len(names)
+    ):
+        raise DataError(
+            f"{path}: group_names is neither null nor {state.n_groups} "
+            f"distinct strings"
+        )
     fit = obj.get("fit")
     if fit is None:
         fit = {}
     if not isinstance(fit, dict):
         raise DataError(f"{path}: the fit block is not an object")
-    info = {"fit": fit, "group_names": obj.get("group_names")}
+    info = {"fit": fit, "group_names": names}
     return state, hyper, info
 
 

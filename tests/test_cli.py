@@ -797,7 +797,7 @@ class TestRank:
         out = tmp_path / "rank"
         assert run_cli("rank", ckpt, "--groups", "0,1", "--out", out) == 3
         assert capsys.readouterr().err == (
-            f"error: {ckpt} has schema version 4, expected 5\n"
+            f"error: {ckpt} has schema version 4, expected 6\n"
         )
         assert not (out / "scores.csv").exists()
 

@@ -1,6 +1,5 @@
 """Round-trip and strict-loader tests for the on-disk formats."""
 
-import base64
 import dataclasses
 import json
 import math
@@ -301,16 +300,13 @@ def fitted_state(seed=0):
 
 
 def decode(entry):
-    """One base64 state array of a checkpoint, as a numpy array."""
-    raw = base64.b64decode(entry["f8"])
+    """One hex state array of a checkpoint, as a numpy array."""
+    raw = bytes.fromhex(entry["hex"])
     return np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
 
 
 def encode(array):
-    return {
-        "shape": list(array.shape),
-        "f8": base64.b64encode(array.astype("<f8").tobytes()).decode("ascii"),
-    }
+    return {"shape": list(array.shape), "hex": array.astype("<f8").tobytes().hex()}
 
 
 def state_arrays(state):
@@ -345,26 +341,54 @@ def edge_state():
     return state, hyper
 
 
+def random_state(dims, n=200, k=30, held=(2, 3, 5, 11, 17, 29)):
+    """A valid state of random full-precision values, and -0.0 among the
+    loading means, over groups of the given widths; N, K and K+ are the
+    wide benchmark's by default."""
+    rng = np.random.default_rng(sum(dims))
+    m, d, h = len(dims), sum(dims), len(held)
+
+    def positive(*shape):
+        return rng.exponential(1.0, size=shape) + 1e-3
+
+    widths = np.array(dims, dtype=float)[:, None]
+    w_mean = rng.normal(size=(h, d))
+    w_mean[0, 0] = -0.0
+    state = VariationalState(
+        rho=rng.random((h, d)),
+        w_mean=w_mean,
+        w_var=positive(h, d),
+        dims=list(dims),
+        f_mean=rng.normal(size=(n, h)),
+        f_var=positive(n, h),
+        beta_a=positive(k),
+        beta_b=positive(k),
+        tau_rate=positive(m, n),
+        alpha_shape=positive(m),
+        alpha_rate=positive(m),
+        aux_s_mean=rng.random((m, k)) * widths,
+        aux_t_mean=rng.random((m, k)) * widths,
+        factors=np.array(held),
+    )
+    return state.validate(), Hyperparameters(K=k)
+
+
 class TestCheckpoint:
     def test_state_fields_cover_the_state(self):
         report, _, _ = fitted_state()
-        names = [name for name, _ in io.STATE_FIELDS]
-        # the factors are stored under their own key, as a list of integers,
-        # and the group widths are those of the rho arrays
+        names = list(io.STATE_FIELDS)
+        # the factors are stored under their own key and the group widths
+        # under "dims", both as lists of integers
         assert names == sorted(names)
         assert sorted(names + ["dims", "factors"]) == sorted(
             f.name for f in dataclasses.fields(VariationalState)
         )
         state = report.final_state
-        for name, per_group in io.STATE_FIELDS:
-            # every field is one array; a per-group field holds the groups'
-            # column blocks side by side, or tau_rate's rows
-            value = getattr(state, name)
-            assert isinstance(value, np.ndarray), name
-            if per_group and name != "tau_rate":
-                assert value.shape[1] == sum(state.dims) == 32, name
-            elif per_group:
-                assert value.shape == (state.n_groups, state.n_samples)
+        # every field is one array, which the checkpoint stores whole
+        for name in names:
+            assert isinstance(getattr(state, name), np.ndarray), name
+        assert state.rho.shape[1] == sum(state.dims) == 32
+        assert state.tau_rate.shape == (state.n_groups, state.n_samples)
 
     def test_edge_values_round_trip_bitwise(self, tmp_path):
         state, hyper = edge_state()
@@ -418,9 +442,9 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         io.write_checkpoint(path, report.final_state, hyper)
         obj = json.loads(path.read_text())
-        tau_rate = decode(obj["state"]["tau_rate"][0])
-        tau_rate[0] = -1.0
-        obj["state"]["tau_rate"][0] = encode(tau_rate)
+        tau_rate = decode(obj["state"]["tau_rate"])
+        tau_rate[0, 0] = -1.0
+        obj["state"]["tau_rate"] = encode(tau_rate)
         path.write_text(json.dumps(obj))
         with pytest.raises(DataError, match="tau"):
             io.read_checkpoint(path)
@@ -469,8 +493,9 @@ def at_prior_but(k, name, value):
 @pytest.fixture(scope="module")
 def checkpoint_text(tmp_path_factory):
     """A checkpoint of fitted_state() as text, in the current version; tests
-    parse a copy. Its state keeps one factor of five, so each group's rho,
-    w_mean and w_var array is 1 x 8 and f_mean and f_var 12 x 1."""
+    parse a copy. Its state keeps one factor of five of four groups of 8
+    columns, so rho, w_mean and w_var are 1 x 32, tau_rate 4 x 12, and
+    f_mean and f_var 12 x 1."""
     report, data, hyper = fitted_state()
     path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
     io.write_checkpoint(path, report.final_state, hyper, group_names=data.group_names)
@@ -478,19 +503,21 @@ def checkpoint_text(tmp_path_factory):
 
 
 def truncate(entry):
-    entry["f8"] = entry["f8"][:-3]
+    # an odd number of hex digits
+    entry["hex"] = entry["hex"][:-3]
 
 
 def drop_three_bytes(entry):
-    # 4 base64 characters are 3 whole bytes, so the text stays valid
-    entry["f8"] = entry["f8"][:-4]
+    # 2 hex digits are 1 whole byte, so the text stays valid
+    entry["hex"] = entry["hex"][:-6]
 
 
 def non_alphabet(char):
-    # inserted, not substituted: a lenient decoder would skip the character
-    # and return the original bytes
+    # two of them, inserted at a byte boundary, not substituted: the length
+    # stays even, and a lenient decoder (bytes.fromhex skips whitespace)
+    # would return the original bytes
     def corrupt(entry):
-        entry["f8"] = entry["f8"][:10] + char + entry["f8"][10:]
+        entry["hex"] = entry["hex"][:10] + 2 * char + entry["hex"][10:]
 
     return corrupt
 
@@ -511,26 +538,32 @@ def set_value(value):
     return corrupt
 
 
-# the state fields a checkpoint stores as one array per group
-PER_GROUP = [name for name, per_group in io.STATE_FIELDS if per_group]
+# the state fields version 5 stored as one array per group
+PER_GROUP = ["rho", "tau_rate", "w_mean", "w_var"]
 
 
 class TestCheckpointEncoding:
     def test_layout_and_decoded_arrays(self, tmp_path, checkpoint_text):
         obj = json.loads(checkpoint_text)
-        assert obj["version"] == io.CHECKPOINT_VERSION == 5
+        assert obj["version"] == io.CHECKPOINT_VERSION == 6
+        # the metadata opens the file, and the state's lists open the state
+        assert list(obj)[-1] == "state"
+        assert list(obj["state"])[:2] == ["dims", io.STORED_FACTORS]
         # only free parameters: nothing the reader derives is stored
         for derived in ("lambda_shape", "tau_shape", "lambda_rate", "eta_log_mean"):
             assert derived not in obj["state"]
-        assert obj["state"].keys() == {name for name, _ in io.STATE_FIELDS} | {
-            io.STORED_FACTORS
-        }
+        assert obj["state"].keys() == set(io.STATE_FIELDS) | {"dims", io.STORED_FACTORS}
         # only the rows (score columns) of the factors the state holds
         assert obj["state"][io.STORED_FACTORS] == [0]
+        assert obj["state"]["dims"] == [8] * 4
         assert obj["hyperparameters"]["K"] == 5
-        assert obj["state"]["w_mean"][0].keys() == {"shape", "f8"}
-        assert obj["state"]["w_mean"][0]["shape"] == [1, 8]
+        # every array whole, as the state holds it, in lowercase hex
+        assert obj["state"]["w_mean"].keys() == {"shape", "hex"}
+        assert obj["state"]["w_mean"]["shape"] == [1, 32]
+        assert obj["state"]["tau_rate"]["shape"] == [4, 12]
         assert obj["state"]["f_mean"]["shape"] == [12, 1]
+        for name in io.STATE_FIELDS:
+            assert re.fullmatch("[0-9a-f]+", obj["state"][name]["hex"]), name
         assert obj["state"]["beta_a"]["shape"] == [5]
         assert obj["state"]["aux_s_mean"]["shape"] == [4, 5]
         path = tmp_path / "checkpoint.json"
@@ -555,20 +588,22 @@ class TestCheckpointEncoding:
     @pytest.mark.parametrize(
         "field, corrupt, message",
         [
-            pytest.param("w_mean", truncate, None, id="truncated"),
-            pytest.param("w_mean", non_alphabet("*"), None, id="star"),
-            pytest.param("w_mean", non_alphabet("\n"), None, id="newline"),
-            pytest.param("w_mean", non_alphabet("\u00e9"), None, id="non-ascii"),
+            pytest.param("w_mean", truncate, "w_mean", id="truncated"),
+            pytest.param("w_mean", non_alphabet("*"), "w_mean", id="star"),
+            pytest.param("w_mean", non_alphabet("g"), "w_mean", id="non-hex-letter"),
+            pytest.param("w_mean", non_alphabet("\n"), "w_mean", id="newline"),
+            pytest.param("w_mean", non_alphabet(" "), "w_mean", id="space"),
+            pytest.param("w_mean", non_alphabet("\u00e9"), "w_mean", id="non-ascii"),
             pytest.param("w_mean", drop_three_bytes, "do not fill", id="short-bytes"),
             pytest.param("w_mean", set_shape([5, 7]), "do not fill", id="bytes-exceed-shape"),
-            pytest.param("w_mean", set_shape([8, 1]), "want", id="transposed-shape"),
-            pytest.param("rho", set_shape([8]), "rho", id="flat-rho"),
+            pytest.param("w_mean", set_shape([32, 1]), "want", id="transposed-shape"),
+            pytest.param("rho", set_shape([32]), "rho", id="flat-rho"),
             pytest.param("w_mean", set_shape([-5, -8]), "bad array shape", id="negative-shape"),
             pytest.param("w_mean", set_shape([5.0, 8.0]), "bad array shape", id="float-shape"),
             pytest.param("w_mean", set_shape([True, 40]), "bad array shape", id="bool-shape"),
             pytest.param("w_mean", set_shape("5x8"), "bad array shape", id="string-shape"),
             pytest.param("w_mean", lambda e: e.pop("shape"), "keys", id="no-shape"),
-            pytest.param("w_mean", lambda e: e.update(f8=[1.0]), "base64", id="f8-not-text"),
+            pytest.param("w_mean", lambda e: e.update(hex=[1.0]), "hex string", id="hex-not-text"),
             pytest.param("w_mean", lambda e: e.update(dtype="f4"), "keys", id="extra-key"),
             pytest.param("w_mean", set_value(np.nan), "non-finite", id="nan"),
             pytest.param("rho", set_value(1.5), "outside", id="rho-above-1"),
@@ -576,22 +611,20 @@ class TestCheckpointEncoding:
     )
     def test_bad_array_rejected(self, tmp_path, checkpoint_text, field, corrupt, message):
         obj = json.loads(checkpoint_text)
-        corrupt(obj["state"][field][0])
+        corrupt(obj["state"][field])
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(DataError, match=message):
             io.read_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    @pytest.mark.parametrize("name", [name for name, _ in io.STATE_FIELDS])
+    @pytest.mark.parametrize("name", io.STATE_FIELDS)
     def test_non_finite_value_rejected(self, tmp_path, checkpoint_text, name, bad):
         # every stored state array is float: an inf passes the range and
         # positivity checks, and a NaN every comparison, so each needs the
-        # finite check; a per-group field gets it in its last group
+        # finite check, here on the array's last entry
         obj = json.loads(checkpoint_text)
         entry = obj["state"][name]
-        if isinstance(entry, list):
-            entry = entry[-1]
         a = decode(entry)
         a.flat[-1] = bad
         entry.update(encode(a))
@@ -605,27 +638,25 @@ class TestCheckpointEncoding:
 
     @pytest.mark.parametrize("field", ["w_mean", "w_var"])
     def test_blocks_cut_unlike_rho_rejected(self, tmp_path, checkpoint_text, field):
-        # the reader joins each field's blocks side by side: the same 32
-        # columns cut 7, 9, 8 and 8 wide would join into a state of the
-        # right shape, but not rho's groups
+        # rho's 32 values laid out as 2 rows of 16: the bytes fill the
+        # shape, which is not rho's K+ x sum(D_m)
         obj = json.loads(checkpoint_text)
-        whole = np.hstack([decode(e) for e in obj["state"][field]])
-        obj["state"][field] = [encode(b) for b in np.split(whole, [7, 16, 24], axis=1)]
+        obj["state"][field]["shape"] = [2, 16]
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
-        message = f"{field} holds arrays of shapes .* as wide as rho's"
+        message = re.escape(f"{field} has shape (2, 16), want (1, 32)")
         with pytest.raises(DataError, match=message):
             io.read_checkpoint(path)
 
     def test_tau_rate_rows_of_unequal_length_rejected(self, tmp_path, checkpoint_text):
-        # 11 and 13 samples: as many values as two rows of 12
+        # rows of 11 values, one fewer than the N = 12 samples of the scores
         obj = json.loads(checkpoint_text)
-        rows = obj["state"]["tau_rate"]
-        both = np.concatenate([decode(rows[0]), decode(rows[1])])
-        rows[0], rows[1] = encode(both[:11]), encode(both[11:])
+        rows = decode(obj["state"]["tau_rate"])
+        obj["state"]["tau_rate"] = encode(rows[:, :11])
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(DataError, match="N vectors of one length"):
+        message = re.escape("tau_rate has shape (4, 11), want (4, 12)")
+        with pytest.raises(DataError, match=message):
             io.read_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -634,28 +665,29 @@ class TestCheckpointEncoding:
         ids=["rho", "w_var", "tau_rate", "every"],
     )
     def test_empty_group_list_rejected(self, tmp_path, checkpoint_text, fields):
+        # a list, as version 5 stored these fields, where an array belongs
         obj = json.loads(checkpoint_text)
         for name in fields:
             obj["state"][name] = []
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
-        message = rf"{fields[0]} holds arrays of shapes \[\]"
+        message = f"{fields[0]} is not an object with keys shape and hex"
         with pytest.raises(DataError, match=message):
             io.read_checkpoint(path)
 
-    # versions 1 to 4 are no longer read; 5.0 and True compare equal to 5
+    # versions 1 to 5 are no longer read; 6.0 and True compare equal to 6
     # and 1, and only exact ints pass
     @pytest.mark.parametrize(
         "version",
-        [0, 6, "2", None, 2.0, 3.0, 4.0, 5.0, True]
-        + [pytest.param(v, id=f"retired-{v}") for v in (1, 2, 3, 4)],
+        [0, 7, "2", None, 2.0, 3.0, 4.0, 5.0, 6.0, True]
+        + [pytest.param(v, id=f"retired-{v}") for v in (1, 2, 3, 4, 5)],
     )
     def test_unknown_version_rejected(self, tmp_path, checkpoint_text, version):
         obj = json.loads(checkpoint_text)
         obj["version"] = version
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
-        message = f"has schema version {version!r}, expected 5"
+        message = f"has schema version {version!r}, expected 6"
         with pytest.raises(DataError, match=re.escape(message)):
             io.read_checkpoint(path)
 
@@ -682,16 +714,18 @@ class TestCheckpointEncoding:
         with pytest.raises(DataError, match=message):
             io.read_checkpoint(path)
 
-    def test_version_5_file_stores_the_rows_of_the_kept_factors(self, tmp_path):
-        """checkpoint_v5.json holds the final state of fitted_state(), whose
+    def test_version_6_file_stores_the_rows_of_the_kept_factors(self, tmp_path):
+        """checkpoint_v6.json holds the final state of fitted_state(), whose
         fit keeps factor 0 of five, with the fit_info cvgfa fit wrote
-        before it recorded train_mse."""
-        path = DATA / "checkpoint_v5.json"
-        # a plain JSON reader gets the fit summary
+        before it recorded train_mse: checkpoint_v5.json's state, bit for
+        bit."""
+        path = DATA / "checkpoint_v6.json"
+        # a plain JSON reader gets the fit summary and the state's lists
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        assert obj["version"] == 5 and obj["fit"]["sweeps_run"] == 3
+        assert obj["version"] == 6 and obj["fit"]["sweeps_run"] == 3
         assert obj["state"][io.STORED_FACTORS] == [0]
+        assert obj["state"]["dims"] == [8] * 4
         state, hyper, _ = io.read_checkpoint(path)
         assert sorted(active_factors(state)) == [0]
         assert_stacked_layout(state)
@@ -699,13 +733,25 @@ class TestCheckpointEncoding:
         assert state.factors.tolist() == [0] and hyper.K == state.n_factors == 5
         assert state.rho.shape == (1, 32) and state.f_mean.shape == (12, 1)
         assert np.all(state.w_var[0] != hyper.f0 / hyper.e0)
-        # the version 5 layout is pinned byte for byte
+        # the version 6 layout is pinned byte for byte
         rewritten = tmp_path / "checkpoint.json"
         info = io.read_checkpoint(path)[2]
         io.write_checkpoint(rewritten, state, hyper, info["fit"], info["group_names"])
         assert rewritten.read_bytes() == path.read_bytes()
 
-    def test_version_5_round_trips_a_fitted_state_bitwise(self, tmp_path):
+    def test_version_5_file_rejected(self, tmp_path, capsys):
+        """checkpoint_v5.json, checkpoint_v6.json's state in version 5's
+        per-group base64 arrays, is no longer read: its fit has to be run
+        again."""
+        path = DATA / "checkpoint_v5.json"
+        out = tmp_path / "rank"
+        assert cli.main(["rank", str(path), "--groups", "0,1", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path} has schema version 5, expected 6\n"
+        )
+        assert not out.exists()
+
+    def test_version_6_round_trips_a_fitted_state_bitwise(self, tmp_path):
         # the acceptance size prunes most of K = 30
         data, _ = simdata.generate(
             simdata.simulation1_pattern(), 100, [100] * 4, seed=0
@@ -720,11 +766,27 @@ class TestCheckpointEncoding:
             obj = json.load(fh)
         assert obj["fit"]["sweeps_run"] == 2
         assert obj["state"][io.STORED_FACTORS] == kept
-        assert obj["state"]["rho"][0]["shape"] == [len(kept), 100]
+        assert obj["state"]["rho"]["shape"] == [len(kept), 400]
         assert obj["state"]["f_var"]["shape"] == [100, len(kept)]
         assert obj["state"][io.STORED_FACTORS] == state.factors.tolist()
         back, _, _ = io.read_checkpoint(path)
         assert_states_bitwise_equal(back, state)
+
+    @pytest.mark.parametrize(
+        "dims", [[2000] * 4, [13, 40, 7, 25]], ids=["wide", "unequal-width"]
+    )
+    def test_wide_and_unequal_width_states_round_trip_bitwise(self, tmp_path, dims):
+        state, hyper = random_state(dims)
+        names = [f"group{m + 1}" for m in range(len(dims))]
+        path = tmp_path / "checkpoint.json"
+        io.write_checkpoint(path, state, hyper, {"seed": 0}, names)
+        back, hyper_back, info = io.read_checkpoint(path)
+        assert_states_bitwise_equal(back, state)
+        assert_stacked_layout(back)
+        assert hyper_back == hyper and info["group_names"] == names
+        rewritten = tmp_path / "rewritten.json"
+        io.write_checkpoint(rewritten, back, hyper_back, info["fit"], info["group_names"])
+        assert rewritten.read_bytes() == path.read_bytes()
 
     def test_minus_zero_keeps_a_factor_stored(self, tmp_path):
         # a held factor is stored as it stands, even with every entry at the
@@ -752,11 +814,10 @@ class TestCheckpointEncoding:
         io.write_checkpoint(path, state, hyper, {"seed": 0}, data.group_names)
         block = json.loads(path.read_text())["state"]
         assert block[io.STORED_FACTORS] == stored
-        arrays = [block[name][m] for name in ("rho", "w_mean", "w_var") for m in range(4)]
-        arrays += [block["f_mean"], block["f_var"]]
-        shapes = [[len(stored), 8]] * 12 + [[12, len(stored)]] * 2
+        arrays = [block[name] for name in ("rho", "w_mean", "w_var", "f_mean", "f_var")]
+        shapes = [[len(stored), 32]] * 3 + [[12, len(stored)]] * 2
         assert [a["shape"] for a in arrays] == shapes
-        assert all((a["f8"] == "") == at_prior for a in arrays)
+        assert all((a["hex"] == "") == at_prior for a in arrays)
         back, hyper_back, info = io.read_checkpoint(path)
         assert_states_bitwise_equal(back, state)
         rewritten = tmp_path / "rewritten.json"
@@ -795,7 +856,7 @@ class TestCheckpointEncoding:
         with pytest.raises(DataError, match=message):
             io.read_checkpoint(path)
 
-    def test_version_5_without_its_factor_list_rejected(self, tmp_path):
+    def test_version_6_without_its_factor_list_rejected(self, tmp_path):
         state, hyper = at_prior_but(2, "w_mean", 0.5)
         path = tmp_path / "checkpoint.json"
         io.write_checkpoint(path, state, hyper)
@@ -805,7 +866,54 @@ class TestCheckpointEncoding:
         with pytest.raises(DataError, match=io.STORED_FACTORS):
             io.read_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [5])
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            pytest.param(None, "'dims'", id="missing"),
+            pytest.param([8, 8, 8], "want", id="three-groups"),
+            pytest.param([8, 8, 8, 9], "want", id="too-wide"),
+            pytest.param([8, 8, 8, 8.0], "integers", id="float"),
+            pytest.param([8, 8, 8, True], "integers", id="bool"),
+            pytest.param("8,8,8,8", "integers", id="text"),
+            pytest.param([], "dims must be", id="empty"),
+            pytest.param([16, 0, 8, 8], "dims must be", id="zero-width"),
+        ],
+    )
+    def test_bad_dims_rejected(self, tmp_path, checkpoint_text, dims, message):
+        obj = json.loads(checkpoint_text)
+        if dims is None:
+            del obj["state"]["dims"]
+        else:
+            obj["state"]["dims"] = dims
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=message):
+            io.read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "names",
+        [["x"], [1, None, {}, 3.5], ["a", "b", "a", "c"], "group1", {}],
+        ids=["one-name", "not-strings", "repeated", "text", "object"],
+    )
+    def test_bad_group_names_rejected(self, tmp_path, names):
+        # null, or one distinct string per group
+        obj = json.loads((DATA / "checkpoint_v6.json").read_text())
+        obj["group_names"] = names
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match="group_names is neither null nor 4"):
+            io.read_checkpoint(path)
+        out = tmp_path / "rank"
+        assert cli.main(["rank", str(path), "--groups", "0,1", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_non_utf8_file_rejected(self, tmp_path, checkpoint_text):
+        path = tmp_path / "checkpoint.json"
+        path.write_bytes(checkpoint_text.replace("group1", "group\u00e9").encode("latin-1"))
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            io.read_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [6])
     def test_every_version_loads_into_the_stacked_layout(self, version):
         state, _, _ = io.read_checkpoint(DATA / f"checkpoint_v{version}.json")
         assert_stacked_layout(state)
@@ -821,7 +929,7 @@ class TestCheckpointEncoding:
 
     def test_rank_on_corrupted_checkpoint_exits_3(self, tmp_path, checkpoint_text):
         obj = json.loads(checkpoint_text)
-        truncate(obj["state"]["rho"][0])
+        truncate(obj["state"]["rho"])
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(obj))
         out = tmp_path / "rank"
