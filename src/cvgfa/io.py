@@ -2,6 +2,10 @@
 
 Matrices travel as comma-separated text with shortest round-trip decimal
 formatting, so writing and re-reading reproduces every float64 bitwise.
+A matrix input (a group file, a truth file, reconstruct's --observed and
+--truth, rank's --labels) is a local plain-text CSV file, read as UTF-8:
+a name is never fetched as a URL, and a compressed file is never
+decompressed (a gzip file is not UTF-8 text: DataError, exit 3).
 Metadata is versioned JSON; loaders check the format tag and version and
 cross-validate array shapes so a stale or hand-edited file fails loudly
 instead of corrupting a run.
@@ -89,19 +93,25 @@ def write_matrix_csv(path, array):
 
 def read_matrix_csv(path):
     """A finite float matrix of at least one row; loadtxt's nan and inf
-    entries are rejected, and so is a file with no rows."""
+    entries are rejected, and so is a file with no rows.
+
+    The file is opened here, as UTF-8 text, and loadtxt reads the open
+    file: given a name, loadtxt would resolve it through numpy's
+    DataSource, which reads a .gz, .bz2 or .xz sibling when the named
+    file is missing and downloads a URL, and costs a URL parse per read.
+    """
     try:
-        with warnings.catch_warnings():
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             # an empty file is rejected below; loadtxt's warning is not news
             warnings.filterwarnings(
                 "ignore", "loadtxt: input contained no data", UserWarning
             )
-            matrix = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+            matrix = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
     except (OSError, ValueError) as err:
         raise DataError(f"cannot read matrix file {path}: {err}") from None
     if matrix.size == 0:
         raise DataError(f"matrix file {path} holds no rows")
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise DataError(f"matrix file {path} contains non-finite entries")
     return matrix
 
@@ -115,9 +125,11 @@ def read_vector_csv(path):
 
 
 def write_json(path, obj):
+    # one write of the whole text, where json.dump writes each of its many
+    # pieces on its own; the file is not touched if obj does not serialize
+    text = json.dumps(obj, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _read_json(path, expected_format, expected_version=FORMAT_VERSION):

@@ -32,11 +32,13 @@ def abs_correlation(a, b) -> np.ndarray:
         raise UsageError("row length mismatch between the two matrices")
     if a.shape[1] < 2:
         raise UsageError("correlation needs at least two columns")
-    ac = a - a.mean(axis=1, keepdims=True)
-    bc = b - b.mean(axis=1, keepdims=True)
-    a_norm = np.sqrt((ac * ac).sum(axis=1))
-    b_norm = np.sqrt((bc * bc).sum(axis=1))
-    denom = np.outer(a_norm, b_norm)
+    # np.add.reduce is the sum of ndarray.mean and .sum without their
+    # Python wrappers, and the broadcast product is np.outer's
+    ac = a - np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+    bc = b - np.add.reduce(b, axis=1, keepdims=True) / b.shape[1]
+    a_norm = np.sqrt(np.add.reduce(ac * ac, axis=1))
+    b_norm = np.sqrt(np.add.reduce(bc * bc, axis=1))
+    denom = a_norm[:, None] * b_norm
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = np.where(denom > 0.0, (ac @ bc.T) / np.where(denom > 0, denom, 1.0), 0.0)
     return np.abs(corr)
@@ -44,18 +46,21 @@ def abs_correlation(a, b) -> np.ndarray:
 
 def _one_sided_ssi(c: np.ndarray) -> float:
     # per row: best match minus the mean-exceeding competitors, competitors
-    # averaged over the K-1 possible rivals (zero rivals when K == 1)
+    # averaged over the K-1 possible rivals (zero rivals when K == 1). Over
+    # a C-contiguous matrix each row's sum is numpy's pairwise sum of that
+    # row alone, as a call on the row gives, so the bits do not depend on
+    # whether a reduction takes one row or all of them
+    c = np.ascontiguousarray(c)
     k1, k2 = c.shape
+    gaps = np.maximum.reduce(c, axis=1)
+    if k2 > 1:
+        above = c > (np.add.reduce(c, axis=1) / k2)[:, None]
+        penalty = [np.add.reduce(row[hit]) for row, hit in zip(c, above)]
+        gaps = gaps - np.array(penalty) / (k2 - 1)
     total = 0.0
-    for r in range(k1):
-        row = c[r]
-        best = float(row.max())
-        if k2 > 1:
-            above = row > row.mean()
-            penalty = float(row[above].sum()) / (k2 - 1)
-        else:
-            penalty = 0.0
-        total += best - penalty
+    # a running sum in row order: Python 3.12's sum() compensates floats
+    for gap in gaps.tolist():
+        total += gap
     return total / k1
 
 

@@ -263,7 +263,11 @@ class VariationalState:
         if not (
             isinstance(dims, list)
             and dims
-            and all(isinstance(d, numbers.Integral) and d >= 1 for d in dims)
+            # bool is an Integral: True would be a width of 1
+            and all(
+                isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1
+                for d in dims
+            )
         ):
             raise DataError("dims must be a non-empty list of positive group widths")
         # n_factors and n_samples read these shapes; every array is checked

@@ -26,7 +26,9 @@ into a once-per-command and a per-row step; and rho_row_priors and
 loo_dotx, the collapsed-prior halves of one stacked row's inclusion logits
 and the leave-one-factor-out data product of one (factor, group) row, which
 engine.sweep takes for every active factor before its factor loop
-(engine._prior_halves and engine._loo_weights).
+(engine._prior_halves and engine._loo_weights); and abs_correlation and
+ssi, the stability index row by row with each row's own mean, maximum and
+sum calls, which metrics takes as reductions over whole matrices.
 
 The oracles run on states that hold all K factors, the layout of the
 printed equations: prior_reset sets the factors the loading block leaves
@@ -429,6 +431,44 @@ def crt_mean_exact(a, l):
     if a == 0:
         return 0.0
     return float(sum(a / (a + i) for i in range(int(l))))
+
+
+def abs_correlation(a, b):
+    """K1 x K2 absolute Pearson correlations between rows, zero-variance
+    rows at 0, with ndarray.mean for the row means."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    ac = a - a.mean(axis=1, keepdims=True)
+    bc = b - b.mean(axis=1, keepdims=True)
+    a_norm = np.sqrt((ac * ac).sum(axis=1))
+    b_norm = np.sqrt((bc * bc).sum(axis=1))
+    denom = np.outer(a_norm, b_norm)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.where(denom > 0.0, (ac @ bc.T) / np.where(denom > 0, denom, 1.0), 0.0)
+    return np.abs(corr)
+
+
+def _one_sided_ssi(c):
+    k1, k2 = c.shape
+    total = 0.0
+    for r in range(k1):
+        row = c[r]
+        best = float(row.max())
+        if k2 > 1:
+            above = row > row.mean()
+            penalty = float(row[above].sum()) / (k2 - 1)
+        else:
+            penalty = 0.0
+        total += best - penalty
+    return total / k1
+
+
+def ssi(corr):
+    """Sparse stability index, one row at a time: per row its maximum less
+    the sum of its above-mean entries over K2 - 1, averaged over rows, and
+    the same over columns (rows of the transposed view), halved."""
+    corr = np.atleast_2d(np.asarray(corr, dtype=float))
+    return 0.5 * (_one_sided_ssi(corr) + _one_sided_ssi(corr.T))
 
 
 def predict_factors(state, hyper, observed):

@@ -5,6 +5,7 @@ checked directly; the subprocess tests run the entry point declared in
 pyproject.toml the way the installed console-script wrapper does.
 """
 
+import gzip
 import json
 import math
 import os
@@ -941,6 +942,24 @@ class TestReconstruct:
         assert code == 3
         assert caught == []
         assert f"{empty} holds no rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gzip_truth_file_data_error(self, tmp_path, sim1_dataset, sim1_fit, capsys):
+        # a matrix input is plain text: a gzip file is not decompressed
+        best = json.loads((sim1_fit / "best.json").read_text())
+        ckpt = sim1_fit / best["checkpoint"]
+        data, _ = io.read_dataset(sim1_dataset)
+        io.write_matrix_csv(tmp_path / "observed.csv", data.groups[0])
+        truth = tmp_path / "x.csv.gz"
+        with gzip.open(truth, "wb") as fh:
+            fh.write((sim1_dataset / "group_group2.csv").read_bytes())
+        out = tmp_path / "rec"
+        assert run_cli(
+            "reconstruct", ckpt, "--observed", tmp_path / "observed.csv",
+            "--observed-groups", "0", "--target", 1,
+            "--truth", truth, "--out", out,
+        ) == 3
+        assert f"cannot read matrix file {truth}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_matches_the_per_row_oracle_bytewise(self, tmp_path, sim1_dataset, sim1_fit):

@@ -1,6 +1,7 @@
 """Round-trip and strict-loader tests for the on-disk formats."""
 
 import dataclasses
+import gzip
 import json
 import math
 import os
@@ -121,6 +122,23 @@ class TestMatrixCsv:
             with pytest.raises(DataError, match="empty.csv holds no rows"):
                 io.read_vector_csv(path)
 
+    def test_compressed_sibling_not_read(self, tmp_path):
+        # numpy's DataSource, which loadtxt uses for a name, reads y.csv.gz
+        # when y.csv is missing
+        path = tmp_path / "y.csv"
+        with gzip.open(tmp_path / "y.csv.gz", "wt", encoding="utf-8") as fh:
+            fh.write("1.0,2.0\n3.0,4.0\n")
+        for name in (path, str(path)):
+            with pytest.raises(DataError, match="No such file"):
+                io.read_matrix_csv(name)
+
+    def test_compressed_file_not_decompressed(self, tmp_path):
+        path = tmp_path / "y.csv.gz"
+        with gzip.open(path, "wt", encoding="utf-8") as fh:
+            fh.write("1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(DataError, match="y.csv.gz"):
+            io.read_matrix_csv(path)
+
     def test_vector_accepts_column_and_row(self, tmp_path):
         col = tmp_path / "col.csv"
         col.write_text("1.0\n2.0\n3.0\n")
@@ -134,6 +152,19 @@ class TestMatrixCsv:
         io.write_matrix_csv(path, np.ones((2, 2)))
         with pytest.raises(DataError):
             io.read_vector_csv(path)
+
+
+class TestWriteJson:
+    def test_bytes_match_json_dump(self, tmp_path):
+        obj = {"b": [1, 2.5, None], "a": {"x": "é", "y": True}, "c": 0.1}
+        io.write_json(tmp_path / "out.json", obj)
+        expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "out.json").read_bytes() == expected.encode("utf-8")
+
+    def test_unserializable_object_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            io.write_json(tmp_path / "out.json", {"a": 1, "b": object()})
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestPattern:

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracle
 from cvgfa.errors import UsageError
 from cvgfa.metrics import (
     abs_correlation,
@@ -93,6 +94,89 @@ class TestSsi:
     def test_rejects_empty(self):
         with pytest.raises(UsageError):
             ssi(np.zeros((0, 0)))
+
+
+def tied_and_flat(k1, k2):
+    """A K1 x K2 matrix of quarters, whose sums are exact: a zero row, a
+    row of 0.5 between a 0.25 and a 0.75, every 0.5 tied at the row's
+    mean, and a row of one tiny entry among large ones, all but one of
+    them above the mean."""
+    c = np.round(np.random.default_rng(k1 * 100 + k2).random((k1, k2)) * 4) / 4
+    c[0] = 0.0
+    if k1 > 1:
+        c[1] = 0.5
+        c[1, 0], c[1, -1] = (0.25, 0.75) if k2 > 1 else (0.5, 0.5)
+    if k1 > 2:
+        c[2] = 0.9
+        c[2, 0] = 0.01
+    return c
+
+
+def between_two_sums(rng, width, j):
+    """A random row whose entry j lies between its mean by numpy's pairwise
+    sum and its mean by a left-to-right sum, so that it counts as above
+    the mean by one sum and not by the other."""
+    while True:
+        row = rng.random(width)
+        row[j] = (row.sum() - row[j]) / (width - 1)
+        for step in range(-8, 9):
+            x = row.copy()
+            x[j] += step * np.spacing(row[j])
+            pairwise = np.add.reduce(x) / width
+            in_order = np.add.accumulate(x)[-1] / width
+            if (x[j] > pairwise) != (x[j] > in_order):
+                return x
+
+
+class TestSsiOracle:
+    """metrics takes the row means, maxima and above-mean sums over whole
+    matrices; the oracle takes them one row at a time. Row sums of 8 or
+    more values take numpy's unrolled pairwise sum."""
+
+    SIZES = [1, 7, 8, 13]
+
+    @pytest.mark.parametrize("k1", SIZES)
+    @pytest.mark.parametrize("k2", SIZES)
+    def test_random_matrices_bitwise(self, k1, k2):
+        rng = np.random.default_rng(k1 * 100 + k2)
+        a = rng.standard_normal((k1, 30))
+        b = rng.standard_normal((k2, 30))
+        b[k2 // 2] = 1.5  # a zero-variance row
+        corr = abs_correlation(a, b)
+        assert corr.tobytes() == oracle.abs_correlation(a, b).tobytes()
+        assert ssi(corr) == oracle.ssi(corr)
+        # the recovered rows are often noisier copies of the true ones
+        b[: min(k1, k2)] += 0.1 * a[: min(k1, k2)] * rng.random((min(k1, k2), 1))
+        corr = abs_correlation(a, b)
+        assert ssi(corr) == oracle.ssi(corr)
+
+    @pytest.mark.parametrize("k1", SIZES)
+    @pytest.mark.parametrize("k2", SIZES)
+    def test_ties_and_zero_rows_bitwise(self, k1, k2):
+        c = tied_and_flat(k1, k2)
+        assert ssi(c) == oracle.ssi(c)
+        assert ssi(c.T) == oracle.ssi(c.T)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_entries_at_the_last_bit_of_a_mean_bitwise(self, layout):
+        # a row mean summed in any other order moves these entries across
+        # it, in the rows of a C-ordered matrix and of an F-ordered one
+        rng = np.random.default_rng(9)
+        c = np.array([between_two_sums(rng, 13, j % 13) for j in range(13)], order=layout)
+        assert ssi(c) == oracle.ssi(c)
+
+    def test_long_rows_bitwise(self):
+        # above 128 values numpy's pairwise sum splits the row in halves
+        c = np.abs(np.random.default_rng(7).standard_normal((3, 300)))
+        c[1, :150] = 0.0
+        assert ssi(c) == oracle.ssi(c)
+        assert ssi(c.T) == oracle.ssi(c.T)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_any_memory_layout_bitwise(self, layout):
+        c = np.abs(np.random.default_rng(8).standard_normal((13, 26)))
+        view = np.asfortranarray(c) if layout == "fortran" else c[:, ::2]
+        assert ssi(view) == oracle.ssi(view)
 
 
 class TestDsi:

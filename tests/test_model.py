@@ -655,6 +655,29 @@ class TestHeldFactors:
         with pytest.raises(DataError, match="vector of integers"):
             state.validate()
 
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            pytest.param([True, 7], id="true"),
+            pytest.param([5, 2, False], id="false"),
+            pytest.param([5, 2.0, 7], id="float"),
+            pytest.param([5, 0, 7], id="zero"),
+            pytest.param([], id="empty"),
+            pytest.param((5, 2, 7), id="tuple"),
+        ],
+    )
+    def test_bad_group_widths_rejected(self, dims):
+        state = self.state()
+        state.validate()
+        state.dims = dims
+        with pytest.raises(DataError, match="positive group widths"):
+            state.validate()
+
+    def test_numpy_integer_widths_accepted(self):
+        state = self.state()
+        state.dims = [np.int64(d) for d in state.dims]
+        state.validate()
+
     def test_scores_need_one_column_per_held_factor(self):
         state = self.state()
         state.f_var = state.f_var[:, :2]
