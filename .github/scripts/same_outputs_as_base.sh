@@ -8,11 +8,14 @@
 # eval in sim1 and sim2 mode, rank (groups 0,1, with a labels file) and
 # reconstruct (groups 0,1 -> 2, with --truth). Each tree works in its own
 # directory with the same relative paths, so the paths the outputs record
-# are the same. Prints, per output file, whether the two trees wrote it
-# byte for byte alike. It only reports: a change may move the outputs on
-# purpose, so a difference, or a command that fails in one tree, is printed
-# and the script still exits 0. The fit is each tree's own, so a change
-# that moves the fitted values moves these outputs too.
+# are the same. One more fit (sim1) reads its priors from a config file,
+# {"hyper": {"c0": 0.5}}, which both trees accept. Prints, per output file
+# (each fit's aggregate.json, best.json and trace, and every command
+# output), whether the two trees wrote it byte for byte alike. It only
+# reports: a change may move the outputs on purpose, so a difference, or a
+# command that fails in one tree, is printed and the script still exits 0.
+# The fit is each tree's own, so a change that moves the fitted values
+# moves these outputs too.
 set -uo pipefail
 
 other=$(cd "$1" && pwd)
@@ -28,8 +31,13 @@ done
 paste -d, "$work/data/sim1/group_group1.csv" "$work/data/sim1/group_group2.csv" \
   >"$work/data/observed.csv"
 seq 100 | awk '{print $1 % 2}' >"$work/data/labels.csv"
+echo '{"hyper": {"c0": 0.5}}' >"$work/data/priors.json"
 
-outputs="eval_sim1.json eval_sim2.json rank/scores.csv rank/rank.json
+outputs=""
+for run in fit_sim1 fit_sim2 fit_priors; do
+  outputs="$outputs $run/aggregate.json $run/best.json $run/restart_0/trace.csv"
+done
+outputs="$outputs eval_sim1.json eval_sim2.json rank/scores.csv rank/rank.json
   recon/reconstruction.csv recon/reconstruct.json"
 
 run_tree() {
@@ -44,6 +52,8 @@ run_tree() {
           --mode "$spec" --out "eval_$spec.json" ||
         echo "$spec fit or eval failed in $1"
     done
+    cvgfa "$1" fit ../data/sim1 --config ../data/priors.json --k 30 --restarts 1 \
+      --seed 0 --out fit_priors || echo "fit with a config failed in $1"
     ckpt=fit_sim1/restart_0/checkpoint.json
     cvgfa "$1" rank "$ckpt" --groups 0,1 --labels ../data/labels.csv --out rank ||
       echo "rank failed in $1"

@@ -10,13 +10,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import engine, io, metrics
 from .errors import CvgfaError, DataError, NumericalError, UsageError
-from .model import FitOptions, Hyperparameters, _active_rows, _is_whole
+from .model import FitOptions, Hyperparameters, _active_rows
 from .simdata import (
     ABSENT,
     DENSE,
@@ -34,38 +34,6 @@ from .simdata import (
 EVAL_SPARSITY_THRESHOLD = 0.15
 
 DEFAULT_N_RESTARTS = 20
-
-FIT_OPTION_KEYS = ("max_sweeps", "rel_tolerance", "seed")
-
-# the type of each config value, a number (int or float) where not listed;
-# a JSON true or false loads as a bool, an int, which no key takes
-_CONFIG_TYPES = {"K": int, "max_sweeps": int, "seed": int, "n_restarts": int}
-_CONFIG_TYPES.update(dataset_path=str, output_dir=str)
-
-
-def _check_config_value(path, name, value):
-    want = _CONFIG_TYPES.get(name.rpartition(".")[2], (int, float))
-    if isinstance(value, bool) or not isinstance(value, want):
-        kind = {int: "an integer", str: "a string"}.get(want, "a number")
-        raise UsageError(f"config {path}: {name} must be {kind}, got {value!r}")
-
-
-@dataclass
-class RunConfig:
-    """Everything one experiment needs: priors, fit knobs, restart count."""
-
-    hyper: Hyperparameters
-    fit: FitOptions
-    n_restarts: int
-    dataset_path: str
-    output_dir: str
-
-    def validate(self):
-        if not (_is_whole(self.n_restarts) and self.n_restarts >= 1):
-            raise UsageError("n_restarts must be an integer of at least 1")
-        self.hyper.validate()
-        self.fit.validate()
-        return self
 
 
 def _parse_int_list(text, flag):
@@ -108,7 +76,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_config_file(path):
+def _load_priors(path):
+    """The prior constants of the --config file path: the keyword arguments
+    of Hyperparameters but K, as the JSON object {"hyper": {...}} holds
+    them. Any other key exits 2, naming it; Hyperparameters.validate checks
+    the values."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -118,64 +90,41 @@ def _load_config_file(path):
         raise UsageError(f"config {path} is not valid JSON: {err}")
     if not isinstance(obj, dict):
         raise UsageError(f"config {path} must hold a JSON object")
-    known = {"hyper", "fit", "n_restarts", "dataset_path", "output_dir"}
-    unknown = set(obj) - known
+    unknown = set(obj) - {"hyper"}
     if unknown:
         raise UsageError(f"config {path} has unknown keys: {sorted(unknown)}")
-    for key in ("n_restarts", "dataset_path", "output_dir"):
-        if key in obj:
-            _check_config_value(path, key, obj[key])
-    for section, allowed in (("hyper", set(io.HYPER_FIELDS)), ("fit", set(FIT_OPTION_KEYS))):
-        sub = obj.get(section)
-        if sub is None:
-            continue
-        if not isinstance(sub, dict):
-            raise UsageError(f"config section {section!r} must be an object")
-        bad = set(sub) - allowed
-        if bad:
-            raise UsageError(f"config section {section!r} has unknown keys: {sorted(bad)}")
-        for key, value in sub.items():
-            _check_config_value(path, f"{section}.{key}", value)
-    return obj
+    priors = {} if obj.get("hyper") is None else obj["hyper"]
+    if not isinstance(priors, dict):
+        raise UsageError(f"config {path}: section 'hyper' must be an object")
+    unknown = set(priors) - ({f.name for f in fields(Hyperparameters)} - {"K"})
+    if unknown:
+        raise UsageError(
+            f"config {path}: section 'hyper' has unknown keys: {sorted(unknown)}"
+        )
+    return priors
 
 
 def _build_run_config(args):
-    cfg = _load_config_file(args.config) if args.config else {}
-    dataset_path = args.dataset or cfg.get("dataset_path")
-    if not dataset_path:
-        raise UsageError("a dataset directory is required (argument or config)")
-    data, manifest = io.read_dataset(dataset_path)
-
-    hyper_kw = dict(cfg.get("hyper") or {})
-    if args.k is not None:
-        hyper_kw["K"] = int(args.k)
-    defaulted_k = "K" not in hyper_kw
+    """(hyper, opts, data, defaulted_k) of fit's arguments. Every setting is
+    checked before the dataset is read: the priors, K when --k gives it,
+    the fit options, the restart and worker counts and that --out is not
+    empty. A K taken from the data is checked once they are read."""
+    priors = _load_priors(args.config) if args.config else {}
+    defaulted_k = args.k is None
+    # K = 1 stands in for a K the data will give
+    hyper = Hyperparameters(K=1 if defaulted_k else args.k, **priors).validate()
+    opts = FitOptions(
+        max_sweeps=args.max_sweeps, rel_tolerance=args.tol, seed=args.seed
+    ).validate()
+    engine._check_restart_counts(args.restarts, args.threads)
+    if not args.out:
+        raise UsageError("--out must name a directory")
+    data, _ = io.read_dataset(args.dataset)
     if defaulted_k:
         # one truncation serves every group: cap by the widest one
-        hyper_kw["K"] = min(data.n_samples, max(x.shape[1] for x in data.groups))
-    hyper = Hyperparameters(**hyper_kw)
-
-    fit_kw = dict(cfg.get("fit") or {})
-    if args.max_sweeps is not None:
-        fit_kw["max_sweeps"] = int(args.max_sweeps)
-    if args.tol is not None:
-        fit_kw["rel_tolerance"] = float(args.tol)
-    if args.seed is not None:
-        fit_kw["seed"] = int(args.seed)
-    opts = FitOptions(**fit_kw)
-
-    n_restarts = args.restarts
-    if n_restarts is None:
-        n_restarts = cfg.get("n_restarts", DEFAULT_N_RESTARTS)
-    out_dir = args.out or cfg.get("output_dir") or "."
-    run = RunConfig(
-        hyper=hyper,
-        fit=opts,
-        n_restarts=int(n_restarts),
-        dataset_path=str(dataset_path),
-        output_dir=str(out_dir),
-    ).validate()
-    return run, data, defaulted_k
+        k = min(data.n_samples, max(data.dims))
+        hyper = replace(hyper, K=k).validate()
+    return hyper, opts, data, defaulted_k
 
 
 def _usable_cpus():
@@ -188,23 +137,18 @@ def _usable_cpus():
 
 
 def cmd_fit(args) -> int:
-    run, data, defaulted_k = _build_run_config(args)
-    workers = 1 if args.threads is None else int(args.threads)
-    if workers < 1:
-        raise UsageError("--threads must be at least 1")
+    hyper, opts, data, defaulted_k = _build_run_config(args)
     # more processes than restarts or usable cores would only wait on each
     # other
-    workers = min(workers, run.n_restarts, _usable_cpus())
+    workers = min(args.threads, args.restarts, _usable_cpus())
 
-    results = engine.run_restarts(
-        data, run.hyper, run.fit, run.n_restarts, workers=workers
-    )
+    results = engine.run_restarts(data, hyper, opts, args.restarts, workers=workers)
 
-    os.makedirs(run.output_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     rows = []
     for res in results:
         rdir_name = f"restart_{res['seed']}"
-        rdir = os.path.join(run.output_dir, rdir_name)
+        rdir = os.path.join(args.out, rdir_name)
         os.makedirs(rdir, exist_ok=True)
         if res["error"] is None:
             report = res["report"]
@@ -218,7 +162,7 @@ def cmd_fit(args) -> int:
             io.write_checkpoint(
                 os.path.join(rdir, "checkpoint.json"),
                 report.final_state,
-                run.hyper,
+                hyper,
                 fit_info=dict(summary, metadata=report.metadata),
                 group_names=data.group_names,
             )
@@ -247,34 +191,31 @@ def cmd_fit(args) -> int:
     ok = [r for r in rows if r["status"] == "ok"]
     if not ok:
         raise NumericalError(
-            "all restarts failed", context={"n_restarts": run.n_restarts}
+            "all restarts failed", context={"n_restarts": args.restarts}
         )
 
     best = min(ok, key=lambda r: (r["train_mse"], r["seed"]))
     # the best restart's row, but for its status and objective
     best_row = {k: v for k, v in best.items() if k not in ("status", "objective")}
     io.write_json(
-        os.path.join(run.output_dir, "best.json"),
+        os.path.join(args.out, "best.json"),
         dict(best_row, format="cvgfa-best", version=io.FORMAT_VERSION),
     )
 
     mses = [r["train_mse"] for r in ok]
     kacts = [r["k_active"] for r in ok]
     io.write_json(
-        os.path.join(run.output_dir, "aggregate.json"),
+        os.path.join(args.out, "aggregate.json"),
         {
             "format": "cvgfa-aggregate",
             "version": io.FORMAT_VERSION,
-            "dataset": run.dataset_path,
-            "n_restarts": run.n_restarts,
+            "dataset": args.dataset,
+            "n_restarts": args.restarts,
             "seeds": [r["seed"] for r in rows],
             "workers": workers,
-            "hyperparameters": dict(
-                {f: getattr(run.hyper, f) for f in io.HYPER_FIELDS},
-                K=int(run.hyper.K),
-            ),
-            "truncation_defaulted": bool(defaulted_k),
-            "fit_options": {k: getattr(run.fit, k) for k in FIT_OPTION_KEYS},
+            "hyperparameters": asdict(hyper),
+            "truncation_defaulted": defaulted_k,
+            "fit_options": asdict(opts),
             "restarts": rows,
             "summary": {
                 "n_ok": len(ok),
@@ -322,7 +263,7 @@ def cmd_eval(args) -> int:
     state, hyper, info = io.read_checkpoint(args.checkpoint)
     mse = _recorded_train_mse(args.checkpoint, info["fit"])
     manifest = io.read_manifest(args.dataset)
-    loadings, pattern, factors = io.read_truth(args.dataset, manifest)
+    loadings, pattern = io.read_truth(args.dataset, manifest)
     _check_state_matches_manifest(state, manifest)
     names = io.manifest_group_names(manifest)
     if pattern.n_groups != len(names):
@@ -517,17 +458,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=".", help="dataset directory to create")
 
     p_fit = sub.add_parser("fit", help="run multi-restart inference on a dataset")
-    p_fit.add_argument("dataset", nargs="?", default=None, help="dataset directory")
-    p_fit.add_argument("--config", default=None, help="JSON run configuration")
-    p_fit.add_argument("--k", type=int, default=None, help="truncation level")
-    p_fit.add_argument("--restarts", type=int, default=None)
-    p_fit.add_argument("--seed", type=int, default=None, help="first restart seed")
-    cap = "most sweeps per restart (default 150)"
-    p_fit.add_argument("--max-sweeps", type=int, default=None, help=cap)
-    rule = "stop at 3 relative MSE changes in a row below this (5e-7)"
-    p_fit.add_argument("--tol", type=float, default=None, help=rule)
-    p_fit.add_argument("--threads", type=int, default=None, help="parallel restarts")
-    p_fit.add_argument("--out", default=None, help="output directory")
+    p_fit.add_argument("dataset", help="dataset directory")
+    priors = "JSON file of prior constants, {\"hyper\": {\"c0\": ...}}"
+    p_fit.add_argument("--config", default=None, help=priors)
+    trunc = "truncation level (default: min(N, widest group))"
+    p_fit.add_argument("--k", type=int, default=None, help=trunc)
+    p_fit.add_argument("--restarts", type=int, default=DEFAULT_N_RESTARTS)
+    first = "first restart seed (default %(default)s)"
+    p_fit.add_argument("--seed", type=int, default=FitOptions.seed, help=first)
+    cap = "most sweeps per restart (default %(default)s)"
+    p_fit.add_argument("--max-sweeps", type=int, default=FitOptions.max_sweeps, help=cap)
+    rule = "stop at 3 relative MSE changes in a row below this (%(default)s)"
+    p_fit.add_argument("--tol", type=float, default=FitOptions.rel_tolerance, help=rule)
+    p_fit.add_argument("--threads", type=int, default=1, help="parallel restarts")
+    p_fit.add_argument("--out", default=".", help="output directory")
 
     p_eval = sub.add_parser("eval", help="stability indices against simulation truth")
     p_eval.add_argument("checkpoint", help="checkpoint.json from fit")

@@ -86,6 +86,7 @@ from .model import (
     _lambda_rate,
     _loading_products,
     _loading_sums,
+    _noise_rates,
     _prior_w_var,
     _row_norms,
     _sq_norms,
@@ -495,10 +496,11 @@ def sweep(state, data, hyper, *, _data_norms=None):
     per-sample squared norms (model._sq_norms, one M x N array), which the
     noise precisions read and which are returned for the caller's training
     error and objective. The expected squared residuals and the noise rates
-    are one expression each over the M x N stack (_noise_rates). So per pass
-    and group the data is read by (tau_bar_m F)^T X_m and X_m C_m^T only;
-    its row norms (model._row_norms) are taken once per fit by the caller
-    and passed as _data_norms (M x N), or here when it is omitted.
+    are one expression each over the M x N stack (model._noise_rates). So
+    per pass and group the data is read by (tau_bar_m F)^T X_m and
+    X_m C_m^T only; its row norms (model._row_norms) are taken once per fit
+    by the caller and passed as _data_norms (M x N), or here when it is
+    omitted.
 
     Each of these stacked steps gives every group the bits of that group's
     own call: a batched matmul runs one BLAS call per group on the group's
@@ -652,16 +654,6 @@ def sweep(state, data, hyper, *, _data_norms=None):
 
     _check_state_finite(state)
     return norms
-
-
-def _noise_rates(h0, norms, f_mean, f_var, second, square):
-    """The q(tau) rates h0 + E[||x_n - G_m f_n||^2] / 2 of every group and
-    sample, one expression over the M x N stack of
-    model._expected_sq_residuals (whose arguments follow h0)."""
-    rates = _expected_sq_residuals(norms, f_mean, f_var, second, square)
-    rates *= 0.5
-    rates += h0
-    return rates
 
 
 def _check_state_finite(state):
@@ -1007,6 +999,15 @@ def _one_restart(data, hyper, opts, seed, start):
         }
 
 
+def _check_restart_counts(n_restarts, workers):
+    """Raise UsageError unless the restart and worker counts are whole
+    numbers of at least 1."""
+    if not (_is_whole(n_restarts) and n_restarts >= 1):
+        raise UsageError("n_restarts must be an integer of at least 1")
+    if not (_is_whole(workers) and workers >= 1):
+        raise UsageError("workers must be an integer of at least 1")
+
+
 def run_restarts(data, hyper, opts, n_restarts, workers=1):
     """Independent fits from seeds opts.seed .. opts.seed + n_restarts - 1.
 
@@ -1017,10 +1018,7 @@ def run_restarts(data, hyper, opts, n_restarts, workers=1):
     than failing the batch. Results are returned in seed order regardless
     of worker count.
     """
-    if not (_is_whole(n_restarts) and n_restarts >= 1):
-        raise UsageError("n_restarts must be an integer of at least 1")
-    if not (_is_whole(workers) and workers >= 1):
-        raise UsageError("workers must be an integer of at least 1")
+    _check_restart_counts(n_restarts, workers)
     opts.validate()
     seeds = [int(opts.seed) + r for r in range(int(n_restarts))]
     start = spectral_start(data, hyper)

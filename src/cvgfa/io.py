@@ -65,6 +65,7 @@ import json
 import math
 import os
 import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -78,7 +79,6 @@ FORMAT_VERSION = 1
 CHECKPOINT_VERSION = 6
 TRACE_HEADER = "sweep,objective,train_mse,k_active"
 
-HYPER_FIELDS = ("K", "kappa0", "c0", "d0", "e0", "f0", "g0", "h0")
 _COMPACT = (",", ":")
 
 
@@ -194,7 +194,8 @@ def write_dataset(out_dir, data: GroupedDataset, truth=None, generator=None):
 
     With a SimulationTruth, also writes per-group true-loading CSVs, the
     shared factor matrix, and pattern.json; generator metadata (seed and
-    variance conventions) lands in the manifest.
+    variance conventions) lands in the manifest. read_truth does not read
+    the factor matrix back.
     """
     os.makedirs(out_dir, exist_ok=True)
     groups_meta = []
@@ -282,30 +283,27 @@ def read_dataset(path):
 
 
 def read_truth(path, manifest=None):
-    """True loadings, pattern, and factors for a simulated dataset directory.
+    """True loadings and pattern of a simulated dataset directory.
 
     manifest is read_manifest(path), read here when None. Returns
-    (loadings list, SparsityPattern, factors array); raises DataError when
-    the directory was not written with truth files.
+    (loadings list, SparsityPattern); raises DataError when the directory
+    was not written with truth files. The factor matrix is not read.
     """
     if manifest is None:
         manifest = read_manifest(path)
     gen = manifest.get("generator")
-    if not isinstance(gen, dict) or not gen.get("pattern_file"):
+    pattern_file = gen.get("pattern_file") if isinstance(gen, dict) else None
+    if not (pattern_file and isinstance(pattern_file, str)):
         raise DataError(f"{path} holds no simulation truth")
-    for key in ("pattern_file", "factors_file"):
-        if not (gen.get(key) and isinstance(gen[key], str)):
-            raise DataError(f"{path}: manifest generator has no {key}")
-    pattern = read_pattern(os.path.join(path, gen["pattern_file"]))
+    pattern = read_pattern(os.path.join(path, pattern_file))
     k = pattern.n_factors
-    factors = _read_shaped(path, gen["factors_file"], (manifest["n_samples"], k))
     loadings = []
     for entry in manifest["groups"]:
         tname = entry.get("truth_file")
         if not (tname and isinstance(tname, str)):
             raise DataError(f"{path}: a group entry in the manifest has no truth file")
         loadings.append(_read_shaped(path, tname, (k, entry["n_columns"])))
-    return loadings, pattern, factors
+    return loadings, pattern
 
 
 def _read_shaped(path, fname, shape):
@@ -393,8 +391,7 @@ def write_checkpoint(path, state, hyper: Hyperparameters, fit_info=None, group_n
     the module docstring). Each array's hex text is written into the file
     as it stands: it needs no JSON escaping.
     """
-    hyperparameters = {f: getattr(hyper, f) for f in HYPER_FIELDS}
-    hyperparameters["K"] = int(hyper.K)
+    hyperparameters = dict(asdict(hyper), K=int(hyper.K))
     header = json.dumps(
         {
             "format": CHECKPOINT_FORMAT,
@@ -432,9 +429,10 @@ def read_checkpoint(path):
     """
     obj = _read_json(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     hp = obj.get("hyperparameters")
-    if not isinstance(hp, dict) or any(f not in hp for f in HYPER_FIELDS):
+    names = [f.name for f in fields(Hyperparameters)]
+    if not isinstance(hp, dict) or any(f not in hp for f in names):
         raise DataError(f"{path}: incomplete hyperparameters")
-    hyper = Hyperparameters(**{f: hp[f] for f in HYPER_FIELDS})
+    hyper = Hyperparameters(**{f: hp[f] for f in names})
     try:
         hyper.validate()
     except UsageError as err:

@@ -14,7 +14,7 @@ the first two sweeps, as rows with no inclusion.
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,9 +103,12 @@ class Hyperparameters:
     def validate(self):
         if not (_is_whole(self.K) and self.K >= 1):
             raise UsageError("truncation level K must be an integer of at least 1")
-        for name in ("kappa0", "c0", "d0", "e0", "f0", "g0", "h0"):
-            if not _is_positive_real(getattr(self, name)):
-                raise UsageError(f"hyperparameter {name} must be positive and finite")
+        # every field after K is a prior constant
+        for prior in fields(self)[1:]:
+            if not _is_positive_real(getattr(self, prior.name)):
+                raise UsageError(
+                    f"hyperparameter {prior.name} must be positive and finite"
+                )
         return self
 
     @property
@@ -340,10 +343,9 @@ def _spans(widths):
     return spans
 
 
-# Warm-start construction constants. Singular values above _INIT_EDGE_MULT
+# Warm-start construction constants. Singular values above _edge_mult(beta)
 # times the median count as signal; rotated loadings at least _INIT_LOADING_CUT
 # in magnitude seed confident inclusions.
-_INIT_EDGE_MULT = 2.0
 _INIT_LOADING_CUT = 0.5
 _INIT_RHO_IN = 0.9
 _INIT_RHO_OUT = 0.02
@@ -411,7 +413,7 @@ def spectral_start(data: GroupedDataset, hyper: Hyperparameters) -> SpectralStar
     eigendecomposition of its N x N Gram matrix, without forming the
     concatenation (_principal_components); they are the SVD's, up to the
     sign of each component. Components whose singular value clears
-    _INIT_EDGE_MULT (2) times the median are signal: they are rotated
+    _edge_mult(beta) times the median are signal: they are rotated
     toward sparse loadings (varimax) and ordered by loading energy. The
     eigenvector signs can differ from an SVD's; the varimax rotation, the
     signal cut and init_state's inclusion cut treat a component and its
@@ -494,8 +496,7 @@ def init_state(
     coef = rho * w_mean
     norms = _sq_norms(start.row_norms, f_mean, *_loading_products(data.groups, coef))
     second, square, _ = _loading_sums(rho, w_mean, w_var, coef, dims)
-    sq = _expected_sq_residuals(norms, f_mean, f_var, second, square)
-    tau_rate = hyper.h0 + 0.5 * sq
+    tau_rate = _noise_rates(hyper.h0, norms, f_mean, f_var, second, square)
 
     return VariationalState(
         rho=rho,
@@ -515,6 +516,16 @@ def init_state(
     )
 
 
+def _edge_mult(beta):
+    """omega(beta), the multiple of the median singular value above which a
+    component of an n x d matrix with unknown noise level is signal, beta =
+    min(n, d) / max(n, d): Gavish & Donoho's cubic fit (The Optimal Hard
+    Threshold for Singular Values is 4/sqrt(3), IEEE Trans. Inf. Theory
+    2014): 1.47 at beta = 0.025 (N=200 over 4x2000), 1.83 at 0.25, 2.86
+    at 1."""
+    return 0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43
+
+
 def _principal_components(groups, k):
     """Singular values, scores and signal loadings of the column-stacked
     data.
@@ -527,8 +538,9 @@ def _principal_components(groups, k):
     u^T X_m / sqrt(N) of the signal ones among them, one block of columns
     per group (r_sig x sum D_m), which equal the SVD's s v^T / sqrt(N).
     The signal components are the leading r_sig, those whose singular value
-    clears _INIT_EDGE_MULT times the median, at least one and at most
-    k_use; the others get no loadings. Signs are eigh's: a component and
+    clears _edge_mult(beta) times the median, beta the aspect ratio
+    min(N, sum D_m) / max(N, sum D_m), at least one and at most k_use; the
+    others get no loadings. Signs are eigh's: a component and
     its negation are the same component.
     """
     n = groups[0].shape[0]
@@ -536,16 +548,16 @@ def _principal_components(groups, k):
     for x in groups[1:]:
         gram += x @ x.T
     evals, evecs = np.linalg.eigh(gram)
-    n_sv = min(n, sum(x.shape[1] for x in groups))
+    widths = [x.shape[1] for x in groups]
+    n_sv = min(n, sum(widths))
     # eigh sorts ascending; rounding can leave the zero eigenvalues of
     # rank-deficient data slightly negative
     sv = np.sqrt(np.maximum(evals[::-1][:n_sv], 0.0))
     u = np.ascontiguousarray(evecs[:, ::-1][:, : min(k, n_sv)])
     del evecs
-    edge = _INIT_EDGE_MULT * float(np.median(sv))
+    edge = _edge_mult(n_sv / max(n, sum(widths))) * float(np.median(sv))
     r_sig = max(1, min(u.shape[1], int((sv > edge).sum())))
     root_n = np.sqrt(n)
-    widths = [x.shape[1] for x in groups]
     loads = np.empty((r_sig, sum(widths)))
     for x, cols in zip(groups, _spans(widths)):
         np.matmul(u.T[:r_sig], x, out=loads[:, cols])
@@ -737,3 +749,13 @@ def _expected_sq_residuals(norms, f_mean, f_var, second, square):
     sq += norms
     sq -= np.matmul(f2, square[:, :, None])[..., 0]
     return sq
+
+
+def _noise_rates(h0, norms, f_mean, f_var, second, square):
+    """The q(tau) rates h0 + E[||x_n - G_m f_n||^2] / 2 of every group and
+    sample, one expression over the M x N stack of _expected_sq_residuals
+    (whose arguments follow h0): the warm start's and every sweep's."""
+    rates = _expected_sq_residuals(norms, f_mean, f_var, second, square)
+    rates *= 0.5
+    rates += h0
+    return rates

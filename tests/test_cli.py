@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 import oracle
 from cvgfa import cli, engine, io, metrics
 from cvgfa.errors import UsageError
-from cvgfa.model import FitOptions, Hyperparameters, VariationalState, _keep_rows
+from cvgfa.model import Hyperparameters, VariationalState, _keep_rows
 
 
 def run_cli(*args):
@@ -178,21 +179,22 @@ class TestFit:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_a_non_finite_tol_usage_error(self, tmp_path, sim1_dataset, capsys, source):
         # at inf the rule would hold at once and call any fit converged;
-        # JSON has no inf, but 1e999 reads as one
+        # JSON has no inf, but 1e999 reads as one. --tol is the tolerance's
+        # one route: a config file's "fit" section is an unknown key
         out = tmp_path / "run"
         if source == "flag":
-            args = [sim1_dataset, "--tol", "inf"]
+            args = ["--tol", "inf"]
+            want = "error: rel_tolerance must be positive and finite\n"
         else:
             cfg = tmp_path / "config.json"
-            text = json.dumps(
-                {"dataset_path": str(sim1_dataset), "fit": {"rel_tolerance": math.inf}}
-            )
+            text = json.dumps({"fit": {"rel_tolerance": math.inf}})
             cfg.write_text(text.replace("Infinity", "1e999"))
             args = ["--config", cfg]
-        assert run_cli("fit", *args, "--k", 5, "--restarts", 1, "--out", out) == 2
-        assert capsys.readouterr().err == (
-            "error: rel_tolerance must be positive and finite\n"
-        )
+            want = f"error: config {cfg} has unknown keys: ['fit']\n"
+        assert run_cli(
+            "fit", sim1_dataset, *args, "--k", 5, "--restarts", 1, "--out", out
+        ) == 2
+        assert capsys.readouterr().err == want
         assert not out.exists()
 
     def test_trace_has_a_row_for_every_sweep(self, sim1_fit):
@@ -271,99 +273,134 @@ class TestFit:
                 outs[1] / "restart_4" / name
             ).read_bytes()
 
-    def test_config_file_with_flag_override(self, tmp_path, sim1_dataset):
+    def test_config_file_sets_the_priors_and_flags_the_run(
+        self, tmp_path, sim1_dataset
+    ):
         out = tmp_path / "run"
         cfg = tmp_path / "config.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "dataset_path": str(sim1_dataset),
-                    "output_dir": str(out),
-                    "hyper": {"K": 4},
-                    "fit": {"max_sweeps": 50, "seed": 9},
-                    "n_restarts": 1,
-                }
-            )
-        )
-        assert run_cli("fit", "--config", cfg, "--max-sweeps", 2) == 0
+        cfg.write_text(json.dumps({"hyper": {"c0": 0.5, "h0": 2}}))
+        assert run_cli(
+            "fit", sim1_dataset, "--config", cfg, "--k", 4, "--restarts", 1,
+            "--seed", 9, "--max-sweeps", 2, "--out", out,
+        ) == 0
         agg = json.loads((out / "aggregate.json").read_text())
         assert agg["seeds"] == [9]
-        assert agg["hyperparameters"]["K"] == 4
+        # the file's priors as it gives them, the others at their defaults
+        hp = agg["hyperparameters"]
+        assert hp == {**asdict(Hyperparameters(K=4)), "c0": 0.5, "h0": 2}
         assert agg["truncation_defaulted"] is False
-        # explicit flag wins over the config value
-        assert agg["fit_options"]["max_sweeps"] == 2
-        # two sweeps, at the flag's cap
-        _, _, info = io.read_checkpoint(out / "restart_9" / "checkpoint.json")
-        assert info["fit"]["sweeps_run"] == 2
-        assert agg["restarts"][0]["sweeps_run"] == 2
+        assert agg["fit_options"] == {"max_sweeps": 2, "rel_tolerance": 5e-7, "seed": 9}
+        _, hyper, info = io.read_checkpoint(out / "restart_9" / "checkpoint.json")
+        assert asdict(hyper) == hp
+        assert info["fit"]["sweeps_run"] == agg["restarts"][0]["sweeps_run"] == 2
 
     def test_unknown_config_key_usage_error(self, tmp_path, sim1_dataset):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"dataset_path": str(sim1_dataset), "oops": 1}))
-        assert run_cli("fit", "--config", cfg) == 2
+        cfg.write_text(json.dumps({"oops": 1}))
+        assert run_cli("fit", sim1_dataset, "--config", cfg) == 2
 
     def test_active_factor_threshold_is_not_a_fit_key(
         self, tmp_path, sim1_dataset, capsys
     ):
         # which factors count as active is model.ACTIVE_MASS, not a knob
         cfg = tmp_path / "config.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "dataset_path": str(sim1_dataset),
-                    "fit": {"active_factor_threshold": 3.0},
-                }
-            )
-        )
+        cfg.write_text(json.dumps({"hyper": {"active_factor_threshold": 3.0}}))
         out = tmp_path / "run"
-        assert run_cli("fit", "--config", cfg, "--max-sweeps", 2, "--out", out) == 2
+        assert run_cli(
+            "fit", sim1_dataset, "--config", cfg, "--max-sweeps", 2, "--out", out
+        ) == 2
         assert "active_factor_threshold" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "config, key",
         [
-            pytest.param({"hyper": {"K": "abc"}}, "hyper.K", id="K-text"),
-            pytest.param({"hyper": {"K": 7.5}}, "hyper.K", id="K-fraction"),
-            pytest.param({"hyper": {"K": True}}, "hyper.K", id="K-bool"),
-            pytest.param({"hyper": {"c0": "0.1"}}, "hyper.c0", id="c0-text"),
-            pytest.param({"hyper": {"d0": False}}, "hyper.d0", id="d0-bool"),
-            pytest.param({"fit": {"max_sweeps": "x"}}, "fit.max_sweeps", id="sweeps-text"),
-            pytest.param(
-                {"fit": {"rel_tolerance": None}}, "fit.rel_tolerance", id="tol-null"
-            ),
-            pytest.param({"fit": {"seed": 1.5}}, "fit.seed", id="seed-fraction"),
-            pytest.param({"n_restarts": "two"}, "n_restarts", id="restarts-text"),
-            pytest.param({"output_dir": 5}, "output_dir", id="out-number"),
+            # the keys a flag sets are no config keys, whatever their value
+            pytest.param({"hyper": {"K": "abc"}}, "['K']", id="K-text"),
+            pytest.param({"hyper": {"K": 7.5}}, "['K']", id="K-fraction"),
+            pytest.param({"hyper": {"K": True}}, "['K']", id="K-bool"),
+            pytest.param({"hyper": {"K": 4}}, "['K']", id="K-whole"),
+            pytest.param({"fit": {"max_sweeps": "x"}}, "['fit']", id="sweeps-text"),
+            pytest.param({"fit": {"rel_tolerance": None}}, "['fit']", id="tol-null"),
+            pytest.param({"fit": {"seed": 1.5}}, "['fit']", id="seed-fraction"),
+            pytest.param({"n_restarts": "two"}, "['n_restarts']", id="restarts-text"),
+            pytest.param({"output_dir": 5}, "['output_dir']", id="out-number"),
+            pytest.param({"dataset_path": "x"}, "['dataset_path']", id="dataset-text"),
+            # a prior must be a positive, finite number
+            pytest.param({"hyper": {"c0": "0.1"}}, "hyperparameter c0", id="c0-text"),
+            pytest.param({"hyper": {"d0": False}}, "hyperparameter d0", id="d0-bool"),
+            pytest.param({"hyper": {"e0": None}}, "hyperparameter e0", id="e0-null"),
+            pytest.param({"hyper": {"g0": 0}}, "hyperparameter g0", id="g0-zero"),
+            pytest.param({"hyper": {"h0": 10**400}}, "hyperparameter h0", id="h0-huge"),
+            pytest.param({"hyper": []}, "'hyper' must be an object", id="hyper-list"),
         ],
     )
     def test_config_value_of_the_wrong_type_usage_error(
         self, tmp_path, sim1_dataset, capsys, config, key
     ):
-        # a value of the wrong JSON type exits 2 and names its key, whether
-        # it would crash the fit or be truncated into a valid one
+        # a config key other than a prior, or a prior that is not a
+        # positive finite number, exits 2 and names its key, whether it
+        # would crash the fit or be truncated into a valid one
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"dataset_path": str(sim1_dataset), **config}))
+        cfg.write_text(json.dumps(config))
         out = tmp_path / "run"
-        assert run_cli("fit", "--config", cfg, "--max-sweeps", 2, "--out", out) == 2
+        assert run_cli(
+            "fit", sim1_dataset, "--config", cfg, "--max-sweeps", 2, "--out", out
+        ) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n_restarts", [2.7, True, math.inf, math.nan, 0])
-    def test_run_config_rejects_a_restart_count_that_is_not_whole(self, n_restarts):
-        # through the library, where no JSON type check runs first
-        run = cli.RunConfig(
-            hyper=Hyperparameters(K=3),
-            fit=FitOptions(),
-            n_restarts=n_restarts,
-            dataset_path="data",
-            output_dir="out",
-        )
+    def test_run_config_rejects_a_restart_count_that_is_not_whole(
+        self, tmp_path, n_restarts
+    ):
+        # through the library, past argparse's int(); engine.run_restarts's
+        # check, taken before the dataset (which does not exist) is read
+        args = cli.build_parser().parse_args(["fit", str(tmp_path / "nope")])
+        args.restarts = n_restarts
         with pytest.raises(UsageError, match="n_restarts must be an integer"):
-            run.validate()
+            cli._build_run_config(args)
 
-    def test_missing_dataset_everywhere(self):
-        assert run_cli("fit", "--restarts", 1) == 2
+    def test_missing_dataset_everywhere(self, capsys):
+        # DATASET is a required argument, and no config file names one
+        with pytest.raises(SystemExit) as info:
+            run_cli("fit", "--restarts", 1)
+        assert info.value.code == 2
+        assert "required: dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(["--tol", -1], id="tol"),
+            pytest.param(["--max-sweeps", 0], id="max-sweeps"),
+            pytest.param(["--seed", -1], id="seed"),
+            pytest.param(["--k", 0], id="k"),
+            pytest.param(["--restarts", 0], id="restarts"),
+            pytest.param(["--threads", 0], id="threads"),
+            pytest.param(["--config", "{cfg}"], id="prior"),
+            pytest.param(["--out", ""], id="out"),
+        ],
+    )
+    @pytest.mark.parametrize("dataset", ["group-file-gone", "no-directory"])
+    def test_bad_setting_exits_2_before_any_read(
+        self, tmp_path, sim1_dataset, capsys, flags, dataset
+    ):
+        # the dataset fails to read (exit 3), so exit 2 shows that the
+        # setting was checked first
+        ds = tmp_path / "ds"
+        if dataset == "group-file-gone":
+            shutil.copytree(sim1_dataset, ds)
+            (ds / "group_group1.csv").unlink()
+        assert run_cli("fit", ds, "--out", tmp_path / "good") == 3
+        assert "cannot read" in capsys.readouterr().err
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"hyper": {"kappa0": -1.0}}))
+        out = tmp_path / "run"
+        flags = [str(f).format(cfg=cfg) for f in flags]
+        # the last --out counts: the case's own, where it gives one
+        assert run_cli("fit", ds, "--out", out, *flags) == 2
+        assert "cannot read" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_dataset_data_error(self, tmp_path):
         assert run_cli("fit", tmp_path / "nope", "--restarts", 1) == 3
@@ -555,8 +592,6 @@ class TestEval:
         [
             pytest.param("truth_group1.csv", lambda m: m[:3], id="loading-rows"),
             pytest.param("truth_group2.csv", lambda m: m[:, :15], id="loading-columns"),
-            pytest.param("truth_factors.csv", lambda m: m[:10], id="factor-rows"),
-            pytest.param("truth_factors.csv", lambda m: m[:, :5], id="factor-columns"),
         ],
     )
     def test_truth_of_the_wrong_shape_data_error(
@@ -572,6 +607,51 @@ class TestEval:
         ) == 3
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(
+                lambda ds, m: m["generator"].pop("factors_file"), id="no-factors_file"
+            ),
+            pytest.param(
+                lambda ds, m: m["generator"].update(factors_file=7),
+                id="number-factors_file",
+            ),
+            pytest.param(
+                lambda ds, m: io.write_matrix_csv(
+                    ds / "truth_factors.csv", np.ones((10, 6))
+                ),
+                id="factor-rows",
+            ),
+            pytest.param(
+                lambda ds, m: io.write_matrix_csv(
+                    ds / "truth_factors.csv", np.ones((20, 5))
+                ),
+                id="factor-columns",
+            ),
+            pytest.param(
+                lambda ds, m: (ds / "truth_factors.csv").unlink(), id="no-factor-file"
+            ),
+        ],
+    )
+    def test_reads_no_truth_factors_file(
+        self, tmp_path, sim1_dataset, sim1_fit, corrupt
+    ):
+        # the stability indices read the true loadings and pattern only
+        ds = tmp_path / "ds"
+        shutil.copytree(sim1_dataset, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        corrupt(ds, manifest)
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        best = json.loads((sim1_fit / "best.json").read_text())
+        ckpt = sim1_fit / best["checkpoint"]
+        outputs = []
+        for dataset, name in ((sim1_dataset, "intact"), (ds, "corrupt")):
+            out = tmp_path / f"{name}.json"
+            assert run_cli("eval", ckpt, dataset, "--mode", "sim1", "--out", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_sim2_mode(self, tmp_path):
         ds = tmp_path / "ds"
@@ -679,12 +759,6 @@ class TestEval:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            pytest.param(
-                lambda m: m["generator"].pop("factors_file"), id="no-factors_file"
-            ),
-            pytest.param(
-                lambda m: m["generator"].update(factors_file=7), id="number-factors_file"
-            ),
             pytest.param(lambda m: m.update(generator="sim1"), id="text-generator"),
             pytest.param(
                 lambda m: m["groups"][1].pop("truth_file"), id="no-truth_file"

@@ -1422,7 +1422,7 @@ class TestStackedFormsMatchPerGroup:
         got = model._expected_sq_residuals(norms, f_mean, f_var, second, square)
         # the sweep's q(tau) rates: h0 + E[||x_n - G_m f_n||^2] / 2
         h0 = 0.1
-        rates = engine._noise_rates(h0, norms, f_mean, f_var, second, square)
+        rates = model._noise_rates(h0, norms, f_mean, f_var, second, square)
         f2 = f_mean * f_mean
         ef2 = f2 + f_var
         for m in range(len(groups)):

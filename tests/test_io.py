@@ -203,8 +203,10 @@ class TestDataset:
             simdata.simulation2_pattern(), 12, [10] * 4, seed=7
         )
         io.write_dataset(tmp_path, data, truth=truth)
-        loadings, pattern, factors = io.read_truth(tmp_path)
+        loadings, pattern = io.read_truth(tmp_path)
         assert pattern.entries == truth.pattern.entries
+        # written, though read_truth does not read it back
+        factors = io.read_matrix_csv(tmp_path / "truth_factors.csv")
         assert np.array_equal(factors, truth.factors)
         for a, b in zip(loadings, truth.loadings):
             assert np.array_equal(a, b)
@@ -221,13 +223,36 @@ class TestDataset:
             io.read_truth(tmp_path)
 
     @pytest.mark.parametrize(
-        "corrupt, message",
+        "corrupt",
         [
             pytest.param(
-                lambda m: m["generator"].pop("factors_file"),
-                "no factors_file",
-                id="no-factors_file",
+                lambda m: m["generator"].pop("factors_file"), id="no-factors_file"
             ),
+            pytest.param(
+                lambda m: m["generator"].update(factors_file=7),
+                id="number-factors_file",
+            ),
+        ],
+    )
+    def test_truth_needs_no_factors_file(self, tmp_path, corrupt):
+        data, truth = simdata.generate(
+            simdata.simulation1_pattern(), 6, [3] * 4, seed=1
+        )
+        io.write_dataset(tmp_path, data, truth=truth)
+        want = io.read_truth(tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        obj = json.loads(manifest_path.read_text())
+        corrupt(obj)
+        manifest_path.write_text(json.dumps(obj))
+        (tmp_path / "truth_factors.csv").unlink()
+        loadings, pattern = io.read_truth(tmp_path)
+        assert pattern.entries == want[1].entries
+        for a, b in zip(loadings, want[0]):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
             pytest.param(lambda m: m.pop("groups"), "lists no groups", id="no-groups"),
             pytest.param(
                 lambda m: m.update(groups=["truth_g0.csv"]),

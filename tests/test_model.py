@@ -402,12 +402,17 @@ def svd_components(groups, k):
     The oracle for model._principal_components: the same outputs, up to
     each component's sign, from the factorization the warm start used to
     take. Loadings are kept for the signal components only, those whose
-    singular value clears twice the median (at least one, at most k_use).
+    singular value clears omega(beta) times the median (at least one, at
+    most k_use), with Gavish & Donoho's omega(beta) = 0.56 beta^3 -
+    0.95 beta^2 + 1.82 beta + 1.43 at the aspect ratio beta.
     """
-    n = groups[0].shape[0]
-    u, sv, vt = np.linalg.svd(np.hstack(groups), full_matrices=False)
+    stacked = np.hstack(groups)
+    n = stacked.shape[0]
+    u, sv, vt = np.linalg.svd(stacked, full_matrices=False)
+    beta = min(stacked.shape) / max(stacked.shape)
+    omega = 0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43
     k_use = min(k, u.shape[1])
-    r_sig = max(1, min(k_use, int((sv > 2.0 * np.median(sv)).sum())))
+    r_sig = max(1, min(k_use, int((sv > omega * np.median(sv)).sum())))
     return sv, np.sqrt(n) * u[:, :k_use], (sv[:r_sig, None] * vt[:r_sig]) / np.sqrt(n)
 
 
@@ -453,6 +458,18 @@ class TestPrincipalComponents:
         data, _ = generate(simulation1_pattern(), n, dims, seed=4)
         self.assert_same_components(data, 8)
         self.assert_same_inclusions(monkeypatch, data, Hyperparameters(K=8))
+
+    # at beta = 1 noise singular values reach past twice the median, and a
+    # fixed cut of 2.0 passed all 30 components
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("spec", ["sim1", "sim2"])
+    def test_square_shape_keeps_the_true_count(self, spec, seed):
+        from cvgfa.simdata import generate, simulation1_pattern, simulation2_pattern
+
+        pattern = {"sim1": simulation1_pattern, "sim2": simulation2_pattern}[spec]()
+        data, truth = generate(pattern, 400, [100] * 4, seed=seed)
+        _, _, loads = model._principal_components(data.groups, 30)
+        assert loads.shape[0] == truth.factors.shape[1] == {"sim1": 6, "sim2": 8}[spec]
 
     def test_single_sample(self, monkeypatch):
         data = make_dataset(seed=8, n=1, dims=(4, 3))
